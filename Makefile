@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet test race race-hot chaos e2e loadgen-smoke bench-reopen
+.PHONY: tier1 build vet test race race-hot chaos e2e loadgen-smoke benchmark-module bench-reopen bench-stateroot
 
-tier1: build vet race-hot chaos loadgen-smoke e2e race
+tier1: build vet benchmark-module race-hot chaos loadgen-smoke e2e race
 
 build:
 	$(GO) build ./...
@@ -19,11 +19,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+# benchmark/ is a module of its own that imports repro/internal/...: vet
+# and short-test it here, so a root-module API change that breaks it
+# fails tier1 instead of the next benchmark run.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
 # Fast-failing race pass over the concurrency-heavy packages (shared
 # instrument handles, gossip fan-out, blob retrieval) before the full
 # suite runs.
 race-hot:
-	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/commitbus/... ./internal/gossip/... ./internal/blobstore/... ./internal/ledger ./internal/consensus ./internal/simnet ./internal/chaos ./internal/transport/... ./internal/admission ./internal/ingest ./internal/search ./internal/contract ./internal/store
+	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/commitbus/... ./internal/gossip/... ./internal/blobstore/... ./internal/ledger ./internal/consensus ./internal/simnet ./internal/chaos ./internal/transport/... ./internal/admission ./internal/ingest ./internal/search ./internal/contract ./internal/store ./internal/merkle
 
 # Open-loop load generator smoke: a short low-rate run against an
 # in-process node with admission control on must finish with zero
@@ -46,3 +52,9 @@ chaos:
 # Reopen cost: full replay vs checkpoint restore (EXPERIMENTS.md E15b).
 bench-reopen:
 	$(GO) test -run NONE -bench 'BenchmarkOpen(Replay|Checkpoint)' -benchtime 5x .
+
+# State-root cost against state size and the rebuild-from-nothing path
+# (EXPERIMENTS.md E24). The 1M-key cases need about 2 GB and a minute.
+bench-stateroot:
+	$(GO) test -run NONE -bench 'BenchmarkStateRoot' -benchmem ./internal/contract
+	$(GO) test -run NONE -bench 'BenchmarkTrieRebuild' -benchmem -benchtime 3x ./internal/merkle

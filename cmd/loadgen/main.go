@@ -34,23 +34,22 @@ import (
 
 func main() {
 	var (
-		url         = flag.String("url", "", "node base URL (e.g. http://127.0.0.1:8420)")
-		local       = flag.Bool("local", false, "run against an in-process node instead of -url")
-		rate        = flag.Float64("rate", 200, "offered arrival rate, requests/second")
-		duration    = flag.Duration("duration", 10*time.Second, "measured run length")
-		users       = flag.Int("users", 64, "synthetic user population")
-		seedArts    = flag.Int("seed-articles", 24, "articles committed before measurement")
-		inflight    = flag.Int("inflight", 256, "max concurrent requests (arrivals past it are client-dropped)")
-		mixSpec     = flag.String("mix", "", "op weights, e.g. publish=25,relay=10,vote=15,search=30,blob_read=20")
-		seed        = flag.Int64("seed", 1, "deterministic workload seed")
-		mint        = flag.Uint64("mint", 10_000, "tokens minted per user for vote stakes")
-		authSeed    = flag.String("authority-seed", "platform-authority", "authority key seed (must match the node)")
-		commitEvery = flag.Duration("commit-every", 50*time.Millisecond, "block cadence of the -local node")
-		out         = flag.String("out", "", "write the JSON summary to this file instead of stdout")
+		url      = flag.String("url", "", "node base URL (e.g. http://127.0.0.1:8420)")
+		local    = flag.Bool("local", false, "run against an in-process node instead of -url")
+		rate     = flag.Float64("rate", 200, "offered arrival rate, requests/second")
+		duration = flag.Duration("duration", 10*time.Second, "measured run length")
+		users    = flag.Int("users", 64, "synthetic user population")
+		seedArts = flag.Int("seed-articles", 24, "articles committed before measurement")
+		inflight = flag.Int("inflight", 256, "max concurrent requests (arrivals past it are client-dropped)")
+		mixSpec  = flag.String("mix", "", "op weights, e.g. publish=25,relay=10,vote=15,search=30,blob_read=20")
+		seed     = flag.Int64("seed", 1, "deterministic workload seed")
+		mint     = flag.Uint64("mint", 10_000, "tokens minted per user for vote stakes")
+		authSeed = flag.String("authority-seed", "platform-authority", "authority key seed (must match the node)")
+		out      = flag.String("out", "", "write the JSON summary to this file instead of stdout")
 	)
 	flag.Parse()
 	if err := run(*url, *local, *rate, *duration, *users, *seedArts, *inflight,
-		*mixSpec, *seed, *mint, *authSeed, *commitEvery, *out); err != nil {
+		*mixSpec, *seed, *mint, *authSeed, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
@@ -58,7 +57,7 @@ func main() {
 
 func run(url string, local bool, rate float64, duration time.Duration,
 	users, seedArts, inflight int, mixSpec string, seed int64, mint uint64,
-	authSeed string, commitEvery time.Duration, out string) error {
+	authSeed, out string) error {
 	if local == (url != "") {
 		return fmt.Errorf("exactly one of -url or -local is required")
 	}
@@ -79,7 +78,7 @@ func run(url string, local bool, rate float64, duration time.Duration,
 		cfg.Mix = mix
 	}
 	if local {
-		node, err := loadgen.StartLocalNode(commitEvery, nil)
+		node, err := loadgen.StartLocalNode(nil)
 		if err != nil {
 			return err
 		}

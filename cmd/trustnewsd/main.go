@@ -191,18 +191,30 @@ func run(ctx context.Context, o options) error {
 	// semantics); clustered nodes let consensus drive commits.
 	api := httpapi.New(p, !clustered)
 	var pipeline *ingest.Pipeline
+	// The committer outlives ctx so that it stops after the ingest
+	// workers do; drained is closed once it has emptied the mempool.
+	commitCtx, stopCommitter := context.WithCancel(context.Background())
+	defer stopCommitter()
+	drained := make(chan struct{})
 	if o.ingestWorkers > 0 {
 		pipeline, err = startIngest(p, o)
 		if err != nil {
 			return err
 		}
 		api.SetIngest(pipeline)
-		if !clustered {
-			// Pipeline workers publish straight into the mempool, not
-			// through the auto-committing HTTP path, so a standalone node
-			// needs a commit ticker for their transactions to land.
-			go commitLoop(ctx, p)
-		}
+	}
+	if pipeline != nil && !clustered {
+		// Pipeline workers publish straight into the mempool, not through
+		// the auto-committing HTTP path: the committer puts their
+		// transactions in blocks as they arrive.
+		go func() {
+			defer close(drained)
+			if err := p.RunCommitter(commitCtx); err != nil {
+				log.Printf("committer: %v", err)
+			}
+		}()
+	} else {
+		close(drained)
 	}
 	srv := &http.Server{
 		Addr:              o.addr,
@@ -242,6 +254,10 @@ func run(ctx context.Context, o options) error {
 		st := pipeline.Stats()
 		log.Printf("shutdown: ingest pipeline stopped (published %d, deduped %d, queued %d)", st.Published, st.Deduped, st.Queue.Depth)
 	}
+	// Whatever the workers submitted last is committed before the final
+	// checkpoint is cut.
+	stopCommitter()
+	<-drained
 	if o.dataDir != "" && p.Chain().Height() != p.CheckpointHeight() {
 		if err := p.WriteCheckpoint(); err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
@@ -275,25 +291,6 @@ func startIngest(p *platform.Platform, o options) (*ingest.Pipeline, error) {
 	}
 	log.Printf("ingest pipeline: %d workers, queue capacity %d", o.ingestWorkers, o.ingestQueueCap)
 	return pl, nil
-}
-
-// commitLoop periodically drains the mempool on a standalone node so
-// transactions submitted outside the HTTP path (the ingest pipeline's
-// workers) commit without waiting for the next API-driven block.
-func commitLoop(ctx context.Context, p *platform.Platform) {
-	ticker := time.NewTicker(100 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			if err := p.CommitAll(); err != nil {
-				log.Printf("commit loop: %v", err)
-				return
-			}
-		}
-	}
 }
 
 // joinCluster wires the platform into a TCP-backed consensus cluster:

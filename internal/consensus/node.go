@@ -786,10 +786,6 @@ func (n *Node) recheckQuorums() {
 				n.signVote(VotePrecommit, id)
 				n.schedulePrecommitTimeout(n.round)
 			}
-		} else if vs.totalPower() >= quorum {
-			// 2/3 of mixed prevotes: schedule the prevote timeout path by
-			// leaving the existing timer to fire.
-			_ = vs
 		}
 	}
 

@@ -85,7 +85,21 @@ type Engine struct {
 	contracts map[string]Contract
 	state     store.StateKV
 	gasLimit  uint64
+
+	// rootMu guards trie, the authenticated image of state that StateRoot
+	// and StateProof bring up to date from the store's change feed. It is
+	// apart from mu so a root never makes queries wait.
+	rootMu sync.Mutex
+	trie   *merkle.Trie
 }
+
+// StateRootScheme versions how StateRoot commits to the state. A
+// checkpoint records the scheme its StateHash was computed under, and one
+// from another scheme is not restored (store.Checkpoint.RootScheme).
+//
+//	0  sorted key||0||value leaves under merkle.Root, re-hashed in full
+//	1  merkle.Trie over the state keys
+const StateRootScheme = 1
 
 // NewEngine creates an engine over a fresh in-memory state.
 func NewEngine() *Engine {
@@ -93,6 +107,7 @@ func NewEngine() *Engine {
 		contracts: make(map[string]Contract),
 		state:     store.NewMemKV(),
 		gasLimit:  DefaultGasLimit,
+		trie:      merkle.NewTrie(),
 	}
 }
 
@@ -110,6 +125,7 @@ func NewShardedEngine(n int) *Engine {
 		contracts: make(map[string]Contract),
 		state:     store.NewShardedKV(n),
 		gasLimit:  DefaultGasLimit,
+		trie:      merkle.NewTrie(),
 	}
 }
 
@@ -150,30 +166,48 @@ func (e *Engine) RestoreState(snap map[string][]byte) {
 	e.state.Restore(snap)
 }
 
-// StateRoot computes a Merkle root over the committed state (sorted
-// key/value leaves). It is the block header's StateRoot.
+// StateRoot returns the commitment to the committed state that block
+// headers carry: the root of a merkle.Trie over the state's keys (the
+// zero hash for an empty state). Only the keys written since the last
+// call are re-hashed, so the cost follows the write set, not the state.
+// The error is always nil; the signature predates the trie.
 func (e *Engine) StateRoot() (merkle.Hash, error) {
-	snap, err := e.state.Snapshot()
+	e.rootMu.Lock()
+	defer e.rootMu.Unlock()
+	e.syncTrieLocked()
+	return e.trie.Root(), nil
+}
+
+// StateProof returns key's committed value with the proof that it sits
+// under the current StateRoot (merkle.VerifyTrieProof checks it).
+func (e *Engine) StateProof(key string) ([]byte, merkle.TrieProof, error) {
+	e.rootMu.Lock()
+	defer e.rootMu.Unlock()
+	e.syncTrieLocked()
+	val, err := e.state.Get(key)
 	if err != nil {
-		return merkle.Hash{}, fmt.Errorf("contract: snapshot: %w", err)
+		return nil, merkle.TrieProof{}, err
 	}
-	if len(snap) == 0 {
-		return merkle.Hash{}, nil
+	proof, err := e.trie.Prove(key)
+	return val, proof, err
+}
+
+// syncTrieLocked folds the store's change feed into the trie, starting
+// over from an empty one when the store hands over everything (after
+// RestoreState, or a write set covering most of the state). Caller
+// holds rootMu.
+func (e *Engine) syncTrieLocked() {
+	entries, all := e.state.DrainDirty()
+	if all {
+		e.trie = merkle.NewTrie()
 	}
-	keysSorted := make([]string, 0, len(snap))
-	for k := range snap {
-		keysSorted = append(keysSorted, k)
+	for _, w := range entries {
+		if w.Live {
+			e.trie.Put(w.Key, w.Val)
+		} else {
+			e.trie.Delete(w.Key)
+		}
 	}
-	sort.Strings(keysSorted)
-	leaves := make([][]byte, 0, len(keysSorted))
-	for _, k := range keysSorted {
-		leaf := make([]byte, 0, len(k)+1+len(snap[k]))
-		leaf = append(leaf, k...)
-		leaf = append(leaf, 0)
-		leaf = append(leaf, snap[k]...)
-		leaves = append(leaves, leaf)
-	}
-	return merkle.Root(leaves), nil
 }
 
 // splitKind parses "contract.method".

@@ -24,8 +24,6 @@ type E21Config struct {
 	Users int
 	// SeedArticles seeds the article pool per cell.
 	SeedArticles int
-	// CommitEvery is the local node's block cadence.
-	CommitEvery time.Duration
 	// WritePerCore and ReadPerCore provision the node's static route
 	// ceilings (writes: POST /v1/tx and POST /v1/blobs; reads:
 	// GET /v1/search and GET /v1/blobs/{cid}), in requests/second per
@@ -46,7 +44,6 @@ func DefaultE21() E21Config {
 		Duration:     4 * time.Second,
 		Users:        48,
 		SeedArticles: 16,
-		CommitEvery:  50 * time.Millisecond,
 		WritePerCore: 600,
 		ReadPerCore:  900,
 		Seed:         21,
@@ -94,7 +91,7 @@ func RunE21(cfg E21Config) (*Table, error) {
 		// backlog between rates, so cells are comparable. Each node is
 		// provisioned like a production deployment: static ceilings on
 		// the hot routes plus the default adaptive gates.
-		node, err := loadgen.StartLocalNode(cfg.CommitEvery, func(pc *platform.Config) {
+		node, err := loadgen.StartLocalNode(func(pc *platform.Config) {
 			routes := map[string]admission.RouteLimit{}
 			if writes > 0 {
 				routes["POST /v1/tx"] = admission.RouteLimit{PerSecond: writes, Burst: int(writes / 4)}

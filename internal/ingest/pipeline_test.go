@@ -175,7 +175,10 @@ func TestPipelineCrashRecoveryNoLossNoDup(t *testing.T) {
 	if got := uint64(q2.Stats().Depth); got != uint64(total)-ackedBefore {
 		t.Fatalf("recovered depth = %d, want %d (acked items must stay settled)", got, uint64(total)-ackedBefore)
 	}
-	pl2 := NewPipeline(p, q2, PipelineConfig{Workers: 2})
+	// A publish the crash stranded in the mempool can take the nonce of a
+	// redelivered one, whose receipt then never lands: it settles by ack
+	// timeout, which must fit well inside this test's wait.
+	pl2 := NewPipeline(p, q2, PipelineConfig{Workers: 2, AckTimeout: time.Second})
 	stop2 := make(chan struct{})
 	defer close(stop2)
 	commitDriver(t, p, stop2)

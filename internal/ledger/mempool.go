@@ -60,8 +60,10 @@ type Mempool struct {
 
 // mempoolLane is one sender-hash partition of the pending set.
 type mempoolLane struct {
-	mu      sync.Mutex
-	pending map[TxID]*Tx
+	mu sync.Mutex
+	// pending maps each pending transaction to when it was admitted (the
+	// zero time on an uninstrumented pool, which reads no clock).
+	pending map[TxID]time.Time
 	// bySender keeps pending txs per sender for nonce-ordered selection.
 	// A sender's transactions live entirely in one lane.
 	bySender map[string][]*Tx
@@ -77,6 +79,7 @@ type mempoolMetrics struct {
 	pruned    *telemetry.Counter
 	occupancy *telemetry.Gauge
 	verifySec *telemetry.Histogram
+	waitSec   *telemetry.Histogram
 }
 
 // Instrument registers the pool's metrics on reg (nil disables). Call
@@ -91,6 +94,7 @@ func (m *Mempool) Instrument(reg *telemetry.Registry) {
 		pruned:    reg.Counter("trustnews_mempool_pruned_total", "Stale-nonce transactions evicted during pruning."),
 		occupancy: reg.Gauge("trustnews_mempool_occupancy", "Transactions currently pending."),
 		verifySec: reg.Histogram("trustnews_mempool_verify_seconds", "Signature/shape verification time per transaction.", nil),
+		waitSec:   reg.Histogram("trustnews_mempool_wait_seconds", "Time a committed transaction spent pending, admission to removal by its block.", nil),
 	}
 }
 
@@ -120,7 +124,7 @@ func NewMempoolLanes(chain *Chain, capacity, lanes int) *Mempool {
 	}
 	for i := range m.lanes {
 		m.lanes[i] = &mempoolLane{
-			pending:  make(map[TxID]*Tx),
+			pending:  make(map[TxID]time.Time),
 			bySender: make(map[string][]*Tx),
 		}
 	}
@@ -209,7 +213,11 @@ func (m *Mempool) Add(t *Tx) error {
 		m.tm.rejected.With("stale_nonce").Inc()
 		return fmt.Errorf("%w: sender %s nonce %d", ErrStaleNonce, t.Sender.Short(), t.Nonce)
 	}
-	lane.pending[id] = t
+	var admitted time.Time
+	if m.tm.waitSec != nil {
+		admitted = time.Now()
+	}
+	lane.pending[id] = admitted
 	lane.bySender[sender] = append(lane.bySender[sender], t)
 	m.tm.admitted.Inc()
 	m.tm.occupancy.Set(float64(m.count.Load()))
@@ -287,10 +295,15 @@ func (m *Mempool) Batch(max int) []*Tx {
 func (m *Mempool) Remove(txs []*Tx) {
 	defer m.lockAll()()
 	removed := 0
+	var now time.Time
+	if m.tm.waitSec != nil {
+		now = time.Now()
+	}
 	for _, t := range txs {
 		lane := m.laneOf(t.Sender.String())
-		if _, ok := lane.pending[t.ID()]; ok {
+		if admitted, ok := lane.pending[t.ID()]; ok {
 			m.tm.committed.Inc()
+			m.tm.waitSec.Observe(now.Sub(admitted).Seconds())
 			removed++
 		}
 		delete(lane.pending, t.ID())

@@ -1,9 +1,9 @@
 package loadgen
 
 import (
+	"context"
 	"net/http/httptest"
 	"sync"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/httpapi"
@@ -14,9 +14,10 @@ import (
 
 // LocalNode is an in-process trustnewsd-equivalent for experiments and
 // smoke tests: a full platform (admission control and telemetry on, as
-// in production) behind a real HTTP listener, with a ticker committing
-// blocks the way a standalone daemon does. Measurements against it
-// include the complete serving path minus only cross-host networking.
+// in production) behind a real HTTP listener, with the platform's
+// committer putting submitted transactions in blocks the way a standalone
+// daemon does. Measurements against it include the complete serving path
+// minus only cross-host networking.
 type LocalNode struct {
 	P *platform.Platform
 	// Ingest is the node's async ingestion pipeline, started and
@@ -25,15 +26,15 @@ type LocalNode struct {
 	URL    string
 
 	srv      *httptest.Server
-	stop     chan struct{}
-	done     chan struct{}
+	stop     context.CancelFunc // stops the committer
+	done     chan struct{}      // closed once it has drained and returned
 	stopOnce sync.Once
 }
 
-// StartLocalNode boots the node. commitEvery is the block cadence; the
-// default platform config is used with telemetry and admission enabled
-// (override via mutate, which may be nil).
-func StartLocalNode(commitEvery time.Duration, mutate func(*platform.Config)) (*LocalNode, error) {
+// StartLocalNode boots the node on the default platform config with
+// telemetry and admission enabled (override via mutate, which may be
+// nil).
+func StartLocalNode(mutate func(*platform.Config)) (*LocalNode, error) {
 	cfg := platform.DefaultConfig()
 	cfg.Telemetry = telemetry.New()
 	cfg.Admission = admission.DefaultConfig()
@@ -44,11 +45,8 @@ func StartLocalNode(commitEvery time.Duration, mutate func(*platform.Config)) (*
 	if err != nil {
 		return nil, err
 	}
-	n := &LocalNode{
-		P:    p,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	ctx, stop := context.WithCancel(context.Background())
+	n := &LocalNode{P: p, stop: stop, done: make(chan struct{})}
 	q, err := ingest.NewQueue(nil, ingest.QueueConfig{})
 	if err != nil {
 		return nil, err
@@ -60,37 +58,21 @@ func StartLocalNode(commitEvery time.Duration, mutate func(*platform.Config)) (*
 	api.SetIngest(n.Ingest)
 	n.srv = httptest.NewServer(api)
 	n.URL = n.srv.URL
-	go n.commitLoop(commitEvery)
+	go func() {
+		defer close(n.done)
+		// A commit error means a bug elsewhere; tests observe the stall.
+		_ = p.RunCommitter(ctx)
+	}()
 	return n, nil
 }
 
-// commitLoop mimics the daemon's standalone commit ticker.
-func (n *LocalNode) commitLoop(every time.Duration) {
-	defer close(n.done)
-	if every <= 0 {
-		every = 50 * time.Millisecond
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
-			// Commit errors here mean a bug elsewhere; the pool
-			// simply retries next tick and tests observe the stall.
-			_ = n.P.CommitAll()
-		}
-	}
-}
-
-// Close stops the ingest pipeline, the commit loop, and the HTTP
+// Close stops the ingest pipeline, the committer, and the HTTP
 // listener, in that order (workers must stop submitting before the
 // committer goes away).
 func (n *LocalNode) Close() {
 	n.stopOnce.Do(func() {
 		n.Ingest.Stop()
-		close(n.stop)
+		n.stop()
 		<-n.done
 		n.srv.Close()
 	})

@@ -1,14 +1,17 @@
 package platform
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/corpus"
 	"repro/internal/ledger"
 	"repro/internal/ranking"
+	"repro/internal/store"
 )
 
 // runWorkload drives a varied block sequence: seeded facts, published
@@ -165,47 +168,138 @@ func TestOpenCheckpointMatchesFullReplay(t *testing.T) {
 	assertSameDerivedState(t, fast, full)
 }
 
-func TestOpenFallsBackOnCorruptCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	p, closeFn, err := Open(dir, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+// A checkpoint that cannot be trusted — damaged on disk, or cut under
+// another state-root scheme, whose StateHash this build cannot reproduce —
+// is ignored in favour of full replay, which arrives at the same node.
+func TestOpenFallsBackOnUnusableCheckpoint(t *testing.T) {
+	damage := map[string]func(t *testing.T, path string){
+		"flipped byte": func(t *testing.T, path string) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0xff
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"older root scheme": func(t *testing.T, path string) {
+			cp, err := store.ReadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.RootScheme = contract.StateRootScheme - 1
+			if err := store.WriteCheckpoint(path, cp); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
-	runWorkload(t, p, 8)
-	if err := p.WriteCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	height := p.Chain().Height()
-	root, err := p.Engine().StateRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	closeFn()
+	for name, apply := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			p, closeFn, err := Open(dir, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runWorkload(t, p, 8)
+			if err := p.WriteCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			height := p.Chain().Height()
+			root, err := p.Engine().StateRoot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeFn()
 
-	path := filepath.Join(dir, checkpointName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			apply(t, filepath.Join(dir, checkpointName))
 
-	p2, close2, err := Open(dir, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+			p2, close2, err := Open(dir, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer close2()
+			if p2.CheckpointHeight() != 0 {
+				t.Fatalf("unusable checkpoint restored (height %d)", p2.CheckpointHeight())
+			}
+			if p2.Chain().Height() != height {
+				t.Fatalf("height %d want %d", p2.Chain().Height(), height)
+			}
+			root2, err := p2.Engine().StateRoot()
+			if err != nil || root2 != root {
+				t.Fatalf("state root %s want %s (err=%v)", root2, root, err)
+			}
+		})
 	}
-	defer close2()
-	if p2.CheckpointHeight() != 0 {
-		t.Fatalf("corrupt checkpoint restored (height %d)", p2.CheckpointHeight())
-	}
-	if p2.Chain().Height() != height {
-		t.Fatalf("height %d want %d", p2.Chain().Height(), height)
-	}
-	root2, err := p2.Engine().StateRoot()
-	if err != nil || root2 != root {
-		t.Fatalf("state root %s want %s (err=%v)", root2, root, err)
+}
+
+// Replay holds every block to the state root in its own header, on the
+// full-replay path and on the WAL tail above a checkpoint alike: a log
+// whose last block commits to a root its transactions do not produce
+// fails Open with ErrStateRootMismatch instead of booting a node whose
+// state contradicts its chain.
+func TestOpenRejectsTamperedStateRoot(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+	}{{"full replay", false}, {"tail above a checkpoint", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p, closeFn, err := Open(dir, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runWorkload(t, p, 4)
+			if tc.checkpoint {
+				if err := p.WriteCheckpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a := p.NewActor("late")
+			if err := a.PublishNews("late-item", corpus.TopicScience, "a late statement", nil, ""); err != nil {
+				t.Fatal(err)
+			}
+			height := p.Chain().Height()
+			closeFn()
+
+			// Copy the log record by record, forging the last block's root.
+			path := filepath.Join(dir, chainLogName)
+			src, err := store.OpenFileLog(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := store.OpenFileLog(path + ".forged")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < src.Len(); i++ {
+				rec, err := src.Get(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == src.Len()-1 {
+					blk, err := ledger.DecodeBlock(rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					blk.Header.StateRoot[0] ^= 1
+					rec = blk.Encode()
+				}
+				if _, err := dst.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src.Close()
+			dst.Close()
+			if err := os.Rename(path+".forged", path); err != nil {
+				t.Fatal(err)
+			}
+
+			_, _, err = Open(dir, DefaultConfig())
+			if !errors.Is(err, ErrStateRootMismatch) {
+				t.Fatalf("Open of a log whose block %d carries a forged state root: want ErrStateRootMismatch, got %v", height-1, err)
+			}
+		})
 	}
 }
 

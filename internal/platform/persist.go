@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"repro/internal/contract"
 	"repro/internal/ledger"
 	"repro/internal/merkle"
 	"repro/internal/store"
@@ -26,6 +27,10 @@ import (
 //     checkpoint fails any verification step. Replay also re-verifies the
 //     chain's integrity (a tampered block file fails CRC or
 //     re-validation), so the checkpoint never weakens tamper evidence.
+//
+// Both paths check, after executing each block whose header commits to a
+// state root, that the engine arrived at that root; a block that does not
+// reproduce its own header fails Open with ErrStateRootMismatch.
 
 // Durable file names inside the data directory.
 const (
@@ -35,6 +40,11 @@ const (
 
 // ErrNotDurable indicates a checkpoint operation on an in-memory node.
 var ErrNotDurable = errors.New("platform: node has no data directory")
+
+// ErrStateRootMismatch fails Open when replaying a block leaves the
+// contract state at another root than the block's header commits to: the
+// log was altered, or was written under another contract.StateRootScheme.
+var ErrStateRootMismatch = errors.New("platform: replayed state root does not match block header")
 
 // Open creates or reopens a durable platform at dir. The chain log lives
 // in dir/chain.log and checkpoints in dir/checkpoint.ckpt. The returned
@@ -136,6 +146,9 @@ func newDurable(dir string, cfg Config, chain *ledger.Chain) (*Platform, error) 
 func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if cp.RootScheme != contract.StateRootScheme {
+		return fmt.Errorf("platform: checkpoint state root scheme %d, this build uses %d", cp.RootScheme, contract.StateRootScheme)
+	}
 	if cp.Height > p.chain.Height() {
 		return fmt.Errorf("platform: checkpoint height %d beyond chain height %d", cp.Height, p.chain.Height())
 	}
@@ -161,7 +174,8 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 	}
 	// The restored contract state must hash to both the checkpoint's
 	// recorded root and the root committed in the block header at the
-	// checkpoint height — the same double-entry the full replay enforces.
+	// checkpoint height, the header check replayFrom applies to every
+	// block it executes.
 	root, err := p.engine.StateRoot()
 	if err != nil {
 		return fmt.Errorf("platform: restored state root: %w", err)
@@ -177,15 +191,28 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 }
 
 // replayFrom re-executes committed blocks from the given height upward,
-// feeding each through the commit bus exactly like a live commit.
+// feeding each through the commit bus exactly like a live commit, and
+// holds each to the state root its header carries (consensus-decided
+// blocks carry none, so a cluster validator's replay hashes nothing).
 func (p *Platform) replayFrom(from uint64) error {
-	return p.chain.Walk(from, func(b *ledger.Block) bool {
+	var mismatch error
+	err := p.chain.Walk(from, func(b *ledger.Block) bool {
 		p.mu.Lock()
+		defer p.mu.Unlock()
 		recs := p.executeBlockLocked(b)
+		if want := b.Header.StateRoot; !want.IsZero() {
+			if got, _ := p.engine.StateRoot(); got != want {
+				mismatch = fmt.Errorf("%w: block %d commits to %s, replay reached %s", ErrStateRootMismatch, b.Header.Height, want.Short(), got.Short())
+				return false
+			}
+		}
 		p.publishLocked(b, recs)
-		p.mu.Unlock()
 		return true
 	})
+	if mismatch != nil {
+		return mismatch
+	}
+	return err
 }
 
 // WriteCheckpoint snapshots the node's derived state — contract state,
@@ -219,6 +246,7 @@ func (p *Platform) WriteCheckpoint() error {
 		Height:      height,
 		HeadID:      headID,
 		StateHash:   root.String(),
+		RootScheme:  contract.StateRootScheme,
 		Chain:       chainSnap,
 		Subscribers: blobs,
 	}

@@ -12,6 +12,7 @@
 package platform
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -42,6 +43,9 @@ var (
 	ErrTxFailed = errors.New("platform: transaction failed")
 	// ErrNotTrained indicates ranking before TrainClassifier.
 	ErrNotTrained = errors.New("platform: AI classifier not trained")
+	// ErrReplicated indicates a standalone commit on a node whose blocks
+	// are decided by consensus (AttachConsensus, Cluster replicas).
+	ErrReplicated = errors.New("platform: standalone commit disabled under consensus")
 )
 
 // Config tunes a platform node.
@@ -195,6 +199,10 @@ type Platform struct {
 	// onSubmit, when set, observes every transaction Submit accepts into
 	// the mempool (cluster mode relays them to peer validators).
 	onSubmit func(*ledger.Tx)
+	// wake holds at most one pending "the mempool has work" signal for
+	// RunCommitter: senders never block, and signals raised while a
+	// commit is running collapse into one.
+	wake chan struct{}
 	// clock supplies block timestamps (fixed epoch by default for
 	// reproducibility; override with SetClock).
 	clock func() time.Time
@@ -216,6 +224,9 @@ type platformMetrics struct {
 	commits   *telemetry.Counter
 	txs       *telemetry.Counter
 	commitSec *telemetry.Histogram
+	// stageSec splits commitSec by stage (trustnews_commit_stage_seconds),
+	// indexed by commitStage.
+	stageSec [numCommitStages]*telemetry.Histogram
 	// Execution-scheduler instruments (trustnews_exec_*): populated for
 	// every executor; the lane/wave families only move under sharding.
 	execConflicts  *telemetry.Counter
@@ -226,6 +237,27 @@ type platformMetrics struct {
 	execLaneTxs    *telemetry.CounterVec
 	conflictRate   *telemetry.Gauge
 	crossShardFrac *telemetry.Gauge
+}
+
+// commitStage names one step of the commit path. Each runs under a child
+// span of the commit and its own trustnews_commit_stage_seconds series,
+// so the node itself reports where a block's time went.
+type commitStage int
+
+const (
+	stageExecute commitStage = iota
+	stageStateRoot
+	stageAppend
+	stagePublish
+	numCommitStages
+)
+
+// commitStages gives each stage its metric label and span name.
+var commitStages = [numCommitStages]struct{ label, span string }{
+	stageExecute:   {"execute", "engine.execute"},
+	stageStateRoot: {"state_root", "engine.state_root"},
+	stageAppend:    {"append", "chain.append"},
+	stagePublish:   {"publish", "commitbus.publish"},
 }
 
 // ExecStats accumulates execution-scheduler behaviour across every block
@@ -303,6 +335,7 @@ func New(cfg Config) (*Platform, error) {
 		experts:   supplychain.NewExpertMiner(),
 		searchIdx: search.New(),
 		clock:     func() time.Time { return time.Unix(1562500000, 0).UTC() },
+		wake:      make(chan struct{}, 1),
 	}
 	p.verifier = newVerifier(cfg)
 	p.chain.SetVerifier(p.verifier)
@@ -343,6 +376,10 @@ func New(cfg Config) (*Platform, error) {
 		execLaneTxs:    cfg.Telemetry.CounterVec("trustnews_exec_lane_txs_total", "Transactions executed per shard lane (occupancy).", "lane"),
 		conflictRate:   cfg.Telemetry.Gauge("trustnews_exec_conflict_rate", "Re-executions per executed transaction (lifetime ratio)."),
 		crossShardFrac: cfg.Telemetry.Gauge("trustnews_exec_cross_shard_fraction", "Fraction of executed transactions sequenced through barriers (lifetime ratio)."),
+	}
+	stageSec := cfg.Telemetry.HistogramVec("trustnews_commit_stage_seconds", "Wall time of one commit-path stage of one block.", nil, "stage")
+	for st, names := range commitStages {
+		p.tm.stageSec[st] = stageSec.With(names.label)
 	}
 	p.graph = supplychain.NewGraph(p.factIndex)
 	p.searchSub = search.NewSubscriber(p.searchIdx, p.resolveBody)
@@ -597,7 +634,8 @@ func (p *Platform) ExecStats() ExecStats {
 
 // Submit verifies and enqueues a signed transaction. In cluster mode the
 // accepted transaction is also handed to the relay hook (SetOnSubmit) so
-// peer validators learn about it before their next proposal.
+// peer validators learn about it before their next proposal; standalone,
+// a running RunCommitter is woken to put it in a block.
 //
 // With Config.Admission set, Submit first passes the mempool admission
 // gate: concurrent signature verifications are bounded, a short queue
@@ -613,6 +651,10 @@ func (p *Platform) Submit(tx *ledger.Tx) error {
 	if err := p.pool.Add(tx); err != nil {
 		return err
 	}
+	select {
+	case p.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 	p.mu.Lock()
 	relay := p.onSubmit
 	p.mu.Unlock()
@@ -620,6 +662,45 @@ func (p *Platform) Submit(tx *ledger.Tx) error {
 		relay(tx)
 	}
 	return nil
+}
+
+// RunCommitter commits whatever Submit puts in the mempool until ctx is
+// cancelled, then drains what is left and returns. It is how a standalone
+// node commits transactions nobody waits on (the ingest pipeline's): it
+// sleeps until Submit signals work and runs CommitAll, so an idle node's
+// transaction is in a block as soon as it can be, and under load
+// everything that arrived while one block was being committed shares the
+// next — group commit whose batch follows the load, with no interval to
+// tune. It returns ErrReplicated at once under consensus, and the first
+// commit error otherwise.
+func (p *Platform) RunCommitter(ctx context.Context) error {
+	if p.ConsensusAttached() {
+		return ErrReplicated
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			return p.CommitAll()
+		case <-p.wake:
+		}
+		if err := p.CommitAll(); err != nil {
+			return err
+		}
+	}
+}
+
+// stage runs fn as one stage of the commit whose span is sp.
+func (p *Platform) stage(sp *telemetry.Span, st commitStage, fn func()) {
+	h := p.tm.stageSec[st]
+	if h == nil {
+		fn()
+		return
+	}
+	child := sp.Child(commitStages[st].span)
+	start := time.Now()
+	fn()
+	h.Observe(time.Since(start).Seconds())
+	child.End()
 }
 
 // Commit mines one block from the mempool in standalone mode: executes
@@ -630,7 +711,7 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.replicated {
-		return nil, nil, errors.New("platform: standalone commit disabled under consensus")
+		return nil, nil, ErrReplicated
 	}
 	txs := p.pool.Batch(p.cfg.MaxTxsPerBlock)
 	if len(txs) == 0 {
@@ -641,26 +722,19 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 		start = time.Now()
 	}
 	sp := p.tracer.Start("platform.commit")
+	defer sp.End()
 	blk := ledger.NewBlock(p.chain.Height(), p.chain.HeadID(), [32]byte{}, p.clock(), p.authority.Address(), txs)
-	exec := sp.Child("engine.execute")
-	recs := p.executeBlockLocked(blk)
-	exec.End()
-	root, err := p.engine.StateRoot()
+	var recs []contract.Receipt
+	p.stage(sp, stageExecute, func() { recs = p.executeBlockLocked(blk) })
+	p.stage(sp, stageStateRoot, func() { blk.Header.StateRoot, _ = p.engine.StateRoot() }) // error always nil
+	var err error
+	p.stage(sp, stageAppend, func() { err = p.chain.Append(blk) })
 	if err != nil {
-		sp.SetAttr("error", "state_root")
-		sp.End()
-		return nil, nil, fmt.Errorf("platform: state root: %w", err)
-	}
-	blk.Header.StateRoot = root
-	if err := p.chain.Append(blk); err != nil {
 		sp.SetAttr("error", "append")
-		sp.End()
 		return nil, nil, fmt.Errorf("platform: append block: %w", err)
 	}
 	p.pool.Remove(txs)
-	pub := sp.Child("commitbus.publish")
-	p.publishLocked(blk, recs)
-	pub.End()
+	p.stage(sp, stagePublish, func() { p.publishLocked(blk, recs) })
 	p.tm.commits.Inc()
 	p.tm.txs.Add(uint64(len(txs)))
 	if p.tm.commitSec != nil {
@@ -668,7 +742,6 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 	}
 	sp.SetAttr("height", fmt.Sprintf("%d", blk.Header.Height))
 	sp.SetAttr("txs", fmt.Sprintf("%d", len(txs)))
-	sp.End()
 	return blk, recs, nil
 }
 
@@ -697,8 +770,9 @@ func (p *Platform) ApplyExternalBlock(b *ledger.Block) error {
 		start = time.Now()
 	}
 	sp := p.tracer.Start("platform.applyExternalBlock")
-	recs := p.executeBlockLocked(b)
-	p.publishLocked(b, recs)
+	var recs []contract.Receipt
+	p.stage(sp, stageExecute, func() { recs = p.executeBlockLocked(b) })
+	p.stage(sp, stagePublish, func() { p.publishLocked(b, recs) })
 	p.tm.commits.Inc()
 	p.tm.txs.Add(uint64(len(b.Txs)))
 	if p.tm.commitSec != nil {

@@ -31,6 +31,13 @@ func TestDurableNodeMempoolMetricsLive(t *testing.T) {
 	for _, want := range []string{
 		"trustnews_mempool_admitted_total 1",
 		"trustnews_platform_commits_total 1",
+		// The node reports its own stage budget: one observation per
+		// commit-path stage and per committed tx's mempool wait.
+		`trustnews_commit_stage_seconds_count{stage="execute"} 1`,
+		`trustnews_commit_stage_seconds_count{stage="state_root"} 1`,
+		`trustnews_commit_stage_seconds_count{stage="append"} 1`,
+		`trustnews_commit_stage_seconds_count{stage="publish"} 1`,
+		"trustnews_mempool_wait_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("durable node metrics missing %q in:\n%s", want, body)

@@ -31,6 +31,11 @@ type Checkpoint struct {
 	// StateHash is the hex contract-state root at Height; restore
 	// recomputes the root from the restored state and rejects mismatches.
 	StateHash string
+	// RootScheme is the contract.StateRootScheme StateHash was computed
+	// under (0 in checkpoints written before the field existed). Restore
+	// refuses another scheme's checkpoint rather than report its honest
+	// StateHash as a mismatch.
+	RootScheme int
 	// Chain is the ledger's serialized index snapshot (block ids,
 	// transaction locations, per-sender nonces), letting reopen skip
 	// decoding and re-validating the checkpointed log prefix.

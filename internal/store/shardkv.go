@@ -21,11 +21,15 @@ func ShardOf(key string, n int) int {
 }
 
 // StateKV is the contract-state store contract: a KV plus the wholesale
-// Restore used by checkpoint recovery. MemKV and ShardedKV implement it.
+// Restore used by checkpoint recovery and the change feed the state
+// commitment is maintained from. MemKV and ShardedKV implement it.
 type StateKV interface {
 	KV
 	// Restore replaces the contents with the given snapshot.
 	Restore(snap map[string][]byte)
+	// DrainDirty hands over what changed since the previous call (see
+	// MemKV.DrainDirty).
+	DrainDirty() (entries []DirtyEntry, all bool)
 }
 
 var (
@@ -38,8 +42,8 @@ var (
 // shards never contend on the same mutex, which is what lets the
 // contract engine's execution lanes run against disjoint state
 // partitions in parallel. The logical contents are identical to a flat
-// MemKV: Keys and Snapshot merge across shards, so state roots computed
-// over a snapshot are byte-identical whatever the shard count.
+// MemKV: Keys, Snapshot and DrainDirty merge across shards, so a state
+// root kept from them is byte-identical whatever the shard count.
 type ShardedKV struct {
 	shards []*MemKV
 }
@@ -128,6 +132,24 @@ func (s *ShardedKV) Restore(snap map[string][]byte) {
 	for i, sh := range s.shards {
 		sh.Restore(parts[i])
 	}
+}
+
+// DrainDirty implements StateKV: the shards' change sets concatenated.
+// A shard that lost track can only hand over its own keys, which says
+// nothing about the rest of the state, so from then on every shard is
+// asked for everything.
+func (s *ShardedKV) DrainDirty() ([]DirtyEntry, bool) {
+	var out []DirtyEntry
+	all := false
+	for i := 0; i < len(s.shards); i++ {
+		entries, shardAll := s.shards[i].drainDirty(all)
+		if shardAll && !all {
+			all, out, i = true, nil, -1 // start over
+			continue
+		}
+		out = append(out, entries...)
+	}
+	return out, all
 }
 
 // Close implements KV.

@@ -100,10 +100,32 @@ func (l *MemLog) Len() uint64 {
 // Close implements Log.
 func (l *MemLog) Close() error { return nil }
 
-// MemKV is an in-memory KV safe for concurrent use.
+// MemKV is an in-memory KV safe for concurrent use. Beside the data it
+// remembers which keys changed since the last DrainDirty, which is what
+// lets the contract engine bring its state commitment up to date from a
+// block's write set instead of re-hashing the whole state.
 type MemKV struct {
 	mu   sync.RWMutex
 	data map[string][]byte
+	// dirty holds the keys put or deleted since the last drain, each with
+	// its stored value (nil: deleted). Once it covers more than half the
+	// state — or Restore replaces the contents — it is dropped for
+	// allDirty, "hand over everything": rebuilding from all keys then
+	// costs about what folding in that many changes would, and a store
+	// nobody drains (a cluster validator's: consensus blocks carry no
+	// state root) stops tracking at its first write and never hashes
+	// anything.
+	dirty    map[string][]byte
+	allDirty bool
+}
+
+// DirtyEntry is one key's current state as handed over by DrainDirty.
+// Val aliases the stored bytes — stored values are replaced, never
+// written in place — and must not be modified.
+type DirtyEntry struct {
+	Key  string
+	Val  []byte
+	Live bool // false: the key was deleted
 }
 
 var _ KV = (*MemKV)(nil)
@@ -131,6 +153,7 @@ func (m *MemKV) Put(key string, val []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.data[key] = cp
+	m.markDirty(key, cp)
 	return nil
 }
 
@@ -138,8 +161,58 @@ func (m *MemKV) Put(key string, val []byte) error {
 func (m *MemKV) Delete(key string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.data, key)
+	if _, ok := m.data[key]; ok {
+		delete(m.data, key)
+		m.markDirty(key, nil)
+	}
 	return nil
+}
+
+// markDirty records a changed key with its stored value, nil for a
+// delete (Put stores a non-nil copy even of an empty value). Caller
+// holds m.mu.
+func (m *MemKV) markDirty(key string, stored []byte) {
+	if m.allDirty {
+		return
+	}
+	if m.dirty == nil {
+		m.dirty = make(map[string][]byte)
+	}
+	m.dirty[key] = stored
+	if 2*len(m.dirty) > len(m.data) {
+		m.dirty, m.allDirty = nil, true
+	}
+}
+
+// DrainDirty returns the keys changed since the previous call with their
+// current values, in no particular order, and forgets them. all reports
+// that change tracking was abandoned meanwhile (see MemKV): the entries
+// are then every live key, and whatever the caller derived from earlier
+// drains must be rebuilt from them alone.
+func (m *MemKV) DrainDirty() (entries []DirtyEntry, all bool) { return m.drainDirty(false) }
+
+// drainDirty is DrainDirty with the hand-over-everything answer forced,
+// for a ShardedKV whose other shards lost track.
+func (m *MemKV) drainDirty(all bool) ([]DirtyEntry, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	all = all || m.allDirty
+	var out []DirtyEntry
+	if all {
+		out = make([]DirtyEntry, 0, len(m.data))
+		for k, v := range m.data {
+			out = append(out, DirtyEntry{Key: k, Val: v, Live: true})
+		}
+	} else {
+		out = make([]DirtyEntry, 0, len(m.dirty))
+		for k, v := range m.dirty {
+			out = append(out, DirtyEntry{Key: k, Val: v, Live: v != nil})
+		}
+	}
+	// Not clear(): a map that once held a large write set keeps its
+	// buckets, and clearing them would cost every later drain O(that).
+	m.dirty, m.allDirty = nil, false
+	return out, all
 }
 
 // Keys implements KV.
@@ -173,6 +246,7 @@ func (m *MemKV) Snapshot() (map[string][]byte, error) {
 func (m *MemKV) Restore(snap map[string][]byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.dirty, m.allDirty = nil, true
 	m.data = make(map[string][]byte, len(snap))
 	for k, v := range snap {
 		cp := make([]byte, len(v))

@@ -59,8 +59,7 @@ func (a *ChainApp) ValidateBlock(b *ledger.Block) error {
 	return a.Chain.VerifyBlockBody(b)
 }
 
-// BlockAt implements BlockFetcher, so a node backed by this app can serve
-// block sync for heights older than its certificate window.
+// BlockAt implements App: block sync reads bodies from the chain.
 func (a *ChainApp) BlockAt(height uint64) (*ledger.Block, error) {
 	return a.Chain.BlockAt(height)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/ledger"
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 )
 
 func submitTxs(t testing.TB, c *Cluster, count int) {
@@ -306,26 +307,187 @@ func TestCommitCertVerification(t *testing.T) {
 	c, _ := NewCluster(4, 31, DefaultTimeouts())
 	blk := ledger.NewBlock(0, ledger.BlockID{}, [32]byte{}, time.Unix(0, 0).UTC(), c.Keys[0].Address(), nil)
 	id := blk.ID()
-	mkVote := func(i int) Vote {
+	mkVote := func(i int, id ledger.BlockID) Vote {
 		v := Vote{Type: VotePrecommit, Height: 0, Round: 0, BlockID: id, Voter: c.Keys[i].Address()}
 		SignVote(&v, c.Keys[i])
 		return v
 	}
-	good := &Commit{Height: 0, Block: blk, Quorum: []Vote{mkVote(0), mkVote(1), mkVote(2)}}
-	if err := VerifyCommit(good, c.Set); err != nil {
-		t.Fatalf("valid cert rejected: %v", err)
+	quorum := []Vote{mkVote(0, id), mkVote(1, id), mkVote(2, id)}
+	other := ledger.BlockID{0xbd}
+	cases := []struct {
+		name string
+		cert *Commit
+		ok   bool
+	}{
+		{"3 of 4", &Commit{Height: 0, BlockID: id, Quorum: quorum}, true},
+		{"2 of 4", &Commit{Height: 0, BlockID: id, Quorum: quorum[:2]}, false},
+		{"duplicate voter", &Commit{Height: 0, BlockID: id, Quorum: []Vote{quorum[0], quorum[0], quorum[1]}}, false},
+		{"height mismatch", &Commit{Height: 1, BlockID: id, Quorum: quorum}, false},
+		{"votes sign another id", &Commit{Height: 0, BlockID: other, Quorum: quorum}, false},
+		{"one vote signs another id", &Commit{Height: 0, BlockID: id, Quorum: []Vote{quorum[0], quorum[1], mkVote(2, other)}}, false},
+		{"nil-block quorum", &Commit{Height: 0, Quorum: []Vote{mkVote(0, ledger.BlockID{}), mkVote(1, ledger.BlockID{}), mkVote(2, ledger.BlockID{})}}, false},
 	}
-	short := &Commit{Height: 0, Block: blk, Quorum: []Vote{mkVote(0), mkVote(1)}}
-	if err := VerifyCommit(short, c.Set); err == nil {
-		t.Fatal("2-of-4 cert must fail")
+	for _, tc := range cases {
+		if err := VerifyCommit(tc.cert, c.Set); (err == nil) != tc.ok {
+			t.Errorf("%s: VerifyCommit = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
-	dup := &Commit{Height: 0, Block: blk, Quorum: []Vote{mkVote(0), mkVote(0), mkVote(1)}}
-	if err := VerifyCommit(dup, c.Set); err == nil {
-		t.Fatal("duplicate-voter cert must fail")
+}
+
+// certHarness is one node of a 4-validator set driven by hand: the test
+// plays the three peers, so it decides exactly which messages the node
+// sees. sent collects what the node sends to v1.
+type certHarness struct {
+	c    *Cluster
+	node *Node
+	app  *ChainApp
+	reg  *telemetry.Registry
+	sent []simnet.Message
+}
+
+func newCertHarness(t *testing.T) *certHarness {
+	t.Helper()
+	c, err := NewCluster(4, 5, DefaultTimeouts())
+	if err != nil {
+		t.Fatal(err)
 	}
-	wrong := &Commit{Height: 1, Block: blk, Quorum: []Vote{mkVote(0), mkVote(1), mkVote(2)}}
-	if err := VerifyCommit(wrong, c.Set); err == nil {
-		t.Fatal("height-mismatch cert must fail")
+	reg := telemetry.New()
+	c.Instrument(reg)
+	h := &certHarness{c: c, node: c.Nodes[0], app: c.Apps[0], reg: reg}
+	for _, id := range []simnet.NodeID{"v1", "v2", "v3"} {
+		id := id
+		err := c.Net.SetHandler(id, func(m simnet.Message) {
+			if id == "v1" {
+				h.sent = append(h.sent, m)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Only v0 runs: it proposes a block of its own at height 0 that never
+	// gathers a quorum, and holds no other body.
+	h.node.Start()
+	return h
+}
+
+// cert builds a height-0 certificate for id signed by the given validators.
+func (h *certHarness) cert(id ledger.BlockID, voters ...int) *Commit {
+	cert := &Commit{Height: 0, BlockID: id}
+	for _, i := range voters {
+		v := Vote{Type: VotePrecommit, Height: 0, BlockID: id, Voter: h.c.Keys[i].Address()}
+		SignVote(&v, h.c.Keys[i])
+		cert.Quorum = append(cert.Quorum, v)
+	}
+	return cert
+}
+
+func (h *certHarness) deliver(kind string, payload any) {
+	h.node.Handle(simnet.Message{From: "v1", To: "v0", Kind: kind, Payload: payload})
+	h.c.Net.Run(h.c.Net.Now() + 20*time.Millisecond) // let what the node sent arrive
+}
+
+// pulls returns the heights v0 asked v1 for.
+func (h *certHarness) pulls() []uint64 {
+	var out []uint64
+	for _, m := range h.sent {
+		if req, ok := m.Payload.(SyncRequest); ok && m.Kind == KindSyncRequest {
+			out = append(out, req.Height)
+		}
+	}
+	return out
+}
+
+// A node that missed the proposal gets the votes-only announcement, pulls
+// the body from the announcer, checks it against the certified id and
+// commits. Forged announcements and forged bodies change nothing.
+func TestCommitAnnouncementPullsMissingBody(t *testing.T) {
+	blk := func(h *certHarness, proposer int) *ledger.Block {
+		return ledger.NewBlock(0, ledger.BlockID{}, [32]byte{}, time.Unix(0, 0).UTC(), h.c.Keys[proposer].Address(), nil)
+	}
+	cases := []struct {
+		name string
+		// announce and answer build the two messages v1 sends.
+		announce func(h *certHarness, b *ledger.Block) *Commit
+		answer   func(h *certHarness, b *ledger.Block) *SyncResponse
+		rejected string // rejection reason counted, "" when the node commits
+	}{
+		{
+			name:     "pull, verify, commit",
+			announce: func(h *certHarness, b *ledger.Block) *Commit { return h.cert(b.ID(), 1, 2, 3) },
+			answer: func(h *certHarness, b *ledger.Block) *SyncResponse {
+				return &SyncResponse{From: 0, Blocks: []*ledger.Block{b}, Cert: h.cert(b.ID(), 1, 2, 3)}
+			},
+		},
+		{
+			name: "votes sign a different id",
+			announce: func(h *certHarness, b *ledger.Block) *Commit {
+				c := h.cert(blk(h, 2).ID(), 1, 2, 3)
+				c.BlockID = b.ID()
+				return c
+			},
+			rejected: "bad_certificate",
+		},
+		{
+			name:     "below quorum",
+			announce: func(h *certHarness, b *ledger.Block) *Commit { return h.cert(b.ID(), 1, 2) },
+			rejected: "bad_certificate",
+		},
+		{
+			name:     "pulled body hashes to another id",
+			announce: func(h *certHarness, b *ledger.Block) *Commit { return h.cert(b.ID(), 1, 2, 3) },
+			answer: func(h *certHarness, b *ledger.Block) *SyncResponse {
+				return &SyncResponse{From: 0, Blocks: []*ledger.Block{blk(h, 2)}, Cert: h.cert(b.ID(), 1, 2, 3)}
+			},
+			rejected: "bad_sync_run",
+		},
+		{
+			name:     "sync answer with no body",
+			announce: func(h *certHarness, b *ledger.Block) *Commit { return h.cert(b.ID(), 1, 2, 3) },
+			answer: func(h *certHarness, b *ledger.Block) *SyncResponse {
+				return &SyncResponse{From: 0, Cert: h.cert(b.ID(), 1, 2, 3)}
+			},
+			rejected: "malformed",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newCertHarness(t)
+			b := blk(h, 1)
+			h.deliver(KindCommit, tc.announce(h, b))
+			pulls := h.pulls()
+			if tc.answer == nil {
+				if len(pulls) != 0 {
+					t.Fatal("a forged announcement triggered a pull")
+				}
+			} else {
+				if len(pulls) != 1 || pulls[0] != 0 {
+					t.Fatalf("sync requests after an announcement for a missing body: %v, want one for height 0", pulls)
+				}
+				if got := h.reg.Counter("trustnews_consensus_block_pulls_total", "").Value(); got != 1 {
+					t.Fatalf("block pulls counted: %d, want 1", got)
+				}
+				h.deliver(KindSyncBlocks, tc.answer(h, b))
+			}
+			if tc.rejected != "" {
+				rej := h.reg.CounterVec("trustnews_consensus_messages_rejected_total", "", "reason")
+				if got := rej.With(tc.rejected).Value(); got != 1 {
+					t.Fatalf("rejections counted as %q: %d, want 1", tc.rejected, got)
+				}
+				if h.app.Chain.Height() != 0 || h.node.Height() != 0 || h.node.CertCount() != 0 {
+					t.Fatalf("rejected message changed state: chain %d, node %d, certs %d",
+						h.app.Chain.Height(), h.node.Height(), h.node.CertCount())
+				}
+				return
+			}
+			if h.app.Chain.Height() != 1 || h.node.Height() != 1 {
+				t.Fatalf("chain height %d, node height %d after the pull, want 1", h.app.Chain.Height(), h.node.Height())
+			}
+			got, err := h.app.Chain.BlockAt(0)
+			if err != nil || got.ID() != b.ID() {
+				t.Fatalf("committed %v (err %v), want %s", got, err, b.ID().Short())
+			}
+		})
 	}
 }
 

@@ -23,6 +23,9 @@ type App interface {
 	// CommitBlock applies a decided block. It must not fail for a block
 	// that passed ValidateBlock against the same state.
 	CommitBlock(b *ledger.Block) error
+	// BlockAt returns the committed block at the given height. Block sync
+	// is served from it: a node keeps no block bodies of its own.
+	BlockAt(height uint64) (*ledger.Block, error)
 }
 
 // Timeouts configures the per-step timeouts. Each escalating round adds
@@ -34,10 +37,11 @@ type Timeouts struct {
 	Delta     time.Duration
 	// Commit is an optional pause between committing a height and entering
 	// the next one (Tendermint's timeout_commit). Real deployments set it
-	// to pace block production so a crashed peer rejoins within the
-	// certificate sync window instead of facing a chain that raced ahead
-	// at network speed. Zero — the default and every virtual-time test —
-	// starts the next height immediately.
+	// to pace block production, so that a block gathers a batch of
+	// transactions instead of the chain racing ahead at network speed.
+	// Rejoining does not depend on it: block sync serves any committed
+	// height from the chain. Zero — the default and every virtual-time
+	// test — starts the next height immediately.
 	Commit time.Duration
 }
 
@@ -96,10 +100,10 @@ type Node struct {
 
 	// certs retains the commit certificates this node produced or
 	// received, keyed by height, so it can serve block sync to validators
-	// that join (or recover) late. Retention is bounded to a sliding
-	// window of certWindow heights; older heights are served from the
-	// chain app (see serveChainSync), so memory stays O(window) no matter
-	// how long the node runs.
+	// that join (or recover) late. A certificate is votes only; the bodies
+	// a sync answer carries are read from the chain app (see serveSync).
+	// Retention is bounded to a sliding window of certWindow heights, a
+	// few hundred bytes each, no matter how long the node runs.
 	certs map[uint64]*Commit
 	// certFloor is the lowest height that may still hold a certificate.
 	certFloor uint64
@@ -133,6 +137,7 @@ type consensusMetrics struct {
 	propRejected  *telemetry.CounterVec
 	voteRejected  *telemetry.CounterVec
 	msgRejected   *telemetry.CounterVec
+	blockPulls    *telemetry.Counter
 	equivocations *telemetry.Counter
 	roundSec      *telemetry.Histogram
 	heightSec     *telemetry.Histogram
@@ -155,6 +160,7 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 		propRejected:  reg.CounterVec("trustnews_consensus_proposals_rejected_total", "Proposals dropped before acceptance, by reason.", "reason"),
 		voteRejected:  reg.CounterVec("trustnews_consensus_votes_rejected_total", "Votes dropped before counting, by reason.", "reason"),
 		msgRejected:   reg.CounterVec("trustnews_consensus_messages_rejected_total", "Messages dropped as malformed or unverifiable, by reason.", "reason"),
+		blockPulls:    reg.Counter("trustnews_consensus_block_pulls_total", "Commit certificates that arrived for a block body the node did not hold and had to pull."),
 		equivocations: reg.Counter("trustnews_consensus_equivocations_total", "Conflicting votes detected from one validator."),
 		roundSec:      reg.Histogram("trustnews_consensus_round_seconds", "Virtual-time duration of each consensus round.", nil),
 		heightSec:     reg.Histogram("trustnews_consensus_height_seconds", "Virtual time from height start to commit.", nil),
@@ -164,12 +170,12 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 	n.tm.sendErrors = tm.SendErrors
 }
 
-// KindSyncRequest asks a peer for the commit certificate of one height.
+// KindSyncRequest asks a peer for the committed blocks from one height on.
 const KindSyncRequest = "consensus.syncreq"
 
-// KindSyncBlocks carries a chain-backed backfill: a run of committed
-// blocks below the responder's certificate window, authenticated by the
-// oldest retained certificate at the top of the run.
+// KindSyncBlocks answers a sync request: a run of committed blocks read
+// from the responder's chain, authenticated by the retained certificate
+// of the block at the top of the run.
 const KindSyncBlocks = "consensus.syncblocks"
 
 // SyncRequest is the payload of KindSyncRequest.
@@ -178,10 +184,10 @@ type SyncRequest struct {
 }
 
 // SyncResponse is the payload of KindSyncBlocks. Blocks covers heights
-// [From, Cert.Height); Cert certifies the block that extends the run.
-// The receiver verifies the certificate and the hash linkage of the run
-// up to the certified block before applying anything, so the whole suffix
-// is as trustworthy as the certificate itself.
+// [From, Cert.Height]; Cert certifies the last of them. The receiver
+// verifies the certificate, that the last block hashes to the certified
+// id and that the run links back from it by parent hash before applying
+// anything, so the whole run is as trustworthy as the certificate itself.
 type SyncResponse struct {
 	From   uint64
 	Blocks []*ledger.Block
@@ -195,16 +201,8 @@ const maxFutureBuffer = 1 << 14
 // certificates a node keeps in memory for block sync.
 const DefaultCertWindow = 128
 
-// maxSyncBatch bounds the blocks served in one chain-backed sync
-// response.
+// maxSyncBatch bounds the blocks served in one sync response.
 const maxSyncBatch = 512
-
-// BlockFetcher is the optional App extension that lets a node serve block
-// sync for heights older than its in-memory certificate window. ChainApp
-// implements it over its chain.
-type BlockFetcher interface {
-	BlockAt(height uint64) (*ledger.Block, error)
-}
 
 // NewNode creates a consensus node for the validator identified by kp.
 func NewNode(id transport.NodeID, kp *keys.KeyPair, set *ValidatorSet, net transport.Network, app App, tmo Timeouts) *Node {
@@ -422,11 +420,7 @@ func (n *Node) Handle(m transport.Message) {
 			n.tm.msgRejected.With("malformed").Inc()
 			return
 		}
-		if cert := n.certs[req.Height]; cert != nil {
-			n.send(m.From, KindCommit, cert)
-			return
-		}
-		n.serveChainSync(m.From, req.Height)
+		n.serveSync(m.From, req.Height)
 	case KindSyncBlocks:
 		resp, ok := m.Payload.(*SyncResponse)
 		if !ok {
@@ -454,33 +448,31 @@ func (n *Node) Handle(m transport.Message) {
 			n.tm.msgRejected.With("malformed").Inc()
 			return
 		}
-		n.onCommit(c)
+		n.onCommit(m.From, c)
 	}
 }
 
-// serveChainSync answers a sync request for a height below the in-memory
-// certificate window: it streams the committed blocks from the chain app
-// up to the oldest retained certificate, which authenticates the run.
-func (n *Node) serveChainSync(to transport.NodeID, from uint64) {
-	bf, ok := n.app.(BlockFetcher)
-	if !ok {
+// serveSync answers a sync request: the committed blocks from the
+// requested height up to the lowest retained certificate at or above it,
+// which authenticates the run. Near the tip that is one block and its own
+// certificate; below the certificate window it is the whole stretch up to
+// the oldest certificate still held. Bodies come from the chain app.
+func (n *Node) serveSync(to transport.NodeID, from uint64) {
+	// Scanning from the floor is bounded by the window size.
+	top := from
+	if top < n.certFloor {
+		top = n.certFloor
+	}
+	for top < n.height && n.certs[top] == nil {
+		top++
+	}
+	cert := n.certs[top]
+	if cert == nil || top-from >= maxSyncBatch {
 		return
 	}
-	// The oldest retained certificate caps the run. Scanning from the
-	// floor is bounded by the window size.
-	certHeight := n.certFloor
-	for ; certHeight <= n.height; certHeight++ {
-		if n.certs[certHeight] != nil {
-			break
-		}
-	}
-	cert := n.certs[certHeight]
-	if cert == nil || from >= certHeight || certHeight-from > maxSyncBatch {
-		return
-	}
-	blocks := make([]*ledger.Block, 0, certHeight-from)
-	for h := from; h < certHeight; h++ {
-		b, err := bf.BlockAt(h)
+	blocks := make([]*ledger.Block, 0, top-from+1)
+	for h := from; h <= top; h++ {
+		b, err := n.app.BlockAt(h)
 		if err != nil {
 			return
 		}
@@ -489,13 +481,13 @@ func (n *Node) serveChainSync(to transport.NodeID, from uint64) {
 	n.send(to, KindSyncBlocks, &SyncResponse{From: from, Blocks: blocks, Cert: cert})
 }
 
-// onSyncBlocks applies a chain-backed backfill. Everything is verified
-// before the first block is committed: the certificate must carry a valid
-// quorum, and the run must hash-link contiguously into the certified
-// block. A response that fails any check is dropped (and counted), never
-// partially applied.
+// onSyncBlocks applies a sync answer. Everything is verified before the
+// first block is committed: the certificate must carry a valid quorum,
+// the last block must hash to the certified id, and the run must link
+// back from it contiguously. A response that fails any check is dropped
+// (and counted), never partially applied.
 func (n *Node) onSyncBlocks(resp *SyncResponse) {
-	if resp.Cert == nil || resp.Cert.Block == nil {
+	if resp.Cert == nil || len(resp.Blocks) == 0 {
 		n.tm.msgRejected.With("malformed").Inc()
 		return
 	}
@@ -503,7 +495,8 @@ func (n *Node) onSyncBlocks(resp *SyncResponse) {
 		n.tm.msgRejected.With("stale_sync").Inc()
 		return
 	}
-	if resp.Cert.Height != resp.From+uint64(len(resp.Blocks)) {
+	last := len(resp.Blocks) - 1
+	if resp.Cert.Height != resp.From+uint64(last) {
 		n.tm.msgRejected.With("bad_sync_run").Inc()
 		return
 	}
@@ -511,32 +504,31 @@ func (n *Node) onSyncBlocks(resp *SyncResponse) {
 		n.tm.msgRejected.With("bad_certificate").Inc()
 		return
 	}
-	prev := resp.Cert.Block
-	for i := len(resp.Blocks) - 1; i >= 0; i-- {
+	want := resp.Cert.BlockID
+	for i := last; i >= 0; i-- {
 		b := resp.Blocks[i]
-		if b == nil || b.Header.Height != resp.From+uint64(i) || prev.Header.Prev != b.ID() {
+		if b == nil || b.Header.Height != resp.From+uint64(i) || b.ID() != want {
 			n.tm.msgRejected.With("bad_sync_run").Inc()
 			return
 		}
-		prev = b
+		want = b.Header.Prev
 	}
-	for _, b := range resp.Blocks {
-		if err := n.app.CommitBlock(b); err != nil {
-			// The run was certified, so a local apply failure means our
-			// chain diverged — halt rather than fork.
-			n.stopped = true
+	for _, b := range resp.Blocks[:last] {
+		// The run was certified, so a local apply failure means our chain
+		// diverged — apply halts the node rather than fork.
+		if !n.apply(b, nil) {
 			return
 		}
-		n.metrics.Committed++
-		n.tm.commits.Inc()
 		delete(n.proposals, n.height)
 		delete(n.prevotes, n.height)
 		delete(n.precommit, n.height)
 		n.height++
 	}
-	// The certified block itself lands through the normal commit path,
-	// which restarts rounds and replays buffered future messages.
-	n.onCommit(resp.Cert)
+	// The certified block ends the run the way any commit does: rounds
+	// restart and buffered future messages replay.
+	if n.apply(resp.Blocks[last], resp.Cert) {
+		n.advanceHeight()
+	}
 }
 
 func (n *Node) onProposal(p *Proposal) {
@@ -817,12 +809,29 @@ func (n *Node) recheckQuorums() {
 }
 
 func (n *Node) commit(b *ledger.Block, quorum []Vote) {
-	if err := n.app.CommitBlock(b); err != nil {
-		// The application rejected a decided block: this is a programming
-		// error in the App (Validate passed earlier); halt this node to
-		// avoid divergence rather than panicking the whole process.
-		n.stopped = true
+	cert := &Commit{Height: n.height, BlockID: b.ID(), Quorum: quorum}
+	if !n.apply(b, cert) {
 		return
+	}
+	// Announce the decision: peers that hold the body commit from it,
+	// the others pull it from us.
+	n.broadcast(KindCommit, cert)
+	n.advanceHeight()
+}
+
+// apply commits the decided block of the current height to the
+// application and, given its certificate, retains that for block sync. It
+// reports false when the application rejected the block: a programming
+// error in the App (the block was decided by a quorum), so the node halts
+// to avoid divergence rather than panicking the whole process.
+func (n *Node) apply(b *ledger.Block, cert *Commit) bool {
+	if err := n.app.CommitBlock(b); err != nil {
+		n.stopped = true
+		return false
+	}
+	if cert != nil {
+		n.certs[n.height] = cert
+		n.pruneCerts()
 	}
 	n.metrics.Committed++
 	now := n.net.Now()
@@ -830,18 +839,11 @@ func (n *Node) commit(b *ledger.Block, quorum []Vote) {
 	n.tm.heightSec.Observe((now - n.metrics.lastHeightAt).Seconds())
 	n.metrics.CommitLatency += now - n.metrics.lastHeightAt
 	n.metrics.lastHeightAt = now
-
-	// Help laggards catch up, and retain the certificate for block sync.
-	cert := &Commit{Height: n.height, Block: b, Quorum: quorum}
-	n.certs[n.height] = cert
-	n.pruneCerts()
-	n.broadcast(KindCommit, cert)
-
-	n.advanceHeight()
+	return true
 }
 
 // pruneCerts drops certificates that fell out of the sliding retention
-// window; those heights are served from the chain app instead.
+// window; those heights are served under the oldest one still held.
 func (n *Node) pruneCerts() {
 	w := uint64(n.certWindow)
 	if w == 0 {
@@ -901,11 +903,10 @@ func (n *Node) replayFuture() {
 	}
 }
 
-func (n *Node) onCommit(c *Commit) {
-	if c.Block == nil {
-		n.tm.msgRejected.With("malformed").Inc()
-		return
-	}
+// onCommit handles a peer's commit announcement for the current height.
+// The body normally arrived with the proposal; a node that missed it asks
+// the announcer for it and commits when the sync answer lands.
+func (n *Node) onCommit(from transport.NodeID, c *Commit) {
 	if c.Height != n.height {
 		n.tm.msgRejected.With("stale_commit").Inc()
 		return
@@ -914,19 +915,15 @@ func (n *Node) onCommit(c *Commit) {
 		n.tm.msgRejected.With("bad_certificate").Inc()
 		return
 	}
-	if err := n.app.CommitBlock(c.Block); err != nil {
-		n.stopped = true
+	b := n.blocks[c.BlockID]
+	if b == nil {
+		n.tm.blockPulls.Inc()
+		n.send(from, KindSyncRequest, SyncRequest{Height: n.height})
 		return
 	}
-	n.certs[c.Height] = c
-	n.pruneCerts()
-	n.metrics.Committed++
-	now := n.net.Now()
-	n.tm.commits.Inc()
-	n.tm.heightSec.Observe((now - n.metrics.lastHeightAt).Seconds())
-	n.metrics.CommitLatency += now - n.metrics.lastHeightAt
-	n.metrics.lastHeightAt = now
-	n.advanceHeight()
+	if n.apply(b, c) {
+		n.advanceHeight()
+	}
 }
 
 // String describes the node's position for debugging.

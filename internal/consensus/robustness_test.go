@@ -10,7 +10,8 @@ import (
 
 // TestCertWindowBounded runs a cluster for many heights and checks that
 // in-memory certificate retention stays within the configured sliding
-// window on every node, while the chain itself keeps every block.
+// window on every node — in count and in bytes: a certificate holds votes,
+// never a block body — while the chain itself keeps every block.
 func TestCertWindowBounded(t *testing.T) {
 	const (
 		window = 32
@@ -31,6 +32,19 @@ func TestCertWindowBounded(t *testing.T) {
 	for i, n := range c.Nodes {
 		if got := n.CertCount(); got > window {
 			t.Fatalf("node %d retains %d certs, window is %d", i, got, window)
+		}
+		// Size of the retained certificates in the wire codec's layout
+		// (height, block id, vote count, then per vote: type, height,
+		// round, block id, voter, length-prefixed signature).
+		retained := 0
+		for _, cert := range n.certs {
+			retained += 8 + 32 + 4
+			for _, v := range cert.Quorum {
+				retained += 1 + 8 + 8 + 32 + len(v.Voter) + 4 + len(v.Sig)
+			}
+		}
+		if retained > window*1024 {
+			t.Fatalf("node %d retains %d bytes of certificates, want at most %d (window %d x 1 KB)", i, retained, window*1024, window)
 		}
 		// The chain still holds the full history.
 		if _, err := c.Apps[i].Chain.BlockAt(0); err != nil {

@@ -257,23 +257,29 @@ func VerifyVote(v *Vote, set *ValidatorSet) error {
 	return nil
 }
 
-// Commit is a commit certificate: a block plus a precommit quorum, gossiped
-// so lagging nodes can catch up without replaying the vote exchange.
+// Commit is a commit certificate: the id of the block decided at a height
+// and a precommit quorum for that id. It carries no block body — whoever
+// receives it either holds the body already (from the proposal) or pulls
+// it with a SyncRequest and checks that it hashes to BlockID — so a node
+// announces every commit, and keeps a window of certificates for block
+// sync, at a few hundred bytes per height.
 type Commit struct {
-	Height uint64
-	Block  *ledger.Block
-	Quorum []Vote
+	Height  uint64
+	BlockID ledger.BlockID
+	Quorum  []Vote
 }
 
 // VerifyCommit checks that the certificate carries a valid 2/3+ precommit
-// quorum for the block from distinct validators.
+// quorum for its block id from distinct validators.
 func VerifyCommit(c *Commit, set *ValidatorSet) error {
-	id := c.Block.ID()
+	if c.BlockID.IsZero() {
+		return errors.New("consensus: commit cert for the nil block")
+	}
 	var power int64
 	seen := make(map[keys.Address]bool, len(c.Quorum))
 	for i := range c.Quorum {
 		v := c.Quorum[i]
-		if v.Type != VotePrecommit || v.Height != c.Height || v.BlockID != id {
+		if v.Type != VotePrecommit || v.Height != c.Height || v.BlockID != c.BlockID {
 			return fmt.Errorf("consensus: commit cert vote %d does not match block", i)
 		}
 		if seen[v.Voter] {

@@ -1,11 +1,13 @@
 package e2e
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +90,35 @@ func TestClusterConvergence(t *testing.T) {
 	// height-1 (block heights are zero-based).
 	c.assertConverged(c.commonHeight()-1, 0, 1, 2, 3)
 
+	// Wire budget of the clean run. A commit certificate is votes only,
+	// so what a node spends announcing commits is a few hundred bytes per
+	// height and peer however many transactions the blocks carried, and
+	// nobody had to pull a body: every validator held it from the
+	// proposal. Putting block bodies back into a broadcast fails here.
+	for i := range c.nodes {
+		m := c.metrics(i)
+		commits := m["trustnews_consensus_commits_total"]
+		if commits == 0 {
+			t.Fatalf("node %d reports no commits", i)
+		}
+		certBytes := m[`trustnews_transport_kind_bytes_out_total{kind="consensus.commit"}`]
+		perHeightPeer := certBytes / (commits * float64(len(c.nodes)-1))
+		if certBytes == 0 || perHeightPeer >= 1024 {
+			t.Fatalf("node %d sent %.0f commit-certificate bytes over %.0f heights: %.0f per height and peer, want (0, 1024)", i, certBytes, commits, perHeightPeer)
+		}
+		if pulls := m["trustnews_consensus_block_pulls_total"]; pulls != 0 {
+			t.Fatalf("node %d pulled %.0f block bodies in a clean run, want 0", i, pulls)
+		}
+	}
+	// Block-sync bytes the three nodes that stay up have sent so far.
+	syncServed := func() (sum float64) {
+		for i := 0; i < 3; i++ {
+			sum += c.metrics(i)[`trustnews_transport_kind_bytes_out_total{kind="consensus.syncblocks"}`]
+		}
+		return sum
+	}
+	servedBefore := syncServed()
+
 	// Kill -9 validator 3: no graceful shutdown, no final checkpoint. The
 	// remaining three validators are a quorum and the chain keeps moving.
 	killedAt := c.height(3)
@@ -120,6 +151,39 @@ func TestClusterConvergence(t *testing.T) {
 		return c.height(3) >= killedAt+5
 	})
 	c.assertConverged(c.commonHeight()-1, 0, 1, 2, 3)
+
+	// What node 3 missed came through block sync: a live peer read the
+	// bodies from its chain and sent them under a retained certificate.
+	if servedAfter := syncServed(); servedAfter <= servedBefore {
+		t.Fatalf("node 3 caught up but no live peer served block sync (%.0f bytes before the kill, %.0f after)", servedBefore, servedAfter)
+	}
+}
+
+// metrics scrapes node i's /v1/metrics into series (name plus label set,
+// as exposed) -> value.
+func (c *cluster) metrics(i int) map[string]float64 {
+	c.t.Helper()
+	resp, err := httpClient.Get("http://" + c.nodes[i].httpAddr + "/v1/metrics")
+	if err != nil {
+		c.t.Fatalf("node %d metrics: %v", i, err)
+	}
+	defer resp.Body.Close()
+	out := make(map[string]float64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		sep := strings.LastIndexByte(line, ' ')
+		if strings.HasPrefix(line, "#") || sep < 0 {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[sep+1:], 64); err == nil {
+			out[line[:sep]] = v
+		}
+	}
+	if err := sc.Err(); err != nil {
+		c.t.Fatalf("node %d metrics: %v", i, err)
+	}
+	return out
 }
 
 // balance reads an account's token balance from node i (0 on error).

@@ -485,11 +485,20 @@ func percentile(lats []time.Duration, p float64) time.Duration {
 // us converts a duration to microseconds.
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// heapDelta measures the retained heap growth of build.
+// heapDelta measures the retained heap growth of build. Goroutines and
+// timers of earlier cells may still be letting go of memory, which would
+// be subtracted from the growth (a loaded machine made the smallest cell
+// read 0), so the baseline is taken once the heap has stopped shrinking.
 func heapDelta(build func()) uint64 {
-	runtime.GC()
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	for prev := ^uint64(0); ; prev = m0.HeapAlloc {
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if m0.HeapAlloc >= prev {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 	build()
 	runtime.GC()
 	runtime.ReadMemStats(&m1)

@@ -63,19 +63,18 @@ type Tx struct {
 	PubKey  ed25519.PublicKey `json:"pubKey"`
 	Sig     []byte            `json:"sig"`
 
-	// memo caches the derived byte forms of the transaction — signing
-	// bytes, canonical encoding and content hash — so hot paths (TxRoot,
-	// block validation, gossip encoding) serialize each tx once instead of
-	// 3-5 times. Sign invalidates it; Verify and the verification
-	// pipeline's structural re-check never consult it, so a field mutated
-	// after the memo was built can never smuggle stale bytes past a
-	// signature or cache check.
+	// memo caches the derived byte forms of the transaction — canonical
+	// encoding and content hash — so hot paths (TxRoot, block validation,
+	// gossip encoding) serialize each tx once instead of 3-5 times. Sign
+	// invalidates it; Verify and the verification pipeline's structural
+	// re-check never consult it, so a field mutated after the memo was
+	// built can never smuggle stale bytes past a signature or cache check.
 	memo atomic.Pointer[txMemo]
 }
 
-// txMemo is one immutable snapshot of a transaction's derived bytes.
+// txMemo is one immutable snapshot of a transaction's derived bytes. The
+// signing bytes are a prefix of encoded, so one buffer holds both.
 type txMemo struct {
-	signing []byte
 	encoded []byte
 	id      TxID
 }
@@ -87,12 +86,11 @@ func (t *Tx) memoized() *txMemo {
 	if m := t.memo.Load(); m != nil {
 		return m
 	}
-	signing := t.signingBytes()
-	enc := make([]byte, 0, len(signing)+8+len(t.PubKey)+len(t.Sig))
-	enc = append(enc, signing...)
+	enc := t.appendSigning(make([]byte, 0, t.signingLen()+8+len(t.PubKey)+len(t.Sig)))
+	signing := enc[:len(enc):len(enc)]
 	enc = appendLenPrefixed(enc, t.PubKey)
 	enc = appendLenPrefixed(enc, t.Sig)
-	m := &txMemo{signing: signing, encoded: enc, id: hashTx(signing, t.PubKey, t.Sig)}
+	m := &txMemo{encoded: enc, id: hashTx(signing, t.PubKey, t.Sig)}
 	t.memo.Store(m)
 	return m
 }
@@ -109,9 +107,7 @@ func hashTx(signing, pub, sig []byte) TxID {
 }
 
 func appendLenPrefixed(dst, b []byte) []byte {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	dst = append(dst, n[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...)
 }
 
@@ -122,14 +118,19 @@ func appendLenPrefixed(dst, b []byte) []byte {
 // memoized(), and verification paths call this directly so tampered fields
 // are always re-serialized before any signature or cache decision.
 func (t *Tx) signingBytes() []byte {
-	var buf bytes.Buffer
-	buf.Write(t.Sender[:])
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], t.Nonce)
-	buf.Write(n[:])
-	writeBytes(&buf, []byte(t.Kind))
-	writeBytes(&buf, t.Payload)
-	return buf.Bytes()
+	return t.appendSigning(make([]byte, 0, t.signingLen()))
+}
+
+func (t *Tx) signingLen() int {
+	return len(t.Sender) + 8 + 4 + len(t.Kind) + 4 + len(t.Payload)
+}
+
+func (t *Tx) appendSigning(dst []byte) []byte {
+	dst = append(dst, t.Sender[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, t.Nonce)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Kind)))
+	dst = append(dst, t.Kind...)
+	return appendLenPrefixed(dst, t.Payload)
 }
 
 func writeBytes(buf *bytes.Buffer, b []byte) {

@@ -238,6 +238,27 @@ func TestTxMemoInvalidatedOnSign(t *testing.T) {
 	}
 }
 
+// TestTxMemoOneBuffer pins what building the memo costs: the signing
+// bytes are a prefix of the encoding, so one buffer holds both. The three
+// allocations are that buffer, the memo itself and the hasher.
+func TestTxMemoOneBuffer(t *testing.T) {
+	tx := mustTx(t, signer("memo-allocs"), 1, "news.publish", "a payload of ordinary size")
+	allocs := testing.AllocsPerRun(100, func() {
+		tx.memo.Store(nil)
+		tx.memoized()
+	})
+	if allocs > 3 {
+		t.Fatalf("(*Tx).memoized allocates %.0f times, want at most 3", allocs)
+	}
+	m := tx.memoized()
+	if !bytes.HasPrefix(m.encoded, tx.signingBytes()) {
+		t.Fatal("encoding does not start with the signing bytes")
+	}
+	if m.id != hashTx(tx.signingBytes(), tx.PubKey, tx.Sig) {
+		t.Fatal("memoized id differs from the hash of the current fields")
+	}
+}
+
 // BenchmarkBlockVerify measures block-body validation at 1k txs/block:
 // the serial baseline (Block.ValidateBody), the parallel pipeline on a
 // cold cache, and the pipeline in its steady state where every signature

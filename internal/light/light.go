@@ -129,8 +129,8 @@ func (c *Client) VerifyFinalized(p Proof, cert *consensus.Commit, set *consensus
 	if cert.Height != p.Header.Height {
 		return nil, fmt.Errorf("%w: cert height %d proof height %d", ErrProofMismatch, cert.Height, p.Header.Height)
 	}
-	if cert.Block.ID() != (&ledger.Block{Header: p.Header}).ID() {
-		return nil, fmt.Errorf("%w: cert block does not match header", ErrProofMismatch)
+	if cert.BlockID != (&ledger.Block{Header: p.Header}).ID() {
+		return nil, fmt.Errorf("%w: cert block id does not match header", ErrProofMismatch)
 	}
 	if err := consensus.VerifyCommit(cert, set); err != nil {
 		return nil, fmt.Errorf("light: commit certificate: %w", err)

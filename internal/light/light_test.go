@@ -150,12 +150,15 @@ func TestVerifyFinalizedWithCommitCert(t *testing.T) {
 	chain, txs := buildChain(t, 1)
 	blk, _ := chain.BlockAt(0)
 	id := blk.ID()
-	mkVote := func(i int) consensus.Vote {
-		v := consensus.Vote{Type: consensus.VotePrecommit, Height: 0, Round: 0, BlockID: id, Voter: kps[i].Address()}
-		consensus.SignVote(&v, kps[i])
-		return v
+	mkVotes := func(id ledger.BlockID, voters ...int) []consensus.Vote {
+		var out []consensus.Vote
+		for _, i := range voters {
+			v := consensus.Vote{Type: consensus.VotePrecommit, Height: 0, Round: 0, BlockID: id, Voter: kps[i].Address()}
+			consensus.SignVote(&v, kps[i])
+			out = append(out, v)
+		}
+		return out
 	}
-	cert := &consensus.Commit{Height: 0, Block: blk, Quorum: []consensus.Vote{mkVote(0), mkVote(1), mkVote(2)}}
 
 	c := NewClient()
 	c.SyncFrom(chain)
@@ -163,17 +166,23 @@ func TestVerifyFinalizedWithCommitCert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.VerifyFinalized(p, cert, set); err != nil {
-		t.Fatalf("valid finalized proof rejected: %v", err)
+	// The certificate names the block by id only; the proof's header must
+	// hash to that id and the votes must sign it.
+	other := ledger.BlockID{0xbd}
+	cases := []struct {
+		name string
+		cert *consensus.Commit
+		ok   bool
+	}{
+		{"3-of-4 quorum over the header's id", &consensus.Commit{Height: 0, BlockID: id, Quorum: mkVotes(id, 0, 1, 2)}, true},
+		{"weak quorum", &consensus.Commit{Height: 0, BlockID: id, Quorum: mkVotes(id, 0, 1)}, false},
+		{"wrong height", &consensus.Commit{Height: 1, BlockID: id, Quorum: mkVotes(id, 0, 1, 2)}, false},
+		{"valid quorum for another block", &consensus.Commit{Height: 0, BlockID: other, Quorum: mkVotes(other, 0, 1, 2)}, false},
+		{"header's id over votes for another block", &consensus.Commit{Height: 0, BlockID: id, Quorum: mkVotes(other, 0, 1, 2)}, false},
 	}
-	// A 2-vote cert fails.
-	weak := &consensus.Commit{Height: 0, Block: blk, Quorum: []consensus.Vote{mkVote(0), mkVote(1)}}
-	if _, err := c.VerifyFinalized(p, weak, set); err == nil {
-		t.Fatal("weak cert accepted")
-	}
-	// A cert for a different height fails.
-	wrongHeight := &consensus.Commit{Height: 1, Block: blk, Quorum: cert.Quorum}
-	if _, err := c.VerifyFinalized(p, wrongHeight, set); err == nil {
-		t.Fatal("wrong-height cert accepted")
+	for _, tc := range cases {
+		if _, err := c.VerifyFinalized(p, tc.cert, set); (err == nil) != tc.ok {
+			t.Errorf("%s: VerifyFinalized = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }

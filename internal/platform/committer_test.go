@@ -11,6 +11,8 @@ import (
 	"repro/internal/commitbus"
 	"repro/internal/consensus"
 	"repro/internal/corpus"
+	"repro/internal/keys"
+	"repro/internal/ledger"
 	"repro/internal/supplychain"
 )
 
@@ -80,8 +82,8 @@ func TestCommitterCommitsOnArrivalAndCoalesces(t *testing.T) {
 		t.Fatal("a tx submitted to an idle node was never committed")
 	}
 
-	// The first commit now sits in the gate. Submit returns only once that
-	// commit lets go of the platform lock, hence one goroutine per sender.
+	// The first commit now sits in the gate; the burst arrives while it
+	// holds the platform lock.
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		id := "burst-" + strconv.Itoa(i)
@@ -115,6 +117,68 @@ func TestCommitterCommitsOnArrivalAndCoalesces(t *testing.T) {
 	if err := <-stopped; err != nil {
 		t.Fatalf("RunCommitter: %v", err)
 	}
+}
+
+// A submitter does not queue behind a running commit: while a block is
+// held open inside the commit path, Submit returns and hands the
+// transaction to the relay hook.
+func TestSubmitDoesNotWaitForRunningCommit(t *testing.T) {
+	p, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &commitGate{blocks: make(chan int, 2), release: make(chan struct{})}
+	if err := p.Bus().Register(gate); err != nil {
+		t.Fatal(err)
+	}
+	relayed := make(chan string, 2)
+	p.SetOnSubmit(func(tx *ledger.Tx) { relayed <- tx.ID().Short() })
+
+	if _, err := p.NewActor("first").Send("news.publish", publishPayload(t, "first")); err != nil {
+		t.Fatal(err)
+	}
+	<-relayed
+	committed := make(chan error, 1)
+	go func() { committed <- p.CommitAll() }()
+	select {
+	case <-gate.blocks: // the commit of `first` now sits in the gate
+	case <-time.After(30 * time.Second):
+		t.Fatal("commit never reached the bus")
+	}
+
+	second, err := ledger.NewTx(keys.FromSeed([]byte("second")), 0, "news.publish", publishPayload(t, "second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := make(chan error, 1)
+	go func() { submitted <- p.Submit(second) }()
+	select {
+	case err := <-submitted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit waited for the running commit")
+	}
+	select {
+	case id := <-relayed:
+		if id != second.ID().Short() {
+			t.Fatalf("relay hook saw %s, want %s", id, second.ID().Short())
+		}
+	default:
+		t.Fatal("Submit returned without calling the relay hook")
+	}
+	select {
+	case err := <-committed:
+		t.Fatalf("the gated commit finished before the gate was released: %v", err)
+	default:
+	}
+
+	close(gate.release)
+	if err := <-committed; err != nil {
+		t.Fatalf("CommitAll: %v", err)
+	}
+	waitFor(t, "the second tx to commit", func() bool { _, err := p.Item("second"); return err == nil })
 }
 
 // Cancelling the context is a request to finish, not to abandon: what is

@@ -95,9 +95,11 @@ func AttachConsensus(p *Platform, id transport.NodeID, kp *keys.KeyPair, set *co
 // the local mempool via Submit. Cluster mode uses it to relay client
 // transactions to peer validators so any node's proposer sees them.
 func (p *Platform) SetOnSubmit(fn func(*ledger.Tx)) {
-	p.mu.Lock()
-	p.onSubmit = fn
-	p.mu.Unlock()
+	if fn == nil {
+		p.onSubmit.Store(nil)
+		return
+	}
+	p.onSubmit.Store(&fn)
 }
 
 // SubmitRelayed enqueues a transaction received from a peer without

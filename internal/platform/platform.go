@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -197,8 +198,9 @@ type Platform struct {
 	// mining is disabled to prevent forking away from the agreed chain.
 	replicated bool
 	// onSubmit, when set, observes every transaction Submit accepts into
-	// the mempool (cluster mode relays them to peer validators).
-	onSubmit func(*ledger.Tx)
+	// the mempool (cluster mode relays them to peer validators). Submit
+	// reads it without p.mu, so it never queues behind a running commit.
+	onSubmit atomic.Pointer[func(*ledger.Tx)]
 	// wake holds at most one pending "the mempool has work" signal for
 	// RunCommitter: senders never block, and signals raised while a
 	// commit is running collapse into one.
@@ -655,11 +657,8 @@ func (p *Platform) Submit(tx *ledger.Tx) error {
 	case p.wake <- struct{}{}:
 	default: // a wake-up is already pending
 	}
-	p.mu.Lock()
-	relay := p.onSubmit
-	p.mu.Unlock()
-	if relay != nil {
-		relay(tx)
+	if relay := p.onSubmit.Load(); relay != nil {
+		(*relay)(tx)
 	}
 	return nil
 }

@@ -132,7 +132,14 @@ var _ transport.Network = (*Transport)(nil)
 type peer struct {
 	id   transport.NodeID
 	addr string
-	q    chan []byte
+	q    chan frame
+}
+
+// frame is one encoded message waiting for a peer's writer; the kind
+// labels its bytes in the per-kind counter once they are on the wire.
+type frame struct {
+	kind string
+	raw  []byte
 }
 
 // New creates a transport; call AddNode to install the local handler,
@@ -179,7 +186,7 @@ func New(cfg Config) (*Transport, error) {
 		if id == cfg.NodeID {
 			continue
 		}
-		t.peers[id] = &peer{id: id, addr: addr, q: make(chan []byte, cfg.QueueSize)}
+		t.peers[id] = &peer{id: id, addr: addr, q: make(chan frame, cfg.QueueSize)}
 	}
 	return t, nil
 }
@@ -222,7 +229,7 @@ func (t *Transport) AddPeer(id transport.NodeID, addr string) {
 		p.addr = addr
 		return
 	}
-	p := &peer{id: id, addr: addr, q: make(chan []byte, t.cfg.QueueSize)}
+	p := &peer{id: id, addr: addr, q: make(chan frame, t.cfg.QueueSize)}
 	t.peers[id] = p
 	if t.ln != nil { // already started
 		t.startWriter(p)
@@ -288,7 +295,7 @@ func (t *Transport) Send(from, to transport.NodeID, kind string, payload any) er
 		return fmt.Errorf("tcp: frame %d bytes exceeds MaxFrame", len(raw))
 	}
 	select {
-	case p.q <- raw:
+	case p.q <- frame{kind: kind, raw: raw}:
 		return nil
 	default:
 		return fmt.Errorf("%w: %s (%d frames)", ErrBackpressure, to, cap(p.q))
@@ -423,11 +430,11 @@ func (t *Transport) runWriter(p *peer) {
 		}
 	}()
 	for {
-		var raw []byte
+		var f frame
 		select {
 		case <-t.done:
 			return
-		case raw = <-p.q:
+		case f = <-p.q:
 		}
 		for conn == nil {
 			t.mu.Lock()
@@ -462,25 +469,26 @@ func (t *Transport) runWriter(p *peer) {
 			// queue holds recent traffic when the peer returns. Each
 			// superseded frame is a loss, counted like a failed send.
 			for {
-				var next []byte
+				var next frame
 				select {
 				case next = <-p.q:
 				default:
 				}
-				if next == nil {
+				if next.raw == nil {
 					break
 				}
 				t.cfg.Metrics.SendErrors.Inc()
-				raw = next
+				f = next
 			}
 		}
-		if err := writeFrame(conn, raw, t.cfg.WriteTimeout); err != nil {
+		if err := writeFrame(conn, f.raw, t.cfg.WriteTimeout); err != nil {
 			t.cfg.Metrics.SendErrors.Inc()
 			_ = conn.Close()
 			conn = nil
 			continue
 		}
-		t.cfg.Metrics.BytesOut.Add(uint64(4 + len(raw)))
+		t.cfg.Metrics.BytesOut.Add(uint64(4 + len(f.raw)))
+		t.cfg.Metrics.KindBytesOut.With(f.kind).Add(uint64(4 + len(f.raw)))
 	}
 }
 

@@ -93,8 +93,9 @@ type Network interface {
 //   - SendErrors is additionally incremented by the TCP writer when an
 //     already-enqueued frame fails on the socket (an error the caller
 //     cannot see);
-//   - Reconnects, BytesIn/BytesOut and FramesIn are wire-level and only
-//     move on a real transport.
+//   - Reconnects, BytesIn/BytesOut, KindBytesOut and FramesIn are
+//     wire-level and only move on a real transport. KindBytesOut splits
+//     BytesOut by message kind, so a node can say where its wire bytes go.
 //
 // Every field is nil-safe (a nil registry hands out nil counters).
 type Metrics struct {
@@ -104,6 +105,8 @@ type Metrics struct {
 	BytesIn    *telemetry.Counter
 	BytesOut   *telemetry.Counter
 	FramesIn   *telemetry.Counter
+
+	KindBytesOut *telemetry.CounterVec
 }
 
 // NewMetrics registers (or re-binds, the registry deduplicates by name)
@@ -117,6 +120,8 @@ func NewMetrics(reg *telemetry.Registry) Metrics {
 		BytesIn:    reg.Counter("trustnews_transport_bytes_in_total", "Frame bytes received off the wire."),
 		BytesOut:   reg.Counter("trustnews_transport_bytes_out_total", "Frame bytes written to the wire."),
 		FramesIn:   reg.Counter("trustnews_transport_frames_in_total", "Frames received and decoded off the wire."),
+
+		KindBytesOut: reg.CounterVec("trustnews_transport_kind_bytes_out_total", "Frame bytes written to the wire, by message kind.", "kind"),
 	}
 }
 

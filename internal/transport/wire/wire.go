@@ -44,7 +44,11 @@ import (
 // Version is the codec version carried in every frame body. A node
 // receiving a different version drops the frame (and the connection), so
 // mixed-version clusters fail loudly instead of misinterpreting bytes.
-const Version = 1
+//
+// Version 2: a commit certificate carries the decided block's id instead
+// of its body, and a sync response's blocks run up to and including the
+// certified one.
+const Version = 2
 
 // MaxFrame bounds the size of one encoded message body. The TCP framing
 // layer refuses to read (or write) frames beyond it, so a hostile 4-byte
@@ -362,7 +366,7 @@ func decodeVote(r *reader) consensus.Vote {
 
 func encodeCommit(w *writer, c *consensus.Commit) {
 	w.u64(c.Height)
-	w.bytes(c.Block.Encode())
+	w.raw(c.BlockID[:])
 	w.u32(uint32(len(c.Quorum)))
 	for i := range c.Quorum {
 		encodeVote(w, &c.Quorum[i])
@@ -371,15 +375,7 @@ func encodeCommit(w *writer, c *consensus.Commit) {
 
 func decodeCommit(r *reader) (*consensus.Commit, error) {
 	c := &consensus.Commit{Height: r.u64()}
-	raw := r.bytes(maxBytes)
-	if r.err != nil {
-		return nil, r.err
-	}
-	b, err := ledger.DecodeBlock(raw)
-	if err != nil {
-		return nil, fmt.Errorf("wire: commit block: %w", err)
-	}
-	c.Block = b
+	r.raw(c.BlockID[:])
 	n := r.count(minVoteSize)
 	for i := 0; i < n && r.err == nil; i++ {
 		c.Quorum = append(c.Quorum, decodeVote(r))
@@ -547,7 +543,15 @@ func (r *reader) u8() byte {
 	return b[0]
 }
 
-func (r *reader) bool() bool { return r.u8() != 0 }
+// bool accepts only the two bytes the writer produces, so that every
+// frame that decodes re-encodes byte-identically.
+func (r *reader) bool() bool {
+	b := r.u8()
+	if b > 1 {
+		r.fail(fmt.Errorf("wire: bool byte %#x", b))
+	}
+	return b == 1
+}
 
 func (r *reader) u32() uint32 {
 	b := r.take(4)

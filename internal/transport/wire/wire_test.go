@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func testMessages() []transport.Message {
 	consensus.SignProposal(prop, kp)
 	fresh := &consensus.Proposal{Height: 4, Round: 0, POLRound: -1, Block: testBlock(4, 0), Proposer: kp.Address()}
 	consensus.SignProposal(fresh, kp)
-	commit := &consensus.Commit{Height: 3, Block: block, Quorum: votes}
+	commit := &consensus.Commit{Height: 3, BlockID: id, Quorum: votes}
 	tx, err := ledger.NewTx(kp, 9, "news.publish", []byte("body"))
 	if err != nil {
 		panic(err)
@@ -68,7 +69,13 @@ func testMessages() []transport.Message {
 		{From: from, To: to, Kind: consensus.KindSyncRequest, Payload: consensus.SyncRequest{Height: 41}},
 		{From: from, To: to, Kind: consensus.KindSyncBlocks, Payload: &consensus.SyncResponse{
 			From:   1,
-			Blocks: []*ledger.Block{testBlock(1, 1), testBlock(2, 0)},
+			Blocks: []*ledger.Block{testBlock(1, 1), testBlock(2, 0), block},
+			Cert:   commit,
+		}},
+		// The answer to a pull at the tip: one body under its own certificate.
+		{From: from, To: to, Kind: consensus.KindSyncBlocks, Payload: &consensus.SyncResponse{
+			From:   3,
+			Blocks: []*ledger.Block{block},
 			Cert:   commit,
 		}},
 		{From: from, To: to, Kind: gossip.MessageKind, Payload: gossip.Envelope{ID: "e1", Topic: "news", Payload: []byte{1, 2, 3}, Hops: 2}},
@@ -123,8 +130,11 @@ func TestRoundTripByteIdentity(t *testing.T) {
 func TestRoundTripSemantic(t *testing.T) {
 	var c Codec
 	block := testBlock(3, 2)
-	commit := &consensus.Commit{Height: 3, Block: block, Quorum: []consensus.Vote{
+	commit := &consensus.Commit{Height: 3, BlockID: block.ID(), Quorum: []consensus.Vote{
 		testVote(consensus.VotePrecommit, 3, 2, block.ID(), "voter-a"),
+		testVote(consensus.VotePrecommit, 3, 2, block.ID(), "voter-b"),
+		testVote(consensus.VotePrecommit, 3, 2, block.ID(), "voter-c"),
+		testVote(consensus.VotePrecommit, 3, 2, block.ID(), "voter-d"),
 	}}
 	raw, err := c.Encode(transport.Message{From: "p1", To: "p2", Kind: consensus.KindCommit, Payload: commit})
 	if err != nil {
@@ -134,8 +144,14 @@ func TestRoundTripSemantic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	// A certificate is votes only: a full 4-validator quorum stays far
+	// below the 1 KB per height the retention and wire budgets assume,
+	// however large the block it certifies.
+	if len(raw) > 1024 {
+		t.Fatalf("4-vote commit certificate encodes to %d bytes, want at most 1024", len(raw))
+	}
 	dec := got.Payload.(*consensus.Commit)
-	if dec.Height != 3 || dec.Block.ID() != block.ID() || len(dec.Quorum) != 1 {
+	if dec.Height != 3 || dec.BlockID != block.ID() || len(dec.Quorum) != 4 {
 		t.Fatalf("commit fields lost: %+v", dec)
 	}
 	if dec.Quorum[0].Round != 2 || dec.Quorum[0].BlockID != block.ID() {
@@ -157,6 +173,13 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 
+	// A frame of the previous codec version (full block inside the commit
+	// certificate) must fail on the version byte, not be misread.
+	old := append([]byte{1}, good[1:]...)
+	if _, err := c.Decode(old); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 frame: want ErrVersion, got %v", err)
+	}
+
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad version":  append([]byte{99}, good[1:]...),
@@ -175,6 +198,18 @@ func TestDecodeRejects(t *testing.T) {
 			w.i64(0)
 			w.raw(make([]byte, 32+keys.AddressSize))
 			w.u32(0xffffffff) // sig length claim
+			return w.buf
+		}(),
+		// commit certificate whose vote count claims 1<<31 elements.
+		"hostile vote count": func() []byte {
+			w := &writer{}
+			w.u8(Version)
+			w.str8(consensus.KindCommit)
+			w.str8("a")
+			w.str8("b")
+			w.u64(7)
+			w.raw(make([]byte, 32))
+			w.u32(1 << 31)
 			return w.buf
 		}(),
 		// syncblocks whose block count claims 1<<31 elements.
@@ -225,6 +260,10 @@ func FuzzWireDecode(f *testing.F) {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add(raw)
+		if m.Kind == consensus.KindCommit {
+			// Under the previous version byte the frame must stay rejected.
+			f.Add(append([]byte{1}, raw[1:]...))
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version})

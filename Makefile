@@ -10,8 +10,10 @@ tier1: build vet benchmark-module race-hot chaos loadgen-smoke e2e race
 build:
 	$(GO) build ./...
 
+# gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

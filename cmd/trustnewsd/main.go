@@ -176,9 +176,9 @@ func run(ctx context.Context, o options) error {
 		log.Printf("seeded %d demo facts (root %s)", p.FactIndex().Len(), p.FactIndex().Root().Short())
 	}
 
+	var tr *tcp.Transport
 	if clustered {
-		tr, err := joinCluster(p, o)
-		if err != nil {
+		if tr, err = joinCluster(p, o); err != nil {
 			return err
 		}
 		defer tr.Close()
@@ -190,6 +190,9 @@ func run(ctx context.Context, o options) error {
 	// Standalone nodes mine a block per accepted tx (synchronous
 	// semantics); clustered nodes let consensus drive commits.
 	api := httpapi.New(p, !clustered)
+	if tr != nil {
+		api.SetPeersConnected(tr.PeersConnected)
+	}
 	var pipeline *ingest.Pipeline
 	// The committer outlives ctx so that it stops after the ingest
 	// workers do; drained is closed once it has emptied the mempool.

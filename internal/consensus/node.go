@@ -124,6 +124,11 @@ type Node struct {
 	// once roundStarted is set. It feeds the round-duration histogram.
 	roundStartAt time.Duration
 	roundStarted bool
+	// stepAt is the virtual time the current step was entered; valid while
+	// stepOpen, which is false between a height's apply and the next
+	// round's start (the Timeouts.Commit pause belongs to no step).
+	stepAt   time.Duration
+	stepOpen bool
 }
 
 // consensusMetrics holds the node's cached instrument handles (nil until
@@ -141,6 +146,11 @@ type consensusMetrics struct {
 	equivocations *telemetry.Counter
 	roundSec      *telemetry.Histogram
 	heightSec     *telemetry.Histogram
+	// stepSec and applySec split a height's time
+	// (trustnews_consensus_step_seconds): the round steps, indexed by
+	// Step, and the apply of the decided block.
+	stepSec  [StepPrecommit + 1]*telemetry.Histogram
+	applySec *telemetry.Histogram
 	// sends/sendErrors are the shared trustnews_transport_* series: the
 	// consensus layer is the counting point for message submission, the
 	// TCP writer adds async socket failures to the same error counter.
@@ -164,6 +174,11 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 		equivocations: reg.Counter("trustnews_consensus_equivocations_total", "Conflicting votes detected from one validator."),
 		roundSec:      reg.Histogram("trustnews_consensus_round_seconds", "Virtual-time duration of each consensus round.", nil),
 		heightSec:     reg.Histogram("trustnews_consensus_height_seconds", "Virtual time from height start to commit.", nil),
+	}
+	stepSec := reg.HistogramVec("trustnews_consensus_step_seconds", "Virtual time spent in one step of one consensus round, and applying the decided block.", nil, "step")
+	n.tm.applySec = stepSec.With("apply")
+	for st := StepPropose; st <= StepPrecommit; st++ {
+		n.tm.stepSec[st] = stepSec.With(st.String())
 	}
 	tm := transport.NewMetrics(reg)
 	n.tm.sends = tm.Sends
@@ -276,7 +291,7 @@ func (n *Node) startRound(round int) {
 	n.roundStarted = true
 	n.tm.rounds.Inc()
 	n.round = round
-	n.step = StepPropose
+	n.enterStep(StepPropose)
 	n.metrics.Rounds++
 	proposer := n.set.Proposer(n.height, round)
 	if proposer.Addr == n.kp.Address() {
@@ -310,6 +325,23 @@ func (n *Node) startRound(round int) {
 	n.recheckQuorums()
 }
 
+// enterStep moves the node to step s and charges the time since the
+// previous transition to the step it leaves, so a height's step series add
+// up to the time from entering its first round to the end of its apply.
+func (n *Node) enterStep(s Step) {
+	now := n.net.Now()
+	n.leaveStep(now)
+	n.step, n.stepAt, n.stepOpen = s, now, true
+}
+
+// leaveStep closes the open step, if any, at virtual time now.
+func (n *Node) leaveStep(now time.Duration) {
+	if n.stepOpen {
+		n.tm.stepSec[n.step].Observe((now - n.stepAt).Seconds())
+		n.stepOpen = false
+	}
+}
+
 func (n *Node) scheduleProposeTimeout(round int) {
 	h := n.height
 	n.net.After(n.id, n.tmo.Propose+time.Duration(round)*n.tmo.Delta, func() {
@@ -317,7 +349,7 @@ func (n *Node) scheduleProposeTimeout(round int) {
 			return
 		}
 		n.signVote(VotePrevote, ledger.BlockID{}) // prevote nil
-		n.step = StepPrevote
+		n.enterStep(StepPrevote)
 		n.schedulePrevoteTimeout(round)
 	})
 }
@@ -329,7 +361,7 @@ func (n *Node) schedulePrevoteTimeout(round int) {
 			return
 		}
 		n.signVote(VotePrecommit, ledger.BlockID{})
-		n.step = StepPrecommit
+		n.enterStep(StepPrecommit)
 		n.schedulePrecommitTimeout(round)
 	})
 }
@@ -613,7 +645,7 @@ func (n *Node) tryPrevote() {
 	default:
 		return
 	}
-	n.step = StepPrevote
+	n.enterStep(StepPrevote)
 	n.signVote(VotePrevote, prevoteID)
 	n.schedulePrevoteTimeout(n.round)
 }
@@ -766,7 +798,7 @@ func (n *Node) recheckQuorums() {
 		vs := n.prevoteSet(n.height, n.round)
 		if id, ok := vs.quorumFor(quorum); ok {
 			if id.IsZero() {
-				n.step = StepPrecommit
+				n.enterStep(StepPrecommit)
 				n.signVote(VotePrecommit, ledger.BlockID{})
 				n.schedulePrecommitTimeout(n.round)
 			} else if b := n.blocks[id]; b != nil {
@@ -774,7 +806,7 @@ func (n *Node) recheckQuorums() {
 				n.lockedRound = n.round
 				n.valid = b
 				n.validRound = n.round
-				n.step = StepPrecommit
+				n.enterStep(StepPrecommit)
 				n.signVote(VotePrecommit, id)
 				n.schedulePrecommitTimeout(n.round)
 			}
@@ -825,7 +857,11 @@ func (n *Node) commit(b *ledger.Block, quorum []Vote) {
 // error in the App (the block was decided by a quorum), so the node halts
 // to avoid divergence rather than panicking the whole process.
 func (n *Node) apply(b *ledger.Block, cert *Commit) bool {
-	if err := n.app.CommitBlock(b); err != nil {
+	start := n.net.Now()
+	n.leaveStep(start)
+	err := n.app.CommitBlock(b)
+	n.tm.applySec.Observe((n.net.Now() - start).Seconds())
+	if err != nil {
 		n.stopped = true
 		return false
 	}

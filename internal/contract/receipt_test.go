@@ -1,0 +1,136 @@
+package contract
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/ledger"
+)
+
+// sampleReceipts covers every field shape the engine produces: success
+// with a result and events, an event without attributes, a bare failure.
+func sampleReceipts() []Receipt {
+	return []Receipt{
+		{TxID: ledger.TxID{1}, OK: true, Result: []byte("r"), GasUsed: 1234, Events: []Event{
+			{Contract: "news", Type: "published", Attrs: map[string]string{"id": "n1", "topic": "health", "creator": "ab"}},
+			{Contract: "news", Type: "touched", Attrs: map[string]string{}},
+		}},
+		{TxID: ledger.TxID{2}, Err: "identity: not registered", GasUsed: 40},
+		{TxID: ledger.TxID{3}, OK: true},
+	}
+}
+
+func TestReceiptsRoundTrip(t *testing.T) {
+	recs := sampleReceipts()
+	raw := EncodeReceipts(recs)
+	got, err := DecodeReceipts(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("round trip changed the receipts:\n got %+v\nwant %+v", got, recs)
+	}
+	for i := range recs {
+		one, err := DecodeReceiptAt(raw, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(one, recs[i]) {
+			t.Fatalf("DecodeReceiptAt(%d) = %+v, want %+v", i, one, recs[i])
+		}
+	}
+	for _, i := range []int{-1, len(recs)} {
+		if _, err := DecodeReceiptAt(raw, i); err == nil {
+			t.Fatalf("DecodeReceiptAt(%d) of %d receipts succeeded", i, len(recs))
+		}
+	}
+	// Attribute order is the encoder's, not the map's: the bytes repeat.
+	for i := 0; i < 20; i++ {
+		if again := EncodeReceipts(recs); !bytes.Equal(again, raw) {
+			t.Fatalf("encoding is not deterministic:\n%x\n%x", raw, again)
+		}
+	}
+	if empty, err := DecodeReceipts(EncodeReceipts(nil)); err != nil || len(empty) != 0 {
+		t.Fatalf("empty block: %v, %v", empty, err)
+	}
+}
+
+// Bytes that are not what the encoder writes do not decode: the encoding
+// is canonical, so a record is either the receipts' one encoding or an
+// error, and a hostile count or length is refused before it is believed.
+func TestReceiptsDecodeRejectsNonCanonical(t *testing.T) {
+	one := func(r Receipt) []byte { return EncodeReceipts([]Receipt{r}) }
+	ev := Receipt{OK: true, Events: []Event{{Contract: "c", Type: "t", Attrs: map[string]string{"a": "1", "b": "2"}}}}
+	swapped := one(ev)
+	// The two attributes are the last 2 x (4+1+4+1) bytes; swap them.
+	n := len(swapped)
+	a, b := append([]byte(nil), swapped[n-20:n-10]...), append([]byte(nil), swapped[n-10:]...)
+	copy(swapped[n-20:], b)
+	copy(swapped[n-10:], a)
+
+	okTwo := one(Receipt{OK: true})
+	okTwo[4+4+32] = 2
+
+	hugeEvents := one(Receipt{})
+	binary.BigEndian.PutUint32(hugeEvents[len(hugeEvents)-4:], 0xffffffff)
+
+	cases := map[string][]byte{
+		"empty":                 {},
+		"count beyond the data": binary.BigEndian.AppendUint32(nil, 0xffffffff),
+		"trailing byte":         append(one(Receipt{}), 0),
+		"attrs out of order":    swapped,
+		"ok flag 2":             okTwo,
+		"event count 4G":        hugeEvents,
+		"truncated":             one(ev)[:len(one(ev))-1],
+	}
+	for name, raw := range cases {
+		if recs, err := DecodeReceipts(raw); err == nil {
+			t.Errorf("%s: decoded to %+v", name, recs)
+		}
+		// DecodeReceiptAt reads no further than the receipt it is asked for.
+		if rec, err := DecodeReceiptAt(raw, 0); err == nil && name != "trailing byte" {
+			t.Errorf("%s: DecodeReceiptAt decoded to %+v", name, rec)
+		}
+	}
+}
+
+// FuzzReceiptsDecode feeds arbitrary bytes to the receipt-record decoder:
+// it must not panic, whatever decodes must encode back to the very same
+// bytes (and every receipt must be reachable on its own), and a record
+// cannot make the decoder allocate out of proportion to its size — counts
+// and lengths are checked against the bytes left before anything is made.
+func FuzzReceiptsDecode(f *testing.F) {
+	f.Add(EncodeReceipts(sampleReceipts()))
+	f.Add(EncodeReceipts(nil))
+	f.Add([]byte{})
+	f.Add(binary.BigEndian.AppendUint32(nil, 0xffffffff))
+	hostile := EncodeReceipts([]Receipt{{OK: true}})
+	binary.BigEndian.PutUint32(hostile[len(hostile)-4:], 0xfffffff0)
+	f.Add(hostile)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recs, err := DecodeReceipts(raw)
+		runtime.ReadMemStats(&after)
+		// Decoded receipts are larger than their encoding (a 12-byte empty
+		// event becomes a struct and a map), but by a constant factor.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw)+1<<16); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(raw), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		if again := EncodeReceipts(recs); !bytes.Equal(again, raw) {
+			t.Fatalf("decoded record re-encodes differently:\n in  %x\n out %x", raw, again)
+		}
+		for i := range recs {
+			one, err := DecodeReceiptAt(raw, i)
+			if err != nil || !reflect.DeepEqual(one, recs[i]) {
+				t.Fatalf("DecodeReceiptAt(%d) = %+v, %v; DecodeReceipts gave %+v", i, one, err, recs[i])
+			}
+		}
+	})
+}

@@ -190,10 +190,10 @@ func (l *laneView) Keys(prefix string) ([]string, error) {
 	return merged, nil
 }
 
-func (l *laneView) Put(string, []byte) error       { return store.ErrNotFound } // never called
-func (l *laneView) Delete(string) error            { return store.ErrNotFound } // never called
+func (l *laneView) Put(string, []byte) error             { return store.ErrNotFound } // never called
+func (l *laneView) Delete(string) error                  { return store.ErrNotFound } // never called
 func (l *laneView) Snapshot() (map[string][]byte, error) { return nil, store.ErrNotFound }
-func (l *laneView) Close() error                   { return nil }
+func (l *laneView) Close() error                         { return nil }
 
 // ExecuteBlockSharded executes a block through the shard-lane scheduler:
 // speculation records read/write sets, the planner cuts the block into

@@ -30,14 +30,7 @@ func TestClusterConvergence(t *testing.T) {
 	for i := range c.nodes {
 		c.start(i)
 	}
-	c.waitFor("all nodes past height 3", 30*time.Second, func() bool {
-		for i := range c.nodes {
-			if c.height(i) < 3 {
-				return false
-			}
-		}
-		return true
-	})
+	atMesh := c.waitMeshed()
 
 	// Client-side signers. The authority seed is the platform default, so
 	// mints are accepted; everyone else is a fresh account.
@@ -93,8 +86,9 @@ func TestClusterConvergence(t *testing.T) {
 	// Wire budget of the clean run. A commit certificate is votes only,
 	// so what a node spends announcing commits is a few hundred bytes per
 	// height and peer however many transactions the blocks carried, and
-	// nobody had to pull a body: every validator held it from the
-	// proposal. Putting block bodies back into a broadcast fails here.
+	// since the cluster was fully meshed nobody had to pull a body: every
+	// validator held it from the proposal. Putting block bodies back into
+	// a broadcast fails here.
 	for i := range c.nodes {
 		m := c.metrics(i)
 		commits := m["trustnews_consensus_commits_total"]
@@ -106,9 +100,22 @@ func TestClusterConvergence(t *testing.T) {
 		if certBytes == 0 || perHeightPeer >= 1024 {
 			t.Fatalf("node %d sent %.0f commit-certificate bytes over %.0f heights: %.0f per height and peer, want (0, 1024)", i, certBytes, commits, perHeightPeer)
 		}
-		if pulls := m["trustnews_consensus_block_pulls_total"]; pulls != 0 {
-			t.Fatalf("node %d pulled %.0f block bodies in a clean run, want 0", i, pulls)
-		}
+	}
+	// A validator the host kept off the CPU for a moment finds a
+	// certificate and the proposal it follows waiting on different links
+	// and may read the certificate first: one pull, and nothing wrong. A
+	// validator that is not sent the bodies pulls at every height. So a
+	// window with a pull gets another ten heights to show a clean one.
+	pulled := c.pulledSince(atMesh)
+	for retry := 0; pulled != "" && retry < 3; retry++ {
+		t.Logf("%s; watching ten more heights", pulled)
+		window := c.allMetrics()
+		target := c.commonHeight() + 10
+		c.waitFor(fmt.Sprintf("all nodes at height %d", target), 30*time.Second, func() bool { return c.commonHeight() >= target })
+		pulled = c.pulledSince(window)
+	}
+	if pulled != "" {
+		t.Fatalf("%s in a clean run, want 0", pulled)
 	}
 	// Block-sync bytes the three nodes that stay up have sent so far.
 	syncServed := func() (sum float64) {
@@ -157,6 +164,67 @@ func TestClusterConvergence(t *testing.T) {
 	if servedAfter := syncServed(); servedAfter <= servedBefore {
 		t.Fatalf("node 3 caught up but no live peer served block sync (%.0f bytes before the kill, %.0f after)", servedBefore, servedAfter)
 	}
+}
+
+// waitMeshed blocks until the cluster is in its steady state and returns
+// every node's metrics at that moment. Validators start one after
+// another, so the first three decide heights before the fourth is linked,
+// and a proposal sent to a peer whose link is not up is lost: the late
+// node pulls those bodies, which is what the pull path is for. The clean
+// run begins when every node reports links in both directions with all
+// the others (peersConnected in /v1/healthz) and has then committed two
+// more heights, so that every proposal still in play was sent over a full
+// mesh.
+func (c *cluster) waitMeshed() []map[string]float64 {
+	c.t.Helper()
+	want := len(c.nodes) - 1
+	c.waitFor(fmt.Sprintf("every node linked with %d peers", want), 30*time.Second, func() bool {
+		for i := range c.nodes {
+			var hz struct {
+				PeersConnected int `json:"peersConnected"`
+			}
+			if code, err := c.getJSON(i, "/v1/healthz", &hz); err != nil || code != http.StatusOK || hz.PeersConnected != want {
+				return false
+			}
+		}
+		return true
+	})
+	var settled uint64
+	for i := range c.nodes {
+		if h := c.height(i) + 2; h > settled {
+			settled = h
+		}
+	}
+	c.waitFor(fmt.Sprintf("all nodes at height %d", settled), 30*time.Second, func() bool {
+		for i := range c.nodes {
+			if c.height(i) < settled {
+				return false
+			}
+		}
+		return true
+	})
+	return c.allMetrics()
+}
+
+// allMetrics scrapes every node.
+func (c *cluster) allMetrics() []map[string]float64 {
+	all := make([]map[string]float64, len(c.nodes))
+	for i := range c.nodes {
+		all[i] = c.metrics(i)
+	}
+	return all
+}
+
+// pulledSince names the first node that has pulled block bodies since the
+// given scrape ("" if none has).
+func (c *cluster) pulledSince(since []map[string]float64) string {
+	const series = "trustnews_consensus_block_pulls_total"
+	for i, m := range c.allMetrics() {
+		if pulls := m[series] - since[i][series]; pulls != 0 {
+			return fmt.Sprintf("node %d pulled %.0f block bodies", i, pulls)
+		}
+	}
+	return ""
 }
 
 // metrics scrapes node i's /v1/metrics into series (name plus label set,

@@ -188,7 +188,7 @@ func TestHealthzReportsState(t *testing.T) {
 		return hz
 	}
 	hz := fetch()
-	if !hz.Ready || hz.Consensus != "standalone" || hz.Height != 0 || hz.MempoolDepth != 0 {
+	if !hz.Ready || hz.Consensus != "standalone" || hz.Height != 0 || hz.MempoolDepth != 0 || hz.PeersConnected != nil {
 		t.Fatalf("fresh node healthz = %+v", hz)
 	}
 	// A pending (uncommitted) tx shows up as mempool depth.
@@ -209,6 +209,30 @@ func TestHealthzReportsState(t *testing.T) {
 	}
 	if hz := fetch(); hz.MempoolDepth != 0 || hz.Height != 1 {
 		t.Fatalf("healthz after commit = %+v", hz)
+	}
+}
+
+// A cluster node's healthz carries its link count.
+func TestHealthzReportsPeersConnected(t *testing.T) {
+	p, err := platform.New(platform.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := New(p, false)
+	api.SetPeersConnected(func() int { return 3 })
+	srv := httptest.NewServer(api)
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hz healthzResponse
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz.PeersConnected == nil || *hz.PeersConnected != 3 {
+		t.Fatalf("healthz peersConnected = %v, want 3", hz.PeersConnected)
 	}
 }
 

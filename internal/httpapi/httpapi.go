@@ -82,6 +82,10 @@ type Server struct {
 	// the healthz ingest fields. Nil on nodes without an ingest pipeline.
 	pipeline *ingest.Pipeline
 
+	// peersConnected, when set (SetPeersConnected), backs the healthz
+	// field of that name. Nil on standalone nodes.
+	peersConnected func() int
+
 	// Per-route accounting, labeled by the ServeMux pattern so the
 	// cardinality is bounded by the route table. Nil when the platform
 	// has no telemetry registry.
@@ -122,6 +126,10 @@ func New(p *platform.Platform, autoCommit bool) *Server {
 // SetIngest attaches an ingestion pipeline: POST /v1/ingest enqueues
 // through it and /v1/healthz gains queue-depth and indexer-lag fields.
 func (s *Server) SetIngest(pl *ingest.Pipeline) { s.pipeline = pl }
+
+// SetPeersConnected attaches a cluster node's link count (the transport's
+// PeersConnected): /v1/healthz gains the peersConnected field.
+func (s *Server) SetPeersConnected(fn func() int) { s.peersConnected = fn }
 
 // statusRecorder captures the status code a handler writes.
 type statusRecorder struct {
@@ -453,6 +461,10 @@ type healthzResponse struct {
 	// IngestDead is the ingest dead-letter count (absent without an
 	// attached pipeline).
 	IngestDead *int `json:"ingestDead,omitempty"`
+	// PeersConnected is the number of peer validators this node is linked
+	// with in both directions (absent on a standalone node). A cluster is
+	// fully meshed when every node reports validators-1.
+	PeersConnected *int `json:"peersConnected,omitempty"`
 }
 
 // handleHealthz reports readiness. Answering at all means the platform
@@ -476,6 +488,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		qs := s.pipeline.Queue().Stats()
 		resp.IngestQueueDepth = &qs.Depth
 		resp.IngestDead = &qs.Dead
+	}
+	if s.peersConnected != nil {
+		n := s.peersConnected()
+		resp.PeersConnected = &n
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -180,7 +180,7 @@ func TestMetricsExposition(t *testing.T) {
 		"trustnews_platform_commit_seconds_count 1",
 		"trustnews_platform_commit_seconds_sum ",
 		// Commit-bus delivery, labeled by subscriber.
-		`trustnews_commitbus_delivered_total{subscriber="receipts"`,
+		`trustnews_commitbus_delivered_total{subscriber="contract-state"`,
 		"trustnews_commitbus_events_total 1",
 		// Per-route HTTP accounting from earlier requests in this test.
 		`trustnews_httpapi_requests_total{route="POST /v1/tx",status="200"} 1`,

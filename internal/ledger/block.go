@@ -129,7 +129,7 @@ func (b *Block) Encode() []byte {
 // DecodeBlock parses a block encoded by Encode.
 func DecodeBlock(raw []byte) (*Block, error) {
 	r := bytes.NewReader(raw)
-	hdrRaw, err := readBytes(r)
+	hdrRaw, err := ReadBytes(r)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: decode header: %w", err)
 	}
@@ -144,7 +144,7 @@ func DecodeBlock(raw []byte) (*Block, error) {
 	count := binary.BigEndian.Uint32(n[:])
 	b := &Block{Header: hdr}
 	for i := uint32(0); i < count; i++ {
-		txRaw, err := readBytes(r)
+		txRaw, err := ReadBytes(r)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: decode tx %d: %w", i, err)
 		}

@@ -246,11 +246,18 @@ func (c *Chain) BlockByID(id BlockID) (*Block, error) {
 	return c.BlockAt(h)
 }
 
+// TxLocation reports where a committed transaction lives, from the index
+// alone: no block is read.
+func (c *Chain) TxLocation(id TxID) (TxLocation, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	loc, ok := c.txIndex[id]
+	return loc, ok
+}
+
 // FindTx returns a committed transaction and its location.
 func (c *Chain) FindTx(id TxID) (*Tx, TxLocation, error) {
-	c.mu.RLock()
-	loc, ok := c.txIndex[id]
-	c.mu.RUnlock()
+	loc, ok := c.TxLocation(id)
 	if !ok {
 		return nil, TxLocation{}, fmt.Errorf("%w: id %s", ErrTxNotFound, id.Short())
 	}

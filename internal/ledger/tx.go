@@ -88,8 +88,8 @@ func (t *Tx) memoized() *txMemo {
 	}
 	enc := t.appendSigning(make([]byte, 0, t.signingLen()+8+len(t.PubKey)+len(t.Sig)))
 	signing := enc[:len(enc):len(enc)]
-	enc = appendLenPrefixed(enc, t.PubKey)
-	enc = appendLenPrefixed(enc, t.Sig)
+	enc = AppendBytes(enc, t.PubKey)
+	enc = AppendBytes(enc, t.Sig)
 	m := &txMemo{encoded: enc, id: hashTx(signing, t.PubKey, t.Sig)}
 	t.memo.Store(m)
 	return m
@@ -106,7 +106,10 @@ func hashTx(signing, pub, sig []byte) TxID {
 	return id
 }
 
-func appendLenPrefixed(dst, b []byte) []byte {
+// AppendBytes appends b to dst behind a 4-byte big-endian length, the
+// field framing of every canonical encoding in this repository's ledger
+// (transactions, blocks, receipts). ReadBytes is its inverse.
+func AppendBytes(dst, b []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...)
 }
@@ -130,7 +133,7 @@ func (t *Tx) appendSigning(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, t.Nonce)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Kind)))
 	dst = append(dst, t.Kind...)
-	return appendLenPrefixed(dst, t.Payload)
+	return AppendBytes(dst, t.Payload)
 }
 
 func writeBytes(buf *bytes.Buffer, b []byte) {
@@ -140,7 +143,9 @@ func writeBytes(buf *bytes.Buffer, b []byte) {
 	buf.Write(b)
 }
 
-func readBytes(r *bytes.Reader) ([]byte, error) {
+// ReadBytes reads one AppendBytes field. The length is checked against
+// what r still holds before anything is allocated.
+func ReadBytes(r *bytes.Reader) ([]byte, error) {
 	var n [4]byte
 	if _, err := io.ReadFull(r, n[:]); err != nil {
 		return nil, fmt.Errorf("ledger: short length prefix: %w", err)
@@ -210,20 +215,20 @@ func DecodeTx(raw []byte) (*Tx, error) {
 		return nil, fmt.Errorf("ledger: decode nonce: %w", err)
 	}
 	t.Nonce = binary.BigEndian.Uint64(n[:])
-	kind, err := readBytes(r)
+	kind, err := ReadBytes(r)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: decode kind: %w", err)
 	}
 	t.Kind = string(kind)
-	if t.Payload, err = readBytes(r); err != nil {
+	if t.Payload, err = ReadBytes(r); err != nil {
 		return nil, fmt.Errorf("ledger: decode payload: %w", err)
 	}
-	pub, err := readBytes(r)
+	pub, err := ReadBytes(r)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: decode pubkey: %w", err)
 	}
 	t.PubKey = ed25519.PublicKey(pub)
-	if t.Sig, err = readBytes(r); err != nil {
+	if t.Sig, err = ReadBytes(r); err != nil {
 		return nil, fmt.Errorf("ledger: decode sig: %w", err)
 	}
 	if r.Len() != 0 {

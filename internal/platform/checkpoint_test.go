@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -89,7 +90,7 @@ func assertSameDerivedState(t *testing.T, a, b *Platform) {
 		for _, tx := range blk.Txs {
 			recA, okA := a.Receipt(tx.ID())
 			recB, okB := b.Receipt(tx.ID())
-			if okA != okB || recA.OK != recB.OK || recA.GasUsed != recB.GasUsed {
+			if okA != okB || !bytes.Equal(contract.EncodeReceipts([]contract.Receipt{recA}), contract.EncodeReceipts([]contract.Receipt{recB})) {
 				t.Fatalf("receipt mismatch for %s: %+v/%v vs %+v/%v", tx.ID(), recA, okA, recB, okB)
 			}
 		}

@@ -1,7 +1,10 @@
 package platform
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/blobstore"
@@ -13,13 +16,18 @@ import (
 // the consensus path (chain append + ApplyExternalBlock) and asserts the
 // derived state — fact index, graph, expert miner, receipts, contract
 // state — is byte-for-byte identical. Both paths feed the same commit
-// bus, so any divergence is a bug in the pipeline.
+// bus, so any divergence is a bug in the pipeline. A third node then
+// replays the miner's chain from disk: Commit, ApplyExternalBlock and
+// replay must write the same receipt records.
 func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
-	miner, err := New(DefaultConfig())
+	dir := t.TempDir()
+	miner, closeMiner, err := Open(dir, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closeMiner()
 	runWorkload(t, miner, 16)
+	commitFailingTx(t, miner, "item-0")
 
 	follower, err := New(DefaultConfig())
 	if err != nil {
@@ -61,6 +69,39 @@ func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 		}
 		if m.Errors != 0 || f.Errors != 0 {
 			t.Fatalf("subscriber %s reported errors: %+v vs %+v", m.Name, m, f)
+		}
+	}
+
+	height := miner.Chain().Height()
+	mined := make([][]byte, height)
+	for h := range mined {
+		if mined[h], err = miner.receipts.Get(uint64(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := closeMiner(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, receiptLogName)); err != nil {
+		t.Fatal(err)
+	}
+	replayed, closeReplayed, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeReplayed()
+	for name, p := range map[string]*Platform{"ApplyExternalBlock": follower, "replay": replayed} {
+		if n := p.receipts.Len(); n != height {
+			t.Fatalf("%s wrote %d receipt records for %d blocks", name, n, height)
+		}
+		for h, want := range mined {
+			got, err := p.receipts.Get(uint64(h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("receipt record %d: %s wrote\n%x\nCommit wrote\n%x", h, name, got, want)
+			}
 		}
 	}
 }

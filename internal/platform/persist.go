@@ -13,8 +13,9 @@ import (
 
 // Durable deployment: a platform whose chain is backed by the
 // write-ahead-logged file store. Contract state and the derived indexes
-// (factual database, supply-chain graph, expert miner, receipts) are a
-// pure function of the block sequence, delivered through the commit bus.
+// (factual database, supply-chain graph, expert miner) are a pure function
+// of the block sequence, delivered through the commit bus; so are the
+// receipts, kept in a log of their own beside the chain (receipts.go).
 // Reopen therefore has two paths:
 //
 //   - checkpoint restore: load the latest CRC-guarded checkpoint, hand
@@ -27,6 +28,12 @@ import (
 //     checkpoint fails any verification step. Replay also re-verifies the
 //     chain's integrity (a tampered block file fails CRC or
 //     re-validation), so the checkpoint never weakens tamper evidence.
+//
+// The receipt log picks the path too: replay writes the receipts of every
+// block from the log's end on, and it can only start where state is known
+// — at the checkpoint or at zero — so a receipt log that ends below the
+// checkpoint (missing, cut at a damaged record, or from before the node
+// had one) means full replay.
 //
 // Both paths check, after executing each block whose header commits to a
 // state root, that the engine arrived at that root; a block that does not
@@ -47,8 +54,8 @@ var ErrNotDurable = errors.New("platform: node has no data directory")
 var ErrStateRootMismatch = errors.New("platform: replayed state root does not match block header")
 
 // Open creates or reopens a durable platform at dir. The chain log lives
-// in dir/chain.log and checkpoints in dir/checkpoint.ckpt. The returned
-// close function releases the log file.
+// in dir/chain.log, the receipt log in dir/receipts.log and checkpoints in
+// dir/checkpoint.ckpt. The returned close function releases both logs.
 //
 // When a valid checkpoint is present the chain itself reopens from the
 // checkpointed index snapshot — only the WAL tail above the checkpoint
@@ -67,9 +74,15 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if cp, err := store.ReadCheckpoint(filepath.Join(dir, checkpointName)); err == nil {
-		if p, err := openFromCheckpoint(dir, cfg, log, cp); err == nil {
-			return p, log.Close, nil
+	receipts, err := openReceiptLog(filepath.Join(dir, receiptLogName), log.Len())
+	if err != nil {
+		log.Close()
+		return nil, nil, err
+	}
+	closeLogs := func() error { return errors.Join(log.Close(), receipts.Close()) }
+	if cp, err := store.ReadCheckpoint(filepath.Join(dir, checkpointName)); err == nil && receipts.Len() >= cp.Height {
+		if p, err := openFromCheckpoint(dir, cfg, log, receipts, cp); err == nil {
+			return p, closeLogs, nil
 		}
 	}
 
@@ -77,19 +90,19 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 	// replay's body validation fanned across the verification pipeline.
 	chain, err := ledger.NewChainVerified(log, newVerifier(cfg))
 	if err != nil {
-		log.Close()
+		closeLogs()
 		return nil, nil, fmt.Errorf("platform: reopen chain: %w", err)
 	}
-	p, err := newDurable(dir, cfg, chain)
+	p, err := newDurable(dir, cfg, chain, receipts)
 	if err != nil {
-		log.Close()
+		closeLogs()
 		return nil, nil, err
 	}
 	if err := p.replayFrom(0); err != nil {
-		log.Close()
+		closeLogs()
 		return nil, nil, fmt.Errorf("platform: replay: %w", err)
 	}
-	return p, log.Close, nil
+	return p, closeLogs, nil
 }
 
 // openFromCheckpoint attempts the fast reopen path: rebuild the chain
@@ -97,13 +110,14 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 // restore every subscriber blob, verify the restored contract state
 // against both the checkpoint hash and the committed block header, then
 // replay just the tail. Any error means the caller must fall back to the
-// full-replay path; nothing here mutates the log.
-func openFromCheckpoint(dir string, cfg Config, log *store.FileLog, cp *store.Checkpoint) (*Platform, error) {
+// full-replay path; nothing here mutates the chain log, and what the tail
+// replay adds to the receipt log is what full replay would add.
+func openFromCheckpoint(dir string, cfg Config, log *store.FileLog, receipts receiptLog, cp *store.Checkpoint) (*Platform, error) {
 	chain, err := ledger.NewChainFromSnapshotVerified(log, cp.Chain, newVerifier(cfg))
 	if err != nil {
 		return nil, err
 	}
-	p, err := newDurable(dir, cfg, chain)
+	p, err := newDurable(dir, cfg, chain, receipts)
 	if err != nil {
 		return nil, err
 	}
@@ -117,13 +131,14 @@ func openFromCheckpoint(dir string, cfg Config, log *store.FileLog, cp *store.Ch
 }
 
 // newDurable builds a fresh platform bound to the durable chain.
-func newDurable(dir string, cfg Config, chain *ledger.Chain) (*Platform, error) {
+func newDurable(dir string, cfg Config, chain *ledger.Chain, receipts receiptLog) (*Platform, error) {
 	p, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
 	p.chain = chain
+	p.receipts = receipts
 	// Adopt the durable chain's pipeline (it already verified the replay
 	// and its cache is warm with the tail's signatures), discarding the
 	// one New built for the throwaway empty chain.
@@ -191,34 +206,41 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 }
 
 // replayFrom re-executes committed blocks from the given height upward,
-// feeding each through the commit bus exactly like a live commit, and
-// holds each to the state root its header carries (consensus-decided
-// blocks carry none, so a cluster validator's replay hashes nothing).
+// feeding each through the receipt log and the commit bus exactly like a
+// live commit, and holds each to the state root its header carries
+// (consensus-decided blocks carry none, so a cluster validator's replay
+// hashes nothing). The receipt log may reach above from: those blocks'
+// receipts stay as they are and writing resumes where the log ends.
 func (p *Platform) replayFrom(from uint64) error {
-	var mismatch error
+	var failed error
 	err := p.chain.Walk(from, func(b *ledger.Block) bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		recs := p.executeBlockLocked(b)
 		if want := b.Header.StateRoot; !want.IsZero() {
 			if got, _ := p.engine.StateRoot(); got != want {
-				mismatch = fmt.Errorf("%w: block %d commits to %s, replay reached %s", ErrStateRootMismatch, b.Header.Height, want.Short(), got.Short())
+				failed = fmt.Errorf("%w: block %d commits to %s, replay reached %s", ErrStateRootMismatch, b.Header.Height, want.Short(), got.Short())
 				return false
 			}
+		}
+		if failed = p.recordReceiptsLocked(b.Header.Height, recs); failed != nil {
+			return false
 		}
 		p.publishLocked(b, recs)
 		return true
 	})
-	if mismatch != nil {
-		return mismatch
+	if failed != nil {
+		return failed
 	}
 	return err
 }
 
 // WriteCheckpoint snapshots the node's derived state — contract state,
-// receipts, fact index, supply-chain graph, expert miner — into
-// dir/checkpoint.ckpt, atomically replacing any previous checkpoint.
-// Subsequent Opens restore it and replay only the newer WAL tail.
+// fact index, supply-chain graph, expert miner — into dir/checkpoint.ckpt,
+// atomically replacing any previous checkpoint. Subsequent Opens restore
+// it and replay only the newer WAL tail. Receipts are not in it: the
+// receipt log is made durable first, so every block the checkpoint covers
+// has its receipts on disk.
 func (p *Platform) WriteCheckpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -229,6 +251,9 @@ func (p *Platform) WriteCheckpoint() error {
 	var headID string
 	if height > 0 {
 		headID = p.chain.HeadID().String()
+	}
+	if err := p.receipts.Sync(); err != nil {
+		return fmt.Errorf("platform: checkpoint: receipt log: %w", err)
 	}
 	root, err := p.engine.StateRoot()
 	if err != nil {

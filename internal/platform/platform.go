@@ -34,6 +34,7 @@ import (
 	"repro/internal/newsroom"
 	"repro/internal/ranking"
 	"repro/internal/search"
+	"repro/internal/store"
 	"repro/internal/supplychain"
 	"repro/internal/telemetry"
 )
@@ -181,10 +182,12 @@ type Platform struct {
 
 	// bus is the event-sourced commit pipeline: every committed block is
 	// published once, and all derived indexes (fact index, supply-chain
-	// graph, expert miner, receipts, penalties) update as subscribers.
+	// graph, expert miner, penalties) update as subscribers.
 	bus *commitbus.Bus
-	// receipts is the receipt-by-txid subscriber.
-	receipts *receiptStore
+	// receipts holds the encoded receipts of block h as record h (see
+	// receipts.go): a file beside the chain log on a durable node, encoded
+	// bytes in memory otherwise.
+	receipts receiptLog
 	// experts is the incremental per-topic item index for expert mining.
 	experts *supplychain.ExpertMiner
 	// dir is the durable data directory ("" for in-memory nodes).
@@ -250,6 +253,7 @@ const (
 	stageExecute commitStage = iota
 	stageStateRoot
 	stageAppend
+	stageReceipts
 	stagePublish
 	numCommitStages
 )
@@ -259,6 +263,7 @@ var commitStages = [numCommitStages]struct{ label, span string }{
 	stageExecute:   {"execute", "engine.execute"},
 	stageStateRoot: {"state_root", "engine.state_root"},
 	stageAppend:    {"append", "chain.append"},
+	stageReceipts:  {"receipts", "receipts.append"},
 	stagePublish:   {"publish", "commitbus.publish"},
 }
 
@@ -333,7 +338,7 @@ func New(cfg Config) (*Platform, error) {
 		factIndex: factdb.NewIndex(),
 		mediaDet:  aidetect.NewMediaDetector(),
 		bus:       commitbus.New(),
-		receipts:  newReceiptStore(),
+		receipts:  store.NewMemLog(),
 		experts:   supplychain.NewExpertMiner(),
 		searchIdx: search.New(),
 		clock:     func() time.Time { return time.Unix(1562500000, 0).UTC() },
@@ -388,7 +393,6 @@ func New(cfg Config) (*Platform, error) {
 	p.searchSub.Instrument(cfg.Telemetry)
 	subs := []commitbus.Subscriber{
 		&contractState{engine: p.engine},
-		p.receipts,
 		&factdb.IndexSubscriber{Index: p.factIndex},
 		&supplychain.GraphSubscriber{Graph: p.graph, Resolve: p.resolveBody},
 		p.experts,
@@ -703,9 +707,11 @@ func (p *Platform) stage(sp *telemetry.Span, st commitStage, fn func()) {
 }
 
 // Commit mines one block from the mempool in standalone mode: executes
-// the batch, appends the block, and indexes the emitted events. It
-// returns the committed block and its receipts (nil block if the pool was
-// empty).
+// the batch, appends the block, records its receipts and indexes the
+// emitted events. It returns the committed block and its receipts (nil
+// block if the pool was empty). An error that says the receipts were not
+// recorded comes after the block was committed and indexed: the node's
+// disk is failing, and the next Open repairs the receipt log.
 func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -733,14 +739,9 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 		return nil, nil, fmt.Errorf("platform: append block: %w", err)
 	}
 	p.pool.Remove(txs)
-	p.stage(sp, stagePublish, func() { p.publishLocked(blk, recs) })
-	p.tm.commits.Inc()
-	p.tm.txs.Add(uint64(len(txs)))
-	if p.tm.commitSec != nil {
-		p.tm.commitSec.Observe(time.Since(start).Seconds())
+	if err := p.settleLocked(sp, start, blk, recs); err != nil {
+		return nil, nil, err
 	}
-	sp.SetAttr("height", fmt.Sprintf("%d", blk.Header.Height))
-	sp.SetAttr("txs", fmt.Sprintf("%d", len(txs)))
 	return blk, recs, nil
 }
 
@@ -769,8 +770,23 @@ func (p *Platform) ApplyExternalBlock(b *ledger.Block) error {
 		start = time.Now()
 	}
 	sp := p.tracer.Start("platform.applyExternalBlock")
+	defer sp.End()
 	var recs []contract.Receipt
 	p.stage(sp, stageExecute, func() { recs = p.executeBlockLocked(b) })
+	return p.settleLocked(sp, start, b, recs)
+}
+
+// settleLocked is the step Commit and ApplyExternalBlock share once a
+// block is executed and on the chain: its receipts go to the receipt log,
+// the block goes to the commit bus, and the commit is counted. The block
+// is committed whatever this returns; an error says its receipts could
+// not be recorded (see recordReceiptsLocked). Caller holds p.mu.
+func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.Block, recs []contract.Receipt) error {
+	var err error
+	p.stage(sp, stageReceipts, func() { err = p.recordReceiptsLocked(b.Header.Height, recs) })
+	if err != nil {
+		sp.SetAttr("error", "receipts")
+	}
 	p.stage(sp, stagePublish, func() { p.publishLocked(b, recs) })
 	p.tm.commits.Inc()
 	p.tm.txs.Add(uint64(len(b.Txs)))
@@ -778,28 +794,23 @@ func (p *Platform) ApplyExternalBlock(b *ledger.Block) error {
 		p.tm.commitSec.Observe(time.Since(start).Seconds())
 	}
 	sp.SetAttr("height", fmt.Sprintf("%d", b.Header.Height))
-	sp.End()
-	return nil
+	sp.SetAttr("txs", fmt.Sprintf("%d", len(b.Txs)))
+	return err
 }
 
 // publishLocked feeds one committed block into the commit bus, updating
 // every derived index (fact index, supply-chain graph, expert miner,
-// receipt store, penalty forwarding) through its subscriber. Caller
-// holds p.mu. Subscriber failures are recorded in the bus accounting
-// (visible via BusStats / the HTTP gateway) rather than failing the
-// commit: the block is already durable, and a lagging index must not
-// fork the node away from consensus.
+// penalty forwarding) through its subscriber. Caller holds p.mu.
+// Subscriber failures are recorded in the bus accounting (visible via
+// BusStats / the HTTP gateway) rather than failing the commit: the block
+// is already durable, and a lagging index must not fork the node away
+// from consensus.
 func (p *Platform) publishLocked(b *ledger.Block, recs []contract.Receipt) {
 	_ = p.bus.Publish(commitbus.CommitEvent{
 		Height:   b.Header.Height,
 		Block:    b,
 		Receipts: recs,
 	})
-}
-
-// Receipt returns the receipt for a committed transaction.
-func (p *Platform) Receipt(id ledger.TxID) (contract.Receipt, bool) {
-	return p.receipts.Get(id)
 }
 
 // ---------------------------------------------------------------------------

@@ -4,99 +4,19 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"repro/internal/commitbus"
 	"repro/internal/contract"
 	"repro/internal/evidence"
-	"repro/internal/ledger"
 	"repro/internal/ranking"
 )
 
 // Platform-owned commit-bus subscriber names (stable: they key
 // checkpoint blobs).
 const (
-	receiptsSubscriberName = "receipts"
-	stateSubscriberName    = "contract-state"
-	penaltySubscriberName  = "rank-penalties"
+	stateSubscriberName   = "contract-state"
+	penaltySubscriberName = "rank-penalties"
 )
-
-// ---------------------------------------------------------------------------
-// receiptStore: the queryable receipt-by-txid index.
-// ---------------------------------------------------------------------------
-
-// receiptStore records every execution receipt (including failures) for
-// Platform.Receipt lookups, and checkpoints them so a restored node can
-// still answer for pre-checkpoint transactions.
-type receiptStore struct {
-	mu   sync.RWMutex
-	recs map[ledger.TxID]contract.Receipt
-}
-
-var _ commitbus.Subscriber = (*receiptStore)(nil)
-
-func newReceiptStore() *receiptStore {
-	return &receiptStore{recs: make(map[ledger.TxID]contract.Receipt)}
-}
-
-// Name implements commitbus.Subscriber.
-func (r *receiptStore) Name() string { return receiptsSubscriberName }
-
-// OnCommit implements commitbus.Subscriber.
-func (r *receiptStore) OnCommit(ev commitbus.CommitEvent) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, rec := range ev.Receipts {
-		r.recs[rec.TxID] = rec
-	}
-	return nil
-}
-
-// Get returns the receipt for a committed transaction.
-func (r *receiptStore) Get(id ledger.TxID) (contract.Receipt, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rec, ok := r.recs[id]
-	return rec, ok
-}
-
-// receiptSnapshot is the gob-serialized form (a slice: receipts carry
-// their own TxID, and gob handles the concrete types directly).
-type receiptSnapshot struct {
-	Receipts []contract.Receipt
-}
-
-// Snapshot implements commitbus.Subscriber.
-func (r *receiptStore) Snapshot() ([]byte, error) {
-	r.mu.RLock()
-	snap := receiptSnapshot{Receipts: make([]contract.Receipt, 0, len(r.recs))}
-	for _, rec := range r.recs {
-		snap.Receipts = append(snap.Receipts, rec)
-	}
-	r.mu.RUnlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("platform: encode receipts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Restore implements commitbus.Subscriber.
-func (r *receiptStore) Restore(data []byte) error {
-	var snap receiptSnapshot
-	if len(data) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-			return fmt.Errorf("platform: decode receipts: %w", err)
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recs = make(map[ledger.TxID]contract.Receipt, len(snap.Receipts))
-	for _, rec := range snap.Receipts {
-		r.recs[rec.TxID] = rec
-	}
-	return nil
-}
 
 // ---------------------------------------------------------------------------
 // contractState: snapshot/restore adapter over the engine KV.

@@ -40,6 +40,7 @@ func TestDurableNodeMempoolMetricsLive(t *testing.T) {
 		`trustnews_commit_stage_seconds_count{stage="execute"} 1`,
 		`trustnews_commit_stage_seconds_count{stage="state_root"} 1`,
 		`trustnews_commit_stage_seconds_count{stage="append"} 1`,
+		`trustnews_commit_stage_seconds_count{stage="receipts"} 1`,
 		`trustnews_commit_stage_seconds_count{stage="publish"} 1`,
 		"trustnews_mempool_wait_seconds_count 1",
 	} {
@@ -137,6 +138,14 @@ func TestClusterNodeWireMetricsLive(t *testing.T) {
 		for _, k := range append(kinds, consensus.KindSyncRequest, consensus.KindSyncBlocks, wire.KindMempoolTx) {
 			sum += byKind.With(k).Value()
 		}
+		// Every committed height was applied once, through the receipts
+		// stage, and entered at least its propose step.
+		commits := reg.Counter("trustnews_consensus_commits_total", "").Value()
+		steps := reg.HistogramVec("trustnews_consensus_step_seconds", "", nil, "step")
+		stages := reg.HistogramVec("trustnews_commit_stage_seconds", "", nil, "stage")
+		if a, r, p := steps.With("apply").Count(), stages.With("receipts").Count(), steps.With("propose").Count(); commits == 0 || a != commits || r != commits || p < commits {
+			t.Fatalf("validator %d: %d commits, %d apply steps, %d receipts stages, %d propose steps", i, commits, a, r, p)
+		}
 		if sum != total.Value() {
 			t.Fatalf("validator %d: per-kind bytes add up to %d, bytes_out_total is %d in:\n%s", i, sum, total.Value(), body)
 		}
@@ -145,6 +154,16 @@ func TestClusterNodeWireMetricsLive(t *testing.T) {
 			`trustnews_transport_kind_bytes_out_total{kind="consensus.vote"} `,
 			`trustnews_transport_kind_bytes_out_total{kind="consensus.commit"} `,
 			"trustnews_consensus_block_pulls_total 0",
+			// The consensus path reports the same stage budget as the
+			// standalone one (it has no state_root or append stage), and
+			// the round's budget by step.
+			`trustnews_commit_stage_seconds_count{stage="execute"} `,
+			`trustnews_commit_stage_seconds_count{stage="receipts"} `,
+			`trustnews_commit_stage_seconds_count{stage="publish"} `,
+			`trustnews_consensus_step_seconds_count{step="propose"} `,
+			`trustnews_consensus_step_seconds_count{step="prevote"} `,
+			`trustnews_consensus_step_seconds_count{step="precommit"} `,
+			`trustnews_consensus_step_seconds_count{step="apply"} `,
 		} {
 			if !strings.Contains(body, want) {
 				t.Fatalf("validator %d metrics missing %q in:\n%s", i, want, body)

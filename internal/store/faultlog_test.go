@@ -18,6 +18,8 @@ type faultFile struct {
 	writeBudget int
 	// failSync makes Sync return an error.
 	failSync bool
+	// syncs counts Sync calls.
+	syncs int
 	// failTruncate makes Truncate return an error (so Append's rollback
 	// cannot run, as in a crash between the write and the recovery).
 	failTruncate bool
@@ -39,6 +41,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
+	f.syncs++
 	if f.failSync {
 		return errInjected
 	}
@@ -59,11 +62,40 @@ func openFaultLog(t *testing.T, path string) (*faultFile, *FileLog) {
 		t.Fatal(err)
 	}
 	ff := &faultFile{File: raw, writeBudget: -1}
-	l, err := newFileLogOn(ff)
+	l, err := newFileLogOn(ff, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ff, l
+}
+
+// AppendUnsynced hands the frame to the file without an fsync — the
+// record is readable at once — and Sync pays the one that was owed; Append
+// still syncs every record.
+func TestAppendUnsyncedSkipsFsync(t *testing.T) {
+	ff, l := openFaultLog(t, filepath.Join(t.TempDir(), "derived.log"))
+	defer l.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := l.AppendUnsynced([]byte("rec")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := l.Get(2); err != nil || string(got) != "rec" {
+		t.Fatalf("unsynced record = %q, %v", got, err)
+	}
+	if ff.syncs != 0 {
+		t.Fatalf("%d fsyncs for 3 unsynced appends", ff.syncs)
+	}
+	if err := l.Sync(); err != nil || ff.syncs != 1 {
+		t.Fatalf("Sync: %v, %d fsyncs", err, ff.syncs)
+	}
+	if _, err := l.Append([]byte("durable")); err != nil || ff.syncs != 2 {
+		t.Fatalf("Append: %v, %d fsyncs", err, ff.syncs)
+	}
+	ff.failSync = true
+	if err := l.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("Sync over a failing disk: %v", err)
+	}
 }
 
 // TestAppendShortWriteRollsBack injects a short write mid-frame: the

@@ -100,6 +100,13 @@ func (l *MemLog) Len() uint64 {
 // Close implements Log.
 func (l *MemLog) Close() error { return nil }
 
+// AppendUnsynced is Append: memory has nothing to sync. It is here so a
+// MemLog can stand in wherever a FileLog is appended to without fsync.
+func (l *MemLog) AppendUnsynced(rec []byte) (uint64, error) { return l.Append(rec) }
+
+// Sync does nothing.
+func (l *MemLog) Sync() error { return nil }
+
 // MemKV is an in-memory KV safe for concurrent use. Beside the data it
 // remembers which keys changed since the last DrainDirty, which is what
 // lets the contract engine bring its state commitment up to date from a
@@ -292,20 +299,29 @@ type FileLog struct {
 var _ Log = (*FileLog)(nil)
 
 // OpenFileLog opens or creates a file log at path and replays it.
-func OpenFileLog(path string) (*FileLog, error) {
+func OpenFileLog(path string) (*FileLog, error) { return openFileLog(path, false) }
+
+// OpenFileLogTruncating is OpenFileLog for a log whose records the caller
+// can compute again: a record that fails its checksum is then not worth
+// refusing to start over, so the log is cut there — the bad record and
+// everything after it are dropped, like a torn tail — and the caller
+// refills it from Len() on.
+func OpenFileLogTruncating(path string) (*FileLog, error) { return openFileLog(path, true) }
+
+func openFileLog(path string, cutCorrupt bool) (*FileLog, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open log: %w", err)
 	}
-	return newFileLogOn(f)
+	return newFileLogOn(f, cutCorrupt)
 }
 
 // newFileLogOn replays an already-open file into a FileLog. Production
 // callers go through OpenFileLog; fault-injection tests hand in wrapped
 // files. The file is closed on replay failure.
-func newFileLogOn(f logFile) (*FileLog, error) {
+func newFileLogOn(f logFile, cutCorrupt bool) (*FileLog, error) {
 	l := &FileLog{f: f}
-	if err := l.replay(); err != nil {
+	if err := l.replay(cutCorrupt); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -313,7 +329,10 @@ func newFileLogOn(f logFile) (*FileLog, error) {
 	return l, nil
 }
 
-func (l *FileLog) replay() error {
+// replay indexes the records on disk. A torn final record is truncated; a
+// record that fails its checksum fails the replay, or with cutCorrupt ends
+// the log there like a torn one.
+func (l *FileLog) replay(cutCorrupt bool) error {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seek: %w", err)
 	}
@@ -342,6 +361,9 @@ func (l *FileLog) replay() error {
 			return fmt.Errorf("store: replay payload: %w", err)
 		}
 		if crc32.ChecksumIEEE(payload) != want {
+			if cutCorrupt {
+				return l.truncateAt(off)
+			}
 			return fmt.Errorf("%w: record %d", ErrCorrupt, len(l.offsets))
 		}
 		l.offsets = append(l.offsets, off)
@@ -367,7 +389,29 @@ func (l *FileLog) truncateAt(off int64) error {
 
 // Append implements Log. The record is durable once Append returns (the
 // frame is flushed and fsynced).
-func (l *FileLog) Append(rec []byte) (uint64, error) {
+func (l *FileLog) Append(rec []byte) (uint64, error) { return l.append(rec, true) }
+
+// AppendUnsynced appends a record without waiting for the disk: the frame
+// is handed to the operating system, so Get sees it and it survives the
+// process, but a machine crash may lose it (and any unsynced records
+// before it) until Sync returns. For records that can be computed again.
+func (l *FileLog) AppendUnsynced(rec []byte) (uint64, error) { return l.append(rec, false) }
+
+// Sync makes every record appended so far durable.
+func (l *FileLog) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	// Every append flushed its frame already; only the fsync is owed.
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("store: sync: %w", err)
+	}
+	return nil
+}
+
+func (l *FileLog) append(rec []byte, sync bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -389,8 +433,10 @@ func (l *FileLog) Append(rec []byte) (uint64, error) {
 	if err := l.w.Flush(); err != nil {
 		return 0, l.appendFailed("flush", err, off)
 	}
-	if err := l.f.Sync(); err != nil {
-		return 0, l.appendFailed("sync", err, off)
+	if sync {
+		if err := l.f.Sync(); err != nil {
+			return 0, l.appendFailed("sync", err, off)
+		}
 	}
 	l.offsets = append(l.offsets, off)
 	l.sizes = append(l.sizes, uint32(len(rec)))

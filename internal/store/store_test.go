@@ -222,6 +222,59 @@ func TestFileLogDetectsInteriorCorruption(t *testing.T) {
 	}
 }
 
+// A log of recomputable records ends at the first damaged one instead of
+// refusing to open: what is left is intact, appendable and passes the
+// strict open afterwards.
+func TestFileLogTruncatingCutsAtCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "derived.log")
+	l, err := OpenFileLogTruncating(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{"record-zero", "record-one", "record-two", "record-three"} {
+		if _, err := l.AppendUnsynced([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8+len("record-zero")+8+len("record-one")+8+3] ^= 0xff // inside record two
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileLog(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("strict open: want ErrCorrupt, got %v", err)
+	}
+	l, err = OpenFileLogTruncating(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != 2 {
+		t.Fatalf("len %d after cutting at record 2, want 2", l.Len())
+	}
+	if got, err := l.Get(1); err != nil || string(got) != "record-one" {
+		t.Fatalf("record 1 = %q, %v", got, err)
+	}
+	if idx, err := l.AppendUnsynced([]byte("record-two-again")); err != nil || idx != 2 {
+		t.Fatalf("append after the cut: index %d, %v", idx, err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	strict, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatalf("strict open after the repair: %v", err)
+	}
+	defer strict.Close()
+	if got, err := strict.Get(2); err != nil || string(got) != "record-two-again" || strict.Len() != 3 {
+		t.Fatalf("record 2 = %q, %v, len %d", got, err, strict.Len())
+	}
+}
+
 func TestFileLogClosedErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.log")
 	l, err := OpenFileLog(path)

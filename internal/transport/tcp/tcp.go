@@ -110,6 +110,9 @@ type Transport struct {
 	handler transport.Handler
 	peers   map[transport.NodeID]*peer
 	conns   map[net.Conn]struct{}
+	// inbound counts the live, handshaken inbound connections per remote
+	// node id (a re-dialing peer can briefly hold two).
+	inbound map[transport.NodeID]int
 	closed  bool
 
 	// Event loop: handlers and timers post closures here; loop runs them
@@ -133,6 +136,9 @@ type peer struct {
 	id   transport.NodeID
 	addr string
 	q    chan frame
+	// up reports a live, handshaken outbound connection (guarded by the
+	// transport's mu).
+	up bool
 }
 
 // frame is one encoded message waiting for a peer's writer; the kind
@@ -174,13 +180,14 @@ func New(cfg Config) (*Transport, error) {
 		seed++
 	}
 	t := &Transport{
-		cfg:   cfg,
-		start: time.Now(),
-		peers: make(map[transport.NodeID]*peer),
-		conns: make(map[net.Conn]struct{}),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
+		cfg:     cfg,
+		start:   time.Now(),
+		peers:   make(map[transport.NodeID]*peer),
+		conns:   make(map[net.Conn]struct{}),
+		inbound: make(map[transport.NodeID]int),
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 	for id, addr := range cfg.Peers {
 		if id == cfg.NodeID {
@@ -234,6 +241,30 @@ func (t *Transport) AddPeer(id transport.NodeID, addr string) {
 	if t.ln != nil { // already started
 		t.startWriter(p)
 	}
+}
+
+// PeersConnected counts the configured peers this node is linked with in
+// both directions: its outbound connection to the peer is up and the peer
+// has an inbound connection here. Outbound connections are dialed on the
+// first frame, so a node that has had nothing to say to a peer does not
+// count it yet; a validator under consensus talks to every peer at once.
+func (t *Transport) PeersConnected() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for id, p := range t.peers {
+		if p.up && t.inbound[id] > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// setUp records whether peer p's outbound connection is live.
+func (t *Transport) setUp(p *peer, up bool) {
+	t.mu.Lock()
+	p.up = up
+	t.mu.Unlock()
 }
 
 // AddNode implements transport.Network. A TCP transport hosts exactly
@@ -427,6 +458,7 @@ func (t *Transport) runWriter(p *peer) {
 	defer func() {
 		if conn != nil {
 			_ = conn.Close()
+			t.setUp(p, false)
 		}
 	}()
 	for {
@@ -446,6 +478,7 @@ func (t *Transport) runWriter(p *peer) {
 			}
 			if err == nil {
 				conn = c
+				t.setUp(p, true)
 				if connected {
 					t.cfg.Metrics.Reconnects.Inc()
 				}
@@ -485,6 +518,7 @@ func (t *Transport) runWriter(p *peer) {
 			t.cfg.Metrics.SendErrors.Inc()
 			_ = conn.Close()
 			conn = nil
+			t.setUp(p, false)
 			continue
 		}
 		t.cfg.Metrics.BytesOut.Add(uint64(4 + len(f.raw)))
@@ -535,16 +569,26 @@ func (t *Transport) acceptLoop() {
 // frames and undecodable bodies end the connection — the sender will
 // re-dial and re-handshake.
 func (t *Transport) runReader(c net.Conn) {
+	var from transport.NodeID // non-empty once the peer's hello is read and c counted in t.inbound
 	defer func() {
 		_ = c.Close()
 		t.mu.Lock()
 		delete(t.conns, c)
+		if from != "" {
+			if t.inbound[from]--; t.inbound[from] == 0 {
+				delete(t.inbound, from)
+			}
+		}
 		t.mu.Unlock()
 	}()
 	_ = c.SetDeadline(time.Now().Add(t.cfg.WriteTimeout))
-	if _, err := readHello(c); err != nil {
+	from, err := readHello(c) // "" on error
+	if err != nil {
 		return
 	}
+	t.mu.Lock()
+	t.inbound[from]++
+	t.mu.Unlock()
 	if err := writeHello(c, t.cfg.NodeID); err != nil {
 		return
 	}

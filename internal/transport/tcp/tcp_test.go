@@ -175,6 +175,44 @@ func TestReconnect(t *testing.T) {
 	}
 }
 
+// TestPeersConnected: a peer counts once frames can flow both ways — the
+// local writer has dialed it and it has dialed us — and stops counting
+// when it goes away.
+func TestPeersConnected(t *testing.T) {
+	a := startTransport(t, "a", nil)
+	b := startTransport(t, "b", nil)
+	for _, tr := range []*Transport{a, b} {
+		if err := tr.AddNode(tr.cfg.NodeID, func(transport.Message) {}); err != nil {
+			t.Fatalf("AddNode: %v", err)
+		}
+	}
+	a.AddPeer("b", b.Addr())
+	b.AddPeer("a", a.Addr())
+	if a.PeersConnected() != 0 || b.PeersConnected() != 0 {
+		t.Fatalf("connected before any frame: a=%d b=%d", a.PeersConnected(), b.PeersConnected())
+	}
+	ping := consensus.SyncRequest{Height: 1}
+	if err := a.Send("a", "b", consensus.KindSyncRequest, ping); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	waitFor(t, 5*time.Second, "b to see a's connection", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.inbound["a"] == 1
+	})
+	if a.PeersConnected() != 0 || b.PeersConnected() != 0 {
+		t.Fatalf("one direction counted as connected: a=%d b=%d", a.PeersConnected(), b.PeersConnected())
+	}
+	if err := b.Send("b", "a", consensus.KindSyncRequest, ping); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	waitFor(t, 5*time.Second, "both directions up", func() bool {
+		return a.PeersConnected() == 1 && b.PeersConnected() == 1
+	})
+	b.Close()
+	waitFor(t, 5*time.Second, "a to drop b", func() bool { return a.PeersConnected() == 0 })
+}
+
 // dialRaw opens a raw client connection and completes the handshake.
 func dialRaw(t *testing.T, tr *Transport) net.Conn {
 	t.Helper()

@@ -455,6 +455,10 @@ func TestCommitAnnouncementPullsMissingBody(t *testing.T) {
 			h := newCertHarness(t)
 			b := blk(h, 1)
 			h.deliver(KindCommit, tc.announce(h, b))
+			if early := h.pulls(); len(early) != 0 {
+				t.Fatalf("pulled %v before the proposal had its time to arrive", early)
+			}
+			h.c.Net.Run(h.c.Net.Now() + DefaultTimeouts().Propose)
 			pulls := h.pulls()
 			if tc.answer == nil {
 				if len(pulls) != 0 {
@@ -488,6 +492,43 @@ func TestCommitAnnouncementPullsMissingBody(t *testing.T) {
 				t.Fatalf("committed %v (err %v), want %s", got, err, b.ID().Short())
 			}
 		})
+	}
+}
+
+// Proposal and certificate travel on different links, so a node can read
+// the certificate first. It holds it for the proposal timeout instead of
+// pulling, and the proposal commits the height: no pull, then or later.
+func TestCertificateAheadOfProposalDoesNotPull(t *testing.T) {
+	h := newCertHarness(t)
+	// v0 proposed round 0 itself; the certified block is round 1's.
+	const round = 1
+	proposer := -1
+	for i, kp := range h.c.Keys {
+		if kp.Address() == h.node.set.Proposer(0, round).Addr {
+			proposer = i
+		}
+	}
+	if proposer <= 0 {
+		t.Fatalf("round %d proposer is validator %d, want a peer of v0", round, proposer)
+	}
+	b := ledger.NewBlock(0, ledger.BlockID{}, [32]byte{}, time.Unix(0, 0).UTC(), h.c.Keys[proposer].Address(), nil)
+	h.deliver(KindCommit, h.cert(b.ID(), 1, 2, 3))
+	if h.node.Height() != 0 {
+		t.Fatalf("node height %d on a certificate without a body", h.node.Height())
+	}
+	p := &Proposal{Height: 0, Round: round, POLRound: -1, Block: b, Proposer: h.c.Keys[proposer].Address()}
+	SignProposal(p, h.c.Keys[proposer])
+	h.deliver(KindProposal, p)
+	if h.app.Chain.Height() != 1 || h.node.Height() != 1 || h.node.CertCount() != 1 {
+		t.Fatalf("chain %d, node %d, certs %d after the late proposal, want 1 each",
+			h.app.Chain.Height(), h.node.Height(), h.node.CertCount())
+	}
+	if got, err := h.app.Chain.BlockAt(0); err != nil || got.ID() != b.ID() {
+		t.Fatalf("committed %v (err %v), want %s", got, err, b.ID().Short())
+	}
+	h.c.Net.Run(h.c.Net.Now() + 2*DefaultTimeouts().Propose)
+	if pulls := h.pulls(); len(pulls) != 0 || h.reg.Counter("trustnews_consensus_block_pulls_total", "").Value() != 0 {
+		t.Fatalf("pulled %v although the proposal brought the body", pulls)
 	}
 }
 

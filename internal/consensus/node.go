@@ -112,6 +112,9 @@ type Node struct {
 	// syncRequested tracks the last height we asked a peer to backfill,
 	// to avoid flooding duplicate requests.
 	syncRequested uint64
+	// awaited is a verified certificate for the current height whose body
+	// has not arrived yet (see onCommit); nil otherwise.
+	awaited *Commit
 
 	metrics Metrics
 	stopped bool
@@ -595,6 +598,13 @@ func (n *Node) onProposal(p *Proposal) {
 	}
 	rounds[p.Round] = p
 	n.blocks[p.Block.ID()] = p.Block
+	if c := n.awaited; c != nil && c.BlockID == p.Block.ID() {
+		// The certificate overtook this proposal on another link.
+		if n.apply(p.Block, c) {
+			n.advanceHeight()
+		}
+		return
+	}
 	// Count the attached proof-of-lock prevotes; each is verified like any
 	// other vote (duplicates of prevotes we already hold are rejected
 	// harmlessly). A vote may commit the height mid-loop, so re-check.
@@ -902,6 +912,7 @@ func (n *Node) advanceHeight() {
 	n.valid = nil
 	n.validRound = -1
 	n.blocks = make(map[ledger.BlockID]*ledger.Block)
+	n.awaited = nil
 	if n.tmo.Commit > 0 {
 		// Pace block production: rest for timeout_commit before entering
 		// the next height. Messages for the new height that arrive during
@@ -941,7 +952,12 @@ func (n *Node) replayFuture() {
 
 // onCommit handles a peer's commit announcement for the current height.
 // The body normally arrived with the proposal; a node that missed it asks
-// the announcer for it and commits when the sync answer lands.
+// the announcer for it and commits when the sync answer lands. Proposal
+// and announcement come from different peers over different links, so a
+// node that was off the CPU for a moment can read the announcement first
+// while the proposal sits unread on its own link: the pull waits for as
+// long as the node waits for a proposal anyway (Timeouts.Propose), and the
+// proposal, if it comes, commits the height without one (see onProposal).
 func (n *Node) onCommit(from transport.NodeID, c *Commit) {
 	if c.Height != n.height {
 		n.tm.msgRejected.With("stale_commit").Inc()
@@ -953,8 +969,17 @@ func (n *Node) onCommit(from transport.NodeID, c *Commit) {
 	}
 	b := n.blocks[c.BlockID]
 	if b == nil {
-		n.tm.blockPulls.Inc()
-		n.send(from, KindSyncRequest, SyncRequest{Height: n.height})
+		if n.awaited == nil {
+			n.awaited = c
+		}
+		h := n.height
+		n.net.After(n.id, n.tmo.Propose, func() {
+			if n.stopped || n.height != h {
+				return
+			}
+			n.tm.blockPulls.Inc()
+			n.send(from, KindSyncRequest, SyncRequest{Height: h})
+		})
 		return
 	}
 	if n.apply(b, c) {

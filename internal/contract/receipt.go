@@ -21,11 +21,12 @@ import (
 //	event   = bytes(contract) ‖ bytes(type) ‖ attrs u32
 //	          ‖ attrs × (bytes(key) ‖ bytes(value)), keys strictly ascending
 //
-// Every receipt sits behind its own length, so one can be decoded without
-// the others. A byte string decodes to at most one value and that value
-// encodes back to the same bytes: counts and lengths are checked against
-// the bytes that remain before anything is allocated, a bool is 0 or 1,
-// attribute keys must ascend, and nothing may trail.
+// Every receipt sits behind its own length, so one is decoded without the
+// others (DecodeReceiptAt is the only decoder). A receipt's bytes decode to
+// at most one value and that value encodes back to the same bytes: counts
+// and lengths are checked against the bytes that remain before anything is
+// allocated, a bool is 0 or 1, attribute keys must ascend, and nothing may
+// trail inside a receipt's length.
 
 // The least an encoded receipt (behind its length), event and attribute
 // occupy; a count claiming more elements than fit in the bytes that remain
@@ -76,33 +77,9 @@ func appendReceipt(dst []byte, r *Receipt) []byte {
 	return dst
 }
 
-// DecodeReceipts parses a record written by EncodeReceipts.
-func DecodeReceipts(raw []byte) ([]Receipt, error) {
-	r := bytes.NewReader(raw)
-	n, err := readCount(r, minReceiptBytes)
-	if err != nil {
-		return nil, fmt.Errorf("contract: receipt count: %w", err)
-	}
-	recs := make([]Receipt, 0, n)
-	for i := 0; i < n; i++ {
-		one, err := ledger.ReadBytes(r)
-		if err != nil {
-			return nil, fmt.Errorf("contract: receipt %d: %w", i, err)
-		}
-		rec, err := decodeReceipt(one)
-		if err != nil {
-			return nil, fmt.Errorf("contract: receipt %d: %w", i, err)
-		}
-		recs = append(recs, rec)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("contract: %d trailing bytes after receipts", r.Len())
-	}
-	return recs, nil
-}
-
-// DecodeReceiptAt parses only the i-th receipt of a record, skipping over
-// the ones before it.
+// DecodeReceiptAt parses the i-th receipt of a record written by
+// EncodeReceipts, skipping over the ones before it and reading nothing
+// behind it.
 func DecodeReceiptAt(raw []byte, i int) (Receipt, error) {
 	r := bytes.NewReader(raw)
 	n, err := readCount(r, minReceiptBytes)

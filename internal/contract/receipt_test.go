@@ -23,24 +23,33 @@ func sampleReceipts() []Receipt {
 	}
 }
 
+// decodeAll decodes every receipt a record announces, one DecodeReceiptAt
+// each, stopping at the first that fails.
+func decodeAll(raw []byte) ([]Receipt, error) {
+	if len(raw) < 4 {
+		_, err := DecodeReceiptAt(raw, 0)
+		return nil, err
+	}
+	var recs []Receipt
+	for i, n := 0, int(binary.BigEndian.Uint32(raw)); i < n; i++ {
+		rec, err := DecodeReceiptAt(raw, i)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
+
 func TestReceiptsRoundTrip(t *testing.T) {
 	recs := sampleReceipts()
 	raw := EncodeReceipts(recs)
-	got, err := DecodeReceipts(raw)
+	got, err := decodeAll(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("round trip changed the receipts:\n got %+v\nwant %+v", got, recs)
-	}
-	for i := range recs {
-		one, err := DecodeReceiptAt(raw, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(one, recs[i]) {
-			t.Fatalf("DecodeReceiptAt(%d) = %+v, want %+v", i, one, recs[i])
-		}
 	}
 	for _, i := range []int{-1, len(recs)} {
 		if _, err := DecodeReceiptAt(raw, i); err == nil {
@@ -53,14 +62,14 @@ func TestReceiptsRoundTrip(t *testing.T) {
 			t.Fatalf("encoding is not deterministic:\n%x\n%x", raw, again)
 		}
 	}
-	if empty, err := DecodeReceipts(EncodeReceipts(nil)); err != nil || len(empty) != 0 {
-		t.Fatalf("empty block: %v, %v", empty, err)
+	if rec, err := DecodeReceiptAt(EncodeReceipts(nil), 0); err == nil {
+		t.Fatalf("empty block: decoded %+v", rec)
 	}
 }
 
-// Bytes that are not what the encoder writes do not decode: the encoding
-// is canonical, so a record is either the receipts' one encoding or an
-// error, and a hostile count or length is refused before it is believed.
+// Bytes that are not what the encoder writes do not decode: a receipt's
+// bytes are either its one encoding or an error, and a hostile count or
+// length is refused before it is believed.
 func TestReceiptsDecodeRejectsNonCanonical(t *testing.T) {
 	one := func(r Receipt) []byte { return EncodeReceipts([]Receipt{r}) }
 	ev := Receipt{OK: true, Events: []Event{{Contract: "c", Type: "t", Attrs: map[string]string{"a": "1", "b": "2"}}}}
@@ -77,31 +86,32 @@ func TestReceiptsDecodeRejectsNonCanonical(t *testing.T) {
 	hugeEvents := one(Receipt{})
 	binary.BigEndian.PutUint32(hugeEvents[len(hugeEvents)-4:], 0xffffffff)
 
+	// One byte more than the fields, inside the receipt's length.
+	padded := append(one(Receipt{}), 0)
+	binary.BigEndian.PutUint32(padded[4:], uint32(len(padded)-8))
+
 	cases := map[string][]byte{
 		"empty":                 {},
 		"count beyond the data": binary.BigEndian.AppendUint32(nil, 0xffffffff),
-		"trailing byte":         append(one(Receipt{}), 0),
+		"trailing byte":         padded,
 		"attrs out of order":    swapped,
 		"ok flag 2":             okTwo,
 		"event count 4G":        hugeEvents,
 		"truncated":             one(ev)[:len(one(ev))-1],
 	}
 	for name, raw := range cases {
-		if recs, err := DecodeReceipts(raw); err == nil {
-			t.Errorf("%s: decoded to %+v", name, recs)
-		}
-		// DecodeReceiptAt reads no further than the receipt it is asked for.
-		if rec, err := DecodeReceiptAt(raw, 0); err == nil && name != "trailing byte" {
-			t.Errorf("%s: DecodeReceiptAt decoded to %+v", name, rec)
+		if rec, err := DecodeReceiptAt(raw, 0); err == nil {
+			t.Errorf("%s: decoded to %+v", name, rec)
 		}
 	}
 }
 
-// FuzzReceiptsDecode feeds arbitrary bytes to the receipt-record decoder:
-// it must not panic, whatever decodes must encode back to the very same
-// bytes (and every receipt must be reachable on its own), and a record
-// cannot make the decoder allocate out of proportion to its size — counts
-// and lengths are checked against the bytes left before anything is made.
+// FuzzReceiptsDecode feeds arbitrary bytes to the receipt decoder: it must
+// not panic, a record whose every receipt decodes must encode back to the
+// very same bytes (but for what trails the last receipt, which the decoder
+// never reads), and a record cannot make the decoder allocate out of
+// proportion to its size — counts and lengths are checked against the
+// bytes left before anything is made.
 func FuzzReceiptsDecode(f *testing.F) {
 	f.Add(EncodeReceipts(sampleReceipts()))
 	f.Add(EncodeReceipts(nil))
@@ -113,7 +123,7 @@ func FuzzReceiptsDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		recs, err := DecodeReceipts(raw)
+		recs, err := decodeAll(raw)
 		runtime.ReadMemStats(&after)
 		// Decoded receipts are larger than their encoding (a 12-byte empty
 		// event becomes a struct and a map), but by a constant factor.
@@ -123,14 +133,8 @@ func FuzzReceiptsDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := EncodeReceipts(recs); !bytes.Equal(again, raw) {
+		if again := EncodeReceipts(recs); !bytes.HasPrefix(raw, again) {
 			t.Fatalf("decoded record re-encodes differently:\n in  %x\n out %x", raw, again)
-		}
-		for i := range recs {
-			one, err := DecodeReceiptAt(raw, i)
-			if err != nil || !reflect.DeepEqual(one, recs[i]) {
-				t.Fatalf("DecodeReceiptAt(%d) = %+v, %v; DecodeReceipts gave %+v", i, one, err, recs[i])
-			}
 		}
 	})
 }

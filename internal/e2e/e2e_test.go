@@ -87,8 +87,9 @@ func TestClusterConvergence(t *testing.T) {
 	// so what a node spends announcing commits is a few hundred bytes per
 	// height and peer however many transactions the blocks carried, and
 	// since the cluster was fully meshed nobody had to pull a body: every
-	// validator held it from the proposal. Putting block bodies back into
-	// a broadcast fails here.
+	// validator got it with the proposal (one that reads the certificate
+	// first waits for it). Putting block bodies back into a broadcast
+	// fails here.
 	for i := range c.nodes {
 		m := c.metrics(i)
 		commits := m["trustnews_consensus_commits_total"]
@@ -101,20 +102,7 @@ func TestClusterConvergence(t *testing.T) {
 			t.Fatalf("node %d sent %.0f commit-certificate bytes over %.0f heights: %.0f per height and peer, want (0, 1024)", i, certBytes, commits, perHeightPeer)
 		}
 	}
-	// A validator the host kept off the CPU for a moment finds a
-	// certificate and the proposal it follows waiting on different links
-	// and may read the certificate first: one pull, and nothing wrong. A
-	// validator that is not sent the bodies pulls at every height. So a
-	// window with a pull gets another ten heights to show a clean one.
-	pulled := c.pulledSince(atMesh)
-	for retry := 0; pulled != "" && retry < 3; retry++ {
-		t.Logf("%s; watching ten more heights", pulled)
-		window := c.allMetrics()
-		target := c.commonHeight() + 10
-		c.waitFor(fmt.Sprintf("all nodes at height %d", target), 30*time.Second, func() bool { return c.commonHeight() >= target })
-		pulled = c.pulledSince(window)
-	}
-	if pulled != "" {
+	if pulled := c.pulledSince(atMesh); pulled != "" {
 		t.Fatalf("%s in a clean run, want 0", pulled)
 	}
 	// Block-sync bytes the three nodes that stay up have sent so far.

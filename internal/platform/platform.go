@@ -229,6 +229,8 @@ type platformMetrics struct {
 	commits   *telemetry.Counter
 	txs       *telemetry.Counter
 	commitSec *telemetry.Histogram
+	// receiptErrs counts blocks whose receipts did not reach the receipt log.
+	receiptErrs *telemetry.Counter
 	// stageSec splits commitSec by stage (trustnews_commit_stage_seconds),
 	// indexed by commitStage.
 	stageSec [numCommitStages]*telemetry.Histogram
@@ -375,6 +377,7 @@ func New(cfg Config) (*Platform, error) {
 		commits:        cfg.Telemetry.Counter("trustnews_platform_commits_total", "Blocks committed by this node (standalone or replicated)."),
 		txs:            cfg.Telemetry.Counter("trustnews_platform_txs_committed_total", "Transactions inside committed blocks."),
 		commitSec:      cfg.Telemetry.Histogram("trustnews_platform_commit_seconds", "Wall time to execute, append and index one block.", nil),
+		receiptErrs:    cfg.Telemetry.Counter("trustnews_platform_receipt_errors_total", "Committed blocks whose receipts could not be appended to the receipt log (not found until a restart replays them)."),
 		execConflicts:  cfg.Telemetry.Counter("trustnews_exec_conflicts_total", "Transactions re-executed because speculation went stale (optimistic conflicts plus lane/barrier re-executions)."),
 		execCrossShard: cfg.Telemetry.Counter("trustnews_exec_cross_shard_txs_total", "Transactions sequenced through cross-shard barrier phases."),
 		execWaves:      cfg.Telemetry.Counter("trustnews_exec_waves_total", "Parallel lane segments executed by the shard scheduler."),
@@ -709,9 +712,9 @@ func (p *Platform) stage(sp *telemetry.Span, st commitStage, fn func()) {
 // Commit mines one block from the mempool in standalone mode: executes
 // the batch, appends the block, records its receipts and indexes the
 // emitted events. It returns the committed block and its receipts (nil
-// block if the pool was empty). An error that says the receipts were not
-// recorded comes after the block was committed and indexed: the node's
-// disk is failing, and the next Open repairs the receipt log.
+// block if the pool was empty). Receipts the receipt log did not take are
+// counted (trustnews_platform_receipt_errors_total), not an error: the
+// block is committed, and the next Open repairs the log.
 func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -739,9 +742,7 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 		return nil, nil, fmt.Errorf("platform: append block: %w", err)
 	}
 	p.pool.Remove(txs)
-	if err := p.settleLocked(sp, start, blk, recs); err != nil {
-		return nil, nil, err
-	}
+	p.settleLocked(sp, start, blk, recs)
 	return blk, recs, nil
 }
 
@@ -773,19 +774,23 @@ func (p *Platform) ApplyExternalBlock(b *ledger.Block) error {
 	defer sp.End()
 	var recs []contract.Receipt
 	p.stage(sp, stageExecute, func() { recs = p.executeBlockLocked(b) })
-	return p.settleLocked(sp, start, b, recs)
+	p.settleLocked(sp, start, b, recs)
+	return nil
 }
 
 // settleLocked is the step Commit and ApplyExternalBlock share once a
 // block is executed and on the chain: its receipts go to the receipt log,
-// the block goes to the commit bus, and the commit is counted. The block
-// is committed whatever this returns; an error says its receipts could
-// not be recorded (see recordReceiptsLocked). Caller holds p.mu.
-func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.Block, recs []contract.Receipt) error {
+// the block goes to the commit bus, and the commit is counted. Receipts
+// that could not be recorded (see recordReceiptsLocked) are counted and
+// marked on the span, like a lagging bus subscriber, not returned: the
+// block is committed, and a derived-data write must not make it look
+// otherwise. Caller holds p.mu.
+func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.Block, recs []contract.Receipt) {
 	var err error
 	p.stage(sp, stageReceipts, func() { err = p.recordReceiptsLocked(b.Header.Height, recs) })
 	if err != nil {
 		sp.SetAttr("error", "receipts")
+		p.tm.receiptErrs.Inc()
 	}
 	p.stage(sp, stagePublish, func() { p.publishLocked(b, recs) })
 	p.tm.commits.Inc()
@@ -795,7 +800,6 @@ func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.B
 	}
 	sp.SetAttr("height", fmt.Sprintf("%d", b.Header.Height))
 	sp.SetAttr("txs", fmt.Sprintf("%d", len(b.Txs)))
-	return err
 }
 
 // publishLocked feeds one committed block into the commit bus, updating

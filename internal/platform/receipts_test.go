@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/ranking"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // servedReceipts returns the canonical encoding of the receipt the node
@@ -100,6 +102,21 @@ func TestOpenRepairsReceiptLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := os.Truncate(path, st.Size()-3); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "zero-filled tail", wantCkpt: true, damage: func(t *testing.T, f fixture) {
+			// A machine crash extended the file without writing the last
+			// records: zeros where three records were, which frame as
+			// empty records with a valid checksum.
+			path := filepath.Join(f.dir, receiptLogName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs := frameOffsets(t, raw)
+			cut := offs[len(offs)-3]
+			if err := os.WriteFile(path, append(raw[:cut:cut], make([]byte, 16)...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -240,6 +257,52 @@ func TestOpenRepairsReceiptLog(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// failingReceiptLog refuses one append.
+type failingReceiptLog struct {
+	receiptLog
+	fail bool
+}
+
+func (l *failingReceiptLog) AppendUnsynced(rec []byte) (uint64, error) {
+	if l.fail {
+		l.fail = false
+		return 0, errors.New("disk says no")
+	}
+	return l.receiptLog.AppendUnsynced(rec)
+}
+
+// A receipt append that fails costs receipts, not commits: the block is
+// returned as committed, the mempool keeps draining, the failure is
+// counted, and the receipts from the gap on are "not found" (an append
+// after the gap would file them under another block's height).
+func TestReceiptAppendFailureDoesNotFailCommit(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	cfg.MaxTxsPerBlock = 2
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mintBlocks(t, p, 2)
+	p.receipts = &failingReceiptLog{receiptLog: p.receipts, fail: true}
+	mintBlocks(t, p, 6)
+	if h, n := p.Chain().Height(), p.pool.Size(); h != 4 || n != 0 {
+		t.Fatalf("chain height %d with %d txs pending, want 4 and 0", h, n)
+	}
+	if got := cfg.Telemetry.Counter("trustnews_platform_receipt_errors_total", "").Value(); got != 3 {
+		t.Fatalf("receipt errors counted: %d, want 3 (the refused block and the two behind it)", got)
+	}
+	for h := uint64(0); h < 4; h++ {
+		blk, err := p.Chain().BlockAt(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.Receipt(blk.Txs[0].ID()); ok != (h == 0) {
+			t.Fatalf("receipt of a tx at height %d found=%v", h, ok)
+		}
 	}
 }
 

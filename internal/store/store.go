@@ -305,7 +305,10 @@ func OpenFileLog(path string) (*FileLog, error) { return openFileLog(path, false
 // can compute again: a record that fails its checksum is then not worth
 // refusing to start over, so the log is cut there — the bad record and
 // everything after it are dropped, like a torn tail — and the caller
-// refills it from Len() on.
+// refills it from Len() on. An empty record ends the log the same way:
+// unsynced appends can leave a tail the file system filled with zeros
+// after a machine crash, and eight zero bytes are a well-formed empty
+// record (the CRC of nothing is 0). Such a log's records are never empty.
 func OpenFileLogTruncating(path string) (*FileLog, error) { return openFileLog(path, true) }
 
 func openFileLog(path string, cutCorrupt bool) (*FileLog, error) {
@@ -331,8 +334,12 @@ func newFileLogOn(f logFile, cutCorrupt bool) (*FileLog, error) {
 
 // replay indexes the records on disk. A torn final record is truncated; a
 // record that fails its checksum fails the replay, or with cutCorrupt ends
-// the log there like a torn one.
+// the log there like a torn one, as does an empty record.
 func (l *FileLog) replay(cutCorrupt bool) error {
+	end, err := l.f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("store: seek: %w", err)
+	}
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seek: %w", err)
 	}
@@ -353,6 +360,13 @@ func (l *FileLog) replay(cutCorrupt bool) error {
 		}
 		size := binary.BigEndian.Uint32(hdr[0:4])
 		want := binary.BigEndian.Uint32(hdr[4:8])
+		if cutCorrupt && size == 0 {
+			return l.truncateAt(off)
+		}
+		if off+8+int64(size) > end {
+			// The frame runs past the file: torn, and not worth allocating.
+			return l.truncateAt(off)
+		}
 		payload := make([]byte, size)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {

@@ -275,6 +275,57 @@ func TestFileLogTruncatingCutsAtCorruption(t *testing.T) {
 	}
 }
 
+// A machine crash can extend an unsynced log without writing the data, and
+// eight zero bytes frame a valid empty record. The truncating open ends the
+// log there; so does a length that runs past the file, without allocating it.
+func TestFileLogTruncatingCutsAtZeroFilledTail(t *testing.T) {
+	cases := []struct {
+		name string
+		tail []byte
+	}{
+		{"two zero frames", make([]byte, 16)},
+		{"zero frames and a torn one", make([]byte, 21)},
+		{"length past the file", []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "derived.log")
+			l, err := OpenFileLogTruncating(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []string{"record-zero", "record-one"} {
+				if _, err := l.AppendUnsynced([]byte(rec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			l, err = OpenFileLogTruncating(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if l.Len() != 2 {
+				t.Fatalf("len %d, want the 2 written records", l.Len())
+			}
+			if idx, err := l.AppendUnsynced([]byte("record-two")); err != nil || idx != 2 {
+				t.Fatalf("append after the cut: index %d, %v", idx, err)
+			}
+			if got, err := l.Get(2); err != nil || string(got) != "record-two" {
+				t.Fatalf("record 2 = %q, %v", got, err)
+			}
+		})
+	}
+}
+
 func TestFileLogClosedErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.log")
 	l, err := OpenFileLog(path)

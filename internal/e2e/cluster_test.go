@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -257,6 +258,38 @@ func (c *cluster) getJSON(i int, path string, out any) (int, error) {
 		}
 	}
 	return resp.StatusCode, nil
+}
+
+// getStatus GETs <node>/<path> and returns the status code with the raw
+// response body (the error message of a non-200).
+func (c *cluster) getStatus(i int, path string) (int, string) {
+	c.t.Helper()
+	resp, err := httpClient.Get("http://" + c.nodes[i].httpAddr + path)
+	if err != nil {
+		c.t.Fatalf("GET %s on node %d: %v", path, i, err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body) // a short read shows in the caller's message
+	return resp.StatusCode, string(raw)
+}
+
+// putBlob uploads an article body to node i alone and returns its
+// reference.
+func (c *cluster) putBlob(i int, body string) (cid string, size int) {
+	c.t.Helper()
+	resp, err := httpClient.Post("http://"+c.nodes[i].httpAddr+"/v1/blobs", "text/plain", strings.NewReader(body))
+	if err != nil {
+		c.t.Fatalf("upload to node %d: %v", i, err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		CID  string `json:"cid"`
+		Size int    `json:"size"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK || out.CID == "" {
+		c.t.Fatalf("upload to node %d: status %d, %+v, %v", i, resp.StatusCode, out, err)
+	}
+	return out.CID, out.Size
 }
 
 type chainInfo struct {

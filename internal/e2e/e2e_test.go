@@ -64,6 +64,58 @@ func TestClusterConvergence(t *testing.T) {
 		return true
 	})
 
+	// An article whose body lives off-chain: uploaded to node 1 alone and
+	// published by reference through node 1, as a rewrite of item 1. Every
+	// validator indexes it — the graph needs no body at commit time — while
+	// only node 1 can trace it.
+	cid, size := c.putBlob(1, "Reservoir levels rose 4% after March storms, officials said, calling the recovery remarkable.")
+	ref, err := supplychain.PublishRefPayload("e2e-item-ref", corpus.Topic("politics"), cid, size, []string{"e2e-item-1"}, corpus.OpInsert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.submitTx(1, publisher.tx(t, "news.publish", ref))
+	c.waitFor("item e2e-item-ref committed on node 1", 30*time.Second, func() bool {
+		code, err := c.getJSON(1, "/v1/items/e2e-item-ref", nil)
+		return err == nil && code == http.StatusOK
+	})
+	// A node that has committed the next height has settled this one.
+	refHeight := c.height(1)
+	c.waitFor("every node past the off-chain item's block", 30*time.Second, func() bool {
+		for i := range c.nodes {
+			if c.height(i) <= refHeight {
+				return false
+			}
+		}
+		return true
+	})
+	for i := range c.nodes {
+		var subs []struct {
+			Name      string `json:"name"`
+			Errors    uint64 `json:"errors"`
+			LastError string `json:"lastError"`
+		}
+		if code, err := c.getJSON(i, "/v1/commitbus", &subs); err != nil || code != http.StatusOK || len(subs) == 0 {
+			t.Fatalf("node %d /v1/commitbus: status %d, %d subscribers, %v", i, code, len(subs), err)
+		}
+		for _, sub := range subs {
+			if sub.Errors != 0 {
+				t.Fatalf("node %d subscriber %s: %d errors (%s); an off-chain item must index on a validator that does not hold its body", i, sub.Name, sub.Errors, sub.LastError)
+			}
+		}
+		var ci struct {
+			Items int `json:"items"`
+		}
+		if code, err := c.getJSON(i, "/v1/chain", &ci); err != nil || code != http.StatusOK || ci.Items != 2 {
+			t.Fatalf("node %d graph holds %d items (status %d, %v), want 2 on every node", i, ci.Items, code, err)
+		}
+	}
+	if code, msg := c.getStatus(1, "/v1/items/e2e-item-ref/trace"); code != http.StatusOK {
+		t.Fatalf("trace on the node that holds the body: status %d: %s", code, msg)
+	}
+	if code, msg := c.getStatus(0, "/v1/items/e2e-item-ref/trace"); code != http.StatusServiceUnavailable || !strings.Contains(msg, supplychain.ErrBodyUnavailable.Error()) {
+		t.Fatalf("trace on a node without the body: status %d: %q; want 503 naming %q", code, msg, supplychain.ErrBodyUnavailable)
+	}
+
 	// Stake votes through two different nodes.
 	voteA, err := ranking.VotePayload("e2e-item-1", true, 100)
 	if err != nil {

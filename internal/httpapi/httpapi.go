@@ -14,7 +14,7 @@
 //	GET  /v1/commitbus         commit-bus subscriber stats (lag, errors)
 //	GET  /v1/items/{id}        one news item
 //	GET  /v1/items/{id}/rank   combined ranking with component breakdown
-//	GET  /v1/items/{id}/trace  supply-chain trace
+//	GET  /v1/items/{id}/trace  supply-chain trace (503 naming ErrBodyUnavailable when a body it needs is on another node; rank likewise)
 //	GET  /v1/facts             the factual database listing
 //	GET  /v1/experts?topic=t&k=5
 //	GET  /v1/accounts/{addr}   identity + balance + reputation
@@ -63,6 +63,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/ranking"
 	"repro/internal/search"
+	"repro/internal/supplychain"
 	"repro/internal/telemetry"
 )
 
@@ -605,7 +606,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	rank, err := s.p.RankItem(id, mech)
 	if err != nil {
-		status := http.StatusNotFound
+		status := traceStatus(err)
 		if errors.Is(err, ranking.ErrNoSignal) {
 			status = http.StatusConflict
 		}
@@ -619,10 +620,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tr, err := s.p.Graph().Trace(id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, traceStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, tr)
+}
+
+// traceStatus maps a trace or rank failure: 503 when the item exists but a
+// body its answer depends on is not on this node (the node that took the
+// upload can answer), 404 otherwise.
+func traceStatus(err error) int {
+	if errors.Is(err, supplychain.ErrBodyUnavailable) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusNotFound
 }
 
 func (s *Server) handleFacts(w http.ResponseWriter, _ *http.Request) {

@@ -202,6 +202,9 @@ func (c *Chain) index(b *Block) {
 		c.nonces[key] = t.Nonce + 1
 	}
 	c.head = b
+	// The block is on the chain: its transactions are verified for the last
+	// time, so the signature cache stops holding their ids.
+	c.verifier.Forget(b.Txs...)
 }
 
 // Append validates and commits a block.

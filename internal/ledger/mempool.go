@@ -168,6 +168,8 @@ func (m *Mempool) SetMaxPayloadBytes(n int) {
 // Add verifies and enqueues a transaction. Admission is the single
 // verification path: a signature that passes here lands in the shared
 // cache, so block validation of the same bytes skips the ed25519 check.
+// A transaction verified but then turned away (other than as a duplicate
+// of one still pending) is not in flight, and its signature is forgotten.
 func (m *Mempool) Add(t *Tx) error {
 	m.mu.Lock()
 	v := m.verifier
@@ -187,6 +189,7 @@ func (m *Mempool) Add(t *Tx) error {
 		return err
 	}
 	if len(t.Payload) > maxPayload {
+		v.Forget(t)
 		m.tm.rejected.With("payload").Inc()
 		return fmt.Errorf("%w: %d bytes (mempool max %d)", ErrTxPayloadTooLarge, len(t.Payload), maxPayload)
 	}
@@ -195,6 +198,7 @@ func (m *Mempool) Add(t *Tx) error {
 	// serializing admission across lanes.
 	if m.count.Add(1) > int64(capacity) {
 		m.count.Add(-1)
+		v.Forget(t)
 		m.tm.rejected.With("full").Inc()
 		return ErrMempoolFull
 	}
@@ -210,6 +214,7 @@ func (m *Mempool) Add(t *Tx) error {
 	}
 	if m.chain != nil && t.Nonce < m.chain.NextNonce(sender) {
 		m.count.Add(-1)
+		v.Forget(t)
 		m.tm.rejected.With("stale_nonce").Inc()
 		return fmt.Errorf("%w: sender %s nonce %d", ErrStaleNonce, t.Sender.Short(), t.Nonce)
 	}
@@ -293,8 +298,14 @@ func (m *Mempool) Batch(max int) []*Tx {
 // Remove drops the given transactions (after commit) and prunes any
 // now-stale nonces from the same senders.
 func (m *Mempool) Remove(txs []*Tx) {
+	m.mu.Lock()
+	v := m.verifier
+	m.mu.Unlock()
 	defer m.lockAll()()
 	removed := 0
+	// pruned collects the stale-nonce evictions: they will never reach a
+	// block, so their verified signatures leave the cache with them.
+	var pruned []*Tx
 	var now time.Time
 	if m.tm.waitSec != nil {
 		now = time.Now()
@@ -323,6 +334,7 @@ func (m *Mempool) Remove(txs []*Tx) {
 					delete(lane.pending, t.ID())
 					m.tm.pruned.Inc()
 					removed++
+					pruned = append(pruned, t)
 					continue
 				}
 				keep = append(keep, t)
@@ -334,6 +346,7 @@ func (m *Mempool) Remove(txs []*Tx) {
 			lane.bySender[s] = keep
 		}
 	}
+	v.Forget(pruned...)
 	m.count.Add(int64(-removed))
 	m.tm.occupancy.Set(float64(m.count.Load()))
 }

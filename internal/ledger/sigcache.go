@@ -1,10 +1,14 @@
 package ledger
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// DefaultSigCacheCapacity bounds the verified-signature cache when the
-// caller passes 0. At 32 bytes per id plus map overhead this is ~4 MB —
-// roomy enough to cover many blocks of in-flight transactions.
+// DefaultSigCacheCapacity bounds the verified-signature set when the
+// caller passes 0. The set holds in-flight transactions only (see
+// SigCache), so the bound is a ceiling for a full mempool, not memory
+// paid up front.
 const DefaultSigCacheCapacity = 1 << 16
 
 // sigCacheShards is the shard count (power of two; shard chosen by the
@@ -16,20 +20,27 @@ const sigCacheShards = 16
 // that were verified — signing surface, public key and signature — so a
 // hit proves this precise tuple passed keys.Verify at some point.
 //
+// An id is resident while its transaction is in flight: mempool admission
+// or proposal validation adds it, and it is forgotten once nothing will
+// verify those bytes again — Chain.Append has taken the block, or the
+// mempool dropped the transaction. The set therefore follows the
+// mempool's occupancy and allocates as it fills; at capacity an arbitrary
+// resident id makes room (every resident id is in flight, none is a better
+// victim than another).
+//
 // The cache is an accelerator, never a trust root: consumers must re-hash
 // the transaction's current bytes before the lookup (Verifier.VerifyTx
-// does), so an entry can only ever vouch for bytes that hash to it.
-// Eviction is FIFO per shard; all methods are nil-safe so an uncached
-// pipeline costs one branch.
+// does), so an entry can only ever vouch for bytes that hash to it. All
+// methods are nil-safe so an uncached pipeline costs one branch.
 type SigCache struct {
+	per    int // capacity of one shard
+	n      atomic.Int64
 	shards [sigCacheShards]sigShard
 }
 
 type sigShard struct {
-	mu   sync.Mutex
-	m    map[TxID]struct{}
-	ring []TxID // FIFO of resident ids, oldest at head
-	head int
+	mu sync.Mutex
+	m  map[TxID]struct{}
 }
 
 // NewSigCache creates a cache bounded at capacity ids across all shards
@@ -38,16 +49,7 @@ func NewSigCache(capacity int) *SigCache {
 	if capacity <= 0 {
 		capacity = DefaultSigCacheCapacity
 	}
-	per := (capacity + sigCacheShards - 1) / sigCacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &SigCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[TxID]struct{}, per)
-		c.shards[i].ring = make([]TxID, 0, per)
-	}
-	return c
+	return &SigCache{per: (capacity + sigCacheShards - 1) / sigCacheShards}
 }
 
 func (c *SigCache) shard(id TxID) *sigShard {
@@ -66,7 +68,7 @@ func (c *SigCache) Contains(id TxID) bool {
 	return ok
 }
 
-// Add records a verified id, evicting the shard's oldest entry at
+// Add records a verified id, evicting one of the shard's entries at
 // capacity.
 func (c *SigCache) Add(id TxID) {
 	if c == nil {
@@ -78,14 +80,33 @@ func (c *SigCache) Add(id TxID) {
 	if _, ok := s.m[id]; ok {
 		return
 	}
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, id)
-	} else {
-		delete(s.m, s.ring[s.head])
-		s.ring[s.head] = id
-		s.head = (s.head + 1) % len(s.ring)
+	if s.m == nil {
+		s.m = make(map[TxID]struct{})
+	}
+	if len(s.m) >= c.per {
+		for victim := range s.m {
+			delete(s.m, victim)
+			c.n.Add(-1)
+			break
+		}
 	}
 	s.m[id] = struct{}{}
+	c.n.Add(1)
+}
+
+// Forget drops an id whose transaction left flight. Unknown ids are a
+// no-op.
+func (c *SigCache) Forget(id TxID) {
+	if c == nil {
+		return
+	}
+	s := c.shard(id)
+	s.mu.Lock()
+	if _, ok := s.m[id]; ok {
+		delete(s.m, id)
+		c.n.Add(-1)
+	}
+	s.mu.Unlock()
 }
 
 // Len returns the number of resident ids.
@@ -93,12 +114,5 @@ func (c *SigCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.m)
-		s.mu.Unlock()
-	}
-	return total
+	return int(c.n.Load())
 }

@@ -43,6 +43,7 @@ type verifierMetrics struct {
 	misses   *telemetry.Counter
 	blockSec *telemetry.Histogram
 	width    *telemetry.Gauge
+	entries  *telemetry.Gauge
 }
 
 // NewVerifier creates a pipeline over the given cache (nil disables
@@ -73,8 +74,24 @@ func (v *Verifier) Instrument(reg *telemetry.Registry) {
 		misses:   cached.With("miss"),
 		blockSec: reg.Histogram("trustnews_verify_block_seconds", "Wall time to validate one block body (tx root + signatures).", nil),
 		width:    reg.Gauge("trustnews_verify_workers", "Verification worker-pool width."),
+		entries:  reg.Gauge("trustnews_verify_sigcache_entries", "Verified signatures resident in the cache (transactions in flight)."),
 	}
 	v.tm.width.Set(float64(v.workers))
+	v.tm.entries.Set(float64(v.cache.Len()))
+}
+
+// Forget drops the cached signatures of transactions that left flight:
+// committed in a block the chain has taken, or dropped by the mempool.
+// Nothing verifies those bytes again, so keeping their ids only costs
+// memory.
+func (v *Verifier) Forget(txs ...*Tx) {
+	if v == nil || v.cache == nil {
+		return
+	}
+	for _, t := range txs {
+		v.cache.Forget(t.ID())
+	}
+	v.tm.entries.Set(float64(v.cache.Len()))
 }
 
 // CacheStats returns cumulative signature-cache hits and misses (zero
@@ -120,6 +137,7 @@ func (v *Verifier) VerifyTx(t *Tx) error {
 	}
 	if useCache {
 		v.cache.Add(id)
+		v.tm.entries.Set(float64(v.cache.Len()))
 	}
 	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/keys"
 	"repro/internal/telemetry"
 )
 
@@ -151,10 +153,125 @@ func TestSigCacheBoundedEviction(t *testing.T) {
 	if got := c.Len(); got > 64 {
 		t.Fatalf("cache exceeded capacity: %d > 64", got)
 	}
-	// The most recent id per shard must survive FIFO eviction.
+	// Room is made before the insert, so the newest id is always resident.
 	if !c.Contains(ids[len(ids)-1]) {
 		t.Fatal("most recent id evicted")
 	}
+}
+
+// TestSigCacheFollowsInFlight drives 100 000 transactions through the real
+// path — mempool admission, proposal, proposal validation, Chain.Append,
+// mempool removal — in 512-tx blocks with a second block's worth always
+// pending. The verified-signature set must hold what is in flight and
+// nothing else, and forgetting committed ids must not cost a second
+// ed25519 verification anywhere on that path.
+func TestSigCacheFollowsInFlight(t *testing.T) {
+	total, block := 100_000, 512
+	if testing.Short() || raceEnabled {
+		total = 10_000
+	}
+	reg := telemetry.New()
+	chain := NewMemChain()
+	chain.Verifier().Instrument(reg)
+	cache := chain.Verifier().Cache()
+	pool := NewMempool(chain, 4*block)
+
+	senders := make([]*keys.KeyPair, 64)
+	nonces := make([]uint64, len(senders))
+	for i := range senders {
+		senders[i] = signer(fmt.Sprintf("inflight-%d", i))
+	}
+	admitted := 0
+	admit := func(n int) {
+		for ; n > 0 && admitted < total; n-- {
+			s := admitted % len(senders)
+			tx := mustTx(t, senders[s], nonces[s], "news.publish", fmt.Sprintf("body %d", admitted))
+			nonces[s]++
+			admitted++
+			if err := pool.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkBound := func(when string) {
+		t.Helper()
+		if got, max := cache.Len(), pool.Size()+block; got > max {
+			t.Fatalf("%s: %d cached signatures with %d pending (bound: pending + one block = %d)", when, got, pool.Size(), max)
+		}
+	}
+
+	admit(block)
+	for committed := 0; committed < total; {
+		admit(block) // the next block's transactions arrive while this one is decided
+		checkBound("after admission")
+		txs := pool.Batch(block)
+		var prev BlockID
+		if h := chain.Head(); h != nil {
+			prev = h.ID()
+		}
+		blk := NewBlock(chain.Height(), prev, [32]byte{}, testTime, senders[0].Address(), txs)
+		if err := chain.VerifyBlockBody(blk); err != nil {
+			t.Fatal(err)
+		}
+		if err := chain.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+		pool.Remove(txs)
+		committed += len(txs)
+		checkBound("after commit")
+	}
+	if pool.Size() != 0 || cache.Len() != 0 {
+		t.Fatalf("drained: %d pending, %d cached signatures", pool.Size(), cache.Len())
+	}
+	if got := reg.Gauge("trustnews_verify_sigcache_entries", "").Value(); got != 0 {
+		t.Fatalf("entries gauge = %v after the drain", got)
+	}
+	// Admission verifies; proposal validation and Append find it verified.
+	hits, misses := chain.Verifier().CacheStats()
+	if misses != uint64(total) || hits != 2*uint64(total) {
+		t.Fatalf("%d txs: %d ed25519 verifications (want one each), %d cache hits (want two each)", total, misses, hits)
+	}
+}
+
+// TestSigCacheHeapFollowsResidency churns ids through a bare cache in the
+// pattern above (at most two blocks resident) and checks its memory is
+// the same after 100 000 ids as after 10 000.
+func TestSigCacheHeapFollowsResidency(t *testing.T) {
+	const block = 512
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	id := func(i int) (id TxID) {
+		binary.BigEndian.PutUint64(id[8:], uint64(i))
+		id[0] = byte(i)
+		return id
+	}
+	c := NewSigCache(0)
+	var at10k uint64
+	for i := 0; i < 100_000; i++ {
+		c.Add(id(i))
+		if i >= 2*block && i%block == 0 {
+			for j := i - 2*block; j < i-block; j++ {
+				c.Forget(id(j))
+			}
+		}
+		if i == 10_000 {
+			at10k = heap()
+		}
+	}
+	if c.Len() > 2*block+1 {
+		t.Fatalf("%d resident ids, want at most two blocks", c.Len())
+	}
+	// A leak of one id per transaction would be 3 MB here; the runtime's
+	// map may resize a shard or two as residency wobbles.
+	if at100k := heap(); at100k > at10k+256<<10 {
+		t.Fatalf("cache heap grew from %d to %d bytes between 10k and 100k ids at constant residency", at10k, at100k)
+	}
+	runtime.KeepAlive(c)
 }
 
 // TestDecodeMalformedInputs is the regression suite for attacker-supplied

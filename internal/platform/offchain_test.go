@@ -59,10 +59,13 @@ func TestOffChainPublishKeepsBodyOffChain(t *testing.T) {
 		t.Fatal("Item did not hydrate the off-chain body")
 	}
 
-	// The graph (similarity, trace) saw the hydrated text.
+	// The graph holds the reference, not the text, and traces through it.
 	gi, err := p.Graph().Item("art-1")
-	if err != nil || gi.Text != body {
-		t.Fatalf("graph item not hydrated: %v", err)
+	if err != nil || gi.Text != "" || gi.CID != it.CID {
+		t.Fatalf("graph item = %+v, %v; want the CID and no text", gi, err)
+	}
+	if _, err := p.Graph().Trace("art-1"); err != nil {
+		t.Fatalf("trace through the blob store: %v", err)
 	}
 
 	// The chain reference protects the blob from GC.

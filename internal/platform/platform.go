@@ -392,12 +392,14 @@ func New(cfg Config) (*Platform, error) {
 		p.tm.stageSec[st] = stageSec.With(names.label)
 	}
 	p.graph = supplychain.NewGraph(p.factIndex)
+	p.graph.Resolve = p.resolveBody
+	p.graph.Instrument(cfg.Telemetry)
 	p.searchSub = search.NewSubscriber(p.searchIdx, p.resolveBody)
 	p.searchSub.Instrument(cfg.Telemetry)
 	subs := []commitbus.Subscriber{
 		&contractState{engine: p.engine},
 		&factdb.IndexSubscriber{Index: p.factIndex},
-		&supplychain.GraphSubscriber{Graph: p.graph, Resolve: p.resolveBody},
+		&supplychain.GraphSubscriber{Graph: p.graph},
 		p.experts,
 		&penaltyForwarder{p: p},
 		blobstore.NewsRefSubscriber(p.blobs),
@@ -474,8 +476,8 @@ func (p *Platform) FlushSearch() { p.searchSub.Flush() }
 func (p *Platform) SearchIndexerStats() search.IndexerStats { return p.searchSub.Stats() }
 
 // resolveBody fetches an off-chain article body by content id. It backs
-// the graph and search subscribers' hydration and every read path that
-// needs the text behind a CID-only item.
+// the search subscriber's hydration, the graph's trace reads and every
+// read path that needs the text behind a CID-only item.
 func (p *Platform) resolveBody(cid string) (string, error) {
 	c, err := blobstore.ParseCID(cid)
 	if err != nil {
@@ -853,10 +855,17 @@ func (p *Platform) RankItem(itemID string, mech ranking.Mechanism) (ItemRank, er
 			out.AIFakeProb = prob
 		}
 	}
-	if tr, err := p.graph.Trace(itemID); err == nil {
+	// An item the graph has not indexed is ranked without the trace signal;
+	// a trace that cannot be computed here (ErrBodyUnavailable) is not a
+	// missing signal but a wrong answer, so it goes back to the caller.
+	tr, err := p.graph.Trace(itemID)
+	switch {
+	case err == nil:
 		sig.TraceScore = tr.Score
 		sig.TraceRooted = tr.Rooted
 		out.Trace = tr
+	case !errors.Is(err, supplychain.ErrItemNotFound):
+		return ItemRank{}, fmt.Errorf("platform: rank %s: %w", itemID, err)
 	}
 	votes, err := ranking.Votes(p.engine, p.authority.Address(), itemID)
 	if err == nil {

@@ -29,10 +29,25 @@ func TestDurableNodeMempoolMetricsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The lazy work shows: one trace of the off-chain item computes its fact
+	// match from the blob store, a second one computes nothing.
+	for i := 0; i < 2; i++ {
+		if _, err := p.Graph().Trace("m1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	var sb strings.Builder
 	cfg.Telemetry.WritePrometheus(&sb)
 	body := sb.String()
 	for _, want := range []string{
+		`trustnews_supplychain_similarity_computed_total{kind="root"} 1`,
+		`trustnews_supplychain_similarity_computed_total{kind="edge"} 0`,
+		"trustnews_supplychain_body_unavailable_total 0",
+		// The one transaction was verified once and, committed, has left the
+		// signature set.
+		`trustnews_verify_sigcache_total{outcome="miss"} 1`,
+		"trustnews_verify_sigcache_entries 0",
 		"trustnews_mempool_admitted_total 1",
 		"trustnews_platform_commits_total 1",
 		// The node reports its own stage budget: one observation per

@@ -36,6 +36,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -151,6 +152,8 @@ type Index struct {
 	wmu sync.Mutex
 	// byID maps document id to dense internal index (writer-side dedup).
 	byID map[string]int32
+	// terms holds the one copy of each term that posting maps use as key.
+	terms map[string]string
 	// infos is the grow-only doc table; docs.Load() exposes a sealed
 	// prefix to readers.
 	infos    []docInfo
@@ -176,6 +179,7 @@ func NewSharded(shards int) *Index {
 	x := &Index{
 		shards:      make([]*shard, shards),
 		byID:        make(map[string]int32),
+		terms:       make(map[string]string),
 		flushDocs:   defaultFlushDocs,
 		maxSegments: defaultMaxSegments,
 	}
@@ -223,7 +227,15 @@ func (x *Index) Add(id, topic, text string) {
 		tf[tok]++
 	}
 	touched := make(map[*shard]bool, len(x.shards))
-	for term, n := range tf {
+	for tok, n := range tf {
+		// tok is a substring of the lowered body, and a map assignment
+		// replaces a string key even when an equal one is present: used as
+		// a posting key it would keep the whole body alive.
+		term, ok := x.terms[tok]
+		if !ok {
+			term = strings.Clone(tok)
+			x.terms[term] = term
+		}
 		sh := x.shardFor(term)
 		sh.mu.Lock()
 		sh.mem[term] = append(sh.mem[term], posting{Doc: idx, TF: n})
@@ -515,6 +527,7 @@ func (x *Index) reset(snap indexSnapshot) {
 	x.wmu.Lock()
 	defer x.wmu.Unlock()
 	x.byID = make(map[string]int32, len(snap.Docs))
+	x.terms = make(map[string]string)
 	x.infos = append([]docInfo(nil), snap.Docs...)
 	x.totalLen = 0
 	x.memDocs = 0

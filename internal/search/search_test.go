@@ -3,9 +3,13 @@ package search
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/commitbus"
 	"repro/internal/contract"
@@ -334,5 +338,70 @@ func TestSnapshotDeterministicAcrossLayouts(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("snapshots differ across shard counts / segment layouts")
+	}
+}
+
+// TestIndexDoesNotRetainBodies indexes 16 MB of article text and checks
+// that what stays on the heap is the postings, not the articles: a posting
+// key is a substring of the (lowered) body, and one such key kept in a map
+// keeps the whole body alive. Text has rare words, and those are the keys
+// that pin: each document here is made of 50 common words and one of 450
+// rare ones.
+func TestIndexDoesNotRetainBodies(t *testing.T) {
+	const (
+		docs     = 2000
+		bodySize = 8 << 10
+		common   = 50
+		rare     = 450
+		slack    = 3 << 20 // posting-slice growth, map buckets, doc table
+	)
+	word := func(i int) string { return fmt.Sprintf("w%03dterm", i) }
+	rng := rand.New(rand.NewSource(1))
+	body := func(doc int) string {
+		var sb strings.Builder
+		sb.WriteString(word(common + doc%rare))
+		for sb.Len() < bodySize {
+			sb.WriteByte(' ')
+			sb.WriteString(word(rng.Intn(common)))
+		}
+		return sb.String()
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	// One document per Refresh is the indexer on one-article blocks; with
+	// sixteen, most terms meet a memtable that already has them.
+	for _, perRefresh := range []int{1, 16} {
+		t.Run(fmt.Sprintf("docsPerRefresh=%d", perRefresh), func(t *testing.T) {
+			x := New()
+			before := heap()
+			for i := 0; i < docs; i++ {
+				x.Add(fmt.Sprintf("doc-%d", i), "politics", body(i))
+				if (i+1)%perRefresh == 0 {
+					x.Refresh()
+				}
+			}
+			after := heap()
+
+			postings := 0
+			for _, sh := range x.shards {
+				for _, seg := range sh.view.Load().segments {
+					for _, ps := range seg.postings {
+						postings += len(ps)
+					}
+				}
+			}
+			own := uint64(postings) * uint64(unsafe.Sizeof(posting{}))
+			if grew := after - before; after > before && grew > own+slack {
+				t.Fatalf("heap grew %.1f MB for %.1f MB of postings: the index retains article text (%d docs of %d KB)",
+					float64(grew)/(1<<20), float64(own)/(1<<20), docs, bodySize>>10)
+			}
+			runtime.KeepAlive(x)
+		})
 	}
 }

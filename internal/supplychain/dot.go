@@ -20,9 +20,9 @@ func (g *Graph) WriteDOT(w io.Writer, traces map[string]TraceResult) error {
 		traces = g.TraceAll()
 	}
 	g.mu.RLock()
-	ids := make([]string, 0, len(g.items))
-	for id := range g.items {
-		ids = append(ids, id)
+	ids := make([]string, len(g.nodes))
+	for i := range g.nodes {
+		ids[i] = g.nodes[i].id
 	}
 	sort.Strings(ids)
 
@@ -33,7 +33,7 @@ func (g *Graph) WriteDOT(w io.Writer, traces map[string]TraceResult) error {
 	fmt.Fprintln(w, "  rankdir=BT;")
 	fmt.Fprintln(w, "  node [style=filled, fontname=\"sans-serif\"];")
 	for _, id := range ids {
-		it := g.items[id]
+		creator := g.strs[g.nodes[g.byID[id]].creator]
 		color := "#e05252" // unverifiable: red
 		if tr, ok := traces[id]; ok && tr.Rooted {
 			switch {
@@ -46,16 +46,16 @@ func (g *Graph) WriteDOT(w io.Writer, traces map[string]TraceResult) error {
 			}
 		}
 		fmt.Fprintf(w, "  %q [fillcolor=%q, label=\"%s\\n%s\"];\n",
-			id, color, id, it.Creator[:minInt(8, len(it.Creator))])
+			id, color, id, creator[:minInt(8, len(creator))])
 	}
 	for _, id := range ids {
-		it := g.items[id]
-		for _, p := range it.Parents {
-			op := it.Op
+		n := &g.nodes[g.byID[id]]
+		for _, p := range n.parents {
+			op := g.strs[n.op]
 			if op == "" {
-				op = corpus.OpVerbatim
+				op = string(corpus.OpVerbatim)
 			}
-			fmt.Fprintf(w, "  %q -> %q [label=%q];\n", id, p, string(op))
+			fmt.Fprintf(w, "  %q -> %q [label=%q];\n", id, g.nodes[p].id, op)
 		}
 	}
 	g.mu.RUnlock()

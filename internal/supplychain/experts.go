@@ -31,18 +31,21 @@ type ExpertScore struct {
 func (g *Graph) Experts(topic corpus.Topic, traces map[string]TraceResult, k int) []ExpertScore {
 	g.mu.RLock()
 	byAccount := make(map[string]*ExpertScore)
-	for id, it := range g.items {
-		if it.Topic != topic {
+	topicIdx, known := g.strIdx[string(topic)]
+	for i := 0; known && i < len(g.nodes); i++ {
+		n := &g.nodes[i]
+		if n.topic != topicIdx {
 			continue
 		}
-		tr, ok := traces[id]
+		tr, ok := traces[n.id]
 		if !ok {
 			continue
 		}
-		es, ok := byAccount[it.Creator]
+		creator := g.strs[n.creator]
+		es, ok := byAccount[creator]
 		if !ok {
-			es = &ExpertScore{Account: it.Creator, Topic: topic}
-			byAccount[it.Creator] = es
+			es = &ExpertScore{Account: creator, Topic: topic}
+			byAccount[creator] = es
 		}
 		es.Items++
 		if tr.Rooted && tr.Score >= ModificationThreshold {
@@ -92,9 +95,9 @@ func (g *Graph) Communities(rounds int) map[string]int {
 		neighbors[a][b]++
 		neighbors[b][a]++
 	}
-	for _, it := range g.items {
-		for _, p := range it.Parents {
-			addEdge(it.Creator, g.items[p].Creator)
+	for i := range g.nodes {
+		for _, p := range g.nodes[i].parents {
+			addEdge(g.strs[g.nodes[i].creator], g.strs[g.nodes[p].creator])
 		}
 	}
 	g.mu.RUnlock()

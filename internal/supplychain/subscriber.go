@@ -18,15 +18,11 @@ const (
 )
 
 // GraphSubscriber keeps the propagation DAG in sync with the chain by
-// consuming published events from committed blocks.
+// consuming published events from committed blocks. It reads no article
+// body: the graph stores structure, so a validator that does not hold a
+// body indexes the item all the same.
 type GraphSubscriber struct {
 	Graph *Graph
-	// Resolve hydrates an off-chain body from its content id. Items that
-	// reference a CID are resolved before insertion so the graph's
-	// similarity and trace-back queries see the full text even though the
-	// chain carries only the reference. Required once off-chain items
-	// appear; inline-only deployments may leave it nil.
-	Resolve func(cid string) (string, error)
 }
 
 var _ commitbus.Subscriber = (*GraphSubscriber)(nil)
@@ -52,16 +48,6 @@ func (s *GraphSubscriber) OnCommit(ev commitbus.CommitEvent) error {
 			if err := json.Unmarshal(rec.Result, &it); err != nil {
 				return fmt.Errorf("supplychain: decode published result: %w", err)
 			}
-			if it.Text == "" && it.CID != "" {
-				if s.Resolve == nil {
-					return fmt.Errorf("supplychain: item %s has off-chain body %s but no resolver", it.ID, it.CID)
-				}
-				text, err := s.Resolve(it.CID)
-				if err != nil {
-					return fmt.Errorf("supplychain: resolve body of %s: %w", it.ID, err)
-				}
-				it.Text = text
-			}
 			if err := s.Graph.AddItem(it); err != nil {
 				return err
 			}
@@ -70,12 +56,15 @@ func (s *GraphSubscriber) OnCommit(ev commitbus.CommitEvent) error {
 	return nil
 }
 
-// Snapshot implements commitbus.Subscriber.
+// Snapshot implements commitbus.Subscriber: the items in insertion order,
+// off-chain ones without text.
 func (s *GraphSubscriber) Snapshot() ([]byte, error) {
 	return json.Marshal(s.Graph.Items())
 }
 
-// Restore implements commitbus.Subscriber.
+// Restore implements commitbus.Subscriber. A snapshot written before the
+// graph stopped holding bodies carries each off-chain item's text; AddItem
+// drops it.
 func (s *GraphSubscriber) Restore(data []byte) error {
 	var items []Item
 	if len(data) > 0 {

@@ -190,6 +190,11 @@ func TestFreshNodeFetchesVerifiesAndSearchesOverLossyLink(t *testing.T) {
 			t.Fatalf("subscriber %s errors: %+v", st.Name, st)
 		}
 	}
+	// The indexer is the only subscriber that reads bodies at commit time
+	// (the graph reads them on Trace), and it does so on its own goroutine:
+	// let it finish, so that each body crosses the link once and the
+	// simulated network is driven from one goroutine at a time.
+	fresh.FlushSearch()
 	for id, body := range bodies {
 		it, err := fresh.Item(id)
 		if err != nil {
@@ -199,7 +204,6 @@ func TestFreshNodeFetchesVerifiesAndSearchesOverLossyLink(t *testing.T) {
 			t.Fatalf("item %s body mismatch after networked fetch", id)
 		}
 		terms := strings.Join(strings.Fields(body)[:4], " ")
-		fresh.FlushSearch()
 		res := fresh.Search(terms, 3)
 		found := false
 		for _, r := range res {

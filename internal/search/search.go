@@ -35,6 +35,7 @@ package search
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -418,7 +419,9 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 		avgdl = 1
 	}
 
-	scores := make(map[int32]float64)
+	sc := scratchPool.Get().(*queryScratch)
+	defer sc.release()
+	sc.grow(n)
 	for _, tok := range corpus.Tokenize(q) {
 		sh := x.shardFor(tok)
 		view := sh.view.Load()
@@ -449,36 +452,125 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 				switch ranker {
 				case RankTFIDF:
 					if dl > 0 {
-						scores[p.Doc] += tf / dl * idf
+						sc.add(p.Doc, tf/dl*idf)
 					}
 				default:
 					denom := tf + bm25K1*(1-bm25B+bm25B*dl/avgdl)
-					scores[p.Doc] += idf * tf * (bm25K1 + 1) / denom
+					sc.add(p.Doc, idf*tf*(bm25K1+1)/denom)
 				}
 			}
 		}
 	}
 
-	out := make([]Result, 0, len(scores))
-	for idx, sc := range scores {
-		info := docs.infos[idx]
-		out = append(out, Result{ID: info.ID, Topic: info.Topic, Score: sc})
+	// Rank the hits as doc indexes, only as far as the window reaches, and
+	// build Results for the window alone.
+	hits, scores := sc.hits, sc.scores
+	top := 0
+	if limit > 0 {
+		top = offset + limit
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	rankTop(hits, top, func(a, b int32) int {
+		if scores[a] != scores[b] {
+			if scores[a] > scores[b] {
+				return -1
+			}
+			return 1
 		}
-		return out[i].ID < out[j].ID
+		return strings.Compare(docs.infos[a].ID, docs.infos[b].ID)
 	})
-	total := len(out)
+	total := len(hits)
 	if offset >= total {
 		return Page{Total: total, Offset: offset, Results: []Result{}}
 	}
-	out = out[offset:]
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	hits = hits[offset:]
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit]
+	}
+	out := make([]Result, len(hits))
+	for i, idx := range hits {
+		info := docs.infos[idx]
+		out[i] = Result{ID: info.ID, Topic: info.Topic, Score: scores[idx]}
 	}
 	return Page{Total: total, Offset: offset, Results: out}
+}
+
+// rankTop reorders hits so that its first k entries are the k that rank
+// first under cmp, in rank order; the rest follow in no particular order.
+// k <= 0 or k >= len(hits) ranks everything. A reader asks for a page of
+// ten out of the thousands a query matches, and cmp is a strict total
+// order, so selecting before sorting returns what sorting everything did.
+func rankTop(hits []int32, k int, cmp func(a, b int32) int) {
+	if k <= 0 || k >= len(hits) {
+		slices.SortFunc(hits, cmp)
+		return
+	}
+	// h holds the k best seen so far as a heap with the worst at the root.
+	h := hits[:k]
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && cmp(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if cmp(h[c], h[i]) <= 0 {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; i < len(hits); i++ {
+		if cmp(hits[i], h[0]) < 0 {
+			h[0], hits[i] = hits[i], h[0]
+			down(0)
+		}
+	}
+	slices.SortFunc(h, cmp)
+}
+
+// queryScratch is the working set of one query, reused across queries: a
+// score accumulator as wide as the doc table and the docs it touched. A
+// query matches a large share of the corpus, so a map and a Result per
+// match built and dropped on every call were most of what the node
+// allocated under read load (and so most of what its collector ran for).
+type queryScratch struct {
+	scores []float64
+	seen   []bool
+	hits   []int32 // docs with an entry in scores, in first-touch order
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// grow makes room for n docs; entries are zero between queries.
+func (s *queryScratch) grow(n int) {
+	if len(s.scores) < n {
+		s.scores = make([]float64, n+n/4)
+		s.seen = make([]bool, len(s.scores))
+	}
+}
+
+func (s *queryScratch) add(doc int32, v float64) {
+	if !s.seen[doc] {
+		s.seen[doc] = true
+		s.hits = append(s.hits, doc)
+	}
+	s.scores[doc] += v
+}
+
+// release zeroes what the query touched and returns the scratch.
+func (s *queryScratch) release() {
+	for _, d := range s.hits {
+		s.scores[d] = 0
+		s.seen[d] = false
+	}
+	s.hits = s.hits[:0]
+	scratchPool.Put(s)
 }
 
 // ---------------------------------------------------------------------------

@@ -220,6 +220,88 @@ func TestTFIDFRankerMatchesLegacyIndex(t *testing.T) {
 	}
 }
 
+// TestQueryScratchReuseMatchesLegacyIndex runs many queries back to back,
+// between additions that widen the doc table, so every query after the
+// first scores into a reused accumulator: each window must equal the
+// legacy index's answer, which builds a fresh map per query.
+func TestQueryScratchReuseMatchesLegacyIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vocab := make([]string, 40)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%02d", i)
+	}
+	words := func(n int) string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = vocab[rng.Intn(len(vocab))]
+		}
+		return strings.Join(out, " ")
+	}
+	x := NewSharded(4)
+	leg := NewLocked()
+	for round := 0; round < 30; round++ {
+		for i := 0; i < 20; i++ {
+			id, text := fmt.Sprintf("d%02d-%02d", round, i), words(5+rng.Intn(30))
+			x.Add(id, "t", text)
+			leg.Add(id, "t", text)
+		}
+		x.Refresh()
+		for k := 0; k < 10; k++ {
+			q := words(1 + rng.Intn(3))
+			if k == 0 {
+				q = "absent"
+			}
+			all := leg.Query(q, 0)
+			offset, limit := rng.Intn(len(all)+2), rng.Intn(12)
+			want := []Result{}
+			if offset < len(all) {
+				want = all[offset:]
+				if limit > 0 && len(want) > limit {
+					want = want[:limit]
+				}
+			}
+			got := x.QueryPage(q, RankTFIDF, offset, limit)
+			if got.Total != len(all) || !reflect.DeepEqual(got.Results, want) {
+				t.Fatalf("round %d query %q offset %d limit %d: total %d want %d\ngot  %v\nwant %v",
+					round, q, offset, limit, got.Total, len(all), got.Results, want)
+			}
+		}
+	}
+}
+
+// TestRankTopMatchesFullSort: for every k the first k entries equal the
+// fully sorted prefix and nothing is lost from the slice.
+func TestRankTopMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cmp := func(a, b int32) int { return int(b) - int(a) } // descending
+	for n := 0; n <= 40; n++ {
+		base := make([]int32, n)
+		for i, v := range rng.Perm(n) {
+			base[i] = int32(v)
+		}
+		for k := -1; k <= n+1; k++ {
+			got := append([]int32(nil), base...)
+			rankTop(got, k, cmp)
+			head := k
+			if k <= 0 || k > n {
+				head = n
+			}
+			for i := 0; i < head; i++ {
+				if got[i] != int32(n-1-i) {
+					t.Fatalf("n=%d k=%d: got %v", n, k, got)
+				}
+			}
+			seen := make(map[int32]bool, n)
+			for _, v := range got {
+				seen[v] = true
+			}
+			if len(got) != n || len(seen) != n {
+				t.Fatalf("n=%d k=%d: entries lost: %v", n, k, got)
+			}
+		}
+	}
+}
+
 // publishEvent fabricates the commit event a published item produces.
 func publishEvent(t *testing.T, height uint64, it supplychain.Item) commitbus.CommitEvent {
 	t.Helper()

@@ -239,16 +239,6 @@ func run(quick bool, only, jsonPath string) error {
 			}
 			return experiments.RunE22(cfg)
 		}},
-		{"E23", func(q bool) (*experiments.Table, error) {
-			cfg := experiments.DefaultE23()
-			if q {
-				cfg.Shards = []int{1, 4}
-				cfg.CrossPcts = []int{0, 50}
-				cfg.Senders, cfg.BlocksPerSender = 128, 2
-				cfg.WorkRounds = 150
-			}
-			return experiments.RunE23(cfg)
-		}},
 	}
 	dump := jsonDump{Quick: quick, Results: []jsonResult{}}
 	for _, r := range runners {

@@ -83,7 +83,7 @@ type Contract interface {
 type Engine struct {
 	mu        sync.RWMutex
 	contracts map[string]Contract
-	state     store.StateKV
+	state     *store.MemKV
 	gasLimit  uint64
 
 	// rootMu guards trie, the authenticated image of state that StateRoot
@@ -106,24 +106,6 @@ func NewEngine() *Engine {
 	return &Engine{
 		contracts: make(map[string]Contract),
 		state:     store.NewMemKV(),
-		gasLimit:  DefaultGasLimit,
-		trie:      merkle.NewTrie(),
-	}
-}
-
-// NewShardedEngine creates an engine whose state is physically
-// partitioned into n hash-routed shards with independent locks, the
-// state layout the shard-lane scheduler (ExecuteBlockSharded) executes
-// against. Logical contents, snapshots and state roots are identical to
-// a flat engine; only lock granularity changes. n <= 1 degrades to
-// NewEngine.
-func NewShardedEngine(n int) *Engine {
-	if n <= 1 {
-		return NewEngine()
-	}
-	return &Engine{
-		contracts: make(map[string]Contract),
-		state:     store.NewShardedKV(n),
 		gasLimit:  DefaultGasLimit,
 		trie:      merkle.NewTrie(),
 	}

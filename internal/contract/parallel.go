@@ -19,20 +19,37 @@ type ParallelStats struct {
 	Workers int
 }
 
-// specResult is one transaction's speculative execution outcome: the
-// receipt plus the read and write sets it was produced under. Both the
-// optimistic scheduler and the shard-lane scheduler plan from these.
-type specResult struct {
-	rec    Receipt
-	writes map[string]writeOp
-	reads  map[string]bool
-}
+// ExecuteBlockParallel executes a block with optimistic concurrency: every
+// transaction first runs speculatively in parallel against the pre-block
+// state with its read and write sets recorded; a serial commit pass then
+// applies results in transaction order, re-executing any transaction whose
+// read set overlaps the keys written by earlier transactions.
+//
+// The final state and receipts are identical to ExecuteBlock's serial
+// results — the speculation only changes wall-clock cost. This is the
+// "distributed parallel computing architecture" execution model from the
+// authors' ICDCS 2018 paper that §IV depends on; experiment E10 sweeps the
+// conflict rate and measures the speedup.
+func (e *Engine) ExecuteBlockParallel(b *ledger.Block, workers int) ([]Receipt, ParallelStats) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	n := len(b.Txs)
+	stats := ParallelStats{Txs: n, Workers: workers}
+	if n == 0 {
+		return nil, stats
+	}
 
-// speculate runs every transaction of the block in parallel against the
-// committed pre-block state, recording per-transaction read and write
-// sets. Results are positionally aligned with b.Txs. Caller holds e.mu.
-func (e *Engine) speculate(b *ledger.Block, workers int) []specResult {
-	results := make([]specResult, len(b.Txs))
+	type specResult struct {
+		rec    Receipt
+		writes map[string]writeOp
+		reads  map[string]bool
+	}
+	results := make([]specResult, n)
+
+	// Phase 1: speculative parallel execution against pre-block state.
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for i := range b.Txs {
@@ -47,22 +64,15 @@ func (e *Engine) speculate(b *ledger.Block, workers int) []specResult {
 		}(i)
 	}
 	wg.Wait()
-	return results
-}
 
-// commitSpan serially commits transactions [from, to) in block order:
-// a speculative result whose read set overlaps keys written since the
-// speculation snapshot is discarded and the transaction re-executed
-// against current state. written accumulates the keys applied so far
-// (the caller seeds it with writes from earlier spans of the same
-// block). Returns the number of re-executions. Caller holds e.mu.
-func (e *Engine) commitSpan(b *ledger.Block, spec []specResult, from, to int, written map[string]bool, receipts []Receipt) int {
-	conflicts := 0
-	for i := from; i < to; i++ {
-		res := spec[i]
+	// Phase 2: serial commit in tx order with conflict detection.
+	written := make(map[string]bool)
+	receipts := make([]Receipt, n)
+	for i := range b.Txs {
+		res := results[i]
 		if readsConflict(res.reads, written) {
 			// Re-execute against the current (partially updated) state.
-			conflicts++
+			stats.Conflicts++
 			ov := newOverlay(e.state)
 			rec, ws := e.executeAgainst(ov, b.Txs[i], b.Header.Height)
 			res = specResult{rec: rec, writes: ws, reads: ov.reads}
@@ -75,51 +85,12 @@ func (e *Engine) commitSpan(b *ledger.Block, spec []specResult, from, to int, wr
 		}
 		receipts[i] = res.rec
 	}
-	return conflicts
-}
-
-// ExecuteBlockParallel executes a block with optimistic concurrency: every
-// transaction first runs speculatively in parallel against the pre-block
-// state with its read and write sets recorded; a serial commit pass then
-// applies results in transaction order, re-executing any transaction whose
-// read set overlaps the keys written by earlier transactions.
-//
-// The final state and receipts are identical to ExecuteBlock's serial
-// results — the speculation only changes wall-clock cost. This is the
-// "distributed parallel computing architecture" execution model from the
-// authors' ICDCS 2018 paper that §IV depends on; experiment E10 sweeps the
-// conflict rate and measures the speedup. ExecuteBlockSharded layers
-// partitioned execution lanes on top of the same speculation.
-func (e *Engine) ExecuteBlockParallel(b *ledger.Block, workers int) ([]Receipt, ParallelStats) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := len(b.Txs)
-	stats := ParallelStats{Txs: n, Workers: workers}
-	if n == 0 {
-		return nil, stats
-	}
-
-	// Phase 1: speculative parallel execution against pre-block state.
-	spec := e.speculate(b, workers)
-
-	// Phase 2: serial commit in tx order with conflict detection.
-	receipts := make([]Receipt, n)
-	stats.Conflicts = e.commitSpan(b, spec, 0, n, make(map[string]bool), receipts)
 	return receipts, stats
 }
 
 // readsConflict reports whether any read key (or prefix read, suffixed
 // with '*') overlaps the written-key set.
 func readsConflict(reads map[string]bool, written map[string]bool) bool {
-	return overlaps(reads, written)
-}
-
-// overlaps reports whether any read key (or prefix read, suffixed with
-// '*') overlaps the keys of written, whatever written's value type.
-func overlaps[V any](reads map[string]bool, written map[string]V) bool {
 	if len(written) == 0 || len(reads) == 0 {
 		return false
 	}
@@ -133,7 +104,7 @@ func overlaps[V any](reads map[string]bool, written map[string]V) bool {
 			}
 			continue
 		}
-		if _, ok := written[r]; ok {
+		if written[r] {
 			return true
 		}
 	}

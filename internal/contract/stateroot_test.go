@@ -28,62 +28,48 @@ func rebuiltRoot(t testing.TB, e *Engine) merkle.Hash {
 	return tr.Root()
 }
 
-// checkStateOps drives a flat and a sharded engine through one history
-// of puts, overwrites, deletes and restores decoded from ops, asking for
-// the root only now and then so change sets of every size — including
-// ones that cover the whole state — pile up between roots. Wherever it asks,
-// the incrementally kept root must equal the oracle's and the flat
-// engine's must equal the sharded one's; at the end every key's proof
-// must verify and a forged value must not.
-func checkStateOps(t testing.TB, ops []byte, shards int) {
-	flat, sharded := NewEngine(), NewShardedEngine(shards)
-	engines := []*Engine{flat, sharded}
+// checkStateOps drives an engine through one history of puts,
+// overwrites, deletes and restores decoded from ops, asking for the root
+// only now and then so change sets of every size — including ones that
+// cover the whole state — pile up between roots. Wherever it asks, the
+// incrementally kept root must equal the oracle's; at the end every key's
+// proof must verify and a forged value must not.
+func checkStateOps(t testing.TB, ops []byte) {
+	e := NewEngine()
 	compare := func(step int) {
-		rf, _ := flat.StateRoot()
-		rs, _ := sharded.StateRoot()
-		if want := rebuiltRoot(t, flat); rf != want {
-			t.Fatalf("step %d: incremental root %s, rebuilt %s", step, rf.Short(), want.Short())
-		}
-		if rf != rs {
-			t.Fatalf("step %d: flat root %s, %d-shard root %s", step, rf.Short(), shards, rs.Short())
+		got, _ := e.StateRoot()
+		if want := rebuiltRoot(t, e); got != want {
+			t.Fatalf("step %d: incremental root %s, rebuilt %s", step, got.Short(), want.Short())
 		}
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		key := "k/" + strconv.Itoa(int(ops[i+1]%40))
 		switch ops[i] % 8 {
 		case 0, 1, 2:
-			for _, e := range engines {
-				_ = e.State().Put(key, ops[i:i+2])
-			}
+			_ = e.State().Put(key, ops[i:i+2])
 		case 3:
-			for _, e := range engines {
-				_ = e.State().Put(key, nil) // a live key with an empty value
-			}
+			_ = e.State().Put(key, nil) // a live key with an empty value
 		case 4, 5:
-			for _, e := range engines {
-				_ = e.State().Delete(key)
-			}
+			_ = e.State().Delete(key)
 		case 6:
 			// Restore to an edited snapshot, as a checkpoint load does.
-			snap, err := flat.StateSnapshot()
+			snap, err := e.StateSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
 			delete(snap, key)
 			snap["restored/"+key] = ops[i : i+1]
-			for _, e := range engines {
-				e.RestoreState(snap)
-			}
+			e.RestoreState(snap)
 		case 7:
 			compare(i)
 		}
 	}
 	compare(len(ops))
 
-	root, _ := sharded.StateRoot()
-	snap, _ := sharded.StateSnapshot()
+	root, _ := e.StateRoot()
+	snap, _ := e.StateSnapshot()
 	for k, v := range snap {
-		val, proof, err := sharded.StateProof(k)
+		val, proof, err := e.StateProof(k)
 		if err != nil {
 			t.Fatalf("StateProof(%s): %v", k, err)
 		}
@@ -97,14 +83,14 @@ func checkStateOps(t testing.TB, ops []byte, shards int) {
 			t.Fatalf("proof of %s verifies a forged value", k)
 		}
 	}
-	if _, _, err := sharded.StateProof("never/written"); !errors.Is(err, store.ErrNotFound) {
+	if _, _, err := e.StateProof("never/written"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("StateProof of an absent key: want ErrNotFound, got %v", err)
 	}
 }
 
 func TestStateRootIncrementalProperty(t *testing.T) {
-	prop := func(ops []byte, shardSeed uint8) bool {
-		checkStateOps(t, ops, int(shardSeed)%7+2)
+	prop := func(ops []byte) bool {
+		checkStateOps(t, ops)
 		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(13))}); err != nil {
@@ -113,16 +99,16 @@ func TestStateRootIncrementalProperty(t *testing.T) {
 }
 
 func FuzzStateTrie(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 7, 0, 4, 1, 4, 2, 7, 0}, uint8(2))          // deletes dwarf the state
-	f.Add([]byte{0, 1, 6, 1, 0, 3, 7, 0, 6, 3, 6, 4}, uint8(4))          // restores, back to back
-	f.Add([]byte{1, 9, 1, 9, 2, 9, 3, 9, 5, 9, 0, 9, 7, 7}, uint8(8))    // one hot key
-	f.Add([]byte{7, 0, 4, 4, 7, 0}, uint8(3))                            // nothing but an empty state
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 7, 0, 3, 1, 5, 2, 7}, uint8(5)) // odd length: last byte ignored
-	f.Fuzz(func(t *testing.T, ops []byte, shardSeed uint8) {
+	f.Add([]byte{0, 1, 0, 2, 7, 0, 4, 1, 4, 2, 7, 0})          // deletes dwarf the state
+	f.Add([]byte{0, 1, 6, 1, 0, 3, 7, 0, 6, 3, 6, 4})          // restores, back to back
+	f.Add([]byte{1, 9, 1, 9, 2, 9, 3, 9, 5, 9, 0, 9, 7, 7})    // one hot key
+	f.Add([]byte{7, 0, 4, 4, 7, 0})                            // nothing but an empty state
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 7, 0, 3, 1, 5, 2, 7}) // odd length: last byte ignored
+	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
-		checkStateOps(t, ops, int(shardSeed)%7+2)
+		checkStateOps(t, ops)
 	})
 }
 

@@ -361,7 +361,6 @@ func TestClusterFlagValidation(t *testing.T) {
 		{"malformed peers", []string{"-node-id", "p0", "-peers", "p0:127.0.0.1"}, "id=host:port"},
 		{"self not listed", []string{"-node-id", "p9", "-peers", "p0=127.0.0.1:1,p1=127.0.0.1:2"}, "no entry for this node"},
 		{"seed-demo conflict", []string{"-node-id", "p0", "-peers", "p0=127.0.0.1:1,p1=127.0.0.1:2", "-seed-demo"}, "incompatible with cluster mode"},
-		{"bad shards", []string{"-shards", "0"}, "-shards must be >= 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

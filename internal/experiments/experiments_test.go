@@ -585,39 +585,3 @@ func TestE21OverloadSmall(t *testing.T) {
 		t.Fatalf("node accepted %.1f admissions", accepted)
 	}
 }
-
-func TestE23ShardsSmall(t *testing.T) {
-	cfg := DefaultE23()
-	cfg.Shards = []int{1, 4}
-	cfg.CrossPcts = []int{0, 50}
-	cfg.Senders, cfg.BlocksPerSender = 64, 2
-	cfg.WorkRounds = 50
-	tbl, err := RunE23(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != len(cfg.Shards)*len(cfg.CrossPcts) {
-		t.Fatalf("rows=%d want %d", len(tbl.Rows), len(cfg.Shards)*len(cfg.CrossPcts))
-	}
-	wantTxs := float64(cfg.Senders * cfg.BlocksPerSender)
-	for i, row := range tbl.Rows {
-		if got := cell(t, tbl, i, 2); got != wantTxs {
-			t.Fatalf("row %d executed %.0f txs want %.0f", i, got, wantTxs)
-		}
-		if row[len(row)-1] != "yes" {
-			t.Fatalf("row %d root_match=%q", i, row[len(row)-1])
-		}
-	}
-	// 0%% cross on the S=4 row: no barriers, so every tx rode a lane.
-	if got := cell(t, tbl, 1, 7); got != 0 {
-		t.Fatalf("cross_txs=%.0f at 0%% cross", got)
-	}
-	// 50%% cross on the S=4 row: barriers must actually engage.
-	if got := cell(t, tbl, 3, 7); got == 0 {
-		t.Fatal("no cross-shard txs at 50% cross")
-	}
-	// The modeled critical path must beat serial at 0% cross, S=4.
-	if got := cell(t, tbl, 1, 6); got < 1.5 {
-		t.Fatalf("modeled_speedup=%.3f at S=4 cross=0%%", got)
-	}
-}

@@ -45,9 +45,9 @@ type Chain struct {
 	nonces  map[string]uint64 // next expected nonce per sender address
 	head    *Block
 	// verifier is the block-verification pipeline used by Append, replay
-	// and VerifyBlockBody. Every chain gets a parallel, cache-backed
-	// pipeline by default; SetVerifier swaps it (e.g. for a platform-wide
-	// shared cache or a serial baseline).
+	// and VerifyBlockBody: a parallel pool over a bounded signature cache.
+	// A platform shares it with its mempool, so a signature verified at
+	// admission is not verified again when its block is appended.
 	verifier *Verifier
 }
 
@@ -55,22 +55,12 @@ type Chain struct {
 // non-empty it is replayed and re-validated, so a tampered block store is
 // rejected at startup.
 func NewChain(log store.Log) (*Chain, error) {
-	return NewChainVerified(log, nil)
-}
-
-// NewChainVerified is NewChain with an explicit verification pipeline,
-// which accelerates the startup replay too. A nil verifier gets the
-// default: a parallel pipeline over a fresh bounded signature cache.
-func NewChainVerified(log store.Log, v *Verifier) (*Chain, error) {
-	if v == nil {
-		v = NewVerifier(NewSigCache(0), 0)
-	}
 	c := &Chain{
 		log:      log,
 		byID:     make(map[BlockID]uint64),
 		txIndex:  make(map[TxID]TxLocation),
 		nonces:   make(map[string]uint64),
-		verifier: v,
+		verifier: NewVerifier(NewSigCache(0), 0),
 	}
 	n := log.Len()
 	for i := uint64(0); i < n; i++ {
@@ -138,22 +128,7 @@ func (c *Chain) NextNonce(sender string) uint64 {
 }
 
 // Verifier returns the chain's verification pipeline.
-func (c *Chain) Verifier() *Verifier {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.verifier
-}
-
-// SetVerifier swaps the verification pipeline. Call before the chain
-// takes traffic.
-func (c *Chain) SetVerifier(v *Verifier) {
-	if v == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.verifier = v
-}
+func (c *Chain) Verifier() *Verifier { return c.verifier }
 
 // VerifyBlockBody validates a block body through the chain's pipeline
 // without appending it. Consensus proposal validation uses it so a
@@ -334,16 +309,6 @@ func (c *Chain) SnapshotState() ([]byte, error) {
 // ErrBadSnapshot and the caller should fall back to NewChain, which
 // re-validates everything.
 func NewChainFromSnapshot(log store.Log, snapshot []byte) (*Chain, error) {
-	return NewChainFromSnapshotVerified(log, snapshot, nil)
-}
-
-// NewChainFromSnapshotVerified is NewChainFromSnapshot with an explicit
-// verification pipeline for the WAL-tail replay (nil gets the default
-// parallel pipeline, as in NewChainVerified).
-func NewChainFromSnapshotVerified(log store.Log, snapshot []byte, v *Verifier) (*Chain, error) {
-	if v == nil {
-		v = NewVerifier(NewSigCache(0), 0)
-	}
 	var snap chainSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("%w: decode: %v", ErrBadSnapshot, err)
@@ -360,7 +325,7 @@ func NewChainFromSnapshotVerified(log store.Log, snapshot []byte, v *Verifier) (
 		byID:     make(map[BlockID]uint64, snap.Height),
 		txIndex:  make(map[TxID]TxLocation, len(snap.Txs)),
 		nonces:   make(map[string]uint64, len(snap.Nonces)),
-		verifier: v,
+		verifier: NewVerifier(NewSigCache(0), 0),
 	}
 	for h, id := range snap.BlockIDs {
 		c.byID[id] = uint64(h)

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -22,51 +20,28 @@ var (
 	ErrStaleNonce = errors.New("ledger: stale nonce")
 )
 
-// DefaultMempoolPayloadBytes is the default admission-time payload cap —
-// much tighter than the consensus hard cap, since a well-behaved client
-// publishes article bodies off-chain and sends only small references.
-const DefaultMempoolPayloadBytes = 64 << 10
+// MaxMempoolPayloadBytes is the admission-time payload cap — much tighter
+// than the consensus hard cap, since a well-behaved client publishes
+// article bodies off-chain and sends only small references.
+const MaxMempoolPayloadBytes = 64 << 10
 
 // Mempool holds verified, uncommitted transactions and assembles
 // nonce-ordered batches for the block proposer.
-//
-// Internally the pool is partitioned into sender-hash lanes, each with
-// its own lock, pending map and per-sender queues: concurrent Add calls
-// from senders routed to different lanes never contend on the same
-// mutex, which is what keeps admission off the critical path when the
-// execution side also runs sharded lanes. A single-lane pool (the
-// NewMempool default) behaves exactly as the original flat pool did;
-// batch assembly is lane-count independent (globally sorted senders), so
-// block contents do not depend on the lane configuration.
 type Mempool struct {
-	// mu guards the pool-wide configuration (capacity, payload cap,
-	// verifier, instruments). Transaction state lives in the lanes.
-	mu         sync.Mutex
-	cap        int
-	maxPayload int
-	lanes      []*mempoolLane
-	// count is the pool-wide pending total; admission reserves a slot
-	// before taking any lane lock so the capacity bound holds across
-	// lanes without a global transaction lock.
-	count atomic.Int64
-	chain *Chain
-	// verifier handles admission verification. It defaults to the chain's
-	// pipeline, so a signature verified here is cached and block
-	// validation later skips the ed25519 work for the same bytes. Nil
-	// falls back to the serial, uncached Tx.Verify semantics.
-	verifier *Verifier
-	tm       mempoolMetrics
-}
-
-// mempoolLane is one sender-hash partition of the pending set.
-type mempoolLane struct {
-	mu sync.Mutex
+	mu  sync.Mutex
+	cap int
 	// pending maps each pending transaction to when it was admitted (the
 	// zero time on an uninstrumented pool, which reads no clock).
 	pending map[TxID]time.Time
 	// bySender keeps pending txs per sender for nonce-ordered selection.
-	// A sender's transactions live entirely in one lane.
 	bySender map[string][]*Tx
+	chain    *Chain
+	// verifier handles admission verification: the chain's pipeline, so a
+	// signature verified here is cached and block validation later skips
+	// the ed25519 work for the same bytes. Nil (no chain) falls back to the
+	// serial, uncached Tx.Verify semantics.
+	verifier *Verifier
+	tm       mempoolMetrics
 }
 
 // mempoolMetrics holds the pool's cached instrument handles. Every
@@ -98,71 +73,23 @@ func (m *Mempool) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// NewMempool creates a single-lane pool bounded at capacity (0 means
-// 4096). Admission verification shares the chain's verification pipeline
-// (and therefore its signature cache) when a chain is given.
+// NewMempool creates a pool bounded at capacity (0 means 4096). Admission
+// verification shares the chain's verification pipeline (and therefore its
+// signature cache) when a chain is given.
 func NewMempool(chain *Chain, capacity int) *Mempool {
-	return NewMempoolLanes(chain, capacity, 1)
-}
-
-// NewMempoolLanes creates a pool partitioned into the given number of
-// sender-hash lanes (clamped to >= 1) and bounded at capacity pool-wide
-// (0 means 4096). One lane is semantically identical to NewMempool;
-// more lanes only reduce admission lock contention.
-func NewMempoolLanes(chain *Chain, capacity, lanes int) *Mempool {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	if lanes < 1 {
-		lanes = 1
-	}
 	m := &Mempool{
-		cap:        capacity,
-		maxPayload: DefaultMempoolPayloadBytes,
-		lanes:      make([]*mempoolLane, lanes),
-		chain:      chain,
-	}
-	for i := range m.lanes {
-		m.lanes[i] = &mempoolLane{
-			pending:  make(map[TxID]time.Time),
-			bySender: make(map[string][]*Tx),
-		}
+		cap:      capacity,
+		pending:  make(map[TxID]time.Time),
+		bySender: make(map[string][]*Tx),
+		chain:    chain,
 	}
 	if chain != nil {
 		m.verifier = chain.Verifier()
 	}
 	return m
-}
-
-// Lanes returns the number of sender-hash lanes.
-func (m *Mempool) Lanes() int { return len(m.lanes) }
-
-// laneOf routes a sender to its lane.
-func (m *Mempool) laneOf(sender string) *mempoolLane {
-	return m.lanes[store.ShardOf(sender, len(m.lanes))]
-}
-
-// SetVerifier swaps the admission verification pipeline (nil restores the
-// serial, uncached baseline). Call before the pool takes traffic.
-func (m *Mempool) SetVerifier(v *Verifier) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.verifier = v
-}
-
-// SetMaxPayloadBytes tunes the admission-time payload cap (0 restores
-// the default). It is clamped to the consensus hard cap: a looser pool
-// would admit transactions every validating node rejects.
-func (m *Mempool) SetMaxPayloadBytes(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n <= 0 {
-		n = DefaultMempoolPayloadBytes
-	}
-	if n > MaxTxPayloadBytes {
-		n = MaxTxPayloadBytes
-	}
-	m.maxPayload = n
 }
 
 // Add verifies and enqueues a transaction. Admission is the single
@@ -171,11 +98,7 @@ func (m *Mempool) SetMaxPayloadBytes(n int) {
 // A transaction verified but then turned away (other than as a duplicate
 // of one still pending) is not in flight, and its signature is forgotten.
 func (m *Mempool) Add(t *Tx) error {
-	m.mu.Lock()
 	v := m.verifier
-	maxPayload := m.maxPayload
-	capacity := m.cap
-	m.mu.Unlock()
 	var start time.Time
 	if m.tm.verifySec != nil {
 		start = time.Now()
@@ -188,32 +111,25 @@ func (m *Mempool) Add(t *Tx) error {
 		m.tm.rejected.With("verify").Inc()
 		return err
 	}
-	if len(t.Payload) > maxPayload {
+	if len(t.Payload) > MaxMempoolPayloadBytes {
 		v.Forget(t)
 		m.tm.rejected.With("payload").Inc()
-		return fmt.Errorf("%w: %d bytes (mempool max %d)", ErrTxPayloadTooLarge, len(t.Payload), maxPayload)
+		return fmt.Errorf("%w: %d bytes (mempool max %d)", ErrTxPayloadTooLarge, len(t.Payload), MaxMempoolPayloadBytes)
 	}
-	// Reserve a slot before taking the lane lock; released on any
-	// subsequent rejection. The pool-wide bound therefore holds without
-	// serializing admission across lanes.
-	if m.count.Add(1) > int64(capacity) {
-		m.count.Add(-1)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.pending) >= m.cap {
 		v.Forget(t)
 		m.tm.rejected.With("full").Inc()
 		return ErrMempoolFull
 	}
-	sender := t.Sender.String()
-	lane := m.laneOf(sender)
-	lane.mu.Lock()
-	defer lane.mu.Unlock()
 	id := t.ID()
-	if _, ok := lane.pending[id]; ok {
-		m.count.Add(-1)
+	if _, ok := m.pending[id]; ok {
 		m.tm.rejected.With("duplicate").Inc()
 		return fmt.Errorf("%w: %s", ErrDuplicateTx, id.Short())
 	}
+	sender := t.Sender.String()
 	if m.chain != nil && t.Nonce < m.chain.NextNonce(sender) {
-		m.count.Add(-1)
 		v.Forget(t)
 		m.tm.rejected.With("stale_nonce").Inc()
 		return fmt.Errorf("%w: sender %s nonce %d", ErrStaleNonce, t.Sender.Short(), t.Nonce)
@@ -222,48 +138,32 @@ func (m *Mempool) Add(t *Tx) error {
 	if m.tm.waitSec != nil {
 		admitted = time.Now()
 	}
-	lane.pending[id] = admitted
-	lane.bySender[sender] = append(lane.bySender[sender], t)
+	m.pending[id] = admitted
+	m.bySender[sender] = append(m.bySender[sender], t)
 	m.tm.admitted.Inc()
-	m.tm.occupancy.Set(float64(m.count.Load()))
+	m.tm.occupancy.Set(float64(len(m.pending)))
 	return nil
 }
 
 // Size returns the number of pending transactions.
 func (m *Mempool) Size() int {
-	return int(m.count.Load())
-}
-
-// lockAll takes every lane lock in index order (the single lock order
-// used by whole-pool operations, so lanes never deadlock against each
-// other) and returns the matching unlock.
-func (m *Mempool) lockAll() func() {
-	for _, l := range m.lanes {
-		l.mu.Lock()
-	}
-	return func() {
-		for _, l := range m.lanes {
-			l.mu.Unlock()
-		}
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.pending)
 }
 
 // Batch selects up to max transactions forming a valid nonce sequence per
 // sender, starting from the chain's committed nonces. Senders are visited
-// in globally sorted order for determinism, so batch contents are
-// independent of the lane count.
+// in sorted order for determinism.
 func (m *Mempool) Batch(max int) []*Tx {
-	defer m.lockAll()()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if max <= 0 {
-		max = int(m.count.Load())
+		max = len(m.pending)
 	}
-	byLane := make(map[string]*mempoolLane)
-	senders := make([]string, 0, len(byLane))
-	for _, l := range m.lanes {
-		for s := range l.bySender {
-			byLane[s] = l
-			senders = append(senders, s)
-		}
+	senders := make([]string, 0, len(m.bySender))
+	for s := range m.bySender {
+		senders = append(senders, s)
 	}
 	sort.Strings(senders)
 
@@ -272,7 +172,7 @@ func (m *Mempool) Batch(max int) []*Tx {
 		if len(out) >= max {
 			break
 		}
-		txs := byLane[s].bySender[s]
+		txs := m.bySender[s]
 		sort.Slice(txs, func(i, j int) bool { return txs[i].Nonce < txs[j].Nonce })
 		next := uint64(0)
 		if m.chain != nil {
@@ -299,10 +199,7 @@ func (m *Mempool) Batch(max int) []*Tx {
 // now-stale nonces from the same senders.
 func (m *Mempool) Remove(txs []*Tx) {
 	m.mu.Lock()
-	v := m.verifier
-	m.mu.Unlock()
-	defer m.lockAll()()
-	removed := 0
+	defer m.mu.Unlock()
 	// pruned collects the stale-nonce evictions: they will never reach a
 	// block, so their verified signatures leave the cache with them.
 	var pruned []*Tx
@@ -311,42 +208,36 @@ func (m *Mempool) Remove(txs []*Tx) {
 		now = time.Now()
 	}
 	for _, t := range txs {
-		lane := m.laneOf(t.Sender.String())
-		if admitted, ok := lane.pending[t.ID()]; ok {
+		if admitted, ok := m.pending[t.ID()]; ok {
 			m.tm.committed.Inc()
 			m.tm.waitSec.Observe(now.Sub(admitted).Seconds())
-			removed++
 		}
-		delete(lane.pending, t.ID())
+		delete(m.pending, t.ID())
 	}
-	for _, lane := range m.lanes {
-		for s, list := range lane.bySender {
-			next := uint64(0)
-			if m.chain != nil {
-				next = m.chain.NextNonce(s)
-			}
-			keep := list[:0]
-			for _, t := range list {
-				if _, ok := lane.pending[t.ID()]; !ok {
-					continue
-				}
-				if t.Nonce < next {
-					delete(lane.pending, t.ID())
-					m.tm.pruned.Inc()
-					removed++
-					pruned = append(pruned, t)
-					continue
-				}
-				keep = append(keep, t)
-			}
-			if len(keep) == 0 {
-				delete(lane.bySender, s)
+	for s, list := range m.bySender {
+		next := uint64(0)
+		if m.chain != nil {
+			next = m.chain.NextNonce(s)
+		}
+		keep := list[:0]
+		for _, t := range list {
+			if _, ok := m.pending[t.ID()]; !ok {
 				continue
 			}
-			lane.bySender[s] = keep
+			if t.Nonce < next {
+				delete(m.pending, t.ID())
+				m.tm.pruned.Inc()
+				pruned = append(pruned, t)
+				continue
+			}
+			keep = append(keep, t)
 		}
+		if len(keep) == 0 {
+			delete(m.bySender, s)
+			continue
+		}
+		m.bySender[s] = keep
 	}
-	v.Forget(pruned...)
-	m.count.Add(int64(-removed))
-	m.tm.occupancy.Set(float64(m.count.Load()))
+	m.verifier.Forget(pruned...)
+	m.tm.occupancy.Set(float64(len(m.pending)))
 }

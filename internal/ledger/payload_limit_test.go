@@ -43,9 +43,9 @@ func TestBlockValidationRejectsOversizedPayload(t *testing.T) {
 
 func TestMempoolRejectsOversizedAtAdmission(t *testing.T) {
 	mp := NewMempool(NewMemChain(), 0)
-	// Over the (tighter) mempool default but under the consensus cap: the
-	// tx itself verifies, yet admission refuses it.
-	tx := oversizedTx(t, DefaultMempoolPayloadBytes+1)
+	// Over the (tighter) mempool cap but under the consensus cap: the tx
+	// itself verifies, yet admission refuses it.
+	tx := oversizedTx(t, MaxMempoolPayloadBytes+1)
 	if err := tx.Verify(); err != nil {
 		t.Fatalf("tx should pass consensus verify: %v", err)
 	}
@@ -59,24 +59,8 @@ func TestMempoolRejectsOversizedAtAdmission(t *testing.T) {
 	if mp.Size() != 0 {
 		t.Fatal("oversized tx admitted")
 	}
-}
-
-func TestMempoolPayloadCapConfigurable(t *testing.T) {
-	mp := NewMempool(NewMemChain(), 0)
-	mp.SetMaxPayloadBytes(128)
-	if err := mp.Add(oversizedTx(t, 129)); !errors.Is(err, ErrTxPayloadTooLarge) {
-		t.Fatalf("Add over custom cap err = %v", err)
-	}
-	if err := mp.Add(oversizedTx(t, 128)); err != nil {
-		t.Fatalf("Add at custom cap: %v", err)
-	}
-	// Zero restores the default; the cap never exceeds the consensus cap.
-	mp.SetMaxPayloadBytes(0)
-	if mp.maxPayload != DefaultMempoolPayloadBytes {
-		t.Fatalf("maxPayload after reset = %d", mp.maxPayload)
-	}
-	mp.SetMaxPayloadBytes(MaxTxPayloadBytes * 4)
-	if mp.maxPayload != MaxTxPayloadBytes {
-		t.Fatalf("maxPayload not clamped to consensus cap: %d", mp.maxPayload)
+	// At the cap exactly, admission passes.
+	if err := mp.Add(oversizedTx(t, MaxMempoolPayloadBytes)); err != nil {
+		t.Fatalf("Add at cap: %v", err)
 	}
 }

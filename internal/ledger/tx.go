@@ -40,7 +40,7 @@ var (
 
 // MaxTxPayloadBytes is the consensus-level hard cap on a transaction
 // payload, enforced by Verify and therefore by block validation on every
-// node. Mempools typically admit far less (see Mempool.SetMaxPayloadBytes).
+// node. Mempools admit far less (MaxMempoolPayloadBytes).
 const MaxTxPayloadBytes = 1 << 20
 
 // TxID is the content hash of a transaction.

@@ -32,7 +32,6 @@ const parallelVerifyThreshold = 16
 type Verifier struct {
 	workers int
 	cache   *SigCache
-	serial  bool
 	tm      verifierMetrics
 }
 
@@ -55,10 +54,6 @@ func NewVerifier(cache *SigCache, workers int) *Verifier {
 	}
 	return &Verifier{workers: workers, cache: cache}
 }
-
-// SetSerial forces single-threaded validation (the baseline kept for
-// benchmarks and perf comparisons). The signature cache stays active.
-func (v *Verifier) SetSerial(serial bool) { v.serial = serial }
 
 // Cache exposes the verifier's signature cache (nil when uncached).
 func (v *Verifier) Cache() *SigCache { return v.cache }
@@ -168,7 +163,7 @@ func (v *Verifier) validateBody(b *Block) error {
 	if workers > n {
 		workers = n
 	}
-	if v.serial || workers <= 1 || n < parallelVerifyThreshold {
+	if workers <= 1 || n < parallelVerifyThreshold {
 		if got := TxRoot(b.Txs); got != b.Header.TxRoot {
 			return fmt.Errorf("%w: header %s body %s", ErrBlockBadTxRoot, b.Header.TxRoot.Short(), got.Short())
 		}

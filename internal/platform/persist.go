@@ -88,12 +88,12 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 
 	// Full replay: decode, validate and re-execute every block, with the
 	// replay's body validation fanned across the verification pipeline.
-	chain, err := ledger.NewChainVerified(log, newVerifier(cfg))
+	chain, err := ledger.NewChain(log)
 	if err != nil {
 		closeLogs()
 		return nil, nil, fmt.Errorf("platform: reopen chain: %w", err)
 	}
-	p, err := newDurable(dir, cfg, chain, receipts)
+	p, err := assemble(cfg, dir, chain, receipts)
 	if err != nil {
 		closeLogs()
 		return nil, nil, err
@@ -113,11 +113,11 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 // full-replay path; nothing here mutates the chain log, and what the tail
 // replay adds to the receipt log is what full replay would add.
 func openFromCheckpoint(dir string, cfg Config, log *store.FileLog, receipts receiptLog, cp *store.Checkpoint) (*Platform, error) {
-	chain, err := ledger.NewChainFromSnapshotVerified(log, cp.Chain, newVerifier(cfg))
+	chain, err := ledger.NewChainFromSnapshot(log, cp.Chain)
 	if err != nil {
 		return nil, err
 	}
-	p, err := newDurable(dir, cfg, chain, receipts)
+	p, err := assemble(cfg, dir, chain, receipts)
 	if err != nil {
 		return nil, err
 	}
@@ -127,30 +127,6 @@ func openFromCheckpoint(dir string, cfg Config, log *store.FileLog, receipts rec
 	if err := p.replayFrom(cp.Height); err != nil {
 		return nil, fmt.Errorf("platform: replay tail: %w", err)
 	}
-	return p, nil
-}
-
-// newDurable builds a fresh platform bound to the durable chain.
-func newDurable(dir string, cfg Config, chain *ledger.Chain, receipts receiptLog) (*Platform, error) {
-	p, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	p.chain = chain
-	p.receipts = receipts
-	// Adopt the durable chain's pipeline (it already verified the replay
-	// and its cache is warm with the tail's signatures), discarding the
-	// one New built for the throwaway empty chain.
-	p.verifier = chain.Verifier()
-	p.pool = ledger.NewMempoolLanes(chain, p.cfg.MempoolCapacity, p.cfg.Shards)
-	// The pool New built (and instrumented) was bound to the empty chain;
-	// re-instrument its replacement so durable nodes keep live mempool
-	// metrics. Registering the same families again is idempotent.
-	p.verifier.Instrument(cfg.Telemetry)
-	p.pool.Instrument(cfg.Telemetry)
-	p.dir = dir
-	p.mu.Unlock()
 	return p, nil
 }
 
@@ -216,7 +192,7 @@ func (p *Platform) replayFrom(from uint64) error {
 	err := p.chain.Walk(from, func(b *ledger.Block) bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		recs := p.executeBlockLocked(b)
+		recs := p.engine.ExecuteBlock(b)
 		if want := b.Header.StateRoot; !want.IsZero() {
 			if got, _ := p.engine.StateRoot(); got != want {
 				failed = fmt.Errorf("%w: block %d commits to %s, replay reached %s", ErrStateRootMismatch, b.Header.Height, want.Short(), got.Short())

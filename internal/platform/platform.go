@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,17 +61,6 @@ type Config struct {
 	// default scaled to MaxTxsPerBlock (at least 128 blocks' worth, never
 	// below 65536).
 	MempoolCapacity int
-	// ParallelExec uses the optimistic parallel executor for blocks.
-	ParallelExec bool
-	// Shards partitions contract state into this many key-hash shards and
-	// executes blocks through the shard-lane scheduler: single-shard
-	// transactions run concurrently lane-per-shard, cross-shard
-	// transactions sequence through deterministic barrier phases, and the
-	// mempool splits into as many sender-hash admission lanes. State
-	// roots stay byte-identical to serial execution whatever the value,
-	// so nodes with different shard counts interoperate. 0 or 1 keeps the
-	// single-lane path (ParallelExec then picks the optimistic executor).
-	Shards int
 	// Weights tunes the combined ranking mechanism.
 	Weights ranking.Weights
 	// CreatorReward is minted to an item's creator when it resolves
@@ -84,28 +72,9 @@ type Config struct {
 	// the IPFS deployments of DClaims-style systems). DefaultConfig
 	// enables it; a zero Config keeps the legacy inline path.
 	OffChainBodies bool
-	// BlobChunkSize sets the blob store's chunk granularity (default
-	// blobstore.DefaultChunkSize).
-	BlobChunkSize int
 	// BlobDir, when non-empty, backs the blob store with files under this
 	// directory. Open derives it from the node's data directory.
 	BlobDir string
-	// MaxTxPayloadBytes tightens the mempool's admission-time payload cap
-	// (0 keeps ledger.DefaultMempoolPayloadBytes). The consensus hard cap
-	// ledger.MaxTxPayloadBytes applies regardless.
-	MaxTxPayloadBytes int
-	// VerifyWorkers sets the block-verification worker-pool width (0 means
-	// GOMAXPROCS). Mempool admission, consensus proposal validation,
-	// Chain.Append and checkpoint replay all share the pool and its
-	// signature cache.
-	VerifyWorkers int
-	// SerialVerify forces single-threaded block verification — the
-	// baseline kept for perf comparisons (EXPERIMENTS.md E18). The
-	// signature cache stays active.
-	SerialVerify bool
-	// SigCacheCapacity bounds the verified-signature cache (0 means
-	// ledger.DefaultSigCacheCapacity).
-	SigCacheCapacity int
 	// Telemetry, when non-nil, instruments the node's hot paths (mempool,
 	// blob store, commit bus, commits) on the given registry and enables
 	// span tracing. Nil — the default — keeps every instrument a no-op, so
@@ -131,14 +100,6 @@ func defaultMempoolCapacity(maxTxsPerBlock int) int {
 	return capacity
 }
 
-// newVerifier builds the node's verification pipeline from the config: a
-// worker pool over a bounded verified-signature cache.
-func newVerifier(cfg Config) *ledger.Verifier {
-	v := ledger.NewVerifier(ledger.NewSigCache(cfg.SigCacheCapacity), cfg.VerifyWorkers)
-	v.SetSerial(cfg.SerialVerify)
-	return v
-}
-
 // DefaultConfig returns the standard configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -148,7 +109,6 @@ func DefaultConfig() Config {
 		Weights:          ranking.DefaultWeights(),
 		CreatorReward:    25,
 		OffChainBodies:   true,
-		BlobChunkSize:    blobstore.DefaultChunkSize,
 	}
 }
 
@@ -161,11 +121,6 @@ type Platform struct {
 	chain     *ledger.Chain
 	pool      *ledger.Mempool
 	authority *keys.KeyPair
-	// verifier is the node's block-verification pipeline: a GOMAXPROCS
-	// worker pool over a bounded signature cache shared by mempool
-	// admission, chain append, consensus proposal validation and
-	// checkpoint replay.
-	verifier *ledger.Verifier
 
 	factIndex  *factdb.Index
 	graph      *supplychain.Graph
@@ -217,9 +172,6 @@ type Platform struct {
 	// tm holds the node's cached commit-path instrument handles (nil
 	// without Config.Telemetry; all methods are nil-safe).
 	tm platformMetrics
-	// exec accumulates execution-scheduler stats across every executed
-	// block (guarded by p.mu; read via ExecStats).
-	exec ExecStats
 	// tracer records commit spans (nil without Config.Telemetry).
 	tracer *telemetry.Tracer
 }
@@ -234,16 +186,6 @@ type platformMetrics struct {
 	// stageSec splits commitSec by stage (trustnews_commit_stage_seconds),
 	// indexed by commitStage.
 	stageSec [numCommitStages]*telemetry.Histogram
-	// Execution-scheduler instruments (trustnews_exec_*): populated for
-	// every executor; the lane/wave families only move under sharding.
-	execConflicts  *telemetry.Counter
-	execCrossShard *telemetry.Counter
-	execWaves      *telemetry.Counter
-	execBarriers   *telemetry.Counter
-	execWaveAborts *telemetry.Counter
-	execLaneTxs    *telemetry.CounterVec
-	conflictRate   *telemetry.Gauge
-	crossShardFrac *telemetry.Gauge
 }
 
 // commitStage names one step of the commit path. Each runs under a child
@@ -269,54 +211,15 @@ var commitStages = [numCommitStages]struct{ label, span string }{
 	stagePublish:   {"publish", "commitbus.publish"},
 }
 
-// ExecStats accumulates execution-scheduler behaviour across every block
-// this node executed (standalone commits, externally decided blocks and
-// replay). E23 reads it to report lane occupancy, conflict rate and
-// cross-shard fraction per sweep cell; the same numbers feed the
-// trustnews_exec_* metric families in /v1/metrics.
-type ExecStats struct {
-	// Blocks and Txs count executed blocks and transactions.
-	Blocks int
-	Txs    int
-	// Conflicts counts re-executed transactions (optimistic-executor
-	// conflicts plus lane and barrier re-executions under sharding).
-	Conflicts int
-	// CrossShardTxs counts transactions sequenced through barrier phases.
-	CrossShardTxs int
-	// Waves and Barriers count parallel and serial segments.
-	Waves    int
-	Barriers int
-	// WaveAborts counts waves that failed validation and re-ran serially.
-	WaveAborts int
-	// MaxLaneReexecSum accumulates each wave's deepest per-lane
-	// re-execution chain — the lane scheduler's critical path in units of
-	// transaction executions.
-	MaxLaneReexecSum int
-	// LaneTxs and LaneReexecs count per-lane occupancy and re-executions
-	// (empty until a sharded block executes).
-	LaneTxs     []int
-	LaneReexecs []int
-}
-
-// ConflictRate returns re-executions per executed transaction.
-func (s ExecStats) ConflictRate() float64 {
-	if s.Txs == 0 {
-		return 0
-	}
-	return float64(s.Conflicts) / float64(s.Txs)
-}
-
-// CrossShardFraction returns the fraction of transactions sequenced
-// through barrier phases.
-func (s ExecStats) CrossShardFraction() float64 {
-	if s.Txs == 0 {
-		return 0
-	}
-	return float64(s.CrossShardTxs) / float64(s.Txs)
-}
-
-// New creates a platform node with all contracts registered.
+// New creates an in-memory platform node with all contracts registered.
 func New(cfg Config) (*Platform, error) {
+	return assemble(cfg, "", ledger.NewMemChain(), store.NewMemLog())
+}
+
+// assemble builds a node around the chain and receipt log it is given:
+// in-memory ones from New, file-backed ones from Open (dir is then the
+// node's data directory).
+func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog) (*Platform, error) {
 	if cfg.AuthoritySeed == "" {
 		cfg.AuthoritySeed = "platform-authority"
 	}
@@ -334,58 +237,46 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p := &Platform{
 		cfg:       cfg,
-		engine:    contract.NewShardedEngine(cfg.Shards),
-		chain:     ledger.NewMemChain(),
+		engine:    contract.NewEngine(),
+		chain:     chain,
+		pool:      ledger.NewMempool(chain, cfg.MempoolCapacity),
 		authority: keys.FromSeed([]byte(cfg.AuthoritySeed)),
 		factIndex: factdb.NewIndex(),
 		mediaDet:  aidetect.NewMediaDetector(),
 		bus:       commitbus.New(),
-		receipts:  store.NewMemLog(),
+		receipts:  receipts,
 		experts:   supplychain.NewExpertMiner(),
 		searchIdx: search.New(),
+		dir:       dir,
 		clock:     func() time.Time { return time.Unix(1562500000, 0).UTC() },
 		wake:      make(chan struct{}, 1),
 	}
-	p.verifier = newVerifier(cfg)
-	p.chain.SetVerifier(p.verifier)
 	admit, err := admission.NewController(cfg.Admission, cfg.Telemetry)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
 	p.admit = admit
 	if cfg.BlobDir != "" {
-		blobs, err := blobstore.Open(cfg.BlobDir, cfg.BlobChunkSize)
+		blobs, err := blobstore.Open(cfg.BlobDir, blobstore.DefaultChunkSize)
 		if err != nil {
 			return nil, fmt.Errorf("platform: open blob store: %w", err)
 		}
 		p.blobs = blobs
 	} else {
-		p.blobs = blobstore.NewStore(cfg.BlobChunkSize)
-	}
-	p.pool = ledger.NewMempoolLanes(p.chain, cfg.MempoolCapacity, cfg.Shards)
-	if cfg.MaxTxPayloadBytes > 0 {
-		p.pool.SetMaxPayloadBytes(cfg.MaxTxPayloadBytes)
+		p.blobs = blobstore.NewStore(blobstore.DefaultChunkSize)
 	}
 	// Wire telemetry before any traffic. A nil registry yields nil
 	// instruments everywhere, so the uninstrumented cost is one branch.
-	p.verifier.Instrument(cfg.Telemetry)
+	chain.Verifier().Instrument(cfg.Telemetry)
 	p.pool.Instrument(cfg.Telemetry)
 	p.blobs.Instrument(cfg.Telemetry)
 	p.bus.Instrument(cfg.Telemetry)
 	p.tracer = cfg.Telemetry.Tracer()
 	p.tm = platformMetrics{
-		commits:        cfg.Telemetry.Counter("trustnews_platform_commits_total", "Blocks committed by this node (standalone or replicated)."),
-		txs:            cfg.Telemetry.Counter("trustnews_platform_txs_committed_total", "Transactions inside committed blocks."),
-		commitSec:      cfg.Telemetry.Histogram("trustnews_platform_commit_seconds", "Wall time to execute, append and index one block.", nil),
-		receiptErrs:    cfg.Telemetry.Counter("trustnews_platform_receipt_errors_total", "Committed blocks whose receipts could not be appended to the receipt log (not found until a restart replays them)."),
-		execConflicts:  cfg.Telemetry.Counter("trustnews_exec_conflicts_total", "Transactions re-executed because speculation went stale (optimistic conflicts plus lane/barrier re-executions)."),
-		execCrossShard: cfg.Telemetry.Counter("trustnews_exec_cross_shard_txs_total", "Transactions sequenced through cross-shard barrier phases."),
-		execWaves:      cfg.Telemetry.Counter("trustnews_exec_waves_total", "Parallel lane segments executed by the shard scheduler."),
-		execBarriers:   cfg.Telemetry.Counter("trustnews_exec_barriers_total", "Serial cross-shard barrier segments executed."),
-		execWaveAborts: cfg.Telemetry.Counter("trustnews_exec_wave_aborts_total", "Waves whose lane results failed validation and re-ran serially."),
-		execLaneTxs:    cfg.Telemetry.CounterVec("trustnews_exec_lane_txs_total", "Transactions executed per shard lane (occupancy).", "lane"),
-		conflictRate:   cfg.Telemetry.Gauge("trustnews_exec_conflict_rate", "Re-executions per executed transaction (lifetime ratio)."),
-		crossShardFrac: cfg.Telemetry.Gauge("trustnews_exec_cross_shard_fraction", "Fraction of executed transactions sequenced through barriers (lifetime ratio)."),
+		commits:     cfg.Telemetry.Counter("trustnews_platform_commits_total", "Blocks committed by this node (standalone or replicated)."),
+		txs:         cfg.Telemetry.Counter("trustnews_platform_txs_committed_total", "Transactions inside committed blocks."),
+		commitSec:   cfg.Telemetry.Histogram("trustnews_platform_commit_seconds", "Wall time to execute, append and index one block.", nil),
+		receiptErrs: cfg.Telemetry.Counter("trustnews_platform_receipt_errors_total", "Committed blocks whose receipts could not be appended to the receipt log (not found until a restart replays them)."),
 	}
 	stageSec := cfg.Telemetry.HistogramVec("trustnews_commit_stage_seconds", "Wall time of one commit-path stage of one block.", nil, "stage")
 	for st, names := range commitStages {
@@ -439,9 +330,10 @@ func (p *Platform) Engine() *contract.Engine { return p.engine }
 // Chain exposes the underlying chain.
 func (p *Platform) Chain() *ledger.Chain { return p.chain }
 
-// Verifier exposes the node's block-verification pipeline (worker pool +
-// signature cache).
-func (p *Platform) Verifier() *ledger.Verifier { return p.verifier }
+// Verifier exposes the node's block-verification pipeline: the chain's
+// GOMAXPROCS worker pool over a bounded signature cache, shared by mempool
+// admission, chain append, consensus proposal validation and replay.
+func (p *Platform) Verifier() *ledger.Verifier { return p.chain.Verifier() }
 
 // Graph exposes the news supply-chain graph.
 func (p *Platform) Graph() *supplychain.Graph { return p.graph }
@@ -565,84 +457,6 @@ func (p *Platform) TrainClassifier(c aidetect.TextClassifier, train []corpus.Sta
 	return nil
 }
 
-// executeBlockLocked runs one block through the configured executor —
-// shard-lane scheduler (Shards > 1), optimistic parallel executor
-// (ParallelExec), or the serial baseline — and folds the scheduler's
-// stats into the node's accumulator and trustnews_exec_* metrics. All
-// three paths produce byte-identical state and receipts. Caller holds
-// p.mu.
-func (p *Platform) executeBlockLocked(b *ledger.Block) []contract.Receipt {
-	switch {
-	case p.cfg.Shards > 1:
-		recs, ss := p.engine.ExecuteBlockSharded(b, p.cfg.Shards, 0)
-		p.recordShardStatsLocked(ss)
-		return recs
-	case p.cfg.ParallelExec:
-		recs, ps := p.engine.ExecuteBlockParallel(b, 0)
-		p.recordParallelStatsLocked(ps)
-		return recs
-	default:
-		recs := p.engine.ExecuteBlock(b)
-		p.exec.Blocks++
-		p.exec.Txs += len(b.Txs)
-		return recs
-	}
-}
-
-// recordParallelStatsLocked folds one optimistic-executor run into the
-// node accumulator and metrics. Caller holds p.mu.
-func (p *Platform) recordParallelStatsLocked(ps contract.ParallelStats) {
-	p.exec.Blocks++
-	p.exec.Txs += ps.Txs
-	p.exec.Conflicts += ps.Conflicts
-	p.tm.execConflicts.Add(uint64(ps.Conflicts))
-	p.tm.conflictRate.Set(p.exec.ConflictRate())
-}
-
-// recordShardStatsLocked folds one shard-scheduler run into the node
-// accumulator and metrics. Caller holds p.mu.
-func (p *Platform) recordShardStatsLocked(ss contract.ShardStats) {
-	p.exec.Blocks++
-	p.exec.Txs += ss.Txs
-	p.exec.Conflicts += ss.Conflicts()
-	p.exec.CrossShardTxs += ss.CrossShardTxs
-	p.exec.Waves += ss.Waves
-	p.exec.Barriers += ss.Barriers
-	p.exec.WaveAborts += ss.WaveAborts
-	p.exec.MaxLaneReexecSum += ss.MaxLaneReexecSum
-	if len(p.exec.LaneTxs) < len(ss.LaneTxs) {
-		p.exec.LaneTxs = append(p.exec.LaneTxs, make([]int, len(ss.LaneTxs)-len(p.exec.LaneTxs))...)
-		p.exec.LaneReexecs = append(p.exec.LaneReexecs, make([]int, len(ss.LaneReexecs)-len(p.exec.LaneReexecs))...)
-	}
-	for i, n := range ss.LaneTxs {
-		p.exec.LaneTxs[i] += n
-		if n > 0 && p.tm.execLaneTxs != nil {
-			p.tm.execLaneTxs.With(strconv.Itoa(i)).Add(uint64(n))
-		}
-	}
-	for i, n := range ss.LaneReexecs {
-		p.exec.LaneReexecs[i] += n
-	}
-	p.tm.execConflicts.Add(uint64(ss.Conflicts()))
-	p.tm.execCrossShard.Add(uint64(ss.CrossShardTxs))
-	p.tm.execWaves.Add(uint64(ss.Waves))
-	p.tm.execBarriers.Add(uint64(ss.Barriers))
-	p.tm.execWaveAborts.Add(uint64(ss.WaveAborts))
-	p.tm.conflictRate.Set(p.exec.ConflictRate())
-	p.tm.crossShardFrac.Set(p.exec.CrossShardFraction())
-}
-
-// ExecStats returns a copy of the node's accumulated execution-scheduler
-// stats (lane slices deep-copied).
-func (p *Platform) ExecStats() ExecStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := p.exec
-	out.LaneTxs = append([]int(nil), p.exec.LaneTxs...)
-	out.LaneReexecs = append([]int(nil), p.exec.LaneReexecs...)
-	return out
-}
-
 // Submit verifies and enqueues a signed transaction. In cluster mode the
 // accepted transaction is also handed to the relay hook (SetOnSubmit) so
 // peer validators learn about it before their next proposal; standalone,
@@ -735,7 +549,7 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 	defer sp.End()
 	blk := ledger.NewBlock(p.chain.Height(), p.chain.HeadID(), [32]byte{}, p.clock(), p.authority.Address(), txs)
 	var recs []contract.Receipt
-	p.stage(sp, stageExecute, func() { recs = p.executeBlockLocked(blk) })
+	p.stage(sp, stageExecute, func() { recs = p.engine.ExecuteBlock(blk) })
 	p.stage(sp, stageStateRoot, func() { blk.Header.StateRoot, _ = p.engine.StateRoot() }) // error always nil
 	var err error
 	p.stage(sp, stageAppend, func() { err = p.chain.Append(blk) })
@@ -775,7 +589,7 @@ func (p *Platform) ApplyExternalBlock(b *ledger.Block) error {
 	sp := p.tracer.Start("platform.applyExternalBlock")
 	defer sp.End()
 	var recs []contract.Receipt
-	p.stage(sp, stageExecute, func() { recs = p.executeBlockLocked(b) })
+	p.stage(sp, stageExecute, func() { recs = p.engine.ExecuteBlock(b) })
 	p.settleLocked(sp, start, b, recs)
 	return nil
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Regression: newDurable replaces the mempool New built after binding the
-// reopened chain, and the replacement must be re-instrumented — otherwise
-// durable nodes serve dead mempool series while in-memory nodes count.
+// A durable node's mempool and verifier series must be live, as an
+// in-memory node's are: Open builds the node around the reopened chain,
+// and the pool bound to that chain is the one instrumented.
 func TestDurableNodeMempoolMetricsLive(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Telemetry = telemetry.New()

@@ -196,30 +196,25 @@ func (m *MemKV) markDirty(key string, stored []byte) {
 // that change tracking was abandoned meanwhile (see MemKV): the entries
 // are then every live key, and whatever the caller derived from earlier
 // drains must be rebuilt from them alone.
-func (m *MemKV) DrainDirty() (entries []DirtyEntry, all bool) { return m.drainDirty(false) }
-
-// drainDirty is DrainDirty with the hand-over-everything answer forced,
-// for a ShardedKV whose other shards lost track.
-func (m *MemKV) drainDirty(all bool) ([]DirtyEntry, bool) {
+func (m *MemKV) DrainDirty() (entries []DirtyEntry, all bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	all = all || m.allDirty
-	var out []DirtyEntry
+	all = m.allDirty
 	if all {
-		out = make([]DirtyEntry, 0, len(m.data))
+		entries = make([]DirtyEntry, 0, len(m.data))
 		for k, v := range m.data {
-			out = append(out, DirtyEntry{Key: k, Val: v, Live: true})
+			entries = append(entries, DirtyEntry{Key: k, Val: v, Live: true})
 		}
 	} else {
-		out = make([]DirtyEntry, 0, len(m.dirty))
+		entries = make([]DirtyEntry, 0, len(m.dirty))
 		for k, v := range m.dirty {
-			out = append(out, DirtyEntry{Key: k, Val: v, Live: v != nil})
+			entries = append(entries, DirtyEntry{Key: k, Val: v, Live: v != nil})
 		}
 	}
 	// Not clear(): a map that once held a large write set keeps its
 	// buckets, and clearing them would cost every later drain O(that).
 	m.dirty, m.allDirty = nil, false
-	return out, all
+	return entries, all
 }
 
 // Keys implements KV.

@@ -439,6 +439,83 @@ func TestFileLogRoundTripProperty(t *testing.T) {
 	}
 }
 
+// drained applies one DrainDirty to a model of what earlier drains told
+// the caller, the way the contract engine keeps its state trie.
+func drained(kv *MemKV, model map[string]string) (n int, all bool) {
+	entries, all := kv.DrainDirty()
+	if all {
+		clear(model)
+	}
+	for _, e := range entries {
+		if e.Live {
+			model[e.Key] = string(e.Val)
+		} else {
+			delete(model, e.Key)
+		}
+	}
+	return len(entries), all
+}
+
+// TestDrainDirtyTracksChanges pins the change feed the state commitment
+// is kept from: a drain reports exactly what changed since the last one;
+// once the changes cover more than half of what the store holds, or
+// Restore replaced the contents, it reports every live key instead and
+// says so.
+func TestDrainDirtyTracksChanges(t *testing.T) {
+	// One case: MemKV is the only store (the sharded case went with ShardedKV).
+	t.Run("flat", func(t *testing.T) {
+		kv := NewMemKV()
+		model := make(map[string]string)
+		check := func(step string) {
+			t.Helper()
+			snap, _ := kv.Snapshot()
+			if len(snap) != len(model) {
+				t.Fatalf("%s: model holds %d keys, store %d", step, len(model), len(snap))
+			}
+			for k, v := range snap {
+				if model[k] != string(v) {
+					t.Fatalf("%s: model has %q=%q, store %q", step, k, model[k], v)
+				}
+			}
+		}
+		for i := 0; i < 64; i++ {
+			_ = kv.Put("k"+strconv.Itoa(i), []byte{byte(i)})
+		}
+		if n, all := drained(kv, model); n != 64 || !all {
+			t.Fatalf("first drain: %d entries, all=%v; want all 64 keys of a store filled from empty", n, all)
+		}
+		check("after load")
+
+		_ = kv.Put("k1", []byte("rewritten"))
+		_ = kv.Put("k1", nil) // live, empty
+		_ = kv.Delete("k2")
+		_ = kv.Delete("never-there")
+		if n, all := drained(kv, model); n != 2 || all {
+			t.Fatalf("small write set: %d entries, all=%v; want k1 and k2 only", n, all)
+		}
+		check("after small write set")
+		if n, _ := drained(kv, model); n != 0 {
+			t.Fatalf("drain with nothing changed returned %d entries", n)
+		}
+
+		// Delete most of the state: the changes dwarf what is left.
+		for i := 0; i < 60; i++ {
+			_ = kv.Delete("k" + strconv.Itoa(i))
+		}
+		if n, all := drained(kv, model); !all || n != 4 {
+			t.Fatalf("mass delete: %d entries, all=%v; want all 4 survivors", n, all)
+		}
+		check("after mass delete")
+
+		kv.Restore(map[string][]byte{"r1": []byte("a"), "r2": []byte("b")})
+		_ = kv.Put("r3", []byte("c"))
+		if n, all := drained(kv, model); !all || n != 3 {
+			t.Fatalf("after Restore: %d entries, all=%v; want all 3 keys", n, all)
+		}
+		check("after restore")
+	})
+}
+
 func BenchmarkMemLogAppend(b *testing.B) {
 	l := NewMemLog()
 	rec := bytes.Repeat([]byte("t"), 512)

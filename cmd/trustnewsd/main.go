@@ -133,7 +133,7 @@ func run(ctx context.Context, o options) error {
 			return err
 		}
 		defer closeFn()
-		log.Printf("durable node at %s: height %d, checkpoint height %d, %d blobs", o.dataDir, p.Chain().Height(), p.CheckpointHeight(), p.Blobs().Stats().Blobs)
+		log.Printf("durable node at %s: height %d, checkpoint height %d, %d blobs, %d tx index segments rebuilt", o.dataDir, p.Chain().Height(), p.CheckpointHeight(), p.Blobs().Stats().Blobs, p.Chain().TxIndexStats().Rebuilt)
 		if o.ckptEvery > 0 {
 			go checkpointLoop(ctx, p, o.ckptEvery)
 		}

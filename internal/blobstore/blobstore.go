@@ -21,9 +21,14 @@
 package blobstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,6 +36,7 @@ import (
 	"sync"
 
 	"repro/internal/merkle"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -166,20 +172,33 @@ type Stats struct {
 	Retained   int     `json:"retained"`
 }
 
-// Store is the in-process content-addressed blob store. It is safe for
-// concurrent use. With a directory it also persists chunks and manifests
-// to disk and reloads them on open, so a durable node keeps its article
-// bodies across restarts.
+// Store is the content-addressed blob store. It is safe for concurrent
+// use.
+//
+// Chunks and manifests are records of one append-only log: blobs.log in
+// the store's directory, or a store.MemLog for a store without one. What
+// the store keeps in memory is an index from the first eight bytes of each
+// CID and chunk hash to the record holding it, and the counts Stats
+// reports — never a chunk's bytes. Get reads the manifest and then each
+// chunk back with one pread apiece, and re-derives the CID from them.
 type Store struct {
 	mu        sync.RWMutex
 	chunkSize int
 	dir       string // "" = memory only
 
-	chunks    map[ChunkHash][]byte
-	chunkRefs map[ChunkHash]int // manifests referencing the chunk
-	blobs     map[CID]*Manifest
-	pins      map[CID]bool
-	retained  map[CID]int // ledger references (commit-bus subscriber)
+	log   blobLog
+	index hashIndex
+	// Stats counts, kept up to date as records are appended and collected.
+	blobs, chunks     int
+	logical, physical int64
+	logBytes          int64 // bytes of the log, frames included
+
+	pins map[CID]bool
+
+	// refMu guards retained apart from mu: Retain runs on the commit path
+	// and must not wait behind a Get reading bodies from disk under mu.
+	refMu    sync.Mutex
+	retained map[CID]int // ledger references (commit-bus subscriber)
 
 	// fallback, when set, is consulted by Get for CIDs this store does not
 	// hold (e.g. a cluster replica reading a sibling's blob, or a network
@@ -188,6 +207,30 @@ type Store struct {
 
 	tm storeMetrics
 }
+
+// blobLog is what the store needs of store.FileLog and store.MemLog.
+type blobLog interface {
+	AppendUnsynced(rec []byte) (uint64, error)
+	Get(i uint64) ([]byte, error)
+	ReadAt(i uint64, off int64, buf []byte) (int, error)
+	RecordLen(i uint64) (int, error)
+	Len() uint64
+	Sync() error
+	Close() error
+}
+
+// logName is the blob log's file name inside the store's directory.
+const logName = "blobs.log"
+
+// Record layout. A chunk record is kind | chunk hash | bytes; a manifest
+// record is kind | CID | size u64 | chunk size u32 | chunk count u32 |
+// chunk hashes, big-endian.
+const (
+	kindChunk           = 'c'
+	kindManifest        = 'm'
+	recordHeaderBytes   = 1 + merkle.HashSize
+	manifestHeaderBytes = recordHeaderBytes + 8 + 4 + 4
+)
 
 // storeMetrics holds the store's cached instrument handles (nil until
 // Instrument; every method is nil-safe).
@@ -200,6 +243,7 @@ type storeMetrics struct {
 	gcCollected *telemetry.Counter
 	blobs       *telemetry.Gauge
 	chunks      *telemetry.Gauge
+	logBytes    *telemetry.Gauge
 }
 
 // Instrument registers the store's metrics on reg (nil disables).
@@ -215,9 +259,16 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		gcCollected: reg.Counter("trustnews_blobstore_gc_collected_total", "Blobs removed by garbage collection."),
 		blobs:       reg.Gauge("trustnews_blobstore_blobs", "Blobs currently held."),
 		chunks:      reg.Gauge("trustnews_blobstore_chunks", "Unique chunks currently held."),
+		logBytes:    reg.Gauge("trustnews_blobstore_log_bytes", "Bytes of the blob log (blobs.log on a durable node): chunks and manifests, frames included."),
 	}
-	s.tm.blobs.Set(float64(len(s.blobs)))
-	s.tm.chunks.Set(float64(len(s.chunks)))
+	s.setGauges()
+}
+
+// setGauges publishes the counts. Caller holds s.mu.
+func (s *Store) setGauges() {
+	s.tm.blobs.Set(float64(s.blobs))
+	s.tm.chunks.Set(float64(s.chunks))
+	s.tm.logBytes.Set(float64(s.logBytes))
 }
 
 // NewStore creates an in-memory store. chunkSize 0 means DefaultChunkSize.
@@ -227,30 +278,47 @@ func NewStore(chunkSize int) *Store {
 	}
 	return &Store{
 		chunkSize: chunkSize,
-		chunks:    make(map[ChunkHash][]byte),
-		chunkRefs: make(map[ChunkHash]int),
-		blobs:     make(map[CID]*Manifest),
+		log:       store.NewMemLog(),
 		pins:      make(map[CID]bool),
 		retained:  make(map[CID]int),
 	}
 }
 
-// Open creates or reopens a file-backed store at dir. Chunks live in
-// dir/chunks/<hash> and manifests in dir/manifests/<cid>; both are
-// re-verified lazily (every Get recomputes the chunk root). Pins persist
-// in dir/pins.
+// Open creates or reopens a file-backed store at dir: bodies in
+// dir/blobs.log, pins in dir/pins. A record damaged on disk costs the
+// blobs that use it and nothing else (store.OpenFileLogSkipping): the
+// bodies cannot be computed again. A directory written before the log —
+// chunks/<hash> and manifests/<cid> files — is moved into the log once.
 func Open(dir string, chunkSize int) (*Store, error) {
-	s := NewStore(chunkSize)
-	s.dir = dir
-	for _, sub := range []string{"chunks", "manifests"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("blobstore: open %s: %w", dir, err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("blobstore: open %s: %w", dir, err)
 	}
+	log, err := store.OpenFileLogSkipping(filepath.Join(dir, logName))
+	if err != nil {
+		return nil, fmt.Errorf("blobstore: open %s: %w", dir, err)
+	}
+	s := NewStore(chunkSize)
+	s.dir, s.log = dir, log
 	if err := s.load(); err != nil {
+		log.Close()
+		return nil, err
+	}
+	if err := s.importFiles(); err != nil {
+		log.Close()
+		return nil, err
+	}
+	if err := s.loadPins(); err != nil {
+		log.Close()
 		return nil, err
 	}
 	return s, nil
+}
+
+// Close releases the store's log.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.log.Close()
 }
 
 // SetFallback installs a resolver consulted for CIDs the store is missing.
@@ -267,7 +335,8 @@ func (s *Store) ChunkSize() int { return s.chunkSize }
 
 // Put stores a body and returns its CID. Identical chunks already present
 // (from this or any other blob) are not stored twice. Storing the same
-// body twice is a no-op returning the same CID.
+// body twice is a no-op returning the same CID, except that it restores
+// any of the body's chunks the store lost.
 func (s *Store) Put(data []byte) (CID, error) {
 	if len(data) == 0 {
 		return "", ErrEmptyBlob
@@ -277,32 +346,52 @@ func (s *Store) Put(data []byte) (CID, error) {
 	for i, c := range chunks {
 		hashes[i] = merkle.HashLeaf(c)
 	}
-	cid := CID(foldChunkRoot(hashes).String())
+	root := foldChunkRoot(hashes)
+	cid := CID(root.String())
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.setGauges()
 	s.tm.puts.Inc()
-	if _, ok := s.blobs[cid]; ok {
-		return cid, nil
-	}
-	m := &Manifest{CID: cid, Size: len(data), ChunkSize: s.chunkSize, Chunks: hashes}
-	for i, h := range hashes {
-		if _, ok := s.chunks[h]; !ok {
-			cp := append([]byte(nil), chunks[i]...)
-			s.chunks[h] = cp
-			if err := s.persistChunk(h, cp); err != nil {
-				return "", err
-			}
-		}
-		s.chunkRefs[h]++
-	}
-	s.blobs[cid] = m
-	s.tm.blobs.Set(float64(len(s.blobs)))
-	s.tm.chunks.Set(float64(len(s.chunks)))
-	if err := s.persistManifest(m); err != nil {
+	m := Manifest{CID: cid, Size: len(data), ChunkSize: s.chunkSize, Chunks: hashes}
+	if err := s.putRecords(&m, func(i int) ([]byte, bool) { return chunks[i], true }); err != nil {
 		return "", err
 	}
 	return cid, nil
+}
+
+// putRecords appends the chunks of m the log lacks, then m itself unless
+// the log has it. chunk returns the bytes of m.Chunks[i], or false when
+// they are not at hand (the blob then stays incomplete). Caller holds
+// s.mu.
+func (s *Store) putRecords(m *Manifest, chunk func(i int) ([]byte, bool)) error {
+	for i, h := range m.Chunks {
+		if _, ok, err := s.find(kindChunk, h); err != nil || ok {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		data, ok := chunk(i)
+		if !ok {
+			continue
+		}
+		if err := s.appendRecord(kindChunk, h, data); err != nil {
+			return err
+		}
+		s.chunks++
+		s.physical += int64(len(data))
+	}
+	root, _ := cidHash(m.CID)
+	if _, ok, err := s.find(kindManifest, root); err != nil || ok {
+		return err
+	}
+	if err := s.appendRecord(kindManifest, root, encodeManifestBody(m)); err != nil {
+		return err
+	}
+	s.blobs++
+	s.logical += int64(m.Size)
+	return nil
 }
 
 // PutString stores a text body.
@@ -310,51 +399,49 @@ func (s *Store) PutString(text string) (CID, error) { return s.Put([]byte(text))
 
 // Has reports whether the store holds a manifest for the CID.
 func (s *Store) Has(cid CID) bool {
+	h, ok := cidHash(cid)
+	if !ok {
+		return false
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.blobs[cid]
-	return ok
+	_, found, _ := s.find(kindManifest, h)
+	return found
 }
 
 // Stat returns a copy of the blob's manifest.
 func (s *Store) Stat(cid CID) (Manifest, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m, ok := s.blobs[cid]
-	if !ok {
+	m, found, err := s.manifest(cid)
+	if err != nil {
+		return Manifest{}, err
+	}
+	if !found {
 		return Manifest{}, fmt.Errorf("%w: %s", ErrNotFound, cid.Short())
 	}
-	cp := *m
-	cp.Chunks = append([]ChunkHash(nil), m.Chunks...)
-	return cp, nil
+	return m, nil
 }
 
 // Get reassembles and verifies a blob. The chunk tree is recomputed from
 // the stored bytes and compared to the CID — a flipped bit anywhere in
 // any chunk surfaces as ErrCorrupt here, never as silently wrong content.
-// Missing blobs are routed to the fallback resolver when one is set.
+// Missing blobs, and blobs missing a chunk, are routed to the fallback
+// resolver when one is set.
 func (s *Store) Get(cid CID) ([]byte, error) {
 	s.mu.RLock()
-	m, ok := s.blobs[cid]
-	var body []byte
-	if ok {
-		body = make([]byte, 0, m.Size)
-		for _, h := range m.Chunks {
-			c, have := s.chunks[h]
-			if !have {
-				ok = false
-				break
-			}
-			body = append(body, c...)
-		}
-	}
+	body, chunkSize, found, err := s.read(cid)
 	fallback := s.fallback
 	tm := s.tm
 	s.mu.RUnlock()
 
 	tm.gets.Inc()
-	if ok {
-		got, err := ComputeCID(body, m.ChunkSize)
+	if err != nil {
+		tm.corruptions.Inc()
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, cid.Short(), err)
+	}
+	if found {
+		got, err := ComputeCID(body, chunkSize)
 		if err != nil || got != cid {
 			tm.corruptions.Inc()
 			return nil, fmt.Errorf("%w: %s", ErrCorrupt, cid.Short())
@@ -388,18 +475,19 @@ func (s *Store) GetString(cid CID) (string, error) {
 func (s *Store) Chunk(h ChunkHash) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.chunks[h]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), c...), true
+	data, ok, err := s.chunk(h)
+	return data, ok && err == nil
 }
 
 // Pin marks a blob as operator-held: GC never removes it.
 func (s *Store) Pin(cid CID) error {
+	h, ok := cidHash(cid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.blobs[cid]; !ok {
+	if ok {
+		_, ok, _ = s.find(kindManifest, h)
+	}
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, cid.Short())
 	}
 	s.pins[cid] = true
@@ -425,46 +513,46 @@ func (s *Store) Pinned(cid CID) bool {
 // Unknown CIDs are retained too: the reference protects the blob the
 // moment it arrives (e.g. fetched from a peer after the block committed).
 func (s *Store) Retain(cid CID) {
-	s.mu.Lock()
+	s.refMu.Lock()
 	s.retained[cid]++
-	s.mu.Unlock()
+	s.refMu.Unlock()
 }
 
 // Release drops one ledger reference.
 func (s *Store) Release(cid CID) {
-	s.mu.Lock()
+	s.refMu.Lock()
 	if s.retained[cid] > 1 {
 		s.retained[cid]--
 	} else {
 		delete(s.retained, cid)
 	}
-	s.mu.Unlock()
+	s.refMu.Unlock()
 }
 
 // RefCount returns the current ledger reference count for a CID.
 func (s *Store) RefCount(cid CID) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.refMu.Lock()
+	defer s.refMu.Unlock()
 	return s.retained[cid]
 }
 
 // ResetRetained replaces the full ledger-reference table (checkpoint
 // restore path of the commit-bus subscriber).
 func (s *Store) ResetRetained(refs map[CID]int) {
-	s.mu.Lock()
+	s.refMu.Lock()
 	s.retained = make(map[CID]int, len(refs))
 	for c, n := range refs {
 		if n > 0 {
 			s.retained[c] = n
 		}
 	}
-	s.mu.Unlock()
+	s.refMu.Unlock()
 }
 
 // RetainedRefs returns a copy of the ledger-reference table.
 func (s *Store) RetainedRefs() map[CID]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.refMu.Lock()
+	defer s.refMu.Unlock()
 	out := make(map[CID]int, len(s.retained))
 	for c, n := range s.retained {
 		out[c] = n
@@ -473,36 +561,57 @@ func (s *Store) RetainedRefs() map[CID]int {
 }
 
 // GC removes every blob that is neither pinned nor ledger-retained, and
-// any chunks no remaining manifest references. It returns the CIDs
-// collected, sorted for determinism.
+// any chunks no remaining manifest references, by rewriting the log with
+// only the records that stay. It returns the CIDs collected, sorted for
+// determinism; if the rewrite fails, nothing is collected.
 func (s *Store) GC() []CID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.refMu.Lock()
+	defer s.refMu.Unlock()
+	keep := make(map[uint64]bool)
+	used := make(map[ChunkHash]bool)
 	var victims []CID
-	for cid := range s.blobs {
-		if s.pins[cid] || s.retained[cid] > 0 {
-			continue
+	err := s.eachRecord(func(i uint64, kind byte, h merkle.Hash) error {
+		if kind != kindManifest {
+			return nil
 		}
-		victims = append(victims, cid)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-	for _, cid := range victims {
-		m := s.blobs[cid]
-		delete(s.blobs, cid)
-		s.removeManifestFile(cid)
-		for _, h := range m.Chunks {
-			s.chunkRefs[h]--
-			if s.chunkRefs[h] <= 0 {
-				delete(s.chunkRefs, h)
-				delete(s.chunks, h)
-				s.removeChunkFile(h)
+		cid := CID(h.String())
+		if !s.pins[cid] && s.retained[cid] == 0 {
+			victims = append(victims, cid)
+			return nil
+		}
+		rec, err := s.log.Get(i)
+		if err != nil {
+			return err
+		}
+		m, err := decodeManifest(rec)
+		if err != nil {
+			return err
+		}
+		keep[i] = true
+		for _, c := range m.Chunks {
+			used[c] = true
+		}
+		return nil
+	})
+	if err == nil {
+		err = s.eachRecord(func(i uint64, kind byte, h merkle.Hash) error {
+			if kind == kindChunk && used[h] {
+				keep[i] = true
 			}
-		}
+			return nil
+		})
+	}
+	if err == nil {
+		err = s.rewrite(keep)
 	}
 	s.tm.gcSweeps.Inc()
+	if err != nil {
+		return nil
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	s.tm.gcCollected.Add(uint64(len(victims)))
-	s.tm.blobs.Set(float64(len(s.blobs)))
-	s.tm.chunks.Set(float64(len(s.chunks)))
 	return victims
 }
 
@@ -510,10 +619,13 @@ func (s *Store) GC() []CID {
 func (s *Store) CIDs() []CID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]CID, 0, len(s.blobs))
-	for cid := range s.blobs {
-		out = append(out, cid)
-	}
+	var out []CID
+	_ = s.eachRecord(func(_ uint64, kind byte, h merkle.Hash) error {
+		if kind == kindManifest {
+			out = append(out, CID(h.String()))
+		}
+		return nil
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -522,13 +634,16 @@ func (s *Store) CIDs() []CID {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := Stats{Blobs: len(s.blobs), Chunks: len(s.chunks), Pinned: len(s.pins), Retained: len(s.retained)}
-	for _, m := range s.blobs {
-		st.LogicalBytes += int64(m.Size)
+	st := Stats{
+		Blobs:         s.blobs,
+		Chunks:        s.chunks,
+		LogicalBytes:  s.logical,
+		PhysicalBytes: s.physical,
+		Pinned:        len(s.pins),
 	}
-	for _, c := range s.chunks {
-		st.PhysicalBytes += int64(len(c))
-	}
+	s.refMu.Lock()
+	st.Retained = len(s.retained)
+	s.refMu.Unlock()
 	if st.PhysicalBytes > 0 {
 		st.DedupRatio = float64(st.LogicalBytes) / float64(st.PhysicalBytes)
 	}
@@ -536,37 +651,365 @@ func (s *Store) Stats() Stats {
 }
 
 // ---------------------------------------------------------------------------
-// File persistence (durable nodes). All helpers run with s.mu held.
+// The log. Every helper runs with s.mu held (read or write as its caller).
 // ---------------------------------------------------------------------------
 
-func (s *Store) persistChunk(h ChunkHash, data []byte) error {
-	if s.dir == "" {
-		return nil
+// cidHash decodes a CID into the root it names.
+func cidHash(cid CID) (merkle.Hash, bool) {
+	var h merkle.Hash
+	if len(cid) != 2*merkle.HashSize {
+		return h, false
 	}
-	path := filepath.Join(s.dir, "chunks", h.String())
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("blobstore: persist chunk: %w", err)
+	if _, err := hex.Decode(h[:], []byte(cid)); err != nil {
+		return h, false
+	}
+	return h, true
+}
+
+// indexKey is the part of a hash the in-memory index keys on.
+func indexKey(h merkle.Hash) uint64 { return binary.BigEndian.Uint64(h[:8]) }
+
+// find returns the record holding the chunk or manifest with hash h. The
+// index narrows the search to records whose hash starts like h; each is
+// confirmed by reading its header.
+func (s *Store) find(kind byte, h merkle.Hash) (rec uint64, found bool, err error) {
+	var hdr [recordHeaderBytes]byte
+	s.index.each(indexKey(h), func(i uint64) bool {
+		if _, err = s.log.ReadAt(i, 0, hdr[:]); err != nil {
+			err = fmt.Errorf("blobstore: read record %d: %w", i, err)
+			return true
+		}
+		rec, found = i, isRecord(hdr[:], kind, h)
+		return found
+	})
+	return rec, found, err
+}
+
+// fetch is find for a caller that wants the record's bytes: it reads each
+// candidate whole, so the record found costs one pread.
+func (s *Store) fetch(kind byte, h merkle.Hash) (rec []byte, found bool, err error) {
+	s.index.each(indexKey(h), func(i uint64) bool {
+		if rec, err = s.log.Get(i); err != nil {
+			err = fmt.Errorf("blobstore: read record %d: %w", i, err)
+			return true
+		}
+		found = isRecord(rec, kind, h)
+		return found
+	})
+	return rec, found, err
+}
+
+// isRecord reports whether rec starts as the record of kind for hash h.
+func isRecord(rec []byte, kind byte, h merkle.Hash) bool {
+	return len(rec) >= recordHeaderBytes && rec[0] == kind && bytes.Equal(rec[1:recordHeaderBytes], h[:])
+}
+
+// appendRecord appends one chunk or manifest record and indexes it.
+func (s *Store) appendRecord(kind byte, h merkle.Hash, body []byte) error {
+	rec := make([]byte, 0, recordHeaderBytes+len(body))
+	rec = append(append(append(rec, kind), h[:]...), body...)
+	i, err := s.log.AppendUnsynced(rec)
+	if err != nil {
+		return fmt.Errorf("blobstore: append: %w", err)
+	}
+	if err := s.index.add(indexKey(h), i); err != nil {
+		return err
+	}
+	s.logBytes += 8 + int64(len(rec))
+	return nil
+}
+
+// manifest reads the manifest of cid.
+func (s *Store) manifest(cid CID) (Manifest, bool, error) {
+	h, ok := cidHash(cid)
+	if !ok {
+		return Manifest{}, false, nil
+	}
+	rec, found, err := s.fetch(kindManifest, h)
+	if err != nil || !found {
+		return Manifest{}, false, err
+	}
+	m, err := decodeManifest(rec)
+	return m, err == nil, err
+}
+
+// chunk reads the bytes of the chunk with hash h.
+func (s *Store) chunk(h ChunkHash) ([]byte, bool, error) {
+	rec, found, err := s.fetch(kindChunk, h)
+	if err != nil || !found {
+		return nil, false, err
+	}
+	return rec[recordHeaderBytes:], true, nil
+}
+
+// read reassembles a blob's body from its records, unverified. found is
+// false when the manifest or one of its chunks is not in the log.
+func (s *Store) read(cid CID) (body []byte, chunkSize int, found bool, err error) {
+	m, found, err := s.manifest(cid)
+	if err != nil || !found {
+		return nil, 0, false, err
+	}
+	// Sized by the chunks read, not by the manifest's claim.
+	parts := make([][]byte, len(m.Chunks))
+	for i, h := range m.Chunks {
+		data, ok, err := s.chunk(h)
+		if err != nil || !ok {
+			return nil, 0, false, err
+		}
+		parts[i] = data
+	}
+	return bytes.Join(parts, nil), m.ChunkSize, true, nil
+}
+
+// recordHeader parses the kind and hash a record starts with.
+func recordHeader(hdr []byte) (byte, merkle.Hash, bool) {
+	var h merkle.Hash
+	if len(hdr) < recordHeaderBytes || (hdr[0] != kindChunk && hdr[0] != kindManifest) {
+		return 0, h, false
+	}
+	copy(h[:], hdr[1:])
+	return hdr[0], h, true
+}
+
+// eachRecord calls fn with every indexed record in log order — the records
+// load took, not damaged or duplicate ones.
+func (s *Store) eachRecord(fn func(i uint64, kind byte, h merkle.Hash) error) error {
+	var hdr [recordHeaderBytes]byte
+	for i := uint64(0); i < s.log.Len(); i++ {
+		n, err := s.log.ReadAt(i, 0, hdr[:])
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("blobstore: read record %d: %w", i, err)
+		}
+		kind, h, ok := recordHeader(hdr[:n])
+		if !ok {
+			continue
+		}
+		if rec, found, err := s.find(kind, h); err != nil {
+			return err
+		} else if !found || rec != i {
+			continue
+		}
+		if err := fn(i, kind, h); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-func (s *Store) persistManifest(m *Manifest) error {
-	if s.dir == "" {
-		return nil
+// load indexes the log and recounts it. A record that is not a well-formed
+// chunk or manifest, or repeats one already indexed, is left out.
+func (s *Store) load() error {
+	s.index = hashIndex{}
+	s.blobs, s.chunks, s.logical, s.physical, s.logBytes = 0, 0, 0, 0, 0
+	var hdr [manifestHeaderBytes]byte
+	for i := uint64(0); i < s.log.Len(); i++ {
+		size, err := s.log.RecordLen(i)
+		if err != nil {
+			return fmt.Errorf("blobstore: load: %w", err)
+		}
+		s.logBytes += 8 + int64(size)
+		n, err := s.log.ReadAt(i, 0, hdr[:])
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("blobstore: load record %d: %w", i, err)
+		}
+		kind, h, ok := recordHeader(hdr[:n])
+		if !ok {
+			continue
+		}
+		var blobSize int64
+		if kind == kindManifest {
+			m, err := decodeManifestHeader(hdr[:n], size)
+			if err != nil {
+				continue
+			}
+			blobSize = int64(m.Size)
+		}
+		if _, dup, err := s.find(kind, h); err != nil {
+			return err
+		} else if dup {
+			continue
+		}
+		if err := s.index.add(indexKey(h), i); err != nil {
+			return err
+		}
+		if kind == kindManifest {
+			s.blobs++
+			s.logical += blobSize
+		} else {
+			s.chunks++
+			s.physical += int64(size - recordHeaderBytes)
+		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d %d\n", m.Size, m.ChunkSize)
+	s.setGauges()
+	return nil
+}
+
+// rewrite replaces the log with the records keep names, in log order, and
+// indexes the new log. On error the old log stays in place.
+func (s *Store) rewrite(keep map[uint64]bool) error {
+	var fresh blobLog = store.NewMemLog()
+	path := filepath.Join(s.dir, logName)
+	if s.dir != "" {
+		_ = os.Remove(path + ".gc") // left by a rewrite that did not finish
+		fl, err := store.OpenFileLogSkipping(path + ".gc")
+		if err != nil {
+			return fmt.Errorf("blobstore: gc: %w", err)
+		}
+		fresh = fl
+	}
+	for i := uint64(0); i < s.log.Len(); i++ {
+		if !keep[i] {
+			continue
+		}
+		rec, err := s.log.Get(i)
+		if err == nil {
+			_, err = fresh.AppendUnsynced(rec)
+		}
+		if err != nil {
+			fresh.Close()
+			_ = os.Remove(path + ".gc")
+			return fmt.Errorf("blobstore: gc: %w", err)
+		}
+	}
+	if s.dir == "" {
+		s.log = fresh
+		return s.load()
+	}
+	err := fresh.Sync()
+	if cerr := fresh.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(path + ".gc")
+		return fmt.Errorf("blobstore: gc: %w", err)
+	}
+	// The store goes on with the log at path: the new one if the rename
+	// took place, the old one otherwise.
+	closeErr := s.log.Close()
+	renameErr := os.Rename(path+".gc", path)
+	reopened, err := store.OpenFileLogSkipping(path)
+	if err != nil {
+		return fmt.Errorf("blobstore: gc: %w", errors.Join(closeErr, renameErr, err))
+	}
+	s.log = reopened
+	if err := s.load(); err != nil {
+		return err
+	}
+	if renameErr != nil {
+		_ = os.Remove(path + ".gc")
+		return fmt.Errorf("blobstore: gc: %w", renameErr)
+	}
+	return nil
+}
+
+// encodeManifestBody lays out what follows a manifest record's kind and CID.
+func encodeManifestBody(m *Manifest) []byte {
+	out := make([]byte, 0, manifestHeaderBytes-recordHeaderBytes+len(m.Chunks)*merkle.HashSize)
+	out = binary.BigEndian.AppendUint64(out, uint64(m.Size))
+	out = binary.BigEndian.AppendUint32(out, uint32(m.ChunkSize))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(m.Chunks)))
 	for _, h := range m.Chunks {
-		b.WriteString(h.String())
-		b.WriteByte('\n')
+		out = append(out, h[:]...)
 	}
-	path := filepath.Join(s.dir, "manifests", string(m.CID))
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return fmt.Errorf("blobstore: persist manifest: %w", err)
+	return out
+}
+
+// decodeManifestHeader checks a manifest record's fixed fields against the
+// record's length recLen and the blob's shape; Chunks is left empty.
+func decodeManifestHeader(hdr []byte, recLen int) (Manifest, error) {
+	if len(hdr) < manifestHeaderBytes || hdr[0] != kindManifest {
+		return Manifest{}, fmt.Errorf("%w: manifest record header", ErrCorrupt)
 	}
+	var root merkle.Hash
+	copy(root[:], hdr[1:])
+	size := binary.BigEndian.Uint64(hdr[recordHeaderBytes:])
+	chunkSize := binary.BigEndian.Uint32(hdr[recordHeaderBytes+8:])
+	n := binary.BigEndian.Uint32(hdr[recordHeaderBytes+12:])
+	if size == 0 || size > math.MaxInt32 || chunkSize == 0 || chunkSize > math.MaxInt32 ||
+		uint64(n) != (size+uint64(chunkSize)-1)/uint64(chunkSize) ||
+		int64(recLen) != manifestHeaderBytes+int64(n)*merkle.HashSize {
+		return Manifest{}, fmt.Errorf("%w: manifest of %d bytes in %d-byte chunks with %d chunk hashes in a %d-byte record", ErrCorrupt, size, chunkSize, n, recLen)
+	}
+	return Manifest{CID: CID(root.String()), Size: int(size), ChunkSize: int(chunkSize)}, nil
+}
+
+// decodeManifest parses a whole manifest record.
+func decodeManifest(rec []byte) (Manifest, error) {
+	m, err := decodeManifestHeader(rec, len(rec))
+	if err != nil {
+		return Manifest{}, err
+	}
+	m.Chunks = make([]ChunkHash, (len(rec)-manifestHeaderBytes)/merkle.HashSize)
+	for i := range m.Chunks {
+		copy(m.Chunks[i][:], rec[manifestHeaderBytes+i*merkle.HashSize:])
+	}
+	return m, nil
+}
+
+// hashIndex maps the first eight bytes of a CID or chunk hash to the log
+// records whose hash starts with them: an open-addressing table of twelve
+// bytes a slot, kept under three-quarters full. A Go map keyed by whole
+// hashes costs about 84 bytes an entry, which for a 4 KiB body of four
+// chunks was more than the budget of TestBlobStoreHoldsNoBodies. Records
+// sharing a key each take a slot; find reads them all.
+type hashIndex struct {
+	keys []uint64
+	recs []uint32 // record number + 1; 0 marks a free slot
+	n    int
+}
+
+// add indexes record rec under key.
+func (x *hashIndex) add(key uint64, rec uint64) error {
+	if rec >= math.MaxUint32 {
+		return fmt.Errorf("blobstore: log holds more than %d records", uint32(math.MaxUint32-1))
+	}
+	if 4*(x.n+1) > 3*len(x.keys) {
+		x.grow()
+	}
+	x.insert(key, uint32(rec)+1)
+	x.n++
 	return nil
 }
 
+func (x *hashIndex) insert(key uint64, slot uint32) {
+	mask := uint64(len(x.keys) - 1)
+	for i := key & mask; ; i = (i + 1) & mask {
+		if x.recs[i] == 0 {
+			x.keys[i], x.recs[i] = key, slot
+			return
+		}
+	}
+}
+
+func (x *hashIndex) grow() {
+	keys, recs := x.keys, x.recs
+	size := max(64, 2*len(keys))
+	x.keys, x.recs = make([]uint64, size), make([]uint32, size)
+	for i, r := range recs {
+		if r != 0 {
+			x.insert(keys[i], r)
+		}
+	}
+}
+
+// each calls fn with the records indexed under key until fn returns true.
+func (x *hashIndex) each(key uint64, fn func(rec uint64) bool) {
+	if len(x.keys) == 0 {
+		return
+	}
+	mask := uint64(len(x.keys) - 1)
+	for i := key & mask; x.recs[i] != 0; i = (i + 1) & mask {
+		if x.keys[i] == key && fn(uint64(x.recs[i]-1)) {
+			return
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Files beside the log.
+// ---------------------------------------------------------------------------
+
+// persistPins writes the pin set. Caller holds s.mu.
 func (s *Store) persistPins() error {
 	if s.dir == "" {
 		return nil
@@ -583,72 +1026,73 @@ func (s *Store) persistPins() error {
 	return nil
 }
 
-func (s *Store) removeManifestFile(cid CID) {
-	if s.dir != "" {
-		_ = os.Remove(filepath.Join(s.dir, "manifests", string(cid)))
+// loadPins reads the pin set back.
+func (s *Store) loadPins() error {
+	raw, err := os.ReadFile(filepath.Join(s.dir, "pins"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-}
-
-func (s *Store) removeChunkFile(h ChunkHash) {
-	if s.dir != "" {
-		_ = os.Remove(filepath.Join(s.dir, "chunks", h.String()))
-	}
-}
-
-// load reads manifests, chunks and pins back from disk. Manifests are
-// verified structurally (chunk hashes fold to the CID); chunk contents
-// are verified on Get as usual.
-func (s *Store) load() error {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "manifests"))
 	if err != nil {
-		return fmt.Errorf("blobstore: load manifests: %w", err)
+		return fmt.Errorf("blobstore: load pins: %w", err)
 	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		cid, err := ParseCID(e.Name())
-		if err != nil {
-			continue // foreign file; ignore
-		}
-		raw, err := os.ReadFile(filepath.Join(s.dir, "manifests", e.Name()))
-		if err != nil {
-			return fmt.Errorf("blobstore: load manifest %s: %w", cid.Short(), err)
-		}
-		m, err := parseManifest(cid, string(raw))
-		if err != nil {
-			return err
-		}
-		if err := m.Verify(); err != nil {
-			return fmt.Errorf("blobstore: manifest %s: %w", cid.Short(), err)
-		}
-		for _, h := range m.Chunks {
-			if _, ok := s.chunks[h]; !ok {
-				data, err := os.ReadFile(filepath.Join(s.dir, "chunks", h.String()))
-				if err != nil {
-					return fmt.Errorf("blobstore: load chunk %s: %w", h.Short(), err)
-				}
-				s.chunks[h] = data
-			}
-			s.chunkRefs[h]++
-		}
-		s.blobs[cid] = m
-	}
-	if raw, err := os.ReadFile(filepath.Join(s.dir, "pins")); err == nil {
-		for _, line := range strings.Split(string(raw), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			if cid, err := ParseCID(line); err == nil {
-				s.pins[cid] = true
-			}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if cid, err := ParseCID(strings.TrimSpace(line)); err == nil {
+			s.pins[cid] = true
 		}
 	}
 	return nil
 }
 
-// parseManifest decodes the "size chunkSize\nhash\nhash..." disk format.
+// importFiles moves the bodies of a directory written before the log —
+// chunks/<hash> and manifests/<cid> files — into the log, and removes the
+// files once the log holding them is synced. A chunk file whose bytes do
+// not hash to its name is left out, so the blob reads as missing (and a
+// Put or fetch of the body restores it) rather than as corrupt for ever.
+func (s *Store) importFiles() error {
+	mdir, cdir := filepath.Join(s.dir, "manifests"), filepath.Join(s.dir, "chunks")
+	entries, err := os.ReadDir(mdir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("blobstore: import: %w", err)
+	}
+	for _, e := range entries {
+		cid, err := ParseCID(e.Name())
+		if err != nil || e.IsDir() {
+			continue // foreign file; ignore
+		}
+		raw, err := os.ReadFile(filepath.Join(mdir, e.Name()))
+		if err != nil {
+			return fmt.Errorf("blobstore: import manifest %s: %w", cid.Short(), err)
+		}
+		m, err := parseManifest(cid, string(raw))
+		if err != nil || m.Verify() != nil {
+			continue
+		}
+		err = s.putRecords(m, func(i int) ([]byte, bool) {
+			data, err := os.ReadFile(filepath.Join(cdir, m.Chunks[i].String()))
+			return data, err == nil && merkle.HashLeaf(data) == m.Chunks[i]
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if err := s.log.Sync(); err != nil {
+		return fmt.Errorf("blobstore: import: %w", err)
+	}
+	if err := os.RemoveAll(mdir); err != nil {
+		return fmt.Errorf("blobstore: import: %w", err)
+	}
+	if err := os.RemoveAll(cdir); err != nil {
+		return fmt.Errorf("blobstore: import: %w", err)
+	}
+	s.setGauges()
+	return nil
+}
+
+// parseManifest decodes the "size chunkSize\nhash\nhash..." format of the
+// manifest files importFiles reads.
 func parseManifest(cid CID, body string) (*Manifest, error) {
 	lines := strings.Split(strings.TrimSpace(body), "\n")
 	if len(lines) < 2 {

@@ -32,8 +32,8 @@ import (
 var (
 	// ErrDuplicateSubscriber indicates a second registration of a name.
 	ErrDuplicateSubscriber = errors.New("commitbus: duplicate subscriber")
-	// ErrUnknownSubscriber indicates a restore blob for no registered
-	// subscriber, or a registered subscriber with no blob.
+	// ErrUnknownSubscriber indicates a registered subscriber with no blob in
+	// a restore.
 	ErrUnknownSubscriber = errors.New("commitbus: unknown subscriber")
 	// ErrOutOfOrder indicates a publish whose height is not head+1.
 	ErrOutOfOrder = errors.New("commitbus: commit event out of order")
@@ -272,9 +272,10 @@ func (b *Bus) Snapshot() (map[string][]byte, error) {
 
 // Restore replaces every subscriber's state from a Snapshot map taken at
 // the given chain height (the number of blocks the snapshot covers).
-// Every registered subscriber must have a blob — a checkpoint written by
-// a node with a different subscriber set is rejected so the caller can
-// fall back to full replay. On success the accounting is reset and the
+// Every registered subscriber must have a blob — a checkpoint written
+// before a subscriber existed is rejected so the caller can fall back to
+// full replay — while a blob no registered subscriber claims, left by one
+// since removed, is ignored. On success the accounting is reset and the
 // bus accepts the next publish at exactly height `height`.
 func (b *Bus) Restore(blobs map[string][]byte, height uint64) error {
 	b.mu.Lock()

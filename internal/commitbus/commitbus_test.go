@@ -202,6 +202,34 @@ func TestBusRestoreRejectsMissingSubscriber(t *testing.T) {
 	}
 }
 
+// A checkpoint written when another subscriber was registered — one since
+// removed, like the expert miner — still restores: its blob is ignored.
+func TestBusRestoreIgnoresUnclaimedBlob(t *testing.T) {
+	b := New()
+	r := newRecorder("r")
+	if err := b.Register(r); err != nil {
+		t.Fatal(err)
+	}
+	publishN(t, b, 2)
+	blobs, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs["expert-miner"] = []byte(`{"topics":{"politics":["item-0"]}}`)
+
+	b2 := New()
+	r2 := newRecorder("r")
+	if err := b2.Register(r2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b2.Restore(blobs, 2); err != nil {
+		t.Fatalf("restore with an unclaimed blob: %v", err)
+	}
+	if got := r2.seen(); len(got) != 2 {
+		t.Fatalf("restored state: %v", got)
+	}
+}
+
 // TestBusConcurrentStatsReads exercises Stats/Head/Snapshot racing with
 // Publish (run under -race in tier-1).
 func TestBusConcurrentStatsReads(t *testing.T) {

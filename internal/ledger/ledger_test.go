@@ -263,7 +263,7 @@ func TestChainReplayFromLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewChain(log)
+	c, err := NewChain(log, store.NewMemLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestChainReplayFromLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	c2, err := NewChain(log2)
+	c2, err := NewChain(log2, store.NewMemLog())
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 
 // runWorkload drives a varied block sequence: seeded facts, published
 // items, relays, mints and votes, so every derived index (fact index,
-// graph, expert miner, receipts, balances) has state worth snapshotting.
+// graph, receipts, balances) has state worth snapshotting.
 func runWorkload(t *testing.T, p *Platform, rounds int) {
 	t.Helper()
 	if err := p.SeedFact("fact-0", corpus.TopicPolitics, factText); err != nil {
@@ -76,13 +77,9 @@ func assertSameDerivedState(t *testing.T, a, b *Platform) {
 	if sa, sb := a.Graph().Stats(), b.Graph().Stats(); sa != sb {
 		t.Fatalf("graph stats %+v != %+v", sa, sb)
 	}
-	if ta, tb := len(a.ExpertMiner().Topics()), len(b.ExpertMiner().Topics()); ta != tb {
-		t.Fatalf("miner topics %d != %d", ta, tb)
-	}
-	for _, topic := range a.ExpertMiner().Topics() {
-		ia, ib := a.ExpertMiner().TopicItems(topic), b.ExpertMiner().TopicItems(topic)
-		if len(ia) != len(ib) {
-			t.Fatalf("miner items for %s: %d != %d", topic, len(ia), len(ib))
+	for _, topic := range corpus.AllTopics {
+		if ia, ib := a.Graph().TopicItems(topic), b.Graph().TopicItems(topic); !slices.Equal(ia, ib) {
+			t.Fatalf("items on %s: %v != %v", topic, ia, ib)
 		}
 	}
 	// Every committed tx must resolve to the same receipt on both nodes.

@@ -14,7 +14,7 @@ import (
 // TestCommitAndExternalBlocksProduceIdenticalState replays the exact
 // block sequence mined by a standalone node into a second node through
 // the consensus path (chain append + ApplyExternalBlock) and asserts the
-// derived state — fact index, graph, expert miner, receipts, contract
+// derived state — fact index, graph, receipts, contract
 // state — is byte-for-byte identical. Both paths feed the same commit
 // bus, so any divergence is a bug in the pipeline. A third node then
 // replays the miner's chain from disk: Commit, ApplyExternalBlock and

@@ -62,7 +62,7 @@ func openFaultLog(t *testing.T, path string) (*faultFile, *FileLog) {
 		t.Fatal(err)
 	}
 	ff := &faultFile{File: raw, writeBudget: -1}
-	l, err := newFileLogOn(ff, false)
+	l, err := newFileLogOn(ff, failOnDamage)
 	if err != nil {
 		t.Fatal(err)
 	}

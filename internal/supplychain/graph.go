@@ -313,6 +313,23 @@ func (g *Graph) Item(id string) (Item, error) {
 	return g.item(i), nil
 }
 
+// TopicItems returns the ids of the items on a topic, in commit order.
+func (g *Graph) TopicItems(topic corpus.Topic) []string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	t, ok := g.strIdx[string(topic)]
+	if !ok {
+		return nil
+	}
+	var out []string
+	for i := range g.nodes {
+		if g.nodes[i].topic == t {
+			out = append(out, g.nodes[i].id)
+		}
+	}
+	return out
+}
+
 // Children returns the ids deriving directly from an item.
 func (g *Graph) Children(id string) []string {
 	g.mu.RLock()

@@ -3,19 +3,13 @@ package supplychain
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/commitbus"
-	"repro/internal/corpus"
 )
 
-// Commit-bus subscriber names (stable: they key checkpoint blobs).
-const (
-	// GraphSubscriberName identifies the supply-chain graph subscriber.
-	GraphSubscriberName = "supplychain-graph"
-	// ExpertMinerName identifies the expert-miner subscriber.
-	ExpertMinerName = "expert-miner"
-)
+// GraphSubscriberName identifies the supply-chain graph subscriber on the
+// commit bus (stable: it keys the graph's checkpoint blob).
+const GraphSubscriberName = "supplychain-graph"
 
 // GraphSubscriber keeps the propagation DAG in sync with the chain by
 // consuming published events from committed blocks. It reads no article
@@ -73,111 +67,4 @@ func (s *GraphSubscriber) Restore(data []byte) error {
 		}
 	}
 	return s.Graph.Reset(items)
-}
-
-// ExpertMiner incrementally indexes committed items by topic so expert
-// discovery (§VI, E8) scans only a topic's items instead of the whole
-// ledger. It subscribes to the commit bus like every other derived index
-// and snapshots into checkpoints.
-type ExpertMiner struct {
-	mu     sync.RWMutex
-	topics map[corpus.Topic][]string
-	seen   map[string]bool
-}
-
-var _ commitbus.Subscriber = (*ExpertMiner)(nil)
-
-// NewExpertMiner creates an empty miner.
-func NewExpertMiner() *ExpertMiner {
-	return &ExpertMiner{
-		topics: make(map[corpus.Topic][]string),
-		seen:   make(map[string]bool),
-	}
-}
-
-// Name implements commitbus.Subscriber.
-func (m *ExpertMiner) Name() string { return ExpertMinerName }
-
-// OnCommit implements commitbus.Subscriber: it records (topic, item)
-// pairs straight from the published event attributes.
-func (m *ExpertMiner) OnCommit(ev commitbus.CommitEvent) error {
-	for _, rec := range ev.Receipts {
-		if !rec.OK {
-			continue
-		}
-		for _, e := range rec.Events {
-			if e.Contract != ContractName || e.Type != "published" {
-				continue
-			}
-			m.record(corpus.Topic(e.Attrs["topic"]), e.Attrs["id"])
-		}
-	}
-	return nil
-}
-
-func (m *ExpertMiner) record(topic corpus.Topic, id string) {
-	if id == "" {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.seen[id] {
-		return
-	}
-	m.seen[id] = true
-	m.topics[topic] = append(m.topics[topic], id)
-}
-
-// TopicItems returns the committed item ids on a topic, in commit order.
-func (m *ExpertMiner) TopicItems(topic corpus.Topic) []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]string(nil), m.topics[topic]...)
-}
-
-// Topics returns every indexed topic.
-func (m *ExpertMiner) Topics() []corpus.Topic {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]corpus.Topic, 0, len(m.topics))
-	for t := range m.topics {
-		out = append(out, t)
-	}
-	return out
-}
-
-// minerSnapshot is the serialized form of the miner state.
-type minerSnapshot struct {
-	Topics map[corpus.Topic][]string `json:"topics"`
-}
-
-// Snapshot implements commitbus.Subscriber.
-func (m *ExpertMiner) Snapshot() ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return json.Marshal(minerSnapshot{Topics: m.topics})
-}
-
-// Restore implements commitbus.Subscriber.
-func (m *ExpertMiner) Restore(data []byte) error {
-	var snap minerSnapshot
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("supplychain: decode miner snapshot: %w", err)
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.topics = make(map[corpus.Topic][]string, len(snap.Topics))
-	m.seen = make(map[string]bool)
-	for t, ids := range snap.Topics {
-		for _, id := range ids {
-			if m.seen[id] {
-				continue
-			}
-			m.seen[id] = true
-			m.topics[t] = append(m.topics[t], id)
-		}
-	}
-	return nil
 }

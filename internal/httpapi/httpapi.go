@@ -692,7 +692,11 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 	copy(id[:], raw)
 	p, err := light.Prove(s.p.Chain(), id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		status := http.StatusNotFound
+		if !errors.Is(err, ledger.ErrTxNotFound) {
+			status = http.StatusInternalServerError // e.g. an index page that cannot be read
+		}
+		writeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, proofResponse{

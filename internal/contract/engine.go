@@ -18,11 +18,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/keys"
 	"repro/internal/ledger"
 	"repro/internal/merkle"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // Errors returned by this package.
@@ -83,15 +85,32 @@ type Contract interface {
 type Engine struct {
 	mu        sync.RWMutex
 	contracts map[string]Contract
-	state     *store.MemKV
+	state     *store.LSM
 	gasLimit  uint64
 
 	// rootMu guards trie, the authenticated image of state that StateRoot
 	// and StateProof bring up to date from the store's change feed. It is
-	// apart from mu so a root never makes queries wait.
+	// apart from mu so a root never makes queries wait. A nil trie is
+	// rebuilt from a full scan of the state when next asked for.
 	rootMu sync.Mutex
 	trie   *merkle.Trie
+	// sinceRoot counts the blocks executed since the last StateRoot; a
+	// restore sets it to unrestoredBlocks. See StateRoot.
+	sinceRoot atomic.Int64
 }
+
+// unrestoredBlocks is what a restore sets Engine.sinceRoot to: a root is
+// then not being asked for block by block.
+const unrestoredBlocks = 2
+
+// The contract state is a store.LSM: a memtable of the newest writes, sealed
+// at a block boundary once it holds stateSealEntries entries or
+// stateSealBytes bytes of keys and values, and sorted segments on the
+// engine's state log.
+const (
+	stateSealEntries = 4096
+	stateSealBytes   = 1 << 20
+)
 
 // StateRootScheme versions how StateRoot commits to the state. A
 // checkpoint records the scheme its StateHash was computed under, and one
@@ -101,11 +120,20 @@ type Engine struct {
 //	1  merkle.Trie over the state keys
 const StateRootScheme = 1
 
-// NewEngine creates an engine over a fresh in-memory state.
-func NewEngine() *Engine {
+// NewEngine creates an engine whose state lives in memory (a store.MemLog).
+func NewEngine() *Engine { return NewEngineOn(store.NewMemLog()) }
+
+// NewEngineOn creates an engine over an empty state whose segments go to
+// log: state.log on a durable node. What log holds already is not read;
+// RestoreStateCheckpoint does that, and RestoreState drops it.
+func NewEngineOn(log store.SegmentLog) *Engine {
+	return newEngine(log, store.LSMConfig{SealEntries: stateSealEntries, SealBytes: stateSealBytes})
+}
+
+func newEngine(log store.SegmentLog, cfg store.LSMConfig) *Engine {
 	return &Engine{
 		contracts: make(map[string]Contract),
-		state:     store.NewMemKV(),
+		state:     store.NewLSM(log, cfg),
 		gasLimit:  DefaultGasLimit,
 		trie:      merkle.NewTrie(),
 	}
@@ -134,30 +162,77 @@ func (e *Engine) Register(c Contract) error {
 // must not mutate through it outside Execute.
 func (e *Engine) State() store.KV { return e.state }
 
-// StateSnapshot returns a deep copy of the committed contract state, the
-// engine's contribution to a durable-node checkpoint.
+// StateStats reports the state store's size.
+func (e *Engine) StateStats() store.LSMStats { return e.state.Stats() }
+
+// InstrumentState registers the state store's series
+// (trustnews_store_segments{log="state"} and its merges) on reg.
+func (e *Engine) InstrumentState(reg *telemetry.Registry) { e.state.Instrument(reg, "state") }
+
+// StateSnapshot returns a deep copy of the committed contract state — every
+// key, read back from the state log.
 func (e *Engine) StateSnapshot() (map[string][]byte, error) {
 	return e.state.Snapshot()
 }
 
-// RestoreState replaces the committed contract state with a snapshot
-// (checkpoint restore; the caller re-verifies the state root afterward).
-func (e *Engine) RestoreState(snap map[string][]byte) {
+// RestoreState replaces the committed contract state with a snapshot,
+// written as one segment of a state log cut to it — nothing but an empty
+// log for a nil snapshot (the caller re-verifies the state root afterward).
+func (e *Engine) RestoreState(snap map[string][]byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.state.Restore(snap)
+	e.sinceRoot.Store(unrestoredBlocks)
+	return e.state.Import(snap)
 }
+
+// StateCheckpoint is the engine's part of a checkpoint: the state log is
+// first rewritten without dead records if they outweigh the live ones,
+// then synced, and the returned manifest names its live segments and
+// carries the memtable (store.LSM.Manifest).
+func (e *Engine) StateCheckpoint() ([]byte, error) {
+	if _, err := e.state.Reclaim(); err != nil {
+		return nil, err
+	}
+	return e.state.Manifest()
+}
+
+// RestoreStateCheckpoint brings the state back to what StateCheckpoint
+// described, from the records of the state log it names.
+func (e *Engine) RestoreStateCheckpoint(manifest []byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sinceRoot.Store(unrestoredBlocks)
+	return e.state.RestoreManifest(manifest)
+}
+
+// Close stops the state store's background merges, waiting for one in
+// flight. The state log stays open: its owner closes it.
+func (e *Engine) Close() error { return e.state.Close() }
 
 // StateRoot returns the commitment to the committed state that block
 // headers carry: the root of a merkle.Trie over the state's keys (the
-// zero hash for an empty state). Only the keys written since the last
-// call are re-hashed, so the cost follows the write set, not the state.
-// The error is always nil; the signature predates the trie.
+// zero hash for an empty state). Asked for after every block, it re-hashes
+// only the keys written since the last call, so the cost follows the write
+// set, not the state.
+//
+// A node nobody asks block by block — a cluster validator, whose consensus
+// headers carry no root, computes one only for a checkpoint — would keep a
+// hash per key between checkpoints for nothing. So a root asked for more
+// than one block after the last one (or after a restore) is computed from
+// a full scan and the trie is dropped at once, with the store's change
+// tracking; the next root scans again.
 func (e *Engine) StateRoot() (merkle.Hash, error) {
 	e.rootMu.Lock()
 	defer e.rootMu.Unlock()
-	e.syncTrieLocked()
-	return e.trie.Root(), nil
+	if err := e.syncTrieLocked(); err != nil {
+		return merkle.Hash{}, err
+	}
+	root := e.trie.Root()
+	if e.sinceRoot.Swap(0) > 1 {
+		e.trie = nil
+		e.state.StopTracking()
+	}
+	return root, nil
 }
 
 // StateProof returns key's committed value with the proof that it sits
@@ -165,7 +240,9 @@ func (e *Engine) StateRoot() (merkle.Hash, error) {
 func (e *Engine) StateProof(key string) ([]byte, merkle.TrieProof, error) {
 	e.rootMu.Lock()
 	defer e.rootMu.Unlock()
-	e.syncTrieLocked()
+	if err := e.syncTrieLocked(); err != nil {
+		return nil, merkle.TrieProof{}, err
+	}
 	val, err := e.state.Get(key)
 	if err != nil {
 		return nil, merkle.TrieProof{}, err
@@ -174,14 +251,18 @@ func (e *Engine) StateProof(key string) ([]byte, merkle.TrieProof, error) {
 	return val, proof, err
 }
 
-// syncTrieLocked folds the store's change feed into the trie, starting
-// over from an empty one when the store hands over everything (after
-// RestoreState, or a write set covering most of the state). Caller
-// holds rootMu.
-func (e *Engine) syncTrieLocked() {
+// syncTrieLocked folds the store's change feed into the trie, or builds
+// the trie from a scan of the whole state when there is none or the store
+// stopped tracking (after a restore, a write set covering most of the
+// state, or a dropped trie). Caller holds rootMu.
+func (e *Engine) syncTrieLocked() error {
 	entries, all := e.state.DrainDirty()
-	if all {
+	if all || e.trie == nil {
 		e.trie = merkle.NewTrie()
+		return e.state.Scan("", func(key string, val []byte) error {
+			e.trie.Put(key, val)
+			return nil
+		})
 	}
 	for _, w := range entries {
 		if w.Live {
@@ -190,6 +271,7 @@ func (e *Engine) syncTrieLocked() {
 			e.trie.Delete(w.Key)
 		}
 	}
+	return nil
 }
 
 // splitKind parses "contract.method".
@@ -210,6 +292,7 @@ func (e *Engine) ExecuteTx(tx *ledger.Tx, height uint64) Receipt {
 	if rec.OK {
 		applyWrites(e.state, ws)
 	}
+	e.endBlockLocked(height)
 	return rec
 }
 
@@ -226,7 +309,18 @@ func (e *Engine) ExecuteBlock(b *ledger.Block) []Receipt {
 		}
 		out = append(out, rec)
 	}
+	e.endBlockLocked(b.Header.Height)
 	return out
+}
+
+// endBlockLocked closes a block's execution: the memtable is sealed into a
+// segment once it has grown past its size — on the commit path, inside the
+// execute stage — and the block is counted for StateRoot. A seal that
+// fails leaves the writes in the memtable, and the next block tries again.
+// Caller holds e.mu.
+func (e *Engine) endBlockLocked(height uint64) {
+	_ = e.state.SealIfDue(height, nil)
+	e.sinceRoot.Add(1)
 }
 
 // executeAgainst runs tx against the given overlay and returns the receipt
@@ -284,7 +378,7 @@ func applyWrites(kv store.KV, ws map[string]writeOp) {
 	for _, k := range ks {
 		op := ws[k]
 		if op.deleted {
-			// MemKV.Delete cannot fail.
+			// The state store's Put and Delete cannot fail.
 			_ = kv.Delete(k)
 			continue
 		}

@@ -85,6 +85,7 @@ func (e *Engine) ExecuteBlockParallel(b *ledger.Block, workers int) ([]Receipt, 
 		}
 		receipts[i] = res.rec
 	}
+	e.endBlockLocked(b.Header.Height)
 	return receipts, stats
 }
 

@@ -31,12 +31,16 @@ func rebuiltRoot(t testing.TB, e *Engine) merkle.Hash {
 // checkStateOps drives an engine through one history of puts,
 // overwrites, deletes and restores decoded from ops, asking for the root
 // only now and then so change sets of every size — including ones that
-// cover the whole state — pile up between roots. Wherever it asks, the
-// incrementally kept root must equal the oracle's; at the end every key's
-// proof must verify and a forged value must not.
+// cover the whole state — pile up between roots. Its state seals every few
+// keys, so the history runs through segments, merges and tombstones too.
+// Wherever it asks, the incrementally kept root must equal the oracle's;
+// at the end every key's proof must verify and a forged value must not.
 func checkStateOps(t testing.TB, ops []byte) {
-	e := NewEngine()
+	e := newEngine(store.NewMemLog(), store.LSMConfig{SealEntries: 3})
 	compare := func(step int) {
+		if err := e.state.SealIfDue(uint64(step), nil); err != nil {
+			t.Fatal(err)
+		}
 		got, _ := e.StateRoot()
 		if want := rebuiltRoot(t, e); got != want {
 			t.Fatalf("step %d: incremental root %s, rebuilt %s", step, got.Short(), want.Short())

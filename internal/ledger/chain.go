@@ -51,11 +51,11 @@ type Chain struct {
 	verifier *Verifier
 }
 
-func newChain(log store.Log, idx IndexLog) *Chain {
+func newChain(log store.Log, idx store.SegmentLog) *Chain {
 	return &Chain{
 		log:      log,
 		nonces:   make(map[string]uint64),
-		txs:      txIndex{log: idx, tail: make(map[TxID]txPos)},
+		txs:      newTxIndex(idx),
 		verifier: NewVerifier(NewSigCache(0), 0),
 	}
 }
@@ -65,12 +65,13 @@ func newChain(log store.Log, idx IndexLog) *Chain {
 // re-validated, so a tampered block store is rejected at startup; the
 // segments idx already holds are kept as far as they fit the chain, and
 // the rest of the index is rebuilt from the blocks.
-func NewChain(log store.Log, idx IndexLog) (*Chain, error) {
+func NewChain(log store.Log, idx store.SegmentLog) (*Chain, error) {
 	c := newChain(log, idx)
 	if err := c.replay(0, log.Len()); err != nil {
 		return nil, err
 	}
 	if err := c.openTxIndex(); err != nil {
+		c.Close()
 		return nil, err
 	}
 	return c, nil
@@ -223,7 +224,7 @@ func (c *Chain) Append(b *Block) error {
 func (c *Chain) SealTxIndex() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.txs.due() {
+	if c.head == nil {
 		return nil
 	}
 	return c.txs.seal(c.head.Header.Height, c.ids[c.head.Header.Height])
@@ -233,7 +234,8 @@ func (c *Chain) SealTxIndex() error {
 func (c *Chain) TxIndexStats() TxIndexStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return TxIndexStats{Memory: len(c.txs.tail), Sealed: c.txs.sealed, Rebuilt: c.txs.rebuilt}
+	st := c.txs.Stats()
+	return TxIndexStats{Memory: st.Memory, Sealed: st.Sealed, Rebuilt: c.txs.rebuilt}
 }
 
 // BlockAt returns the block at the given height.
@@ -362,7 +364,7 @@ func (c *Chain) SnapshotState() ([]byte, error) {
 // The snapshot is an accelerator, not a trust root: any mismatch returns
 // ErrBadSnapshot and the caller should fall back to NewChain, which
 // re-validates everything.
-func NewChainFromSnapshot(log store.Log, idx IndexLog, snapshot []byte) (*Chain, error) {
+func NewChainFromSnapshot(log store.Log, idx store.SegmentLog, snapshot []byte) (*Chain, error) {
 	var snap chainSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("%w: decode: %v", ErrBadSnapshot, err)
@@ -401,6 +403,7 @@ func NewChainFromSnapshot(log store.Log, idx IndexLog, snapshot []byte) (*Chain,
 		return nil, err
 	}
 	if err := c.openTxIndex(); err != nil {
+		c.Close()
 		return nil, err
 	}
 	return c, nil
@@ -408,28 +411,19 @@ func NewChainFromSnapshot(log store.Log, idx IndexLog, snapshot []byte) (*Chain,
 
 // openTxIndex brings the transaction index of a chain whose blocks are
 // loaded up to its height. It keeps the index log's segments as long as
-// each continues the last and ends on a block of this chain (cutting the
-// log at the first that does not), then indexes the blocks above them
-// from the log, sealing as the tail fills exactly as live appends would.
-// With an intact index log that is the tail: under txIndexSealAt entries
-// plus one block.
+// they chain from height 0 — a merge taking the place of the segments it
+// merged — and each ends on a block of this chain (cutting the log at the
+// first that does not), then indexes the blocks above them from the log,
+// sealing as the tail fills exactly as live appends would. With an intact
+// index log that is the tail: under txIndexSealAt entries plus one block.
 func (c *Chain) openTxIndex() error {
-	x := &c.txs
 	height := uint64(len(c.ids))
-	var from uint64
-	for k := uint64(0); k < x.log.Len(); k++ {
-		seg, lastID, err := loadSegment(x.log, k)
-		if err != nil || seg.from != from || seg.to >= height || c.ids[seg.to] != lastID {
-			if err := x.log.Truncate(k); err != nil {
-				return fmt.Errorf("ledger: drop stale tx index segments: %w", err)
-			}
-			break
-		}
-		x.segs = append(x.segs, seg)
-		x.sealed += seg.count
-		from = seg.to + 1
+	from, err := c.txs.Recover(func(from, to uint64, meta []byte) bool {
+		return to < height && len(meta) == len(BlockID{}) && BlockID(meta) == c.ids[to]
+	})
+	if err != nil {
+		return fmt.Errorf("ledger: open tx index: %w", err)
 	}
-	x.tailFrom = from
 	return c.indexBlocks(from, height)
 }
 
@@ -462,7 +456,7 @@ func (c *Chain) indexBlocks(from, to uint64) error {
 // the chain opens, counting the segment as rebuilt when the index log
 // should have held it already.
 func (c *Chain) sealAtOpen(h uint64) error {
-	if !c.txs.due() {
+	if !c.txs.Due() {
 		return nil
 	}
 	if err := c.txs.seal(h, c.ids[h]); err != nil {

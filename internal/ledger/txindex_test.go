@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -34,6 +33,7 @@ type durableChain struct {
 }
 
 func (d *durableChain) close() {
+	d.Chain.Close()
 	d.log.Close()
 	d.idx.Close()
 }
@@ -63,13 +63,15 @@ func openDurable(t testing.TB, dir string, snapshot []byte) *durableChain {
 }
 
 // commitBlock appends a block of txs and seals the index as a platform
-// does after every block.
+// does after every block, then lets any merge the seal started finish, so
+// the index log's records come in one order whatever the scheduler does.
 func commitBlock(t testing.TB, c *Chain, proposer *keys.KeyPair, txs []*Tx) *Block {
 	t.Helper()
 	b := appendBlock(t, c, proposer, txs)
 	if err := c.SealTxIndex(); err != nil {
 		t.Fatal(err)
 	}
+	c.txs.WaitMerges()
 	return b
 }
 
@@ -470,7 +472,8 @@ func TestTxIndexMemoryFlat(t *testing.T) {
 // BenchmarkTxLocation prices one lookup: a hit in the tail (a map read), a
 // hit in a sealed segment (blooms, then one pread of one page, from the
 // page cache) and a miss (blooms only, but for their false positives).
-// The chain holds 20 segments of 4 500 transactions.
+// The chain has sealed 20 segments of 4 500 transactions, merged as they
+// went.
 func BenchmarkTxLocation(b *testing.B) {
 	d := openDurable(b, b.TempDir(), nil)
 	defer d.close()
@@ -482,9 +485,10 @@ func BenchmarkTxLocation(b *testing.B) {
 			sealedIDs = append(sealedIDs, tx.ID())
 		}
 	}
-	if st := d.TxIndexStats(); st.Memory != 2000 || len(d.txs.segs) != 20 {
-		b.Fatalf("index %+v with %d segments", st, len(d.txs.segs))
+	if st := d.TxIndexStats(); st.Memory != 2000 {
+		b.Fatalf("index %+v", st)
 	}
+	b.Logf("%d segments", d.txs.Stats().Segments)
 	tailIDs, sealedIDs = sealedIDs[len(sealedIDs)-2000:], sealedIDs[:len(sealedIDs)-2000]
 	run := func(b *testing.B, ids []TxID, found bool) {
 		b.ResetTimer()
@@ -503,46 +507,53 @@ func BenchmarkTxLocation(b *testing.B) {
 	b.Run("miss", func(b *testing.B) { run(b, absent, false) })
 }
 
-// BenchmarkTxLocationManySegments prices the lookups whose cost grows with
-// history behind 1 024 sealed segments, what about four million committed
-// transactions seal into: a miss, which checks every bloom (and reads a
-// page for each false positive, about 1 % of them), and a hit in the
-// oldest segment, which checks every bloom before it. To keep the log at
-// 42 MB the segments hold 1 024 entries, not 4 096; a bloom probe costs
-// the same at either size, but these blooms total 1.3 MB instead of 5.
+// BenchmarkTxLocationManySegments prices the lookups whose cost grew with
+// history before segments merged: a miss, which checks the bloom of every
+// segment (and reads a page for each false positive, about 1 % of them),
+// and a hit among the oldest transactions, which checks every bloom before
+// its segment. The index seals 1 024 segments of 4 096 entries — what
+// about four million committed transactions make — and merges them as it
+// goes; with four segments to a merge that leaves one. The index log is
+// rewritten without the merged-away records every 64 seals, to keep it
+// near its live 160 MB.
 func BenchmarkTxLocationManySegments(b *testing.B) {
-	const segments, perSegment = 1024, 1024
+	const seals, perSeal = 1024, 4096
+	sealEvery(b, perSeal)
 	log, err := store.OpenFileLogTruncating(filepath.Join(b.TempDir(), "txindex.log"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer log.Close()
-	x := txIndex{log: log, tail: make(map[TxID]txPos)}
+	x := newTxIndex(log)
+	defer x.Close()
 	var oldest []TxID
-	entries := make([]txEntry, perSegment)
-	for s := 0; s < segments; s++ {
-		for i := range entries {
+	var val [2 * binary.MaxVarintLen64]byte
+	for s := 0; s < seals; s++ {
+		for i := 0; i < perSeal; i++ {
 			var n [16]byte
 			binary.BigEndian.PutUint64(n[:], uint64(s))
 			binary.BigEndian.PutUint64(n[8:], uint64(i))
-			entries[i] = txEntry{id: sha256.Sum256(append([]byte("committed"), n[:]...)), pos: txPos{height: uint64(s), index: uint32(i)}}
+			id := TxID(sha256.Sum256(append([]byte("committed"), n[:]...)))
 			if s == 0 {
-				oldest = append(oldest, entries[i].id)
+				oldest = append(oldest, id)
+			}
+			k := binary.PutUvarint(val[:], uint64(s))
+			k += binary.PutUvarint(val[k:], uint64(i))
+			_ = x.Put(string(id[:]), val[:k])
+		}
+		if err := x.seal(uint64(s), BlockID{}); err != nil {
+			b.Fatal(err)
+		}
+		if s%64 == 63 {
+			x.WaitMerges()
+			if _, err := x.Reclaim(); err != nil {
+				b.Fatal(err)
 			}
 		}
-		sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].id[:], entries[j].id[:]) < 0 })
-		rec := encodeSegment(uint64(s), uint64(s), BlockID{}, entries)
-		k, err := log.AppendUnsynced(rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seg, _, err := decodeSegmentMeta(rec, int64(len(rec)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		seg.rec = k
-		x.segs = append(x.segs, seg)
 	}
+	x.WaitMerges()
+	st := x.Stats()
+	b.Logf("%d entries in %d segments after %d merges; log %.0f MB", st.Sealed, st.Segments, st.Merges, float64(st.LogBytes)/(1<<20))
 	run := func(b *testing.B, ids []TxID, found bool) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -559,53 +570,65 @@ func BenchmarkTxLocationManySegments(b *testing.B) {
 	b.Run("miss", func(b *testing.B) { run(b, absent, false) })
 }
 
-// FuzzTxIndexSegment reads hostile bytes as an index-log record: loading
-// must fail or give a segment every lookup of which returns without a
-// panic, and the load must not allocate more than the record holds.
+// FuzzTxIndexSegment reads hostile bytes as an index-log record: opening
+// the index over it must keep it as a segment or cut it, every lookup then
+// returns a location or an error without a panic, and the open must not
+// allocate more than a few times what the record holds. (The segment codec
+// itself has its own fuzz target, store's FuzzStateSegment.)
 func FuzzTxIndexSegment(f *testing.F) {
-	entries := make([]txEntry, 300)
-	for i := range entries {
-		entries[i] = txEntry{id: absentID(i), pos: txPos{height: 10 + uint64(i%5), index: uint32(i)}}
+	good := func(n int, to uint64) []byte {
+		log := store.NewMemLog()
+		x := newTxIndex(log)
+		var val [2 * binary.MaxVarintLen64]byte
+		for i := 0; i < n; i++ {
+			id := absentID(i)
+			k := binary.PutUvarint(val[:], to-uint64(i%5))
+			k += binary.PutUvarint(val[k:], uint64(i))
+			_ = x.Put(string(id[:]), val[:k])
+		}
+		if err := x.SealIfDue(to, make([]byte, len(BlockID{}))); err != nil {
+			f.Fatal(err)
+		}
+		rec, err := log.Get(0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return rec
 	}
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].id[:], entries[j].id[:]) < 0 })
-	good := encodeSegment(10, 14, BlockID{1}, entries)
-	f.Add(good)
-	f.Add(good[:segmentHeaderBytes])
-	f.Add(encodeSegment(0, 0, BlockID{}, entries[:1]))
-	huge := bytes.Clone(good[:segmentHeaderBytes])
-	binary.BigEndian.PutUint32(huge[49:], 0xffffffff)
+	sealEvery(f, 1)
+	seg := good(300, 14)
+	f.Add(seg)
+	f.Add(seg[len(seg)-42:]) // the trailer alone
+	f.Add(good(1, 0))
+	huge := bytes.Clone(seg)
+	binary.BigEndian.PutUint64(huge[len(huge)-42+2:], math.MaxUint64) // the entry count
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		log := store.NewMemLog()
-		if _, err := log.Append(rec); err != nil {
-			t.Fatal(err)
-		}
 		// TotalAlloc counts the whole process, the fuzzing engine's own
-		// goroutines too: the quietest of three loads is the load's.
+		// goroutines too: the quietest of three opens is the open's.
 		var ms runtime.MemStats
-		var seg segment
-		var err error
+		var x txIndex
 		grew := uint64(math.MaxUint64)
 		for try := 0; try < 3; try++ {
+			log := store.NewMemLog()
+			if _, err := log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			x = newTxIndex(log)
 			runtime.ReadMemStats(&ms)
 			allocBefore := ms.TotalAlloc
-			seg, _, err = loadSegment(log, 0)
+			if _, err := x.Recover(func(from, to uint64, meta []byte) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
 			runtime.ReadMemStats(&ms)
 			grew = min(grew, ms.TotalAlloc-allocBefore)
 		}
-		if grew > uint64(2*len(rec))+1024 {
-			t.Fatalf("loading a %d-byte record allocated %d bytes", len(rec), grew)
+		if grew > uint64(5*len(rec))+4096 {
+			t.Fatalf("opening a %d-byte record allocated %d bytes", len(rec), grew)
 		}
-		if err != nil {
-			return
-		}
-		x := txIndex{log: log, segs: []segment{seg}}
-		probes := append([]TxID{absentID(0), absentID(299), {}}, seg.fences...)
-		for _, id := range probes {
-			if pos, ok, err := x.lookup(id); ok && err == nil && (pos.height < seg.from || pos.height > seg.to) {
-				t.Fatalf("lookup answered height %d outside %d..%d", pos.height, seg.from, seg.to)
-			}
+		for i := 0; i < 300; i += 37 {
+			_, _, _ = x.lookup(absentID(i))
 		}
 	})
 }

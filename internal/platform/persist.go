@@ -15,9 +15,10 @@ import (
 // write-ahead-logged file store. Contract state and the derived indexes
 // (factual database, supply-chain graph) are a pure function of the block
 // sequence, delivered through the commit bus; so are the receipts, kept in
-// a log of their own beside the chain (receipts.go), and the chain's
-// transaction index, whose sealed segments live in txindex.log. Reopen
-// therefore has two paths:
+// a log of their own beside the chain (receipts.go), the chain's
+// transaction index, whose sealed segments live in txindex.log, and the
+// contract state's own segments, in state.log. Reopen therefore has two
+// paths:
 //
 //   - checkpoint restore: load the latest CRC-guarded checkpoint, hand
 //     each commit-bus subscriber its snapshot blob, verify the restored
@@ -34,8 +35,11 @@ import (
 // block from the log's end on, and it can only start where state is known
 // — at the checkpoint or at zero — so a receipt log that ends below the
 // checkpoint (missing, cut at a damaged record, or from before the node
-// had one) means full replay. The transaction index does not: the chain
-// rebuilds whatever txindex.log lacks from chain.log on either path.
+// had one) means full replay. So does a state.log that lacks a segment the
+// checkpoint names (the checkpoint's contract-state blob lists them, with
+// the memtable): full replay starts that log over. The transaction index
+// picks nothing: the chain rebuilds whatever txindex.log lacks from
+// chain.log on either path.
 //
 // Both paths check, after executing each block whose header commits to a
 // state root, that the engine arrived at that root; a block that does not
@@ -45,6 +49,7 @@ import (
 const (
 	chainLogName   = "chain.log"
 	txIndexLogName = "txindex.log"
+	stateLogName   = "state.log"
 	checkpointName = "checkpoint.ckpt"
 )
 
@@ -58,9 +63,10 @@ var ErrStateRootMismatch = errors.New("platform: replayed state root does not ma
 
 // Open creates or reopens a durable platform at dir. The chain log lives
 // in dir/chain.log, the sealed transaction-index segments in
-// dir/txindex.log, the receipt log in dir/receipts.log, article bodies in
-// dir/blobs and checkpoints in dir/checkpoint.ckpt. The returned close
-// function releases the logs and the blob store.
+// dir/txindex.log, the contract state's segments in dir/state.log, the
+// receipt log in dir/receipts.log, article bodies in dir/blobs and
+// checkpoints in dir/checkpoint.ckpt. The returned close function stops the
+// background merges and releases the logs and the blob store.
 //
 // When a valid checkpoint is present the chain itself reopens from the
 // checkpointed index snapshot — only the WAL tail above the checkpoint
@@ -75,44 +81,35 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 	if cfg.BlobDir == "" {
 		cfg.BlobDir = filepath.Join(dir, "blobs")
 	}
-	log, err := store.OpenFileLog(filepath.Join(dir, chainLogName))
-	if err != nil {
+	var logs durableLogs
+	if err := logs.open(dir); err != nil {
 		return nil, nil, err
 	}
-	// Segments are derived from chain.log: a torn or damaged one ends the
-	// index log there, and the chain rebuilds the rest.
-	idx, err := store.OpenFileLogTruncating(filepath.Join(dir, txIndexLogName))
-	if err != nil {
-		log.Close()
-		return nil, nil, fmt.Errorf("platform: tx index log: %w", err)
-	}
-	receipts, err := openReceiptLog(filepath.Join(dir, receiptLogName), log.Len())
-	if err != nil {
-		log.Close()
-		idx.Close()
-		return nil, nil, err
-	}
-	closeLogs := func() error { return errors.Join(log.Close(), idx.Close(), receipts.Close()) }
 	closeNode := func(p *Platform) func() error {
-		return func() error { return errors.Join(closeLogs(), p.blobs.Close()) }
+		return func() error { return errors.Join(p.stop(), logs.close()) }
 	}
-	if cp, err := store.ReadCheckpoint(filepath.Join(dir, checkpointName)); err == nil && receipts.Len() >= cp.Height {
-		if p, err := openFromCheckpoint(dir, cfg, log, idx, receipts, cp); err == nil {
+	if cp, err := store.ReadCheckpoint(filepath.Join(dir, checkpointName)); err == nil && logs.receipts.Len() >= cp.Height {
+		if p, err := openFromCheckpoint(dir, cfg, &logs, cp); err == nil {
 			return p, closeNode(p), nil
 		}
 	}
 
 	// Full replay: decode, validate and re-execute every block, with the
 	// replay's body validation fanned across the verification pipeline.
-	chain, err := ledger.NewChain(log, idx)
+	chain, err := ledger.NewChain(logs.chain, logs.txIndex)
 	if err != nil {
-		closeLogs()
+		logs.close()
 		return nil, nil, fmt.Errorf("platform: reopen chain: %w", err)
 	}
-	p, err := assemble(cfg, dir, chain, receipts)
+	p, err := assemble(cfg, dir, chain, logs.receipts, logs.state)
 	if err != nil {
-		closeLogs()
+		chain.Close()
+		logs.close()
 		return nil, nil, err
+	}
+	if err := p.engine.RestoreState(nil); err != nil {
+		closeNode(p)()
+		return nil, nil, fmt.Errorf("platform: empty the state log: %w", err)
 	}
 	if err := p.replayFrom(0); err != nil {
 		closeNode(p)()
@@ -121,29 +118,77 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 	return p, closeNode(p), nil
 }
 
+// durableLogs are the logs of a data directory.
+type durableLogs struct {
+	chain, txIndex, state *store.FileLog
+	receipts              *store.FileLog
+}
+
+func (l *durableLogs) open(dir string) error {
+	var err error
+	if l.chain, err = store.OpenFileLog(filepath.Join(dir, chainLogName)); err != nil {
+		return err
+	}
+	// Index and state segments are derived from chain.log: a torn or
+	// damaged one ends its log there, and the chain rebuilds the rest of
+	// the index, a replay the rest of the state.
+	if l.txIndex, err = store.OpenFileLogTruncating(filepath.Join(dir, txIndexLogName)); err != nil {
+		l.close()
+		return fmt.Errorf("platform: tx index log: %w", err)
+	}
+	if l.state, err = store.OpenFileLogTruncating(filepath.Join(dir, stateLogName)); err != nil {
+		l.close()
+		return fmt.Errorf("platform: state log: %w", err)
+	}
+	if l.receipts, err = openReceiptLog(filepath.Join(dir, receiptLogName), l.chain.Len()); err != nil {
+		l.close()
+		return err
+	}
+	return nil
+}
+
+func (l *durableLogs) close() error {
+	var errs []error
+	for _, f := range []*store.FileLog{l.chain, l.txIndex, l.state, l.receipts} {
+		if f != nil {
+			errs = append(errs, f.Close())
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// stop ends what a node runs beside its logs — the state's and the
+// transaction index's merges — and closes the blob store.
+func (p *Platform) stop() error {
+	return errors.Join(p.engine.Close(), p.chain.Close(), p.blobs.Close())
+}
+
 // openFromCheckpoint attempts the fast reopen path: rebuild the chain
 // from the checkpoint's index snapshot (validating only the WAL tail),
 // restore every subscriber blob, verify the restored contract state
 // against both the checkpoint hash and the committed block header, then
 // replay just the tail. Any error means the caller must fall back to the
-// full-replay path; nothing here mutates the chain log, what the tail
-// replay adds to the receipt log is what full replay would add, and the
-// segments the chain writes to the index log are ones any open writes.
-func openFromCheckpoint(dir string, cfg Config, log *store.FileLog, idx *store.FileLog, receipts receiptLog, cp *store.Checkpoint) (*Platform, error) {
-	chain, err := ledger.NewChainFromSnapshot(log, idx, cp.Chain)
+// full-replay path, with everything this attempt started stopped; nothing
+// here mutates the chain log, what the tail replay adds to the receipt log
+// is what full replay would add, the segments the chain writes to the
+// index log are ones any open writes, and full replay starts the state log
+// over.
+func openFromCheckpoint(dir string, cfg Config, logs *durableLogs, cp *store.Checkpoint) (*Platform, error) {
+	chain, err := ledger.NewChainFromSnapshot(logs.chain, logs.txIndex, cp.Chain)
 	if err != nil {
 		return nil, err
 	}
-	p, err := assemble(cfg, dir, chain, receipts)
+	p, err := assemble(cfg, dir, chain, logs.receipts, logs.state)
 	if err != nil {
+		chain.Close()
 		return nil, err
 	}
 	if err := p.restoreCheckpoint(cp); err != nil {
-		p.blobs.Close()
+		p.stop()
 		return nil, err
 	}
 	if err := p.replayFrom(cp.Height); err != nil {
-		p.blobs.Close()
+		p.stop()
 		return nil, fmt.Errorf("platform: replay tail: %w", err)
 	}
 	return p, nil
@@ -213,7 +258,12 @@ func (p *Platform) replayFrom(from uint64) error {
 		defer p.mu.Unlock()
 		recs := p.engine.ExecuteBlock(b)
 		if want := b.Header.StateRoot; !want.IsZero() {
-			if got, _ := p.engine.StateRoot(); got != want {
+			got, err := p.engine.StateRoot()
+			if err != nil {
+				failed = fmt.Errorf("platform: state root of block %d: %w", b.Header.Height, err)
+				return false
+			}
+			if got != want {
 				failed = fmt.Errorf("%w: block %d commits to %s, replay reached %s", ErrStateRootMismatch, b.Header.Height, want.Short(), got.Short())
 				return false
 			}
@@ -224,6 +274,7 @@ func (p *Platform) replayFrom(from uint64) error {
 		p.publishLocked(b, recs)
 		return true
 	})
+	p.setStoreGauges()
 	if failed != nil {
 		return failed
 	}
@@ -235,9 +286,12 @@ func (p *Platform) replayFrom(from uint64) error {
 // dir/checkpoint.ckpt, atomically replacing any previous checkpoint.
 // Subsequent Opens restore it and replay only the newer WAL tail. Receipts
 // are not in it: the receipt log is made durable first, so every block the
-// checkpoint covers has its receipts on disk. Nor is the transaction
-// index: Open checks txindex.log against the chain and rebuilds what it
-// lacks, so that log is never synced.
+// checkpoint covers has its receipts on disk. The contract state is there
+// by reference: its blob names the segments of state.log, which is synced,
+// and holds only the memtable. The transaction index is not in it at all:
+// Open checks txindex.log against the chain and rebuilds what it lacks, so
+// that log is never synced. Both logs are rewritten here without the
+// records merges left dead, once those outweigh the live ones.
 func (p *Platform) WriteCheckpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -251,6 +305,9 @@ func (p *Platform) WriteCheckpoint() error {
 	}
 	if err := p.receipts.Sync(); err != nil {
 		return fmt.Errorf("platform: checkpoint: receipt log: %w", err)
+	}
+	if err := p.chain.ReclaimTxIndex(); err != nil {
+		return fmt.Errorf("platform: checkpoint: tx index log: %w", err)
 	}
 	root, err := p.engine.StateRoot()
 	if err != nil {

@@ -190,6 +190,9 @@ type platformMetrics struct {
 	// txIndexReadErrs counts Receipt lookups whose index page could not be
 	// read (answered "not found").
 	txIndexReadErrs *telemetry.Counter
+	// stateMemory and stateSealed count the contract state's entries in the
+	// memtable and in sealed segments; stateLogBytes is state.log's size.
+	stateMemory, stateSealed, stateLogBytes *telemetry.Gauge
 }
 
 // commitStage names one step of the commit path. Each runs under a child
@@ -219,13 +222,13 @@ var commitStages = [numCommitStages]struct{ label, span string }{
 
 // New creates an in-memory platform node with all contracts registered.
 func New(cfg Config) (*Platform, error) {
-	return assemble(cfg, "", ledger.NewMemChain(), store.NewMemLog())
+	return assemble(cfg, "", ledger.NewMemChain(), store.NewMemLog(), store.NewMemLog())
 }
 
-// assemble builds a node around the chain and receipt log it is given:
-// in-memory ones from New, file-backed ones from Open (dir is then the
-// node's data directory).
-func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog) (*Platform, error) {
+// assemble builds a node around the chain, receipt log and state log it is
+// given: in-memory ones from New, file-backed ones from Open (dir is then
+// the node's data directory).
+func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, state store.SegmentLog) (*Platform, error) {
 	if cfg.AuthoritySeed == "" {
 		cfg.AuthoritySeed = "platform-authority"
 	}
@@ -243,7 +246,7 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog) 
 	}
 	p := &Platform{
 		cfg:       cfg,
-		engine:    contract.NewEngine(),
+		engine:    contract.NewEngineOn(state),
 		chain:     chain,
 		pool:      ledger.NewMempool(chain, cfg.MempoolCapacity),
 		authority: keys.FromSeed([]byte(cfg.AuthoritySeed)),
@@ -290,7 +293,12 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog) 
 	txIndexEntries := cfg.Telemetry.GaugeVec("trustnews_ledger_txindex_entries", "Transaction-index entries, by where they are held: the in-memory tail or sealed segments of txindex.log.", "where")
 	p.tm.txIndexMemory, p.tm.txIndexSealed = txIndexEntries.With("memory"), txIndexEntries.With("sealed")
 	p.tm.txIndexReadErrs = cfg.Telemetry.Counter("trustnews_ledger_txindex_read_errors_total", "Receipt lookups whose txindex.log page could not be read, answered not found.")
-	p.setTxIndexGauges()
+	stateEntries := cfg.Telemetry.GaugeVec("trustnews_contract_state_entries", "Contract-state entries, by where they are held: the in-memory memtable or sealed segments of state.log (overridden entries and tombstones included).", "where")
+	p.tm.stateMemory, p.tm.stateSealed = stateEntries.With("memory"), stateEntries.With("sealed")
+	p.tm.stateLogBytes = cfg.Telemetry.Gauge("trustnews_contract_state_log_bytes", "Size of the contract-state log, records merges left dead included.")
+	chain.Instrument(cfg.Telemetry)
+	p.engine.InstrumentState(cfg.Telemetry)
+	p.setStoreGauges()
 	p.graph = supplychain.NewGraph(p.factIndex)
 	p.graph.Resolve = p.resolveBody
 	p.graph.Instrument(cfg.Telemetry)
@@ -555,8 +563,12 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 	blk := ledger.NewBlock(p.chain.Height(), p.chain.HeadID(), [32]byte{}, p.clock(), p.authority.Address(), txs)
 	var recs []contract.Receipt
 	p.stage(sp, stageExecute, func() { recs = p.engine.ExecuteBlock(blk) })
-	p.stage(sp, stageStateRoot, func() { blk.Header.StateRoot, _ = p.engine.StateRoot() }) // error always nil
 	var err error
+	p.stage(sp, stageStateRoot, func() { blk.Header.StateRoot, err = p.engine.StateRoot() })
+	if err != nil {
+		sp.SetAttr("error", "state_root")
+		return nil, nil, fmt.Errorf("platform: state root: %w", err)
+	}
 	p.stage(sp, stageAppend, func() { err = p.chain.Append(blk) })
 	if err != nil {
 		sp.SetAttr("error", "append")
@@ -612,7 +624,7 @@ func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.B
 	var err error
 	p.stage(sp, stageTxIndex, func() {
 		err = p.chain.SealTxIndex()
-		p.setTxIndexGauges()
+		p.setStoreGauges()
 	})
 	if err != nil {
 		sp.SetAttr("error", "txindex")
@@ -632,14 +644,19 @@ func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.B
 	sp.SetAttr("txs", fmt.Sprintf("%d", len(b.Txs)))
 }
 
-// setTxIndexGauges publishes the chain's transaction-index size.
-func (p *Platform) setTxIndexGauges() {
+// setStoreGauges publishes the sizes of the chain's transaction index and
+// the contract state.
+func (p *Platform) setStoreGauges() {
 	if p.tm.txIndexMemory == nil {
 		return
 	}
 	st := p.chain.TxIndexStats()
 	p.tm.txIndexMemory.Set(float64(st.Memory))
 	p.tm.txIndexSealed.Set(float64(st.Sealed))
+	ss := p.engine.StateStats()
+	p.tm.stateMemory.Set(float64(ss.Memory))
+	p.tm.stateSealed.Set(float64(ss.Sealed))
+	p.tm.stateLogBytes.Set(float64(ss.LogBytes))
 }
 
 // publishLocked feeds one committed block into the commit bus, updating

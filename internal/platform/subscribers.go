@@ -9,6 +9,7 @@ import (
 	"repro/internal/contract"
 	"repro/internal/evidence"
 	"repro/internal/ranking"
+	"repro/internal/store"
 )
 
 // Platform-owned commit-bus subscriber names (stable: they key
@@ -26,7 +27,8 @@ const (
 // Execution already applied the block's writes before publish, so
 // OnCommit is a no-op — the subscriber exists for its Snapshot/Restore
 // half, which is what lets a checkpointed node skip re-executing the
-// whole chain.
+// whole chain. The blob does not hold the state: it names the segments of
+// the state log that do, and carries the memtable (store.LSM.Manifest).
 type contractState struct {
 	engine *contract.Engine
 }
@@ -40,28 +42,22 @@ func (c *contractState) Name() string { return stateSubscriberName }
 func (c *contractState) OnCommit(commitbus.CommitEvent) error { return nil }
 
 // Snapshot implements commitbus.Subscriber.
-func (c *contractState) Snapshot() ([]byte, error) {
-	snap, err := c.engine.StateSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("platform: encode contract state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+func (c *contractState) Snapshot() ([]byte, error) { return c.engine.StateCheckpoint() }
 
-// Restore implements commitbus.Subscriber.
+// Restore implements commitbus.Subscriber. A checkpoint written before the
+// state had a log of its own holds the whole state as a gob map: it is
+// imported into the log as one segment.
 func (c *contractState) Restore(data []byte) error {
+	if store.IsManifest(data) {
+		return c.engine.RestoreStateCheckpoint(data)
+	}
 	snap := make(map[string][]byte)
 	if len(data) > 0 {
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
 			return fmt.Errorf("platform: decode contract state: %w", err)
 		}
 	}
-	c.engine.RestoreState(snap)
-	return nil
+	return c.engine.RestoreState(snap)
 }
 
 // ---------------------------------------------------------------------------

@@ -58,6 +58,15 @@ func TestDurableNodeMempoolMetricsLive(t *testing.T) {
 		`trustnews_commit_stage_seconds_count{stage="receipts"} 1`,
 		`trustnews_commit_stage_seconds_count{stage="publish"} 1`,
 		"trustnews_mempool_wait_seconds_count 1",
+		// The state and the transaction index say where their entries are:
+		// one block's writes, all still in memory.
+		`trustnews_contract_state_entries{where="memory"} `,
+		`trustnews_contract_state_entries{where="sealed"} 0`,
+		"trustnews_contract_state_log_bytes 0",
+		`trustnews_store_segments{log="state"} 0`,
+		`trustnews_store_segments{log="txindex"} 0`,
+		`trustnews_store_segment_merges_total{log="state"} 0`,
+		`trustnews_store_segment_merge_seconds_count{log="txindex"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("durable node metrics missing %q in:\n%s", want, body)

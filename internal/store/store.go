@@ -1,9 +1,9 @@
 // Package store provides the persistence substrate for the ledger and the
-// platform state: an append-only log for blocks and a versioned key-value
-// state store. Both have a pure in-memory implementation and a file-backed
-// write-ahead-log implementation built on encoding/gob and CRC framing, so
-// a node can recover its chain after restart and tampering with the file is
-// detected on replay.
+// platform state: an append-only log of CRC-framed records, in memory or in
+// a file, so a node can recover its chain after restart and tampering with
+// the file is detected on replay; and a sorted-segment key-value store
+// (LSM, lsm.go) over such a log, which keeps a node's contract state and
+// transaction index on disk with a bounded part in memory.
 package store
 
 import (
@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -50,6 +50,45 @@ type KV interface {
 	Keys(prefix string) ([]string, error)
 	// Snapshot returns a deep copy of the current contents.
 	Snapshot() (map[string][]byte, error)
+	Close() error
+}
+
+// DirtyEntry is one key's current state as handed over by a change feed
+// (LSM.DrainDirty). Val aliases the stored bytes — stored values are
+// replaced, never written in place — and must not be modified.
+type DirtyEntry struct {
+	Key  string
+	Val  []byte
+	Live bool // false: the key was deleted
+}
+
+// SegmentLog is the log an LSM keeps its segments in: a FileLog on a
+// durable node, a MemLog otherwise.
+type SegmentLog interface {
+	AppendUnsynced(rec []byte) (uint64, error)
+	// AppendStream numbers a record of n bytes at once and returns the
+	// writer its payload goes through, so a record too large to build in
+	// memory can be written while other records are appended after it.
+	AppendStream(n int64) (uint64, RecordWriter, error)
+	ReadAt(i uint64, off int64, buf []byte) (int, error)
+	RecordLen(i uint64) (int, error)
+	Len() uint64
+	// Size is the log's length in bytes, dead records included.
+	Size() int64
+	Truncate(n uint64) error
+	// Drop says record i is dead: a MemLog frees it, a FileLog keeps its
+	// bytes until Rewrite.
+	Drop(i uint64)
+	// Rewrite keeps only the records keep names, in that order, numbered
+	// from 0.
+	Rewrite(keep []uint64) error
+	Sync() error
+}
+
+// RecordWriter writes the payload of a record numbered by AppendStream,
+// front to back. The record must not be read before Close returns nil.
+type RecordWriter interface {
+	io.Writer
 	Close() error
 }
 
@@ -138,6 +177,69 @@ func (l *MemLog) Truncate(n uint64) error {
 	return nil
 }
 
+// Size returns the bytes the log's records hold.
+func (l *MemLog) Size() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	var n int64
+	for _, r := range l.recs {
+		n += int64(len(r))
+	}
+	return n
+}
+
+// AppendStream implements SegmentLog: the record is allocated whole and
+// filled through the writer.
+func (l *MemLog) AppendStream(n int64) (uint64, RecordWriter, error) {
+	rec := make([]byte, 0, n)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.recs = append(l.recs, rec[:n])
+	return uint64(len(l.recs) - 1), &memRecordWriter{rec: rec}, nil
+}
+
+// memRecordWriter fills a MemLog record allocated by AppendStream.
+type memRecordWriter struct{ rec []byte }
+
+func (w *memRecordWriter) Write(p []byte) (int, error) {
+	if len(w.rec)+len(p) > cap(w.rec) {
+		return 0, fmt.Errorf("store: stream record: %d bytes past its %d", len(w.rec)+len(p), cap(w.rec))
+	}
+	w.rec = append(w.rec, p...)
+	return len(p), nil
+}
+
+func (w *memRecordWriter) Close() error {
+	if len(w.rec) != cap(w.rec) {
+		return fmt.Errorf("store: stream record: %d of %d bytes written", len(w.rec), cap(w.rec))
+	}
+	return nil
+}
+
+// Drop frees record i; reading it afterwards finds an empty record.
+func (l *MemLog) Drop(i uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i < uint64(len(l.recs)) {
+		l.recs[i] = nil
+	}
+}
+
+// Rewrite keeps the records keep names, in that order.
+func (l *MemLog) Rewrite(keep []uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	recs := make([][]byte, len(keep))
+	for j, i := range keep {
+		if i >= uint64(len(l.recs)) {
+			return fmt.Errorf("%w: log index %d", ErrNotFound, i)
+		}
+		recs[j] = l.recs[i]
+	}
+	l.recs = recs
+	return nil
+}
+
 // readRecordAt copies rec[off:] into buf with io.ReaderAt's contract.
 func readRecordAt(rec []byte, off int64, buf []byte) (int, error) {
 	if off < 0 || off > int64(len(rec)) {
@@ -149,159 +251,6 @@ func readRecordAt(rec []byte, off int64, buf []byte) (int, error) {
 	}
 	return n, nil
 }
-
-// MemKV is an in-memory KV safe for concurrent use. Beside the data it
-// remembers which keys changed since the last DrainDirty, which is what
-// lets the contract engine bring its state commitment up to date from a
-// block's write set instead of re-hashing the whole state.
-type MemKV struct {
-	mu   sync.RWMutex
-	data map[string][]byte
-	// dirty holds the keys put or deleted since the last drain, each with
-	// its stored value (nil: deleted). Once it covers more than half the
-	// state — or Restore replaces the contents — it is dropped for
-	// allDirty, "hand over everything": rebuilding from all keys then
-	// costs about what folding in that many changes would, and a store
-	// nobody drains (a cluster validator's: consensus blocks carry no
-	// state root) stops tracking at its first write and never hashes
-	// anything.
-	dirty    map[string][]byte
-	allDirty bool
-}
-
-// DirtyEntry is one key's current state as handed over by DrainDirty.
-// Val aliases the stored bytes — stored values are replaced, never
-// written in place — and must not be modified.
-type DirtyEntry struct {
-	Key  string
-	Val  []byte
-	Live bool // false: the key was deleted
-}
-
-var _ KV = (*MemKV)(nil)
-
-// NewMemKV returns an empty in-memory KV store.
-func NewMemKV() *MemKV { return &MemKV{data: make(map[string][]byte)} }
-
-// Get implements KV.
-func (m *MemKV) Get(key string) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v, ok := m.data[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: key %q", ErrNotFound, key)
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, nil
-}
-
-// Put implements KV.
-func (m *MemKV) Put(key string, val []byte) error {
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.data[key] = cp
-	m.markDirty(key, cp)
-	return nil
-}
-
-// Delete implements KV.
-func (m *MemKV) Delete(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.data[key]; ok {
-		delete(m.data, key)
-		m.markDirty(key, nil)
-	}
-	return nil
-}
-
-// markDirty records a changed key with its stored value, nil for a
-// delete (Put stores a non-nil copy even of an empty value). Caller
-// holds m.mu.
-func (m *MemKV) markDirty(key string, stored []byte) {
-	if m.allDirty {
-		return
-	}
-	if m.dirty == nil {
-		m.dirty = make(map[string][]byte)
-	}
-	m.dirty[key] = stored
-	if 2*len(m.dirty) > len(m.data) {
-		m.dirty, m.allDirty = nil, true
-	}
-}
-
-// DrainDirty returns the keys changed since the previous call with their
-// current values, in no particular order, and forgets them. all reports
-// that change tracking was abandoned meanwhile (see MemKV): the entries
-// are then every live key, and whatever the caller derived from earlier
-// drains must be rebuilt from them alone.
-func (m *MemKV) DrainDirty() (entries []DirtyEntry, all bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	all = m.allDirty
-	if all {
-		entries = make([]DirtyEntry, 0, len(m.data))
-		for k, v := range m.data {
-			entries = append(entries, DirtyEntry{Key: k, Val: v, Live: true})
-		}
-	} else {
-		entries = make([]DirtyEntry, 0, len(m.dirty))
-		for k, v := range m.dirty {
-			entries = append(entries, DirtyEntry{Key: k, Val: v, Live: v != nil})
-		}
-	}
-	// Not clear(): a map that once held a large write set keeps its
-	// buckets, and clearing them would cost every later drain O(that).
-	m.dirty, m.allDirty = nil, false
-	return entries, all
-}
-
-// Keys implements KV.
-func (m *MemKV) Keys(prefix string) ([]string, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	for k := range m.data {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Snapshot implements KV.
-func (m *MemKV) Snapshot() (map[string][]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[string][]byte, len(m.data))
-	for k, v := range m.data {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		out[k] = cp
-	}
-	return out, nil
-}
-
-// Restore replaces the contents with the given snapshot.
-func (m *MemKV) Restore(snap map[string][]byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dirty, m.allDirty = nil, true
-	m.data = make(map[string][]byte, len(snap))
-	for k, v := range snap {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		m.data[k] = cp
-	}
-}
-
-// Close implements KV.
-func (m *MemKV) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
 // File-backed log with CRC framing.
@@ -315,6 +264,7 @@ type logFile interface {
 	io.Reader
 	io.Writer
 	io.ReaderAt
+	io.WriterAt
 	io.Seeker
 	Truncate(size int64) error
 	Sync() error
@@ -327,6 +277,7 @@ type logFile interface {
 // record fails open with ErrCorrupt (tamper evidence).
 type FileLog struct {
 	mu      sync.RWMutex
+	path    string // "" for a file handed in by a test
 	f       logFile
 	w       *bufio.Writer
 	offsets []int64 // byte offset of each record frame
@@ -376,7 +327,12 @@ func openFileLog(path string, policy damagePolicy) (*FileLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open log: %w", err)
 	}
-	return newFileLogOn(f, policy)
+	l, err := newFileLogOn(f, policy)
+	if err != nil {
+		return nil, err
+	}
+	l.path = path
+	return l, nil
 }
 
 // newFileLogOn replays an already-open file into a FileLog. Production
@@ -407,6 +363,7 @@ func (l *FileLog) replay(policy damagePolicy) error {
 	var off int64
 	var hdr [8]byte
 	var scratch []byte // nextFrame's, allocated at the first damaged frame
+	crcBuf := make([]byte, 32<<10)
 	for {
 		_, err := io.ReadFull(r, hdr[:])
 		if err == io.EOF {
@@ -425,14 +382,21 @@ func (l *FileLog) replay(policy damagePolicy) error {
 		inFile := off+8+int64(size) <= end
 		sound := false
 		if inFile && (size > 0 || policy == failOnDamage) {
-			payload := make([]byte, size)
-			if _, err := io.ReadFull(r, payload); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return l.truncateAt(off)
+			// The payload is checksummed a piece at a time: a record may be
+			// far larger than anything worth holding in memory at once.
+			var crc uint32
+			for left := int(size); left > 0; {
+				piece := crcBuf[:min(left, len(crcBuf))]
+				if _, err := io.ReadFull(r, piece); err != nil {
+					if err == io.EOF || err == io.ErrUnexpectedEOF {
+						return l.truncateAt(off)
+					}
+					return fmt.Errorf("store: replay payload: %w", err)
 				}
-				return fmt.Errorf("store: replay payload: %w", err)
+				crc = crc32.Update(crc, crc32.IEEETable, piece)
+				left -= len(piece)
 			}
-			sound = crc32.ChecksumIEEE(payload) == want
+			sound = crc == want
 		}
 		if !sound {
 			switch {
@@ -667,6 +631,160 @@ func (l *FileLog) Truncate(n uint64) error {
 		return err
 	}
 	l.offsets, l.sizes = l.offsets[:n], l.sizes[:n]
+	return nil
+}
+
+// Size returns the file's length: every frame, dead records included.
+func (l *FileLog) Size() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.end
+}
+
+// AppendStream numbers a record of n bytes and moves the end of the log
+// past it, so appends after it land behind its bytes; the caller writes the
+// payload through the returned writer, front to back, without holding the
+// log. Close writes the frame header last, so a record whose writer fails
+// or never closes is damage the next open deals with by its policy. Like
+// AppendUnsynced, nothing is synced.
+func (l *FileLog) AppendStream(n int64) (uint64, RecordWriter, error) {
+	if n < 0 || n > math.MaxUint32 {
+		return 0, nil, fmt.Errorf("store: stream record of %d bytes", n)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, nil, ErrClosed
+	}
+	off := l.end
+	if _, err := l.f.Seek(off+8+n, io.SeekStart); err != nil {
+		return 0, nil, fmt.Errorf("store: stream record: %w", err)
+	}
+	l.end = off + 8 + n
+	l.offsets = append(l.offsets, off)
+	l.sizes = append(l.sizes, uint32(n))
+	return uint64(len(l.offsets) - 1), &fileRecordWriter{l: l, off: off, n: n, buf: make([]byte, 0, 64<<10)}, nil
+}
+
+// fileRecordWriter fills a frame numbered by AppendStream with pwrites.
+type fileRecordWriter struct {
+	l            *FileLog
+	off, n, done int64 // frame offset, payload length, bytes written out
+	crc          uint32
+	buf          []byte
+}
+
+func (w *fileRecordWriter) Write(p []byte) (int, error) {
+	if w.done+int64(len(w.buf)+len(p)) > w.n {
+		return 0, fmt.Errorf("store: stream record: %d bytes past its %d", w.done+int64(len(w.buf)+len(p)), w.n)
+	}
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	for n := len(p); ; {
+		k := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf, p = w.buf[:len(w.buf)+k], p[k:]
+		if len(p) == 0 {
+			return n, nil
+		}
+		if err := w.flush(); err != nil {
+			return 0, err
+		}
+	}
+}
+
+func (w *fileRecordWriter) flush() error {
+	if err := w.writeAt(w.buf, w.off+8+w.done); err != nil {
+		return err
+	}
+	w.done += int64(len(w.buf))
+	w.buf = w.buf[:0]
+	return nil
+}
+
+func (w *fileRecordWriter) writeAt(p []byte, at int64) error {
+	w.l.mu.RLock()
+	defer w.l.mu.RUnlock()
+	if w.l.closed {
+		return ErrClosed
+	}
+	if _, err := w.l.f.WriteAt(p, at); err != nil {
+		return fmt.Errorf("store: stream record: %w", err)
+	}
+	return nil
+}
+
+func (w *fileRecordWriter) Close() error {
+	if err := w.flush(); err != nil {
+		return err
+	}
+	if w.done != w.n {
+		return fmt.Errorf("store: stream record: %d of %d bytes written", w.done, w.n)
+	}
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(w.n))
+	binary.BigEndian.PutUint32(hdr[4:8], w.crc)
+	return w.writeAt(hdr[:], w.off)
+}
+
+// Drop does nothing: a dead record's bytes stay in the file until Rewrite.
+func (l *FileLog) Drop(uint64) {}
+
+// Rewrite replaces the file with one holding only the records keep names,
+// in that order, numbered from 0: it writes them to path.gc, syncs it and
+// renames it over the log's file, so a crash leaves one file or the other
+// whole. Readers wait meanwhile.
+func (l *FileLog) Rewrite(keep []uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	if l.path == "" {
+		return errors.New("store: rewrite: the log has no path")
+	}
+	tmp := l.path + ".gc"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: rewrite: %w", err)
+	}
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("store: rewrite: %w", err)
+	}
+	offsets, sizes := make([]int64, 0, len(keep)), make([]uint32, 0, len(keep))
+	buf := make([]byte, 64<<10)
+	var end int64
+	for _, i := range keep {
+		if i >= uint64(len(l.offsets)) {
+			return fail(fmt.Errorf("%w: log index %d", ErrNotFound, i))
+		}
+		// The frame is copied as it is, header and checksum included.
+		frame := 8 + int64(l.sizes[i])
+		for at := int64(0); at < frame; {
+			piece := buf[:min(int64(len(buf)), frame-at)]
+			if _, err := l.f.ReadAt(piece, l.offsets[i]+at); err != nil {
+				return fail(err)
+			}
+			if _, err := f.Write(piece); err != nil {
+				return fail(err)
+			}
+			at += int64(len(piece))
+		}
+		offsets, sizes = append(offsets, end), append(sizes, l.sizes[i])
+		end += frame
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := os.Rename(tmp, l.path); err != nil {
+		return fail(err)
+	}
+	old := l.f
+	l.f, l.offsets, l.sizes, l.end = f, offsets, sizes, end
+	l.w.Reset(f)
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("store: rewrite: close the old file: %w", err)
+	}
 	return nil
 }
 

@@ -175,7 +175,10 @@ func run(seed int64, dotPath string) error {
 
 	fmt.Println("── 9. chain state")
 	fmt.Printf("   height=%d items=%d facts=%d\n", p.Chain().Height(), p.Graph().Len(), p.FactIndex().Len())
-	stats := p.Graph().Stats()
+	stats, err := p.Graph().Stats()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("   graph: %d edges, max depth %d\n", stats.Edges, stats.MaxDepth)
 	if tr, err := p.Graph().Trace("relay-2"); err == nil {
 		fmt.Printf("   relay-2 trace path: %v (rooted at fact %s)\n", tr.Path, tr.RootFactID)
@@ -185,7 +188,7 @@ func run(seed int64, dotPath string) error {
 		if err != nil {
 			return err
 		}
-		if err := p.Graph().WriteDOT(f, nil); err != nil {
+		if err := p.Graph().WriteDOT(f); err != nil {
 			f.Close()
 			return err
 		}

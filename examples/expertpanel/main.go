@@ -88,11 +88,13 @@ func run() error {
 		troll.Address().String():        "troll",
 	}
 	for _, tp := range []string{"politics", "health"} {
-		var experts []trustnews.ExpertScore
-		if tp == "politics" {
-			experts = p.Experts(trustnews.TopicPolitics, 3)
-		} else {
-			experts = p.Experts(trustnews.TopicHealth, 3)
+		topic := trustnews.TopicPolitics
+		if tp == "health" {
+			topic = trustnews.TopicHealth
+		}
+		experts, err := p.Experts(topic, 3)
+		if err != nil {
+			return err
 		}
 		fmt.Printf("suggested fact-checkers for breaking %s news:\n", tp)
 		for i, es := range experts {

@@ -127,10 +127,12 @@ func NewEngine() *Engine { return NewEngineOn(store.NewMemLog()) }
 // log: state.log on a durable node. What log holds already is not read;
 // RestoreStateCheckpoint does that, and RestoreState drops it.
 func NewEngineOn(log store.SegmentLog) *Engine {
-	return newEngine(log, store.LSMConfig{SealEntries: stateSealEntries, SealBytes: stateSealBytes})
+	return NewEngineWith(log, store.LSMConfig{SealEntries: stateSealEntries, SealBytes: stateSealBytes})
 }
 
-func newEngine(log store.SegmentLog, cfg store.LSMConfig) *Engine {
+// NewEngineWith is NewEngineOn with the memtable sealed at cfg's size
+// instead of the node's (tests seal every few keys).
+func NewEngineWith(log store.SegmentLog, cfg store.LSMConfig) *Engine {
 	return &Engine{
 		contracts: make(map[string]Contract),
 		state:     store.NewLSM(log, cfg),
@@ -161,6 +163,22 @@ func (e *Engine) Register(c Contract) error {
 // State exposes read-only access to committed state for queries. Callers
 // must not mutate through it outside Execute.
 func (e *Engine) State() store.KV { return e.state }
+
+// Get reads one key of the committed state under the engine's read lock,
+// so it sees the state between two blocks, never one half executed.
+func (e *Engine) Get(key string) ([]byte, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.state.Get(key)
+}
+
+// Scan calls fn for every committed key with the prefix, in key order, with
+// a copy of its value (store.LSM.Scan). The state is read a batch at a time
+// and fn runs without the engine's lock, so a block committed during the
+// scan may be seen in part.
+func (e *Engine) Scan(prefix string, fn func(key string, val []byte) error) error {
+	return e.state.Scan(prefix, fn)
+}
 
 // StateStats reports the state store's size.
 func (e *Engine) StateStats() store.LSMStats { return e.state.Stats() }

@@ -62,7 +62,7 @@ func bulkEngine(t testing.TB, cfg store.LSMConfig) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(log, cfg)
+	e := NewEngineWith(log, cfg)
 	t.Cleanup(func() { e.Close(); log.Close() })
 	e.SetGasLimit(1 << 40)
 	if err := e.Register(bulkContract{}); err != nil {

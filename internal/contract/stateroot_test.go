@@ -36,7 +36,7 @@ func rebuiltRoot(t testing.TB, e *Engine) merkle.Hash {
 // Wherever it asks, the incrementally kept root must equal the oracle's;
 // at the end every key's proof must verify and a forged value must not.
 func checkStateOps(t testing.TB, ops []byte) {
-	e := newEngine(store.NewMemLog(), store.LSMConfig{SealEntries: 3})
+	e := NewEngineWith(store.NewMemLog(), store.LSMConfig{SealEntries: 3})
 	compare := func(step int) {
 		if err := e.state.SealIfDue(uint64(step), nil); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -96,7 +95,8 @@ func RunE4(cfg E4Config) (*Table, error) {
 			facts = append(facts, s)
 			ix.Add(factdb.Fact{ID: s.ID, Topic: s.Topic, Text: s.Text})
 		}
-		g := supplychain.NewGraph(ix)
+		items := make(supplychain.ItemMap, n)
+		g := supplychain.NewGraph(items, ix)
 		texts := make([]string, n)
 		// Roots: a mix of factual republications and fabrications.
 		roots := n / 10
@@ -136,11 +136,12 @@ func RunE4(cfg E4Config) (*Table, error) {
 					Parents: dedupe(parents), Op: op,
 				}
 			}
-			if err := g.AddItem(item); err != nil {
-				return nil, fmt.Errorf("e4: add %s: %w", id, err)
-			}
+			items[id] = item
 		}
-		stats := g.Stats()
+		stats, err := g.Stats()
+		if err != nil {
+			return nil, err
+		}
 		// Trace a sample of items.
 		sample := 200
 		if sample > n {

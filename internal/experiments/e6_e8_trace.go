@@ -36,16 +36,15 @@ func RunE6(cfg E6Config) (*Table, error) {
 			ix := factdb.NewIndex()
 			fact := gen.Factual()
 			ix.Add(factdb.Fact{ID: fact.ID, Topic: fact.Topic, Text: fact.Text})
-			g := supplychain.NewGraph(ix)
+			items := supplychain.ItemMap{}
+			g := supplychain.NewGraph(items, ix)
 
 			prefix := "c" + strconv.Itoa(c) + "d" + strconv.Itoa(depth)
 			modAt := 1 + rng.Intn(depth) // position of the modification
 			culprit := ""
 			text := fact.Text
-			if err := g.AddItem(supplychain.Item{
+			items[prefix+"-0"] = supplychain.Item{
 				ID: prefix + "-0", Topic: fact.Topic, Text: text, Creator: "acct-root",
-			}); err != nil {
-				return nil, err
 			}
 			for hop := 1; hop <= depth; hop++ {
 				id := prefix + "-" + strconv.Itoa(hop)
@@ -57,11 +56,9 @@ func RunE6(cfg E6Config) (*Table, error) {
 					op = corpus.OpInsert
 					culprit = creator
 				}
-				if err := g.AddItem(supplychain.Item{
+				items[id] = supplychain.Item{
 					ID: id, Topic: fact.Topic, Text: text, Creator: creator,
 					Parents: []string{prefix + "-" + strconv.Itoa(hop-1)}, Op: op,
-				}); err != nil {
-					return nil, err
 				}
 			}
 			res, err := g.Trace(prefix + "-" + strconv.Itoa(depth))
@@ -117,48 +114,39 @@ func RunE8(cfg E8Config) (*Table, error) {
 			facts = append(facts, s)
 			ix.Add(factdb.Fact{ID: s.ID, Topic: s.Topic, Text: s.Text})
 		}
-		g := supplychain.NewGraph(ix)
+		items := supplychain.ItemMap{}
 		truth := make(map[string]bool)
-		seq := 0
-		post := func(account, text string) error {
-			seq++
-			return g.AddItem(supplychain.Item{
-				ID: "i" + strconv.Itoa(seq), Topic: topic, Text: text, Creator: account,
-			})
+		post := func(account, text string) {
+			id := "i" + strconv.Itoa(len(items)+1)
+			items[id] = supplychain.Item{ID: id, Topic: topic, Text: text, Creator: account}
 		}
 		for e := 0; e < cfg.Experts; e++ {
 			acct := string(topic) + "-expert" + strconv.Itoa(e)
 			truth[acct] = true
 			for i := 0; i < cfg.ItemsPer; i++ {
-				if err := post(acct, facts[rng.Intn(len(facts))].Text); err != nil {
-					return nil, err
-				}
+				post(acct, facts[rng.Intn(len(facts))].Text)
 			}
 		}
 		for a := 0; a < cfg.Amateurs; a++ {
 			acct := string(topic) + "-amateur" + strconv.Itoa(a)
 			for i := 0; i < cfg.ItemsPer; i++ {
 				if rng.Float64() < 0.45 {
-					if err := post(acct, facts[rng.Intn(len(facts))].Text); err != nil {
-						return nil, err
-					}
+					post(acct, facts[rng.Intn(len(facts))].Text)
 					continue
 				}
-				if err := post(acct, gen.Fabricate().Text); err != nil {
-					return nil, err
-				}
+				post(acct, gen.Fabricate().Text)
 			}
 		}
 		for tr := 0; tr < cfg.Trolls; tr++ {
 			acct := string(topic) + "-troll" + strconv.Itoa(tr)
 			for i := 0; i < cfg.ItemsPer; i++ {
-				if err := post(acct, gen.Fabricate().Text); err != nil {
-					return nil, err
-				}
+				post(acct, gen.Fabricate().Text)
 			}
 		}
-		traces := g.TraceAll()
-		top := g.Experts(topic, traces, cfg.K)
+		top, err := supplychain.NewGraph(items, ix).Experts(topic, cfg.K)
+		if err != nil {
+			return nil, err
+		}
 		hit := 0
 		for _, es := range top {
 			if truth[es.Account] {

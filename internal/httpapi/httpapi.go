@@ -364,7 +364,7 @@ func (s *Server) handleItem(w http.ResponseWriter, r *http.Request) {
 	// Platform.Item hydrates off-chain bodies, so clients always see Text.
 	item, err := s.p.Item(id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, itemStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, item)
@@ -606,7 +606,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	rank, err := s.p.RankItem(id, mech)
 	if err != nil {
-		status := traceStatus(err)
+		status := itemStatus(err)
 		if errors.Is(err, ranking.ErrNoSignal) {
 			status = http.StatusConflict
 		}
@@ -620,20 +620,24 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tr, err := s.p.Graph().Trace(id)
 	if err != nil {
-		writeErr(w, traceStatus(err), err)
+		writeErr(w, itemStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, tr)
 }
 
-// traceStatus maps a trace or rank failure: 503 when the item exists but a
-// body its answer depends on is not on this node (the node that took the
-// upload can answer), 404 otherwise.
-func traceStatus(err error) int {
-	if errors.Is(err, supplychain.ErrBodyUnavailable) {
+// itemStatus maps an item, trace or rank failure: 404 for an unknown item,
+// 503 when the item exists but a body the answer depends on is not on this
+// node (the node that took the upload can answer), 500 for anything else —
+// a state page that could not be read is not a missing item.
+func itemStatus(err error) int {
+	switch {
+	case errors.Is(err, supplychain.ErrItemNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, supplychain.ErrBodyUnavailable):
 		return http.StatusServiceUnavailable
 	}
-	return http.StatusNotFound
+	return http.StatusInternalServerError
 }
 
 func (s *Server) handleFacts(w http.ResponseWriter, _ *http.Request) {
@@ -660,7 +664,12 @@ func (s *Server) handleExperts(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
-	writeJSON(w, http.StatusOK, s.p.Experts(topic, k))
+	experts, err := s.p.Experts(topic, k)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, experts)
 }
 
 // accountResponse bundles everything known about an address.

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -192,6 +194,80 @@ func TestRankMechanismParameter(t *testing.T) {
 	// Majority with no votes has no signal: 409.
 	if code := f.get("/v1/items/n1/rank?mechanism=majority", nil); code != http.StatusConflict {
 		t.Fatalf("status=%d", code)
+	}
+}
+
+// A state page that cannot be read is a server error, not a missing item:
+// with the sealed page holding an item damaged on disk, the item, its
+// trace and its rank answer 500, while an unknown id still answers 404.
+func TestUnreadableStatePageIsServerError(t *testing.T) {
+	dir := t.TempDir()
+	p, closeFn, err := platform.Open(dir, platform.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFn()
+	srv := httptest.NewServer(New(p, true))
+	defer srv.Close()
+	get := func(path string) int {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	author := p.NewActor("author")
+	if err := author.PublishNews("victim", corpus.TopicPolitics, factText, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	// Large inline items fill the state's memtable (a MiB) until it seals.
+	filler := strings.Repeat("a long inline statement that fills the memtable ", 1300)
+	for i := 0; p.Engine().StateStats().Segments == 0; i++ {
+		payload, err := supplychain.PublishPayload("filler-"+strconv.Itoa(i), corpus.TopicScience, filler, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := author.MustExec("news.publish", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{"/v1/items/victim", "/v1/items/victim/trace", "/v1/items/victim/rank"} {
+		if code := get(path); code != http.StatusOK {
+			t.Fatalf("GET %s = %d before the damage", path, code)
+		}
+	}
+	// The item's entry starts with its key's length: make it a length no
+	// page can hold, so the page no longer decodes.
+	key := "news/item/victim"
+	path := filepath.Join(dir, "state.log")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, append([]byte{byte(len(key))}, key...))
+	if at < 0 {
+		t.Fatalf("%s holds no entry for %s", path, key)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/items/victim", "/v1/items/victim/trace", "/v1/items/victim/rank"} {
+		if code := get(path); code != http.StatusInternalServerError {
+			t.Fatalf("GET %s = %d with its state page unreadable, want 500", path, code)
+		}
+	}
+	for _, path := range []string{"/v1/items/ghost", "/v1/items/ghost/trace", "/v1/items/ghost/rank"} {
+		if code := get(path); code != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, code)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -74,12 +74,16 @@ func assertSameDerivedState(t *testing.T, a, b *Platform) {
 	if fa, fb := a.FactIndex().Root(), b.FactIndex().Root(); fa != fb {
 		t.Fatalf("fact accumulator root %s != %s", fa, fb)
 	}
-	if sa, sb := a.Graph().Stats(), b.Graph().Stats(); sa != sb {
-		t.Fatalf("graph stats %+v != %+v", sa, sb)
+	sa, errA := a.Graph().Stats()
+	sb, errB := b.Graph().Stats()
+	if errA != nil || errB != nil || sa != sb {
+		t.Fatalf("graph stats %+v (%v) != %+v (%v)", sa, errA, sb, errB)
 	}
 	for _, topic := range corpus.AllTopics {
-		if ia, ib := a.Graph().TopicItems(topic), b.Graph().TopicItems(topic); !slices.Equal(ia, ib) {
-			t.Fatalf("items on %s: %v != %v", topic, ia, ib)
+		ea, errA := a.Experts(topic, 0)
+		eb, errB := b.Experts(topic, 0)
+		if errA != nil || errB != nil || !reflect.DeepEqual(ea, eb) {
+			t.Fatalf("experts on %s: %v (%v) != %v (%v)", topic, ea, errA, eb, errB)
 		}
 	}
 	// Every committed tx must resolve to the same receipt on both nodes.

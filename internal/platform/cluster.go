@@ -24,11 +24,10 @@ import (
 // agreed block sequence, so all replicas converge to the same state root;
 // TestClusterReplicasConverge asserts exactly that.
 type Cluster struct {
-	Net       *simnet.Network
-	Set       *consensus.ValidatorSet
-	Nodes     []*consensus.Node
-	Replicas  []*Platform
-	chainApps []*consensus.ChainApp
+	Net      *simnet.Network
+	Set      *consensus.ValidatorSet
+	Nodes    []*consensus.Node
+	Replicas []*Platform
 }
 
 // NewCluster builds n platform validators over one simulated network.
@@ -59,22 +58,8 @@ func NewCluster(n int, seed int64, cfg Config, tmo consensus.Timeouts) (*Cluster
 		}
 		// The replica's own chain follows consensus: CommitBlock appends
 		// to it and the platform executes + indexes the block.
-		rep := replica
-		rep.replicated = true
-		app := &consensus.ChainApp{
-			Chain:      replica.Chain(),
-			Proposer:   kps[i].Address(),
-			AllowEmpty: true,
-			OnCommit: func(b *ledger.Block) {
-				// Execution cannot fail fatally here: failed txs carry
-				// failure receipts, and block-level errors would mean
-				// nondeterminism across replicas, surfaced by state-root
-				// divergence in tests.
-				_ = rep.ApplyExternalBlock(b)
-			},
-		}
-		app.Pool = replica.pool
-		node := consensus.NewNode(vals[i].ID, kps[i], set, net, app, tmo)
+		replica.replicated = true
+		node := consensus.NewNode(vals[i].ID, kps[i], set, net, replica.consensusApp(kps[i].Address()), tmo)
 		// One shared registry (cfg.Telemetry) observes the whole cluster:
 		// replica series aggregate, consensus series span all validators.
 		node.Instrument(cfg.Telemetry)
@@ -83,7 +68,6 @@ func NewCluster(n int, seed int64, cfg Config, tmo consensus.Timeouts) (*Cluster
 		}
 		c.Nodes = append(c.Nodes, node)
 		c.Replicas = append(c.Replicas, replica)
-		c.chainApps = append(c.chainApps, app)
 	}
 	// Off-chain bodies are stored only where the publishing client put
 	// them; replicas hydrating a committed CID fall back to their

@@ -13,12 +13,12 @@ import (
 
 // TestCommitAndExternalBlocksProduceIdenticalState replays the exact
 // block sequence mined by a standalone node into a second node through
-// the consensus path (chain append + ApplyExternalBlock) and asserts the
+// the consensus path (commitDecided: append, execute, index) and asserts the
 // derived state — fact index, graph, receipts, contract
 // state — is byte-for-byte identical. Both paths feed the same commit
 // bus, so any divergence is a bug in the pipeline. A third node then
-// replays the miner's chain from disk: Commit, ApplyExternalBlock and
-// replay must write the same receipt records.
+// replays the miner's chain from disk: Commit, commitDecided and replay
+// must write the same receipt records.
 func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 	dir := t.TempDir()
 	miner, closeMiner, err := Open(dir, DefaultConfig())
@@ -44,11 +44,8 @@ func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 		return b, err == nil
 	})
 	if err := miner.Chain().Walk(0, func(b *ledger.Block) bool {
-		if err := follower.Chain().Append(b); err != nil {
-			t.Fatalf("append height %d: %v", b.Header.Height, err)
-		}
-		if err := follower.ApplyExternalBlock(b); err != nil {
-			t.Fatalf("apply height %d: %v", b.Header.Height, err)
+		if err := follower.commitDecided(b); err != nil {
+			t.Fatalf("commit height %d: %v", b.Header.Height, err)
 		}
 		return true
 	}); err != nil {
@@ -90,7 +87,7 @@ func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeReplayed()
-	for name, p := range map[string]*Platform{"ApplyExternalBlock": follower, "replay": replayed} {
+	for name, p := range map[string]*Platform{"commitDecided": follower, "replay": replayed} {
 		if n := p.receipts.Len(); n != height {
 			t.Fatalf("%s wrote %d receipt records for %d blocks", name, n, height)
 		}

@@ -126,18 +126,8 @@ func (d *DurableCluster) boot(i int, first bool) error {
 	if err != nil {
 		return fmt.Errorf("platform: replica %d open: %w", i, err)
 	}
-	rep := replica
-	rep.replicated = true
-	app := &consensus.ChainApp{
-		Chain:      replica.Chain(),
-		Proposer:   d.keys[i].Address(),
-		AllowEmpty: true,
-		OnCommit: func(b *ledger.Block) {
-			_ = rep.ApplyExternalBlock(b)
-		},
-	}
-	app.Pool = replica.pool
-	node := consensus.NewNode(d.ids[i], d.keys[i], d.Set, d.Net, app, d.cfg.Timeouts)
+	replica.replicated = true
+	node := consensus.NewNode(d.ids[i], d.keys[i], d.Set, d.Net, replica.consensusApp(d.keys[i].Address()), d.cfg.Timeouts)
 	node.SetCertWindow(d.cfg.CertWindow)
 	node.Instrument(d.cfg.Platform.Telemetry)
 	if first {

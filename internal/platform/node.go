@@ -61,7 +61,7 @@ func ClusterValidators(n int) (*consensus.ValidatorSet, []*keys.KeyPair, error) 
 // AttachConsensus switches platform p into replicated mode and wires it
 // as validator id of set over net. Standalone commits (Commit/CommitAll)
 // are disabled from here on: blocks are decided by consensus and applied
-// through ApplyExternalBlock. The returned node is bound to the network
+// through its consensusApp. The returned node is bound to the network
 // but not started — call StartAt(p.Chain().Height()) from the transport's
 // event loop once the process is ready to participate.
 func AttachConsensus(p *Platform, id transport.NodeID, kp *keys.KeyPair, set *consensus.ValidatorSet, net transport.Network, tmo consensus.Timeouts) (*consensus.Node, error) {
@@ -71,24 +71,34 @@ func AttachConsensus(p *Platform, id transport.NodeID, kp *keys.KeyPair, set *co
 	p.mu.Lock()
 	p.replicated = true
 	p.mu.Unlock()
-	app := &consensus.ChainApp{
-		Chain:      p.Chain(),
-		Proposer:   kp.Address(),
-		AllowEmpty: true,
-		// Block timestamps follow the platform clock as configured at
-		// attach time (fixed epoch by default, time.Now in the daemon).
-		Now: p.clock,
-		OnCommit: func(b *ledger.Block) {
-			_ = p.ApplyExternalBlock(b)
-		},
-	}
-	app.Pool = p.pool
-	node := consensus.NewNode(id, kp, set, net, app, tmo)
+	node := consensus.NewNode(id, kp, set, net, p.consensusApp(kp.Address()), tmo)
 	node.Instrument(p.cfg.Telemetry)
 	if err := node.Bind(); err != nil {
 		return nil, err
 	}
 	return node, nil
+}
+
+// validatorApp is a platform validator's consensus.App: ChainApp proposes
+// and validates blocks, and the platform commits a decided one — append,
+// execute, index — so that its append is a stage of the commit, as on the
+// standalone path.
+type validatorApp struct {
+	*consensus.ChainApp
+	p *Platform
+}
+
+// CommitBlock implements consensus.App.
+func (a validatorApp) CommitBlock(b *ledger.Block) error { return a.p.commitDecided(b) }
+
+// consensusApp returns the consensus.App through which p validates, its
+// blocks proposed by proposer and stamped by the platform clock as
+// configured now (a fixed epoch by default, time.Now in the daemon).
+func (p *Platform) consensusApp(proposer keys.Address) consensus.App {
+	return validatorApp{
+		ChainApp: &consensus.ChainApp{Chain: p.chain, Pool: p.pool, Proposer: proposer, AllowEmpty: true, Now: p.clock},
+		p:        p,
+	}
 }
 
 // SetOnSubmit installs a hook observing every transaction accepted into

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/ranking"
 	"repro/internal/simnet"
+	"repro/internal/supplychain"
 )
 
 // articleBody builds a multi-chunk body from corpus sentences.
@@ -59,10 +60,11 @@ func TestOffChainPublishKeepsBodyOffChain(t *testing.T) {
 		t.Fatal("Item did not hydrate the off-chain body")
 	}
 
-	// The graph holds the reference, not the text, and traces through it.
-	gi, err := p.Graph().Item("art-1")
+	// The state holds the reference, not the text, and the graph traces
+	// through it.
+	gi, err := supplychain.GetItem(p.Engine(), p.Authority(), "art-1")
 	if err != nil || gi.Text != "" || gi.CID != it.CID {
-		t.Fatalf("graph item = %+v, %v; want the CID and no text", gi, err)
+		t.Fatalf("stored item = %+v, %v; want the CID and no text", gi, err)
 	}
 	if _, err := p.Graph().Trace("art-1"); err != nil {
 		t.Fatalf("trace through the blob store: %v", err)
@@ -173,11 +175,8 @@ func TestFreshNodeFetchesVerifiesAndSearchesOverLossyLink(t *testing.T) {
 	})
 
 	if err := miner.Chain().Walk(0, func(b *ledger.Block) bool {
-		if err := fresh.Chain().Append(b); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-		if err := fresh.ApplyExternalBlock(b); err != nil {
-			t.Fatalf("apply: %v", err)
+		if err := fresh.commitDecided(b); err != nil {
+			t.Fatalf("commit: %v", err)
 		}
 		return true
 	}); err != nil {

@@ -2,9 +2,9 @@
 // contribution (4) of the paper and the system of Fig. 1. It wires the
 // smart contracts (identity, factdb, news, rank, newsroom, media) into one
 // contract engine over a validated chain, attaches the AI components, and
-// maintains the two derived indexes the mechanisms need: the factual
-// database similarity index and the news supply-chain graph, both rebuilt
-// incrementally from contract events as blocks commit.
+// gives the mechanisms their two views of the ledger: the factual database
+// similarity index, rebuilt incrementally from contract events as blocks
+// commit, and the news supply-chain graph, read from contract state.
 //
 // A Platform can run standalone (it mines its own blocks, which is what
 // the examples and most experiments use) or as the application under BFT
@@ -136,8 +136,8 @@ type Platform struct {
 	searchSub *search.Subscriber
 
 	// bus is the event-sourced commit pipeline: every committed block is
-	// published once, and all derived indexes (fact index, supply-chain
-	// graph, penalties) update as subscribers.
+	// published once, and all derived indexes (fact index, search,
+	// penalties) update as subscribers.
 	bus *commitbus.Bus
 	// receipts holds the encoded receipts of block h as record h (see
 	// receipts.go): a file beside the chain log on a durable node, encoded
@@ -299,7 +299,7 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 	chain.Instrument(cfg.Telemetry)
 	p.engine.InstrumentState(cfg.Telemetry)
 	p.setStoreGauges()
-	p.graph = supplychain.NewGraph(p.factIndex)
+	p.graph = supplychain.NewGraph(supplychain.StateSource(p.engine), p.factIndex)
 	p.graph.Resolve = p.resolveBody
 	p.graph.Instrument(cfg.Telemetry)
 	p.searchSub = search.NewSubscriber(p.searchIdx, p.resolveBody)
@@ -307,7 +307,6 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 	subs := []commitbus.Subscriber{
 		&contractState{engine: p.engine},
 		&factdb.IndexSubscriber{Index: p.factIndex},
-		&supplychain.GraphSubscriber{Graph: p.graph},
 		&penaltyForwarder{p: p},
 		blobstore.NewsRefSubscriber(p.blobs),
 		p.searchSub,
@@ -395,14 +394,15 @@ func (p *Platform) resolveBody(cid string) (string, error) {
 }
 
 // hydrateItem fills in an off-chain body so callers can treat Text as
-// always present.
+// always present. A body this node cannot read is ErrBodyUnavailable, as
+// it is to a trace.
 func (p *Platform) hydrateItem(it *supplychain.Item) error {
 	if it.Text != "" || it.CID == "" {
 		return nil
 	}
 	text, err := p.resolveBody(it.CID)
 	if err != nil {
-		return fmt.Errorf("platform: resolve body of %s: %w", it.ID, err)
+		return fmt.Errorf("%w: item %s: %v", supplychain.ErrBodyUnavailable, it.ID, err)
 	}
 	it.Text = text
 	return nil
@@ -592,26 +592,33 @@ func (p *Platform) CommitAll() error {
 	}
 }
 
-// ApplyExternalBlock executes and indexes a block decided by external
-// consensus (the ChainApp commit hook path). The chain append must have
-// been performed by the caller's chain; this platform instance executes
-// against its own engine to stay in sync.
-func (p *Platform) ApplyExternalBlock(b *ledger.Block) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// commitDecided commits a block consensus decided (a validator's
+// CommitBlock, see validatorApp): it is appended to the chain, WAL fsync
+// included, leaves the mempool, and is executed and indexed, every step a
+// stage of one commit as on the standalone path.
+func (p *Platform) commitDecided(b *ledger.Block) error {
 	var start time.Time
 	if p.tm.commitSec != nil {
 		start = time.Now()
 	}
-	sp := p.tracer.Start("platform.applyExternalBlock")
+	sp := p.tracer.Start("platform.commitDecided")
 	defer sp.End()
+	var err error
+	p.stage(sp, stageAppend, func() { err = p.chain.Append(b) })
+	if err != nil {
+		sp.SetAttr("error", "append")
+		return err
+	}
+	p.pool.Remove(b.Txs)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var recs []contract.Receipt
 	p.stage(sp, stageExecute, func() { recs = p.engine.ExecuteBlock(b) })
 	p.settleLocked(sp, start, b, recs)
 	return nil
 }
 
-// settleLocked is the step Commit and ApplyExternalBlock share once a
+// settleLocked is the step Commit and commitDecided share once a
 // block is executed and on the chain: the chain's transaction index seals
 // its tail if the block filled it, the receipts go to the receipt log, the
 // block goes to the commit bus, and the commit is counted. A seal or
@@ -660,8 +667,8 @@ func (p *Platform) setStoreGauges() {
 }
 
 // publishLocked feeds one committed block into the commit bus, updating
-// every derived index (fact index, supply-chain graph, penalty
-// forwarding) through its subscriber. Caller holds p.mu.
+// every derived index (fact index, search, penalty forwarding) through its
+// subscriber. Caller holds p.mu.
 // Subscriber failures are recorded in the bus accounting (visible via
 // BusStats / the HTTP gateway) rather than failing the commit: the block
 // is already durable, and a lagging index must not fork the node away
@@ -710,9 +717,10 @@ func (p *Platform) RankItem(itemID string, mech ranking.Mechanism) (ItemRank, er
 			out.AIFakeProb = prob
 		}
 	}
-	// An item the graph has not indexed is ranked without the trace signal;
-	// a trace that cannot be computed here (ErrBodyUnavailable) is not a
-	// missing signal but a wrong answer, so it goes back to the caller.
+	// An item the graph does not find is ranked without the trace signal;
+	// a trace that cannot be computed here (ErrBodyUnavailable, a state
+	// read that failed) is not a missing signal but a wrong answer, so it
+	// goes back to the caller.
 	tr, err := p.graph.Trace(itemID)
 	switch {
 	case err == nil:
@@ -872,17 +880,11 @@ func (p *Platform) SeedFact(id string, topic corpus.Topic, text string) error {
 }
 
 // Experts mines the ledger for domain-topic experts (§VI, experiment
-// E8). Only the topic's committed items are traced, so the cost is
-// proportional to the topic, not the whole ledger.
-func (p *Platform) Experts(topic corpus.Topic, k int) []supplychain.ExpertScore {
-	ids := p.graph.TopicItems(topic)
-	traces := make(map[string]supplychain.TraceResult, len(ids))
-	for _, id := range ids {
-		if tr, err := p.graph.Trace(id); err == nil {
-			traces[id] = tr
-		}
-	}
-	return p.graph.Experts(topic, traces, k)
+// E8). It reads every committed item from contract state to find the
+// topic's and traces each of those: the scan costs one read of every item
+// whatever the topic, the traces follow the topic.
+func (p *Platform) Experts(topic corpus.Topic, k int) ([]supplychain.ExpertScore, error) {
+	return p.graph.Experts(topic, k)
 }
 
 // ---------------------------------------------------------------------------

@@ -290,8 +290,8 @@ func TestExpertsFromLedger(t *testing.T) {
 		expert.PublishNews("e"+strconv.Itoa(i), corpus.TopicPolitics, f, nil, "")
 	}
 	troll.PublishNews("t0", corpus.TopicPolitics, "lizard people run the ministry wake up", nil, "")
-	top := p.Experts(corpus.TopicPolitics, 1)
-	if len(top) != 1 || top[0].Account != expert.Address().String() {
+	top, err := p.Experts(corpus.TopicPolitics, 1)
+	if err != nil || len(top) != 1 || top[0].Account != expert.Address().String() {
 		t.Fatalf("experts=%+v", top)
 	}
 }

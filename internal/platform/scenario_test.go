@@ -128,7 +128,10 @@ func TestGrandScenario(t *testing.T) {
 	}
 
 	// 7. Expert discovery ranks the journalist above the troll.
-	experts := p.Experts(facts[0].Topic, 10)
+	experts, err := p.Experts(facts[0].Topic, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rank := map[string]int{}
 	for i, es := range experts {
 		rank[es.Account] = i + 1
@@ -146,8 +149,8 @@ func TestGrandScenario(t *testing.T) {
 	if p.Chain().Height() == 0 {
 		t.Fatal("empty chain")
 	}
-	stats := p.Graph().Stats()
-	if stats.Items != 5 || stats.Roots != 2 {
+	stats, err := p.Graph().Stats()
+	if err != nil || stats.Items != 5 || stats.Roots != 2 {
 		t.Fatalf("graph stats=%+v", stats)
 	}
 }

@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -47,17 +48,21 @@ func sealState(tb testing.TB, p *Platform, n int) {
 }
 
 // stateAnswers is what a node says that its contract state decides: the
-// state root, every receipt, the votes on every item and the item list.
+// state root, every receipt, the votes on every item, the item list, and
+// from the graph the item count, the trace of every item but the large
+// fillers sealState writes, and the experts on the workload's topics.
 type stateAnswers struct {
 	root     merkle.Hash
 	receipts map[ledger.TxID][]byte
 	votes    map[string][]byte
 	list     []byte
+	graph    []byte
 }
 
 func stateAnswersOf(t *testing.T, p *Platform) stateAnswers {
 	t.Helper()
 	a := stateAnswers{receipts: servedReceipts(t, p), votes: map[string][]byte{}}
+	graph := map[string]any{"len": p.Graph().Len()}
 	var err error
 	if a.root, err = p.Engine().StateRoot(); err != nil {
 		t.Fatal(err)
@@ -65,10 +70,25 @@ func stateAnswersOf(t *testing.T, p *Platform) stateAnswers {
 	if a.list, err = p.Engine().Query(p.Authority(), "news.list", nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, it := range p.Graph().Items() {
+	items := committedItems(t, p)
+	for _, it := range items {
 		if a.votes[it.ID], err = p.Engine().Query(p.Authority(), "rank.votes", []byte(it.ID)); err != nil {
 			t.Fatal(err)
 		}
+		if strings.HasPrefix(it.ID, "big-") {
+			continue
+		}
+		if graph["trace "+it.ID], err = p.Graph().Trace(it.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, topic := range []corpus.Topic{corpus.TopicPolitics, corpus.TopicHealth} {
+		if graph["experts "+string(topic)], err = p.Experts(topic, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.graph, err = json.Marshal(graph); err != nil {
+		t.Fatal(err)
 	}
 	return a
 }
@@ -80,6 +100,9 @@ func (a stateAnswers) mustEqual(t *testing.T, b stateAnswers) {
 	}
 	if !bytes.Equal(a.list, b.list) {
 		t.Fatalf("news.list answered\n%s\nwant\n%s", b.list, a.list)
+	}
+	if !bytes.Equal(a.graph, b.graph) {
+		t.Fatalf("the graph answered\n%s\nwant\n%s", b.graph, a.graph)
 	}
 	if len(a.votes) != len(b.votes) || len(a.receipts) != len(b.receipts) {
 		t.Fatalf("%d items and %d receipts, want %d and %d", len(b.votes), len(b.receipts), len(a.votes), len(a.receipts))
@@ -100,8 +123,8 @@ func (a stateAnswers) mustEqual(t *testing.T, b stateAnswers) {
 // directory the ways a crash, a disk or an older build can, and checks that
 // the node opens on the checkpoint when the segments it names are there and
 // replays in full when they are not, answers for its state — root,
-// receipts, rank.votes, news.list — as before the restart, and opens on a
-// checkpoint again the time after.
+// receipts, rank.votes, news.list, the graph's Len, traces and experts — as
+// before the restart, and opens on a checkpoint again the time after.
 func TestOpenRepairsStateLog(t *testing.T) {
 	// The template: items and votes, then enough large items for six
 	// sealed segments of the state — four merged into one, two more — and
@@ -139,6 +162,11 @@ func TestOpenRepairsStateLog(t *testing.T) {
 	}
 	var gobState bytes.Buffer
 	if err := gob.NewEncoder(&gobState).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	items := committedItems(t, p)
+	graphBlob, err := json.Marshal(items)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := closeFn(); err != nil {
@@ -190,6 +218,19 @@ func TestOpenRepairsStateLog(t *testing.T) {
 			p.engine.Close()   // waits for the merge
 			if st := p.Engine().StateStats(); st.Segments != 2 || st.Merges != 1 {
 				t.Fatalf("state after the checkpoint %+v, want the level-0 segments merged", st)
+			}
+		}},
+		{name: "a checkpoint carrying the graph blob", wantCkpt: true, damage: func(t *testing.T, dir string) {
+			// Builds that kept the graph in memory checkpointed it as its
+			// items in commit order; nothing claims that blob any more.
+			ckpt := filepath.Join(dir, checkpointName)
+			cp, err := store.ReadCheckpoint(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Subscribers["supplychain-graph"] = graphBlob
+			if err := store.WriteCheckpoint(ckpt, cp); err != nil {
+				t.Fatal(err)
 			}
 		}},
 		{name: "written by the parent commit", wantCkpt: true, damage: func(t *testing.T, dir string) {
@@ -298,10 +339,7 @@ func TestReplicatedCheckpointDropsStateTrie(t *testing.T) {
 			txs = append(txs, tx)
 		}
 		b := ledger.NewBlock(p.Chain().Height(), p.Chain().HeadID(), merkle.Hash{}, time.Unix(1562500000, 0), auth.Address(), txs)
-		if err := p.Chain().Append(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.ApplyExternalBlock(b); err != nil {
+		if err := p.commitDecided(b); err != nil {
 			t.Fatal(err)
 		}
 	}

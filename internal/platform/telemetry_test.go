@@ -162,13 +162,14 @@ func TestClusterNodeWireMetricsLive(t *testing.T) {
 		for _, k := range append(kinds, consensus.KindSyncRequest, consensus.KindSyncBlocks, wire.KindMempoolTx) {
 			sum += byKind.With(k).Value()
 		}
-		// Every committed height was applied once, through the receipts
-		// stage, and entered at least its propose step.
+		// Every committed height was appended and applied once, through the
+		// append and receipts stages, and entered at least its propose step.
 		commits := reg.Counter("trustnews_consensus_commits_total", "").Value()
 		steps := reg.HistogramVec("trustnews_consensus_step_seconds", "", nil, "step")
 		stages := reg.HistogramVec("trustnews_commit_stage_seconds", "", nil, "stage")
-		if a, r, p := steps.With("apply").Count(), stages.With("receipts").Count(), steps.With("propose").Count(); commits == 0 || a != commits || r != commits || p < commits {
-			t.Fatalf("validator %d: %d commits, %d apply steps, %d receipts stages, %d propose steps", i, commits, a, r, p)
+		a, ap, r, p := steps.With("apply").Count(), stages.With("append").Count(), stages.With("receipts").Count(), steps.With("propose").Count()
+		if commits == 0 || a != commits || ap != commits || r != commits || p < commits {
+			t.Fatalf("validator %d: %d commits, %d apply steps, %d append and %d receipts stages, %d propose steps", i, commits, a, ap, r, p)
 		}
 		if sum != total.Value() {
 			t.Fatalf("validator %d: per-kind bytes add up to %d, bytes_out_total is %d in:\n%s", i, sum, total.Value(), body)
@@ -179,8 +180,9 @@ func TestClusterNodeWireMetricsLive(t *testing.T) {
 			`trustnews_transport_kind_bytes_out_total{kind="consensus.commit"} `,
 			"trustnews_consensus_block_pulls_total 0",
 			// The consensus path reports the same stage budget as the
-			// standalone one (it has no state_root or append stage), and
-			// the round's budget by step.
+			// standalone one (it has no state_root stage), and the round's
+			// budget by step.
+			`trustnews_commit_stage_seconds_count{stage="append"} `,
 			`trustnews_commit_stage_seconds_count{stage="execute"} `,
 			`trustnews_commit_stage_seconds_count{stage="receipts"} `,
 			`trustnews_commit_stage_seconds_count{stage="publish"} `,

@@ -58,7 +58,8 @@ func answersOf(t *testing.T, p *Platform) txAnswers {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, it := range p.Graph().Items() {
+	items := committedItems(t, p)
+	for _, it := range items {
 		if it.CID != "" {
 			body, err := p.Blobs().GetString(blobstore.CID(it.CID))
 			if err != nil {

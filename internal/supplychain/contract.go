@@ -6,8 +6,8 @@
 // inserting) — is a transaction handled by the news contract, which links
 // the new item to its parent items: "this process will create a blockchain
 // transaction and form a graph link from the current account into the
-// referred parent account". The Graph type rebuilds the propagation DAG
-// from contract state and supports the paper's three queries: trace-back
+// referred parent account". The Graph type reads the propagation DAG from
+// contract state and supports the paper's three queries: trace-back
 // to the factual database root, ranking by degree of modification along
 // the path, and originator identification for accountability.
 package supplychain
@@ -20,6 +20,7 @@ import (
 	"repro/internal/contract"
 	"repro/internal/corpus"
 	"repro/internal/keys"
+	"repro/internal/store"
 )
 
 // ContractName routes news transactions.
@@ -161,10 +162,10 @@ func (c Contract) publish(ctx *contract.Context, args []byte) ([]byte, error) {
 
 func (c Contract) get(ctx *contract.Context, args []byte) ([]byte, error) {
 	raw, err := ctx.Get("item/" + string(args))
-	if err != nil {
+	if errors.Is(err, store.ErrNotFound) {
 		return nil, fmt.Errorf("%w: %s", ErrItemNotFound, string(args))
 	}
-	return raw, nil
+	return raw, err
 }
 
 func (c Contract) list(ctx *contract.Context) ([]byte, error) {
@@ -205,22 +206,5 @@ func GetItem(e *contract.Engine, asker keys.Address, id string) (Item, error) {
 	if err != nil {
 		return Item{}, err
 	}
-	var it Item
-	if err := json.Unmarshal(raw, &it); err != nil {
-		return Item{}, fmt.Errorf("supplychain: decode item: %w", err)
-	}
-	return it, nil
-}
-
-// ListItems queries every item through the engine.
-func ListItems(e *contract.Engine, asker keys.Address) ([]Item, error) {
-	raw, err := e.Query(asker, ContractName+".list", nil)
-	if err != nil {
-		return nil, err
-	}
-	var items []Item
-	if err := json.Unmarshal(raw, &items); err != nil {
-		return nil, fmt.Errorf("supplychain: decode items: %w", err)
-	}
-	return items, nil
+	return decodeItem(raw)
 }

@@ -3,7 +3,6 @@ package supplychain
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/corpus"
 )
@@ -12,30 +11,19 @@ import (
 // by trace outcome: factual-rooted items are green, modified descendants
 // are amber (darkening with modification), unverifiable items are red.
 // Edges are labelled with their propagation operator. This is the Fig. 4
-// picture, generated from live ledger state:
+// picture, generated from live ledger state in two scans of it (nodes,
+// then edges):
 //
 //	dot -Tsvg graph.dot > graph.svg
-func (g *Graph) WriteDOT(w io.Writer, traces map[string]TraceResult) error {
-	if traces == nil {
-		traces = g.TraceAll()
-	}
-	g.mu.RLock()
-	ids := make([]string, len(g.nodes))
-	for i := range g.nodes {
-		ids[i] = g.nodes[i].id
-	}
-	sort.Strings(ids)
-
+func (g *Graph) WriteDOT(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "digraph newschain {"); err != nil {
-		g.mu.RUnlock()
 		return err
 	}
 	fmt.Fprintln(w, "  rankdir=BT;")
 	fmt.Fprintln(w, "  node [style=filled, fontname=\"sans-serif\"];")
-	for _, id := range ids {
-		creator := g.strs[g.nodes[g.byID[id]].creator]
+	if err := g.src.ScanItems(func(it Item) error {
 		color := "#e05252" // unverifiable: red
-		if tr, ok := traces[id]; ok && tr.Rooted {
+		if tr, err := g.Trace(it.ID); err == nil && tr.Rooted {
 			switch {
 			case tr.Score >= ModificationThreshold:
 				color = "#58a55c" // factual: green
@@ -45,27 +33,26 @@ func (g *Graph) WriteDOT(w io.Writer, traces map[string]TraceResult) error {
 				color = "#e07b39" // heavily modified: orange
 			}
 		}
-		fmt.Fprintf(w, "  %q [fillcolor=%q, label=\"%s\\n%s\"];\n",
-			id, color, id, creator[:minInt(8, len(creator))])
+		_, err := fmt.Fprintf(w, "  %q [fillcolor=%q, label=\"%s\\n%s\"];\n",
+			it.ID, color, it.ID, it.Creator[:min(8, len(it.Creator))])
+		return err
+	}); err != nil {
+		return err
 	}
-	for _, id := range ids {
-		n := &g.nodes[g.byID[id]]
-		for _, p := range n.parents {
-			op := g.strs[n.op]
-			if op == "" {
-				op = string(corpus.OpVerbatim)
-			}
-			fmt.Fprintf(w, "  %q -> %q [label=%q];\n", id, g.nodes[p].id, op)
+	if err := g.src.ScanItems(func(it Item) error {
+		op := string(it.Op)
+		if op == "" {
+			op = string(corpus.OpVerbatim)
 		}
+		for _, p := range it.Parents {
+			if _, err := fmt.Fprintf(w, "  %q -> %q [label=%q];\n", it.ID, p, op); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	g.mu.RUnlock()
 	_, err := fmt.Fprintln(w, "}")
 	return err
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

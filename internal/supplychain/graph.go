@@ -1,15 +1,15 @@
 package supplychain
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/contract"
-	"repro/internal/corpus"
 	"repro/internal/factdb"
-	"repro/internal/keys"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -66,35 +66,113 @@ const ModificationThreshold = 0.9
 // that "can only be traced back into some unverified news data sources".
 const MinRootMatch = 0.3
 
-// Graph is the in-memory news supply-chain DAG. It is built either
-// incrementally (AddItem, as the platform indexes committed blocks) or in
-// bulk from contract state (Load).
-//
-// The graph holds structure, not text. Every validator keeps it for every
-// committed item, so an item costs its id and a fixed-size node: creator,
-// CID, topic and operator are numbers into a table of the distinct strings
-// seen (an account, a story relayed ten times, a topic are each stored
-// once), edges are node indexes, and an off-chain body is not held at all —
-// Trace reads the bodies it needs through Resolve. What Trace derives from
-// bodies is memoised per body, not per item, so every item that shares a
-// CID shares its similarities and a story's text is read once however many
-// times it was relayed.
+// Source is what a Graph reads the committed items from. Items are
+// write-once and a parent is committed before its children, so reading an
+// ancestry one item at a time is consistent.
+type Source interface {
+	// Item returns one item: an unknown id is an error wrapping
+	// ErrItemNotFound, any other error a failure to read.
+	Item(id string) (Item, error)
+	// ScanItems calls fn for every item in id order, stopping at the first
+	// error fn returns.
+	ScanItems(fn func(Item) error) error
+	// Len counts the items.
+	Len() int
+}
+
+// stateSource is the Source a node's graph reads: the news contract's
+// items in the engine's committed state, one key per item.
+type stateSource struct{ e *contract.Engine }
+
+// StateSource reads the items the news contract stored in e's state.
+func StateSource(e *contract.Engine) Source { return stateSource{e} }
+
+// itemPrefix is where the news contract keeps its items in the state.
+const itemPrefix = ContractName + "/item/"
+
+func (s stateSource) Item(id string) (Item, error) {
+	raw, err := s.e.Get(itemPrefix + id)
+	if errors.Is(err, store.ErrNotFound) {
+		return Item{}, fmt.Errorf("%w: %s", ErrItemNotFound, id)
+	}
+	if err != nil {
+		return Item{}, err
+	}
+	return decodeItem(raw)
+}
+
+func (s stateSource) ScanItems(fn func(Item) error) error {
+	return s.e.Scan(itemPrefix, func(_ string, raw []byte) error {
+		it, err := decodeItem(raw)
+		if err != nil {
+			return err
+		}
+		return fn(it)
+	})
+}
+
+// Len counts the items up to the first page that cannot be read.
+func (s stateSource) Len() int {
+	n := 0
+	_ = s.e.Scan(itemPrefix, func(string, []byte) error { n++; return nil })
+	return n
+}
+
+func decodeItem(raw []byte) (Item, error) {
+	var it Item
+	if err := json.Unmarshal(raw, &it); err != nil {
+		return Item{}, fmt.Errorf("supplychain: decode item: %w", err)
+	}
+	return it, nil
+}
+
+// ItemMap is a Source held in memory, the items by id, for experiments
+// and tests. As in the contract's state, a parent must be in it before a
+// child of it is traced.
+type ItemMap map[string]Item
+
+// Item implements Source.
+func (m ItemMap) Item(id string) (Item, error) {
+	it, ok := m[id]
+	if !ok {
+		return Item{}, fmt.Errorf("%w: %s", ErrItemNotFound, id)
+	}
+	return it, nil
+}
+
+// ScanItems implements Source.
+func (m ItemMap) ScanItems(fn func(Item) error) error {
+	ids := make([]string, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		if err := fn(m[id]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Len implements Source.
+func (m ItemMap) Len() int { return len(m) }
+
+// Graph is the news supply-chain DAG, read from a Source: a node's graph
+// is a view over contract state and keeps no item of its own. Trace reads
+// the ancestry it walks one item at a time and the bodies it needs through
+// Resolve. What it derives from bodies — edge similarities and fact
+// matches — is memoised per body, not per item, so every item that shares
+// a CID shares its similarities and a story's text is read once however
+// many times it was relayed.
 type Graph struct {
 	// Resolve reads an off-chain body by content id. Set it before the
 	// first Trace of an item that has a CID; without it such a trace
 	// answers ErrBodyUnavailable.
 	Resolve func(cid string) (string, error)
 
-	mu sync.RWMutex
-	// nodes holds the items in insertion order: parents precede children
-	// (which is also the checkpoint order).
-	nodes []node
-	byID  map[string]int32
-	// strs is the table of distinct creator, CID, topic and operator
-	// strings; strs[0] is "".
-	strs   []string
-	strIdx map[string]uint32
-	facts  FactChecker
+	src   Source
+	facts FactChecker
 
 	// memoMu guards what Trace has computed from bodies so far. Both maps
 	// are filled on first use and only ever hold pure functions of their
@@ -111,27 +189,15 @@ type Graph struct {
 	tm graphMetrics
 }
 
-// node is one item as the graph keeps it.
-type node struct {
-	id   string
-	text string // inline body; "" when the body is off-chain
-	// cid, creator, topic and op index Graph.strs (0: none).
-	cid, creator, topic, op uint32
-	size                    int
-	height                  uint64
-	parents, children       []int32 // node indexes, parents in declared order
-}
+// bodyKey names one article body: an off-chain body by its CID, an inline
+// body by the id of the one item that carries it.
+type bodyKey struct{ cid, item string }
 
-// bodyKey names one article body: the strs index of an off-chain body's
-// CID, or minus (node index + 1) for an inline body, which only that item
-// has.
-type bodyKey int64
-
-func (g *Graph) keyOf(i int32) bodyKey {
-	if cid := g.nodes[i].cid; cid != 0 {
-		return bodyKey(cid)
+func keyOf(it *Item) bodyKey {
+	if it.CID != "" {
+		return bodyKey{cid: it.CID}
 	}
-	return -bodyKey(i) - 1
+	return bodyKey{item: it.ID}
 }
 
 type edgeKey struct{ child, parent bodyKey }
@@ -160,207 +226,39 @@ func (g *Graph) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// NewGraph creates an empty graph over the given factual database view.
-func NewGraph(facts FactChecker) *Graph {
-	g := &Graph{facts: facts}
-	g.clear(0)
-	return g
+// NewGraph creates a graph over the items of src and the given factual
+// database view.
+func NewGraph(src Source, facts FactChecker) *Graph {
+	return &Graph{
+		src:   src,
+		facts: facts,
+		edges: make(map[edgeKey]float64),
+		roots: make(map[bodyKey]rootMatch),
+	}
 }
 
-// clear empties the graph and its memos, sized for n items. Caller holds
-// g.mu, or owns g.
-func (g *Graph) clear(n int) {
-	g.nodes = make([]node, 0, n)
-	g.byID = make(map[string]int32, n)
-	g.strs = []string{""}
-	g.strIdx = map[string]uint32{"": 0}
-	g.memoMu.Lock()
-	g.edges = make(map[edgeKey]float64)
-	g.roots = make(map[bodyKey]rootMatch)
-	g.memoMu.Unlock()
-}
+// Len returns the number of items: the source's count, on a node a scan
+// that reads every item.
+func (g *Graph) Len() int { return g.src.Len() }
 
-// intern returns the table index of s, adding it on first sight.
-func (g *Graph) intern(s string) uint32 {
-	if i, ok := g.strIdx[s]; ok {
-		return i
-	}
-	i := uint32(len(g.strs))
-	g.strs = append(g.strs, s)
-	g.strIdx[s] = i
-	return i
-}
-
-// Load builds a graph from all committed news items in the engine.
-func Load(e *contract.Engine, asker keys.Address, facts FactChecker) (*Graph, error) {
-	items, err := ListItems(e, asker)
-	if err != nil {
-		return nil, err
-	}
-	g := NewGraph(facts)
-	for i := range items {
-		if err := g.AddItem(items[i]); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// AddItem inserts one item. Parents must already be present (the contract
-// guarantees commit order satisfies this). An off-chain item is stored
-// without text — a Text beside a CID (a hydrated item, an old checkpoint)
-// is dropped — and nothing is read or computed here: AddItem runs on the
-// commit path of every validator, including those that do not hold the
-// body.
-func (g *Graph) AddItem(it Item) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.byID[it.ID]; ok {
-		return fmt.Errorf("%w: %s", ErrItemExists, it.ID)
-	}
-	var parents []int32
-	if len(it.Parents) > 0 {
-		parents = make([]int32, len(it.Parents))
-		for k, p := range it.Parents {
-			pi, ok := g.byID[p]
-			if !ok {
-				return fmt.Errorf("%w: %s (child %s)", ErrParentNotFound, p, it.ID)
-			}
-			parents[k] = pi
-		}
-	}
-	n := node{
-		id:      it.ID,
-		cid:     g.intern(it.CID),
-		creator: g.intern(it.Creator),
-		topic:   g.intern(string(it.Topic)),
-		op:      g.intern(string(it.Op)),
-		size:    it.Size,
-		height:  it.Height,
-		parents: parents,
-	}
-	if it.CID == "" {
-		n.text = it.Text
-	}
-	idx := int32(len(g.nodes))
-	g.nodes = append(g.nodes, n)
-	g.byID[it.ID] = idx
-	for _, pi := range parents {
-		g.nodes[pi].children = append(g.nodes[pi].children, idx)
-	}
-	return nil
-}
-
-// item rebuilds the Item a node was added as. Caller holds the lock.
-func (g *Graph) item(i int32) Item {
-	n := &g.nodes[i]
-	it := Item{
-		ID:      n.id,
-		Topic:   corpus.Topic(g.strs[n.topic]),
-		Text:    n.text,
-		CID:     g.strs[n.cid],
-		Size:    n.size,
-		Creator: g.strs[n.creator],
-		Op:      corpus.Op(g.strs[n.op]),
-		Height:  n.height,
-	}
-	for _, p := range n.parents {
-		it.Parents = append(it.Parents, g.nodes[p].id)
-	}
-	return it
-}
-
-// Items returns every item in insertion order (the checkpoint snapshot
-// format: parents always precede children).
-func (g *Graph) Items() []Item {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]Item, len(g.nodes))
-	for i := range g.nodes {
-		out[i] = g.item(int32(i))
-	}
-	return out
-}
-
-// Reset replaces the graph contents with the given items, added in order.
-func (g *Graph) Reset(items []Item) error {
-	g.mu.Lock()
-	g.clear(len(items))
-	g.mu.Unlock()
-	for _, it := range items {
-		if err := g.AddItem(it); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Len returns the number of items.
-func (g *Graph) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.nodes)
-}
-
-// Item returns an item by id.
-func (g *Graph) Item(id string) (Item, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	i, ok := g.byID[id]
-	if !ok {
-		return Item{}, fmt.Errorf("%w: %s", ErrItemNotFound, id)
-	}
-	return g.item(i), nil
-}
-
-// TopicItems returns the ids of the items on a topic, in commit order.
-func (g *Graph) TopicItems(topic corpus.Topic) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	t, ok := g.strIdx[string(topic)]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for i := range g.nodes {
-		if g.nodes[i].topic == t {
-			out = append(out, g.nodes[i].id)
-		}
-	}
-	return out
-}
-
-// Children returns the ids deriving directly from an item.
-func (g *Graph) Children(id string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	i, ok := g.byID[id]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, c := range g.nodes[i].children {
-		out = append(out, g.nodes[c].id)
-	}
-	return out
-}
-
-// traceState is one node's best-known trace during the memoized walk.
+// traceState is one item's best-known trace during the memoized walk.
 type traceState struct {
 	rooted    bool
 	score     float64
 	depth     int
-	next      int32 // next hop toward the root (-1 at the root)
+	next      string // next hop toward the root ("" at the root)
 	rootFact  string
 	rootMatch float64
 }
 
-// tracer is the state of one Trace call: the per-item memo of the DAG
-// walk, and every body read so far so that a call reads none twice.
+// tracer is the state of one Trace call: the items read, the per-item memo
+// of the DAG walk, and every body read so far, so that a call reads none
+// twice.
 type tracer struct {
 	g      *Graph
-	memo   map[int32]traceState
-	bodies map[uint32]string // by CID index
+	items  map[string]*Item
+	memo   map[string]traceState
+	bodies map[string]string // by CID
 }
 
 // Trace ranks one item by walking its ancestry to the factual database.
@@ -369,84 +267,85 @@ type tracer struct {
 // its body once, later ones read nothing. If a body is needed and this
 // node does not hold it the error wraps ErrBodyUnavailable.
 func (g *Graph) Trace(id string) (TraceResult, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	start, ok := g.byID[id]
-	if !ok {
-		return TraceResult{}, fmt.Errorf("%w: %s", ErrItemNotFound, id)
-	}
-	t := tracer{g: g, memo: make(map[int32]traceState)}
-	st, err := t.trace(start)
+	t := tracer{g: g, items: make(map[string]*Item), memo: make(map[string]traceState)}
+	st, err := t.trace(id)
 	if err != nil {
-		g.tm.bodyUnavailable.Inc()
+		if errors.Is(err, ErrBodyUnavailable) {
+			g.tm.bodyUnavailable.Inc()
+		}
 		return TraceResult{}, err
 	}
 
-	res := TraceResult{ItemID: id, Rooted: st.rooted, Score: st.score, Depth: st.depth}
-	// Reconstruct the best path.
-	path := []int32{start}
-	for cur := start; t.memo[cur].next >= 0; {
-		cur = t.memo[cur].next
-		path = append(path, cur)
+	res := TraceResult{ItemID: id, Rooted: st.rooted, Score: st.score, Depth: st.depth, Path: []string{id}}
+	for cur := st.next; cur != ""; cur = t.memo[cur].next {
+		res.Path = append(res.Path, cur)
 	}
-	for _, i := range path {
-		res.Path = append(res.Path, g.nodes[i].id)
+	if !st.rooted {
+		return res, nil
 	}
-	if st.rooted {
-		res.RootFactID = st.rootFact
-		// Originator: walk the path from the root outward and report the
-		// creator of the first substantially-modifying item. A root that
-		// itself imperfectly matches the factual database was modified by
-		// its own creator.
-		if st.rootMatch < ModificationThreshold {
-			root := &g.nodes[path[len(path)-1]]
-			res.Originator = g.strs[root.creator]
-			res.OriginatorItem = root.id
-		} else {
-			for i := len(path) - 2; i >= 0; i-- {
-				// Every edge of the path was computed by the walk above, so
-				// this cannot miss a body.
-				if sim, _ := t.edgeSim(path[i], path[i+1]); sim < ModificationThreshold {
-					child := &g.nodes[path[i]]
-					res.Originator = g.strs[child.creator]
-					res.OriginatorItem = child.id
-					break
-				}
-			}
+	res.RootFactID = st.rootFact
+	// Originator: walk the path from the root outward and report the
+	// creator of the first substantially-modifying item. A root that itself
+	// imperfectly matches the factual database was modified by its own
+	// creator.
+	if st.rootMatch < ModificationThreshold {
+		root := t.items[res.Path[len(res.Path)-1]]
+		res.Originator, res.OriginatorItem = root.Creator, root.ID
+		return res, nil
+	}
+	for i := len(res.Path) - 2; i >= 0; i-- {
+		child := t.items[res.Path[i]]
+		// Every edge of the path was computed by the walk above, so this
+		// cannot miss a body.
+		if sim, _ := t.edgeSim(child, t.items[res.Path[i+1]]); sim < ModificationThreshold {
+			res.Originator, res.OriginatorItem = child.Creator, child.ID
+			break
 		}
 	}
 	return res, nil
 }
 
+// item reads an item once per Trace call.
+func (t *tracer) item(id string) (*Item, error) {
+	if it, ok := t.items[id]; ok {
+		return it, nil
+	}
+	it, err := t.g.src.Item(id)
+	if err != nil {
+		return nil, err
+	}
+	t.items[id] = &it
+	return &it, nil
+}
+
 // trace computes the best traceState for an item, memoized over the DAG
-// (a parent's index is below its child's, so the recursion ends). Caller
-// holds the read lock.
-func (t *tracer) trace(i int32) (traceState, error) {
-	if st, ok := t.memo[i]; ok {
+// (the contract admits only committed parents, so the recursion ends).
+func (t *tracer) trace(id string) (traceState, error) {
+	if st, ok := t.memo[id]; ok {
 		return st, nil
 	}
-
-	g := t.g
-	best := traceState{next: -1}
-
-	// The item itself may match the factual database (it IS a fact or a
-	// near-verbatim copy of one).
-	m, err := t.rootMatch(i)
+	it, err := t.item(id)
 	if err != nil {
 		return traceState{}, err
 	}
-	if m.ok && m.sim >= MinRootMatch {
-		if m.sim >= ModificationThreshold || len(g.nodes[i].parents) == 0 {
-			best = traceState{rooted: true, score: m.sim, next: -1, rootFact: m.factID, rootMatch: m.sim}
-		}
+	var best traceState
+
+	// The item itself may match the factual database (it IS a fact or a
+	// near-verbatim copy of one).
+	m, err := t.rootMatch(it)
+	if err != nil {
+		return traceState{}, err
+	}
+	if m.ok && m.sim >= MinRootMatch && (m.sim >= ModificationThreshold || len(it.Parents) == 0) {
+		best = traceState{rooted: true, score: m.sim, rootFact: m.factID, rootMatch: m.sim}
 	}
 
 	// Or a parent path may score higher: score = hopSim * parentScore.
 	// Parents are visited in id order for deterministic tie-breaking.
-	parents := g.nodes[i].parents
+	parents := it.Parents
 	if len(parents) > 1 {
-		parents = append([]int32(nil), parents...)
-		sort.Slice(parents, func(a, b int) bool { return g.nodes[parents[a]].id < g.nodes[parents[b]].id })
+		parents = append([]string(nil), parents...)
+		sort.Strings(parents)
 	}
 	for _, p := range parents {
 		ps, err := t.trace(p)
@@ -456,7 +355,7 @@ func (t *tracer) trace(i int32) (traceState, error) {
 		if !ps.rooted {
 			continue
 		}
-		sim, err := t.edgeSim(i, p)
+		sim, err := t.edgeSim(it, t.items[p])
 		if err != nil {
 			return traceState{}, err
 		}
@@ -465,7 +364,7 @@ func (t *tracer) trace(i int32) (traceState, error) {
 		// result carries the full declared provenance (a verbatim relay of
 		// a fact scores 1.0 either way, but the path matters for
 		// propagation analysis).
-		directTie := best.next < 0 && score >= best.score
+		directTie := best.next == "" && score >= best.score
 		if !best.rooted || score > best.score || directTie {
 			best = traceState{
 				rooted:    true,
@@ -477,41 +376,39 @@ func (t *tracer) trace(i int32) (traceState, error) {
 			}
 		}
 	}
-	t.memo[i] = best
+	t.memo[id] = best
 	return best, nil
 }
 
 // body returns an item's text: its own for an inline item, read through
 // Resolve (once per Trace call) for an off-chain one.
-func (t *tracer) body(i int32) (string, error) {
-	n := &t.g.nodes[i]
-	if n.cid == 0 {
-		return n.text, nil
+func (t *tracer) body(it *Item) (string, error) {
+	if it.CID == "" {
+		return it.Text, nil
 	}
-	if text, ok := t.bodies[n.cid]; ok {
+	if text, ok := t.bodies[it.CID]; ok {
 		return text, nil
 	}
-	cid := t.g.strs[n.cid]
 	if t.g.Resolve == nil {
-		return "", fmt.Errorf("%w: item %s body %s: no resolver", ErrBodyUnavailable, n.id, cid)
+		return "", fmt.Errorf("%w: item %s body %s: no resolver", ErrBodyUnavailable, it.ID, it.CID)
 	}
-	text, err := t.g.Resolve(cid)
+	text, err := t.g.Resolve(it.CID)
 	if err != nil {
-		return "", fmt.Errorf("%w: item %s: %v", ErrBodyUnavailable, n.id, err)
+		return "", fmt.Errorf("%w: item %s: %v", ErrBodyUnavailable, it.ID, err)
 	}
 	if t.bodies == nil {
-		t.bodies = make(map[uint32]string)
+		t.bodies = make(map[string]string)
 	}
-	t.bodies[n.cid] = text
+	t.bodies[it.CID] = text
 	return text, nil
 }
 
 // edgeSim returns the text similarity of a child and one of its parents.
 // A verbatim relay — both name the same CID — is 1.0 by definition and
 // needs no body.
-func (t *tracer) edgeSim(child, parent int32) (float64, error) {
+func (t *tracer) edgeSim(child, parent *Item) (float64, error) {
 	g := t.g
-	key := edgeKey{g.keyOf(child), g.keyOf(parent)}
+	key := edgeKey{keyOf(child), keyOf(parent)}
 	if key.child == key.parent {
 		return 1, nil
 	}
@@ -539,9 +436,9 @@ func (t *tracer) edgeSim(child, parent int32) (float64, error) {
 
 // rootMatch returns the best fact match of an item's body, memoised until
 // the fact index grows.
-func (t *tracer) rootMatch(i int32) (rootMatch, error) {
+func (t *tracer) rootMatch(it *Item) (rootMatch, error) {
 	g := t.g
-	key := g.keyOf(i)
+	key := keyOf(it)
 	n := g.facts.Len()
 	g.memoMu.Lock()
 	if n != g.factsLen {
@@ -553,7 +450,7 @@ func (t *tracer) rootMatch(i int32) (rootMatch, error) {
 	if ok {
 		return m, nil
 	}
-	text, err := t.body(i)
+	text, err := t.body(it)
 	if err != nil {
 		return rootMatch{}, err
 	}
@@ -572,24 +469,33 @@ func (t *tracer) rootMatch(i int32) (rootMatch, error) {
 	return m, nil
 }
 
-// TraceAll ranks every item, returning results keyed by item id. Items
-// whose trace needs a body this node lacks are left out.
-func (g *Graph) TraceAll() map[string]TraceResult {
-	g.mu.RLock()
-	ids := make([]string, len(g.nodes))
-	for i := range g.nodes {
-		ids[i] = g.nodes[i].id
-	}
-	g.mu.RUnlock()
-	out := make(map[string]TraceResult, len(ids))
-	for _, id := range ids {
-		// Trace re-acquires the lock; the walk's memo is per call, what it
-		// computes from bodies is kept by the graph.
-		if res, err := g.Trace(id); err == nil {
-			out[id] = res
+// traceEach traces every item the scan yields that fn wants (nil: all) and
+// hands fn the result. An item whose trace needs a body this node lacks is
+// left out; any other error ends the scan.
+func (g *Graph) traceEach(want func(*Item) bool, fn func(*Item, TraceResult)) error {
+	return g.src.ScanItems(func(it Item) error {
+		if want != nil && !want(&it) {
+			return nil
 		}
-	}
-	return out
+		res, err := g.Trace(it.ID)
+		if errors.Is(err, ErrBodyUnavailable) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fn(&it, res)
+		return nil
+	})
+}
+
+// TraceAll ranks every item — one scan of the source, a trace per item —
+// returning results keyed by item id. Items whose trace needs a body this
+// node lacks are left out.
+func (g *Graph) TraceAll() (map[string]TraceResult, error) {
+	out := make(map[string]TraceResult)
+	err := g.traceEach(nil, func(it *Item, res TraceResult) { out[it.ID] = res })
+	return out, err
 }
 
 // Stats summarizes the graph shape for the E3/E4 contrast.
@@ -601,31 +507,40 @@ type Stats struct {
 	AvgDegree float64 `json:"avgDegree"`
 }
 
-// Stats computes graph shape statistics.
-func (g *Graph) Stats() Stats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	s := Stats{Items: len(g.nodes)}
-	// Parents precede children, so one forward pass knows every parent's
-	// depth before it is needed.
-	depth := make([]int, len(g.nodes))
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		s.Edges += len(n.parents)
-		if len(n.parents) == 0 {
+// Stats computes graph shape statistics from one scan of the source,
+// holding every item's parents until it returns.
+func (g *Graph) Stats() (Stats, error) {
+	var s Stats
+	parents := make(map[string][]string)
+	if err := g.src.ScanItems(func(it Item) error {
+		s.Items++
+		s.Edges += len(it.Parents)
+		if len(it.Parents) == 0 {
 			s.Roots++
 		}
-		for _, p := range n.parents {
-			if d := depth[p] + 1; d > depth[i] {
-				depth[i] = d
-			}
+		parents[it.ID] = it.Parents
+		return nil
+	}); err != nil {
+		return Stats{}, err
+	}
+	depth := make(map[string]int, len(parents))
+	var depthOf func(id string) int
+	depthOf = func(id string) int {
+		if d, ok := depth[id]; ok {
+			return d
 		}
-		if depth[i] > s.MaxDepth {
-			s.MaxDepth = depth[i]
+		d := 0
+		for _, p := range parents[id] {
+			d = max(d, depthOf(p)+1)
 		}
+		depth[id] = d
+		return d
+	}
+	for id := range parents {
+		s.MaxDepth = max(s.MaxDepth, depthOf(id))
 	}
 	if s.Items > 0 {
 		s.AvgDegree = float64(s.Edges) / float64(s.Items)
 	}
-	return s
+	return s, nil
 }

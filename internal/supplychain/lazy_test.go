@@ -3,7 +3,6 @@ package supplychain
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,10 +13,12 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/commitbus"
 	"repro/internal/contract"
 	"repro/internal/corpus"
 	"repro/internal/factdb"
+	"repro/internal/keys"
+	"repro/internal/ledger"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -128,172 +129,245 @@ func (o *oracleGraph) trace(id string) TraceResult {
 	return res
 }
 
-// lazyWorld is one random scenario: a lazy graph over a body store, the
-// oracle beside it, and the moves that grow both.
+// sealEvery3 seals the state's memtable every three keys, so a few dozen
+// publishes cross many seals and merges.
+var sealEvery3 = store.LSMConfig{SealEntries: 3}
+
+// lazyWorld is one scenario: items published through the news contract on
+// an engine that seals every three keys, the graph over its state, the
+// oracle beside it, and the moves that grow both. pick makes every choice:
+// a random source, or the bytes of a fuzz input.
 type lazyWorld struct {
-	rng    *rand.Rand
-	gen    *corpus.Generator
-	facts  *factdb.Index
-	store  *bodyStore
-	g      *Graph
-	oracle *oracleGraph
-	ids    []string
+	pick     func(n int) int
+	gen      *corpus.Generator
+	facts    *factdb.Index
+	bodies   *bodyStore
+	accounts []*keys.KeyPair
+	log      *store.MemLog
+	e        *contract.Engine
+	height   uint64
+	g        *Graph
+	oracle   *oracleGraph
+	ids      []string
 }
 
-func newLazyWorld(seed int64) *lazyWorld {
-	facts := factdb.NewIndex()
-	store := newBodyStore()
-	g := NewGraph(facts)
-	g.Resolve = store.resolve
-	return &lazyWorld{
-		rng:    rand.New(rand.NewSource(seed)),
+func newLazyWorld(tb testing.TB, seed int64) *lazyWorld {
+	return newWorld(tb, seed, rand.New(rand.NewSource(seed)).Intn)
+}
+
+func newWorld(tb testing.TB, seed int64, pick func(n int) int) *lazyWorld {
+	w := &lazyWorld{
+		pick:   pick,
 		gen:    corpus.NewGenerator(seed),
-		facts:  facts,
-		store:  store,
-		g:      g,
-		oracle: &oracleGraph{items: make(map[string]Item), facts: facts},
+		facts:  factdb.NewIndex(),
+		bodies: newBodyStore(),
+		log:    store.NewMemLog(),
 	}
+	for i := 0; i < 5; i++ {
+		w.accounts = append(w.accounts, keys.FromSeed([]byte(fmt.Sprintf("acct-%d", i))))
+	}
+	w.oracle = &oracleGraph{items: make(map[string]Item), facts: w.facts}
+	w.open(tb, nil)
+	return w
+}
+
+// open starts an engine on the world's state log — from a checkpoint
+// manifest, or empty — and a graph over it.
+func (w *lazyWorld) open(tb testing.TB, manifest []byte) {
+	tb.Helper()
+	e := contract.NewEngineWith(w.log, sealEvery3)
+	tb.Cleanup(func() { e.Close() })
+	if err := e.Register(Contract{}); err != nil {
+		tb.Fatal(err)
+	}
+	if manifest != nil {
+		if err := e.RestoreStateCheckpoint(manifest); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	w.e = e
+	w.g = NewGraph(StateSource(e), w.facts)
+	w.g.Resolve = w.bodies.resolve
+}
+
+// reopen checkpoints the state and opens a new engine and graph from the
+// manifest, as a node does at restart.
+func (w *lazyWorld) reopen(tb testing.TB) {
+	tb.Helper()
+	manifest, err := w.e.StateCheckpoint()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.e.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	w.open(tb, manifest)
+}
+
+// publish commits one item, signed by kp, through the news contract as a
+// block of its own; the oracle keeps it with its text.
+func (w *lazyWorld) publish(tb testing.TB, kp *keys.KeyPair, it Item, text string) {
+	tb.Helper()
+	var payload []byte
+	var err error
+	if it.CID != "" {
+		payload, err = PublishRefPayload(it.ID, it.Topic, it.CID, it.Size, it.Parents, it.Op)
+	} else {
+		payload, err = PublishPayload(it.ID, it.Topic, it.Text, it.Parents, it.Op)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tx, err := ledger.NewTx(kp, 0, "news.publish", payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.height++
+	if rec := w.e.ExecuteTx(tx, w.height); !rec.OK {
+		tb.Fatalf("publish %s: %s", it.ID, rec.Err)
+	}
+	it.Text, it.Creator = text, kp.Address().String()
+	w.oracle.items[it.ID] = it
+	w.ids = append(w.ids, it.ID)
 }
 
 // addItem publishes one item: an original, a verbatim relay of a parent
 // (same body, same CID when off-chain) or a modification of one; off-chain
 // or inline; with up to two parents.
-func (w *lazyWorld) addItem(t testing.TB) {
+func (w *lazyWorld) addItem(tb testing.TB) {
 	id := fmt.Sprintf("it-%d", len(w.ids))
-	it := Item{ID: id, Topic: corpus.TopicPolitics, Creator: fmt.Sprintf("acct-%d", w.rng.Intn(5))}
+	it := Item{ID: id, Topic: corpus.TopicPolitics}
+	kp := w.accounts[w.pick(len(w.accounts))]
 	var text string
-	if len(w.ids) == 0 || w.rng.Intn(4) == 0 {
-		if w.rng.Intn(3) == 0 {
+	if len(w.ids) == 0 || w.pick(4) == 0 {
+		if w.pick(3) == 0 {
 			text = w.gen.Fabricate().Text
 		} else {
 			text = w.gen.FactualOn(corpus.TopicPolitics).Text
 		}
 	} else {
-		parent := w.ids[w.rng.Intn(len(w.ids))]
+		parent := w.ids[w.pick(len(w.ids))]
 		it.Parents = []string{parent}
 		text = w.oracle.items[parent].Text
-		if w.rng.Intn(5) >= 3 {
+		if w.pick(5) >= 3 {
 			text = w.gen.Modify(corpus.Statement{Topic: corpus.TopicPolitics, Text: text}, "").Text
 			it.Op = corpus.OpInsert
 		}
-		if other := w.ids[w.rng.Intn(len(w.ids))]; other != parent && w.rng.Intn(3) == 0 {
+		if other := w.ids[w.pick(len(w.ids))]; other != parent && w.pick(3) == 0 {
 			it.Parents = append(it.Parents, other)
 		}
 	}
-	if w.rng.Intn(4) > 0 {
-		it.CID, it.Size = w.store.put(text), len(text)
+	if w.pick(4) > 0 {
+		it.CID, it.Size = w.bodies.put(text), len(text)
 	} else {
 		it.Text = text
 	}
-	if err := w.g.AddItem(it); err != nil {
-		t.Fatalf("AddItem(%s): %v", id, err)
-	}
-	it.Text = text
-	w.oracle.items[id] = it
-	w.ids = append(w.ids, id)
+	w.publish(tb, kp, it, text)
 }
 
 // addFact grows the fact index: with the text of an existing item (so
 // roots appear under already-traced items) or with a fresh statement.
 func (w *lazyWorld) addFact() {
 	text := w.gen.FactualOn(corpus.TopicPolitics).Text
-	if len(w.ids) > 0 && w.rng.Intn(2) == 0 {
-		text = w.oracle.items[w.ids[w.rng.Intn(len(w.ids))]].Text
+	if len(w.ids) > 0 && w.pick(2) == 0 {
+		text = w.oracle.items[w.ids[w.pick(len(w.ids))]].Text
 	}
 	w.facts.Add(factdb.Fact{ID: fmt.Sprintf("fact-%d", w.facts.Len()), Topic: corpus.TopicPolitics, Text: text})
 }
 
-func (w *lazyWorld) checkTrace(t testing.TB, g *Graph, id string) {
-	t.Helper()
-	got, err := g.Trace(id)
+// step makes one random move: publish, grow the facts, or trace an item
+// and hold it to the oracle.
+func (w *lazyWorld) step(tb testing.TB) {
+	switch r := w.pick(10); {
+	case r < 4:
+		w.addItem(tb)
+	case r < 5:
+		w.addFact()
+	case len(w.ids) > 0:
+		w.checkTrace(tb, w.ids[w.pick(len(w.ids))])
+	}
+}
+
+func (w *lazyWorld) checkTrace(tb testing.TB, id string) {
+	tb.Helper()
+	got, err := w.g.Trace(id)
 	if err != nil {
-		t.Fatalf("Trace(%s): %v", id, err)
+		tb.Fatalf("Trace(%s): %v", id, err)
 	}
 	if want := w.oracle.trace(id); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Trace(%s) diverged from the keep-everything oracle:\ngot  %+v\nwant %+v", id, got, want)
+		tb.Fatalf("Trace(%s) diverged from the keep-everything oracle:\ngot  %+v\nwant %+v", id, got, want)
+	}
+}
+
+// checkAll holds every item's trace to the oracle, then does it again on
+// an engine reopened from the state's checkpoint manifest.
+func (w *lazyWorld) checkAll(tb testing.TB) {
+	tb.Helper()
+	for _, id := range w.ids {
+		w.checkTrace(tb, id)
+	}
+	w.reopen(tb)
+	for _, id := range w.ids {
+		w.checkTrace(tb, id)
+	}
+	if got := w.g.Len(); got != len(w.ids) {
+		tb.Fatalf("Len() = %d after reopen, want %d", got, len(w.ids))
 	}
 }
 
 // TestLazyTraceEqualsOracle is the equivalence property: whatever the
-// order of queries, and however AddItem and fact-index growth interleave
-// with them, the lazy graph answers exactly what a graph that keeps every
-// text and recomputes everything answers.
+// order of queries, and however publishes and fact-index growth interleave
+// with them, the graph read from state — across the state's seals and
+// merges, and after a reopen from its checkpoint — answers exactly what a
+// graph that keeps every text and recomputes everything answers.
 func TestLazyTraceEqualsOracle(t *testing.T) {
+	merges := 0
 	for seed := int64(1); seed <= 40; seed++ {
-		w := newLazyWorld(seed)
+		w := newLazyWorld(t, seed)
 		for step := 0; step < 150; step++ {
-			switch r := w.rng.Intn(10); {
-			case r < 4:
-				w.addItem(t)
-			case r < 5:
-				w.addFact()
-			case len(w.ids) > 0:
-				w.checkTrace(t, w.g, w.ids[w.rng.Intn(len(w.ids))])
-			}
+			w.step(t)
 		}
-		for _, id := range w.ids {
-			w.checkTrace(t, w.g, id)
-		}
-		// Nothing the graph keeps in memory is an off-chain body.
-		for _, it := range w.g.Items() {
-			if it.CID != "" && it.Text != "" {
-				t.Fatalf("seed %d: item %s holds %d bytes of text beside its CID", seed, it.ID, len(it.Text))
-			}
-		}
+		before := w.e
+		w.checkAll(t) // closes before, waiting for its merges
+		merges += before.StateStats().Merges
+	}
+	if merges == 0 {
+		t.Fatal("no state merge ran under any seed")
 	}
 }
 
-// TestSnapshotRestoreTraceIdentical round-trips the graph through its
-// checkpoint blob — the one this build writes, and the one the previous
-// build wrote, which carried every hydrated body.
-func TestSnapshotRestoreTraceIdentical(t *testing.T) {
-	w := newLazyWorld(7)
-	for i := 0; i < 120; i++ {
-		if i%10 == 0 {
-			w.addFact()
+// FuzzTraceFromState turns bytes into a DAG of publishes — originals,
+// verbatim relays and rewrites with up to two parents, inline and off-chain
+// bodies — interleaved with fact additions and traces, all through the
+// news contract on an engine that seals every three keys. Every trace on
+// the way, and every item's trace at the end and after a reopen, equals
+// the keep-everything oracle.
+func FuzzTraceFromState(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte("relay relay relay relay relay"))
+	f.Add([]byte{1, 3, 1, 0, 1, 9, 2, 4, 0, 7, 1, 1, 0, 2, 3, 1, 8, 8, 0, 1, 2})
+	f.Add([]byte{3, 0, 0, 1, 3, 1, 1, 1, 3, 0, 2, 0, 4, 2, 1, 9, 9, 9})
+	f.Add([]byte("facts grow under traced items: ffff tttt ffff tttt"))
+	f.Add([]byte{2, 2, 2, 2, 3, 1, 0, 1, 3, 2, 1, 0, 3, 1, 1, 0, 2, 0, 1, 1, 0, 5, 4, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 128 {
+			data = data[:128]
 		}
-		w.addItem(t)
-	}
-	snap, err := (&GraphSubscriber{Graph: w.g}).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var written []Item
-	if err := json.Unmarshal(snap, &written); err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range written {
-		if it.CID != "" && it.Text != "" {
-			t.Fatalf("checkpoint blob carries the body of off-chain item %s", it.ID)
+		next := 0
+		pick := func(n int) int {
+			if next >= len(data) {
+				return 0
+			}
+			next++
+			return int(data[next-1]) % n
 		}
-	}
-	// The previous build's blob: the same items in the same order, every
-	// off-chain one with its text filled in.
-	hydrated := w.g.Items()
-	for i := range hydrated {
-		hydrated[i].Text = w.oracle.items[hydrated[i].ID].Text
-	}
-	old, err := json.Marshal(hydrated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, blob := range map[string][]byte{"current": snap, "hydrated": old} {
-		g := NewGraph(w.facts)
-		g.Resolve = w.store.resolve
-		reads := w.store.reads
-		if err := (&GraphSubscriber{Graph: g}).Restore(blob); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		w := newWorld(t, 1, pick)
+		for next < len(data) {
+			w.step(t)
 		}
-		if w.store.reads != reads {
-			t.Fatalf("%s: Restore read %d bodies, want none", name, w.store.reads-reads)
-		}
-		if !reflect.DeepEqual(g.Items(), w.g.Items()) {
-			t.Fatalf("%s: restored items differ", name)
-		}
-		for _, id := range w.ids {
-			w.checkTrace(t, g, id)
-		}
-	}
+		w.checkAll(t)
+	})
 }
 
 // TestTraceReadsEachBodyOnce pins the read-side price: the first trace
@@ -302,41 +376,41 @@ func TestSnapshotRestoreTraceIdentical(t *testing.T) {
 // costs one more read per body.
 func TestTraceReadsEachBodyOnce(t *testing.T) {
 	reg := telemetry.New()
-	w := newLazyWorld(3)
-	w.g.Instrument(reg)
-	w.facts.Add(factdb.Fact{ID: "f", Topic: corpus.TopicPolitics, Text: factText})
+	facts, bodies := newFactIndex(), newBodyStore()
 	modified := factText + " shocking outrage"
-	cidA, cidB := w.store.put(factText), w.store.put(modified)
-	mustAdd(t, w.g,
+	cidA, cidB := bodies.put(factText), bodies.put(modified)
+	g := graphOf(facts,
 		Item{ID: "a", CID: cidA, Creator: "x"},
 		Item{ID: "relay", CID: cidA, Creator: "y", Parents: []string{"a"}},
 		Item{ID: "b", CID: cidB, Creator: "z", Parents: []string{"relay"}},
 		Item{ID: "b2", CID: cidB, Creator: "z", Parents: []string{"b"}},
 	)
+	g.Resolve = bodies.resolve
+	g.Instrument(reg)
 	computed := func(kind string) uint64 {
 		return reg.CounterVec("trustnews_supplychain_similarity_computed_total", "", "kind").With(kind).Value()
 	}
-	if _, err := w.g.Trace("b2"); err != nil {
+	if _, err := g.Trace("b2"); err != nil {
 		t.Fatal(err)
 	}
-	if w.store.reads != 2 || computed("edge") != 1 || computed("root") != 2 {
+	if bodies.reads != 2 || computed("edge") != 1 || computed("root") != 2 {
 		t.Fatalf("first trace: %d reads, %d edges, %d roots; want 2 bodies, the one modifying edge, 2 root matches",
-			w.store.reads, computed("edge"), computed("root"))
+			bodies.reads, computed("edge"), computed("root"))
 	}
 	for _, id := range []string{"b2", "b", "relay", "a"} {
-		if _, err := w.g.Trace(id); err != nil {
+		if _, err := g.Trace(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.store.reads != 2 || computed("edge") != 1 || computed("root") != 2 {
-		t.Fatalf("repeat traces: %d reads, %d edges, %d roots; want nothing new", w.store.reads, computed("edge"), computed("root"))
+	if bodies.reads != 2 || computed("edge") != 1 || computed("root") != 2 {
+		t.Fatalf("repeat traces: %d reads, %d edges, %d roots; want nothing new", bodies.reads, computed("edge"), computed("root"))
 	}
-	w.facts.Add(factdb.Fact{ID: "g", Topic: corpus.TopicPolitics, Text: "an unrelated record about harvest quotas"})
-	if _, err := w.g.Trace("b2"); err != nil {
+	facts.Add(factdb.Fact{ID: "g", Topic: corpus.TopicPolitics, Text: "an unrelated record about harvest quotas"})
+	if _, err := g.Trace("b2"); err != nil {
 		t.Fatal(err)
 	}
-	if w.store.reads != 4 || computed("edge") != 1 || computed("root") != 4 {
-		t.Fatalf("after a new fact: %d reads, %d edges, %d roots; want the 2 root matches again, no edge", w.store.reads, computed("edge"), computed("root"))
+	if bodies.reads != 4 || computed("edge") != 1 || computed("root") != 4 {
+		t.Fatalf("after a new fact: %d reads, %d edges, %d roots; want the 2 root matches again, no edge", bodies.reads, computed("edge"), computed("root"))
 	}
 }
 
@@ -345,18 +419,19 @@ func TestTraceReadsEachBodyOnce(t *testing.T) {
 // score over the bodies that happen to be here.
 func TestTraceBodyUnavailable(t *testing.T) {
 	reg := telemetry.New()
-	w := newLazyWorld(5)
-	w.g.Instrument(reg)
-	w.facts.Add(factdb.Fact{ID: "f", Topic: corpus.TopicPolitics, Text: factText})
-	cidA, cidB := w.store.put(factText), w.store.put(factText+" with a shocking twist")
-	mustAdd(t, w.g,
-		Item{ID: "a", CID: cidA, Creator: "x"},
-		Item{ID: "b", CID: cidB, Creator: "y", Parents: []string{"a"}},
-		Item{ID: "local", Text: factText, Creator: "z"},
-	)
-	w.store.missing[cidA] = true
+	facts, bodies := newFactIndex(), newBodyStore()
+	cidA, cidB := bodies.put(factText), bodies.put(factText+" with a shocking twist")
+	items := []Item{
+		{ID: "a", CID: cidA, Creator: "x"},
+		{ID: "b", CID: cidB, Creator: "y", Parents: []string{"a"}},
+		{ID: "local", Text: factText, Creator: "z"},
+	}
+	g := graphOf(facts, items...)
+	g.Resolve = bodies.resolve
+	g.Instrument(reg)
+	bodies.missing[cidA] = true
 	for _, id := range []string{"a", "b"} {
-		res, err := w.g.Trace(id)
+		res, err := g.Trace(id)
 		if !errors.Is(err, ErrBodyUnavailable) {
 			t.Fatalf("Trace(%s) = %+v, %v; want ErrBodyUnavailable", id, res, err)
 		}
@@ -364,66 +439,45 @@ func TestTraceBodyUnavailable(t *testing.T) {
 			t.Fatalf("Trace(%s) returned a partial result with its error: %+v", id, res)
 		}
 	}
-	if _, err := w.g.Trace("local"); err != nil {
+	if _, err := g.Trace("local"); err != nil {
 		t.Fatalf("an item that needs no missing body: %v", err)
 	}
+	if _, err := g.Trace("ghost"); !errors.Is(err, ErrItemNotFound) {
+		t.Fatalf("unknown item: %v", err)
+	}
 	if got := reg.Counter("trustnews_supplychain_body_unavailable_total", "").Value(); got != 2 {
-		t.Fatalf("body_unavailable_total = %d, want 2", got)
+		t.Fatalf("body_unavailable_total = %d, want 2 (an unknown item is not a missing body)", got)
 	}
 	// The body arrives: the same graph answers.
-	delete(w.store.missing, cidA)
-	if tr, err := w.g.Trace("b"); err != nil || !tr.Rooted {
+	delete(bodies.missing, cidA)
+	if tr, err := g.Trace("b"); err != nil || !tr.Rooted {
 		t.Fatalf("after the body arrived: %+v, %v", tr, err)
 	}
 	// Without a resolver every off-chain body is unavailable.
-	bare := NewGraph(w.facts)
-	mustAdd(t, bare, Item{ID: "a", CID: cidA, Creator: "x"})
-	if _, err := bare.Trace("a"); !errors.Is(err, ErrBodyUnavailable) {
+	if _, err := graphOf(facts, items...).Trace("a"); !errors.Is(err, ErrBodyUnavailable) {
 		t.Fatalf("no resolver: %v", err)
 	}
 }
 
-// publishedEvent is the commit event of one block publishing the items.
-func publishedEvent(t testing.TB, height uint64, items ...Item) commitbus.CommitEvent {
-	t.Helper()
-	ev := commitbus.CommitEvent{Height: height}
-	for _, it := range items {
-		raw, err := json.Marshal(it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.Receipts = append(ev.Receipts, contract.Receipt{
-			OK:     true,
-			Result: raw,
-			Events: []contract.Event{{Contract: ContractName, Type: "published", Attrs: map[string]string{"id": it.ID}}},
-		})
-	}
-	return ev
-}
-
 // TestSubscriberNeedsNoBody: a validator that holds none of the bodies
-// indexes every off-chain item, without an error and without a read.
+// has every off-chain item on its graph — the state is all the graph
+// reads — without an error and without a read; only a trace needs them.
 func TestSubscriberNeedsNoBody(t *testing.T) {
-	store := newBodyStore()
-	g := NewGraph(newFactIndex())
-	g.Resolve = store.resolve
-	sub := &GraphSubscriber{Graph: g}
-	ev := publishedEvent(t, 0,
-		Item{ID: "a", CID: "cid-held-elsewhere", Size: 10, Creator: "x"},
-		Item{ID: "b", CID: "cid-held-elsewhere", Size: 10, Creator: "y", Parents: []string{"a"}},
-	)
-	if err := sub.OnCommit(ev); err != nil {
-		t.Fatalf("OnCommit without the bodies: %v", err)
+	w := newLazyWorld(t, 1)
+	w.publish(t, w.accounts[0], Item{ID: "a", CID: "cid-held-elsewhere", Size: 10}, "")
+	w.publish(t, w.accounts[1], Item{ID: "b", CID: "cid-held-elsewhere", Size: 10, Parents: []string{"a"}}, "")
+	if w.g.Len() != 2 || w.bodies.reads != 0 {
+		t.Fatalf("graph has %d items after %d body reads, want 2 and 0", w.g.Len(), w.bodies.reads)
 	}
-	if g.Len() != 2 || store.reads != 0 {
-		t.Fatalf("graph has %d items after %d body reads, want 2 and 0", g.Len(), store.reads)
+	if _, err := w.g.Trace("b"); !errors.Is(err, ErrBodyUnavailable) {
+		t.Fatalf("trace without the body: %v", err)
 	}
 }
 
 // TestGraphMemoryFollowsStructure builds 20 000 items over 200 distinct
-// bodies through the subscriber, traces a tenth of them, and compares the
-// heap the graph keeps for 4 KB bodies with the heap it keeps for 64-byte
-// ones: structure costs the same, so the two must agree.
+// bodies, traces a tenth of them, and compares the heap the items and the
+// graph's memos take for 4 KB bodies with what they take for 64-byte ones:
+// the memos hold no body, so the two must agree.
 func TestGraphMemoryFollowsStructure(t *testing.T) {
 	const items, distinct = 20_000, 200
 	heap := func() uint64 {
@@ -436,7 +490,7 @@ func TestGraphMemoryFollowsStructure(t *testing.T) {
 	build := func(bodySize int) (*Graph, uint64) {
 		rng := rand.New(rand.NewSource(11))
 		facts := factdb.NewIndex()
-		store := newBodyStore()
+		bodies := newBodyStore()
 		cids := make([]string, distinct)
 		for i := range cids {
 			var sb strings.Builder
@@ -444,15 +498,15 @@ func TestGraphMemoryFollowsStructure(t *testing.T) {
 			for sb.Len() < bodySize {
 				fmt.Fprintf(&sb, " word%d", rng.Intn(400))
 			}
-			cids[i] = store.put(sb.String())
+			cids[i] = bodies.put(sb.String())
 			if i%20 == 0 {
 				facts.Add(factdb.Fact{ID: fmt.Sprintf("f%d", i), Text: sb.String()})
 			}
 		}
 		before := heap()
-		g := NewGraph(facts)
-		g.Resolve = store.resolve
-		sub := &GraphSubscriber{Graph: g}
+		m := make(ItemMap, items)
+		g := NewGraph(m, facts)
+		g.Resolve = bodies.resolve
 		body := make([]int, items) // which body each item carries
 		for i := 0; i < items; i++ {
 			it := Item{ID: fmt.Sprintf("it-%d", i), Creator: fmt.Sprintf("acct-%d", i%50)}
@@ -468,9 +522,7 @@ func TestGraphMemoryFollowsStructure(t *testing.T) {
 				}
 			}
 			it.CID, it.Size = cids[body[i]], bodySize
-			if err := sub.OnCommit(publishedEvent(t, uint64(i), it)); err != nil {
-				t.Fatal(err)
-			}
+			m[it.ID] = it
 		}
 		for i := 0; i < items; i += 10 {
 			if _, err := g.Trace(fmt.Sprintf("it-%d", i)); err != nil {
@@ -481,7 +533,7 @@ func TestGraphMemoryFollowsStructure(t *testing.T) {
 	}
 	gSmall, small := build(64)
 	gLarge, large := build(4 << 10)
-	t.Logf("graph of %d items: %.1f MB over 64 B bodies, %.1f MB over 4 KB bodies", items, float64(small)/(1<<20), float64(large)/(1<<20))
+	t.Logf("%d items and their graph: %.1f MB over 64 B bodies, %.1f MB over 4 KB bodies", items, float64(small)/(1<<20), float64(large)/(1<<20))
 	if large > small+2<<20 {
 		t.Fatalf("graph heap grows with body size: %.1f MB over 64 B bodies, %.1f MB over 4 KB bodies (%d items, %d bodies)",
 			float64(small)/(1<<20), float64(large)/(1<<20), items, distinct)
@@ -490,75 +542,15 @@ func TestGraphMemoryFollowsStructure(t *testing.T) {
 	runtime.KeepAlive(gLarge)
 }
 
-// FuzzGraphRestore feeds the graph's checkpoint blob hostile bytes: no
-// panic; what is accepted is a DAG whose every parent was restored before
-// its child (so no cycle, no unknown parent), no larger than its input,
-// holding no off-chain text, and stable under a second round trip.
-func FuzzGraphRestore(f *testing.F) {
-	w := newLazyWorld(9)
-	for i := 0; i < 12; i++ {
-		w.addItem(f)
-	}
-	seed, err := (&GraphSubscriber{Graph: w.g}).Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte(`[{"id":"a","cid":"c","text":"hydrated by an older build","creator":"x","height":1}]`))
-	f.Add([]byte(`[{"id":"a","parents":["a"]}]`))
-	f.Add([]byte(`[{"id":"a","parents":["b"]},{"id":"b","parents":["a"]}]`))
-	f.Add([]byte(`[{"id":"a"},{"id":"a"}]`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(``))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g := NewGraph(factdb.NewIndex())
-		sub := &GraphSubscriber{Graph: g}
-		if err := sub.Restore(data); err != nil {
-			return
-		}
-		seen := make(map[string]bool)
-		held := 0
-		for _, it := range g.Items() {
-			for _, p := range it.Parents {
-				if !seen[p] {
-					t.Fatalf("item %q restored before its parent %q", it.ID, p)
-				}
-				held += len(p)
-			}
-			if seen[it.ID] {
-				t.Fatalf("item %q restored twice", it.ID)
-			}
-			seen[it.ID] = true
-			if it.CID != "" && it.Text != "" {
-				t.Fatalf("item %q holds text beside its CID", it.ID)
-			}
-			held += len(it.ID) + len(it.CID) + len(it.Text) + len(it.Creator) + len(it.Topic) + len(it.Op)
-		}
-		if held > len(data) {
-			t.Fatalf("restored graph holds %d bytes of strings from a %d-byte blob", held, len(data))
-		}
-		again, err := sub.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2 := NewGraph(factdb.NewIndex())
-		if err := (&GraphSubscriber{Graph: g2}).Restore(again); err != nil {
-			t.Fatalf("own snapshot does not restore: %v", err)
-		}
-		if !reflect.DeepEqual(g.Items(), g2.Items()) {
-			t.Fatal("snapshot of a restored graph restores to a different graph")
-		}
-	})
-}
-
-// TestConcurrentTraceWhileGraphGrows runs readers against the memos while
-// the commit path adds items and facts (the race detector's case), then
-// holds the settled graph to the oracle.
+// TestConcurrentTraceWhileGraphGrows runs readers against the state and
+// the memos while the commit path publishes items and grows the facts (the
+// race detector's case), then holds the settled graph to the oracle.
 func TestConcurrentTraceWhileGraphGrows(t *testing.T) {
-	w := newLazyWorld(21)
+	w := newLazyWorld(t, 21)
 	for i := 0; i < 20; i++ {
 		w.addItem(t)
 	}
+	g := w.g
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -572,7 +564,7 @@ func TestConcurrentTraceWhileGraphGrows(t *testing.T) {
 				default:
 				}
 				// Only the first 20 ids: w.ids grows under the writer.
-				if _, err := w.g.Trace(fmt.Sprintf("it-%d", (i+r)%20)); err != nil {
+				if _, err := g.Trace(fmt.Sprintf("it-%d", (i+r)%20)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -587,7 +579,5 @@ func TestConcurrentTraceWhileGraphGrows(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	for _, id := range w.ids {
-		w.checkTrace(t, w.g, id)
-	}
+	w.checkAll(t)
 }

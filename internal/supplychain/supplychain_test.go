@@ -32,13 +32,13 @@ func item(id, creator, text string, op corpus.Op, parents ...string) Item {
 	return Item{ID: id, Topic: corpus.TopicPolitics, Text: text, Creator: addr(creator), Parents: parents, Op: op}
 }
 
-func mustAdd(t *testing.T, g *Graph, items ...Item) {
-	t.Helper()
+// graphOf is a graph over the given items, held in memory.
+func graphOf(facts FactChecker, items ...Item) *Graph {
+	m := make(ItemMap, len(items))
 	for _, it := range items {
-		if err := g.AddItem(it); err != nil {
-			t.Fatalf("AddItem(%s): %v", it.ID, err)
-		}
+		m[it.ID] = it
 	}
+	return NewGraph(m, facts)
 }
 
 func TestContractPublishAndGet(t *testing.T) {
@@ -114,8 +114,7 @@ func TestContractDefaultsOpToVerbatim(t *testing.T) {
 }
 
 func TestTraceFactualRoot(t *testing.T) {
-	g := NewGraph(newFactIndex())
-	mustAdd(t, g, item("n1", "alice", factText, ""))
+	g := graphOf(newFactIndex(), item("n1", "alice", factText, ""))
 	res, err := g.Trace("n1")
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +128,7 @@ func TestTraceFactualRoot(t *testing.T) {
 }
 
 func TestTraceRelayChainKeepsScore(t *testing.T) {
-	g := NewGraph(newFactIndex())
-	mustAdd(t, g,
+	g := graphOf(newFactIndex(),
 		item("n1", "alice", factText, ""),
 		item("n2", "bob", factText, corpus.OpVerbatim, "n1"),
 		item("n3", "carol", factText, corpus.OpVerbatim, "n2"),
@@ -145,9 +143,8 @@ func TestTraceRelayChainKeepsScore(t *testing.T) {
 }
 
 func TestTraceModificationDropsScore(t *testing.T) {
-	g := NewGraph(newFactIndex())
 	modified := "SHOCKING you must share this " + factText + " rigged corrupt disaster exposed"
-	mustAdd(t, g,
+	g := graphOf(newFactIndex(),
 		item("n1", "alice", factText, ""),
 		item("n2", "mallory", modified, corpus.OpInsert, "n1"),
 	)
@@ -164,9 +161,8 @@ func TestTraceModificationDropsScore(t *testing.T) {
 func TestOriginatorAttribution(t *testing.T) {
 	// fact -> relay(bob) -> modify(mallory) -> relay(carol): the paper's
 	// accountability requirement is that mallory is identified.
-	g := NewGraph(newFactIndex())
 	modified := "fake claim entirely different words about a scandal conspiracy plot"
-	mustAdd(t, g,
+	g := graphOf(newFactIndex(),
 		item("n1", "alice", factText, ""),
 		item("n2", "bob", factText, corpus.OpVerbatim, "n1"),
 		item("n3", "mallory", modified, corpus.OpInsert, "n2"),
@@ -182,8 +178,7 @@ func TestOriginatorAttribution(t *testing.T) {
 }
 
 func TestTraceUnrootedFabrication(t *testing.T) {
-	g := NewGraph(newFactIndex())
-	mustAdd(t, g, item("fab", "mallory", "wild invented nonsense claim zebra quantum hoax", ""))
+	g := graphOf(newFactIndex(), item("fab", "mallory", "wild invented nonsense claim zebra quantum hoax", ""))
 	res, _ := g.Trace("fab")
 	if res.Rooted || res.Score != 0 {
 		t.Fatalf("res=%+v", res)
@@ -193,9 +188,8 @@ func TestTraceUnrootedFabrication(t *testing.T) {
 func TestTraceBestOfMultipleParents(t *testing.T) {
 	// A mix item with one factual-rooted parent and one fabricated parent
 	// should trace through the better path.
-	g := NewGraph(newFactIndex())
 	mix := factText + " moon landing hoax conspiracy"
-	mustAdd(t, g,
+	g := graphOf(newFactIndex(),
 		item("good", "alice", factText, ""),
 		item("bad", "mallory", "moon landing hoax conspiracy invented claim", ""),
 		item("mix", "dave", mix, corpus.OpMix, "good", "bad"),
@@ -213,39 +207,64 @@ func TestTraceBestOfMultipleParents(t *testing.T) {
 }
 
 func TestTraceMissingItem(t *testing.T) {
-	g := NewGraph(newFactIndex())
+	g := graphOf(newFactIndex())
 	if _, err := g.Trace("ghost"); !errors.Is(err, ErrItemNotFound) {
 		t.Fatalf("want ErrItemNotFound, got %v", err)
 	}
 }
 
+// The graph holds what the contract admitted and nothing else: a
+// duplicate id or an orphan leaves it as it was.
 func TestGraphRejectsDuplicateAndOrphan(t *testing.T) {
-	g := NewGraph(newFactIndex())
-	mustAdd(t, g, item("n1", "alice", "text", ""))
-	if err := g.AddItem(item("n1", "alice", "text", "")); !errors.Is(err, ErrItemExists) {
-		t.Fatalf("want ErrItemExists, got %v", err)
+	e := contract.NewEngine()
+	if err := e.Register(Contract{}); err != nil {
+		t.Fatal(err)
 	}
-	if err := g.AddItem(item("n2", "bob", "text", corpus.OpVerbatim, "ghost")); !errors.Is(err, ErrParentNotFound) {
-		t.Fatalf("want ErrParentNotFound, got %v", err)
+	g := NewGraph(StateSource(e), newFactIndex())
+	alice := keys.FromSeed([]byte("alice"))
+	publish := func(nonce uint64, id, text string, parents ...string) contract.Receipt {
+		p, _ := PublishPayload(id, corpus.TopicPolitics, text, parents, "")
+		tx, _ := ledger.NewTx(alice, nonce, "news.publish", p)
+		return e.ExecuteTx(tx, nonce+1)
+	}
+	if rec := publish(0, "n1", factText); !rec.OK {
+		t.Fatalf("publish: %+v", rec)
+	}
+	if rec := publish(1, "n1", "another text"); rec.OK || !strings.Contains(rec.Err, ErrItemExists.Error()) {
+		t.Fatalf("duplicate: %+v", rec)
+	}
+	if rec := publish(2, "n2", "text", "ghost"); rec.OK || !strings.Contains(rec.Err, ErrParentNotFound.Error()) {
+		t.Fatalf("orphan: %+v", rec)
+	}
+	if g.Len() != 1 {
+		t.Fatalf("graph holds %d items, want 1", g.Len())
+	}
+	if _, err := g.Trace("n2"); !errors.Is(err, ErrItemNotFound) {
+		t.Fatalf("trace of the orphan: %v", err)
+	}
+	if tr, err := g.Trace("n1"); err != nil || !tr.Rooted || tr.Score != 1 {
+		t.Fatalf("trace of the first publish: %+v, %v", tr, err)
 	}
 }
 
 func TestTraceAllAndStats(t *testing.T) {
-	g := NewGraph(newFactIndex())
-	mustAdd(t, g,
+	g := graphOf(newFactIndex(),
 		item("n1", "alice", factText, ""),
 		item("n2", "bob", factText, corpus.OpVerbatim, "n1"),
 		item("n3", "mallory", "invented garbage claim xyz", ""),
 		item("n4", "dave", factText+" extra", corpus.OpInsert, "n2"),
 	)
-	traces := g.TraceAll()
-	if len(traces) != 4 {
-		t.Fatalf("traced %d items", len(traces))
+	traces, err := g.TraceAll()
+	if err != nil || len(traces) != 4 {
+		t.Fatalf("traced %d items, %v", len(traces), err)
 	}
 	if !traces["n4"].Rooted || traces["n3"].Rooted {
 		t.Fatalf("traces: n4=%+v n3=%+v", traces["n4"], traces["n3"])
 	}
-	s := g.Stats()
+	s, err := g.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Items != 4 || s.Edges != 2 || s.Roots != 2 || s.MaxDepth != 2 {
 		t.Fatalf("stats=%+v", s)
 	}
@@ -261,21 +280,19 @@ func TestExpertsRankFactualCreators(t *testing.T) {
 	for i, f := range facts {
 		ix.Add(factdb.Fact{ID: "f" + strconv.Itoa(i), Topic: corpus.TopicPolitics, Text: f})
 	}
-	g := NewGraph(ix)
 	// expert posts three factual items; amateur posts one factual and two
 	// fabrications; troll posts fabrications only.
-	for i, f := range facts {
-		mustAdd(t, g, item("e"+strconv.Itoa(i), "expert", f, ""))
-	}
-	mustAdd(t, g,
+	items := []Item{
 		item("a0", "amateur", facts[0], ""),
 		item("a1", "amateur", "invented claim about lizard people", ""),
 		item("a2", "amateur", "more invented nonsense entirely", ""),
 		item("t0", "troll", "deep state hoax claim fabricated", ""),
-	)
-	traces := g.TraceAll()
-	experts := g.Experts(corpus.TopicPolitics, traces, 2)
-	if len(experts) != 2 {
+	}
+	for i, f := range facts {
+		items = append(items, item("e"+strconv.Itoa(i), "expert", f, ""))
+	}
+	experts, err := graphOf(ix, items...).Experts(corpus.TopicPolitics, 2)
+	if err != nil || len(experts) != 2 {
 		t.Fatalf("experts=%+v", experts)
 	}
 	if experts[0].Account != addr("expert") {
@@ -283,31 +300,6 @@ func TestExpertsRankFactualCreators(t *testing.T) {
 	}
 	if experts[0].Score <= experts[1].Score {
 		t.Fatalf("scores not ordered: %+v", experts)
-	}
-}
-
-func TestCommunitiesSeparateGroups(t *testing.T) {
-	g := NewGraph(newFactIndex())
-	// Two echo chambers: a1<->a2<->a3 relay each other; b1<->b2 relay
-	// each other; no cross edges.
-	mustAdd(t, g,
-		item("x1", "a1", factText, ""),
-		item("x2", "a2", factText, corpus.OpVerbatim, "x1"),
-		item("x3", "a3", factText, corpus.OpVerbatim, "x2"),
-		item("x4", "a1", factText, corpus.OpVerbatim, "x3"),
-		item("y1", "b1", "other claim entirely", ""),
-		item("y2", "b2", "other claim entirely", corpus.OpVerbatim, "y1"),
-		item("y3", "b1", "other claim entirely", corpus.OpVerbatim, "y2"),
-	)
-	labels := g.Communities(20)
-	if labels[addr("a1")] != labels[addr("a2")] || labels[addr("a2")] != labels[addr("a3")] {
-		t.Fatalf("group A split: %v", labels)
-	}
-	if labels[addr("b1")] != labels[addr("b2")] {
-		t.Fatalf("group B split: %v", labels)
-	}
-	if labels[addr("a1")] == labels[addr("b1")] {
-		t.Fatalf("groups merged: %v", labels)
 	}
 }
 
@@ -366,15 +358,15 @@ func TestProcessChainEnforcement(t *testing.T) {
 }
 
 func TestDeepChainTraceDepth(t *testing.T) {
-	g := NewGraph(newFactIndex())
-	mustAdd(t, g, item("n0", "alice", factText, ""))
 	const depth = 200
+	items := []Item{item("n0", "alice", factText, "")}
 	for i := 1; i <= depth; i++ {
-		mustAdd(t, g, item(
+		items = append(items, item(
 			"n"+strconv.Itoa(i), "relay"+strconv.Itoa(i%10), factText,
 			corpus.OpVerbatim, "n"+strconv.Itoa(i-1),
 		))
 	}
+	g := graphOf(newFactIndex(), items...)
 	res, err := g.Trace("n" + strconv.Itoa(depth))
 	if err != nil {
 		t.Fatal(err)
@@ -406,18 +398,16 @@ func BenchmarkTrace(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		facts.Add(factdb.Fact{ID: "fact-" + strconv.Itoa(i), Topic: corpus.TopicPolitics, Text: article()})
 	}
-	store := newBodyStore()
-	chain := func(depth int, rewrite bool) []Item {
+	bodies := newBodyStore()
+	chain := func(depth int, rewrite bool) ItemMap {
 		text := facts.Facts()[0].Text
-		items := []Item{{ID: "n0", CID: store.put(text), Creator: "a"}}
+		items := ItemMap{"n0": {ID: "n0", CID: bodies.put(text), Creator: "a"}}
 		for hop := 1; hop <= depth; hop++ {
 			if rewrite {
 				text = gen.Modify(corpus.Statement{Topic: corpus.TopicPolitics, Text: text}, corpus.OpInsert).Text
 			}
-			items = append(items, Item{
-				ID: "n" + strconv.Itoa(hop), CID: store.put(text), Creator: "a",
-				Parents: []string{"n" + strconv.Itoa(hop-1)},
-			})
+			id := "n" + strconv.Itoa(hop)
+			items[id] = Item{ID: id, CID: bodies.put(text), Creator: "a", Parents: []string{"n" + strconv.Itoa(hop-1)}}
 		}
 		return items
 	}
@@ -436,45 +426,43 @@ func BenchmarkTrace(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			items := chain(c.depth, c.rewrite)
-			last := items[len(items)-1].ID
-			g := NewGraph(facts)
-			g.Resolve = store.resolve
-			if err := g.Reset(items); err != nil {
-				b.Fatal(err)
+			last := "n" + strconv.Itoa(c.depth)
+			newGraph := func() *Graph {
+				g := NewGraph(items, facts)
+				g.Resolve = bodies.resolve
+				return g
 			}
+			g := newGraph()
 			if _, err := g.Trace(last); err != nil {
 				b.Fatal(err)
 			}
-			reads := store.reads
+			reads := bodies.reads
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if c.first {
 					b.StopTimer()
-					if err := g.Reset(items); err != nil { // forgets what earlier traces computed
-						b.Fatal(err)
-					}
+					g = newGraph() // forgets what earlier traces computed
 					b.StartTimer()
 				}
 				if _, err := g.Trace(last); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(store.reads-reads)/float64(b.N), "bodyreads/op")
+			b.ReportMetric(float64(bodies.reads-reads)/float64(b.N), "bodyreads/op")
 		})
 	}
 }
 
 func TestWriteDOT(t *testing.T) {
-	g := NewGraph(newFactIndex())
-	mustAdd(t, g,
+	g := graphOf(newFactIndex(),
 		item("n1", "alice", factText, ""),
 		item("n2", "bob", factText, corpus.OpVerbatim, "n1"),
 		item("n3", "mallory", "fabricated nonsense entirely unrelated", ""),
 		item("n4", "dave", factText+" shocking rigged", corpus.OpInsert, "n2"),
 	)
 	var buf bytes.Buffer
-	if err := g.WriteDOT(&buf, nil); err != nil {
+	if err := g.WriteDOT(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -499,11 +487,9 @@ func TestTraceScoreBoundsProperty(t *testing.T) {
 		ix := factdb.NewIndex()
 		fact := gen.Factual()
 		ix.Add(factdb.Fact{ID: fact.ID, Topic: fact.Topic, Text: fact.Text})
-		g := NewGraph(ix)
 		text := fact.Text
-		if err := g.AddItem(Item{ID: "n0", Topic: fact.Topic, Text: text, Creator: "a"}); err != nil {
-			return false
-		}
+		items := ItemMap{"n0": {ID: "n0", Topic: fact.Topic, Text: text, Creator: "a"}}
+		g := NewGraph(items, ix)
 		d := int(depth)%6 + 1
 		prevScore := 1.0
 		for hop := 1; hop <= d; hop++ {
@@ -514,11 +500,9 @@ func TestTraceScoreBoundsProperty(t *testing.T) {
 				op = corpus.OpInsert
 			}
 			id := "n" + strconv.Itoa(hop)
-			if err := g.AddItem(Item{
+			items[id] = Item{
 				ID: id, Topic: fact.Topic, Text: text, Creator: "a",
 				Parents: []string{"n" + strconv.Itoa(hop-1)}, Op: op,
-			}); err != nil {
-				return false
 			}
 			tr, err := g.Trace(id)
 			if err != nil {

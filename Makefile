@@ -53,7 +53,7 @@ chaos:
 
 # Reopen cost: full replay vs checkpoint restore (EXPERIMENTS.md E15b).
 bench-reopen:
-	$(GO) test -run NONE -bench 'BenchmarkOpen(Replay|Checkpoint)' -benchtime 5x .
+	$(GO) test -run NONE -bench 'BenchmarkOpen(Replay|Checkpoint)' -benchtime 5x ./internal/platform
 
 # State-root cost against state size and the rebuild-from-nothing path
 # (EXPERIMENTS.md E24). The 1M-key cases need about 2 GB and a minute.

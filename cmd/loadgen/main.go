@@ -78,7 +78,7 @@ func run(url string, local bool, rate float64, duration time.Duration,
 		cfg.Mix = mix
 	}
 	if local {
-		node, err := loadgen.StartLocalNode(nil)
+		node, err := loadgen.StartLocalNode()
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,12 @@
 // Package commitbus is the event-sourced seam between block commitment
-// and everything derived from it. The paper's Fig. 1 platform derives all
-// three mechanism inputs — the factual database (C1), the news
+// and the views derived from it. The paper's Fig. 1 platform derives its
+// mechanism inputs from the transaction ledger; this package turns that
+// derivation into an explicit, typed pipeline: every committed block is
+// published as one CommitEvent, and each view that keeps state of its own
+// — the factual database (C1), the search index, the blob store's
+// references to committed bodies — registers as a Subscriber. The news
 // supply-chain graph (C2) and the reputation-weighted ranking books (C3)
-// — from the transaction ledger; this package turns that derivation into
-// an explicit, typed pipeline: every committed block is published as one
-// CommitEvent, and each derived index registers as a Subscriber.
+// are not on the bus: they read the contract state execution wrote.
 //
 // Delivery is strictly ordered: events are published in chain order and
 // each subscriber sees them in registration order within an event. The

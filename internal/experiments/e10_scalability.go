@@ -46,7 +46,6 @@ func DefaultE10() E10Config {
 // and the cost of Byzantine tolerance.
 func RunE10Consensus(cfg E10Config) (*Table, error) {
 	t := &Table{
-		ID:     "E10a",
 		Title:  "Consensus scalability: virtual commit latency vs validators",
 		Claim:  "a scalable blockchain network is feasible; BFT pays per-validator cost PoA avoids",
 		Header: []string{"validators", "bft_ms_per_block", "poa_ms_per_block", "bft_msgs_per_block"},
@@ -168,7 +167,6 @@ func (c counterContract) Execute(ctx *contract.Context, method string, args []by
 // parallel-blockchain dependency.
 func RunE10Parallel(cfg E10Config) (*Table, error) {
 	t := &Table{
-		ID:     "E10b",
 		Title:  "Contract execution: parallel speedup vs conflict rate",
 		Claim:  "parallel contract execution scales blockchain throughput when workloads are disjoint",
 		Header: []string{"conflict_pct", "txs", "serial_ms", "parallel_ms", "wall_speedup", "modeled_speedup", "reexecuted"},

@@ -30,7 +30,6 @@ func DefaultE10c() E10cConfig {
 // spread over more transactions.
 func RunE10Batching(cfg E10cConfig) (*Table, error) {
 	t := &Table{
-		ID:     "E10c",
 		Title:  "Platform throughput vs block batch size",
 		Claim:  "batching amortizes per-block overhead (the high-performance network need)",
 		Header: []string{"batch", "blocks", "total_ms", "tx_per_s"},

@@ -24,7 +24,6 @@ func DefaultE11() E11Config { return E11Config{Factual: 800, Fake: 800, Seed: 11
 // trace-based ranking (E5).
 func RunE11(cfg E11Config) (*Table, error) {
 	t := &Table{
-		ID:     "E11",
 		Title:  "Fake-text detection: classifier comparison",
 		Claim:  "AI detection helps but is insufficient alone (motivates blockchain trace)",
 		Header: []string{"model", "accuracy", "precision", "recall", "f1", "auc"},
@@ -74,7 +73,6 @@ func DefaultE12() E12Config {
 // blind detection degrades gracefully as tamper strength falls.
 func RunE12(cfg E12Config) (*Table, error) {
 	t := &Table{
-		ID:     "E12",
 		Title:  "Media tamper detection vs tamper strength",
 		Claim:  "blockchain provenance catches any edit; blind AI detection needs visible damage",
 		Header: []string{"strength", "reference_detect", "blind_detect@0.05", "avg_blind_score"},

@@ -24,7 +24,6 @@ func DefaultE13() E13Config {
 // reports AUC/F1 — quantifying how early the platform can act.
 func RunE13(cfg E13Config) (*Table, error) {
 	t := &Table{
-		ID:     "E13",
 		Title:  "Outbreak prediction vs observation window (extension, §VII)",
 		Claim:  "fake-news outbreaks are predictable from early cascade shape + platform signals",
 		Header: []string{"window_rounds", "examples", "outbreak_rate", "auc", "f1"},
@@ -83,7 +82,6 @@ func RunE14(cfg E14Config) (*Table, error) {
 	}
 	profiles := intervene.Profiles(net, cfg.Seed)
 	t := &Table{
-		ID:     "E14",
 		Title:  "Correction targeting at equal budget (extension, §VII)",
 		Claim:  "personalized, community-routed corrections beat one-size-fits-all interventions",
 		Header: []string{"budget", "strategy", "ever_misled", "residual_believers", "corrected", "accepts_per_budget"},

@@ -29,7 +29,6 @@ func DefaultE15() E15Config {
 // them.
 func RunE15(cfg E15Config) (*Table, error) {
 	t := &Table{
-		ID:     "E15",
 		Title:  "Light-client verification cost vs chain length (extension)",
 		Claim:  "readers can verify committed items at a tiny fraction of full-node storage",
 		Header: []string{"blocks", "full_chain_kb", "headers_kb", "storage_ratio", "proof_bytes", "verify_us"},

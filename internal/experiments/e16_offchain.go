@@ -46,7 +46,6 @@ func DefaultE16() E16Config {
 // design against the inline baseline.
 func RunE16(cfg E16Config) (*Table, error) {
 	t := &Table{
-		ID:     "E16",
 		Title:  "Off-chain article storage: chain bytes, dedup, lossy retrieval",
 		Claim:  "storing bodies off-chain shrinks per-article chain cost >=5x; retrieval stays verified under loss",
 		Header: []string{"scenario", "loss", "articles", "chain_kb", "b_per_article", "shrink_x", "dedup_x", "fetch_ms_avg", "fetch_ms_max"},

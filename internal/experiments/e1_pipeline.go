@@ -85,7 +85,6 @@ func RunE1(cfg E1Config) (*Table, error) {
 	total := time.Since(start)
 
 	t := &Table{
-		ID:     "E1",
 		Title:  "Platform pipeline (Fig. 1): per-stage cost",
 		Claim:  "the integrated AI+blockchain pipeline is practical end to end",
 		Header: []string{"stage", "ops", "total_ms", "us_per_op"},

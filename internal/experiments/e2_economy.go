@@ -56,7 +56,6 @@ func RunE2(cfg E2Config) (*Table, error) {
 	}
 
 	t := &Table{
-		ID:     "E2",
 		Title:  "Ecosystem economy (Fig. 2): cohort balances over epochs",
 		Claim:  "economic incentives reward honest flagging and drain coordinated bias",
 		Header: []string{"epoch", "honest_avg_bal", "biased_avg_bal", "honest_avg_rep", "biased_avg_rep"},

@@ -22,7 +22,6 @@ func DefaultE3() E3Config { return E3Config{StageCounts: []int{4, 8, 16}, Assets
 // whose trace cost is O(stages) and independent of participant count.
 func RunE3(cfg E3Config) (*Table, error) {
 	t := &Table{
-		ID:     "E3",
 		Title:  "Process supply chain (Fig. 3): fixed workflow trace cost",
 		Claim:  "pre-configured workflow chains trace in O(stages), independent of scale",
 		Header: []string{"stages", "assets", "avg_path_len", "trace_ns"},
@@ -78,7 +77,6 @@ func DefaultE4() E4Config { return E4Config{ItemCounts: []int{100, 1000, 10000, 
 // architecture") — and measures graph shape and trace-back latency.
 func RunE4(cfg E4Config) (*Table, error) {
 	t := &Table{
-		ID:     "E4",
 		Title:  "News supply chain (Fig. 4): dynamic graph trace cost vs scale",
 		Claim:  "the news graph is large and dynamic, yet trace-back stays tractable",
 		Header: []string{"items", "edges", "max_depth", "rooted_frac", "avg_trace_us"},

@@ -41,7 +41,6 @@ func DefaultE5() E5Config {
 // crowd sourcing mechanisms", §IV).
 func RunE5(cfg E5Config) (*Table, error) {
 	t := &Table{
-		ID:     "E5",
 		Title:  "Ranking accuracy vs biased-voter share (fake class F1)",
 		Claim:  "AI+trace+reputation ranking resists bias that captures majority voting",
 		Header: []string{"biased_frac", "majority", "ai_only", "trace_only", "combined"},

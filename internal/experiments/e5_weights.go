@@ -44,7 +44,6 @@ func DefaultE5Weights() E5WeightsConfig {
 // signal's blind spots.
 func RunE5Weights(cfg E5WeightsConfig) (*Table, error) {
 	t := &Table{
-		ID:     "E5w",
 		Title:  "Combined-mechanism weight ablation (biased share fixed)",
 		Claim:  "the integrated multi-signal design beats any single dominant signal",
 		Header: []string{"weights", "ai", "trace", "crowd", "f1_known_bloc", "f1_fresh_bloc"},
@@ -78,10 +77,4 @@ func runE5WeightsCell(base E5Config, biasedFrac float64, w ranking.Weights) (flo
 		return 0, err
 	}
 	return scores[ranking.MechanismCombined], nil
-}
-
-// crowdHeavyWeights and uniformWeights expose ablation presets to tests.
-func crowdHeavyWeights() ranking.Weights { return ranking.Weights{AI: 0.1, Trace: 0.2, Crowd: 0.7} }
-func uniformWeights() ranking.Weights {
-	return ranking.Weights{AI: 1. / 3, Trace: 1. / 3, Crowd: 1. / 3}
 }

@@ -23,7 +23,6 @@ func DefaultE6() E6Config { return E6Config{Depths: []int{2, 4, 8, 16, 32}, Chai
 // how often the trace identifies that account as the originator.
 func RunE6(cfg E6Config) (*Table, error) {
 	t := &Table{
-		ID:     "E6",
 		Title:  "Originator accountability vs propagation depth",
 		Claim:  "people who create fake news can be identified and located for accountability",
 		Header: []string{"depth", "chains", "originator_found_frac", "rooted_frac"},
@@ -98,7 +97,6 @@ func DefaultE8() E8Config {
 // ledger-mined expert list against the ground-truth expert set.
 func RunE8(cfg E8Config) (*Table, error) {
 	t := &Table{
-		ID:     "E8",
 		Title:  "Domain-expert discovery from ledger history (precision@k)",
 		Claim:  "AI analysis of the ledger identifies factual creators as topic experts",
 		Header: []string{"topic", "experts", "candidates", "precision_at_k"},

@@ -83,7 +83,6 @@ func RunE7(cfg E7Config) (*Table, error) {
 	}
 
 	t := &Table{
-		ID:     "E7",
 		Title:  "Fake vs factual reach per round, with and without intervention",
 		Claim:  "factual-sourced reporting can outpace the spread of fake news",
 		Header: []string{"round", "fake_free", "factual_free", "fake_intervened", "factual_intervened"},

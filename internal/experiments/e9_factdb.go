@@ -35,7 +35,6 @@ func DefaultE9() E9Config {
 // the DB fast but admits fakes; a strict one stays clean but grows slowly.
 func RunE9(cfg E9Config) (*Table, error) {
 	t := &Table{
-		ID:     "E9",
 		Title:  "Factual-database growth vs promotion threshold",
 		Claim:  "verified news grows the factual database into a trusting news engine",
 		Header: []string{"threshold", "items", "promoted", "correct_promotions", "false_promotions", "precision"},

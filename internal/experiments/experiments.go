@@ -1,19 +1,155 @@
-// Package experiments contains the runners that regenerate every
-// experiment in DESIGN.md's index (E1-E12). The paper is a position paper
+// Package experiments regenerates the paper-anchored experiments of
+// DESIGN.md's index (E1–E16, E5w, E10a–c). The paper is a position paper
 // with no numeric tables, so each runner quantifies one of its figures or
 // falsifiable claims; EXPERIMENTS.md records the qualitative expectation
 // next to the measured output.
 //
-// Every runner is deterministic from its seed and returns a Table that
-// cmd/benchrunner renders; the root bench_test.go wraps each runner in a
-// testing.B benchmark.
+// All is the registry: each experiment is declared there once, with its
+// ID and its runner at Full and at Small size. Every runner is
+// deterministic from its seed and returns a Table. cmd/benchrunner renders
+// the tables, BenchmarkExperiments times every entry at Small size, and
+// TestExperiments checks every entry's claim at Small size.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"unicode"
 )
+
+// Size is the scale an experiment runs at.
+type Size int
+
+const (
+	// Full is the size EXPERIMENTS.md reports.
+	Full Size = iota
+	// Small is cheap enough for every `go test` run, yet large enough for
+	// the claim TestExperiments checks.
+	Small
+)
+
+// Experiment is one registry entry.
+type Experiment struct {
+	ID  string
+	Run func(Size) (*Table, error)
+}
+
+// entry declares an experiment: its runner, the config it runs at Full
+// size, and the edit that shrinks that config to Small.
+func entry[C any](id string, run func(C) (*Table, error), full func() C, small func(*C)) Experiment {
+	return Experiment{ID: id, Run: func(s Size) (*Table, error) {
+		cfg := full()
+		if s == Small {
+			small(&cfg)
+		}
+		t, err := run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		t.ID = id
+		return t, nil
+	}}
+}
+
+// All returns every experiment, in ID order.
+func All() []Experiment {
+	return []Experiment{
+		entry("E1", RunE1, DefaultE1, func(c *E1Config) { c.Items, c.Voters = 6, 3 }),
+		entry("E2", RunE2, DefaultE2, func(c *E2Config) { c.Epochs, c.ItemsPerEpoch = 6, 4 }),
+		entry("E3", RunE3, DefaultE3, func(c *E3Config) { c.Assets = 100 }),
+		entry("E4", RunE4, DefaultE4, func(c *E4Config) { c.ItemCounts = []int{100, 1000} }),
+		entry("E5", RunE5, DefaultE5, func(c *E5Config) {
+			c.Facts, c.WarmupItems, c.EvalItems, c.Voters = 30, 16, 30, 12
+			c.BiasedFracs = []float64{0, 0.45}
+		}),
+		// The full 20-voter crowd stays: the bias pressure at 45% depends
+		// on the bloc being a near-majority.
+		entry("E5w", RunE5Weights, DefaultE5Weights, func(c *E5WeightsConfig) {
+			c.Base.Facts, c.Base.WarmupItems, c.Base.EvalItems = 30, 16, 30
+			c.Settings = slices.DeleteFunc(c.Settings, func(s WeightSetting) bool {
+				return s.Name != "crowd_heavy" && s.Name != "uniform"
+			})
+		}),
+		entry("E6", RunE6, DefaultE6, func(c *E6Config) { c.Depths, c.Chains = []int{2, 8}, 25 }),
+		entry("E7", RunE7, DefaultE7, func(c *E7Config) {
+			c.Net.Users, c.Net.Bots, c.Net.Cyborgs = 1200, 80, 40
+			c.Runs = 6
+		}),
+		// E8 is cheap at full size.
+		entry("E8", RunE8, DefaultE8, func(*E8Config) {}),
+		entry("E9", RunE9, DefaultE9, func(c *E9Config) { c.Items, c.Voters = 40, 10 }),
+		entry("E10a", RunE10Consensus, DefaultE10, func(c *E10Config) {
+			c.ValidatorCounts, c.Blocks = []int{4, 8}, 2
+		}),
+		entry("E10b", RunE10Parallel, DefaultE10, func(c *E10Config) { c.ParallelTxs = 256 }),
+		entry("E10c", RunE10Batching, DefaultE10c, func(c *E10cConfig) {
+			c.BatchSizes, c.TotalTxs = []int{1, 256}, 512
+		}),
+		entry("E11", RunE11, DefaultE11, func(c *E11Config) { c.Factual, c.Fake = 400, 400 }),
+		entry("E12", RunE12, DefaultE12, func(c *E12Config) { c.Samples = 20 }),
+		entry("E13", RunE13, DefaultE13, func(c *E13Config) {
+			c.Base.CascadesPerClass, c.Windows = 50, []int{1, 3}
+		}),
+		entry("E14", RunE14, DefaultE14, func(c *E14Config) {
+			c.Net.Users, c.Net.Bots, c.Net.Cyborgs = 1200, 80, 40
+			c.Budgets, c.Runs = []int{60}, 10
+		}),
+		entry("E15", RunE15, DefaultE15, func(c *E15Config) { c.Heights, c.TxsPerBlock = []int{5, 50}, 20 }),
+		entry("E16", RunE16, DefaultE16, func(c *E16Config) {
+			c.Articles, c.Syndicated, c.Sentences = 6, 3, 30
+			c.LossRates = []float64{0, 0.05}
+		}),
+	}
+}
+
+// Select returns the entries a comma-separated list of IDs names, in
+// registry order, or every entry for an empty list. Case does not matter,
+// and an ID also names its lettered variants: E10 selects E10a, E10b and
+// E10c; E5 selects E5 and E5w. An ID that names nothing is an error.
+func Select(only string) ([]Experiment, error) {
+	all := All()
+	want := map[string]bool{} // requested ID -> matched an entry
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			want[id] = false
+		}
+	}
+	if len(want) == 0 {
+		return all, nil
+	}
+	var out []Experiment
+	for _, e := range all {
+		id := strings.ToUpper(e.ID)
+		family := strings.TrimRightFunc(id, unicode.IsLetter)
+		hit := false
+		for _, name := range []string{id, family} {
+			if _, ok := want[name]; ok {
+				want[name], hit = true, true
+			}
+		}
+		if hit {
+			out = append(out, e)
+		}
+	}
+	var unknown []string
+	for id, matched := range want {
+		if !matched {
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		valid := make([]string, len(all))
+		for i, e := range all {
+			valid[i] = e.ID
+		}
+		return nil, fmt.Errorf("no experiment %s; valid IDs: %s",
+			strings.Join(unknown, ", "), strings.Join(valid, " "))
+	}
+	return out, nil
+}
 
 // Table is one experiment's output.
 type Table struct {

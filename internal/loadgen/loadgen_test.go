@@ -11,7 +11,7 @@ import (
 // sheds, and zero client drops — at 40 req/s the node is nowhere near
 // capacity, so anything nonzero is a generator or serving-path bug.
 func TestLoadgenSmoke(t *testing.T) {
-	node, err := StartLocalNode(nil)
+	node, err := StartLocalNode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// LocalNode is an in-process trustnewsd-equivalent for experiments and
-// smoke tests: a full platform (admission control and telemetry on, as
+// LocalNode is an in-process trustnewsd-equivalent for `loadgen -local`
+// and smoke tests: a full platform (admission control and telemetry on, as
 // in production) behind a real HTTP listener, with the platform's
 // committer putting submitted transactions in blocks the way a standalone
 // daemon does. Measurements against it include the complete serving path
@@ -32,15 +32,11 @@ type LocalNode struct {
 }
 
 // StartLocalNode boots the node on the default platform config with
-// telemetry and admission enabled (override via mutate, which may be
-// nil).
-func StartLocalNode(mutate func(*platform.Config)) (*LocalNode, error) {
+// telemetry and admission enabled.
+func StartLocalNode() (*LocalNode, error) {
 	cfg := platform.DefaultConfig()
 	cfg.Telemetry = telemetry.New()
 	cfg.Admission = admission.DefaultConfig()
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	p, err := platform.New(cfg)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/contract"
@@ -396,5 +397,92 @@ func TestOpenFallsBackWhenCheckpointBeyondLog(t *testing.T) {
 	}
 	if root != head.Header.StateRoot {
 		t.Fatal("recovered state root does not match surviving head block")
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Durable reopen: full replay vs checkpoint restore (EXPERIMENTS.md E15b).
+// ---------------------------------------------------------------------------
+
+const reopenChainBlocks = 5000
+
+var (
+	reopenChainOnce sync.Once
+	reopenChainDir  string
+	reopenChainErr  error
+)
+
+// reopenChain lazily builds one durable 5000-block chain (one mint tx per
+// block) with a checkpoint at the head, shared by both reopen benchmarks.
+func reopenChain(b *testing.B) string {
+	b.Helper()
+	reopenChainOnce.Do(func() {
+		reopenChainDir, reopenChainErr = os.MkdirTemp("", "trustnews-reopen-bench-")
+		if reopenChainErr != nil {
+			return
+		}
+		p, closeFn, err := Open(reopenChainDir, DefaultConfig())
+		if err != nil {
+			reopenChainErr = err
+			return
+		}
+		payer := p.NewActor("bench-payer")
+		for i := 0; i < reopenChainBlocks; i++ {
+			if err := p.MintTo(payer.Address(), 1); err != nil {
+				reopenChainErr = err
+				return
+			}
+		}
+		if err := p.WriteCheckpoint(); err != nil {
+			reopenChainErr = err
+			return
+		}
+		reopenChainErr = closeFn()
+	})
+	if reopenChainErr != nil {
+		b.Fatal(reopenChainErr)
+	}
+	return reopenChainDir
+}
+
+// BenchmarkOpenReplay reopens the 5000-block chain the original way:
+// decode, validate and re-execute every block (checkpoint moved aside).
+func BenchmarkOpenReplay(b *testing.B) {
+	dir := reopenChain(b)
+	ckpt := filepath.Join(dir, "checkpoint.ckpt")
+	aside := filepath.Join(dir, "checkpoint.aside")
+	if err := os.Rename(ckpt, aside); err != nil {
+		b.Fatal(err)
+	}
+	defer os.Rename(aside, ckpt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, closeFn, err := Open(dir, DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p.Chain().Height() != reopenChainBlocks {
+			b.Fatalf("height %d", p.Chain().Height())
+		}
+		closeFn()
+	}
+}
+
+// BenchmarkOpenCheckpoint reopens the same chain from the checkpoint:
+// restore subscriber snapshots, verify state roots, replay only the tail.
+func BenchmarkOpenCheckpoint(b *testing.B) {
+	dir := reopenChain(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, closeFn, err := Open(dir, DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p.CheckpointHeight() != reopenChainBlocks {
+			b.Fatalf("checkpoint restore not taken (height %d)", p.CheckpointHeight())
+		}
+		closeFn()
 	}
 }

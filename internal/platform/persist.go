@@ -12,13 +12,14 @@ import (
 )
 
 // Durable deployment: a platform whose chain is backed by the
-// write-ahead-logged file store. Contract state and the derived indexes
-// (factual database, supply-chain graph) are a pure function of the block
-// sequence, delivered through the commit bus; so are the receipts, kept in
-// a log of their own beside the chain (receipts.go), the chain's
-// transaction index, whose sealed segments live in txindex.log, and the
-// contract state's own segments, in state.log. Reopen therefore has two
-// paths:
+// write-ahead-logged file store. Contract state is a pure function of the
+// block sequence, and so is everything derived from it: the views the
+// commit bus feeds (factual database, search index, blob references), the
+// receipts, kept in a log of their own beside the chain (receipts.go), the
+// chain's transaction index, whose sealed segments live in txindex.log,
+// and the contract state's own segments, in state.log. The supply-chain
+// graph keeps nothing to derive: it reads contract state. Reopen
+// therefore has two paths:
 //
 //   - checkpoint restore: load the latest CRC-guarded checkpoint, hand
 //     each commit-bus subscriber its snapshot blob, verify the restored
@@ -282,9 +283,10 @@ func (p *Platform) replayFrom(from uint64) error {
 }
 
 // WriteCheckpoint snapshots the node's derived state — contract state,
-// fact index, supply-chain graph, the chain's indexes — into
-// dir/checkpoint.ckpt, atomically replacing any previous checkpoint.
-// Subsequent Opens restore it and replay only the newer WAL tail. Receipts
+// fact index, search index, blob references, the chain's block ids and
+// nonces — into dir/checkpoint.ckpt, atomically replacing any previous
+// checkpoint. Subsequent Opens restore it and replay only the newer WAL
+// tail. The supply-chain graph is not in it: it reads contract state. Receipts
 // are not in it: the receipt log is made durable first, so every block the
 // checkpoint covers has its receipts on disk. The contract state is there
 // by reference: its blob names the segments of state.log, which is synced,

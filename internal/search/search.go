@@ -71,7 +71,7 @@ const (
 	// saturation and document-length normalisation.
 	RankBM25 Ranker = "bm25"
 	// RankTFIDF is the pre-sharding scorer, kept for relevance
-	// comparisons (EXPERIMENTS.md E22): tf/|doc| * log(1 + N/df).
+	// comparisons: tf/|doc| * log(1 + N/df).
 	RankTFIDF Ranker = "tfidf"
 )
 
@@ -168,12 +168,12 @@ type Index struct {
 }
 
 // New creates an empty index with DefaultShards term shards.
-func New() *Index { return NewSharded(DefaultShards) }
+func New() *Index { return newSharded(DefaultShards) }
 
-// NewSharded creates an empty index with the given shard count
+// newSharded creates an empty index with the given shard count
 // (values < 1 are clamped to 1). Scores are independent of the shard
 // count; only write concurrency and per-shard memory change.
-func NewSharded(shards int) *Index {
+func newSharded(shards int) *Index {
 	if shards < 1 {
 		shards = 1
 	}

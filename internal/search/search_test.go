@@ -3,9 +3,11 @@ package search
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/commitbus"
 	"repro/internal/contract"
+	"repro/internal/corpus"
 	"repro/internal/supplychain"
 )
 
@@ -124,7 +127,7 @@ func TestScoresIndependentOfShardCountAndSegmentLayout(t *testing.T) {
 		}
 	}
 	build := func(shards, refreshEvery int) *Index {
-		x := NewSharded(shards)
+		x := newSharded(shards)
 		for i, d := range corpusDocs {
 			x.Add(d[0], d[1], d[2])
 			if refreshEvery > 0 && i%refreshEvery == 0 {
@@ -146,7 +149,7 @@ func TestScoresIndependentOfShardCountAndSegmentLayout(t *testing.T) {
 // TestCompactionBoundsSegments drives many small refreshes through one
 // shard and checks the segment budget holds while no posting is lost.
 func TestCompactionBoundsSegments(t *testing.T) {
-	x := NewSharded(1)
+	x := newSharded(1)
 	for i := 0; i < 100; i++ {
 		x.Add(fmt.Sprintf("d%03d", i), "t", fmt.Sprintf("word%d shared", i))
 		x.Refresh() // one tiny segment per doc without compaction
@@ -200,9 +203,75 @@ func TestConcurrentQueriesDuringIndexing(t *testing.T) {
 	}
 }
 
+// legacyIndex is the pre-sharding index: one postings map, scored by
+// TF-IDF into a fresh map per query. It is the oracle for RankTFIDF and
+// for the sharded index's reused query scratch.
+type legacyIndex struct {
+	postings map[string]map[string]int // term -> doc id -> term frequency
+	docs     map[string]legacyDoc
+}
+
+type legacyDoc struct {
+	topic  string
+	length int
+}
+
+func newLegacyIndex() *legacyIndex {
+	return &legacyIndex{
+		postings: make(map[string]map[string]int),
+		docs:     make(map[string]legacyDoc),
+	}
+}
+
+func (x *legacyIndex) Add(id, topic, text string) {
+	if _, dup := x.docs[id]; dup || id == "" {
+		return
+	}
+	toks := corpus.Tokenize(text)
+	x.docs[id] = legacyDoc{topic: topic, length: len(toks)}
+	for _, tok := range toks {
+		post := x.postings[tok]
+		if post == nil {
+			post = make(map[string]int)
+			x.postings[tok] = post
+		}
+		post[id]++
+	}
+}
+
+// Query returns the top-k documents by TF-IDF, ties broken by id.
+func (x *legacyIndex) Query(q string, k int) []Result {
+	n := float64(len(x.docs))
+	scores := make(map[string]float64)
+	for _, tok := range corpus.Tokenize(q) {
+		post := x.postings[tok]
+		if len(post) == 0 {
+			continue
+		}
+		idf := math.Log(1 + n/float64(len(post)))
+		for id, tf := range post {
+			scores[id] += float64(tf) / float64(x.docs[id].length) * idf
+		}
+	}
+	out := make([]Result, 0, len(scores))
+	for id, sc := range scores {
+		out = append(out, Result{ID: id, Topic: x.docs[id].topic, Score: sc})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
 func TestTFIDFRankerMatchesLegacyIndex(t *testing.T) {
 	x := New()
-	leg := NewLocked()
+	leg := newLegacyIndex()
 	docs := [][3]string{
 		{"a", "econ", "the budget passed the budget committee budget"},
 		{"b", "econ", "the committee debated the schedule"},
@@ -237,8 +306,8 @@ func TestQueryScratchReuseMatchesLegacyIndex(t *testing.T) {
 		}
 		return strings.Join(out, " ")
 	}
-	x := NewSharded(4)
-	leg := NewLocked()
+	x := newSharded(4)
+	leg := newLegacyIndex()
 	for round := 0; round < 30; round++ {
 		for i := 0; i < 20; i++ {
 			id, text := fmt.Sprintf("d%02d-%02d", round, i), words(5+rng.Intn(30))
@@ -401,7 +470,7 @@ func TestSnapshotRestoreIsSelfContained(t *testing.T) {
 // and compare checkpoints.
 func TestSnapshotDeterministicAcrossLayouts(t *testing.T) {
 	build := func(shards, refreshEvery int) *Subscriber {
-		sub := NewSubscriber(NewSharded(shards), nil)
+		sub := NewSubscriber(newSharded(shards), nil)
 		for i := 0; i < 40; i++ {
 			sub.Index.Add(fmt.Sprintf("d%02d", i), "t", fmt.Sprintf("shared words item %d", i))
 			if i%refreshEvery == 0 {

@@ -28,10 +28,9 @@ benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Fast-failing race pass over the concurrency-heavy packages (shared
-# instrument handles, gossip fan-out, blob retrieval) before the full
-# suite runs.
+# instrument handles, blob retrieval) before the full suite runs.
 race-hot:
-	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/commitbus/... ./internal/gossip/... ./internal/blobstore/... ./internal/ledger ./internal/consensus ./internal/simnet ./internal/chaos ./internal/transport/... ./internal/admission ./internal/ingest ./internal/search ./internal/contract ./internal/store ./internal/merkle
+	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/commitbus/... ./internal/blobstore/... ./internal/ledger ./internal/consensus ./internal/simnet ./internal/chaos ./internal/transport/... ./internal/admission ./internal/ingest ./internal/search ./internal/contract ./internal/store ./internal/merkle
 
 # Open-loop load generator smoke: a short low-rate run against an
 # in-process node with admission control on must finish with zero
@@ -45,11 +44,13 @@ loadgen-smoke:
 e2e:
 	$(GO) test -count=1 -timeout 240s ./internal/e2e
 
-# Deterministic chaos scenarios (fixed seeds baked into the tests):
+# The in-process cluster and its deterministic chaos scenarios (fixed
+# seeds baked into the tests): convergence, crash/restart recovery,
 # rolling restarts, partition+heal, crash-during-commit, corrupt links,
-# churn, and the determinism fingerprint itself.
+# churn, and the determinism fingerprint itself (`go test -v -run
+# TestChaosDeterministicFingerprint ./internal/chaos` prints it).
 chaos:
-	$(GO) test -count=1 -run 'TestScenario|TestChaosDeterministicFingerprint' ./internal/chaos
+	$(GO) test -count=1 ./internal/chaos
 
 # Reopen cost: full replay vs checkpoint restore (EXPERIMENTS.md E15b).
 bench-reopen:

@@ -344,11 +344,7 @@ func joinCluster(p *platform.Platform, o options) (*tcp.Transport, error) {
 	}
 	tmo := consensus.DefaultTimeouts()
 	tmo.Commit = o.blockInterval
-	node, err := platform.AttachConsensus(p, self, kps[idx], set, tr, tmo)
-	if err != nil {
-		tr.Close()
-		return nil, err
-	}
+	node := platform.AttachConsensus(p, self, kps[idx], set, tr, tmo)
 	// Route consensus traffic to the node and relayed txs to the pool.
 	mux := transport.NewMux()
 	mux.Handle("consensus.", node.Handle)
@@ -357,7 +353,7 @@ func joinCluster(p *platform.Platform, o options) (*tcp.Transport, error) {
 			_ = p.SubmitRelayed(tx)
 		}
 	})
-	if err := tr.SetHandler(self, mux.Dispatch); err != nil {
+	if err := tr.AddNode(self, mux.Dispatch); err != nil {
 		tr.Close()
 		return nil, err
 	}

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os/exec"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,6 +26,29 @@ func freePort(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr
+}
+
+// TestDaemonLinksNoSimulation keeps the daemon's dependency closure to the
+// system it runs: no simulated network, no test harness, no experiment or
+// load generator code is linked into the shipped binary.
+func TestDaemonLinksNoSimulation(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		if testing.Short() {
+			t.Skip("go toolchain not on PATH")
+		}
+		t.Fatal(err)
+	}
+	out, err := exec.Command(goBin, "list", "-deps", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps: %v\n%s", err, out)
+	}
+	deps := strings.Fields(string(out))
+	for _, banned := range []string{"simnet", "gossip", "chaos", "experiments", "loadgen"} {
+		if pkg := "repro/internal/" + banned; slices.Contains(deps, pkg) {
+			t.Errorf("the daemon links %s", pkg)
+		}
+	}
 }
 
 // TestGracefulShutdownFlushesCheckpoint boots a durable daemon, waits for

@@ -230,22 +230,6 @@ func (c *Controller) AllowRoute(route string) bool {
 	return c.routes.Allow(route)
 }
 
-// MempoolGate exposes the mempool gate (nil on a nil controller).
-func (c *Controller) MempoolGate() *Gate {
-	if c == nil {
-		return nil
-	}
-	return c.mempool
-}
-
-// BlobReadGate exposes the blob-read gate (nil on a nil controller).
-func (c *Controller) BlobReadGate() *Gate {
-	if c == nil {
-		return nil
-	}
-	return c.blobRead
-}
-
 // HTTPGate exposes the API-edge gate (nil when unconfigured).
 func (c *Controller) HTTPGate() *Gate {
 	if c == nil {

@@ -1,9 +1,11 @@
-// Package chaos is a deterministic fault-injection harness for the
-// replicated trusting-news platform. It drives a durable cluster
-// (internal/platform.DurableCluster) through scripted fault schedules —
-// crashes, restarts, partitions, link corruption — over the seeded
-// discrete-event network, and checks the platform's core guarantees
-// after every step:
+// Package chaos is the in-process cluster of the replicated
+// trusting-news platform and a deterministic fault-injection harness
+// over it. DurableCluster runs N durable validators, each attached to
+// consensus through platform.AttachConsensus as the daemon attaches one,
+// on the seeded discrete-event network. Harness drives it through
+// scripted fault schedules — crashes, restarts, partitions, link
+// corruption — and checks the platform's core guarantees after every
+// step:
 //
 //   - no-fork: no two replicas ever commit different blocks at the same
 //     height (safety);
@@ -68,7 +70,7 @@ type Config struct {
 
 // Harness owns a durable cluster and the invariant-checking state.
 type Harness struct {
-	Cluster *platform.DurableCluster
+	Cluster *DurableCluster
 	Reg     *telemetry.Registry
 
 	// committed is the global commit reference: the first replica to
@@ -111,7 +113,7 @@ func New(cfg Config) (*Harness, error) {
 	}
 	pcfg := platform.DefaultConfig()
 	pcfg.Telemetry = reg
-	cluster, err := platform.NewDurableCluster(platform.DurableClusterConfig{
+	cluster, err := NewDurableCluster(DurableClusterConfig{
 		Validators: cfg.Validators,
 		Seed:       cfg.Seed,
 		Dir:        cfg.Dir,

@@ -262,6 +262,7 @@ func TestChaosDeterministicFingerprint(t *testing.T) {
 	}
 	a := run(t.TempDir())
 	b := run(t.TempDir())
+	t.Logf("fingerprint %s", a)
 	if a != b {
 		t.Fatalf("same seed diverged:\n  run1 %s\n  run2 %s", a, b)
 	}

@@ -532,54 +532,6 @@ func TestCertificateAheadOfProposalDoesNotPull(t *testing.T) {
 	}
 }
 
-func TestPoACommitsFast(t *testing.T) {
-	net := simnet.New(41)
-	kps := make([]*keys.KeyPair, 4)
-	vals := make([]Validator, 4)
-	for i := range kps {
-		kps[i] = keys.FromSeed([]byte("validator-" + strconv.Itoa(i)))
-		vals[i] = Validator{ID: simnet.NodeID("v" + strconv.Itoa(i)), Addr: kps[i].Address(), Pub: kps[i].Public(), Power: 1}
-	}
-	set, _ := NewValidatorSet(vals)
-	var nodes []*PoANode
-	var apps []*ChainApp
-	for i := 0; i < 4; i++ {
-		app := &ChainApp{Chain: ledger.NewMemChain(), Proposer: kps[i].Address(), AllowEmpty: true}
-		app.Pool = ledger.NewMempool(app.Chain, 0)
-		n := NewPoANode(vals[i].ID, kps[i], set, net, app, 50*time.Millisecond)
-		if err := n.Bind(); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-		apps = append(apps, app)
-	}
-	for _, n := range nodes {
-		n.Start()
-	}
-	net.RunWhile(func() bool {
-		done := true
-		for _, app := range apps {
-			if app.Chain.Height() < 5 {
-				done = false
-			}
-		}
-		return !done && net.Now() < 60*time.Second
-	})
-	for i, app := range apps {
-		if app.Chain.Height() < 5 {
-			t.Fatalf("poa node %d height=%d", i, app.Chain.Height())
-		}
-	}
-	// All agree.
-	ref, _ := apps[0].Chain.BlockAt(4)
-	for _, app := range apps[1:] {
-		b, _ := app.Chain.BlockAt(4)
-		if b.ID() != ref.ID() {
-			t.Fatal("poa divergence")
-		}
-	}
-}
-
 func TestBFTScalesAcrossValidatorCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-size consensus run")

@@ -1,9 +1,10 @@
 // Package consensus implements a Tendermint-style BFT consensus protocol
-// over the simulated network, plus a round-robin proof-of-authority
-// baseline. The paper's platform "demands a high performance blockchain
-// network" (§VII) with Byzantine participants (fake-news producers have an
-// incentive to subvert ranking); experiment E10 measures throughput and
-// latency of both protocols as the validator count grows.
+// over any transport.Network: loopback TCP in the daemon, the simulated
+// network in tests and experiments. The paper's platform "demands a high
+// performance blockchain network" (§VII) with Byzantine participants
+// (fake-news producers have an incentive to subvert ranking); experiment
+// E10a measures its latency against a proof-of-authority baseline (kept
+// with the experiment) as the validator count grows.
 //
 // The BFT state machine follows Buchman, Kwon & Milosevic, "The latest
 // gossip on BFT consensus" (the Tendermint algorithm): propose / prevote /

@@ -64,10 +64,70 @@ func RunE10Consensus(cfg E10Config) (*Table, error) {
 	return t, nil
 }
 
+// e10Cluster is E10a's n validators over one simulated network, each with
+// its own chain and mempool. The BFT and PoA runs differ only in the node
+// each validator runs.
+type e10Cluster struct {
+	net  *simnet.Network
+	set  *consensus.ValidatorSet
+	ids  []simnet.NodeID
+	kps  []*keys.KeyPair
+	apps []*consensus.ChainApp
+}
+
+// newE10Cluster builds the validators; poolCap sizes every mempool (0 is
+// the mempool default).
+func newE10Cluster(n int, seed int64, poolCap int) (*e10Cluster, error) {
+	c := &e10Cluster{net: simnet.New(seed)}
+	vals := make([]consensus.Validator, n)
+	for i := range vals {
+		kp := keys.FromSeed([]byte("validator-" + strconv.Itoa(i)))
+		vals[i] = consensus.Validator{ID: simnet.NodeID("v" + strconv.Itoa(i)), Addr: kp.Address(), Pub: kp.Public(), Power: 1}
+		app := &consensus.ChainApp{Chain: ledger.NewMemChain(), Proposer: kp.Address(), AllowEmpty: true}
+		app.Pool = ledger.NewMempool(app.Chain, poolCap)
+		c.ids = append(c.ids, vals[i].ID)
+		c.kps = append(c.kps, kp)
+		c.apps = append(c.apps, app)
+	}
+	set, err := consensus.NewValidatorSet(vals)
+	if err != nil {
+		return nil, err
+	}
+	c.set = set
+	return c, nil
+}
+
+// run drives the network until every chain holds blocks, and returns the
+// virtual milliseconds per block.
+func (c *e10Cluster) run(protocol string, blocks uint64) (float64, error) {
+	start := c.net.Now()
+	c.net.RunWhile(func() bool {
+		for _, app := range c.apps {
+			if app.Chain.Height() < blocks {
+				return c.net.Now()-start < 10*time.Minute
+			}
+		}
+		return false
+	})
+	for _, app := range c.apps {
+		if h := app.Chain.Height(); h < blocks {
+			return 0, fmt.Errorf("e10: %s n=%d stalled at height %d", protocol, len(c.apps), h)
+		}
+	}
+	return float64((c.net.Now() - start).Milliseconds()) / float64(blocks), nil
+}
+
 func bftLatency(n int, cfg E10Config) (float64, int, error) {
-	c, err := consensus.NewCluster(n, cfg.Seed, consensus.DefaultTimeouts())
+	c, err := newE10Cluster(n, cfg.Seed, 1<<16)
 	if err != nil {
 		return 0, 0, err
+	}
+	nodes := make([]*consensus.Node, n)
+	for i := range nodes {
+		nodes[i] = consensus.NewNode(c.ids[i], c.kps[i], c.set, c.net, c.apps[i], consensus.DefaultTimeouts())
+		if err := nodes[i].Bind(); err != nil {
+			return 0, 0, err
+		}
 	}
 	client := keys.FromSeed([]byte("e10-client"))
 	for i := 0; i < int(cfg.Blocks)*cfg.TxsPerBlock; i++ {
@@ -75,62 +135,46 @@ func bftLatency(n int, cfg E10Config) (float64, int, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		if err := c.SubmitAll(tx); err != nil {
-			return 0, 0, err
-		}
-	}
-	c.Start()
-	elapsed := c.RunUntilHeight(cfg.Blocks, 10*time.Minute)
-	if c.MinHeight() < cfg.Blocks {
-		return 0, 0, fmt.Errorf("e10: bft n=%d stalled at height %d", n, c.MinHeight())
-	}
-	msgs := c.Net.Stats().Sent / int(cfg.Blocks)
-	return float64(elapsed.Milliseconds()) / float64(cfg.Blocks), msgs, nil
-}
-
-func poaLatency(n int, cfg E10Config) (float64, error) {
-	net := simnet.New(cfg.Seed)
-	kps := make([]*keys.KeyPair, n)
-	vals := make([]consensus.Validator, n)
-	for i := range kps {
-		kps[i] = keys.FromSeed([]byte("validator-" + strconv.Itoa(i)))
-		vals[i] = consensus.Validator{
-			ID: simnet.NodeID("v" + strconv.Itoa(i)), Addr: kps[i].Address(),
-			Pub: kps[i].Public(), Power: 1,
-		}
-	}
-	set, err := consensus.NewValidatorSet(vals)
-	if err != nil {
-		return 0, err
-	}
-	apps := make([]*consensus.ChainApp, n)
-	nodes := make([]*consensus.PoANode, n)
-	for i := 0; i < n; i++ {
-		apps[i] = &consensus.ChainApp{Chain: ledger.NewMemChain(), Proposer: kps[i].Address(), AllowEmpty: true}
-		apps[i].Pool = ledger.NewMempool(apps[i].Chain, 0)
-		nodes[i] = consensus.NewPoANode(vals[i].ID, kps[i], set, net, apps[i], 50*time.Millisecond)
-		if err := nodes[i].Bind(); err != nil {
-			return 0, err
+		for _, app := range c.apps {
+			if err := app.Pool.Add(tx); err != nil {
+				return 0, 0, err
+			}
 		}
 	}
 	for _, nd := range nodes {
 		nd.Start()
 	}
-	start := net.Now()
-	net.RunWhile(func() bool {
-		for _, app := range apps {
-			if app.Chain.Height() < cfg.Blocks {
-				return net.Now()-start < 10*time.Minute
-			}
-		}
-		return false
-	})
-	for _, app := range apps {
-		if app.Chain.Height() < cfg.Blocks {
-			return 0, fmt.Errorf("e10: poa n=%d stalled", n)
+	ms, err := c.run("bft", cfg.Blocks)
+	if err != nil {
+		return 0, 0, err
+	}
+	return ms, c.net.Stats().Sent / int(cfg.Blocks), nil
+}
+
+func poaLatency(n int, cfg E10Config) (float64, error) {
+	c, err := newE10Cluster(n, cfg.Seed, 0)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.startPoA(); err != nil {
+		return 0, err
+	}
+	return c.run("poa", cfg.Blocks)
+}
+
+// startPoA runs a PoA node with a 50 ms slot on every validator.
+func (c *e10Cluster) startPoA() error {
+	nodes := make([]*poaNode, len(c.apps))
+	for i := range nodes {
+		nodes[i] = &poaNode{id: c.ids[i], kp: c.kps[i], set: c.set, net: c.net, app: c.apps[i], interval: 50 * time.Millisecond}
+		if err := nodes[i].bind(); err != nil {
+			return err
 		}
 	}
-	return float64((net.Now() - start).Milliseconds()) / float64(cfg.Blocks), nil
+	for _, nd := range nodes {
+		nd.start()
+	}
+	return nil
 }
 
 // counterContract is the E10b workload: add-to-counter transactions whose

@@ -65,8 +65,6 @@ var (
 	ErrNotRegistered = errors.New("identity: not registered")
 	// ErrNotAuthorized indicates a verifier without authority.
 	ErrNotAuthorized = errors.New("identity: not authorized")
-	// ErrNotVerified indicates an account that is not in verified status.
-	ErrNotVerified = errors.New("identity: account not verified")
 )
 
 // Record is one account's registry entry.

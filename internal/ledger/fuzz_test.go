@@ -32,7 +32,7 @@ func FuzzDecodeTx(f *testing.F) {
 // decoder and that any successful decode round-trips byte-identically:
 // Encode(Decode(raw)) == raw. With the decoder rejecting trailing bytes
 // and every field length-prefixed, the canonical encoding is bijective
-// over valid inputs — the property gossip dedup and block ids rely on.
+// over valid inputs — the property mempool dedup and block ids rely on.
 func FuzzDecodeBlock(f *testing.F) {
 	alice := signer("fuzz")
 	tx, err := NewTx(alice, 0, "k.m", []byte("p"))

@@ -65,7 +65,7 @@ type Tx struct {
 
 	// memo caches the derived byte forms of the transaction — canonical
 	// encoding and content hash — so hot paths (TxRoot, block validation,
-	// gossip encoding) serialize each tx once instead of 3-5 times. Sign
+	// wire encoding) serialize each tx once instead of 3-5 times. Sign
 	// invalidates it; Verify and the verification pipeline's structural
 	// re-check never consult it, so a field mutated after the memo was
 	// built can never smuggle stale bytes past a signature or cache check.

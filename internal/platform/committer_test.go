@@ -2,14 +2,12 @@ package platform
 
 import (
 	"context"
-	"errors"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/commitbus"
-	"repro/internal/consensus"
 	"repro/internal/corpus"
 	"repro/internal/keys"
 	"repro/internal/ledger"
@@ -209,15 +207,5 @@ func TestCommitterDrainsOnShutdown(t *testing.T) {
 		if _, err := p.Item(id); err != nil {
 			t.Fatalf("%s not committed by the shutdown drain: %v", id, err)
 		}
-	}
-}
-
-func TestCommitterRefusesReplicatedNode(t *testing.T) {
-	c, err := NewCluster(4, 1, DefaultConfig(), consensus.DefaultTimeouts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Replicas[0].RunCommitter(context.Background()); !errors.Is(err, ErrReplicated) {
-		t.Fatalf("RunCommitter under consensus: want ErrReplicated, got %v", err)
 	}
 }

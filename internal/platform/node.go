@@ -1,12 +1,10 @@
 package platform
 
-// This file is the cluster wiring for real deployments: helpers that
-// attach one Platform to a consensus validator over any
-// transport.Network implementation. The simnet-backed clusters
-// (cluster.go, durable_cluster.go) wire themselves; this is the entry
-// point for cmd/trustnewsd's TCP cluster mode and the e2e harness,
-// where every validator is a separate OS process and the network is
-// real.
+// This file is the one place a Platform becomes a consensus validator,
+// over any transport.Network implementation: cmd/trustnewsd's TCP
+// cluster mode (every validator a separate OS process) and the
+// in-process cluster of internal/chaos (every validator on one
+// simulated network) both go through AttachConsensus.
 
 import (
 	"fmt"
@@ -20,7 +18,7 @@ import (
 
 // ValidatorID returns the canonical node ID for validator index i
 // ("p0", "p1", ...). Every deployment tool (daemon flags, e2e harness,
-// durable cluster directories) uses the same convention so that data
+// the chaos cluster's directories) uses the same convention so that data
 // directories, peer maps and validator sets line up by construction.
 func ValidatorID(i int) transport.NodeID {
 	return transport.NodeID("p" + strconv.Itoa(i))
@@ -61,10 +59,12 @@ func ClusterValidators(n int) (*consensus.ValidatorSet, []*keys.KeyPair, error) 
 // AttachConsensus switches platform p into replicated mode and wires it
 // as validator id of set over net. Standalone commits (Commit/CommitAll)
 // are disabled from here on: blocks are decided by consensus and applied
-// through its consensusApp. The returned node is bound to the network
-// but not started — call StartAt(p.Chain().Height()) from the transport's
-// event loop once the process is ready to participate.
-func AttachConsensus(p *Platform, id transport.NodeID, kp *keys.KeyPair, set *consensus.ValidatorSet, net transport.Network, tmo consensus.Timeouts) (*consensus.Node, error) {
+// through its consensusApp. The returned node is neither registered on
+// the network nor started: the caller routes id's traffic to node.Handle
+// (Bind, or a handler of its own that dispatches to it) and then calls
+// StartAt(p.Chain().Height()) from the transport's event loop once the
+// process is ready to participate.
+func AttachConsensus(p *Platform, id transport.NodeID, kp *keys.KeyPair, set *consensus.ValidatorSet, net transport.Network, tmo consensus.Timeouts) *consensus.Node {
 	if tmo == (consensus.Timeouts{}) {
 		tmo = consensus.DefaultTimeouts()
 	}
@@ -73,10 +73,7 @@ func AttachConsensus(p *Platform, id transport.NodeID, kp *keys.KeyPair, set *co
 	p.mu.Unlock()
 	node := consensus.NewNode(id, kp, set, net, p.consensusApp(kp.Address()), tmo)
 	node.Instrument(p.cfg.Telemetry)
-	if err := node.Bind(); err != nil {
-		return nil, err
-	}
-	return node, nil
+	return node
 }
 
 // validatorApp is a platform validator's consensus.App: ChainApp proposes

@@ -359,9 +359,6 @@ func (p *Platform) FactIndex() *factdb.Index { return p.factIndex }
 // Blobs exposes the off-chain article body store.
 func (p *Platform) Blobs() *blobstore.Store { return p.blobs }
 
-// SearchIndex exposes the full-text article index.
-func (p *Platform) SearchIndex() *search.Index { return p.searchIdx }
-
 // Search returns the top-k committed articles matching the query,
 // BM25-ranked. Indexing is asynchronous: results may lag the chain head
 // by the indexer backlog (SearchIndexerStats reports it; FlushSearch

@@ -106,7 +106,8 @@ func TestClusterNodeWireMetricsLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer trs[i].Close()
-		if nodes[i], err = AttachConsensus(ps[i], ValidatorID(i), kps[i], set, trs[i], consensus.Timeouts{}); err != nil {
+		nodes[i] = AttachConsensus(ps[i], ValidatorID(i), kps[i], set, trs[i], consensus.Timeouts{})
+		if err := nodes[i].Bind(); err != nil {
 			t.Fatal(err)
 		}
 		if err := trs[i].Start(); err != nil {

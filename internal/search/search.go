@@ -341,14 +341,6 @@ func compactSmallest(segs []*segment) []*segment {
 // Docs returns the number of indexed documents visible to queries.
 func (x *Index) Docs() int { return len(x.docs.Load().infos) }
 
-// PendingDocs returns the number of added documents not yet published
-// to queries (awaiting Refresh).
-func (x *Index) PendingDocs() int {
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
-	return x.memDocs
-}
-
 // Terms returns the number of distinct indexed terms across all
 // published segments.
 func (x *Index) Terms() int {

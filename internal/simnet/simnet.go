@@ -2,11 +2,13 @@
 //
 // The paper's platform "demands a high performance blockchain network since
 // the news propagation path is globally connected" (§VII). We cannot deploy
-// a global validator fleet inside a test process, so the consensus, gossip
-// and ledger layers run over this simulator instead: nodes exchange messages
-// across links with configurable latency distributions and loss rates, time
-// is virtual (no wall-clock sleeps), and every run is reproducible from a
-// seed. Partitions can be injected to exercise fault paths.
+// a global validator fleet inside a test process, so consensus tests, the
+// in-process cluster of internal/chaos and the experiments run over this
+// simulator instead: nodes exchange messages across links with
+// configurable latency distributions and loss rates, time is virtual (no
+// wall-clock sleeps), and every run is reproducible from a seed.
+// Partitions can be injected to exercise fault paths. The daemon never
+// links it.
 //
 // Network is the deterministic implementation of transport.Network; the
 // protocol layers hold only that interface, so the same state machines run
@@ -255,8 +257,9 @@ func (n *Network) Now() time.Duration { return n.now }
 // Stats returns a copy of the counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// Rand exposes the network's deterministic RNG so protocol layers share the
-// same randomness stream (keeps runs reproducible from one seed).
+// Rand exposes the network's deterministic RNG so a fault schedule draws
+// from the same stream as the network (keeps runs reproducible from one
+// seed).
 func (n *Network) Rand() *rand.Rand { return n.rng }
 
 // Send schedules delivery of a message. Returns ErrUnknownNode if either

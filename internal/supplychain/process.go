@@ -102,10 +102,3 @@ func (p *ProcessChain) Trace(assetID string) ([]StageRecord, error) {
 func (p *ProcessChain) Completed(assetID string) bool {
 	return len(p.assets[assetID]) == len(p.stages)
 }
-
-// Stages returns the configured stage list.
-func (p *ProcessChain) Stages() []string {
-	out := make([]string, len(p.stages))
-	copy(out, p.stages)
-	return out
-}

@@ -108,10 +108,6 @@ var DurationBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// SizeBuckets suits byte- and count-valued histograms: powers of four
-// from 1 to ~1M.
-var SizeBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
-
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DurationBuckets

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -73,10 +72,6 @@ type Config struct {
 	Codec Codec
 	// Metrics receives transport counters (zero value disables).
 	Metrics transport.Metrics
-	// Seed seeds the transport RNG exposed via Rand (protocol-level
-	// jitter); zero derives it from the node id so two nodes never share
-	// a sequence by default.
-	Seed int64
 
 	// QueueSize bounds each peer's outbound frame queue (default 1024);
 	// a full queue makes Send fail with backpressure.
@@ -124,9 +119,6 @@ type Transport struct {
 	done     chan struct{}
 	loopWG   sync.WaitGroup
 	writerWG sync.WaitGroup
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 var _ transport.Network = (*Transport)(nil)
@@ -172,13 +164,6 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 2 * time.Minute
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		for _, c := range []byte(cfg.NodeID) {
-			seed = seed*131 + int64(c)
-		}
-		seed++
-	}
 	t := &Transport{
 		cfg:     cfg,
 		start:   time.Now(),
@@ -187,7 +172,6 @@ func New(cfg Config) (*Transport, error) {
 		inbound: make(map[transport.NodeID]int),
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
 	}
 	for id, addr := range cfg.Peers {
 		if id == cfg.NodeID {
@@ -343,26 +327,6 @@ func (t *Transport) After(node transport.NodeID, d time.Duration, fn func()) {
 
 // Now implements transport.Network: monotonic time since Start.
 func (t *Transport) Now() time.Duration { return time.Since(t.start) }
-
-// Rand implements transport.Network. The RNG is seeded (reproducible
-// protocol-level choices given one seed) and mutex-guarded, since gossip
-// may draw from goroutines outside the loop.
-func (t *Transport) Rand() *rand.Rand { return rand.New(&lockedSource{t: t}) }
-
-// lockedSource serializes draws on the transport's seeded source.
-type lockedSource struct{ t *Transport }
-
-func (s *lockedSource) Int63() int64 {
-	s.t.rngMu.Lock()
-	defer s.t.rngMu.Unlock()
-	return s.t.rng.Int63()
-}
-
-func (s *lockedSource) Seed(seed int64) {
-	s.t.rngMu.Lock()
-	defer s.t.rngMu.Unlock()
-	s.t.rng.Seed(seed)
-}
 
 // Close shuts the transport down: the listener stops, every connection
 // closes, writers and the loop exit. Outstanding queued frames are

@@ -1,5 +1,5 @@
 // Package transport defines the node-addressed messaging substrate that
-// consensus, gossip and the blob retrieval protocol run over. It is the
+// consensus, mempool relay and the blob retrieval protocol run over. It is the
 // seam between "simulated" and "production" deployments of the platform:
 //
 //   - internal/simnet implements Network as a deterministic discrete-event
@@ -30,7 +30,6 @@
 package transport
 
 import (
-	"math/rand"
 	"strings"
 	"time"
 
@@ -77,10 +76,6 @@ type Network interface {
 	// Now returns the transport clock: virtual time on the simulator,
 	// monotonic time since start over TCP.
 	Now() time.Duration
-	// Rand exposes the transport's seeded RNG so protocol-level random
-	// choices (gossip fanout targets, jitter) stay reproducible from one
-	// seed on deterministic substrates.
-	Rand() *rand.Rand
 }
 
 // Metrics is the transport-layer instrument set, registered on the PR 3
@@ -131,8 +126,7 @@ func NewMetrics(reg *telemetry.Registry) Metrics {
 // Configure all routes before the transport starts delivering; Dispatch
 // itself takes no locks.
 type Mux struct {
-	routes   []muxRoute
-	fallback Handler
+	routes []muxRoute
 }
 
 type muxRoute struct {
@@ -140,8 +134,7 @@ type muxRoute struct {
 	h      Handler
 }
 
-// NewMux returns an empty mux. Messages matching no route are dropped
-// unless a Default handler is installed.
+// NewMux returns an empty mux. Messages matching no route are dropped.
 func NewMux() *Mux { return &Mux{} }
 
 // Handle routes kinds with the given prefix (an exact kind is a prefix of
@@ -150,9 +143,6 @@ func (m *Mux) Handle(prefix string, h Handler) {
 	m.routes = append(m.routes, muxRoute{prefix: prefix, h: h})
 }
 
-// Default installs the handler for messages matching no route.
-func (m *Mux) Default(h Handler) { m.fallback = h }
-
 // Dispatch implements Handler.
 func (m *Mux) Dispatch(msg Message) {
 	for _, r := range m.routes {
@@ -160,8 +150,5 @@ func (m *Mux) Dispatch(msg Message) {
 			r.h(msg)
 			return
 		}
-	}
-	if m.fallback != nil {
-		m.fallback(msg)
 	}
 }

@@ -1,8 +1,7 @@
 // Package wire is the deterministic byte codec for every message the
 // platform sends over a real transport: consensus traffic (proposals,
-// votes, commit certificates, block sync), gossip envelopes and
-// anti-entropy digests, blobstore retrieval, and mempool transaction
-// relay. The simulated network passes Go values by reference, so it never
+// votes, commit certificates, block sync), blobstore retrieval, and
+// mempool transaction relay. The simulated network passes Go values by reference, so it never
 // touches this package; the TCP transport round-trips every payload
 // through it, decoding into the same concrete types the handlers
 // type-switch on, which is what lets one protocol stack run on both
@@ -35,7 +34,6 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/consensus"
-	"repro/internal/gossip"
 	"repro/internal/keys"
 	"repro/internal/ledger"
 	"repro/internal/transport"
@@ -58,7 +56,7 @@ const MaxFrame = 1 << 22 // 4 MiB: a full block of max-size txs fits
 // Limits on individual fields, enforced at decode.
 const (
 	maxStr8  = 255     // node ids, message kinds
-	maxStr   = 1 << 16 // gossip envelope ids/topics, blob CIDs
+	maxStr   = 1 << 16 // blob CIDs
 	maxSig   = 256     // ed25519 signatures are 64 bytes; leave headroom
 	maxBytes = MaxFrame
 )
@@ -172,21 +170,6 @@ func encodePayload(w *writer, kind string, payload any) error {
 			return payloadErr(kind, payload)
 		}
 		encodeCommit(w, resp.Cert)
-	case gossip.MessageKind:
-		env, ok := payload.(gossip.Envelope)
-		if !ok {
-			return payloadErr(kind, payload)
-		}
-		return encodeEnvelope(w, &env)
-	case gossip.KindDigest, gossip.KindPull:
-		ids, ok := payload.([]string)
-		if !ok {
-			return payloadErr(kind, payload)
-		}
-		w.u32(uint32(len(ids)))
-		for _, id := range ids {
-			w.str(id)
-		}
 	case blobstore.KindManifestReq:
 		req, ok := payload.(blobstore.ManifestReq)
 		if !ok {
@@ -264,15 +247,6 @@ func decodePayload(r *reader, kind string) (any, error) {
 		}
 		resp.Cert = cert
 		return resp, nil
-	case gossip.MessageKind:
-		return decodeEnvelope(r)
-	case gossip.KindDigest, gossip.KindPull:
-		n := r.count(4) // u32 length prefix per id
-		ids := make([]string, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			ids = append(ids, r.str(maxStr))
-		}
-		return ids, r.err
 	case blobstore.KindManifestReq:
 		return blobstore.ManifestReq{ID: r.u64(), CID: blobstore.CID(r.str(maxStr))}, r.err
 	case blobstore.KindManifestResp:
@@ -381,91 +355,6 @@ func decodeCommit(r *reader) (*consensus.Commit, error) {
 		c.Quorum = append(c.Quorum, decodeVote(r))
 	}
 	return c, r.err
-}
-
-// Gossip envelope payloads are open-ended (any); over the wire we support
-// the concrete types the platform actually publishes, tagged by one byte.
-const (
-	envNil   = 0
-	envBytes = 1
-	envStr   = 2
-	envTx    = 3
-	envBlock = 4
-)
-
-func encodeEnvelope(w *writer, env *gossip.Envelope) error {
-	w.str(env.ID)
-	w.str(env.Topic)
-	w.i64(int64(env.Hops))
-	switch p := env.Payload.(type) {
-	case nil:
-		w.u8(envNil)
-	case []byte:
-		w.u8(envBytes)
-		w.bytes(p)
-	case string:
-		w.u8(envStr)
-		w.str(p)
-	case *ledger.Tx:
-		if p == nil {
-			w.u8(envNil)
-			return nil
-		}
-		w.u8(envTx)
-		w.bytes(p.Encode())
-	case *ledger.Block:
-		if p == nil {
-			w.u8(envNil)
-			return nil
-		}
-		w.u8(envBlock)
-		w.bytes(p.Encode())
-	default:
-		return fmt.Errorf("wire: unsupported gossip payload %T", env.Payload)
-	}
-	return nil
-}
-
-func decodeEnvelope(r *reader) (any, error) {
-	env := gossip.Envelope{ID: r.str(maxStr), Topic: r.str(maxStr)}
-	hops := r.i64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if hops < 0 || hops > 1<<30 {
-		return nil, fmt.Errorf("%w: hops %d", ErrOversize, hops)
-	}
-	env.Hops = int(hops)
-	switch tag := r.u8(); tag {
-	case envNil:
-	case envBytes:
-		env.Payload = r.bytes(maxBytes)
-	case envStr:
-		env.Payload = r.str(maxStr)
-	case envTx:
-		raw := r.bytes(maxBytes)
-		if r.err != nil {
-			return nil, r.err
-		}
-		tx, err := ledger.DecodeTx(raw)
-		if err != nil {
-			return nil, fmt.Errorf("wire: envelope tx: %w", err)
-		}
-		env.Payload = tx
-	case envBlock:
-		raw := r.bytes(maxBytes)
-		if r.err != nil {
-			return nil, r.err
-		}
-		b, err := ledger.DecodeBlock(raw)
-		if err != nil {
-			return nil, fmt.Errorf("wire: envelope block: %w", err)
-		}
-		env.Payload = b
-	default:
-		return nil, fmt.Errorf("wire: unknown envelope payload tag %d", tag)
-	}
-	return env, r.err
 }
 
 func payloadErr(kind string, payload any) error {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/consensus"
-	"repro/internal/gossip"
 	"repro/internal/keys"
 	"repro/internal/ledger"
 	"repro/internal/merkle"
@@ -78,13 +77,6 @@ func testMessages() []transport.Message {
 			Blocks: []*ledger.Block{block},
 			Cert:   commit,
 		}},
-		{From: from, To: to, Kind: gossip.MessageKind, Payload: gossip.Envelope{ID: "e1", Topic: "news", Payload: []byte{1, 2, 3}, Hops: 2}},
-		{From: from, To: to, Kind: gossip.MessageKind, Payload: gossip.Envelope{ID: "e2", Topic: "t", Payload: "text", Hops: 0}},
-		{From: from, To: to, Kind: gossip.MessageKind, Payload: gossip.Envelope{ID: "e3", Topic: "t"}},
-		{From: from, To: to, Kind: gossip.MessageKind, Payload: gossip.Envelope{ID: "e4", Topic: "tx", Payload: tx, Hops: 1}},
-		{From: from, To: to, Kind: gossip.MessageKind, Payload: gossip.Envelope{ID: "e5", Topic: "blk", Payload: block, Hops: 1}},
-		{From: from, To: to, Kind: gossip.KindDigest, Payload: []string{"a", "b", "c"}},
-		{From: from, To: to, Kind: gossip.KindPull, Payload: []string{"b"}},
 		{From: from, To: to, Kind: blobstore.KindManifestReq, Payload: blobstore.ManifestReq{ID: 5, CID: blobstore.CID("deadbeef")}},
 		{From: from, To: to, Kind: blobstore.KindManifestResp, Payload: blobstore.ManifestResp{ID: 5, Found: true, Size: 100, ChunkSize: 64, Chunks: []blobstore.ChunkHash{hash, {}}}},
 		{From: from, To: to, Kind: blobstore.KindManifestResp, Payload: blobstore.ManifestResp{ID: 6}},
@@ -93,6 +85,61 @@ func testMessages() []transport.Message {
 		{From: from, To: to, Kind: KindMempoolTx, Payload: tx},
 	}
 	return msgs
+}
+
+// gossipFrames are frames of the three gossip kinds a removed gossip
+// layer defined, laid out as that layer encoded them: an envelope
+// (id, topic, hops, tagged payload) or a list of envelope ids. No
+// shipped node ever sent one; the decoder must reject each as an
+// unknown kind.
+func gossipFrames() []struct {
+	name string
+	raw  []byte
+} {
+	frame := func(kind string, body func(w *writer)) []byte {
+		w := &writer{}
+		w.u8(Version)
+		w.str8(kind)
+		w.str8("p0")
+		w.str8("p1")
+		body(w)
+		return w.buf
+	}
+	envelope := func(id, topic string, hops int64, tag byte, payload []byte) []byte {
+		return frame("gossip", func(w *writer) {
+			w.str(id)
+			w.str(topic)
+			w.i64(hops)
+			w.u8(tag)
+			if payload != nil {
+				w.bytes(payload)
+			}
+		})
+	}
+	ids := func(kind string, list ...string) []byte {
+		return frame(kind, func(w *writer) {
+			w.u32(uint32(len(list)))
+			for _, id := range list {
+				w.str(id)
+			}
+		})
+	}
+	tx, err := ledger.NewTx(keys.FromSeed([]byte("wire-test-proposer")), 9, "news.publish", []byte("body"))
+	if err != nil {
+		panic(err)
+	}
+	return []struct {
+		name string
+		raw  []byte
+	}{
+		{"gossip envelope of bytes", envelope("e1", "news", 2, 1, []byte{1, 2, 3})},
+		{"gossip envelope of text", envelope("e2", "t", 0, 2, []byte("text"))},
+		{"gossip envelope of nothing", envelope("e3", "t", 0, 0, nil)},
+		{"gossip envelope of a tx", envelope("e4", "tx", 1, 3, tx.Encode())},
+		{"gossip envelope of a block", envelope("e5", "blk", 1, 4, testBlock(3, 2).Encode())},
+		{"gossip digest", ids("gossip.digest", "a", "b", "c")},
+		{"gossip pull", ids("gossip.pull", "b")},
+	}
 }
 
 // TestRoundTripByteIdentity checks, for every message kind, that
@@ -224,9 +271,17 @@ func TestDecodeRejects(t *testing.T) {
 			return w.buf
 		}(),
 	}
+	for _, g := range gossipFrames() {
+		cases[g.name] = g.raw
+	}
 	for name, raw := range cases {
 		if _, err := c.Decode(raw); err == nil {
 			t.Errorf("%s: decode accepted malformed frame", name)
+		}
+	}
+	for _, g := range gossipFrames() {
+		if _, err := c.Decode(g.raw); !errors.Is(err, ErrKind) {
+			t.Errorf("%s: want ErrKind, got %v", g.name, err)
 		}
 	}
 }
@@ -239,7 +294,7 @@ func TestEncodeRejects(t *testing.T) {
 		{Kind: consensus.KindProposal, Payload: "not a proposal"},
 		{Kind: consensus.KindProposal, Payload: (*consensus.Proposal)(nil)},
 		{Kind: "no.such.kind", Payload: 1},
-		{Kind: gossip.MessageKind, Payload: gossip.Envelope{ID: "x", Payload: struct{}{}}},
+		{Kind: "gossip.digest", Payload: []string{"a"}},
 	}
 	for i, m := range bad {
 		if _, err := c.Encode(m); err == nil {
@@ -264,6 +319,9 @@ func FuzzWireDecode(f *testing.F) {
 			// Under the previous version byte the frame must stay rejected.
 			f.Add(append([]byte{1}, raw[1:]...))
 		}
+	}
+	for _, g := range gossipFrames() {
+		f.Add(g.raw)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version})

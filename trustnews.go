@@ -13,15 +13,15 @@
 //     the data substitution rationale).
 //   - Social: the follower-network cascade simulator with bots and
 //     platform interventions.
-//   - Consensus: the Tendermint-style BFT cluster and PoA baseline for
-//     multi-validator deployments.
+//
+// A multi-validator deployment is not built through this package: run
+// cmd/trustnewsd with -node-id and -peers, one process per validator.
 //
 // See examples/quickstart for a five-minute tour.
 package trustnews
 
 import (
 	"repro/internal/aidetect"
-	"repro/internal/consensus"
 	"repro/internal/corpus"
 	"repro/internal/factdb"
 	"repro/internal/identity"
@@ -157,19 +157,3 @@ func DefaultSocialConfig() SocialConfig { return social.DefaultConfig() }
 
 // DefaultSpreadParams returns the standard cascade parameters.
 func DefaultSpreadParams() SpreadParams { return social.DefaultSpreadParams() }
-
-// Consensus types and constructors.
-type (
-	// ConsensusCluster is a BFT validator cluster over a simulated net.
-	ConsensusCluster = consensus.Cluster
-	// ConsensusTimeouts tunes the BFT round timeouts.
-	ConsensusTimeouts = consensus.Timeouts
-)
-
-// NewConsensusCluster builds an n-validator BFT cluster.
-func NewConsensusCluster(n int, seed int64, tmo ConsensusTimeouts) (*ConsensusCluster, error) {
-	return consensus.NewCluster(n, seed, tmo)
-}
-
-// DefaultConsensusTimeouts suits the default simulated-network profile.
-func DefaultConsensusTimeouts() ConsensusTimeouts { return consensus.DefaultTimeouts() }

@@ -63,19 +63,6 @@ func TestPublicAPISocial(t *testing.T) {
 	}
 }
 
-// TestPublicAPIConsensus exercises the consensus surface.
-func TestPublicAPIConsensus(t *testing.T) {
-	c, err := NewConsensusCluster(4, 1, DefaultConsensusTimeouts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	c.RunUntilHeight(1, 3e10) // 30s of virtual time
-	if c.MinHeight() < 1 {
-		t.Fatal("cluster did not commit through public API")
-	}
-}
-
 // TestPublicAPIEconomy exercises voting, resolution and settlement.
 func TestPublicAPIEconomy(t *testing.T) {
 	p, err := NewPlatform(DefaultConfig())

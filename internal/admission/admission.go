@@ -9,27 +9,25 @@
 // request waits behind the whole backlog, tail latency explodes, and
 // goodput collapses exactly when demand peaks.
 //
-// The package provides three composable pieces:
+// The package provides two composable pieces:
 //
-//   - TokenBucket / RouteLimiter: static per-route rate policy for the
-//     HTTP gateway (operator-set ceilings, burst-tolerant).
 //   - Gate: a bounded-concurrency, bounded-queue admission gate with a
 //     CoDel-style queue-delay controller — the adaptive defense. When
 //     the minimum queue delay stays above target for a full interval,
 //     the gate starts shedding arrivals at an increasing rate until
 //     delay recovers, so accepted requests keep a bounded wait even
 //     under sustained overload ("shed before collapse").
-//   - Controller: the bundle a platform node carries — one gate for
-//     mempool admission, one for blob reads, the route limiter, and the
+//   - Controller: the bundle a platform node carries — one gate each for
+//     mempool admission, blob reads, ingest and the HTTP edge, and the
 //     shared trustnews_admission_* metrics.
 //
 // Every shed surfaces as the typed ErrOverCapacity, which the HTTP
 // gateway maps to 429 Too Many Requests with a Retry-After header: the
 // client-visible contract is "back off and retry", never a timeout.
 //
-// Everything is nil-safe in the package's usual style: a nil *Gate, nil
-// *RouteLimiter or nil *Controller admits everything at zero cost, so
-// library users who never configure admission pay one branch per edge.
+// Everything is nil-safe in the package's usual style: a nil *Gate or nil
+// *Controller admits everything at zero cost, so library users who never
+// configure admission pay one branch per edge.
 package admission
 
 import (
@@ -68,15 +66,10 @@ type Config struct {
 	// it, so its CoDel controller sheds before latency collapses. The
 	// zero value disables this gate (resource gates stay mandatory).
 	HTTP GateConfig
-	// Routes caps per-route request rates in the HTTP gateway, keyed by
-	// ServeMux pattern (e.g. "POST /v1/tx"). Empty means no static
-	// limits — the adaptive gates remain the overload defense.
-	Routes map[string]RouteLimit
 }
 
-// DefaultConfig returns an adaptive-only policy scaled to the host:
-// gate widths follow GOMAXPROCS (admission work is CPU-bound), queues
-// hold a few batches, and no static route limits are set.
+// DefaultConfig returns a policy scaled to the host: gate widths follow
+// GOMAXPROCS (admission work is CPU-bound), and queues hold a few batches.
 func DefaultConfig() *Config {
 	cores := runtime.GOMAXPROCS(0)
 	return &Config{
@@ -109,13 +102,12 @@ type Controller struct {
 	blobRead *Gate
 	ingest   *Gate // nil when Config.Ingest is zero
 	http     *Gate // nil when Config.HTTP is zero
-	routes   *RouteLimiter
 	metrics  *Metrics
 }
 
-// NewController builds the gates and limiter from cfg and instruments
-// them on reg (nil reg leaves the instruments as no-ops). A nil cfg
-// yields a nil controller: admission disabled.
+// NewController builds the gates from cfg and instruments them on reg
+// (nil reg leaves the instruments as no-ops). A nil cfg yields a nil
+// controller: admission disabled.
 func NewController(cfg *Config, reg *telemetry.Registry) (*Controller, error) {
 	if cfg == nil {
 		return nil, nil
@@ -147,12 +139,7 @@ func NewController(cfg *Config, reg *telemetry.Registry) (*Controller, error) {
 		}
 		hg.Instrument(m, "http")
 	}
-	rl, err := NewRouteLimiter(cfg.Routes)
-	if err != nil {
-		return nil, err
-	}
-	rl.Instrument(m)
-	return &Controller{mempool: mp, blobRead: br, ingest: ig, http: hg, routes: rl, metrics: m}, nil
+	return &Controller{mempool: mp, blobRead: br, ingest: ig, http: hg, metrics: m}, nil
 }
 
 // AcquireMempool admits one transaction-submission into the mempool
@@ -221,15 +208,6 @@ func (c *Controller) ReleaseHTTP() {
 	}
 }
 
-// AllowRoute reports whether the static per-route rate policy admits
-// one more request on the given route (always true without a limit).
-func (c *Controller) AllowRoute(route string) bool {
-	if c == nil {
-		return true
-	}
-	return c.routes.Allow(route)
-}
-
 // HTTPGate exposes the API-edge gate (nil when unconfigured).
 func (c *Controller) HTTPGate() *Gate {
 	if c == nil {
@@ -255,12 +233,11 @@ func (c *Controller) Metrics() *Metrics {
 const (
 	ShedQueueFull = "queue_full" // bounded queue at capacity
 	ShedCoDel     = "codel"      // queue-delay controller in dropping state
-	ShedRateLimit = "rate_limit" // static route token bucket empty
 )
 
-// Metrics is the trustnews_admission_* instrument family, shared by
-// every gate and limiter of one node so operators see all admission
-// decisions under one prefix, labeled by component.
+// Metrics is the trustnews_admission_* instrument family, shared by every
+// gate of one node so operators see all admission decisions under one
+// prefix, labeled by component.
 type Metrics struct {
 	accepted *telemetry.CounterVec
 	shed     *telemetry.CounterVec

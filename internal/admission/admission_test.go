@@ -39,23 +39,11 @@ func (c *fakeClock) Advance(d time.Duration) {
 // ---------------------------------------------------------------------------
 
 func TestZeroCapacityRejectedAtConstruction(t *testing.T) {
-	if _, err := NewTokenBucket(0, 10); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := NewTokenBucket(-1, 10); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if _, err := NewTokenBucket(100, 0); err == nil {
-		t.Fatal("zero burst accepted")
-	}
 	if _, err := NewGate(GateConfig{MaxConcurrent: 0, MaxQueue: 4}); err == nil {
 		t.Fatal("zero MaxConcurrent accepted")
 	}
 	if _, err := NewGate(GateConfig{MaxConcurrent: 2, MaxQueue: -1}); err == nil {
 		t.Fatal("negative MaxQueue accepted")
-	}
-	if _, err := NewRouteLimiter(map[string]RouteLimit{"POST /v1/tx": {PerSecond: 0, Burst: 5}}); err == nil {
-		t.Fatal("zero-rate route limit accepted")
 	}
 	// The controller propagates gate construction errors.
 	if _, err := NewController(&Config{Mempool: GateConfig{MaxConcurrent: 0}}, nil); err == nil {
@@ -65,78 +53,6 @@ func TestZeroCapacityRejectedAtConstruction(t *testing.T) {
 	cfg.BlobRead.MaxConcurrent = -3
 	if _, err := NewController(cfg, nil); err == nil {
 		t.Fatal("controller accepted negative-capacity blob gate")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Token bucket semantics.
-// ---------------------------------------------------------------------------
-
-// TestBurstExactlyAtBucketSizeAdmitted pins the boundary: a burst of
-// exactly Burst requests is admitted back-to-back; request Burst+1 is
-// not.
-func TestBurstExactlyAtBucketSizeAdmitted(t *testing.T) {
-	clk := newFakeClock()
-	b, err := NewTokenBucket(10, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetClock(clk.Now)
-	for i := 0; i < 7; i++ {
-		if !b.Allow() {
-			t.Fatalf("request %d of a burst exactly at bucket size was denied", i+1)
-		}
-	}
-	if b.Allow() {
-		t.Fatal("request burst+1 admitted without refill")
-	}
-	// 100ms at 10/s refills exactly one token.
-	clk.Advance(100 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("refilled token denied")
-	}
-	if b.Allow() {
-		t.Fatal("second token admitted after a one-token refill")
-	}
-}
-
-func TestBucketRefillCapsAtBurst(t *testing.T) {
-	clk := newFakeClock()
-	b, err := NewTokenBucket(1000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetClock(clk.Now)
-	clk.Advance(time.Hour) // would refill millions of tokens
-	for i := 0; i < 3; i++ {
-		if !b.Allow() {
-			t.Fatalf("token %d denied after long idle", i)
-		}
-	}
-	if b.Allow() {
-		t.Fatal("idle refill exceeded burst capacity")
-	}
-}
-
-func TestRouteLimiterUnconfiguredRoutesUnlimited(t *testing.T) {
-	l, err := NewRouteLimiter(map[string]RouteLimit{"POST /v1/tx": {PerSecond: 1, Burst: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if !l.Allow("GET /v1/chain") {
-			t.Fatal("unconfigured route limited")
-		}
-	}
-	if !l.Allow("POST /v1/tx") {
-		t.Fatal("first request within burst denied")
-	}
-	if l.Allow("POST /v1/tx") {
-		t.Fatal("burst-exceeding request admitted")
-	}
-	var nilLimiter *RouteLimiter
-	if !nilLimiter.Allow("POST /v1/tx") {
-		t.Fatal("nil limiter must admit everything")
 	}
 }
 
@@ -351,9 +267,6 @@ func TestNilAdmissionIsNoOp(t *testing.T) {
 		t.Fatal("nil controller must admit blob reads")
 	}
 	c.ReleaseBlobRead()
-	if !c.AllowRoute("POST /v1/tx") {
-		t.Fatal("nil controller must allow routes")
-	}
 	if err := c.AcquireHTTP(); err != nil {
 		t.Fatal("nil controller must admit at the edge")
 	}

@@ -12,12 +12,9 @@
 // across articles (verbatim relays, the corpus's 72.3 % modified-news
 // share) are stored once.
 //
-// Blobs are reference-counted: Pin marks operator-held blobs, Retain
-// counts ledger references (the commit-bus subscriber in subscriber.go
-// retains every CID a committed block cites), and GC removes only blobs
-// with neither. Every Get re-derives the chunk tree and compares it to the
-// requested CID, so a corrupted store is detected at read time rather
-// than propagated.
+// The store keeps every body it is given; nothing is ever removed. Every
+// Get re-derives the chunk tree and compares it to the requested CID, so a
+// corrupted store is detected at read time rather than propagated.
 package blobstore
 
 import (
@@ -168,8 +165,6 @@ type Stats struct {
 	PhysicalBytes int64 `json:"physicalBytes"`
 	// DedupRatio is LogicalBytes / PhysicalBytes (1.0 = no sharing).
 	DedupRatio float64 `json:"dedupRatio"`
-	Pinned     int     `json:"pinned"`
-	Retained   int     `json:"retained"`
 }
 
 // Store is the content-addressed blob store. It is safe for concurrent
@@ -188,17 +183,10 @@ type Store struct {
 
 	log   blobLog
 	index hashIndex
-	// Stats counts, kept up to date as records are appended and collected.
+	// Stats counts, kept up to date as records are appended.
 	blobs, chunks     int
 	logical, physical int64
 	logBytes          int64 // bytes of the log, frames included
-
-	pins map[CID]bool
-
-	// refMu guards retained apart from mu: Retain runs on the commit path
-	// and must not wait behind a Get reading bodies from disk under mu.
-	refMu    sync.Mutex
-	retained map[CID]int // ledger references (commit-bus subscriber)
 
 	// fallback, when set, is consulted by Get for CIDs this store does not
 	// hold (e.g. a cluster replica reading a sibling's blob, or a network
@@ -239,8 +227,6 @@ type storeMetrics struct {
 	gets        *telemetry.Counter
 	corruptions *telemetry.Counter
 	fallbacks   *telemetry.Counter
-	gcSweeps    *telemetry.Counter
-	gcCollected *telemetry.Counter
 	blobs       *telemetry.Gauge
 	chunks      *telemetry.Gauge
 	logBytes    *telemetry.Gauge
@@ -255,8 +241,6 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		gets:        reg.Counter("trustnews_blobstore_gets_total", "Blob store reads."),
 		corruptions: reg.Counter("trustnews_blobstore_corruptions_total", "Reads whose bytes failed CID verification."),
 		fallbacks:   reg.Counter("trustnews_blobstore_fallback_hits_total", "Missing blobs recovered through the fallback resolver."),
-		gcSweeps:    reg.Counter("trustnews_blobstore_gc_sweeps_total", "Garbage-collection sweeps."),
-		gcCollected: reg.Counter("trustnews_blobstore_gc_collected_total", "Blobs removed by garbage collection."),
 		blobs:       reg.Gauge("trustnews_blobstore_blobs", "Blobs currently held."),
 		chunks:      reg.Gauge("trustnews_blobstore_chunks", "Unique chunks currently held."),
 		logBytes:    reg.Gauge("trustnews_blobstore_log_bytes", "Bytes of the blob log (blobs.log on a durable node): chunks and manifests, frames included."),
@@ -276,18 +260,13 @@ func NewStore(chunkSize int) *Store {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	return &Store{
-		chunkSize: chunkSize,
-		log:       store.NewMemLog(),
-		pins:      make(map[CID]bool),
-		retained:  make(map[CID]int),
-	}
+	return &Store{chunkSize: chunkSize, log: store.NewMemLog()}
 }
 
-// Open creates or reopens a file-backed store at dir: bodies in
-// dir/blobs.log, pins in dir/pins. A record damaged on disk costs the
-// blobs that use it and nothing else (store.OpenFileLogSkipping): the
-// bodies cannot be computed again. A directory written before the log —
+// Open creates or reopens a file-backed store at dir, its bodies in
+// dir/blobs.log. A record damaged on disk costs the blobs that use it and
+// nothing else (store.OpenFileLogSkipping): the bodies cannot be computed
+// again. A directory written before the log —
 // chunks/<hash> and manifests/<cid> files — is moved into the log once.
 func Open(dir string, chunkSize int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -304,10 +283,6 @@ func Open(dir string, chunkSize int) (*Store, error) {
 		return nil, err
 	}
 	if err := s.importFiles(); err != nil {
-		log.Close()
-		return nil, err
-	}
-	if err := s.loadPins(); err != nil {
 		log.Close()
 		return nil, err
 	}
@@ -479,152 +454,15 @@ func (s *Store) Chunk(h ChunkHash) ([]byte, bool) {
 	return data, ok && err == nil
 }
 
-// Pin marks a blob as operator-held: GC never removes it.
-func (s *Store) Pin(cid CID) error {
-	h, ok := cidHash(cid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ok {
-		_, ok, _ = s.find(kindManifest, h)
-	}
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, cid.Short())
-	}
-	s.pins[cid] = true
-	return s.persistPins()
-}
-
-// Unpin removes an operator pin (the blob may still be chain-retained).
-func (s *Store) Unpin(cid CID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.pins, cid)
-	return s.persistPins()
-}
-
-// Pinned reports whether the blob is pinned.
-func (s *Store) Pinned(cid CID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pins[cid]
-}
-
-// Retain adds one ledger reference to a CID (a committed block cites it).
-// Unknown CIDs are retained too: the reference protects the blob the
-// moment it arrives (e.g. fetched from a peer after the block committed).
-func (s *Store) Retain(cid CID) {
-	s.refMu.Lock()
-	s.retained[cid]++
-	s.refMu.Unlock()
-}
-
-// Release drops one ledger reference.
-func (s *Store) Release(cid CID) {
-	s.refMu.Lock()
-	if s.retained[cid] > 1 {
-		s.retained[cid]--
-	} else {
-		delete(s.retained, cid)
-	}
-	s.refMu.Unlock()
-}
-
-// RefCount returns the current ledger reference count for a CID.
-func (s *Store) RefCount(cid CID) int {
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
-	return s.retained[cid]
-}
-
-// ResetRetained replaces the full ledger-reference table (checkpoint
-// restore path of the commit-bus subscriber).
-func (s *Store) ResetRetained(refs map[CID]int) {
-	s.refMu.Lock()
-	s.retained = make(map[CID]int, len(refs))
-	for c, n := range refs {
-		if n > 0 {
-			s.retained[c] = n
-		}
-	}
-	s.refMu.Unlock()
-}
-
-// RetainedRefs returns a copy of the ledger-reference table.
-func (s *Store) RetainedRefs() map[CID]int {
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
-	out := make(map[CID]int, len(s.retained))
-	for c, n := range s.retained {
-		out[c] = n
-	}
-	return out
-}
-
-// GC removes every blob that is neither pinned nor ledger-retained, and
-// any chunks no remaining manifest references, by rewriting the log with
-// only the records that stay. It returns the CIDs collected, sorted for
-// determinism; if the rewrite fails, nothing is collected.
-func (s *Store) GC() []CID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
-	keep := make(map[uint64]bool)
-	used := make(map[ChunkHash]bool)
-	var victims []CID
-	err := s.eachRecord(func(i uint64, kind byte, h merkle.Hash) error {
-		if kind != kindManifest {
-			return nil
-		}
-		cid := CID(h.String())
-		if !s.pins[cid] && s.retained[cid] == 0 {
-			victims = append(victims, cid)
-			return nil
-		}
-		rec, err := s.log.Get(i)
-		if err != nil {
-			return err
-		}
-		m, err := decodeManifest(rec)
-		if err != nil {
-			return err
-		}
-		keep[i] = true
-		for _, c := range m.Chunks {
-			used[c] = true
-		}
-		return nil
-	})
-	if err == nil {
-		err = s.eachRecord(func(i uint64, kind byte, h merkle.Hash) error {
-			if kind == kindChunk && used[h] {
-				keep[i] = true
-			}
-			return nil
-		})
-	}
-	if err == nil {
-		err = s.rewrite(keep)
-	}
-	s.tm.gcSweeps.Inc()
-	if err != nil {
-		return nil
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-	s.tm.gcCollected.Add(uint64(len(victims)))
-	return victims
-}
-
 // CIDs lists every stored blob, sorted.
 func (s *Store) CIDs() []CID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []CID
-	_ = s.eachRecord(func(_ uint64, kind byte, h merkle.Hash) error {
+	_ = s.eachRecord(func(kind byte, h merkle.Hash) {
 		if kind == kindManifest {
 			out = append(out, CID(h.String()))
 		}
-		return nil
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -639,11 +477,7 @@ func (s *Store) Stats() Stats {
 		Chunks:        s.chunks,
 		LogicalBytes:  s.logical,
 		PhysicalBytes: s.physical,
-		Pinned:        len(s.pins),
 	}
-	s.refMu.Lock()
-	st.Retained = len(s.retained)
-	s.refMu.Unlock()
 	if st.PhysicalBytes > 0 {
 		st.DedupRatio = float64(st.LogicalBytes) / float64(st.PhysicalBytes)
 	}
@@ -773,7 +607,7 @@ func recordHeader(hdr []byte) (byte, merkle.Hash, bool) {
 
 // eachRecord calls fn with every indexed record in log order — the records
 // load took, not damaged or duplicate ones.
-func (s *Store) eachRecord(fn func(i uint64, kind byte, h merkle.Hash) error) error {
+func (s *Store) eachRecord(fn func(kind byte, h merkle.Hash)) error {
 	var hdr [recordHeaderBytes]byte
 	for i := uint64(0); i < s.log.Len(); i++ {
 		n, err := s.log.ReadAt(i, 0, hdr[:])
@@ -786,21 +620,16 @@ func (s *Store) eachRecord(fn func(i uint64, kind byte, h merkle.Hash) error) er
 		}
 		if rec, found, err := s.find(kind, h); err != nil {
 			return err
-		} else if !found || rec != i {
-			continue
-		}
-		if err := fn(i, kind, h); err != nil {
-			return err
+		} else if found && rec == i {
+			fn(kind, h)
 		}
 	}
 	return nil
 }
 
-// load indexes the log and recounts it. A record that is not a well-formed
+// load indexes the log and counts it. A record that is not a well-formed
 // chunk or manifest, or repeats one already indexed, is left out.
 func (s *Store) load() error {
-	s.index = hashIndex{}
-	s.blobs, s.chunks, s.logical, s.physical, s.logBytes = 0, 0, 0, 0, 0
 	var hdr [manifestHeaderBytes]byte
 	for i := uint64(0); i < s.log.Len(); i++ {
 		size, err := s.log.RecordLen(i)
@@ -841,64 +670,6 @@ func (s *Store) load() error {
 		}
 	}
 	s.setGauges()
-	return nil
-}
-
-// rewrite replaces the log with the records keep names, in log order, and
-// indexes the new log. On error the old log stays in place.
-func (s *Store) rewrite(keep map[uint64]bool) error {
-	var fresh blobLog = store.NewMemLog()
-	path := filepath.Join(s.dir, logName)
-	if s.dir != "" {
-		_ = os.Remove(path + ".gc") // left by a rewrite that did not finish
-		fl, err := store.OpenFileLogSkipping(path + ".gc")
-		if err != nil {
-			return fmt.Errorf("blobstore: gc: %w", err)
-		}
-		fresh = fl
-	}
-	for i := uint64(0); i < s.log.Len(); i++ {
-		if !keep[i] {
-			continue
-		}
-		rec, err := s.log.Get(i)
-		if err == nil {
-			_, err = fresh.AppendUnsynced(rec)
-		}
-		if err != nil {
-			fresh.Close()
-			_ = os.Remove(path + ".gc")
-			return fmt.Errorf("blobstore: gc: %w", err)
-		}
-	}
-	if s.dir == "" {
-		s.log = fresh
-		return s.load()
-	}
-	err := fresh.Sync()
-	if cerr := fresh.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(path + ".gc")
-		return fmt.Errorf("blobstore: gc: %w", err)
-	}
-	// The store goes on with the log at path: the new one if the rename
-	// took place, the old one otherwise.
-	closeErr := s.log.Close()
-	renameErr := os.Rename(path+".gc", path)
-	reopened, err := store.OpenFileLogSkipping(path)
-	if err != nil {
-		return fmt.Errorf("blobstore: gc: %w", errors.Join(closeErr, renameErr, err))
-	}
-	s.log = reopened
-	if err := s.load(); err != nil {
-		return err
-	}
-	if renameErr != nil {
-		_ = os.Remove(path + ".gc")
-		return fmt.Errorf("blobstore: gc: %w", renameErr)
-	}
 	return nil
 }
 
@@ -1008,40 +779,6 @@ func (x *hashIndex) each(key uint64, fn func(rec uint64) bool) {
 // ---------------------------------------------------------------------------
 // Files beside the log.
 // ---------------------------------------------------------------------------
-
-// persistPins writes the pin set. Caller holds s.mu.
-func (s *Store) persistPins() error {
-	if s.dir == "" {
-		return nil
-	}
-	pins := make([]string, 0, len(s.pins))
-	for cid := range s.pins {
-		pins = append(pins, string(cid))
-	}
-	sort.Strings(pins)
-	body := strings.Join(pins, "\n")
-	if err := os.WriteFile(filepath.Join(s.dir, "pins"), []byte(body), 0o644); err != nil {
-		return fmt.Errorf("blobstore: persist pins: %w", err)
-	}
-	return nil
-}
-
-// loadPins reads the pin set back.
-func (s *Store) loadPins() error {
-	raw, err := os.ReadFile(filepath.Join(s.dir, "pins"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("blobstore: load pins: %w", err)
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if cid, err := ParseCID(strings.TrimSpace(line)); err == nil {
-			s.pins[cid] = true
-		}
-	}
-	return nil
-}
 
 // importFiles moves the bodies of a directory written before the log —
 // chunks/<hash> and manifests/<cid> files — into the log, and removes the

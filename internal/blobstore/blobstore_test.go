@@ -131,54 +131,6 @@ func TestGetUnknownCID(t *testing.T) {
 	}
 }
 
-func TestGCRespectsPinsAndRetains(t *testing.T) {
-	s := NewStore(16)
-	pinned, _ := s.PutString("operator pinned body that must survive gc")
-	retained, _ := s.PutString("chain referenced body that must survive gc")
-	loose, _ := s.PutString("unreferenced body that should be collected")
-	if err := s.Pin(pinned); err != nil {
-		t.Fatal(err)
-	}
-	s.Retain(retained)
-
-	victims := s.GC()
-	if len(victims) != 1 || victims[0] != loose {
-		t.Fatalf("GC = %v, want [%s]", victims, loose)
-	}
-	for _, cid := range []CID{pinned, retained} {
-		if _, err := s.Get(cid); err != nil {
-			t.Fatalf("Get(%s) after GC: %v", cid.Short(), err)
-		}
-	}
-	if _, err := s.Get(loose); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("collected blob still readable: %v", err)
-	}
-
-	// Releasing the last ledger ref and unpinning makes both collectable.
-	s.Release(retained)
-	if err := s.Unpin(pinned); err != nil {
-		t.Fatal(err)
-	}
-	if victims := s.GC(); len(victims) != 2 {
-		t.Fatalf("second GC = %v, want 2 victims", victims)
-	}
-	if st := s.Stats(); st.Blobs != 0 || st.Chunks != 0 {
-		t.Fatalf("store not empty after GC: %+v", st)
-	}
-}
-
-func TestGCKeepsSharedChunks(t *testing.T) {
-	s := NewStore(16)
-	shared := strings.Repeat("0123456789abcdef", 4)
-	keep, _ := s.PutString(shared + "KEEPKEEPKEEPKEEP")
-	_, _ = s.PutString(shared + "DROPDROPDROPDROP")
-	s.Retain(keep)
-	s.GC()
-	if body, err := s.GetString(keep); err != nil || !strings.HasPrefix(body, shared) {
-		t.Fatalf("survivor unreadable after GC of chunk-sharing sibling: %v", err)
-	}
-}
-
 func TestFilePersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 16)
@@ -190,9 +142,6 @@ func TestFilePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Pin(cid); err != nil {
-		t.Fatal(err)
-	}
 
 	re, err := Open(dir, 16)
 	if err != nil {
@@ -201,13 +150,6 @@ func TestFilePersistenceRoundTrip(t *testing.T) {
 	got, err := re.GetString(cid)
 	if err != nil || got != body {
 		t.Fatalf("reopened Get = (%q, %v), want body", got, err)
-	}
-	if !re.Pinned(cid) {
-		t.Fatal("pin not persisted")
-	}
-	re.GC()
-	if !re.Has(cid) {
-		t.Fatal("pinned blob collected after reopen")
 	}
 }
 
@@ -378,7 +320,8 @@ func writeFilePerChunkLayout(t *testing.T, dir string, chunkSize int, bodies []s
 }
 
 // A directory written before the log is imported once, with every body
-// byte for byte and the pins kept; the chunk and manifest files go.
+// byte for byte; the chunk and manifest files go, and the pins file of
+// those builds is left alone.
 func TestOpenImportsFilePerChunkLayout(t *testing.T) {
 	dir := t.TempDir()
 	bodies := []string{
@@ -399,9 +342,6 @@ func TestOpenImportsFilePerChunkLayout(t *testing.T) {
 			if got, err := s.GetString(cid); err != nil || got != bodies[i] {
 				t.Fatalf("round %d: body %d = %q, %v", round, i, got, err)
 			}
-		}
-		if !s.Pinned(cids[0]) || s.Pinned(cids[1]) {
-			t.Fatalf("round %d: pins not kept", round)
 		}
 		if st := s.Stats(); st.Blobs != len(bodies) || st.DedupRatio <= 1 {
 			t.Fatalf("round %d: stats %+v", round, st)

@@ -3,8 +3,8 @@
 // mechanism inputs from the transaction ledger; this package turns that
 // derivation into an explicit, typed pipeline: every committed block is
 // published as one CommitEvent, and each view that keeps state of its own
-// — the factual database (C1), the search index, the blob store's
-// references to committed bodies — registers as a Subscriber. The news
+// — the factual database (C1), the search index — registers as a
+// Subscriber. The news
 // supply-chain graph (C2) and the reputation-weighted ranking books (C3)
 // are not on the bus: they read the contract state execution wrote.
 //

@@ -13,8 +13,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// E10Config sizes the scalability experiment.
-type E10Config struct {
+// e10Config sizes the scalability experiment.
+type e10Config struct {
 	ValidatorCounts []int
 	Blocks          uint64
 	TxsPerBlock     int
@@ -27,9 +27,9 @@ type E10Config struct {
 	Seed       int64
 }
 
-// DefaultE10 returns the standard configuration.
-func DefaultE10() E10Config {
-	return E10Config{
+// defaultE10 returns the standard configuration.
+func defaultE10() e10Config {
+	return e10Config{
 		ValidatorCounts: []int{4, 8, 16, 32},
 		Blocks:          5,
 		TxsPerBlock:     20,
@@ -41,10 +41,10 @@ func DefaultE10() E10Config {
 	}
 }
 
-// RunE10Consensus measures BFT vs PoA block latency as the validator set
+// runE10Consensus measures BFT vs PoA block latency as the validator set
 // grows — the paper's "high performance blockchain network" requirement
 // and the cost of Byzantine tolerance.
-func RunE10Consensus(cfg E10Config) (*Table, error) {
+func runE10Consensus(cfg e10Config) (*Table, error) {
 	t := &Table{
 		Title:  "Consensus scalability: virtual commit latency vs validators",
 		Claim:  "a scalable blockchain network is feasible; BFT pays per-validator cost PoA avoids",
@@ -117,7 +117,7 @@ func (c *e10Cluster) run(protocol string, blocks uint64) (float64, error) {
 	return float64((c.net.Now() - start).Milliseconds()) / float64(blocks), nil
 }
 
-func bftLatency(n int, cfg E10Config) (float64, int, error) {
+func bftLatency(n int, cfg e10Config) (float64, int, error) {
 	c, err := newE10Cluster(n, cfg.Seed, 1<<16)
 	if err != nil {
 		return 0, 0, err
@@ -151,7 +151,7 @@ func bftLatency(n int, cfg E10Config) (float64, int, error) {
 	return ms, c.net.Stats().Sent / int(cfg.Blocks), nil
 }
 
-func poaLatency(n int, cfg E10Config) (float64, error) {
+func poaLatency(n int, cfg e10Config) (float64, error) {
 	c, err := newE10Cluster(n, cfg.Seed, 0)
 	if err != nil {
 		return 0, err
@@ -206,19 +206,17 @@ func (c counterContract) Execute(ctx *contract.Context, method string, args []by
 	return nil, ctx.Put(key, []byte{byte(cur), byte(cur >> 8), sum[0]})
 }
 
-// RunE10Parallel measures the serial vs parallel contract executor as the
+// runE10Parallel measures the serial vs parallel contract executor as the
 // write-conflict rate grows — the ablation for the authors' ICDCS 2018
 // parallel-blockchain dependency.
-func RunE10Parallel(cfg E10Config) (*Table, error) {
+func runE10Parallel(cfg e10Config) (*Table, error) {
 	t := &Table{
 		Title:  "Contract execution: parallel speedup vs conflict rate",
 		Claim:  "parallel contract execution scales blockchain throughput when workloads are disjoint",
-		Header: []string{"conflict_pct", "txs", "serial_ms", "parallel_ms", "wall_speedup", "modeled_speedup", "reexecuted"},
+		Header: []string{"conflict_pct", "txs", "serial_ms", "parallel_ms", "wall_speedup", "reexecuted"},
 	}
 	// wall_speedup is bounded by the host's physical cores (1.0x on a
-	// single-core machine); modeled_speedup is the critical-path model
-	// serial / (serial/workers + reexecution), i.e. what the scheduler
-	// achieves when cores >= workers. Both shrink as conflicts grow.
+	// single-core machine) and shrinks as conflicts grow.
 	mkBlock := func(conflictPct int) (*ledger.Block, error) {
 		txs := make([]*ledger.Tx, cfg.ParallelTxs)
 		for i := range txs {
@@ -261,13 +259,10 @@ func RunE10Parallel(cfg E10Config) (*Table, error) {
 		if sr != pr {
 			return nil, fmt.Errorf("e10: parallel state diverged at conflict %d%%", pct)
 		}
-		perTx := float64(serialDt) / float64(cfg.ParallelTxs)
-		modeled := float64(serialDt) / (float64(serialDt)/float64(cfg.Workers) + perTx*float64(stats.Conflicts))
 		t.AddRow(d(pct), d(cfg.ParallelTxs),
 			f1(float64(serialDt.Microseconds())/1000),
 			f1(float64(parDt.Microseconds())/1000),
 			f3(float64(serialDt)/float64(parDt)),
-			f3(modeled),
 			d(stats.Conflicts))
 	}
 	return t, nil

@@ -11,24 +11,24 @@ import (
 	"repro/internal/supplychain"
 )
 
-// E10cConfig sizes the block-batching throughput sweep.
-type E10cConfig struct {
+// e10cConfig sizes the block-batching throughput sweep.
+type e10cConfig struct {
 	BatchSizes []int
 	// TotalTxs per cell.
 	TotalTxs int
 	Seed     int64
 }
 
-// DefaultE10c returns the standard configuration.
-func DefaultE10c() E10cConfig {
-	return E10cConfig{BatchSizes: []int{1, 8, 64, 512}, TotalTxs: 1024, Seed: 10}
+// defaultE10c returns the standard configuration.
+func defaultE10c() e10cConfig {
+	return e10cConfig{BatchSizes: []int{1, 8, 64, 512}, TotalTxs: 1024, Seed: 10}
 }
 
-// RunE10Batching measures standalone-platform throughput as the block
+// runE10Batching measures standalone-platform throughput as the block
 // batch size grows — the classic blockchain amortization curve: per-block
 // overhead (tx-root hashing, state-root computation, header handling) is
 // spread over more transactions.
-func RunE10Batching(cfg E10cConfig) (*Table, error) {
+func runE10Batching(cfg e10cConfig) (*Table, error) {
 	t := &Table{
 		Title:  "Platform throughput vs block batch size",
 		Claim:  "batching amortizes per-block overhead (the high-performance network need)",

@@ -7,22 +7,22 @@ import (
 	"repro/internal/corpus"
 )
 
-// E11Config sizes the text-detection experiment.
-type E11Config struct {
+// e11Config sizes the text-detection experiment.
+type e11Config struct {
 	Factual int
 	Fake    int
 	Seed    int64
 }
 
-// DefaultE11 returns the standard configuration.
-func DefaultE11() E11Config { return E11Config{Factual: 800, Fake: 800, Seed: 11} }
+// defaultE11 returns the standard configuration.
+func defaultE11() e11Config { return e11Config{Factual: 800, Fake: 800, Seed: 11} }
 
-// RunE11 evaluates the AI text component (§IV component 3): naive Bayes,
+// runE11 evaluates the AI text component (§IV component 3): naive Bayes,
 // logistic regression and the emotion-lexicon-only ablation on a held-out
 // synthetic test set. The expected shape: the learned models beat the
 // lexicon, but none are perfect — the AI-alone gap that motivates the
 // trace-based ranking (E5).
-func RunE11(cfg E11Config) (*Table, error) {
+func runE11(cfg e11Config) (*Table, error) {
 	t := &Table{
 		Title:  "Fake-text detection: classifier comparison",
 		Claim:  "AI detection helps but is insufficient alone (motivates blockchain trace)",
@@ -51,27 +51,27 @@ func RunE11(cfg E11Config) (*Table, error) {
 	return t, nil
 }
 
-// E12Config sizes the media-tamper-detection experiment.
-type E12Config struct {
+// e12Config sizes the media-tamper-detection experiment.
+type e12Config struct {
 	Samples   int
 	MediaSize int
 	Strengths []float64
 	Seed      int64
 }
 
-// DefaultE12 returns the standard configuration.
-func DefaultE12() E12Config {
-	return E12Config{
+// defaultE12 returns the standard configuration.
+func defaultE12() e12Config {
+	return e12Config{
 		Samples: 60, MediaSize: 8192,
 		Strengths: []float64{0, 0.05, 0.1, 0.25, 0.5, 0.9},
 		Seed:      12,
 	}
 }
 
-// RunE12 evaluates the fake-multimedia component (§IV component 2):
+// runE12 evaluates the fake-multimedia component (§IV component 2):
 // reference-based detection (on-chain provenance) catches everything;
 // blind detection degrades gracefully as tamper strength falls.
-func RunE12(cfg E12Config) (*Table, error) {
+func runE12(cfg e12Config) (*Table, error) {
 	t := &Table{
 		Title:  "Media tamper detection vs tamper strength",
 		Claim:  "blockchain provenance catches any edit; blind AI detection needs visible damage",

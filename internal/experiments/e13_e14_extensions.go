@@ -7,22 +7,22 @@ import (
 	"repro/internal/social"
 )
 
-// E13Config sizes the outbreak-prediction experiment (§VII future work:
+// e13Config sizes the outbreak-prediction experiment (§VII future work:
 // "anticipate the onset of a fake news propagation before it is actually
 // propagated and disputed").
-type E13Config struct {
+type e13Config struct {
 	Windows []int
 	Base    predict.DatasetConfig
 }
 
-// DefaultE13 returns the standard configuration.
-func DefaultE13() E13Config {
-	return E13Config{Windows: []int{1, 2, 3, 4}, Base: predict.DefaultDatasetConfig()}
+// defaultE13 returns the standard configuration.
+func defaultE13() e13Config {
+	return e13Config{Windows: []int{1, 2, 3, 4}, Base: predict.DefaultDatasetConfig()}
 }
 
-// RunE13 trains the outbreak predictor at several observation windows and
+// runE13 trains the outbreak predictor at several observation windows and
 // reports AUC/F1 — quantifying how early the platform can act.
-func RunE13(cfg E13Config) (*Table, error) {
+func runE13(cfg e13Config) (*Table, error) {
 	t := &Table{
 		Title:  "Outbreak prediction vs observation window (extension, §VII)",
 		Claim:  "fake-news outbreaks are predictable from early cascade shape + platform signals",
@@ -56,26 +56,26 @@ func RunE13(cfg E13Config) (*Table, error) {
 	return t, nil
 }
 
-// E14Config sizes the personalized-intervention experiment (§VII future
+// e14Config sizes the personalized-intervention experiment (§VII future
 // work: personalization of intervention mechanisms).
-type E14Config struct {
+type e14Config struct {
 	Net     social.Config
 	Budgets []int
 	Runs    int
 	Seed    int64
 }
 
-// DefaultE14 returns the standard configuration.
-func DefaultE14() E14Config {
+// defaultE14 returns the standard configuration.
+func defaultE14() e14Config {
 	net := social.DefaultConfig()
 	net.Users, net.Bots, net.Cyborgs = 2500, 160, 90
-	return E14Config{Net: net, Budgets: []int{30, 60, 120}, Runs: 15, Seed: 14}
+	return e14Config{Net: net, Budgets: []int{30, 60, 120}, Runs: 15, Seed: 14}
 }
 
-// RunE14 compares correction-targeting strategies at equal budgets. Two
+// runE14 compares correction-targeting strategies at equal budgets. Two
 // metrics per strategy: ever-misled (exposure the campaign failed to
 // prevent — lower is better) and residual believers after debunking.
-func RunE14(cfg E14Config) (*Table, error) {
+func runE14(cfg e14Config) (*Table, error) {
 	net, err := social.NewNetwork(cfg.Net)
 	if err != nil {
 		return nil, err

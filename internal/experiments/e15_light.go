@@ -9,25 +9,25 @@ import (
 	"repro/internal/light"
 )
 
-// E15Config sizes the light-client experiment.
-type E15Config struct {
+// e15Config sizes the light-client experiment.
+type e15Config struct {
 	// Heights are the chain lengths to measure at.
 	Heights []int
 	// TxsPerBlock sets the block body size.
 	TxsPerBlock int
 }
 
-// DefaultE15 returns the standard configuration.
-func DefaultE15() E15Config {
-	return E15Config{Heights: []int{10, 100, 1000}, TxsPerBlock: 50}
+// defaultE15 returns the standard configuration.
+func defaultE15() e15Config {
+	return e15Config{Heights: []int{10, 100, 1000}, TxsPerBlock: 50}
 }
 
-// RunE15 quantifies the reader-verification extension: how much a
+// runE15 quantifies the reader-verification extension: how much a
 // header-only client stores versus a full node, how large one inclusion
 // proof is, and how fast proofs verify. The paper's complaint is that
 // readers cannot check what has been verified; this is the cost of letting
 // them.
-func RunE15(cfg E15Config) (*Table, error) {
+func runE15(cfg e15Config) (*Table, error) {
 	t := &Table{
 		Title:  "Light-client verification cost vs chain length (extension)",
 		Claim:  "readers can verify committed items at a tiny fraction of full-node storage",

@@ -10,10 +10,11 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/platform"
 	"repro/internal/simnet"
+	"repro/internal/supplychain"
 )
 
-// E16Config sizes the off-chain storage experiment.
-type E16Config struct {
+// e16Config sizes the off-chain storage experiment.
+type e16Config struct {
 	// Articles is how many distinct articles are published.
 	Articles int
 	// Syndicated is how many verbatim republications ride along — the
@@ -27,9 +28,9 @@ type E16Config struct {
 	Seed      int64
 }
 
-// DefaultE16 returns the standard configuration.
-func DefaultE16() E16Config {
-	return E16Config{
+// defaultE16 returns the standard configuration.
+func defaultE16() e16Config {
+	return e16Config{
 		Articles:   12,
 		Syndicated: 6,
 		Sentences:  40,
@@ -38,13 +39,13 @@ func DefaultE16() E16Config {
 	}
 }
 
-// RunE16 quantifies the off-chain article store: how many bytes each
+// runE16 quantifies the off-chain article store: how many bytes each
 // committed article costs on-chain with bodies inline versus referenced
 // by CID, how much chunk-level dedup saves across syndicated copies, and
 // what verified retrieval costs over a lossy link. The paper outsources
 // bodies to IPFS and keeps only hashes on-chain; this measures that
 // design against the inline baseline.
-func RunE16(cfg E16Config) (*Table, error) {
+func runE16(cfg e16Config) (*Table, error) {
 	t := &Table{
 		Title:  "Off-chain article storage: chain bytes, dedup, lossy retrieval",
 		Claim:  "storing bodies off-chain shrinks per-article chain cost >=5x; retrieval stays verified under loss",
@@ -65,16 +66,29 @@ func RunE16(cfg E16Config) (*Table, error) {
 		}
 		bodies[i] = sb.String()
 	}
-	publish := func(p *platform.Platform) error {
+	// publish commits every article, then every syndicated copy, each in a
+	// block of its own: inline, the body rides in the transaction (the
+	// payload the news contract still accepts from older chains); otherwise
+	// PublishNews stores it and the transaction carries its CID.
+	publish := func(p *platform.Platform, inline bool) error {
 		a := p.NewActor("e16-wire")
+		send := func(id, body string) error {
+			if !inline {
+				return a.PublishNews(id, corpus.TopicPolitics, body, nil, "")
+			}
+			payload, err := supplychain.PublishPayload(id, corpus.TopicPolitics, body, nil, "")
+			if err == nil {
+				_, err = a.MustExec("news.publish", payload)
+			}
+			return err
+		}
 		for i, body := range bodies {
-			if err := a.PublishNews(fmt.Sprintf("art-%d", i), corpus.TopicPolitics, body, nil, ""); err != nil {
+			if err := send(fmt.Sprintf("art-%d", i), body); err != nil {
 				return err
 			}
 		}
 		for i := 0; i < cfg.Syndicated; i++ {
-			body := bodies[i%len(bodies)]
-			if err := a.PublishNews(fmt.Sprintf("synd-%d", i), corpus.TopicPolitics, body, nil, ""); err != nil {
+			if err := send(fmt.Sprintf("synd-%d", i), bodies[i%len(bodies)]); err != nil {
 				return err
 			}
 		}
@@ -91,13 +105,11 @@ func RunE16(cfg E16Config) (*Table, error) {
 	total := cfg.Articles + cfg.Syndicated
 
 	// Inline arm: the body rides in every publish transaction.
-	inlineCfg := platform.DefaultConfig()
-	inlineCfg.OffChainBodies = false
-	inlineP, err := platform.New(inlineCfg)
+	inlineP, err := platform.New(platform.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	if err := publish(inlineP); err != nil {
+	if err := publish(inlineP, true); err != nil {
 		return nil, err
 	}
 	inlineBytes, err := chainBytes(inlineP)
@@ -114,7 +126,7 @@ func RunE16(cfg E16Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := publish(miner); err != nil {
+	if err := publish(miner, false); err != nil {
 		return nil, err
 	}
 	offBytes, err := chainBytes(miner)

@@ -11,20 +11,20 @@ import (
 	"repro/internal/ranking"
 )
 
-// E1Config sizes the platform-pipeline experiment (Fig. 1).
-type E1Config struct {
+// e1Config sizes the platform-pipeline experiment (Fig. 1).
+type e1Config struct {
 	Items  int // news items pushed through the full pipeline
 	Voters int
 	Seed   int64
 }
 
-// DefaultE1 returns the paper-scale defaults.
-func DefaultE1() E1Config { return E1Config{Items: 50, Voters: 8, Seed: 1} }
+// defaultE1 returns the paper-scale defaults.
+func defaultE1() e1Config { return e1Config{Items: 50, Voters: 8, Seed: 1} }
 
-// RunE1 drives the Fig. 1 architecture end to end — publish → AI score →
+// runE1 drives the Fig. 1 architecture end to end — publish → AI score →
 // crowd vote → resolve+commit — and reports per-stage cost and total
 // throughput.
-func RunE1(cfg E1Config) (*Table, error) {
+func runE1(cfg e1Config) (*Table, error) {
 	p, err := platform.New(platform.DefaultConfig())
 	if err != nil {
 		return nil, err

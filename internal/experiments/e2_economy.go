@@ -10,8 +10,8 @@ import (
 	"repro/internal/ranking"
 )
 
-// E2Config sizes the ecosystem-economy experiment (Fig. 2).
-type E2Config struct {
+// e2Config sizes the ecosystem-economy experiment (Fig. 2).
+type e2Config struct {
 	Epochs        int
 	ItemsPerEpoch int
 	Honest        int
@@ -19,18 +19,18 @@ type E2Config struct {
 	Seed          int64
 }
 
-// DefaultE2 returns the standard configuration.
-func DefaultE2() E2Config {
-	return E2Config{Epochs: 10, ItemsPerEpoch: 6, Honest: 6, Biased: 4, Seed: 2}
+// defaultE2 returns the standard configuration.
+func defaultE2() e2Config {
+	return e2Config{Epochs: 10, ItemsPerEpoch: 6, Honest: 6, Biased: 4, Seed: 2}
 }
 
-// RunE2 simulates the Fig. 2 ecosystem economy: creators publish factual
+// runE2 simulates the Fig. 2 ecosystem economy: creators publish factual
 // and fake items; honest and biased fact-checkers stake votes; the
 // platform resolves with ground truth. The table tracks token balances
 // and reputations per cohort over epochs — the incentive claim is that
 // honest participation accumulates tokens while coordinated bias bleeds
 // them.
-func RunE2(cfg E2Config) (*Table, error) {
+func runE2(cfg e2Config) (*Table, error) {
 	p, err := platform.New(platform.DefaultConfig())
 	if err != nil {
 		return nil, err

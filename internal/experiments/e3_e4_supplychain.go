@@ -9,18 +9,18 @@ import (
 	"repro/internal/supplychain"
 )
 
-// E3Config sizes the process-supply-chain baseline (Fig. 3).
-type E3Config struct {
+// e3Config sizes the process-supply-chain baseline (Fig. 3).
+type e3Config struct {
 	StageCounts []int
 	Assets      int
 }
 
-// DefaultE3 returns the standard configuration.
-func DefaultE3() E3Config { return E3Config{StageCounts: []int{4, 8, 16}, Assets: 1000} }
+// defaultE3 returns the standard configuration.
+func defaultE3() e3Config { return e3Config{StageCounts: []int{4, 8, 16}, Assets: 1000} }
 
-// RunE3 measures the Fig. 3 baseline: a pre-configured workflow chain
+// runE3 measures the Fig. 3 baseline: a pre-configured workflow chain
 // whose trace cost is O(stages) and independent of participant count.
-func RunE3(cfg E3Config) (*Table, error) {
+func runE3(cfg e3Config) (*Table, error) {
 	t := &Table{
 		Title:  "Process supply chain (Fig. 3): fixed workflow trace cost",
 		Claim:  "pre-configured workflow chains trace in O(stages), independent of scale",
@@ -63,19 +63,19 @@ func RunE3(cfg E3Config) (*Table, error) {
 	return t, nil
 }
 
-// E4Config sizes the dynamic news-supply-chain experiment (Fig. 4).
-type E4Config struct {
+// e4Config sizes the dynamic news-supply-chain experiment (Fig. 4).
+type e4Config struct {
 	ItemCounts []int
 	Seed       int64
 }
 
-// DefaultE4 returns the standard configuration.
-func DefaultE4() E4Config { return E4Config{ItemCounts: []int{100, 1000, 10000, 100000}, Seed: 4} }
+// defaultE4 returns the standard configuration.
+func defaultE4() e4Config { return e4Config{ItemCounts: []int{100, 1000, 10000, 100000}, Seed: 4} }
 
-// RunE4 builds news propagation DAGs of growing size — consumers relay,
+// runE4 builds news propagation DAGs of growing size — consumers relay,
 // modify, mix and merge (Fig. 4's "much complicated and dynamic network
 // architecture") — and measures graph shape and trace-back latency.
-func RunE4(cfg E4Config) (*Table, error) {
+func runE4(cfg e4Config) (*Table, error) {
 	t := &Table{
 		Title:  "News supply chain (Fig. 4): dynamic graph trace cost vs scale",
 		Claim:  "the news graph is large and dynamic, yet trace-back stays tractable",

@@ -10,8 +10,8 @@ import (
 	"repro/internal/ranking"
 )
 
-// E5Config sizes the ranking-accuracy bias sweep.
-type E5Config struct {
+// e5Config sizes the ranking-accuracy bias sweep.
+type e5Config struct {
 	// Facts seeds the factual database.
 	Facts int
 	// WarmupItems shape reputations before evaluation.
@@ -25,21 +25,21 @@ type E5Config struct {
 	Seed        int64
 }
 
-// DefaultE5 returns the standard configuration.
-func DefaultE5() E5Config {
-	return E5Config{
+// defaultE5 returns the standard configuration.
+func defaultE5() e5Config {
+	return e5Config{
 		Facts: 60, WarmupItems: 30, EvalItems: 60, Voters: 20,
 		BiasedFracs: []float64{0, 0.15, 0.30, 0.45}, Seed: 5,
 	}
 }
 
-// RunE5 is the paper's core claim quantified: ranking accuracy (F1 on the
+// runE5 is the paper's core claim quantified: ranking accuracy (F1 on the
 // fake class) for plain-majority crowd sourcing vs the platform's
 // mechanisms, as a coordinated biased bloc grows. The combined mechanism
 // should degrade far more slowly than majority vote ("prevent bias
 // concerns that might be originated from traditional majority decided
 // crowd sourcing mechanisms", §IV).
-func RunE5(cfg E5Config) (*Table, error) {
+func runE5(cfg e5Config) (*Table, error) {
 	t := &Table{
 		Title:  "Ranking accuracy vs biased-voter share (fake class F1)",
 		Claim:  "AI+trace+reputation ranking resists bias that captures majority voting",
@@ -61,13 +61,13 @@ func RunE5(cfg E5Config) (*Table, error) {
 
 // runE5Cell builds a fresh platform for one biased-voter fraction and
 // returns per-mechanism F1 on the fake class.
-func runE5Cell(cfg E5Config, biasedFrac float64) (map[ranking.Mechanism]float64, error) {
+func runE5Cell(cfg e5Config, biasedFrac float64) (map[ranking.Mechanism]float64, error) {
 	return runE5CellWeighted(cfg, biasedFrac, ranking.DefaultWeights())
 }
 
 // runE5CellWeighted is runE5Cell with custom combined-mechanism weights
 // (the E5w ablation).
-func runE5CellWeighted(cfg E5Config, biasedFrac float64, w ranking.Weights) (map[ranking.Mechanism]float64, error) {
+func runE5CellWeighted(cfg e5Config, biasedFrac float64, w ranking.Weights) (map[ranking.Mechanism]float64, error) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Weights = w
 	p, err := platform.New(pcfg)

@@ -4,29 +4,29 @@ import (
 	"repro/internal/ranking"
 )
 
-// E5WeightsConfig sizes the combined-mechanism weights ablation.
-type E5WeightsConfig struct {
-	Base E5Config
+// e5WeightsConfig sizes the combined-mechanism weights ablation.
+type e5WeightsConfig struct {
+	Base e5Config
 	// BiasedFrac fixes the adversarial pressure for the sweep.
 	BiasedFrac float64
 	// Settings are the weight mixes to compare.
-	Settings []WeightSetting
+	Settings []weightSetting
 }
 
-// WeightSetting is one labelled weights configuration.
-type WeightSetting struct {
+// weightSetting is one labelled weights configuration.
+type weightSetting struct {
 	Name    string
 	Weights ranking.Weights
 }
 
-// DefaultE5Weights returns the DESIGN.md ablation grid.
-func DefaultE5Weights() E5WeightsConfig {
-	base := DefaultE5()
+// defaultE5Weights returns the DESIGN.md ablation grid.
+func defaultE5Weights() e5WeightsConfig {
+	base := defaultE5()
 	base.BiasedFracs = nil // unused by the sweep
-	return E5WeightsConfig{
+	return e5WeightsConfig{
 		Base:       base,
 		BiasedFrac: 0.45,
-		Settings: []WeightSetting{
+		Settings: []weightSetting{
 			{"paper_default", ranking.DefaultWeights()},
 			{"crowd_heavy", ranking.Weights{AI: 0.1, Trace: 0.2, Crowd: 0.7}},
 			{"trace_heavy", ranking.Weights{AI: 0.1, Trace: 0.8, Crowd: 0.1}},
@@ -36,13 +36,13 @@ func DefaultE5Weights() E5WeightsConfig {
 	}
 }
 
-// RunE5Weights sweeps the combined mechanism's signal weights at a fixed
+// runE5Weights sweeps the combined mechanism's signal weights at a fixed
 // biased-voter share — the ablation DESIGN.md calls out for the paper's
 // "AI is tightly integrated with the blockchain" design choice. The
 // expected shape: the balanced defaults are competitive, crowd-heavy
 // mixes degrade under bias, and single-signal-heavy mixes inherit that
 // signal's blind spots.
-func RunE5Weights(cfg E5WeightsConfig) (*Table, error) {
+func runE5Weights(cfg e5WeightsConfig) (*Table, error) {
 	t := &Table{
 		Title:  "Combined-mechanism weight ablation (biased share fixed)",
 		Claim:  "the integrated multi-signal design beats any single dominant signal",
@@ -71,7 +71,7 @@ func RunE5Weights(cfg E5WeightsConfig) (*Table, error) {
 
 // runE5WeightsCell runs one E5 cell with custom combined weights and
 // returns the combined mechanism's F1.
-func runE5WeightsCell(base E5Config, biasedFrac float64, w ranking.Weights) (float64, error) {
+func runE5WeightsCell(base e5Config, biasedFrac float64, w ranking.Weights) (float64, error) {
 	scores, err := runE5CellWeighted(base, biasedFrac, w)
 	if err != nil {
 		return 0, err

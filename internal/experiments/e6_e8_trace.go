@@ -8,20 +8,20 @@ import (
 	"repro/internal/supplychain"
 )
 
-// E6Config sizes the accountability experiment.
-type E6Config struct {
+// e6Config sizes the accountability experiment.
+type e6Config struct {
 	Depths []int
 	Chains int
 	Seed   int64
 }
 
-// DefaultE6 returns the standard configuration.
-func DefaultE6() E6Config { return E6Config{Depths: []int{2, 4, 8, 16, 32}, Chains: 60, Seed: 6} }
+// defaultE6 returns the standard configuration.
+func defaultE6() e6Config { return e6Config{Depths: []int{2, 4, 8, 16, 32}, Chains: 60, Seed: 6} }
 
-// RunE6 quantifies §IV's accountability claim: build relay chains from a
+// runE6 quantifies §IV's accountability claim: build relay chains from a
 // factual root with one modifying account at a random position, then check
 // how often the trace identifies that account as the originator.
-func RunE6(cfg E6Config) (*Table, error) {
+func runE6(cfg e6Config) (*Table, error) {
 	t := &Table{
 		Title:  "Originator accountability vs propagation depth",
 		Claim:  "people who create fake news can be identified and located for accountability",
@@ -78,8 +78,8 @@ func RunE6(cfg E6Config) (*Table, error) {
 	return t, nil
 }
 
-// E8Config sizes the expert-discovery experiment.
-type E8Config struct {
+// e8Config sizes the expert-discovery experiment.
+type e8Config struct {
 	Experts  int // accounts with consistently factual output
 	Amateurs int // mixed output
 	Trolls   int // fake output
@@ -88,14 +88,14 @@ type E8Config struct {
 	Seed     int64
 }
 
-// DefaultE8 returns the standard configuration.
-func DefaultE8() E8Config {
-	return E8Config{Experts: 5, Amateurs: 10, Trolls: 5, ItemsPer: 8, K: 5, Seed: 8}
+// defaultE8 returns the standard configuration.
+func defaultE8() e8Config {
+	return e8Config{Experts: 5, Amateurs: 10, Trolls: 5, ItemsPer: 8, K: 5, Seed: 8}
 }
 
-// RunE8 measures §VI's expert-identification mechanism: precision@k of the
+// runE8 measures §VI's expert-identification mechanism: precision@k of the
 // ledger-mined expert list against the ground-truth expert set.
-func RunE8(cfg E8Config) (*Table, error) {
+func runE8(cfg e8Config) (*Table, error) {
 	t := &Table{
 		Title:  "Domain-expert discovery from ledger history (precision@k)",
 		Claim:  "AI analysis of the ledger identifies factual creators as topic experts",

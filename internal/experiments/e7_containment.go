@@ -4,8 +4,8 @@ import (
 	"repro/internal/social"
 )
 
-// E7Config sizes the propagation-containment experiment.
-type E7Config struct {
+// e7Config sizes the propagation-containment experiment.
+type e7Config struct {
 	Net       social.Config
 	Rounds    int
 	Runs      int
@@ -13,19 +13,19 @@ type E7Config struct {
 	FlagDelay int
 }
 
-// DefaultE7 returns the standard configuration.
-func DefaultE7() E7Config {
+// defaultE7 returns the standard configuration.
+func defaultE7() e7Config {
 	cfg := social.DefaultConfig()
 	cfg.Users, cfg.Bots, cfg.Cyborgs = 4000, 250, 150
-	return E7Config{Net: cfg, Rounds: 14, Runs: 15, Seeds: 8, FlagDelay: 2}
+	return e7Config{Net: cfg, Rounds: 14, Runs: 15, Seeds: 8, FlagDelay: 2}
 }
 
-// RunE7 quantifies the paper's headline claim (§I): fake vs factual reach
+// runE7 quantifies the paper's headline claim (§I): fake vs factual reach
 // per round, with and without the platform's interventions (flagging after
 // detection plus source demotion plus the trust-label boost for verified
 // factual content). The series should show fake news winning unchecked and
 // factual reporting outpacing it once the platform intervenes.
-func RunE7(cfg E7Config) (*Table, error) {
+func runE7(cfg e7Config) (*Table, error) {
 	net, err := social.NewNetwork(cfg.Net)
 	if err != nil {
 		return nil, err

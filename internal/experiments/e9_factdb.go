@@ -10,8 +10,8 @@ import (
 	"repro/internal/ranking"
 )
 
-// E9Config sizes the factual-database growth experiment.
-type E9Config struct {
+// e9Config sizes the factual-database growth experiment.
+type e9Config struct {
 	Thresholds []float64
 	Items      int
 	Voters     int
@@ -21,19 +21,19 @@ type E9Config struct {
 	Seed       int64
 }
 
-// DefaultE9 returns the standard configuration.
-func DefaultE9() E9Config {
-	return E9Config{
+// defaultE9 returns the standard configuration.
+func defaultE9() e9Config {
+	return e9Config{
 		Thresholds: []float64{0.6, 0.75, 0.9},
 		Items:      60, Voters: 12, HonestAcc: 0.72, BiasedFrac: 0.25, Seed: 9,
 	}
 }
 
-// RunE9 measures the §VI promotion pipeline: noisy crowds verify new
+// runE9 measures the §VI promotion pipeline: noisy crowds verify new
 // reporting; items clearing the promotion gate enter the factual database.
 // The sweep shows the precision/growth trade-off: a lax threshold grows
 // the DB fast but admits fakes; a strict one stays clean but grows slowly.
-func RunE9(cfg E9Config) (*Table, error) {
+func runE9(cfg e9Config) (*Table, error) {
 	t := &Table{
 		Title:  "Factual-database growth vs promotion threshold",
 		Claim:  "verified news grows the factual database into a trusting news engine",

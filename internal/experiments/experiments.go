@@ -56,48 +56,48 @@ func entry[C any](id string, run func(C) (*Table, error), full func() C, small f
 // All returns every experiment, in ID order.
 func All() []Experiment {
 	return []Experiment{
-		entry("E1", RunE1, DefaultE1, func(c *E1Config) { c.Items, c.Voters = 6, 3 }),
-		entry("E2", RunE2, DefaultE2, func(c *E2Config) { c.Epochs, c.ItemsPerEpoch = 6, 4 }),
-		entry("E3", RunE3, DefaultE3, func(c *E3Config) { c.Assets = 100 }),
-		entry("E4", RunE4, DefaultE4, func(c *E4Config) { c.ItemCounts = []int{100, 1000} }),
-		entry("E5", RunE5, DefaultE5, func(c *E5Config) {
+		entry("E1", runE1, defaultE1, func(c *e1Config) { c.Items, c.Voters = 6, 3 }),
+		entry("E2", runE2, defaultE2, func(c *e2Config) { c.Epochs, c.ItemsPerEpoch = 6, 4 }),
+		entry("E3", runE3, defaultE3, func(c *e3Config) { c.Assets = 100 }),
+		entry("E4", runE4, defaultE4, func(c *e4Config) { c.ItemCounts = []int{100, 1000} }),
+		entry("E5", runE5, defaultE5, func(c *e5Config) {
 			c.Facts, c.WarmupItems, c.EvalItems, c.Voters = 30, 16, 30, 12
 			c.BiasedFracs = []float64{0, 0.45}
 		}),
 		// The full 20-voter crowd stays: the bias pressure at 45% depends
 		// on the bloc being a near-majority.
-		entry("E5w", RunE5Weights, DefaultE5Weights, func(c *E5WeightsConfig) {
+		entry("E5w", runE5Weights, defaultE5Weights, func(c *e5WeightsConfig) {
 			c.Base.Facts, c.Base.WarmupItems, c.Base.EvalItems = 30, 16, 30
-			c.Settings = slices.DeleteFunc(c.Settings, func(s WeightSetting) bool {
+			c.Settings = slices.DeleteFunc(c.Settings, func(s weightSetting) bool {
 				return s.Name != "crowd_heavy" && s.Name != "uniform"
 			})
 		}),
-		entry("E6", RunE6, DefaultE6, func(c *E6Config) { c.Depths, c.Chains = []int{2, 8}, 25 }),
-		entry("E7", RunE7, DefaultE7, func(c *E7Config) {
+		entry("E6", runE6, defaultE6, func(c *e6Config) { c.Depths, c.Chains = []int{2, 8}, 25 }),
+		entry("E7", runE7, defaultE7, func(c *e7Config) {
 			c.Net.Users, c.Net.Bots, c.Net.Cyborgs = 1200, 80, 40
 			c.Runs = 6
 		}),
 		// E8 is cheap at full size.
-		entry("E8", RunE8, DefaultE8, func(*E8Config) {}),
-		entry("E9", RunE9, DefaultE9, func(c *E9Config) { c.Items, c.Voters = 40, 10 }),
-		entry("E10a", RunE10Consensus, DefaultE10, func(c *E10Config) {
+		entry("E8", runE8, defaultE8, func(*e8Config) {}),
+		entry("E9", runE9, defaultE9, func(c *e9Config) { c.Items, c.Voters = 40, 10 }),
+		entry("E10a", runE10Consensus, defaultE10, func(c *e10Config) {
 			c.ValidatorCounts, c.Blocks = []int{4, 8}, 2
 		}),
-		entry("E10b", RunE10Parallel, DefaultE10, func(c *E10Config) { c.ParallelTxs = 256 }),
-		entry("E10c", RunE10Batching, DefaultE10c, func(c *E10cConfig) {
+		entry("E10b", runE10Parallel, defaultE10, func(c *e10Config) { c.ParallelTxs = 256 }),
+		entry("E10c", runE10Batching, defaultE10c, func(c *e10cConfig) {
 			c.BatchSizes, c.TotalTxs = []int{1, 256}, 512
 		}),
-		entry("E11", RunE11, DefaultE11, func(c *E11Config) { c.Factual, c.Fake = 400, 400 }),
-		entry("E12", RunE12, DefaultE12, func(c *E12Config) { c.Samples = 20 }),
-		entry("E13", RunE13, DefaultE13, func(c *E13Config) {
+		entry("E11", runE11, defaultE11, func(c *e11Config) { c.Factual, c.Fake = 400, 400 }),
+		entry("E12", runE12, defaultE12, func(c *e12Config) { c.Samples = 20 }),
+		entry("E13", runE13, defaultE13, func(c *e13Config) {
 			c.Base.CascadesPerClass, c.Windows = 50, []int{1, 3}
 		}),
-		entry("E14", RunE14, DefaultE14, func(c *E14Config) {
+		entry("E14", runE14, defaultE14, func(c *e14Config) {
 			c.Net.Users, c.Net.Bots, c.Net.Cyborgs = 1200, 80, 40
 			c.Budgets, c.Runs = []int{60}, 10
 		}),
-		entry("E15", RunE15, DefaultE15, func(c *E15Config) { c.Heights, c.TxsPerBlock = []int{5, 50}, 20 }),
-		entry("E16", RunE16, DefaultE16, func(c *E16Config) {
+		entry("E15", runE15, defaultE15, func(c *e15Config) { c.Heights, c.TxsPerBlock = []int{5, 50}, 20 }),
+		entry("E16", runE16, defaultE16, func(c *e16Config) {
 			c.Articles, c.Syndicated, c.Sentences = 6, 3, 30
 			c.LossRates = []float64{0, 0.05}
 		}),

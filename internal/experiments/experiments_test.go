@@ -171,8 +171,8 @@ var claims = map[string]func(t *testing.T, tbl *Table){
 	},
 	"E10b": func(t *testing.T, tbl *Table) {
 		// Re-execution count grows with conflict rate.
-		first := cell(t, tbl, 0, 6)
-		last := cell(t, tbl, len(tbl.Rows)-1, 6)
+		first := cell(t, tbl, 0, 5)
+		last := cell(t, tbl, len(tbl.Rows)-1, 5)
 		if last <= first {
 			t.Fatalf("conflict count did not grow: %v", tbl.Rows)
 		}

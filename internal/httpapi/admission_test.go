@@ -117,50 +117,6 @@ func admissionFixture(t *testing.T, acfg *admission.Config) (*platform.Platform,
 	return p, srv, reg
 }
 
-// TestRouteRateLimit429 exercises the static per-route token bucket:
-// burst-many requests pass, the next is 429 with Retry-After, other
-// routes are untouched, and the shed shows up in the admission metrics.
-func TestRouteRateLimit429(t *testing.T) {
-	acfg := admission.DefaultConfig()
-	acfg.Routes = map[string]admission.RouteLimit{
-		"GET /v1/chain": {PerSecond: 0.001, Burst: 3}, // effectively no refill within the test
-	}
-	_, srv, reg := admissionFixture(t, acfg)
-
-	status := func(path string) (int, http.Header) {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, resp.Header
-	}
-	for i := 0; i < 3; i++ {
-		if code, _ := status("/v1/chain"); code != http.StatusOK {
-			t.Fatalf("request %d within burst: status %d", i+1, code)
-		}
-	}
-	code, hdr := status("/v1/chain")
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("burst-exceeding request: status %d, want 429", code)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
-	}
-	// Unlimited routes keep answering.
-	if code, _ := status("/v1/healthz"); code != http.StatusOK {
-		t.Fatalf("unlimited route limited: %d", code)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `trustnews_admission_shed_total{component="httpapi",reason="rate_limit"} 1`) {
-		t.Fatalf("rate-limit shed missing from metrics:\n%s", sb.String())
-	}
-}
-
 // TestHealthzReportsState checks the readiness endpoint's fields for a
 // standalone node with pending work.
 func TestHealthzReportsState(t *testing.T) {

@@ -28,13 +28,12 @@
 //	GET  /v1/traces            JSON export of retained spans
 //
 // Overload behaviour: when the platform carries an admission controller
-// (platform.Config.Admission), requests the node cannot take on — a
-// route past its static rate limit, the server-wide edge gate's queue
-// standing above its delay target, a full or slow mempool-admission
-// queue, a saturated blob path — are refused up front with HTTP 429 and
-// a Retry-After header rather than queued without bound. The typed
-// mempool-full error maps to 429 the same way, so clients see one
-// uniform "back off and retry" signal for every capacity condition.
+// (platform.Config.Admission), requests the node cannot take on — the
+// server-wide edge gate's queue standing above its delay target, a full
+// or slow mempool-admission queue, a saturated blob path — are refused up
+// front with HTTP 429 and a Retry-After header rather than queued without
+// bound. The typed mempool-full error maps to 429 the same way, so clients
+// see one uniform "back off and retry" signal for every capacity condition.
 // /v1/healthz and /v1/metrics bypass the edge gate: an overloaded node
 // must stay observable to operators and load balancers.
 package httpapi
@@ -145,13 +144,12 @@ func (rec *statusRecorder) WriteHeader(code int) {
 
 // ServeHTTP implements http.Handler. With telemetry enabled every
 // request is counted and timed under its ServeMux route pattern.
-// Admission runs here, before the handler: first the static per-route
-// rate limit, then the server-wide edge gate, which bounds how many
-// requests are in service at once and — through its CoDel controller —
-// sheds arrivals when the time spent waiting for a slot stays above
-// target. Health and metrics bypass the edge gate: an operator (or load
-// generator) must be able to observe an overloaded node. Every shed is
-// answered 429 + Retry-After without touching the platform.
+// Admission runs here, before the handler: the server-wide edge gate
+// bounds how many requests are in service at once and — through its CoDel
+// controller — sheds arrivals when the time spent waiting for a slot stays
+// above target. Health and metrics bypass the edge gate: an operator (or
+// load generator) must be able to observe an overloaded node. Every shed
+// is answered 429 + Retry-After without touching the platform.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.admit == nil && s.tmReq == nil {
 		s.mux.ServeHTTP(w, r)
@@ -163,18 +161,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
-	switch {
-	case !s.admit.AllowRoute(route):
-		writeShed(rec, fmt.Errorf("%w: route %s over its rate limit", admission.ErrOverCapacity, route))
-	case route == "GET /v1/healthz" || route == "GET /v1/metrics":
+	if route == "GET /v1/healthz" || route == "GET /v1/metrics" {
 		s.mux.ServeHTTP(rec, r)
-	default:
-		if err := s.admit.AcquireHTTP(); err != nil {
-			writeShed(rec, err)
-		} else {
-			s.mux.ServeHTTP(rec, r)
-			s.admit.ReleaseHTTP()
-		}
+	} else if err := s.admit.AcquireHTTP(); err != nil {
+		writeShed(rec, err)
+	} else {
+		s.mux.ServeHTTP(rec, r)
+		s.admit.ReleaseHTTP()
 	}
 	if s.tmReq != nil {
 		s.tmLat.With(route).Observe(time.Since(start).Seconds())

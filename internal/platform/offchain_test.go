@@ -70,20 +70,6 @@ func TestOffChainPublishKeepsBodyOffChain(t *testing.T) {
 		t.Fatalf("trace through the blob store: %v", err)
 	}
 
-	// The chain reference protects the blob from GC.
-	cid := blobstore.CID(it.CID)
-	if p.Blobs().RefCount(cid) == 0 {
-		t.Fatal("committed article body has no ledger reference")
-	}
-	loose, _ := p.Blobs().PutString("never referenced by any transaction")
-	victims := p.Blobs().GC()
-	if len(victims) != 1 || victims[0] != loose {
-		t.Fatalf("GC = %v, want only the unreferenced blob %s", victims, loose.Short())
-	}
-	if _, err := p.Blobs().Get(cid); err != nil {
-		t.Fatalf("chain-referenced blob unreadable after GC: %v", err)
-	}
-
 	// Full-text search finds the article.
 	terms := strings.Join(strings.Fields(body)[:3], " ")
 	p.FlushSearch()
@@ -93,15 +79,17 @@ func TestOffChainPublishKeepsBodyOffChain(t *testing.T) {
 	}
 }
 
+// The news contract still takes a body inline, as older chains carry it.
 func TestInlinePublishStillWorks(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OffChainBodies = false
-	p, err := New(cfg)
+	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.NewActor("author")
-	if err := a.PublishNews("n1", corpus.TopicPolitics, "plain inline statement about the budget", nil, ""); err != nil {
+	payload, err := supplychain.PublishPayload("n1", corpus.TopicPolitics, "plain inline statement about the budget", nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.NewActor("author").MustExec("news.publish", payload); err != nil {
 		t.Fatal(err)
 	}
 	it, err := p.Item("n1")
@@ -257,9 +245,6 @@ func TestDurableOffChainBodiesSurviveReopen(t *testing.T) {
 	res := re.Search(terms, 3)
 	if len(res) == 0 || res[0].ID != "durable-1" {
 		t.Fatalf("search after reopen = %v", res)
-	}
-	if re.Blobs().RefCount(blobstore.CID(it.CID)) == 0 {
-		t.Fatal("ledger reference lost across reopen")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // Durable deployment: a platform whose chain is backed by the
 // write-ahead-logged file store. Contract state is a pure function of the
 // block sequence, and so is everything derived from it: the views the
-// commit bus feeds (factual database, search index, blob references), the
+// commit bus feeds (factual database, search index), the
 // receipts, kept in a log of their own beside the chain (receipts.go), the
 // chain's transaction index, whose sealed segments live in txindex.log,
 // and the contract state's own segments, in state.log. The supply-chain
@@ -247,8 +247,8 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 }
 
 // replayFrom re-executes committed blocks from the given height upward,
-// feeding each through the receipt log and the commit bus exactly like a
-// live commit, and holds each to the state root its header carries
+// feeding each through the receipt log and the commit bus like a live
+// commit (but enqueueing no penalty, see penalizeOffendersLocked), and holds each to the state root its header carries
 // (consensus-decided blocks carry none, so a cluster validator's replay
 // hashes nothing). The receipt log may reach above from: those blocks'
 // receipts stay as they are and writing resumes where the log ends.
@@ -283,7 +283,7 @@ func (p *Platform) replayFrom(from uint64) error {
 }
 
 // WriteCheckpoint snapshots the node's derived state — contract state,
-// fact index, search index, blob references, the chain's block ids and
+// fact index, search index, the chain's block ids and
 // nonces — into dir/checkpoint.ckpt, atomically replacing any previous
 // checkpoint. Subsequent Opens restore it and replay only the newer WAL
 // tail. The supply-chain graph is not in it: it reads contract state. Receipts

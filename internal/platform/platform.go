@@ -63,15 +63,6 @@ type Config struct {
 	MempoolCapacity int
 	// Weights tunes the combined ranking mechanism.
 	Weights ranking.Weights
-	// CreatorReward is minted to an item's creator when it resolves
-	// factual (Fig. 2's incentive for content creators; default 25).
-	CreatorReward uint64
-	// OffChainBodies routes Actor.PublishNews bodies through the blob
-	// store: the transaction carries only {CID, size}, and the body is
-	// content-addressed off-chain (the platform's in-process stand-in for
-	// the IPFS deployments of DClaims-style systems). DefaultConfig
-	// enables it; a zero Config keeps the legacy inline path.
-	OffChainBodies bool
 	// BlobDir, when non-empty, backs the blob store with files under this
 	// directory. Open derives it from the node's data directory.
 	BlobDir string
@@ -82,9 +73,8 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// Admission, when non-nil, enables platform-wide admission control:
 	// Submit passes through a bounded-concurrency gate with CoDel-style
-	// queue-delay shedding, blob reads at the API edge are gated the
-	// same way, and the HTTP gateway enforces any static per-route rate
-	// limits. Shed requests fail fast with admission.ErrOverCapacity
+	// queue-delay shedding, and blob reads at the API edge are gated the
+	// same way. Shed requests fail fast with admission.ErrOverCapacity
 	// (HTTP 429) instead of queueing without bound. Nil — the default —
 	// admits everything, so existing callers are unaffected.
 	Admission *admission.Config
@@ -100,6 +90,10 @@ func defaultMempoolCapacity(maxTxsPerBlock int) int {
 	return capacity
 }
 
+// creatorReward is minted to an item's creator when it resolves factual
+// (Fig. 2's incentive for content creators).
+const creatorReward = 25
+
 // DefaultConfig returns the standard configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -107,8 +101,6 @@ func DefaultConfig() Config {
 		PromoteThreshold: 0.9,
 		MaxTxsPerBlock:   512,
 		Weights:          ranking.DefaultWeights(),
-		CreatorReward:    25,
-		OffChainBodies:   true,
 	}
 }
 
@@ -136,8 +128,8 @@ type Platform struct {
 	searchSub *search.Subscriber
 
 	// bus is the event-sourced commit pipeline: every committed block is
-	// published once, and all derived indexes (fact index, search,
-	// penalties) update as subscribers.
+	// published once, and the derived indexes (fact index, search) update
+	// as subscribers.
 	bus *commitbus.Bus
 	// receipts holds the encoded receipts of block h as record h (see
 	// receipts.go): a file beside the chain log on a durable node, encoded
@@ -307,8 +299,6 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 	subs := []commitbus.Subscriber{
 		&contractState{engine: p.engine},
 		&factdb.IndexSubscriber{Index: p.factIndex},
-		&penaltyForwarder{p: p},
-		blobstore.NewsRefSubscriber(p.blobs),
 		p.searchSub,
 	}
 	for _, s := range subs {
@@ -618,12 +608,12 @@ func (p *Platform) commitDecided(b *ledger.Block) error {
 // settleLocked is the step Commit and commitDecided share once a
 // block is executed and on the chain: the chain's transaction index seals
 // its tail if the block filled it, the receipts go to the receipt log, the
-// block goes to the commit bus, and the commit is counted. A seal or
-// receipts that could not be written (see recordReceiptsLocked) are marked
-// on the span, like a lagging bus subscriber, not returned: the block is
-// committed, and a derived-data write must not make it look otherwise (an
-// unsealed tail stays in memory and is sealed with the next block).
-// Caller holds p.mu.
+// block goes to the commit bus, its offenders' penalties go to the
+// mempool, and the commit is counted. A seal, receipts or a penalty that
+// could not be written (see recordReceiptsLocked) are marked on the span,
+// like a lagging bus subscriber, not returned: the block is committed, and
+// a derived-data write must not make it look otherwise (an unsealed tail
+// stays in memory and is sealed with the next block). Caller holds p.mu.
 func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.Block, recs []contract.Receipt) {
 	var err error
 	p.stage(sp, stageTxIndex, func() {
@@ -639,6 +629,9 @@ func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.B
 		p.tm.receiptErrs.Inc()
 	}
 	p.stage(sp, stagePublish, func() { p.publishLocked(b, recs) })
+	if err := p.penalizeOffendersLocked(recs); err != nil {
+		sp.SetAttr("error", "penalize")
+	}
 	p.tm.commits.Inc()
 	p.tm.txs.Add(uint64(len(b.Txs)))
 	if p.tm.commitSec != nil {
@@ -663,9 +656,36 @@ func (p *Platform) setStoreGauges() {
 	p.tm.stateLogBytes.Set(float64(ss.LogBytes))
 }
 
+// penalizeOffendersLocked closes the accountability loop: each consensus
+// offence a block records (an evidence "slashed" event) burns the
+// offender's ranking stake through an authority rank.penalize tx, which
+// lands in a later block. Only live commits call it: a replayed block's
+// penalty is already in the chain, and enqueueing it again would burn
+// what the offender holds now. Caller holds p.mu.
+func (p *Platform) penalizeOffendersLocked(recs []contract.Receipt) error {
+	for _, rec := range recs {
+		if !rec.OK {
+			continue
+		}
+		for _, e := range rec.Events {
+			if e.Contract != evidence.ContractName || e.Type != "slashed" {
+				continue
+			}
+			payload, err := ranking.PenalizePayload(e.Attrs["offender"])
+			if err != nil {
+				return err
+			}
+			if err := p.authoritySubmitLocked("rank.penalize", payload); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // publishLocked feeds one committed block into the commit bus, updating
-// every derived index (fact index, search, penalty forwarding) through its
-// subscriber. Caller holds p.mu.
+// every derived index (fact index, search) through its subscriber. Caller
+// holds p.mu.
 // Subscriber failures are recorded in the bus accounting (visible via
 // BusStats / the HTTP gateway) rather than failing the commit: the block
 // is already durable, and a lagging index must not fork the node away
@@ -762,10 +782,10 @@ func (p *Platform) ResolveByRanking(itemID string) (ItemRank, error) {
 	// Creator incentive (Fig. 2): verified factual content earns its
 	// creator a token reward, funding the "encourage and reward factual
 	// news sources" loop.
-	if rank.Factual && p.cfg.CreatorReward > 0 {
+	if rank.Factual {
 		if it, err := supplychain.GetItem(p.engine, p.authority.Address(), itemID); err == nil {
 			if addr, err := keys.ParseAddress(it.Creator); err == nil {
-				if payload, err := ranking.MintPayload(addr, p.cfg.CreatorReward); err == nil {
+				if payload, err := ranking.MintPayload(addr, creatorReward); err == nil {
 					if err := p.authoritySubmit("rank.mint", payload); err != nil {
 						return ItemRank{}, err
 					}
@@ -955,22 +975,17 @@ func (a *Actor) Register(name string, role identity.Role) error {
 	return err
 }
 
-// PublishNews publishes a news item (optionally derived from parents).
-// With Config.OffChainBodies the body is written to the blob store and
-// only its content id and size enter the transaction payload; the commit
-// pipeline's subscribers hydrate the body wherever the text is needed.
+// PublishNews publishes a news item (optionally derived from parents). The
+// body is written to the blob store and only its content id and size enter
+// the transaction payload (the platform's in-process stand-in for the IPFS
+// deployments of DClaims-style systems); the read paths hydrate the body
+// wherever the text is needed.
 func (a *Actor) PublishNews(id string, topic corpus.Topic, text string, parents []string, op corpus.Op) error {
-	var payload []byte
-	var err error
-	if a.p.cfg.OffChainBodies && text != "" {
-		cid, perr := a.p.blobs.PutString(text)
-		if perr != nil {
-			return fmt.Errorf("platform: store body of %s: %w", id, perr)
-		}
-		payload, err = supplychain.PublishRefPayload(id, topic, string(cid), len(text), parents, op)
-	} else {
-		payload, err = supplychain.PublishPayload(id, topic, text, parents, op)
+	cid, err := a.p.blobs.PutString(text)
+	if err != nil {
+		return fmt.Errorf("platform: store body of %s: %w", id, err)
 	}
+	payload, err := supplychain.PublishRefPayload(id, topic, string(cid), len(text), parents, op)
 	if err != nil {
 		return err
 	}

@@ -360,16 +360,8 @@ func TestEquivocationEvidenceSlashesOnPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and signs two conflicting precommits, observed by a reporter.
-	a := consensus.Vote{Type: consensus.VotePrecommit, Height: 9, Round: 0, BlockID: ledger.BlockID{1}, Voter: byz.Address()}
-	b := consensus.Vote{Type: consensus.VotePrecommit, Height: 9, Round: 0, BlockID: ledger.BlockID{2}, Voter: byz.Address()}
-	consensus.SignVote(&a, byz)
-	consensus.SignVote(&b, byz)
-	payload, err := evidence.SubmitPayload(a, b, byz.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
 	reporter := p.NewActor("reporter")
-	if _, err := reporter.MustExec("evidence.submit", payload); err != nil {
+	if _, err := reporter.MustExec("evidence.submit", equivocation(t, byz)); err != nil {
 		t.Fatal(err)
 	}
 	// The platform's indexer enqueued the penalty; drain the pool.
@@ -390,6 +382,79 @@ func TestEquivocationEvidenceSlashesOnPlatform(t *testing.T) {
 	}
 }
 
+// equivocation is an evidence.submit payload: two conflicting precommits
+// signed by byz.
+func equivocation(t *testing.T, byz *keys.KeyPair) []byte {
+	t.Helper()
+	a := consensus.Vote{Type: consensus.VotePrecommit, Height: 9, Round: 0, BlockID: ledger.BlockID{1}, Voter: byz.Address()}
+	b := consensus.Vote{Type: consensus.VotePrecommit, Height: 9, Round: 0, BlockID: ledger.BlockID{2}, Voter: byz.Address()}
+	consensus.SignVote(&a, byz)
+	consensus.SignVote(&b, byz)
+	payload, err := evidence.SubmitPayload(a, b, byz.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// A slash burns the offender's stake once: reopening a durable node,
+// whether it replays the whole chain or the tail above a checkpoint cut
+// before the slash, does not enqueue the penalty again and burn what the
+// offender has earned since.
+func TestRestartDoesNotReapplyPenalty(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+	}{{"full replay", false}, {"tail above a checkpoint", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p, closeFn, err := Open(dir, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			byz := keys.FromSeed([]byte("byzantine-validator"))
+			if err := p.MintTo(byz.Address(), 500); err != nil {
+				t.Fatal(err)
+			}
+			if tc.checkpoint {
+				if err := p.WriteCheckpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := p.NewActor("reporter").MustExec("evidence.submit", equivocation(t, byz)); err != nil {
+				t.Fatal(err)
+			}
+			if bal, err := ranking.Balance(p.Engine(), p.Authority(), byz.Address()); err != nil || bal != 0 {
+				t.Fatalf("balance after the slash = %d (%v), want 0", bal, err)
+			}
+			if err := p.MintTo(byz.Address(), 70); err != nil {
+				t.Fatal(err)
+			}
+			if err := closeFn(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, closeRe, err := Open(dir, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeRe()
+			if got := re.CheckpointHeight() > 0; got != tc.checkpoint {
+				t.Fatalf("opened on a checkpoint: %v, want %v", got, tc.checkpoint)
+			}
+			if n := re.MempoolSize(); n != 0 {
+				t.Fatalf("reopened mempool holds %d txs, want none", n)
+			}
+			if err := re.CommitAll(); err != nil {
+				t.Fatal(err)
+			}
+			if bal, err := ranking.Balance(re.Engine(), re.Authority(), byz.Address()); err != nil || bal != 70 {
+				t.Fatalf("balance after reopen = %d (%v), want 70", bal, err)
+			}
+		})
+	}
+}
+
 func TestCreatorRewardOnFactualResolution(t *testing.T) {
 	p := newPlatform(t)
 	p.SeedFact("f1", corpus.TopicPolitics, factText)
@@ -404,8 +469,8 @@ func TestCreatorRewardOnFactualResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bal != DefaultConfig().CreatorReward {
-		t.Fatalf("creator balance=%d want %d", bal, DefaultConfig().CreatorReward)
+	if bal != creatorReward {
+		t.Fatalf("creator balance=%d want %d", bal, creatorReward)
 	}
 	// A fake item earns nothing.
 	troll := p.NewActor("unrewarded-troll")

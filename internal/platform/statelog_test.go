@@ -233,7 +233,39 @@ func TestOpenRepairsStateLog(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{name: "written by the parent commit", wantCkpt: true, damage: func(t *testing.T, dir string) {
+		{name: "a checkpoint carrying the blob reference and penalty blobs", wantCkpt: true, damage: func(t *testing.T, dir string) {
+			// Builds that counted references to committed bodies checkpointed
+			// the counts, kept operator pins in blobs/pins, and wrote an empty
+			// blob for the penalty forwarder; nothing reads any of them now.
+			refs := map[string]map[string]int{"refs": {}}
+			var pins strings.Builder
+			for _, it := range items {
+				if it.CID != "" {
+					refs["refs"][it.CID]++
+					pins.WriteString(it.CID + "\n")
+				}
+			}
+			refsBlob, err := json.Marshal(refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt := filepath.Join(dir, checkpointName)
+			cp, err := store.ReadCheckpoint(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Subscribers["blob-refs"] = refsBlob
+			cp.Subscribers["rank-penalties"] = nil
+			if err := store.WriteCheckpoint(ckpt, cp); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "blobs", "pins"), []byte(pins.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A checkpoint from before state.log held the state as a gob map:
+		// it is not restored, and the chain is replayed instead.
+		{name: "written by the parent commit", damage: func(t *testing.T, dir string) {
 			if err := os.Remove(filepath.Join(dir, stateLogName)); err != nil {
 				t.Fatal(err)
 			}

@@ -708,9 +708,6 @@ func spanOf(segs []*segment, from, to uint64) (i, j int, ok bool) {
 // manifests existed (a gob stream) cannot start with it.
 var manifestMagic = []byte("TNLSM\x00\x00\x01")
 
-// IsManifest reports whether b is a manifest.
-func IsManifest(b []byte) bool { return bytes.HasPrefix(b, manifestMagic) }
-
 // Manifest describes the store as it stands — each live segment by record
 // number, height range and checksum, then the memtable's entries — and
 // makes the log durable, so a checkpoint holding the manifest can bring the
@@ -790,7 +787,7 @@ func (s *LSM) RestoreManifest(b []byte) error {
 }
 
 func (s *LSM) parseManifest(b []byte) (segs []*segment, memFrom uint64, mem map[string][]byte, err error) {
-	if !IsManifest(b) {
+	if !bytes.HasPrefix(b, manifestMagic) {
 		return nil, 0, nil, errors.New("store: not a manifest")
 	}
 	r := b[len(manifestMagic):]

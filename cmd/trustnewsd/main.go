@@ -92,7 +92,7 @@ func main() {
 	flag.StringVar(&o.nodeID, "node-id", "", "validator identity (p0..p{n-1}); enables cluster mode")
 	flag.StringVar(&o.listen, "listen", "", "consensus TCP listen address (default: this node's -peers entry)")
 	flag.StringVar(&o.peers, "peers", "", "full validator address map, id=host:port comma-separated, self included")
-	flag.DurationVar(&o.blockInterval, "block-interval", 200*time.Millisecond, "cluster block pacing (consensus commit timeout)")
+	flag.DurationVar(&o.blockInterval, "block-interval", 200*time.Millisecond, "cluster mode: the longest an idle validator waits before an empty heartbeat block; a validator with a transaction to propose enters the next height at once, or 1ms per transaction of the last block after it started, whichever is later")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -343,7 +343,7 @@ func joinCluster(p *platform.Platform, o options) (*tcp.Transport, error) {
 		return nil, err
 	}
 	tmo := consensus.DefaultTimeouts()
-	tmo.Commit = o.blockInterval
+	tmo.Idle = o.blockInterval
 	node := platform.AttachConsensus(p, self, kps[idx], set, tr, tmo)
 	// Route consensus traffic to the node and relayed txs to the pool.
 	mux := transport.NewMux()
@@ -373,7 +373,7 @@ func joinCluster(p *platform.Platform, o options) (*tcp.Transport, error) {
 	tr.After(self, 0, func() {
 		node.StartAt(p.Chain().Height())
 	})
-	log.Printf("cluster mode: validator %s of %d, consensus on %s, block interval %s", self, len(addrs), tr.Addr(), o.blockInterval)
+	log.Printf("cluster mode: validator %s of %d, consensus on %s, idle block interval %s", self, len(addrs), tr.Addr(), o.blockInterval)
 	return tr, nil
 }
 

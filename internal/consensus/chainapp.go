@@ -48,6 +48,10 @@ func (a *ChainApp) ProposeBlock(height uint64) (*ledger.Block, error) {
 	return ledger.NewBlock(height, a.Chain.HeadID(), [32]byte{}, at, a.Proposer, txs), nil
 }
 
+// HasWork implements App: the pool holds a transaction ProposeBlock would
+// include. A transaction behind a nonce gap is not work.
+func (a *ChainApp) HasWork() bool { return len(a.Pool.Batch(1)) > 0 }
+
 // ValidateBlock implements App. Validation goes through the chain's
 // verification pipeline, so signatures already verified at mempool
 // admission (or when this block was validated in an earlier round) are

@@ -76,12 +76,14 @@ func (c *Cluster) Start() {
 	}
 }
 
-// SubmitAll adds a transaction to every node's mempool (as if relayed).
+// SubmitAll adds a transaction to every node's mempool (as if relayed),
+// telling each node there may be work, as the platform's Submit does.
 func (c *Cluster) SubmitAll(tx *ledger.Tx) error {
 	for i, app := range c.Apps {
 		if err := app.Pool.Add(tx); err != nil {
 			return fmt.Errorf("node %d: %w", i, err)
 		}
+		c.Nodes[i].WorkArrived()
 	}
 	return nil
 }

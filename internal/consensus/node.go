@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/keys"
@@ -26,6 +27,10 @@ type App interface {
 	// BlockAt returns the committed block at the given height. Block sync
 	// is served from it: a node keeps no block bodies of its own.
 	BlockAt(height uint64) (*ledger.Block, error)
+	// HasWork reports whether ProposeBlock would now include at least one
+	// transaction. A node with Timeouts.Idle set asks it after each commit
+	// to decide whether to enter the next height at once or rest.
+	HasWork() bool
 }
 
 // Timeouts configures the per-step timeouts. Each escalating round adds
@@ -35,14 +40,19 @@ type Timeouts struct {
 	Prevote   time.Duration
 	Precommit time.Duration
 	Delta     time.Duration
-	// Commit is an optional pause between committing a height and entering
-	// the next one (Tendermint's timeout_commit). Real deployments set it
-	// to pace block production, so that a block gathers a batch of
-	// transactions instead of the chain racing ahead at network speed.
-	// Rejoining does not depend on it: block sync serves any committed
-	// height from the chain. Zero — the default and every virtual-time
-	// test — starts the next height immediately.
-	Commit time.Duration
+	// Idle bounds how long a validator with nothing to do rests between
+	// committing a height and entering the next one. With Idle set, a node
+	// enters the next height as soon as its mempool holds a transaction to
+	// propose or that height's proposal has arrived, and is woken by
+	// WorkArrived when a transaction lands during the rest; only an idle
+	// cluster waits the whole Idle and then commits an empty heartbeat
+	// block. A busy node also keeps a pace: a height that committed n
+	// transactions is followed by the next no sooner than n×txPace (at most
+	// Idle) after it started, so a block batches what arrived during the
+	// previous round, or during that pace if it is longer. Zero — the
+	// default and every virtual-time test that does not set it — enters the
+	// next height immediately, work or not.
+	Idle time.Duration
 }
 
 // DefaultTimeouts suits the default simnet LAN profile.
@@ -109,6 +119,12 @@ type Node struct {
 	certFloor uint64
 	// certWindow bounds len(certs); zero means DefaultCertWindow.
 	certWindow int
+	// anchors keeps, below the window, one certificate per anchorStride
+	// heights, the newest maxAnchors of them in height order. A validator
+	// that was down for longer than the window still finds a certificate
+	// less than one sync batch above where it stopped, so the downtime it
+	// survives is counted in anchors, not in window heights.
+	anchors []*Commit
 	// syncRequested tracks the last height we asked a peer to backfill,
 	// to avoid flooding duplicate requests.
 	syncRequested uint64
@@ -119,8 +135,17 @@ type Node struct {
 	metrics Metrics
 	stopped bool
 	// paused is set while the node rests between committing a height and
-	// entering the next one (Timeouts.Commit); cleared by startRound.
+	// entering the next one (Timeouts.Idle); cleared by startRound.
 	paused bool
+	// idle is armed while a paused node has found no work: WorkArrived,
+	// called from any goroutine, disarms it and posts one wake-up onto the
+	// event loop. It is the only field touched off the event loop.
+	idle atomic.Bool
+	// startedAt is when the current height's first round began, and
+	// paceUntil the earliest a busy node enters the height after the one
+	// it last committed (see txPace).
+	startedAt time.Duration
+	paceUntil time.Duration
 
 	tm consensusMetrics
 	// roundStartAt is the virtual time the current round began; valid
@@ -128,10 +153,13 @@ type Node struct {
 	roundStartAt time.Duration
 	roundStarted bool
 	// stepAt is the virtual time the current step was entered; valid while
-	// stepOpen, which is false between a height's apply and the next
-	// round's start (the Timeouts.Commit pause belongs to no step).
+	// stepOpen. Between a height's apply and the next round's start the
+	// node is in the wait step: waitAt is when it began, valid while
+	// waiting.
 	stepAt   time.Duration
 	stepOpen bool
+	waitAt   time.Duration
+	waiting  bool
 }
 
 // consensusMetrics holds the node's cached instrument handles (nil until
@@ -149,11 +177,13 @@ type consensusMetrics struct {
 	equivocations *telemetry.Counter
 	roundSec      *telemetry.Histogram
 	heightSec     *telemetry.Histogram
-	// stepSec and applySec split a height's time
+	// stepSec, applySec and waitSec split a height's time
 	// (trustnews_consensus_step_seconds): the round steps, indexed by
-	// Step, and the apply of the decided block.
+	// Step, the apply of the decided block, and the wait between the
+	// previous height's apply and the first round's start.
 	stepSec  [StepPrecommit + 1]*telemetry.Histogram
 	applySec *telemetry.Histogram
+	waitSec  *telemetry.Histogram
 	// sends/sendErrors are the shared trustnews_transport_* series: the
 	// consensus layer is the counting point for message submission, the
 	// TCP writer adds async socket failures to the same error counter.
@@ -178,8 +208,9 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 		roundSec:      reg.Histogram("trustnews_consensus_round_seconds", "Virtual-time duration of each consensus round.", nil),
 		heightSec:     reg.Histogram("trustnews_consensus_height_seconds", "Virtual time from height start to commit.", nil),
 	}
-	stepSec := reg.HistogramVec("trustnews_consensus_step_seconds", "Virtual time spent in one step of one consensus round, and applying the decided block.", nil, "step")
+	stepSec := reg.HistogramVec("trustnews_consensus_step_seconds", "Virtual time spent in one step of one consensus round, applying the decided block, and waiting to enter a height.", nil, "step")
 	n.tm.applySec = stepSec.With("apply")
+	n.tm.waitSec = stepSec.With("wait")
 	for st := StepPropose; st <= StepPrecommit; st++ {
 		n.tm.stepSec[st] = stepSec.With(st.String())
 	}
@@ -221,6 +252,26 @@ const DefaultCertWindow = 128
 
 // maxSyncBatch bounds the blocks served in one sync response.
 const maxSyncBatch = 512
+
+// txPace is how long, per transaction committed, a busy validator with
+// Timeouts.Idle set waits from the start of a height to the start of the
+// next. Below 1/txPace (1 000 tx/s) of load the rounds themselves are
+// longer and a block holds what arrived during the previous one; above it
+// blocks grow until each waits the whole Idle. Closed-loop clients that
+// keep a fixed number of transactions in flight therefore commit at
+// 1/txPace whatever the speed of the host, instead of at the rate that
+// per-height work on a busy CPU allows.
+const txPace = time.Millisecond
+
+// anchorStride is the least distance between two anchor certificates, and
+// maxAnchors how many are kept: 64 Ki heights below the window, ≈5 min of
+// downtime at 5 ms a height under load. A stride of half a sync batch
+// leaves room for heights whose certificate the node never held (the inner
+// blocks of a sync run).
+const (
+	anchorStride = maxSyncBatch / 2
+	maxAnchors   = 256
+)
 
 // NewNode creates a consensus node for the validator identified by kp.
 func NewNode(id transport.NodeID, kp *keys.KeyPair, set *ValidatorSet, net transport.Network, app App, tmo Timeouts) *Node {
@@ -264,13 +315,13 @@ func (n *Node) Stopped() bool { return n.stopped }
 // before Start.
 func (n *Node) SetCertWindow(w int) { n.certWindow = w }
 
-// CertCount returns the number of commit certificates held in memory.
+// CertCount returns the number of commit certificates held in the sliding
+// window (anchors below it not counted).
 func (n *Node) CertCount() int { return len(n.certs) }
 
 // Start enters the first height/round.
 func (n *Node) Start() {
-	n.metrics.lastHeightAt = n.net.Now()
-	n.startRound(0)
+	n.StartAt(0)
 }
 
 // StartAt enters consensus at the given height — the restart path for a
@@ -281,12 +332,19 @@ func (n *Node) StartAt(height uint64) {
 	n.height = height
 	n.certFloor = height
 	n.metrics.lastHeightAt = n.net.Now()
+	n.waitAt, n.waiting = n.metrics.lastHeightAt, true
 	n.startRound(0)
 }
 
 func (n *Node) startRound(round int) {
-	n.paused = false
+	if n.paused {
+		n.paused = false
+		n.idle.Store(false)
+	}
 	now := n.net.Now()
+	if n.waiting {
+		n.startedAt = now // the height's first round
+	}
 	if n.roundStarted {
 		n.tm.roundSec.Observe((now - n.roundStartAt).Seconds())
 	}
@@ -319,7 +377,7 @@ func (n *Node) startRound(round int) {
 		}
 		SignProposal(p, n.kp)
 		n.broadcast(KindProposal, p)
-		n.onProposal(p) // deliver to self
+		n.acceptProposal(p) // deliver to self: signed here, not checked
 		return
 	}
 	n.scheduleProposeTimeout(round)
@@ -329,19 +387,25 @@ func (n *Node) startRound(round int) {
 }
 
 // enterStep moves the node to step s and charges the time since the
-// previous transition to the step it leaves, so a height's step series add
-// up to the time from entering its first round to the end of its apply.
+// previous transition to the step it leaves (or to the wait, if it enters
+// the height's first round), so a height's step series add up to its
+// trustnews_consensus_height_seconds: from the previous height's apply to
+// the end of its own.
 func (n *Node) enterStep(s Step) {
 	now := n.net.Now()
 	n.leaveStep(now)
 	n.step, n.stepAt, n.stepOpen = s, now, true
 }
 
-// leaveStep closes the open step, if any, at virtual time now.
+// leaveStep closes the open step or the wait, if any, at virtual time now.
 func (n *Node) leaveStep(now time.Duration) {
 	if n.stepOpen {
 		n.tm.stepSec[n.step].Observe((now - n.stepAt).Seconds())
 		n.stepOpen = false
+	}
+	if n.waiting {
+		n.tm.waitSec.Observe((now - n.waitAt).Seconds())
+		n.waiting = false
 	}
 }
 
@@ -404,8 +468,13 @@ func (n *Node) signVote(t VoteType, id ledger.BlockID) {
 	v := Vote{Type: t, Height: n.height, Round: n.round, BlockID: id, Voter: n.kp.Address()}
 	SignVote(&v, n.kp)
 	n.broadcast(KindVote, v)
-	n.onVote(v) // count own vote
+	n.countVote(v) // count own vote: signed here, not checked
 }
+
+// checkSignature, when set, observes every vote or proposal signature a
+// node verifies: the verifier and the address that claims to have signed.
+// Tests use it to show that a node never checks its own signatures.
+var checkSignature func(verifier *Node, signer keys.Address)
 
 // messageHeight extracts the consensus height of a message, or false for
 // non-consensus (or corrupted) payloads.
@@ -490,18 +559,27 @@ func (n *Node) Handle(m transport.Message) {
 // serveSync answers a sync request: the committed blocks from the
 // requested height up to the lowest retained certificate at or above it,
 // which authenticates the run. Near the tip that is one block and its own
-// certificate; below the certificate window it is the whole stretch up to
-// the oldest certificate still held. Bodies come from the chain app.
+// certificate; below the certificate window it is the stretch up to the
+// next anchor, or to the oldest certificate of the window. Bodies come
+// from the chain app.
 func (n *Node) serveSync(to transport.NodeID, from uint64) {
-	// Scanning from the floor is bounded by the window size.
+	var cert *Commit
 	top := from
 	if top < n.certFloor {
-		top = n.certFloor
+		if i := sort.Search(len(n.anchors), func(i int) bool { return n.anchors[i].Height >= from }); i < len(n.anchors) {
+			cert = n.anchors[i]
+			top = cert.Height
+		} else {
+			top = n.certFloor
+		}
 	}
-	for top < n.height && n.certs[top] == nil {
-		top++
+	if cert == nil {
+		// Scanning from the floor is bounded by the window size.
+		for top < n.height && n.certs[top] == nil {
+			top++
+		}
+		cert = n.certs[top]
 	}
-	cert := n.certs[top]
 	if cert == nil || top-from >= maxSyncBatch {
 		return
 	}
@@ -575,10 +653,19 @@ func (n *Node) onProposal(p *Proposal) {
 		n.tm.propRejected.With("stale_height").Inc()
 		return
 	}
+	if checkSignature != nil {
+		checkSignature(n, p.Proposer)
+	}
 	if VerifyProposal(p, n.set) != nil {
 		n.tm.propRejected.With("bad_signature").Inc()
 		return
 	}
+	n.acceptProposal(p)
+}
+
+// acceptProposal records a proposal for the current height whose
+// signature is known good, and acts on it.
+func (n *Node) acceptProposal(p *Proposal) {
 	if n.set.Proposer(p.Height, p.Round).Addr != p.Proposer {
 		n.tm.propRejected.With("wrong_proposer").Inc()
 		return // not the legitimate proposer for that round
@@ -615,6 +702,11 @@ func (n *Node) onProposal(p *Proposal) {
 		n.onVote(p.POLVotes[i])
 	}
 	if n.height != p.Height || n.stopped {
+		return
+	}
+	if n.paused {
+		// The height's proposal is work: stop resting and act on it.
+		n.resume()
 		return
 	}
 	n.tryPrevote()
@@ -704,10 +796,19 @@ func (n *Node) onVote(v Vote) {
 		n.tm.voteRejected.With("malformed").Inc()
 		return
 	}
+	if checkSignature != nil {
+		checkSignature(n, v.Voter)
+	}
 	if VerifyVote(&v, n.set) != nil {
 		n.tm.voteRejected.With("bad_signature").Inc()
 		return
 	}
+	n.countVote(v)
+}
+
+// countVote tallies a vote for the current height whose signature is
+// known good.
+func (n *Node) countVote(v Vote) {
 	val, _ := n.set.ByAddr(v.Voter)
 	var vs *voteSet
 	if v.Type == VotePrevote {
@@ -885,17 +986,29 @@ func (n *Node) apply(b *ledger.Block, cert *Commit) bool {
 	n.tm.heightSec.Observe((now - n.metrics.lastHeightAt).Seconds())
 	n.metrics.CommitLatency += now - n.metrics.lastHeightAt
 	n.metrics.lastHeightAt = now
+	n.waitAt, n.waiting = now, true
+	n.paceUntil = n.startedAt + min(n.tmo.Idle, time.Duration(len(b.Txs))*txPace)
 	return true
 }
 
-// pruneCerts drops certificates that fell out of the sliding retention
-// window; those heights are served under the oldest one still held.
+// pruneCerts moves certificates that fell out of the sliding retention
+// window to the anchors when they are at least anchorStride heights above
+// the newest anchor, and drops the rest; heights below the window are
+// served under the next anchor.
 func (n *Node) pruneCerts() {
 	w := uint64(n.certWindow)
 	if w == 0 {
 		w = DefaultCertWindow
 	}
 	for n.certFloor+w <= n.height {
+		if c := n.certs[n.certFloor]; c != nil {
+			if k := len(n.anchors); k == 0 || c.Height >= n.anchors[k-1].Height+anchorStride {
+				if k == maxAnchors {
+					n.anchors = append(n.anchors[:0], n.anchors[1:]...)
+				}
+				n.anchors = append(n.anchors, c)
+			}
+		}
 		delete(n.certs, n.certFloor)
 		n.certFloor++
 	}
@@ -913,26 +1026,87 @@ func (n *Node) advanceHeight() {
 	n.validRound = -1
 	n.blocks = make(map[ledger.BlockID]*ledger.Block)
 	n.awaited = nil
-	if n.tmo.Commit > 0 {
-		// Pace block production: rest for timeout_commit before entering
-		// the next height. Messages for the new height that arrive during
-		// the pause are still tallied (they can even commit it early, or
-		// pull us into a later round via round skip — either clears the
-		// pause); the timer only fires if the pause is still in effect.
-		h := n.height
-		n.paused = true
-		n.net.After(n.id, n.tmo.Commit, func() {
-			if n.stopped || n.height != h || !n.paused {
-				return
-			}
-			n.startRound(0)
-			n.replayFuture()
-		})
+	if n.tmo.Idle == 0 {
+		n.startRound(0)
 		n.replayFuture()
 		return
 	}
+	// Enter the next height once the pace allows if there is work;
+	// otherwise rest for at most Timeouts.Idle. Messages for the new height
+	// that arrive during the rest are still tallied: its proposal ends the
+	// rest (see acceptProposal), and a vote can commit the height or pull
+	// the node into a later round via round skip. A transaction ends it
+	// through WorkArrived. The timers only fire if the rest is still in
+	// effect.
+	h := n.height
+	n.paused = true
+	n.replayFuture()
+	if !n.paused || n.height != h || n.stopped {
+		return
+	}
+	if n.hasWork() {
+		n.resumePaced()
+		return
+	}
+	n.resumeAfter(n.tmo.Idle)
+}
+
+// resume ends a rest: the node enters round 0 of its current height.
+func (n *Node) resume() {
 	n.startRound(0)
 	n.replayFuture()
+}
+
+// resumePaced ends a rest that has work: at once if the pace has run out,
+// else when it does.
+func (n *Node) resumePaced() {
+	d := n.paceUntil - n.net.Now()
+	if d <= 0 {
+		n.resume()
+		return
+	}
+	n.idle.Store(false) // work is pending: no wake-up needed
+	n.resumeAfter(d)
+}
+
+// resumeAfter ends the current rest after d, unless it has ended by then.
+func (n *Node) resumeAfter(d time.Duration) {
+	h := n.height
+	n.net.After(n.id, d, func() {
+		if n.stopped || n.height != h || !n.paused {
+			return
+		}
+		n.resume()
+	})
+}
+
+// hasWork arms the wake-up and then asks the app for work. Arming first
+// means a transaction added after the app looked still finds the node
+// armed, so WorkArrived cannot slip between the two.
+func (n *Node) hasWork() bool {
+	n.idle.Store(true)
+	return n.app.HasWork()
+}
+
+// WorkArrived tells the node that its app may now have a transaction to
+// propose. It may be called from any goroutine, once per transaction
+// admitted: unless the node is resting with no work it costs one atomic
+// load, and otherwise it posts one wake-up onto the node's event loop,
+// which enters the next height if the app has work and rearms if not (a
+// transaction behind a nonce gap is not work).
+func (n *Node) WorkArrived() {
+	if n.idle.CompareAndSwap(true, false) {
+		n.net.After(n.id, 0, n.onWork)
+	}
+}
+
+func (n *Node) onWork() {
+	if n.stopped || !n.paused {
+		return
+	}
+	if n.hasWork() {
+		n.resumePaced()
+	}
 }
 
 // replayFuture re-dispatches buffered messages that are now current.

@@ -4,14 +4,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/keys"
+	"repro/internal/ledger"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
 
 // TestCertWindowBounded runs a cluster for many heights and checks that
 // in-memory certificate retention stays within the configured sliding
-// window on every node — in count and in bytes: a certificate holds votes,
-// never a block body — while the chain itself keeps every block.
+// window plus one anchor per anchorStride heights on every node — in count
+// and in bytes: a certificate holds votes, never a block body — while the
+// chain itself keeps every block.
 func TestCertWindowBounded(t *testing.T) {
 	const (
 		window = 32
@@ -33,18 +36,27 @@ func TestCertWindowBounded(t *testing.T) {
 		if got := n.CertCount(); got > window {
 			t.Fatalf("node %d retains %d certs, window is %d", i, got, window)
 		}
+		// Below the window, one anchor per anchorStride heights.
+		anchors := target/anchorStride + 1
+		if got := len(n.anchors); got > anchors {
+			t.Fatalf("node %d retains %d anchors over %d heights, want ≤ %d", i, got, target, anchors)
+		}
 		// Size of the retained certificates in the wire codec's layout
 		// (height, block id, vote count, then per vote: type, height,
 		// round, block id, voter, length-prefixed signature).
 		retained := 0
+		held := append([]*Commit(nil), n.anchors...)
 		for _, cert := range n.certs {
+			held = append(held, cert)
+		}
+		for _, cert := range held {
 			retained += 8 + 32 + 4
 			for _, v := range cert.Quorum {
 				retained += 1 + 8 + 8 + 32 + len(v.Voter) + 4 + len(v.Sig)
 			}
 		}
-		if retained > window*1024 {
-			t.Fatalf("node %d retains %d bytes of certificates, want at most %d (window %d x 1 KB)", i, retained, window*1024, window)
+		if max := (window + anchors) * 1024; retained > max {
+			t.Fatalf("node %d retains %d bytes of certificates, want at most %d ((window %d + %d anchors) x 1 KB)", i, retained, max, window, anchors)
 		}
 		// The chain still holds the full history.
 		if _, err := c.Apps[i].Chain.BlockAt(0); err != nil {
@@ -55,6 +67,29 @@ func TestCertWindowBounded(t *testing.T) {
 		if !c.AgreeAt(h) {
 			t.Fatalf("fork at height %d", h)
 		}
+	}
+}
+
+// TestAnchorsKeepNewest: below the window a node keeps one certificate per
+// anchorStride heights, in height order, and only the newest maxAnchors.
+func TestAnchorsKeepNewest(t *testing.T) {
+	n := &Node{certs: make(map[uint64]*Commit), certWindow: 4}
+	const heights = (maxAnchors + 10) * anchorStride
+	for h := uint64(0); h < heights; h++ {
+		n.certs[h] = &Commit{Height: h}
+		n.height = h
+		n.pruneCerts()
+	}
+	if len(n.anchors) != maxAnchors {
+		t.Fatalf("%d anchors, want %d", len(n.anchors), maxAnchors)
+	}
+	for i, a := range n.anchors {
+		if want := uint64(10+i) * anchorStride; a.Height != want {
+			t.Fatalf("anchor %d at height %d, want %d", i, a.Height, want)
+		}
+	}
+	if len(n.certs) != 4 {
+		t.Fatalf("%d certificates in the window, want 4", len(n.certs))
 	}
 }
 
@@ -114,6 +149,62 @@ func TestLaggardBackfillsBelowCertWindow(t *testing.T) {
 			t.Fatalf("laggard diverges at height %d", h)
 		}
 	}
+}
+
+// TestLaggardRejoinsAfterDowntimeUnderLoad cuts one validator off for a
+// minute of virtual time while a trickle of transactions keeps the others
+// committing: a height every 10 ms, or a propose timeout when the absent
+// validator's turn comes, more heights than the certificate window and one
+// sync batch together. Reattached, it must catch up through the anchors
+// below the window and keep up.
+func TestLaggardRejoinsAfterDowntimeUnderLoad(t *testing.T) {
+	c, err := NewCluster(4, 43, idleTimeouts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One transaction every 10 ms, to the three live validators, until the
+	// test ends.
+	sender := keys.FromSeed([]byte("client"))
+	var nonce uint64
+	var trickle func()
+	trickle = func() {
+		tx, err := ledger.NewTx(sender, nonce, "news.publish", []byte("item"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonce++
+		for i := 0; i < 3; i++ {
+			if err := c.Apps[i].Pool.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+			c.Nodes[i].WorkArrived()
+		}
+		c.Net.After(c.Nodes[0].id, 10*time.Millisecond, trickle)
+	}
+	c.Net.After(c.Nodes[0].id, 0, trickle)
+	c.Start()
+	runFor(c, time.Second)
+
+	laggard := c.Nodes[3].id
+	c.Net.Detach(laggard)
+	runFor(c, time.Minute)
+	behind := c.Apps[0].Chain.Height() - c.Apps[3].Chain.Height()
+	if behind <= DefaultCertWindow+maxSyncBatch {
+		t.Fatalf("laggard only %d heights behind: the test does not reach below the window", behind)
+	}
+
+	c.Net.Reattach(laggard)
+	runFor(c, 5*time.Second)
+	live, got := c.Apps[0].Chain.Height(), c.Apps[3].Chain.Height()
+	if got+5 < live {
+		t.Fatalf("laggard %d heights behind rejoined only to height %d of %d", behind, got, live)
+	}
+	for _, h := range []uint64{0, got / 2, got - 1} {
+		if !c.AgreeAt(h) {
+			t.Fatalf("divergence at height %d", h)
+		}
+	}
+	t.Logf("laggard %d heights behind after a minute away, back at %d of %d", behind, got, live)
 }
 
 // TestFaultyLinksTolerated runs consensus over links that duplicate,

@@ -104,6 +104,9 @@ type cluster struct {
 	bin   string
 	nodes []*node
 	peers string // shared -peers flag value
+	// blockInterval is the -block-interval every node starts with: the
+	// longest an idle validator waits before a heartbeat block.
+	blockInterval string
 }
 
 // newCluster allocates directories and ports for n validators. No
@@ -113,7 +116,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	bin := daemonBinary(t)
 	root := t.TempDir()
 	ports := freePorts(t, 2*n)
-	c := &cluster{t: t, bin: bin}
+	c := &cluster{t: t, bin: bin, blockInterval: "100ms"}
 	var peers []string
 	for i := 0; i < n; i++ {
 		nd := &node{
@@ -159,7 +162,7 @@ func (c *cluster) tryStart(nd *node) error {
 		"-data", nd.dataDir,
 		"-addr", nd.httpAddr,
 		"-peers", c.peers,
-		"-block-interval", "100ms",
+		"-block-interval", c.blockInterval,
 		"-checkpoint-interval", "2s",
 	)
 	cmd.Stdout = logFile

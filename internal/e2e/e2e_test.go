@@ -206,6 +206,47 @@ func TestClusterConvergence(t *testing.T) {
 	}
 }
 
+// TestIdleClusterCommitsOnArrival: -block-interval bounds how long an idle
+// cluster waits, it does not pace blocks. On a cluster with a one-second
+// interval that has just committed a heartbeat, a transaction posted to
+// one node is visible on all four within 300 ms.
+func TestIdleClusterCommitsOnArrival(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e scenario; skipped in -short mode")
+	}
+	c := newCluster(t, 4)
+	c.blockInterval = "1s"
+	for i := range c.nodes {
+		c.start(i)
+	}
+	c.waitMeshed()
+	// Catch a heartbeat as it lands: the cluster then rests for a second.
+	h := c.height(0)
+	c.waitFor("a heartbeat block", 5*time.Second, func() bool { return c.height(0) > h })
+	pub, err := supplychain.PublishPayload("e2e-idle-1", corpus.Topic("science"), "The probe entered orbit on schedule.", nil, corpus.Op(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	c.submitTx(0, newAccount("e2e-idle").tx(t, "news.publish", pub))
+	visible := make([]bool, len(c.nodes))
+	for left := len(c.nodes); left > 0; {
+		for i := range c.nodes {
+			if !visible[i] {
+				if code, err := c.getJSON(i, "/v1/items/e2e-idle-1", nil); err == nil && code == http.StatusOK {
+					visible[i] = true
+					left--
+				}
+			}
+		}
+		if took := time.Since(start); took > 300*time.Millisecond {
+			t.Fatalf("after %v the item is visible on %v, want every node within 300ms of a 1s block interval", took, visible)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Logf("visible on all four nodes %v after submission", time.Since(start))
+}
+
 // waitMeshed blocks until the cluster is in its steady state and returns
 // every node's metrics at that moment. Validators start one after
 // another, so the first three decide heights before the fourth is linked,

@@ -73,6 +73,7 @@ func AttachConsensus(p *Platform, id transport.NodeID, kp *keys.KeyPair, set *co
 	p.mu.Unlock()
 	node := consensus.NewNode(id, kp, set, net, p.consensusApp(kp.Address()), tmo)
 	node.Instrument(p.cfg.Telemetry)
+	p.validator.Store(node)
 	return node
 }
 
@@ -113,5 +114,9 @@ func (p *Platform) SetOnSubmit(fn func(*ledger.Tx)) {
 // re-triggering the relay hook (the origin already broadcast it to the
 // full mesh, so forwarding again would only produce duplicate traffic).
 func (p *Platform) SubmitRelayed(tx *ledger.Tx) error {
-	return p.pool.Add(tx)
+	if err := p.pool.Add(tx); err != nil {
+		return err
+	}
+	p.workArrived()
+	return nil
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/aidetect"
 	"repro/internal/blobstore"
 	"repro/internal/commitbus"
+	"repro/internal/consensus"
 	"repro/internal/contract"
 	"repro/internal/corpus"
 	"repro/internal/evidence"
@@ -153,6 +154,10 @@ type Platform struct {
 	// RunCommitter: senders never block, and signals raised while a
 	// commit is running collapse into one.
 	wake chan struct{}
+	// validator is the consensus node AttachConsensus made of this
+	// platform (nil standalone): every admitted transaction tells it that
+	// there may be work, so a resting validator enters its next height.
+	validator atomic.Pointer[consensus.Node]
 	// clock supplies block timestamps (fixed epoch by default for
 	// reproducibility; override with SetClock).
 	clock func() time.Time
@@ -476,14 +481,24 @@ func (p *Platform) Submit(tx *ledger.Tx) error {
 	if err := p.pool.Add(tx); err != nil {
 		return err
 	}
-	select {
-	case p.wake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
+	p.workArrived()
 	if relay := p.onSubmit.Load(); relay != nil {
 		(*relay)(tx)
 	}
 	return nil
+}
+
+// workArrived signals whoever commits this platform's mempool: the
+// standalone committer, or the validator under consensus.
+func (p *Platform) workArrived() {
+	if v := p.validator.Load(); v != nil {
+		v.WorkArrived()
+		return
+	}
+	select {
+	case p.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 }
 
 // RunCommitter commits whatever Submit puts in the mempool until ctx is

@@ -191,6 +191,7 @@ func TestClusterNodeWireMetricsLive(t *testing.T) {
 			`trustnews_consensus_step_seconds_count{step="prevote"} `,
 			`trustnews_consensus_step_seconds_count{step="precommit"} `,
 			`trustnews_consensus_step_seconds_count{step="apply"} `,
+			`trustnews_consensus_step_seconds_count{step="wait"} `,
 		} {
 			if !strings.Contains(body, want) {
 				t.Fatalf("validator %d metrics missing %q in:\n%s", i, want, body)

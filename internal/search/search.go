@@ -18,12 +18,16 @@
 //     pointers, so a query never takes a lock and never contends with
 //     the indexer. Writers batch new postings in a per-shard memtable
 //     and seal it into a fresh immutable segment on Refresh — the
-//     near-real-time search design, in miniature.
-//   - Incremental compaction. Sealing once per committed block would
-//     accumulate tiny segments forever; when a shard exceeds its
-//     segment budget the smallest two segments are merged, keeping
-//     per-query segment fan-out bounded while never rewriting the
-//     whole shard at once.
+//     near-real-time search design, in miniature. A sealed segment keeps
+//     each term's postings packed in one exact-size string of uvarint
+//     (doc delta, term frequency) pairs, two or three bytes a posting.
+//   - Size-tiered compaction. Sealing once per committed block would
+//     accumulate tiny segments forever, and blocks come every few
+//     milliseconds under load. Segments stay in document order, and the
+//     newest is merged into the one before it while that one is less than
+//     twice its size. So a merge is a concatenation, a shard holds
+//     O(log N) segments, and a posting is rewritten O(log N) times over
+//     the life of the index.
 //
 // Ranking is BM25 (k1/b defaults from the literature), with the legacy
 // TF-IDF ranker kept selectable for comparison. The index is
@@ -33,6 +37,7 @@
 package search
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -58,9 +63,10 @@ const DefaultShards = 16
 // between commits.
 const defaultFlushDocs = 512
 
-// defaultMaxSegments is the per-shard segment budget before compaction
-// merges the smallest pair.
-const defaultMaxSegments = 8
+// tierRatio is the compaction policy: the newest segment is merged into
+// the one before it while that one holds at most tierRatio times its
+// documents, so adjacent segments differ in size by more than tierRatio.
+const tierRatio = 2
 
 // Ranker selects the scoring function.
 type Ranker string
@@ -101,7 +107,9 @@ type docInfo struct {
 }
 
 // posting is one (document, term-frequency) pair. Documents are
-// referenced by their dense internal index into the doc table.
+// referenced by their dense internal index into the doc table. The
+// memtable and the snapshot hold postings as such; a sealed segment packs
+// them (see packed).
 type posting struct {
 	Doc int32 `json:"d"`
 	TF  int32 `json:"f"`
@@ -110,10 +118,104 @@ type posting struct {
 // segment is an immutable sealed batch of postings. Once published in a
 // shard view it is never mutated — only replaced wholesale by
 // compaction — so readers need no synchronisation beyond loading the
-// view pointer.
+// view pointer. Segments of a shard cover ascending, disjoint document
+// ranges in view order.
 type segment struct {
-	postings map[string][]posting
+	postings map[string]packed
 	docs     int // documents that contributed postings to this segment
+}
+
+// packed is one term's posting list in a sealed segment, in ascending
+// document order: a uvarint count, then a uvarint (doc delta, tf) pair per
+// posting, the first delta taken from document 0. A string is immutable
+// and exactly as long as its content, so a list costs its bytes and a
+// 16-byte header.
+type packed string
+
+// pack encodes a posting list in ascending document order.
+func pack(ps []posting) packed {
+	size := uvarintLen(uint64(len(ps)))
+	prev := int32(0)
+	for _, p := range ps {
+		size += uvarintLen(uint64(p.Doc-prev)) + uvarintLen(uint64(p.TF))
+		prev = p.Doc
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var tmp [binary.MaxVarintLen64]byte
+	b.Write(binary.AppendUvarint(tmp[:0], uint64(len(ps))))
+	prev = 0
+	for _, p := range ps {
+		b.Write(binary.AppendUvarint(tmp[:0], uint64(p.Doc-prev)))
+		b.Write(binary.AppendUvarint(tmp[:0], uint64(p.TF)))
+		prev = p.Doc
+	}
+	return packed(b.String())
+}
+
+// count returns the number of postings in the list.
+func (l packed) count() int {
+	n, _ := uvarintAt(string(l), 0)
+	return int(n)
+}
+
+// each calls fn for every posting in document order until fn returns
+// false.
+func (l packed) each(fn func(doc, tf int32) bool) {
+	s := string(l)
+	_, i := uvarintAt(s, 0)
+	doc := int32(0)
+	for i < len(s) {
+		var d, tf uint64
+		d, i = uvarintAt(s, i)
+		tf, i = uvarintAt(s, i)
+		doc += int32(d)
+		if !fn(doc, int32(tf)) {
+			return
+		}
+	}
+}
+
+// concat appends list b, whose documents all follow a's, to list a. Only
+// the count and b's first delta are re-encoded; the rest is copied.
+func concat(a, b packed) packed {
+	var last int32
+	a.each(func(doc, _ int32) bool { last = doc; return true })
+	ca, ia := uvarintAt(string(a), 0)
+	cb, ib := uvarintAt(string(b), 0)
+	first, jb := uvarintAt(string(b), ib)
+	delta := uint64(int32(first) - last)
+	var b2 strings.Builder
+	b2.Grow(uvarintLen(ca+cb) + len(a) - ia + uvarintLen(delta) + len(b) - jb)
+	var tmp [binary.MaxVarintLen64]byte
+	b2.Write(binary.AppendUvarint(tmp[:0], ca+cb))
+	b2.WriteString(string(a[ia:]))
+	b2.Write(binary.AppendUvarint(tmp[:0], delta))
+	b2.WriteString(string(b[jb:]))
+	return packed(b2.String())
+}
+
+// uvarintAt decodes the uvarint at s[i:], returning it and the index
+// after it. Lists are built by pack, so they are well formed.
+func uvarintAt(s string, i int) (uint64, int) {
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		c := s[i]
+		i++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v, i
+		}
+	}
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
 }
 
 // shardView is what a query sees of one shard: the sealed segments at
@@ -163,8 +265,7 @@ type Index struct {
 	// memDocs counts documents added since the last Refresh.
 	memDocs int
 
-	flushDocs   int
-	maxSegments int
+	flushDocs int
 }
 
 // New creates an empty index with DefaultShards term shards.
@@ -178,11 +279,10 @@ func newSharded(shards int) *Index {
 		shards = 1
 	}
 	x := &Index{
-		shards:      make([]*shard, shards),
-		byID:        make(map[string]int32),
-		terms:       make(map[string]string),
-		flushDocs:   defaultFlushDocs,
-		maxSegments: defaultMaxSegments,
+		shards:    make([]*shard, shards),
+		byID:      make(map[string]int32),
+		terms:     make(map[string]string),
+		flushDocs: defaultFlushDocs,
 	}
 	for i := range x.shards {
 		sh := &shard{mem: make(map[string][]posting)}
@@ -272,70 +372,49 @@ func (x *Index) refreshLocked() {
 	// document a concurrent query cannot resolve.
 	x.docs.Store(&docsView{infos: x.infos[:len(x.infos):len(x.infos)], totalLen: x.totalLen})
 	for _, sh := range x.shards {
-		sh.seal(x.maxSegments)
+		sh.seal()
 	}
 }
 
-// seal freezes the shard memtable into a segment, compacts if the
-// segment budget is exceeded, and publishes the new view.
-func (sh *shard) seal(maxSegments int) {
+// seal packs the shard memtable into a segment, runs the tiered
+// compaction, and publishes the new view.
+func (sh *shard) seal() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.memDocs == 0 {
 		return
 	}
-	old := sh.view.Load()
-	segs := make([]*segment, len(old.segments), len(old.segments)+1)
-	copy(segs, old.segments)
-	segs = append(segs, &segment{postings: sh.mem, docs: sh.memDocs})
-	sh.mem = make(map[string][]posting)
+	seg := &segment{postings: make(map[string]packed, len(sh.mem)), docs: sh.memDocs}
+	for term, ps := range sh.mem {
+		seg.postings[term] = pack(ps)
+	}
+	clear(sh.mem)
 	sh.memDocs = 0
-	for len(segs) > maxSegments {
-		segs = compactSmallest(segs)
-		sh.compactions++
+	old := sh.view.Load().segments
+	segs := append(make([]*segment, 0, len(old)+1), old...)
+	segs = append(segs, seg)
+	for n := len(segs); n >= 2 && segs[n-2].docs <= tierRatio*segs[n-1].docs; n-- {
+		segs[n-2] = sh.merge(segs[n-2], segs[n-1])
+		segs = segs[:n-1]
 	}
 	sh.view.Store(&shardView{segments: segs})
 }
 
-// compactSmallest merges the two segments with the fewest documents
-// into one, preserving every posting. Posting-list order within a term
-// may interleave across merged segments; scoring is order-independent
-// and serialization sorts, so determinism is unaffected.
-func compactSmallest(segs []*segment) []*segment {
-	if len(segs) < 2 {
-		return segs
+// merge concatenates two adjacent segments, a before b. A term found in
+// only one of them keeps its list as it is: lists are immutable.
+func (sh *shard) merge(a, b *segment) *segment {
+	m := &segment{postings: make(map[string]packed, len(a.postings)+len(b.postings)), docs: a.docs + b.docs}
+	for term, l := range a.postings {
+		m.postings[term] = l
 	}
-	a, b := 0, 1
-	if segs[b].docs < segs[a].docs {
-		a, b = b, a
-	}
-	for i := 2; i < len(segs); i++ {
-		if segs[i].docs < segs[a].docs {
-			a, b = i, a
-		} else if segs[i].docs < segs[b].docs {
-			b = i
+	for term, l := range b.postings {
+		if prev, ok := m.postings[term]; ok {
+			l = concat(prev, l)
 		}
+		m.postings[term] = l
 	}
-	if a > b {
-		a, b = b, a
-	}
-	merged := &segment{
-		postings: make(map[string][]posting, len(segs[a].postings)+len(segs[b].postings)),
-		docs:     segs[a].docs + segs[b].docs,
-	}
-	for _, src := range []*segment{segs[a], segs[b]} {
-		for term, ps := range src.postings {
-			merged.postings[term] = append(merged.postings[term], ps...)
-		}
-	}
-	out := make([]*segment, 0, len(segs)-1)
-	for i, s := range segs {
-		if i == a || i == b {
-			continue
-		}
-		out = append(out, s)
-	}
-	return append(out, merged)
+	sh.compactions++
+	return m
 }
 
 // Docs returns the number of indexed documents visible to queries.
@@ -372,9 +451,9 @@ func (x *Index) Stats() []ShardStats {
 		st := ShardStats{Segments: len(view.segments)}
 		terms := make(map[string]bool)
 		for _, seg := range view.segments {
-			for term, ps := range seg.postings {
+			for term, l := range seg.postings {
 				terms[term] = true
-				st.Postings += len(ps)
+				st.Postings += l.count()
 			}
 		}
 		st.Terms = len(terms)
@@ -420,7 +499,9 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 		// df first: IDF needs the document frequency across segments.
 		df := 0
 		for _, seg := range view.segments {
-			df += len(seg.postings[tok])
+			if l, ok := seg.postings[tok]; ok {
+				df += l.count()
+			}
 		}
 		if df == 0 {
 			continue
@@ -433,24 +514,30 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 			idf = math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
 		}
 		for _, seg := range view.segments {
-			for _, p := range seg.postings[tok] {
-				if int(p.Doc) >= n {
-					// Posting sealed after the doc view we loaded;
-					// skip rather than read an unpublished entry.
-					continue
+			l, ok := seg.postings[tok]
+			if !ok {
+				continue
+			}
+			l.each(func(doc, f int32) bool {
+				if int(doc) >= n {
+					// Sealed after the doc view we loaded, like every
+					// later posting: stop rather than read an unpublished
+					// entry.
+					return false
 				}
-				dl := float64(docs.infos[p.Doc].Length)
-				tf := float64(p.TF)
+				dl := float64(docs.infos[doc].Length)
+				tf := float64(f)
 				switch ranker {
 				case RankTFIDF:
 					if dl > 0 {
-						sc.add(p.Doc, tf/dl*idf)
+						sc.add(doc, tf/dl*idf)
 					}
 				default:
 					denom := tf + bm25K1*(1-bm25B+bm25B*dl/avgdl)
-					sc.add(p.Doc, idf*tf*(bm25K1+1)/denom)
+					sc.add(doc, idf*tf*(bm25K1+1)/denom)
 				}
-			}
+				return true
+			})
 		}
 	}
 
@@ -570,7 +657,8 @@ func (s *queryScratch) release() {
 // ---------------------------------------------------------------------------
 
 // indexSnapshot is the self-contained serialized index: the doc table
-// in internal order plus merged, doc-sorted posting lists. The format
+// in internal order plus merged, doc-sorted posting lists (a shard's
+// segments in view order already give each term's list in doc order). The format
 // is independent of shard count and segment layout, so a snapshot
 // written by one node restores bit-identically on another regardless
 // of how either arranged its segments.
@@ -592,14 +680,15 @@ func (x *Index) snapshot() indexSnapshot {
 	}
 	for _, sh := range x.shards {
 		for _, seg := range sh.view.Load().segments {
-			for term, ps := range seg.postings {
-				snap.Postings[term] = append(snap.Postings[term], ps...)
+			for term, l := range seg.postings {
+				ps := snap.Postings[term]
+				l.each(func(doc, tf int32) bool {
+					ps = append(ps, posting{Doc: doc, TF: tf})
+					return true
+				})
+				snap.Postings[term] = ps
 			}
 		}
-	}
-	for term := range snap.Postings {
-		ps := snap.Postings[term]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
 	}
 	return snap
 }
@@ -619,15 +708,30 @@ func (x *Index) reset(snap indexSnapshot) {
 		x.byID[d.ID] = int32(i)
 		x.totalLen += int64(d.Length)
 	}
-	perShard := make(map[*shard]map[string][]posting)
+	perShard := make(map[*shard]map[string]packed)
 	for term, ps := range snap.Postings {
+		// A list out of document order, or naming a document the table
+		// lacks, comes from a damaged blob: sort it, drop the strays.
+		if !sort.SliceIsSorted(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc }) {
+			ps = append([]posting(nil), ps...)
+			sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
+		}
+		for len(ps) > 0 && ps[0].Doc < 0 {
+			ps = ps[1:]
+		}
+		for len(ps) > 0 && int(ps[len(ps)-1].Doc) >= len(x.infos) {
+			ps = ps[:len(ps)-1]
+		}
+		if len(ps) == 0 {
+			continue
+		}
 		sh := x.shardFor(term)
 		m := perShard[sh]
 		if m == nil {
-			m = make(map[string][]posting)
+			m = make(map[string]packed)
 			perShard[sh] = m
 		}
-		m[term] = append([]posting(nil), ps...)
+		m[term] = pack(ps)
 	}
 	x.docs.Store(&docsView{infos: x.infos[:len(x.infos):len(x.infos)], totalLen: x.totalLen})
 	for _, sh := range x.shards {

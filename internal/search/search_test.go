@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -11,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/commitbus"
 	"repro/internal/contract"
@@ -147,7 +147,9 @@ func TestScoresIndependentOfShardCountAndSegmentLayout(t *testing.T) {
 }
 
 // TestCompactionBoundsSegments drives many small refreshes through one
-// shard and checks the segment budget holds while no posting is lost.
+// shard and checks that the tiers hold — adjacent segments differ in size
+// by more than tierRatio, so there are fewer than log2(N+1) of them —
+// while no posting is lost.
 func TestCompactionBoundsSegments(t *testing.T) {
 	x := newSharded(1)
 	for i := 0; i < 100; i++ {
@@ -155,8 +157,14 @@ func TestCompactionBoundsSegments(t *testing.T) {
 		x.Refresh() // one tiny segment per doc without compaction
 	}
 	st := x.Stats()[0]
-	if st.Segments > defaultMaxSegments {
-		t.Fatalf("segments = %d, budget %d", st.Segments, defaultMaxSegments)
+	if budget := bits.Len(100); st.Segments > budget {
+		t.Fatalf("segments = %d, budget %d", st.Segments, budget)
+	}
+	segs := x.shards[0].view.Load().segments
+	for i := 1; i < len(segs); i++ {
+		if segs[i-1].docs <= tierRatio*segs[i].docs {
+			t.Fatalf("segment %d holds %d docs, segment %d holds %d: not tiered", i-1, segs[i-1].docs, i, segs[i].docs)
+		}
 	}
 	if st.Compactions == 0 {
 		t.Fatal("no compactions recorded")
@@ -539,15 +547,14 @@ func TestIndexDoesNotRetainBodies(t *testing.T) {
 			}
 			after := heap()
 
-			postings := 0
+			var own uint64
 			for _, sh := range x.shards {
 				for _, seg := range sh.view.Load().segments {
-					for _, ps := range seg.postings {
-						postings += len(ps)
+					for _, l := range seg.postings {
+						own += uint64(len(l))
 					}
 				}
 			}
-			own := uint64(postings) * uint64(unsafe.Sizeof(posting{}))
 			if grew := after - before; after > before && grew > own+slack {
 				t.Fatalf("heap grew %.1f MB for %.1f MB of postings: the index retains article text (%d docs of %d KB)",
 					float64(grew)/(1<<20), float64(own)/(1<<20), docs, bodySize>>10)

@@ -15,7 +15,9 @@
 // produced by the pluggable Codec (internal/transport/wire in
 // production). The length is validated against MaxFrame before any
 // allocation; oversized claims, torn frames and undecodable bodies kill
-// the connection, never the process.
+// the connection, never the process. A frame's header and body go out
+// in one write, and a reader reads through a buffer, so a burst of votes
+// costs one syscall per frame to send and far fewer to receive.
 //
 // Delivery semantics match the simulator's lossy contract: Send returns
 // nil once a frame is queued for the peer; a connection failure afterward
@@ -27,6 +29,7 @@
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -533,6 +536,7 @@ func (t *Transport) acceptLoop() {
 // frames and undecodable bodies end the connection — the sender will
 // re-dial and re-handshake.
 func (t *Transport) runReader(c net.Conn) {
+	r := bufio.NewReaderSize(c, readBufferSize)
 	var from transport.NodeID // non-empty once the peer's hello is read and c counted in t.inbound
 	defer func() {
 		_ = c.Close()
@@ -546,7 +550,7 @@ func (t *Transport) runReader(c net.Conn) {
 		t.mu.Unlock()
 	}()
 	_ = c.SetDeadline(time.Now().Add(t.cfg.WriteTimeout))
-	from, err := readHello(c) // "" on error
+	from, err := readHello(r) // "" on error
 	if err != nil {
 		return
 	}
@@ -558,7 +562,7 @@ func (t *Transport) runReader(c net.Conn) {
 	}
 	for {
 		_ = c.SetDeadline(time.Now().Add(t.cfg.IdleTimeout))
-		raw, err := readFrame(c)
+		raw, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -571,6 +575,11 @@ func (t *Transport) runReader(c net.Conn) {
 		t.post(func() { t.dispatch(m) })
 	}
 }
+
+// readBufferSize is the read buffer of one inbound connection: a burst of
+// votes and commits fits, and a larger frame is read straight into its
+// own allocation.
+const readBufferSize = 32 << 10
 
 // writeHello sends magic, version and the local node id.
 func writeHello(c net.Conn, id transport.NodeID) error {
@@ -586,7 +595,7 @@ func writeHello(c net.Conn, id transport.NodeID) error {
 }
 
 // readHello consumes and validates a hello, returning the remote id.
-func readHello(c net.Conn) (transport.NodeID, error) {
+func readHello(c io.Reader) (transport.NodeID, error) {
 	var head [5]byte
 	if _, err := io.ReadFull(c, head[:]); err != nil {
 		return "", fmt.Errorf("%w: %v", ErrHandshake, err)
@@ -608,21 +617,23 @@ func readHello(c net.Conn) (transport.NodeID, error) {
 	return transport.NodeID(id), nil
 }
 
-// writeFrame writes one length-prefixed frame under a deadline.
+// appendFrame appends raw to buf as one length-prefixed frame.
+func appendFrame(buf, raw []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(raw)))
+	return append(buf, raw...)
+}
+
+// writeFrame writes one length-prefixed frame under a deadline, header
+// and body from one buffer in one write.
 func writeFrame(c net.Conn, raw []byte, timeout time.Duration) error {
 	_ = c.SetWriteDeadline(time.Now().Add(timeout))
-	var head [4]byte
-	binary.BigEndian.PutUint32(head[:], uint32(len(raw)))
-	if _, err := c.Write(head[:]); err != nil {
-		return err
-	}
-	_, err := c.Write(raw)
+	_, err := c.Write(appendFrame(make([]byte, 0, 4+len(raw)), raw))
 	return err
 }
 
 // readFrame reads one length-prefixed frame, validating the length claim
 // against MaxFrame before allocating.
-func readFrame(c net.Conn) ([]byte, error) {
+func readFrame(c io.Reader) ([]byte, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(c, head[:]); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -326,8 +327,10 @@ func TestBadHandshake(t *testing.T) {
 
 // TestConsensusOverTCP runs a real 4-validator BFT cluster over loopback
 // TCP in-process: same consensus state machine as the simnet tests, real
-// sockets and wire codec underneath. It must commit several heights and
-// stay in agreement.
+// sockets and wire codec underneath. Transactions arrive from several
+// goroutines at once while validators rest between heights (WorkArrived
+// races the event loop, under -race in tier 1). It must commit all of
+// them and stay in agreement.
 func TestConsensusOverTCP(t *testing.T) {
 	const n = 4
 	transports := make([]*Transport, n)
@@ -366,7 +369,7 @@ func TestConsensusOverTCP(t *testing.T) {
 		nodes[i] = consensus.NewNode(vals[i].ID, kps[i], set, transports[i], apps[i], consensus.Timeouts{
 			Propose: 250 * time.Millisecond, Prevote: 200 * time.Millisecond,
 			Precommit: 200 * time.Millisecond, Delta: 100 * time.Millisecond,
-			Commit: 20 * time.Millisecond,
+			Idle: 500 * time.Millisecond,
 		})
 		if err := nodes[i].Bind(); err != nil {
 			t.Fatalf("bind %d: %v", i, err)
@@ -377,9 +380,42 @@ func TestConsensusOverTCP(t *testing.T) {
 		tr := transports[i]
 		tr.After(vals[i].ID, 0, func() { node.Start() })
 	}
-	waitFor(t, 30*time.Second, "all nodes at height 3", func() bool {
+	waitFor(t, 30*time.Second, "all nodes at height 1", func() bool {
 		for i := 0; i < n; i++ {
-			if apps[i].Chain.Height() < 3 {
+			if apps[i].Chain.Height() < 1 {
+				return false
+			}
+		}
+		return true
+	})
+	// Four clients, each relaying its transactions to every validator.
+	const clients, perClient = 4, 10
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			sender := keys.FromSeed([]byte("tcp-client-" + strconv.Itoa(c)))
+			for k := 0; k < perClient; k++ {
+				tx, err := ledger.NewTx(sender, uint64(k), "news.publish", []byte{byte(c), byte(k)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < n; i++ {
+					if err := apps[i].Pool.Add(tx); err != nil {
+						t.Error(err)
+						return
+					}
+					nodes[i].WorkArrived()
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	waitFor(t, 30*time.Second, "every transaction committed on every node", func() bool {
+		for i := 0; i < n; i++ {
+			if apps[i].Pool.Size() != 0 || apps[i].Chain.Height() < 3 {
 				return false
 			}
 		}
@@ -409,5 +445,124 @@ func TestConsensusOverTCP(t *testing.T) {
 	}
 	if testing.Verbose() {
 		fmt.Printf("tcp consensus: %d nodes converged at height %d\n", n, minH)
+	}
+}
+
+// syncReq encodes a sync request frame body for the given height.
+func syncReq(t *testing.T, h uint64) []byte {
+	t.Helper()
+	raw, err := wire.Codec{}.Encode(transport.Message{
+		From: "raw-client", To: "srv", Kind: consensus.KindSyncRequest,
+		Payload: consensus.SyncRequest{Height: h},
+	})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return raw
+}
+
+// TestFramesSharingOneSegment: two frames that arrive in one segment are
+// both decoded, in order, through the reader's buffer.
+func TestFramesSharingOneSegment(t *testing.T) {
+	tr := startTransport(t, "srv", nil)
+	delivered := make(chan transport.Message, 2)
+	if err := tr.AddNode("srv", func(m transport.Message) { delivered <- m }); err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	c := dialRaw(t, tr)
+	if _, err := c.Write(appendFrame(appendFrame(nil, syncReq(t, 1)), syncReq(t, 2))); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for want := uint64(1); want <= 2; want++ {
+		select {
+		case m := <-delivered:
+			if got := m.Payload.(consensus.SyncRequest).Height; got != want {
+				t.Fatalf("frame %d carried height %d", want, got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d of the segment not delivered", want)
+		}
+	}
+}
+
+// TestBurstArrivesInOrder: a burst queued faster than the writer drains it
+// arrives whole and in order.
+func TestBurstArrivesInOrder(t *testing.T) {
+	reg := telemetry.New()
+	a := startTransport(t, "a", reg)
+	b := startTransport(t, "b", nil)
+	a.AddPeer("b", b.Addr())
+	const n = 500
+	got := make(chan uint64, n)
+	if err := b.AddNode("b", func(m transport.Message) { got <- m.Payload.(consensus.SyncRequest).Height }); err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	for h := uint64(0); h < n; h++ {
+		if err := a.Send("a", "b", consensus.KindSyncRequest, consensus.SyncRequest{Height: h}); err != nil {
+			t.Fatalf("Send %d: %v", h, err)
+		}
+	}
+	for want := uint64(0); want < n; want++ {
+		select {
+		case h := <-got:
+			if h != want {
+				t.Fatalf("got height %d, want %d", h, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d never arrived", want)
+		}
+	}
+	if e := transport.NewMetrics(reg).SendErrors.Value(); e != 0 {
+		t.Fatalf("%d send errors on a healthy link", e)
+	}
+}
+
+// TestUnreachablePeerKeepsNewestFrame: frames queued while a peer cannot
+// be dialed are shed down to the newest one, each shed frame counted as a
+// send error, and the newest is delivered once the peer comes up.
+func TestUnreachablePeerKeepsNewestFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens here until b starts
+
+	reg := telemetry.New()
+	a := startTransport(t, "a", reg)
+	a.AddPeer("b", addr)
+	for h := uint64(1); h <= 3; h++ {
+		if err := a.Send("a", "b", consensus.KindSyncRequest, consensus.SyncRequest{Height: h}); err != nil {
+			t.Fatalf("Send %d: %v", h, err)
+		}
+	}
+	sendErrors := transport.NewMetrics(reg).SendErrors
+	waitFor(t, 5*time.Second, "the older frames to be shed", func() bool { return sendErrors.Value() == 2 })
+
+	b, err := New(Config{NodeID: "b", Listen: addr, Codec: wire.Codec{}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	got := make(chan uint64, 3)
+	if err := b.AddNode("b", func(m transport.Message) { got <- m.Payload.(consensus.SyncRequest).Height }); err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	waitFor(t, 10*time.Second, "bind", func() bool { return b.Start() == nil })
+	t.Cleanup(func() { b.Close() })
+	select {
+	case h := <-got:
+		if h != 3 {
+			t.Fatalf("first frame after reconnect carried height %d, want the newest (3)", h)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("newest frame never delivered")
+	}
+	select {
+	case h := <-got:
+		t.Fatalf("shed frame %d delivered too", h)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if v := sendErrors.Value(); v != 2 {
+		t.Fatalf("%d send errors, want the 2 shed frames", v)
 	}
 }

@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet test race race-hot chaos e2e loadgen-smoke benchmark-module bench-reopen bench-stateroot
+.PHONY: tier1 build vet test race race-hot chaos e2e loadgen-smoke fuzz-smoke benchmark-module bench-reopen bench-stateroot
 
-tier1: build vet benchmark-module race-hot chaos loadgen-smoke e2e race
+tier1: build vet benchmark-module race-hot chaos loadgen-smoke e2e fuzz-smoke race
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,20 @@ race-hot:
 loadgen-smoke:
 	$(GO) test -count=1 -run TestLoadgenSmoke ./internal/loadgen
 
+# Every Fuzz* target in the module, FUZZTIME each: the decoders of bytes
+# from the wire and the disk (blocks, txs, frames, logs, segments, the
+# checkpoint's search snapshot) meet fresh inputs on every run, not only
+# their seeds. `go test -fuzz` takes one target per run. A failure leaves
+# its input under the package's testdata/fuzz/.
+FUZZTIME ?= 3s
+fuzz-smoke:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' --exclude-dir=benchmark '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for fn in $$($(GO) test -list '^Fuzz' $$dir | grep '^Fuzz'); do \
+			echo "fuzz $$dir $$fn"; \
+			$(GO) test -run NONE -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -parallel 2 $$dir; \
+		done; \
+	done
+
 # Multi-process cluster test: builds the daemon, boots 4 validators over
 # loopback TCP, drives transactions through the HTTP API, and kill -9s a
 # node to check WAL recovery + consensus sync (bounded ~30s).
@@ -52,9 +66,13 @@ e2e:
 chaos:
 	$(GO) test -count=1 ./internal/chaos
 
-# Reopen cost: full replay vs checkpoint restore (EXPERIMENTS.md E15b).
+# Reopen cost: full replay vs checkpoint restore (EXPERIMENTS.md E15b),
+# then a daemon's two other boot costs: the search index's checkpoint blob
+# (8 000 articles) and the classifier's training (E32).
 bench-reopen:
 	$(GO) test -run NONE -bench 'BenchmarkOpen(Replay|Checkpoint)' -benchtime 5x ./internal/platform
+	$(GO) test -run NONE -bench 'BenchmarkIndexSnapshot' -benchmem ./internal/search
+	$(GO) test -run NONE -bench 'BenchmarkLogisticRegressionTrain' -benchmem ./internal/aidetect
 
 # State-root cost against state size and the rebuild-from-nothing path
 # (EXPERIMENTS.md E24). The 1M-key cases need about 2 GB and a minute.

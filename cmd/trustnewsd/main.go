@@ -133,10 +133,6 @@ func run(ctx context.Context, o options) error {
 			return err
 		}
 		defer closeFn()
-		log.Printf("durable node at %s: height %d, checkpoint height %d, %d blobs, %d tx index segments rebuilt", o.dataDir, p.Chain().Height(), p.CheckpointHeight(), p.Blobs().Stats().Blobs, p.Chain().TxIndexStats().Rebuilt)
-		if o.ckptEvery > 0 {
-			go checkpointLoop(ctx, p, o.ckptEvery)
-		}
 	} else {
 		p, err = platform.New(cfg)
 		if err != nil {
@@ -147,6 +143,16 @@ func run(ctx context.Context, o options) error {
 	gen := corpus.NewGenerator(o.corpusSeed)
 	if err := p.TrainClassifier(aidetect.NewLogisticRegression(), gen.Generate(500, 500).Statements); err != nil {
 		return err
+	}
+	if o.dataDir != "" {
+		// The boot split is also trustnews_boot_seconds{phase} on /v1/metrics.
+		b := p.Boot()
+		log.Printf("durable node at %s: height %d, checkpoint height %d, %d blobs, %d tx index segments rebuilt; boot: open %s (restore %s, replay %s), train %s",
+			o.dataDir, p.Chain().Height(), p.CheckpointHeight(), p.Blobs().Stats().Blobs, p.Chain().TxIndexStats().Rebuilt,
+			b.Open.Round(time.Microsecond), b.Restore.Round(time.Microsecond), b.Replay.Round(time.Microsecond), b.Train.Round(time.Microsecond))
+		if o.ckptEvery > 0 {
+			go checkpointLoop(ctx, p, o.ckptEvery)
+		}
 	}
 
 	clustered := o.nodeID != "" || o.peers != ""

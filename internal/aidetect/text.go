@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"repro/internal/corpus"
 )
@@ -171,9 +173,11 @@ func NewLogisticRegression() *LogisticRegression {
 	return &LogisticRegression{Epochs: 12, LearnRate: 0.2, L2: 1e-4}
 }
 
-// fnv32 hashes a token into the feature space.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
+// fnv32 hashes a token into the feature space: 32-bit FNV-1a. Its state
+// after a prefix is the prefix's hash, so fnvAdd(fnv32(a), b) hashes a+b.
+func fnv32(s string) uint32 { return fnvAdd(2166136261, s) }
+
+func fnvAdd(h uint32, s string) uint32 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
 		h *= 16777619
@@ -181,38 +185,74 @@ func fnv32(s string) uint32 {
 	return h
 }
 
-// features extracts a sparse feature vector as index->value.
-func features(text string) map[int]float64 {
-	grams := ngrams(text)
+// feature is one nonzero entry of a sparse feature vector.
+type feature struct {
+	index int32
+	value float64
+}
+
+// featurize is the model's one featurizer, for training and scoring alike:
+// the hashed unigrams and bigrams of ngrams (numbers shaped the same way),
+// each counted and divided by the number of n-grams, then the hand
+// features. It returns the vector sorted by feature index, so every sum
+// over it runs in the same order in every process. The n-grams are hashed
+// in place rather than built as strings.
+func featurize(text string) []feature {
 	toks := corpus.Tokenize(text)
-	f := make(map[int]float64, len(grams)+handFeatures)
-	for _, t := range grams {
-		f[int(fnv32(t)%hashDim)] += 1
+	grams := 0
+	if len(toks) > 0 {
+		grams = 2*len(toks) - 1
 	}
-	// Normalize term counts.
-	if len(grams) > 0 {
-		for k := range f {
-			f[k] /= float64(len(grams))
-		}
-	}
+	idx := make([]int32, 0, grams)
+	var prev uint32
 	digits := 0
-	for _, t := range toks {
+	for i, t := range toks {
+		shaped := t
 		if t[0] >= '0' && t[0] <= '9' {
+			shaped = "#num" + strconv.Itoa(len(t))
 			digits++
 		}
+		h := fnv32(shaped)
+		idx = append(idx, int32(h%hashDim))
+		if i > 0 {
+			idx = append(idx, int32(fnvAdd(fnvAdd(prev, "_"), shaped)%hashDim))
+		}
+		prev = h
 	}
-	f[hashDim+0] = corpus.EmotionScore(text)
-	f[hashDim+1] = math.Min(float64(len(toks))/40, 1)
+	slices.Sort(idx)
+	f := make([]feature, 0, len(idx)+handFeatures)
+	for i := 0; i < len(idx); {
+		j := i + 1
+		for j < len(idx) && idx[j] == idx[i] {
+			j++
+		}
+		f = append(f, feature{idx[i], float64(j-i) / float64(grams)})
+		i = j
+	}
+	f = append(f,
+		feature{hashDim + 0, corpus.EmotionShare(toks)},
+		feature{hashDim + 1, math.Min(float64(len(toks))/40, 1)})
 	if len(toks) > 0 {
-		f[hashDim+2] = float64(digits) / float64(len(toks))
+		f = append(f, feature{hashDim + 2, float64(digits) / float64(len(toks))})
 	}
-	f[hashDim+3] = 1 // bias
-	return f
+	return append(f, feature{hashDim + 3, 1}) // bias
+}
+
+// dot is w·f, summed in index order.
+func dot(w []float64, f []feature) float64 {
+	var z float64
+	for _, e := range f {
+		z += w[e.index] * e.value
+	}
+	return z
 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
-// Train implements TextClassifier.
+// Train implements TextClassifier. Each statement is featurized once, not
+// once per epoch, and every sum runs in feature-index order: two trainings
+// on the same statements yield the same weights, bit for bit, in any
+// process.
 func (lr *LogisticRegression) Train(items []corpus.Statement) error {
 	if len(items) == 0 {
 		return ErrNoData
@@ -222,6 +262,14 @@ func (lr *LogisticRegression) Train(items []corpus.Statement) error {
 	}
 	if lr.LearnRate <= 0 {
 		lr.LearnRate = 0.2
+	}
+	xs := make([][]feature, len(items))
+	ys := make([]float64, len(items))
+	for i, s := range items {
+		xs[i] = featurize(s.Text)
+		if s.IsFake() {
+			ys[i] = 1
+		}
 	}
 	lr.weights = make([]float64, hashDim+handFeatures)
 	// SGD must not see the items in a class-sorted order (the tail class
@@ -234,20 +282,10 @@ func (lr *LogisticRegression) Train(items []corpus.Statement) error {
 	for epoch := 0; epoch < lr.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		rate := lr.LearnRate / (1 + float64(epoch)*0.3)
-		for _, idx := range order {
-			s := items[idx]
-			f := features(s.Text)
-			var z float64
-			for i, v := range f {
-				z += lr.weights[i] * v
-			}
-			y := 0.0
-			if s.IsFake() {
-				y = 1.0
-			}
-			g := sigmoid(z) - y
-			for i, v := range f {
-				lr.weights[i] -= rate * (g*v + lr.L2*lr.weights[i])
+		for _, i := range order {
+			g := sigmoid(dot(lr.weights, xs[i])) - ys[i]
+			for _, e := range xs[i] {
+				lr.weights[e.index] -= rate * (g*e.value + lr.L2*lr.weights[e.index])
 			}
 		}
 	}
@@ -260,11 +298,7 @@ func (lr *LogisticRegression) Score(text string) (float64, error) {
 	if !lr.trained {
 		return 0, ErrNotTrained
 	}
-	var z float64
-	for i, v := range features(text) {
-		z += lr.weights[i] * v
-	}
-	return sigmoid(z), nil
+	return sigmoid(dot(lr.weights, featurize(text))), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package aidetect
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -180,6 +181,97 @@ func TestLRDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("LR training not deterministic")
+	}
+}
+
+// TestFeaturizeMatchesNgrams: the featurizer hashes n-grams in place; it
+// must count exactly what hashing ngrams' strings counts, in index order.
+func TestFeaturizeMatchesNgrams(t *testing.T) {
+	texts := []string{"", "7341", "Shocking: the 2019 budget rose 12 percent, 12 PERCENT!", "a b a b a"}
+	for _, s := range corpus.NewGenerator(7).Generate(20, 20).Statements {
+		texts = append(texts, s.Text)
+	}
+	for _, text := range texts {
+		grams := ngrams(text)
+		want := map[int32]float64{}
+		for _, g := range grams {
+			want[int32(fnv32(g)%hashDim)]++
+		}
+		for k := range want {
+			want[k] /= float64(len(grams))
+		}
+		got := featurize(text)
+		for i, e := range got {
+			if i > 0 && e.index <= got[i-1].index {
+				t.Fatalf("%q: index %d after %d", text, e.index, got[i-1].index)
+			}
+			if e.index >= hashDim {
+				continue
+			}
+			if want[e.index] != e.value {
+				t.Fatalf("%q: feature %d = %v, want %v", text, e.index, e.value, want[e.index])
+			}
+			delete(want, e.index)
+		}
+		if len(want) != 0 {
+			t.Fatalf("%q: features %v missing", text, want)
+		}
+	}
+}
+
+// TestLRBitIdentical: the weights of two trainings on the same statements
+// agree bit for bit, and so does every score of one text. The model's score
+// feeds a ranking that moves stakes; two processes must compute the same.
+func TestLRBitIdentical(t *testing.T) {
+	train, test := trainTest(t, 8, 300, 300)
+	a, b := NewLogisticRegression(), NewLogisticRegression()
+	if err := a.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.weights {
+		if math.Float64bits(a.weights[i]) != math.Float64bits(b.weights[i]) {
+			t.Fatalf("weight %d: %v and %v", i, a.weights[i], b.weights[i])
+		}
+	}
+	text := test[0].Text
+	first, err := a.Score(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		got, _ := a.Score(text)
+		if other, _ := b.Score(text); math.Float64bits(got) != math.Float64bits(first) || math.Float64bits(other) != math.Float64bits(first) {
+			t.Fatalf("call %d scores %v and %v, first %v", i, got, other, first)
+		}
+	}
+}
+
+// BenchmarkLogisticRegressionTrain trains on the daemon's boot set: 1 000
+// statements of corpus seed 1.
+func BenchmarkLogisticRegressionTrain(b *testing.B) {
+	c := corpus.NewGenerator(1).Generate(500, 500)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := NewLogisticRegression().Train(c.Statements); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLogisticRegressionScore(b *testing.B) {
+	c := corpus.NewGenerator(1).Generate(500, 500)
+	lr := NewLogisticRegression()
+	if err := lr.Train(c.Statements); err != nil {
+		b.Fatal(err)
+	}
+	text := c.Statements[10].Text
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lr.Score(text)
 	}
 }
 

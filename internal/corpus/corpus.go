@@ -262,20 +262,27 @@ func Tokenize(text string) []string {
 
 // EmotionScore returns the fraction of tokens drawn from the
 // negative-emotion lexicon — the hand feature the paper's §I motivates.
-func EmotionScore(text string) float64 {
-	toks := Tokenize(text)
+func EmotionScore(text string) float64 { return EmotionShare(Tokenize(text)) }
+
+// EmotionShare is EmotionScore of text already split by Tokenize.
+func EmotionShare(toks []string) float64 {
 	if len(toks) == 0 {
 		return 0
 	}
-	lex := make(map[string]bool, len(negativeEmotion))
-	for _, w := range negativeEmotion {
-		lex[w] = true
-	}
 	hits := 0
 	for _, t := range toks {
-		if lex[t] {
+		if negativeLexicon[t] {
 			hits++
 		}
 	}
 	return float64(hits) / float64(len(toks))
 }
+
+// negativeLexicon is negativeEmotion as a set.
+var negativeLexicon = func() map[string]bool {
+	lex := make(map[string]bool, len(negativeEmotion))
+	for _, w := range negativeEmotion {
+		lex[w] = true
+	}
+	return lex
+}()

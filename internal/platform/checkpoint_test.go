@@ -14,6 +14,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/ledger"
 	"repro/internal/ranking"
+	"repro/internal/search"
 	"repro/internal/store"
 )
 
@@ -171,9 +172,11 @@ func TestOpenCheckpointMatchesFullReplay(t *testing.T) {
 	assertSameDerivedState(t, fast, full)
 }
 
-// A checkpoint that cannot be trusted — damaged on disk, or cut under
-// another state-root scheme, whose StateHash this build cannot reproduce —
-// is ignored in favour of full replay, which arrives at the same node.
+// A checkpoint that cannot be trusted — damaged on disk, cut under another
+// state-root scheme, whose StateHash this build cannot reproduce, or
+// carrying the JSON search snapshot of earlier builds, which this one does
+// not read — is ignored in favour of full replay, which arrives at the same
+// node and answers the same queries.
 func TestOpenFallsBackOnUnusableCheckpoint(t *testing.T) {
 	damage := map[string]func(t *testing.T, path string){
 		"flipped byte": func(t *testing.T, path string) {
@@ -196,7 +199,22 @@ func TestOpenFallsBackOnUnusableCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		"JSON search snapshot": func(t *testing.T, path string) {
+			cp, err := store.ReadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := os.ReadFile(filepath.Join("..", "search", "testdata", "checkpoint_v1.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Subscribers[search.SubscriberName] = blob
+			if err := store.WriteCheckpoint(path, cp); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
+	queries := []string{factText, "border treaty 3"}
 	for name, apply := range damage {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -212,6 +230,10 @@ func TestOpenFallsBackOnUnusableCheckpoint(t *testing.T) {
 			root, err := p.Engine().StateRoot()
 			if err != nil {
 				t.Fatal(err)
+			}
+			var answers []search.Page
+			for _, q := range queries {
+				answers = append(answers, p.SearchPage(q, search.RankBM25, 0, 0))
 			}
 			closeFn()
 
@@ -231,6 +253,12 @@ func TestOpenFallsBackOnUnusableCheckpoint(t *testing.T) {
 			root2, err := p2.Engine().StateRoot()
 			if err != nil || root2 != root {
 				t.Fatalf("state root %s want %s (err=%v)", root2, root, err)
+			}
+			p2.FlushSearch()
+			for i, q := range queries {
+				if got := p2.SearchPage(q, search.RankBM25, 0, 0); answers[i].Total == 0 || !reflect.DeepEqual(got, answers[i]) {
+					t.Fatalf("%q: the replayed node answers %+v, the one that wrote the checkpoint %+v", q, got, answers[i])
+				}
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"repro/internal/contract"
 	"repro/internal/ledger"
@@ -75,7 +76,10 @@ var ErrStateRootMismatch = errors.New("platform: replayed state root does not ma
 // from their snapshot blobs. Any verification failure along that path
 // discards the partial state and falls back to the original full-replay
 // open, so a bad checkpoint can delay a restart but never corrupt one.
+//
+// The node reports how long this took, by phase (Boot).
 func Open(dir string, cfg Config) (*Platform, func() error, error) {
+	start := time.Now()
 	// Off-chain article bodies persist beside the chain: the blob store
 	// loads before any replay or checkpoint restore, so hydration during
 	// either path reads the same bytes the previous run committed.
@@ -89,11 +93,15 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 	closeNode := func(p *Platform) func() error {
 		return func() error { return errors.Join(p.stop(), logs.close()) }
 	}
+	restoreStart := time.Now()
 	if cp, err := store.ReadCheckpoint(filepath.Join(dir, checkpointName)); err == nil && logs.receipts.Len() >= cp.Height {
 		if p, err := openFromCheckpoint(dir, cfg, &logs, cp); err == nil {
+			p.boot.Restore = time.Since(restoreStart) - p.boot.Replay
+			p.opened(start)
 			return p, closeNode(p), nil
 		}
 	}
+	restore := time.Since(restoreStart)
 
 	// Full replay: decode, validate and re-execute every block, with the
 	// replay's body validation fanned across the verification pipeline.
@@ -112,11 +120,48 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 		closeNode(p)()
 		return nil, nil, fmt.Errorf("platform: empty the state log: %w", err)
 	}
+	replayStart := time.Now()
 	if err := p.replayFrom(0); err != nil {
 		closeNode(p)()
 		return nil, nil, fmt.Errorf("platform: replay: %w", err)
 	}
+	p.boot.Restore, p.boot.Replay = restore, time.Since(replayStart)
+	p.opened(start)
 	return p, closeNode(p), nil
+}
+
+// BootTimes splits a node's start-up into phases. Restore and Replay are
+// parts of Open; Train is not.
+type BootTimes struct {
+	// Open is the whole of Open (zero for an in-memory node).
+	Open time.Duration
+	// Restore is the time spent on the checkpoint: reading it, reopening
+	// the chain from its snapshot, restoring the subscribers and checking
+	// the state root. When the checkpoint proved unusable it is what the
+	// attempt cost before the full replay.
+	Restore time.Duration
+	// Replay is the time spent executing blocks: the tail above the
+	// checkpoint, or the whole chain.
+	Replay time.Duration
+	// Train is the last TrainClassifier's time.
+	Train time.Duration
+}
+
+// Boot reports how long the node took to start, by phase; the same split is
+// exported as trustnews_boot_seconds{phase}.
+func (p *Platform) Boot() BootTimes {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.boot
+}
+
+// opened records the open, restore and replay phases of an Open that
+// started at start.
+func (p *Platform) opened(start time.Time) {
+	p.boot.Open = time.Since(start)
+	p.tm.boot.With("open").Set(p.boot.Open.Seconds())
+	p.tm.boot.With("restore").Set(p.boot.Restore.Seconds())
+	p.tm.boot.With("replay").Set(p.boot.Replay.Seconds())
 }
 
 // durableLogs are the logs of a data directory.
@@ -188,10 +233,12 @@ func openFromCheckpoint(dir string, cfg Config, logs *durableLogs, cp *store.Che
 		p.stop()
 		return nil, err
 	}
+	replayStart := time.Now()
 	if err := p.replayFrom(cp.Height); err != nil {
 		p.stop()
 		return nil, fmt.Errorf("platform: replay tail: %w", err)
 	}
+	p.boot.Replay = time.Since(replayStart)
 	return p, nil
 }
 

@@ -169,6 +169,8 @@ type Platform struct {
 	tm platformMetrics
 	// tracer records commit spans (nil without Config.Telemetry).
 	tracer *telemetry.Tracer
+	// boot is how long the node took to start (see Boot).
+	boot BootTimes
 }
 
 // platformMetrics instruments the platform-level commit path.
@@ -190,6 +192,8 @@ type platformMetrics struct {
 	// stateMemory and stateSealed count the contract state's entries in the
 	// memtable and in sealed segments; stateLogBytes is state.log's size.
 	stateMemory, stateSealed, stateLogBytes *telemetry.Gauge
+	// boot is trustnews_boot_seconds, set once per phase (BootTimes).
+	boot *telemetry.GaugeVec
 }
 
 // commitStage names one step of the commit path. Each runs under a child
@@ -292,6 +296,7 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 	p.tm.txIndexReadErrs = cfg.Telemetry.Counter("trustnews_ledger_txindex_read_errors_total", "Receipt lookups whose txindex.log page could not be read, answered not found.")
 	stateEntries := cfg.Telemetry.GaugeVec("trustnews_contract_state_entries", "Contract-state entries, by where they are held: the in-memory memtable or sealed segments of state.log (overridden entries and tombstones included).", "where")
 	p.tm.stateMemory, p.tm.stateSealed = stateEntries.With("memory"), stateEntries.With("sealed")
+	p.tm.boot = cfg.Telemetry.GaugeVec("trustnews_boot_seconds", "Time this node took to start, by phase: open (all of platform.Open), restore (the checkpoint, used or not), replay (executing blocks above it, or all of them), train (the AI classifier).", "phase")
 	p.tm.stateLogBytes = cfg.Telemetry.Gauge("trustnews_contract_state_log_bytes", "Size of the contract-state log, records merges left dead included.")
 	chain.Instrument(cfg.Telemetry)
 	p.engine.InstrumentState(cfg.Telemetry)
@@ -451,13 +456,18 @@ func (p *Platform) CheckpointHeight() uint64 {
 	return p.ckptHeight
 }
 
-// TrainClassifier fits the AI text component on labelled statements.
+// TrainClassifier fits the AI text component on labelled statements; its
+// time is the boot phase "train".
 func (p *Platform) TrainClassifier(c aidetect.TextClassifier, train []corpus.Statement) error {
+	start := time.Now()
 	if err := c.Train(train); err != nil {
 		return fmt.Errorf("platform: train classifier: %w", err)
 	}
+	took := time.Since(start)
+	p.tm.boot.With("train").Set(took.Seconds())
 	p.mu.Lock()
 	p.classifier = c
+	p.boot.Train = took
 	p.mu.Unlock()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/aidetect"
 	"repro/internal/consensus"
 	"repro/internal/corpus"
 	"repro/internal/telemetry"
@@ -11,6 +12,49 @@ import (
 	"repro/internal/transport/tcp"
 	"repro/internal/transport/wire"
 )
+
+// A node reports its own boot: Open splits into restore and replay, the
+// classifier's training is timed, and /v1/metrics carries the same split.
+func TestBootPhasesReported(t *testing.T) {
+	dir := t.TempDir()
+	p, closeFn, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, p, 4)
+	if err := p.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.NewActor("tail").PublishNews("tail-0", corpus.TopicHealth, "a block above the checkpoint", nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	closeFn()
+
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	p, closeFn, err = Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFn()
+	if p.CheckpointHeight() == 0 {
+		t.Fatal("the checkpoint was not restored")
+	}
+	if err := p.TrainClassifier(aidetect.NewLogisticRegression(), corpus.NewGenerator(1).Generate(20, 20).Statements); err != nil {
+		t.Fatal(err)
+	}
+	b := p.Boot()
+	if b.Restore <= 0 || b.Replay <= 0 || b.Train <= 0 || b.Open < b.Restore+b.Replay {
+		t.Fatalf("boot phases %+v", b)
+	}
+	var sb strings.Builder
+	cfg.Telemetry.WritePrometheus(&sb)
+	for _, phase := range []string{"open", "restore", "replay", "train"} {
+		if want := `trustnews_boot_seconds{phase="` + phase + `"} `; !strings.Contains(sb.String(), want) {
+			t.Errorf("/v1/metrics lacks %s", want)
+		}
+	}
+}
 
 // A durable node's mempool and verifier series must be live, as an
 // in-memory node's are: Open builds the node around the reopened chain,

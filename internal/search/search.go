@@ -34,6 +34,13 @@
 // deterministic: scores depend only on the indexed corpus (never on
 // segment layout or shard count), and ties break by document id, so
 // replicas that consumed the same commits answer queries identically.
+//
+// The checkpoint blob (snapshot.go) is the packed lists themselves: the
+// doc table, the terms in order, and each term's list merged across
+// segments, so it too is the same on every replica. Restore validates every
+// byte before it installs anything: a blob it did not write, hostile or
+// from an older build, is an error wrapping ErrBadSnapshot, never a panic
+// or an allocation out of proportion to the blob.
 package search
 
 import (
@@ -41,7 +48,6 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,18 +107,18 @@ type Page struct {
 // docInfo is the per-document bookkeeping the ranker needs. Documents
 // are immutable once committed, so entries are write-once.
 type docInfo struct {
-	ID     string `json:"id"`
-	Topic  string `json:"topic"`
-	Length int32  `json:"length"` // token count, for length normalisation
+	ID     string
+	Topic  string
+	Length int32 // token count, for length normalisation
 }
 
 // posting is one (document, term-frequency) pair. Documents are
 // referenced by their dense internal index into the doc table. The
-// memtable and the snapshot hold postings as such; a sealed segment packs
+// memtable holds postings as such; a sealed segment and the snapshot pack
 // them (see packed).
 type posting struct {
-	Doc int32 `json:"d"`
-	TF  int32 `json:"f"`
+	Doc int32
+	TF  int32
 }
 
 // segment is an immutable sealed batch of postings. Once published in a
@@ -167,8 +173,8 @@ func (l packed) each(fn func(doc, tf int32) bool) {
 	doc := int32(0)
 	for i < len(s) {
 		var d, tf uint64
-		d, i = uvarintAt(s, i)
-		tf, i = uvarintAt(s, i)
+		d, i = uvarintNext(s, i)
+		tf, i = uvarintNext(s, i)
 		doc += int32(d)
 		if !fn(doc, int32(tf)) {
 			return
@@ -196,7 +202,8 @@ func concat(a, b packed) packed {
 }
 
 // uvarintAt decodes the uvarint at s[i:], returning it and the index
-// after it. Lists are built by pack, so they are well formed.
+// after it. Lists are built by pack or checked by restore, so they are well
+// formed.
 func uvarintAt(s string, i int) (uint64, int) {
 	var v uint64
 	for shift := uint(0); ; shift += 7 {
@@ -207,6 +214,15 @@ func uvarintAt(s string, i int) (uint64, int) {
 			return v, i
 		}
 	}
+}
+
+// uvarintNext is uvarintAt with the one-byte case, nearly every delta and
+// frequency, decoded in line.
+func uvarintNext(s string, i int) (uint64, int) {
+	if c := s[i]; c < 0x80 {
+		return uint64(c), i + 1
+	}
+	return uvarintAt(s, i)
 }
 
 func uvarintLen(v uint64) int {
@@ -518,12 +534,20 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 			if !ok {
 				continue
 			}
-			l.each(func(doc, f int32) bool {
+			// The list is decoded in line: a callback per posting was most of
+			// a query's time.
+			s := string(l)
+			_, i := uvarintAt(s, 0)
+			doc := int32(0)
+			for i < len(s) {
+				var d, f uint64
+				d, i = uvarintNext(s, i)
+				f, i = uvarintNext(s, i)
+				doc += int32(d)
 				if int(doc) >= n {
-					// Sealed after the doc view we loaded, like every
-					// later posting: stop rather than read an unpublished
-					// entry.
-					return false
+					// Sealed after the doc view we loaded, like every later
+					// posting: stop rather than read an unpublished entry.
+					break
 				}
 				dl := float64(docs.infos[doc].Length)
 				tf := float64(f)
@@ -536,8 +560,7 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 					denom := tf + bm25K1*(1-bm25B+bm25B*dl/avgdl)
 					sc.add(doc, idf*tf*(bm25K1+1)/denom)
 				}
-				return true
-			})
+			}
 		}
 	}
 
@@ -650,99 +673,4 @@ func (s *queryScratch) release() {
 	}
 	s.hits = s.hits[:0]
 	scratchPool.Put(s)
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot / restore.
-// ---------------------------------------------------------------------------
-
-// indexSnapshot is the self-contained serialized index: the doc table
-// in internal order plus merged, doc-sorted posting lists (a shard's
-// segments in view order already give each term's list in doc order). The format
-// is independent of shard count and segment layout, so a snapshot
-// written by one node restores bit-identically on another regardless
-// of how either arranged its segments.
-type indexSnapshot struct {
-	Docs     []docInfo            `json:"docs"`
-	Postings map[string][]posting `json:"postings"`
-}
-
-// snapshot captures the published index state (callers must have
-// Refreshed; the platform flushes the indexer before checkpointing).
-func (x *Index) snapshot() indexSnapshot {
-	x.wmu.Lock()
-	x.refreshLocked()
-	docs := x.docs.Load()
-	x.wmu.Unlock()
-	snap := indexSnapshot{
-		Docs:     append([]docInfo(nil), docs.infos...),
-		Postings: make(map[string][]posting),
-	}
-	for _, sh := range x.shards {
-		for _, seg := range sh.view.Load().segments {
-			for term, l := range seg.postings {
-				ps := snap.Postings[term]
-				l.each(func(doc, tf int32) bool {
-					ps = append(ps, posting{Doc: doc, TF: tf})
-					return true
-				})
-				snap.Postings[term] = ps
-			}
-		}
-	}
-	return snap
-}
-
-// reset replaces the index state wholesale from a snapshot: the doc
-// table is restored in internal order and every shard gets its postings
-// back as a single sealed segment.
-func (x *Index) reset(snap indexSnapshot) {
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
-	x.byID = make(map[string]int32, len(snap.Docs))
-	x.terms = make(map[string]string)
-	x.infos = append([]docInfo(nil), snap.Docs...)
-	x.totalLen = 0
-	x.memDocs = 0
-	for i, d := range x.infos {
-		x.byID[d.ID] = int32(i)
-		x.totalLen += int64(d.Length)
-	}
-	perShard := make(map[*shard]map[string]packed)
-	for term, ps := range snap.Postings {
-		// A list out of document order, or naming a document the table
-		// lacks, comes from a damaged blob: sort it, drop the strays.
-		if !sort.SliceIsSorted(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc }) {
-			ps = append([]posting(nil), ps...)
-			sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
-		}
-		for len(ps) > 0 && ps[0].Doc < 0 {
-			ps = ps[1:]
-		}
-		for len(ps) > 0 && int(ps[len(ps)-1].Doc) >= len(x.infos) {
-			ps = ps[:len(ps)-1]
-		}
-		if len(ps) == 0 {
-			continue
-		}
-		sh := x.shardFor(term)
-		m := perShard[sh]
-		if m == nil {
-			m = make(map[string]packed)
-			perShard[sh] = m
-		}
-		m[term] = pack(ps)
-	}
-	x.docs.Store(&docsView{infos: x.infos[:len(x.infos):len(x.infos)], totalLen: x.totalLen})
-	for _, sh := range x.shards {
-		sh.mu.Lock()
-		sh.mem = make(map[string][]posting)
-		sh.memDocs = 0
-		if m := perShard[sh]; m != nil {
-			sh.view.Store(&shardView{segments: []*segment{{postings: m, docs: len(x.infos)}}})
-		} else {
-			sh.view.Store(&shardView{})
-		}
-		sh.mu.Unlock()
-	}
 }

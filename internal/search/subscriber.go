@@ -207,22 +207,19 @@ func (s *Subscriber) Stats() IndexerStats {
 // first, so the blob captures exactly the documents committed so far.
 func (s *Subscriber) Snapshot() ([]byte, error) {
 	s.Flush()
-	return json.Marshal(s.Index.snapshot())
+	return s.Index.snapshot(), nil
 }
 
-// Restore implements commitbus.Subscriber.
+// Restore implements commitbus.Subscriber. A blob that is not a snapshot
+// this build wrote fails with ErrBadSnapshot and leaves the index as it was.
 func (s *Subscriber) Restore(data []byte) error {
 	s.Flush()
-	var snap indexSnapshot
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("search: decode index snapshot: %w", err)
-		}
+	if err := s.Index.restore(data); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.queue = nil
 	s.indexed, s.errs, s.lastErr = 0, 0, ""
 	s.mu.Unlock()
-	s.Index.reset(snap)
 	return nil
 }

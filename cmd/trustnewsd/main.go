@@ -92,7 +92,7 @@ func main() {
 	flag.StringVar(&o.nodeID, "node-id", "", "validator identity (p0..p{n-1}); enables cluster mode")
 	flag.StringVar(&o.listen, "listen", "", "consensus TCP listen address (default: this node's -peers entry)")
 	flag.StringVar(&o.peers, "peers", "", "full validator address map, id=host:port comma-separated, self included")
-	flag.DurationVar(&o.blockInterval, "block-interval", 200*time.Millisecond, "cluster mode: the longest an idle validator waits before an empty heartbeat block; a validator with a transaction to propose enters the next height at once, or 1ms per transaction of the last block after it started, whichever is later")
+	flag.DurationVar(&o.blockInterval, "block-interval", 200*time.Millisecond, "cluster mode: the longest an idle validator waits before an empty heartbeat block; a validator with a transaction to propose enters the next height at once, or "+consensus.TxPace.String()+" per transaction of the last block after it started, whichever is later")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -275,6 +275,7 @@ func startIngest(p *platform.Platform, o options) (*ingest.Pipeline, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest WAL: %w", err)
 		}
+		fl.Instrument(p.Telemetry(), "ingest")
 		wal = fl
 	}
 	q, err := ingest.NewQueue(wal, ingest.QueueConfig{Capacity: o.ingestQueueCap})

@@ -245,6 +245,9 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		chunks:      reg.Gauge("trustnews_blobstore_chunks", "Unique chunks currently held."),
 		logBytes:    reg.Gauge("trustnews_blobstore_log_bytes", "Bytes of the blob log (blobs.log on a durable node): chunks and manifests, frames included."),
 	}
+	if fl, ok := s.log.(*store.FileLog); ok {
+		fl.Instrument(reg, "blobs")
+	}
 	s.setGauges()
 }
 

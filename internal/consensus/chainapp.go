@@ -52,12 +52,13 @@ func (a *ChainApp) ProposeBlock(height uint64) (*ledger.Block, error) {
 // include. A transaction behind a nonce gap is not work.
 func (a *ChainApp) HasWork() bool { return len(a.Pool.Batch(1)) > 0 }
 
-// ValidateBlock implements App. Validation goes through the chain's
-// verification pipeline, so signatures already verified at mempool
-// admission (or when this block was validated in an earlier round) are
-// served from the cache and only structurally re-checked.
+// ValidateBlock implements App with the chain's own append checks
+// (Chain.Validate): height, parent, nonces and body, so a block that
+// passes commits. Signatures already verified at mempool admission (or
+// when this block was validated in an earlier round) are served from the
+// cache and only structurally re-checked.
 func (a *ChainApp) ValidateBlock(b *ledger.Block) error {
-	return a.Chain.VerifyBlockBody(b)
+	return a.Chain.Validate(b)
 }
 
 // BlockAt implements App: block sync reads bodies from the chain.

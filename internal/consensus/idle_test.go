@@ -99,9 +99,9 @@ func TestNonceGapIsNotWork(t *testing.T) {
 }
 
 // TestBusyClusterKeepsPace: a client that keeps a fixed number of
-// transactions in flight commits at 1/txPace whether rounds are fast or
+// transactions in flight commits at 1/TxPace whether rounds are fast or
 // slow, because a height that committed n transactions is followed by the
-// next no sooner than n×txPace after it started. Without the pace the rate
+// next no sooner than n×TxPace after it started. Without the pace the rate
 // is the window over the round time, and follows the links.
 func TestBusyClusterKeepsPace(t *testing.T) {
 	links := map[string]simnet.LinkConfig{
@@ -138,7 +138,7 @@ func TestBusyClusterKeepsPace(t *testing.T) {
 		before := committed
 		runUntil(2500 * time.Millisecond)
 		rate := float64(committed-before) / 2
-		if want := float64(time.Second / txPace); math.Abs(rate-want) > 0.05*want {
+		if want := float64(time.Second / TxPace); math.Abs(rate-want) > 0.05*want {
 			t.Fatalf("%s links: %d in flight committed %.0f tx/s, want %.0f ± 5%%", name, inFlight, rate, want)
 		}
 	}

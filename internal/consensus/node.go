@@ -47,7 +47,7 @@ type Timeouts struct {
 	// WorkArrived when a transaction lands during the rest; only an idle
 	// cluster waits the whole Idle and then commits an empty heartbeat
 	// block. A busy node also keeps a pace: a height that committed n
-	// transactions is followed by the next no sooner than n×txPace (at most
+	// transactions is followed by the next no sooner than n×TxPace (at most
 	// Idle) after it started, so a block batches what arrived during the
 	// previous round, or during that pace if it is longer. Zero — the
 	// default and every virtual-time test that does not set it — enters the
@@ -143,7 +143,7 @@ type Node struct {
 	idle atomic.Bool
 	// startedAt is when the current height's first round began, and
 	// paceUntil the earliest a busy node enters the height after the one
-	// it last committed (see txPace).
+	// it last committed (see TxPace).
 	startedAt time.Duration
 	paceUntil time.Duration
 
@@ -253,15 +253,19 @@ const DefaultCertWindow = 128
 // maxSyncBatch bounds the blocks served in one sync response.
 const maxSyncBatch = 512
 
-// txPace is how long, per transaction committed, a busy validator with
+// TxPace is how long, per transaction committed, a busy validator with
 // Timeouts.Idle set waits from the start of a height to the start of the
-// next. Below 1/txPace (1 000 tx/s) of load the rounds themselves are
+// next. Below 1/TxPace (1 250 tx/s) of load the rounds themselves are
 // longer and a block holds what arrived during the previous one; above it
 // blocks grow until each waits the whole Idle. Closed-loop clients that
 // keep a fixed number of transactions in flight therefore commit at
-// 1/txPace whatever the speed of the host, instead of at the rate that
-// per-height work on a busy CPU allows.
-const txPace = time.Millisecond
+// 1/TxPace whatever the speed of the host, instead of at the rate that
+// per-height work on a busy CPU allows. The value is the shortest pace at
+// which a four-validator flood on a 2-vCPU host stays timer-bound: its
+// commit rate spreads under 2 % from run to run and its CPU per committed
+// transaction is no higher than at a longer pace (DESIGN.md, "A busy
+// cluster keeps a pace").
+const TxPace = 800 * time.Microsecond
 
 // anchorStride is the least distance between two anchor certificates, and
 // maxAnchors how many are kept: 64 Ki heights below the window, ≈5 min of
@@ -987,7 +991,7 @@ func (n *Node) apply(b *ledger.Block, cert *Commit) bool {
 	n.metrics.CommitLatency += now - n.metrics.lastHeightAt
 	n.metrics.lastHeightAt = now
 	n.waitAt, n.waiting = now, true
-	n.paceUntil = n.startedAt + min(n.tmo.Idle, time.Duration(len(b.Txs))*txPace)
+	n.paceUntil = n.startedAt + min(n.tmo.Idle, time.Duration(len(b.Txs))*TxPace)
 	return true
 }
 

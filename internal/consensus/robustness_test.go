@@ -251,3 +251,72 @@ func TestFaultyLinksTolerated(t *testing.T) {
 		t.Fatal("corrupted messages were not rejected as malformed")
 	}
 }
+
+// badNonceProposer is validator v0 turned byzantine for its first
+// proposal: a block whose body is valid (the one transaction is properly
+// signed) but whose transaction skips its sender's nonces, so the chain
+// cannot append it. Later proposals are honest.
+type badNonceProposer struct {
+	*ChainApp
+	bad      *ledger.Tx
+	proposed bool
+}
+
+func (a *badNonceProposer) ProposeBlock(height uint64) (*ledger.Block, error) {
+	if a.proposed {
+		return a.ChainApp.ProposeBlock(height)
+	}
+	a.proposed = true
+	return ledger.NewBlock(height, a.Chain.HeadID(), [32]byte{}, time.Unix(1562500000, 0).UTC(), a.Proposer, []*ledger.Tx{a.bad}), nil
+}
+
+// TestBadNonceProposalDoesNotHaltCluster: a proposal that would fail to
+// commit is not prevoted. Honest validators check a proposal with the
+// chain's own append rules, prevote nil on one whose nonce is wrong, and a
+// later round commits another block; no validator stops.
+func TestBadNonceProposalDoesNotHaltCluster(t *testing.T) {
+	c, err := NewCluster(4, 41, DefaultTimeouts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := ledger.NewTx(keys.FromSeed([]byte("fresh-sender")), 7, "news.publish", []byte("skips nonces 0-6"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Apps[0].Chain.Verifier().ValidateBody(ledger.NewBlock(0, ledger.BlockID{}, [32]byte{}, time.Unix(1562500000, 0).UTC(), c.Keys[0].Address(), []*ledger.Tx{bad})); err != nil {
+		t.Fatalf("the byzantine block's body must be valid: %v", err)
+	}
+	v0 := c.Set.Members()[0]
+	if p := c.Set.Proposer(0, 0); p.ID != v0.ID {
+		t.Fatalf("height 0 round 0 proposer is %s, want %s", p.ID, v0.ID)
+	}
+	byz := NewNode(v0.ID, c.Keys[0], c.Set, c.Net, &badNonceProposer{ChainApp: c.Apps[0], bad: bad}, DefaultTimeouts())
+	if err := c.Net.SetHandler(v0.ID, byz.Handle); err != nil {
+		t.Fatal(err)
+	}
+	c.Nodes[0] = byz
+	c.Start()
+	c.RunUntilHeight(3, 20*time.Second)
+	for i, n := range c.Nodes {
+		if n.Stopped() {
+			t.Fatalf("validator %d stopped at height %d", i, c.Apps[i].Chain.Height())
+		}
+	}
+	if h := c.MinHeight(); h < 3 {
+		t.Fatalf("cluster reached height %d, want 3", h)
+	}
+	for i, app := range c.Apps {
+		b, err := app.Chain.BlockAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range b.Txs {
+			if tx.ID() == bad.ID() {
+				t.Fatalf("validator %d committed the bad-nonce transaction", i)
+			}
+		}
+	}
+	if !c.AgreeAt(0) {
+		t.Fatal("validators disagree on height 0")
+	}
+}

@@ -1,7 +1,7 @@
 package contract
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -32,29 +32,37 @@ type writeOp struct {
 	deleted bool
 }
 
-// overlay buffers reads and writes over a base KV, recording read/write
-// sets for the optimistic parallel scheduler.
+// overlay buffers reads and writes over the engine's state store,
+// recording read/write sets for the optimistic parallel scheduler.
 type overlay struct {
-	base   store.KV
+	base   *store.LSM
 	writes map[string]writeOp
 	reads  map[string]bool
 }
 
-func newOverlay(base store.KV) *overlay {
+func newOverlay(base *store.LSM) *overlay {
 	return &overlay{base: base, writes: make(map[string]writeOp), reads: make(map[string]bool)}
 }
 
 func (o *overlay) get(key string) ([]byte, error) {
+	v, ok, err := o.lookup(key)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: key %q", store.ErrNotFound, key)
+	}
+	return v, err
+}
+
+// lookup is get that reports a missing key as ok == false, building no
+// error for it.
+func (o *overlay) lookup(key string) ([]byte, bool, error) {
 	o.reads[key] = true
 	if op, ok := o.writes[key]; ok {
 		if op.deleted {
-			return nil, fmt.Errorf("%w: key %q", store.ErrNotFound, key)
+			return nil, false, nil
 		}
-		out := make([]byte, len(op.value))
-		copy(out, op.value)
-		return out, nil
+		return bytes.Clone(op.value), true, nil
 	}
-	return o.base.Get(key)
+	return o.base.Lookup(key)
 }
 
 func (o *overlay) put(key string, val []byte) {
@@ -124,16 +132,13 @@ func (c *Context) Get(key string) ([]byte, error) {
 	return c.overlay.get(c.key(key))
 }
 
-// Has reports whether a key exists.
+// Has reports whether a key exists. It costs what Get costs.
 func (c *Context) Has(key string) (bool, error) {
-	_, err := c.Get(key)
-	if errors.Is(err, store.ErrNotFound) {
-		return false, nil
-	}
-	if err != nil {
+	if err := c.gas.charge(GasGet); err != nil {
 		return false, err
 	}
-	return true, nil
+	_, ok, err := c.overlay.lookup(c.key(key))
+	return ok && err == nil, err
 }
 
 // Put writes a state value in the contract's namespace.

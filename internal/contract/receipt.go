@@ -38,18 +38,38 @@ const (
 )
 
 // EncodeReceipts returns the canonical encoding of a block's receipts in
-// transaction order.
+// transaction order, into one buffer of the record's exact size.
 func EncodeReceipts(recs []Receipt) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(recs)))
-	var one []byte
+	size := 4
 	for i := range recs {
-		one = appendReceipt(one[:0], &recs[i])
-		out = ledger.AppendBytes(out, one)
+		size += 4 + receiptLen(&recs[i])
+	}
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(recs)))
+	var keys []string
+	for i := range recs {
+		at := len(out)
+		out, keys = appendReceipt(append(out, 0, 0, 0, 0), &recs[i], keys)
+		binary.BigEndian.PutUint32(out[at:], uint32(len(out)-at-4))
 	}
 	return out
 }
 
-func appendReceipt(dst []byte, r *Receipt) []byte {
+// receiptLen is the length of r's encoding, its own length prefix not
+// included.
+func receiptLen(r *Receipt) int {
+	n := minReceiptBytes - 4 + len(r.Result) + len(r.Err)
+	for _, ev := range r.Events {
+		n += minEventBytes + len(ev.Contract) + len(ev.Type)
+		for k, v := range ev.Attrs {
+			n += minAttrBytes + len(k) + len(v)
+		}
+	}
+	return n
+}
+
+// appendReceipt appends r's encoding to dst. keys is scratch space for an
+// event's sorted attribute keys, returned for the next call.
+func appendReceipt(dst []byte, r *Receipt, keys []string) ([]byte, []string) {
 	dst = append(dst, r.TxID[:]...)
 	if r.OK {
 		dst = append(dst, 1)
@@ -58,23 +78,30 @@ func appendReceipt(dst []byte, r *Receipt) []byte {
 	}
 	dst = binary.BigEndian.AppendUint64(dst, r.GasUsed)
 	dst = ledger.AppendBytes(dst, r.Result)
-	dst = ledger.AppendBytes(dst, []byte(r.Err))
+	dst = appendString(dst, r.Err)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Events)))
 	for _, ev := range r.Events {
-		dst = ledger.AppendBytes(dst, []byte(ev.Contract))
-		dst = ledger.AppendBytes(dst, []byte(ev.Type))
-		keys := make([]string, 0, len(ev.Attrs))
+		dst = appendString(dst, ev.Contract)
+		dst = appendString(dst, ev.Type)
+		keys = keys[:0]
 		for k := range ev.Attrs {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(keys)))
 		for _, k := range keys {
-			dst = ledger.AppendBytes(dst, []byte(k))
-			dst = ledger.AppendBytes(dst, []byte(ev.Attrs[k]))
+			dst = appendString(dst, k)
+			dst = appendString(dst, ev.Attrs[k])
 		}
 	}
-	return dst
+	return dst, keys
+}
+
+// appendString is ledger.AppendBytes for a string, without copying it to
+// a byte slice first.
+func appendString(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
 }
 
 // DecodeReceiptAt parses the i-th receipt of a record written by

@@ -138,3 +138,37 @@ func FuzzReceiptsDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestEncodeReceiptsExactSize: the record is written into one buffer of
+// exactly its size, so encoding never grows it.
+func TestEncodeReceiptsExactSize(t *testing.T) {
+	for _, recs := range [][]Receipt{nil, sampleReceipts(), benchReceipts(64)} {
+		out := EncodeReceipts(recs)
+		if len(out) != cap(out) {
+			t.Fatalf("%d receipts: %d bytes in a %d-byte buffer", len(recs), len(out), cap(out))
+		}
+	}
+}
+
+// benchReceipts is n receipts shaped like a flood block's: each a
+// successful publish with one event of four attributes.
+func benchReceipts(n int) []Receipt {
+	recs := make([]Receipt, n)
+	for i := range recs {
+		recs[i] = Receipt{TxID: ledger.TxID{byte(i), byte(i >> 8)}, OK: true, GasUsed: 2100, Events: []Event{{
+			Contract: "news", Type: "published",
+			Attrs: map[string]string{"id": "flood-item-" + string(rune('a'+i%26)), "topic": "politics", "creator": "0123456789abcdef0123456789abcdef01234567", "cid": ""},
+		}}}
+	}
+	return recs
+}
+
+// BenchmarkEncodeReceipts: one receipt-log record of a 128-transaction
+// block (go test -bench EncodeReceipts -benchmem ./internal/contract).
+func BenchmarkEncodeReceipts(b *testing.B) {
+	recs := benchReceipts(128)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		EncodeReceipts(recs)
+	}
+}

@@ -52,17 +52,19 @@ type Block struct {
 
 // encodeHeader produces the canonical header bytes hashed into the BlockID.
 func encodeHeader(h *Header) []byte {
-	var buf bytes.Buffer
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], h.Height)
-	buf.Write(n[:])
-	buf.Write(h.Prev[:])
-	buf.Write(h.TxRoot[:])
-	buf.Write(h.StateRoot[:])
-	binary.BigEndian.PutUint64(n[:], uint64(h.Time.UnixNano()))
-	buf.Write(n[:])
-	buf.Write(h.Proposer[:])
-	return buf.Bytes()
+	return appendHeader(make([]byte, 0, headerLen), h)
+}
+
+// headerLen is the length of a canonical header encoding.
+const headerLen = 8 + len(BlockID{}) + len(merkle.Hash{})*2 + 8 + keys.AddressSize
+
+func appendHeader(dst []byte, h *Header) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, h.Height)
+	dst = append(dst, h.Prev[:]...)
+	dst = append(dst, h.TxRoot[:]...)
+	dst = append(dst, h.StateRoot[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(h.Time.UnixNano()))
+	return append(dst, h.Proposer[:]...)
 }
 
 // ID returns the block id (hash of the canonical header encoding).
@@ -113,17 +115,20 @@ func (b *Block) ValidateBody() error {
 	return nil
 }
 
-// Encode serializes the block (header + txs) canonically.
+// Encode serializes the block (header + txs) canonically, into one
+// buffer sized from the transactions' memoized encodings.
 func (b *Block) Encode() []byte {
-	var buf bytes.Buffer
-	writeBytes(&buf, encodeHeader(&b.Header))
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b.Txs)))
-	buf.Write(n[:])
+	size := 4 + headerLen + 4
 	for _, t := range b.Txs {
-		writeBytes(&buf, t.Encode())
+		size += 4 + len(t.Encode())
 	}
-	return buf.Bytes()
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(headerLen))
+	out = appendHeader(out, &b.Header)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(b.Txs)))
+	for _, t := range b.Txs {
+		out = AppendBytes(out, t.Encode())
+	}
+	return out
 }
 
 // DecodeBlock parses a block encoded by Encode.

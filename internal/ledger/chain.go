@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/keys"
 	"repro/internal/store"
 )
 
@@ -40,12 +41,12 @@ type TxLocation struct {
 type Chain struct {
 	mu     sync.RWMutex
 	log    store.Log
-	ids    []BlockID         // block id by height
-	nonces map[string]uint64 // next expected nonce per sender address
+	ids    []BlockID               // block id by height
+	nonces map[keys.Address]uint64 // next expected nonce per sender
 	head   *Block
 	txs    txIndex
 	// verifier is the block-verification pipeline used by Append, replay
-	// and VerifyBlockBody: a parallel pool over a bounded signature cache.
+	// and Validate: a parallel pool over a bounded signature cache.
 	// A platform shares it with its mempool, so a signature verified at
 	// admission is not verified again when its block is appended.
 	verifier *Verifier
@@ -54,7 +55,7 @@ type Chain struct {
 func newChain(log store.Log, idx store.SegmentLog) *Chain {
 	return &Chain{
 		log:      log,
-		nonces:   make(map[string]uint64),
+		nonces:   make(map[keys.Address]uint64),
 		txs:      newTxIndex(idx),
 		verifier: NewVerifier(NewSigCache(0), 0),
 	}
@@ -88,10 +89,7 @@ func (c *Chain) replay(from, to uint64) error {
 		if err != nil {
 			return fmt.Errorf("ledger: replay block %d: %w", i, err)
 		}
-		if err := c.validateLinkage(b); err != nil {
-			return fmt.Errorf("ledger: replay block %d: %w", i, err)
-		}
-		if err := c.verifier.ValidateBody(b); err != nil {
+		if err := c.validate(b); err != nil {
 			return fmt.Errorf("ledger: replay block %d: %w", i, err)
 		}
 		c.link(b)
@@ -136,8 +134,19 @@ func (c *Chain) HeadID() BlockID {
 	return c.head.ID()
 }
 
-// NextNonce returns the next expected nonce for a sender.
+// NextNonce returns the next expected nonce for a sender given as its hex
+// address (keys.Address.String): 0 for a sender never seen, or a string
+// that is not an address.
 func (c *Chain) NextNonce(sender string) uint64 {
+	addr, err := keys.ParseAddress(sender)
+	if err != nil {
+		return 0
+	}
+	return c.nextNonce(addr)
+}
+
+// nextNonce is NextNonce for a parsed address.
+func (c *Chain) nextNonce(sender keys.Address) uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.nonces[sender]
@@ -146,12 +155,26 @@ func (c *Chain) NextNonce(sender string) uint64 {
 // Verifier returns the chain's verification pipeline.
 func (c *Chain) Verifier() *Verifier { return c.verifier }
 
-// VerifyBlockBody validates a block body through the chain's pipeline
-// without appending it. Consensus proposal validation uses it so a
-// proposer's transactions — already verified at mempool admission — skip
-// the per-signature ed25519 work via the shared cache.
-func (c *Chain) VerifyBlockBody(b *Block) error {
-	return c.Verifier().ValidateBody(b)
+// Validate runs Append's checks on b — height, parent, per-sender nonces
+// and the body through the chain's pipeline — without appending it. A
+// block it accepts is one Append accepts while the head is unchanged.
+// Consensus proposal validation uses it, so a block that would fail to
+// commit is never prevoted, and a proposer's transactions — already
+// verified at mempool admission — skip the ed25519 work via the shared
+// cache.
+func (c *Chain) Validate(b *Block) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.validate(b)
+}
+
+// validate is the one validation path of Append, Validate and replay.
+// Caller holds c.mu.
+func (c *Chain) validate(b *Block) error {
+	if err := c.validateLinkage(b); err != nil {
+		return err
+	}
+	return c.verifier.ValidateBody(b)
 }
 
 func (c *Chain) validateLinkage(b *Block) error {
@@ -169,17 +192,16 @@ func (c *Chain) validateLinkage(b *Block) error {
 	}
 	// Nonce check against a scratch copy so partially-valid blocks do not
 	// mutate chain state.
-	scratch := make(map[string]uint64)
+	scratch := make(map[keys.Address]uint64, len(b.Txs))
 	for i, t := range b.Txs {
-		key := t.Sender.String()
-		next, seen := scratch[key]
+		next, seen := scratch[t.Sender]
 		if !seen {
-			next = c.nonces[key]
+			next = c.nonces[t.Sender]
 		}
 		if t.Nonce != next {
 			return fmt.Errorf("%w: tx %d sender %s nonce %d want %d", ErrBadNonce, i, t.Sender.Short(), t.Nonce, next)
 		}
-		scratch[key] = next + 1
+		scratch[t.Sender] = next + 1
 	}
 	return nil
 }
@@ -188,7 +210,7 @@ func (c *Chain) validateLinkage(b *Block) error {
 func (c *Chain) link(b *Block) {
 	c.ids = append(c.ids, b.ID())
 	for _, t := range b.Txs {
-		c.nonces[t.Sender.String()] = t.Nonce + 1
+		c.nonces[t.Sender] = t.Nonce + 1
 	}
 	c.head = b
 	// The block is on the chain: its transactions are verified for the last
@@ -202,10 +224,7 @@ func (c *Chain) link(b *Block) {
 func (c *Chain) Append(b *Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.validateLinkage(b); err != nil {
-		return err
-	}
-	if err := c.verifier.ValidateBody(b); err != nil {
+	if err := c.validate(b); err != nil {
 		return err
 	}
 	if _, err := c.log.Append(b.Encode()); err != nil {
@@ -343,7 +362,7 @@ func (c *Chain) SnapshotState() ([]byte, error) {
 		Nonces:   make(map[string]uint64, len(c.nonces)),
 	}
 	for k, v := range c.nonces {
-		snap.Nonces[k] = v
+		snap.Nonces[k.String()] = v
 	}
 	c.mu.RUnlock()
 	var buf bytes.Buffer
@@ -379,7 +398,11 @@ func NewChainFromSnapshot(log store.Log, idx store.SegmentLog, snapshot []byte) 
 	c := newChain(log, idx)
 	c.ids = snap.BlockIDs
 	for k, v := range snap.Nonces {
-		c.nonces[k] = v
+		addr, err := keys.ParseAddress(k)
+		if err != nil {
+			return nil, fmt.Errorf("%w: nonce of %v", ErrBadSnapshot, err)
+		}
+		c.nonces[addr] = v
 	}
 	// Anchor the prefix: the head block must decode and hash to the
 	// snapshot's id at that height (the platform additionally verifies

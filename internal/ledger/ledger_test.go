@@ -512,3 +512,36 @@ func BenchmarkChainAppend(b *testing.B) {
 		}
 	}
 }
+
+// TestBlockEncodeExactSize: a block is encoded into one buffer of exactly
+// its size.
+func TestBlockEncodeExactSize(t *testing.T) {
+	alice := signer("size")
+	for _, n := range []int{0, 1, 100} {
+		txs := make([]*Tx, n)
+		for i := range txs {
+			txs[i] = mustTx(t, alice, uint64(i), "news.publish", string(bytes.Repeat([]byte("x"), i)))
+		}
+		out := NewBlock(0, BlockID{}, [32]byte{}, testTime, alice.Address(), txs).Encode()
+		if len(out) != cap(out) {
+			t.Fatalf("%d txs: %d bytes in a %d-byte buffer", n, len(out), cap(out))
+		}
+	}
+}
+
+// BenchmarkBlockEncode: a 128-transaction block whose transactions'
+// encodings are already memoized, as on the commit path (go test -bench
+// BlockEncode -benchmem ./internal/ledger).
+func BenchmarkBlockEncode(b *testing.B) {
+	alice := signer("bench")
+	txs := make([]*Tx, 128)
+	for i := range txs {
+		txs[i] = mustTx(b, alice, uint64(i), "news.publish", string(bytes.Repeat([]byte("x"), 200)))
+	}
+	blk := NewBlock(0, BlockID{}, [32]byte{}, testTime, alice.Address(), txs)
+	blk.Encode()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		blk.Encode()
+	}
+}

@@ -1,12 +1,15 @@
 package ledger
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/keys"
 	"repro/internal/telemetry"
 )
 
@@ -34,7 +37,7 @@ type Mempool struct {
 	// zero time on an uninstrumented pool, which reads no clock).
 	pending map[TxID]time.Time
 	// bySender keeps pending txs per sender for nonce-ordered selection.
-	bySender map[string][]*Tx
+	bySender map[keys.Address][]*Tx
 	chain    *Chain
 	// verifier handles admission verification: the chain's pipeline, so a
 	// signature verified here is cached and block validation later skips
@@ -55,6 +58,8 @@ type mempoolMetrics struct {
 	occupancy *telemetry.Gauge
 	verifySec *telemetry.Histogram
 	waitSec   *telemetry.Histogram
+	// admitCPU is the thread CPU admission verification burned.
+	admitCPU *telemetry.CPUCounter
 }
 
 // Instrument registers the pool's metrics on reg (nil disables). Call
@@ -70,6 +75,7 @@ func (m *Mempool) Instrument(reg *telemetry.Registry) {
 		occupancy: reg.Gauge("trustnews_mempool_occupancy", "Transactions currently pending."),
 		verifySec: reg.Histogram("trustnews_mempool_verify_seconds", "Signature/shape verification time per transaction.", nil),
 		waitSec:   reg.Histogram("trustnews_mempool_wait_seconds", "Time a committed transaction spent pending, admission to removal by its block.", nil),
+		admitCPU:  reg.CPUCounter("trustnews_mempool_admit_cpu_seconds_total", "CPU time spent verifying transactions at admission (signature and shape), local and relayed."),
 	}
 }
 
@@ -83,7 +89,7 @@ func NewMempool(chain *Chain, capacity int) *Mempool {
 	m := &Mempool{
 		cap:      capacity,
 		pending:  make(map[TxID]time.Time),
-		bySender: make(map[string][]*Tx),
+		bySender: make(map[keys.Address][]*Tx),
 		chain:    chain,
 	}
 	if chain != nil {
@@ -103,7 +109,8 @@ func (m *Mempool) Add(t *Tx) error {
 	if m.tm.verifySec != nil {
 		start = time.Now()
 	}
-	err := v.VerifyTx(t) // nil verifier degrades to serial Tx.Verify semantics
+	var err error
+	m.tm.admitCPU.Time(func() { err = v.VerifyTx(t) }) // nil verifier degrades to serial Tx.Verify semantics
 	if m.tm.verifySec != nil {
 		m.tm.verifySec.Observe(time.Since(start).Seconds())
 	}
@@ -128,8 +135,8 @@ func (m *Mempool) Add(t *Tx) error {
 		m.tm.rejected.With("duplicate").Inc()
 		return fmt.Errorf("%w: %s", ErrDuplicateTx, id.Short())
 	}
-	sender := t.Sender.String()
-	if m.chain != nil && t.Nonce < m.chain.NextNonce(sender) {
+	sender := t.Sender
+	if m.chain != nil && t.Nonce < m.chain.nextNonce(sender) {
 		v.Forget(t)
 		m.tm.rejected.With("stale_nonce").Inc()
 		return fmt.Errorf("%w: sender %s nonce %d", ErrStaleNonce, t.Sender.Short(), t.Nonce)
@@ -161,11 +168,11 @@ func (m *Mempool) Batch(max int) []*Tx {
 	if max <= 0 {
 		max = len(m.pending)
 	}
-	senders := make([]string, 0, len(m.bySender))
+	senders := make([]keys.Address, 0, len(m.bySender))
 	for s := range m.bySender {
 		senders = append(senders, s)
 	}
-	sort.Strings(senders)
+	slices.SortFunc(senders, func(a, b keys.Address) int { return bytes.Compare(a[:], b[:]) })
 
 	var out []*Tx
 	for _, s := range senders {
@@ -176,7 +183,7 @@ func (m *Mempool) Batch(max int) []*Tx {
 		sort.Slice(txs, func(i, j int) bool { return txs[i].Nonce < txs[j].Nonce })
 		next := uint64(0)
 		if m.chain != nil {
-			next = m.chain.NextNonce(s)
+			next = m.chain.nextNonce(s)
 		}
 		for _, t := range txs {
 			if len(out) >= max {
@@ -217,7 +224,7 @@ func (m *Mempool) Remove(txs []*Tx) {
 	for s, list := range m.bySender {
 		next := uint64(0)
 		if m.chain != nil {
-			next = m.chain.NextNonce(s)
+			next = m.chain.nextNonce(s)
 		}
 		keep := list[:0]
 		for _, t := range list {

@@ -136,13 +136,6 @@ func (t *Tx) appendSigning(dst []byte) []byte {
 	return AppendBytes(dst, t.Payload)
 }
 
-func writeBytes(buf *bytes.Buffer, b []byte) {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	buf.Write(n[:])
-	buf.Write(b)
-}
-
 // ReadBytes reads one AppendBytes field. The length is checked against
 // what r still holds before anything is allocated.
 func ReadBytes(r *bytes.Reader) ([]byte, error) {

@@ -116,7 +116,21 @@ func (v *Verifier) VerifyTx(t *Tx) error {
 	if keys.AddressFromPub(t.PubKey) != t.Sender {
 		return ErrTxSenderMismatch
 	}
-	signing := t.signingBytes()
+	buf := signingBufs.Get().(*[]byte)
+	signing := t.appendSigning((*buf)[:0])
+	err := v.verifySigning(t, signing)
+	*buf = signing[:0]
+	signingBufs.Put(buf)
+	return err
+}
+
+// signingBufs recycles the buffers VerifyTx serializes signing bytes into:
+// they are hashed and checked, never kept.
+var signingBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// verifySigning checks t's signature over signing, its signing bytes as
+// VerifyTx just serialized them, through the cache.
+func (v *Verifier) verifySigning(t *Tx, signing []byte) error {
 	useCache := v != nil && v.cache != nil
 	var id TxID
 	if useCache {

@@ -210,7 +210,7 @@ func TestSigCacheFollowsInFlight(t *testing.T) {
 			prev = h.ID()
 		}
 		blk := NewBlock(chain.Height(), prev, [32]byte{}, testTime, senders[0].Address(), txs)
-		if err := chain.VerifyBlockBody(blk); err != nil {
+		if err := chain.Validate(blk); err != nil {
 			t.Fatal(err)
 		}
 		if err := chain.Append(blk); err != nil {

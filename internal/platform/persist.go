@@ -10,6 +10,7 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/merkle"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // Durable deployment: a platform whose chain is backed by the
@@ -90,6 +91,7 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 	if err := logs.open(dir); err != nil {
 		return nil, nil, err
 	}
+	logs.instrument(cfg.Telemetry)
 	closeNode := func(p *Platform) func() error {
 		return func() error { return errors.Join(p.stop(), logs.close()) }
 	}
@@ -191,6 +193,14 @@ func (l *durableLogs) open(dir string) error {
 		return err
 	}
 	return nil
+}
+
+// instrument times every fsync of the logs, each under its own label.
+func (l *durableLogs) instrument(reg *telemetry.Registry) {
+	l.chain.Instrument(reg, "chain")
+	l.txIndex.Instrument(reg, "txindex")
+	l.state.Instrument(reg, "state")
+	l.receipts.Instrument(reg, "receipts")
 }
 
 func (l *durableLogs) close() error {

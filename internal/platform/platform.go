@@ -183,6 +183,9 @@ type platformMetrics struct {
 	// stageSec splits commitSec by stage (trustnews_commit_stage_seconds),
 	// indexed by commitStage.
 	stageSec [numCommitStages]*telemetry.Histogram
+	// stageCPU is the thread CPU each stage burned
+	// (trustnews_commit_stage_cpu_seconds_total), indexed like stageSec.
+	stageCPU [numCommitStages]*telemetry.CPUCounter
 	// txIndexMemory and txIndexSealed count the chain's transaction-index
 	// entries in the in-memory tail and in sealed segments.
 	txIndexMemory, txIndexSealed *telemetry.Gauge
@@ -197,8 +200,9 @@ type platformMetrics struct {
 }
 
 // commitStage names one step of the commit path. Each runs under a child
-// span of the commit and its own trustnews_commit_stage_seconds series,
-// so the node itself reports where a block's time went.
+// span of the commit and its own trustnews_commit_stage_seconds and
+// trustnews_commit_stage_cpu_seconds_total series, so the node itself
+// reports where a block's time and CPU went.
 type commitStage int
 
 const (
@@ -288,9 +292,12 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 		receiptErrs: cfg.Telemetry.Counter("trustnews_platform_receipt_errors_total", "Committed blocks whose receipts could not be appended to the receipt log (not found until a restart replays them)."),
 	}
 	stageSec := cfg.Telemetry.HistogramVec("trustnews_commit_stage_seconds", "Wall time of one commit-path stage of one block.", nil, "stage")
+	stageCPU := cfg.Telemetry.CPUCounterVec("trustnews_commit_stage_cpu_seconds_total", "CPU time the committing thread spent in one commit-path stage, summed over blocks.", "stage")
 	for st, names := range commitStages {
 		p.tm.stageSec[st] = stageSec.With(names.label)
+		p.tm.stageCPU[st] = stageCPU.With(names.label)
 	}
+	cfg.Telemetry.CPUFunc("trustnews_process_cpu_seconds_total", "User plus system CPU time of this node's process (getrusage).", telemetry.ProcessCPU)
 	txIndexEntries := cfg.Telemetry.GaugeVec("trustnews_ledger_txindex_entries", "Transaction-index entries, by where they are held: the in-memory tail or sealed segments of txindex.log.", "where")
 	p.tm.txIndexMemory, p.tm.txIndexSealed = txIndexEntries.With("memory"), txIndexEntries.With("sealed")
 	p.tm.txIndexReadErrs = cfg.Telemetry.Counter("trustnews_ledger_txindex_read_errors_total", "Receipt lookups whose txindex.log page could not be read, answered not found.")
@@ -545,7 +552,7 @@ func (p *Platform) stage(sp *telemetry.Span, st commitStage, fn func()) {
 	}
 	child := sp.Child(commitStages[st].span)
 	start := time.Now()
-	fn()
+	p.tm.stageCPU[st].Time(fn)
 	h.Observe(time.Since(start).Seconds())
 	child.End()
 }

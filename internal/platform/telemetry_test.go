@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -240,6 +241,51 @@ func TestClusterNodeWireMetricsLive(t *testing.T) {
 			if !strings.Contains(body, want) {
 				t.Fatalf("validator %d metrics missing %q in:\n%s", i, want, body)
 			}
+		}
+	}
+}
+
+// A node reports its own CPU budget: admission verification and every
+// commit stage that ran charged CPU, and together they stay inside the
+// process's CPU time.
+func TestCPUBudgetReported(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("thread and process CPU are read only on Linux")
+	}
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	p, closeFn, err := Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFn()
+	runWorkload(t, p, 6)
+	reg := cfg.Telemetry
+	admit := reg.CPUCounter("trustnews_mempool_admit_cpu_seconds_total", "").Value()
+	if admit <= 0 {
+		t.Fatalf("admission CPU %v", admit)
+	}
+	stages := reg.CPUCounterVec("trustnews_commit_stage_cpu_seconds_total", "", "stage")
+	sum := admit
+	for _, st := range commitStages {
+		cpu := stages.With(st.label).Value()
+		if cpu <= 0 {
+			t.Errorf("stage %s charged no CPU", st.label)
+		}
+		sum += cpu
+	}
+	if proc := reg.CPUCounter("trustnews_process_cpu_seconds_total", "").Value(); proc < sum {
+		t.Fatalf("process CPU %v < admission plus stages %v", proc, sum)
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	for _, want := range []string{
+		"# TYPE trustnews_process_cpu_seconds_total counter",
+		"# TYPE trustnews_mempool_admit_cpu_seconds_total counter",
+		`trustnews_commit_stage_cpu_seconds_total{stage="execute"} `,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("/v1/metrics lacks %s", want)
 		}
 	}
 }

@@ -16,6 +16,9 @@ import (
 	"math"
 	"os"
 	"sync"
+	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Errors returned by this package.
@@ -284,6 +287,8 @@ type FileLog struct {
 	sizes   []uint32
 	end     int64 // where the next frame goes
 	closed  bool
+	// fsyncSec times every fsync of the file (nil without Instrument).
+	fsyncSec *telemetry.Histogram
 }
 
 var _ Log = (*FileLog)(nil)
@@ -508,10 +513,31 @@ func (l *FileLog) Sync() error {
 		return ErrClosed
 	}
 	// Every append flushed its frame already; only the fsync is owed.
-	if err := l.f.Sync(); err != nil {
+	if err := l.sync(l.f); err != nil {
 		return fmt.Errorf("store: sync: %w", err)
 	}
 	return nil
+}
+
+// Instrument times every fsync of the log into
+// trustnews_store_fsync_seconds under the label log.
+func (l *FileLog) Instrument(reg *telemetry.Registry, log string) {
+	h := reg.HistogramVec("trustnews_store_fsync_seconds", "Wall time of one fsync of a file log, by log.", nil, "log").With(log)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.fsyncSec = h
+}
+
+// sync fsyncs f, the log's file or its rewrite, timed into the fsync
+// series. Caller holds l.mu.
+func (l *FileLog) sync(f logFile) error {
+	if l.fsyncSec == nil {
+		return f.Sync()
+	}
+	start := time.Now()
+	err := f.Sync()
+	l.fsyncSec.Observe(time.Since(start).Seconds())
+	return err
 }
 
 func (l *FileLog) append(rec []byte, sync bool) (uint64, error) {
@@ -534,7 +560,7 @@ func (l *FileLog) append(rec []byte, sync bool) (uint64, error) {
 		return 0, l.appendFailed("flush", err, off)
 	}
 	if sync {
-		if err := l.f.Sync(); err != nil {
+		if err := l.sync(l.f); err != nil {
 			return 0, l.appendFailed("sync", err, off)
 		}
 	}
@@ -773,7 +799,7 @@ func (l *FileLog) Rewrite(keep []uint64) error {
 		offsets, sizes = append(offsets, end), append(sizes, l.sizes[i])
 		end += frame
 	}
-	if err := f.Sync(); err != nil {
+	if err := l.sync(f); err != nil {
 		return fail(err)
 	}
 	if err := os.Rename(tmp, l.path); err != nil {

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/telemetry"
 )
 
 func TestMemLogAppendGet(t *testing.T) {
@@ -717,5 +719,41 @@ func BenchmarkMemKVPutGet(b *testing.B) {
 		k := "key" + strconv.Itoa(i%1024)
 		kv.Put(k, val)
 		kv.Get(k)
+	}
+}
+
+// TestFileLogFsyncObserved: every fsync of an instrumented file log is one
+// observation under its label, and an unsynced append is none.
+func TestFileLogFsyncObserved(t *testing.T) {
+	l, err := OpenFileLog(filepath.Join(t.TempDir(), "chain.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	reg := telemetry.New()
+	l.Instrument(reg, "chain")
+	fsyncs := reg.HistogramVec("trustnews_store_fsync_seconds", "", nil, "log").With("chain")
+	const n = 5
+	for i := 0; i < n; i++ {
+		if _, err := l.Append([]byte("synced " + strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fsyncs.Count(); got != n {
+		t.Fatalf("%d synced appends, %d fsync observations", n, got)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := l.AppendUnsynced([]byte("unsynced " + strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fsyncs.Count(); got != n {
+		t.Fatalf("unsynced appends observed: %d fsyncs, want %d", got, n)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs.Count(); got != n+1 {
+		t.Fatalf("Sync observed %d fsyncs, want %d", got, n+1)
 	}
 }

@@ -178,11 +178,13 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
+	// kindCPU is a counter of CPU time, rendered in seconds (CPUCounter).
+	kindCPU
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCPU:
 		return "counter"
 	case kindGauge:
 		return "gauge"
@@ -197,6 +199,7 @@ type series struct {
 	c         *Counter
 	g         *Gauge
 	h         *Histogram
+	cpu       *CPUCounter
 }
 
 // family groups all series sharing one metric name.
@@ -235,6 +238,8 @@ func (f *family) with(vals []string) *series {
 		s.g = &Gauge{}
 	case kindHistogram:
 		s.h = newHistogram(f.bounds)
+	case kindCPU:
+		s.cpu = &CPUCounter{}
 	}
 	f.series[key] = s
 	return s
@@ -464,6 +469,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, s.labelVals, "", ""), formatFloat(s.g.Value()))
 			case kindHistogram:
 				err = writeHistogram(w, f, s)
+			case kindCPU:
+				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, s.labelVals, "", ""), formatFloat(s.cpu.Value().Seconds()))
 			}
 			if err != nil {
 				f.mu.RUnlock()

@@ -49,8 +49,6 @@ type Config struct {
 	Seed int64
 	// Dir is the root data directory for the durable replicas.
 	Dir string
-	// CertWindow bounds consensus certificate retention (0 = default).
-	CertWindow int
 	// Links overrides the link profile for all pairs (zero value keeps
 	// simnet.DefaultLink). This is where corruption, duplication and
 	// reordering rates are injected.
@@ -119,7 +117,6 @@ func New(cfg Config) (*Harness, error) {
 		Dir:        cfg.Dir,
 		Platform:   pcfg,
 		Timeouts:   cfg.Timeouts,
-		CertWindow: cfg.CertWindow,
 	})
 	if err != nil {
 		return nil, err

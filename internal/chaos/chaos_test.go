@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
 	"repro/internal/httpapi"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
@@ -31,7 +32,6 @@ func TestScenarioRollingRestarts(t *testing.T) {
 	h := newHarness(t, Config{
 		Validators: 4,
 		Seed:       1,
-		CertWindow: 16,
 		PumpEvery:  40 * time.Millisecond,
 	})
 	for i := 0; i < 4; i++ {
@@ -66,7 +66,6 @@ func TestScenarioPartitionHeal(t *testing.T) {
 	h := newHarness(t, Config{
 		Validators: 4,
 		Seed:       2,
-		CertWindow: 16,
 		PumpEvery:  40 * time.Millisecond,
 	})
 	if err := h.RunFor(300 * time.Millisecond); err != nil {
@@ -101,7 +100,6 @@ func TestScenarioCrashDuringCommit(t *testing.T) {
 	h := newHarness(t, Config{
 		Validators: 4,
 		Seed:       3,
-		CertWindow: 16,
 		PumpEvery:  30 * time.Millisecond,
 	})
 	if err := h.RunFor(500 * time.Millisecond); err != nil {
@@ -141,7 +139,6 @@ func TestScenarioCorruptLinksEquivocationPressure(t *testing.T) {
 	h := newHarness(t, Config{
 		Validators: 4,
 		Seed:       4,
-		CertWindow: 16,
 		PumpEvery:  40 * time.Millisecond,
 		Telemetry:  reg,
 		Links: simnet.LinkConfig{
@@ -222,7 +219,6 @@ func TestScenarioChurn(t *testing.T) {
 	h := newHarness(t, Config{
 		Validators: 4,
 		Seed:       5,
-		CertWindow: 16,
 		PumpEvery:  50 * time.Millisecond,
 	})
 	if err := churnSchedule(h, 8); err != nil {
@@ -233,6 +229,32 @@ func TestScenarioChurn(t *testing.T) {
 	}
 	if h.CommittedHeight() == 0 {
 		t.Fatal("no commits under churn")
+	}
+	// Every block a replica stores, decided live or synced after a
+	// restart, carries the certificate that decided it.
+	for i, p := range h.Cluster.Replicas {
+		if h.Cluster.Down(i) {
+			continue
+		}
+		chain := p.Chain()
+		for height := uint64(0); height < chain.Height(); height++ {
+			b, err := chain.BlockAt(height)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := chain.CertAt(height)
+			if err != nil {
+				t.Fatalf("replica %d height %d: %v", i, height, err)
+			}
+			cert, err := consensus.DecodeCommit(raw)
+			if err != nil {
+				t.Fatalf("replica %d height %d: %v", i, height, err)
+			}
+			if err := consensus.VerifyCommit(cert, h.Cluster.Set); err != nil || cert.Height != height || cert.BlockID != b.ID() {
+				t.Fatalf("replica %d height %d: certificate for height %d block %s (%v), want block %s",
+					i, height, cert.Height, cert.BlockID.Short(), err, b.ID().Short())
+			}
+		}
 	}
 }
 
@@ -245,7 +267,6 @@ func TestChaosDeterministicFingerprint(t *testing.T) {
 			Validators: 4,
 			Seed:       99,
 			Dir:        dir,
-			CertWindow: 16,
 			PumpEvery:  50 * time.Millisecond,
 		})
 		if err != nil {

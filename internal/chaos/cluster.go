@@ -29,9 +29,6 @@ type DurableClusterConfig struct {
 	Platform platform.Config
 	// Timeouts configures consensus (zero means consensus defaults).
 	Timeouts consensus.Timeouts
-	// CertWindow bounds each node's in-memory commit-certificate
-	// retention (0 means consensus.DefaultCertWindow).
-	CertWindow int
 }
 
 // DurableCluster is the in-process replicated deployment: N durable
@@ -106,7 +103,6 @@ func (d *DurableCluster) boot(i int, first bool) error {
 		return fmt.Errorf("chaos: replica %d open: %w", i, err)
 	}
 	node := platform.AttachConsensus(replica, id, d.keys[i], d.Set, d.Net, d.cfg.Timeouts)
-	node.SetCertWindow(d.cfg.CertWindow)
 	if first {
 		err = node.Bind()
 	} else if err = d.Net.SetHandler(id, node.Handle); err == nil {

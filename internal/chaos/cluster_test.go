@@ -23,7 +23,6 @@ func newDurableCluster(t *testing.T, n int, seed int64) *DurableCluster {
 		Seed:       seed,
 		Dir:        t.TempDir(),
 		Platform:   platform.DefaultConfig(),
-		CertWindow: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

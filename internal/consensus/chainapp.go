@@ -61,14 +61,31 @@ func (a *ChainApp) ValidateBlock(b *ledger.Block) error {
 	return a.Chain.Validate(b)
 }
 
-// BlockAt implements App: block sync reads bodies from the chain.
-func (a *ChainApp) BlockAt(height uint64) (*ledger.Block, error) {
-	return a.Chain.BlockAt(height)
+// BlockAt implements App: block sync reads each body and the certificate
+// that decided it from the chain. A block stored without a certificate
+// is an error: it is not served.
+func (a *ChainApp) BlockAt(height uint64) (*ledger.Block, *Commit, error) {
+	b, err := a.Chain.BlockAt(height)
+	if err != nil {
+		return nil, nil, err
+	}
+	raw, err := a.Chain.CertAt(height)
+	if err != nil {
+		return nil, nil, err
+	}
+	cert, err := DecodeCommit(raw)
+	return b, cert, err
 }
 
-// CommitBlock implements App.
-func (a *ChainApp) CommitBlock(b *ledger.Block) error {
-	if err := a.Chain.Append(b); err != nil {
+// CommitBlock implements App: the block and its certificate go to the
+// chain in one record; a nil cert (the proof-of-authority baseline)
+// stores the block alone.
+func (a *ChainApp) CommitBlock(b *ledger.Block, cert *Commit) error {
+	var raw []byte
+	if cert != nil {
+		raw = EncodeCommit(cert)
+	}
+	if err := a.Chain.Append(b, raw); err != nil {
 		return err
 	}
 	a.Pool.Remove(b.Txs)

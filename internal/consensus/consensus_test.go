@@ -416,7 +416,7 @@ func TestCommitAnnouncementPullsMissingBody(t *testing.T) {
 			name:     "pull, verify, commit",
 			announce: func(h *certHarness, b *ledger.Block) *Commit { return h.cert(b.ID(), 1, 2, 3) },
 			answer: func(h *certHarness, b *ledger.Block) *SyncResponse {
-				return &SyncResponse{From: 0, Blocks: []*ledger.Block{b}, Cert: h.cert(b.ID(), 1, 2, 3)}
+				return &SyncResponse{From: 0, Blocks: []*ledger.Block{b}, Certs: []*Commit{h.cert(b.ID(), 1, 2, 3)}}
 			},
 		},
 		{
@@ -437,7 +437,7 @@ func TestCommitAnnouncementPullsMissingBody(t *testing.T) {
 			name:     "pulled body hashes to another id",
 			announce: func(h *certHarness, b *ledger.Block) *Commit { return h.cert(b.ID(), 1, 2, 3) },
 			answer: func(h *certHarness, b *ledger.Block) *SyncResponse {
-				return &SyncResponse{From: 0, Blocks: []*ledger.Block{blk(h, 2)}, Cert: h.cert(b.ID(), 1, 2, 3)}
+				return &SyncResponse{From: 0, Blocks: []*ledger.Block{blk(h, 2)}, Certs: []*Commit{h.cert(b.ID(), 1, 2, 3)}}
 			},
 			rejected: "bad_sync_run",
 		},
@@ -445,7 +445,7 @@ func TestCommitAnnouncementPullsMissingBody(t *testing.T) {
 			name:     "sync answer with no body",
 			announce: func(h *certHarness, b *ledger.Block) *Commit { return h.cert(b.ID(), 1, 2, 3) },
 			answer: func(h *certHarness, b *ledger.Block) *SyncResponse {
-				return &SyncResponse{From: 0, Cert: h.cert(b.ID(), 1, 2, 3)}
+				return &SyncResponse{From: 0, Certs: []*Commit{h.cert(b.ID(), 1, 2, 3)}}
 			},
 			rejected: "malformed",
 		},
@@ -478,18 +478,17 @@ func TestCommitAnnouncementPullsMissingBody(t *testing.T) {
 				if got := rej.With(tc.rejected).Value(); got != 1 {
 					t.Fatalf("rejections counted as %q: %d, want 1", tc.rejected, got)
 				}
-				if h.app.Chain.Height() != 0 || h.node.Height() != 0 || h.node.CertCount() != 0 {
-					t.Fatalf("rejected message changed state: chain %d, node %d, certs %d",
-						h.app.Chain.Height(), h.node.Height(), h.node.CertCount())
+				if h.app.Chain.Height() != 0 || h.node.Height() != 0 {
+					t.Fatalf("rejected message changed state: chain %d, node %d", h.app.Chain.Height(), h.node.Height())
 				}
 				return
 			}
 			if h.app.Chain.Height() != 1 || h.node.Height() != 1 {
 				t.Fatalf("chain height %d, node height %d after the pull, want 1", h.app.Chain.Height(), h.node.Height())
 			}
-			got, err := h.app.Chain.BlockAt(0)
-			if err != nil || got.ID() != b.ID() {
-				t.Fatalf("committed %v (err %v), want %s", got, err, b.ID().Short())
+			got, cert, err := h.app.BlockAt(0)
+			if err != nil || got.ID() != b.ID() || cert.BlockID != b.ID() {
+				t.Fatalf("committed %v with certificate %v (err %v), want %s", got, cert, err, b.ID().Short())
 			}
 		})
 	}
@@ -519,12 +518,11 @@ func TestCertificateAheadOfProposalDoesNotPull(t *testing.T) {
 	p := &Proposal{Height: 0, Round: round, POLRound: -1, Block: b, Proposer: h.c.Keys[proposer].Address()}
 	SignProposal(p, h.c.Keys[proposer])
 	h.deliver(KindProposal, p)
-	if h.app.Chain.Height() != 1 || h.node.Height() != 1 || h.node.CertCount() != 1 {
-		t.Fatalf("chain %d, node %d, certs %d after the late proposal, want 1 each",
-			h.app.Chain.Height(), h.node.Height(), h.node.CertCount())
+	if h.app.Chain.Height() != 1 || h.node.Height() != 1 {
+		t.Fatalf("chain %d, node %d after the late proposal, want 1 each", h.app.Chain.Height(), h.node.Height())
 	}
-	if got, err := h.app.Chain.BlockAt(0); err != nil || got.ID() != b.ID() {
-		t.Fatalf("committed %v (err %v), want %s", got, err, b.ID().Short())
+	if got, cert, err := h.app.BlockAt(0); err != nil || got.ID() != b.ID() || cert.BlockID != b.ID() {
+		t.Fatalf("committed %v with certificate %v (err %v), want %s", got, cert, err, b.ID().Short())
 	}
 	h.c.Net.Run(h.c.Net.Now() + 2*DefaultTimeouts().Propose)
 	if pulls := h.pulls(); len(pulls) != 0 || h.reg.Counter("trustnews_consensus_block_pulls_total", "").Value() != 0 {

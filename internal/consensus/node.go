@@ -21,12 +21,13 @@ type App interface {
 	ProposeBlock(height uint64) (*ledger.Block, error)
 	// ValidateBlock checks a proposed block against application rules.
 	ValidateBlock(b *ledger.Block) error
-	// CommitBlock applies a decided block. It must not fail for a block
-	// that passed ValidateBlock against the same state.
-	CommitBlock(b *ledger.Block) error
-	// BlockAt returns the committed block at the given height. Block sync
-	// is served from it: a node keeps no block bodies of its own.
-	BlockAt(height uint64) (*ledger.Block, error)
+	// CommitBlock applies a decided block and stores it with cert, the
+	// certificate that decided it. It must not fail for a block that
+	// passed ValidateBlock against the same state.
+	CommitBlock(b *ledger.Block, cert *Commit) error
+	// BlockAt returns the committed block at a height with its
+	// certificate: block sync is served from the app, not from memory.
+	BlockAt(height uint64) (*ledger.Block, *Commit, error)
 	// HasWork reports whether ProposeBlock would now include at least one
 	// transaction. A node with Timeouts.Idle set asks it after each commit
 	// to decide whether to enter the next height at once or rest.
@@ -108,26 +109,11 @@ type Node struct {
 	// commits late would drop the next height's proposal forever.
 	future []transport.Message
 
-	// certs retains the commit certificates this node produced or
-	// received, keyed by height, so it can serve block sync to validators
-	// that join (or recover) late. A certificate is votes only; the bodies
-	// a sync answer carries are read from the chain app (see serveSync).
-	// Retention is bounded to a sliding window of certWindow heights, a
-	// few hundred bytes each, no matter how long the node runs.
-	certs map[uint64]*Commit
-	// certFloor is the lowest height that may still hold a certificate.
-	certFloor uint64
-	// certWindow bounds len(certs); zero means DefaultCertWindow.
-	certWindow int
-	// anchors keeps, below the window, one certificate per anchorStride
-	// heights, the newest maxAnchors of them in height order. A validator
-	// that was down for longer than the window still finds a certificate
-	// less than one sync batch above where it stopped, so the downtime it
-	// survives is counted in anchors, not in window heights.
-	anchors []*Commit
-	// syncRequested tracks the last height we asked a peer to backfill,
-	// to avoid flooding duplicate requests.
+	// syncRequested is one more than the height this node last asked a
+	// peer to backfill (see requestSync); syncPeer sent the newest message
+	// for a height above this node's, so it holds the node's height.
 	syncRequested uint64
+	syncPeer      transport.NodeID
 	// awaited is a verified certificate for the current height whose body
 	// has not arrived yet (see onCommit); nil otherwise.
 	awaited *Commit
@@ -223,8 +209,7 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 const KindSyncRequest = "consensus.syncreq"
 
 // KindSyncBlocks answers a sync request: a run of committed blocks read
-// from the responder's chain, authenticated by the retained certificate
-// of the block at the top of the run.
+// from the responder's chain, each with the certificate that decided it.
 const KindSyncBlocks = "consensus.syncblocks"
 
 // SyncRequest is the payload of KindSyncRequest.
@@ -232,26 +217,21 @@ type SyncRequest struct {
 	Height uint64
 }
 
-// SyncResponse is the payload of KindSyncBlocks. Blocks covers heights
-// [From, Cert.Height]; Cert certifies the last of them. The receiver
-// verifies the certificate, that the last block hashes to the certified
-// id and that the run links back from it by parent hash before applying
-// anything, so the whole run is as trustworthy as the certificate itself.
+// SyncResponse is the payload of KindSyncBlocks: the blocks from height
+// From on, and Certs[i] the certificate that decided Blocks[i]. The
+// receiver applies them in order, each once its own certificate checks.
 type SyncResponse struct {
 	From   uint64
 	Blocks []*ledger.Block
-	Cert   *Commit
+	Certs  []*Commit
 }
 
 // maxFutureBuffer bounds the future-message queue per node.
 const maxFutureBuffer = 1 << 14
 
-// DefaultCertWindow is the number of recent heights whose commit
-// certificates a node keeps in memory for block sync.
-const DefaultCertWindow = 128
-
-// maxSyncBatch bounds the blocks served in one sync response.
-const maxSyncBatch = 512
+// syncFrameHeadroom bounds what a sync answer's frame holds besides its
+// blocks and certificates: version, kind, two node ids, From and count.
+const syncFrameHeadroom = 1 << 10
 
 // TxPace is how long, per transaction committed, a busy validator with
 // Timeouts.Idle set waits from the start of a height to the start of the
@@ -266,16 +246,6 @@ const maxSyncBatch = 512
 // transaction is no higher than at a longer pace (DESIGN.md, "A busy
 // cluster keeps a pace").
 const TxPace = 800 * time.Microsecond
-
-// anchorStride is the least distance between two anchor certificates, and
-// maxAnchors how many are kept: 64 Ki heights below the window, ≈5 min of
-// downtime at 5 ms a height under load. A stride of half a sync batch
-// leaves room for heights whose certificate the node never held (the inner
-// blocks of a sync run).
-const (
-	anchorStride = maxSyncBatch / 2
-	maxAnchors   = 256
-)
 
 // NewNode creates a consensus node for the validator identified by kp.
 func NewNode(id transport.NodeID, kp *keys.KeyPair, set *ValidatorSet, net transport.Network, app App, tmo Timeouts) *Node {
@@ -292,7 +262,6 @@ func NewNode(id transport.NodeID, kp *keys.KeyPair, set *ValidatorSet, net trans
 		prevotes:    make(map[uint64]map[int]*voteSet),
 		precommit:   make(map[uint64]map[int]*voteSet),
 		blocks:      make(map[ledger.BlockID]*ledger.Block),
-		certs:       make(map[uint64]*Commit),
 	}
 }
 
@@ -314,15 +283,6 @@ func (n *Node) Stop() { n.stopped = true }
 // halted itself after an application-level commit failure).
 func (n *Node) Stopped() bool { return n.stopped }
 
-// SetCertWindow bounds the in-memory commit-certificate retention to the
-// given number of recent heights (0 restores DefaultCertWindow). Call
-// before Start.
-func (n *Node) SetCertWindow(w int) { n.certWindow = w }
-
-// CertCount returns the number of commit certificates held in the sliding
-// window (anchors below it not counted).
-func (n *Node) CertCount() int { return len(n.certs) }
-
 // Start enters the first height/round.
 func (n *Node) Start() {
 	n.StartAt(0)
@@ -334,7 +294,6 @@ func (n *Node) Start() {
 // anything decided while the node was down through the sync protocol.
 func (n *Node) StartAt(height uint64) {
 	n.height = height
-	n.certFloor = height
 	n.metrics.lastHeightAt = n.net.Now()
 	n.waitAt, n.waiting = n.metrics.lastHeightAt, true
 	n.startRound(0)
@@ -514,10 +473,11 @@ func (n *Node) Handle(m transport.Message) {
 			n.future = append(n.future, m)
 		}
 		// We are behind: ask the sender to backfill our current height.
-		// The guard keeps it to one request per height.
-		if n.syncRequested <= n.height && m.From != n.id {
-			n.syncRequested = n.height + 1
-			n.send(m.From, KindSyncRequest, SyncRequest{Height: n.height})
+		if m.From != n.id {
+			n.syncPeer = m.From
+			if n.syncRequested <= n.height {
+				n.requestSync()
+			}
 		}
 		return
 	}
@@ -531,7 +491,7 @@ func (n *Node) Handle(m transport.Message) {
 		n.serveSync(m.From, req.Height)
 	case KindSyncBlocks:
 		resp, ok := m.Payload.(*SyncResponse)
-		if !ok {
+		if !ok || resp == nil {
 			n.tm.msgRejected.With("malformed").Inc()
 			return
 		}
@@ -560,51 +520,52 @@ func (n *Node) Handle(m transport.Message) {
 	}
 }
 
-// serveSync answers a sync request: the committed blocks from the
-// requested height up to the lowest retained certificate at or above it,
-// which authenticates the run. Near the tip that is one block and its own
-// certificate; below the certificate window it is the stretch up to the
-// next anchor, or to the oldest certificate of the window. Bodies come
-// from the chain app.
-func (n *Node) serveSync(to transport.NodeID, from uint64) {
-	var cert *Commit
-	top := from
-	if top < n.certFloor {
-		if i := sort.Search(len(n.anchors), func(i int) bool { return n.anchors[i].Height >= from }); i < len(n.anchors) {
-			cert = n.anchors[i]
-			top = cert.Height
-		} else {
-			top = n.certFloor
+// requestSync asks syncPeer for the blocks from the current height on,
+// and again after Timeouts.Propose (onCommit's wait for a missing body)
+// while the node is still at that height: a lost request or answer would
+// otherwise leave it behind for good.
+func (n *Node) requestSync() {
+	h := n.height
+	n.syncRequested = h + 1
+	n.send(n.syncPeer, KindSyncRequest, SyncRequest{Height: h})
+	n.net.After(n.id, n.tmo.Propose, func() {
+		if !n.stopped && n.height == h {
+			n.requestSync()
 		}
-	}
-	if cert == nil {
-		// Scanning from the floor is bounded by the window size.
-		for top < n.height && n.certs[top] == nil {
-			top++
-		}
-		cert = n.certs[top]
-	}
-	if cert == nil || top-from >= maxSyncBatch {
-		return
-	}
-	blocks := make([]*ledger.Block, 0, top-from+1)
-	for h := from; h <= top; h++ {
-		b, err := n.app.BlockAt(h)
-		if err != nil {
-			return
-		}
-		blocks = append(blocks, b)
-	}
-	n.send(to, KindSyncBlocks, &SyncResponse{From: from, Blocks: blocks, Cert: cert})
+	})
 }
 
-// onSyncBlocks applies a sync answer. Everything is verified before the
-// first block is committed: the certificate must carry a valid quorum,
-// the last block must hash to the certified id, and the run must link
-// back from it contiguously. A response that fails any check is dropped
-// (and counted), never partially applied.
+// serveSync answers a sync request with the committed blocks from the
+// requested height up, each with its certificate, read from the app. The
+// answer ends at this node's height, at a block stored without a
+// certificate, or before a block that would take its encoding past
+// transport.MaxFrame; it always carries at least one block.
+func (n *Node) serveSync(to transport.NodeID, from uint64) {
+	resp := &SyncResponse{From: from}
+	size := syncFrameHeadroom
+	for h := from; h < n.height; h++ {
+		b, cert, err := n.app.BlockAt(h)
+		if err != nil {
+			break
+		}
+		size += 4 + len(b.Encode()) + len(EncodeCommit(cert))
+		if size > transport.MaxFrame && len(resp.Blocks) > 0 {
+			break
+		}
+		resp.Blocks = append(resp.Blocks, b)
+		resp.Certs = append(resp.Certs, cert)
+	}
+	if len(resp.Blocks) > 0 {
+		n.send(to, KindSyncBlocks, resp)
+	}
+}
+
+// onSyncBlocks applies a sync answer block by block, each once its own
+// certificate carries a valid quorum for its height and id (the app checks
+// the parent link). The first block that fails is counted and ends the
+// answer; the blocks before it stay applied.
 func (n *Node) onSyncBlocks(resp *SyncResponse) {
-	if resp.Cert == nil || len(resp.Blocks) == 0 {
+	if len(resp.Blocks) == 0 || len(resp.Certs) != len(resp.Blocks) {
 		n.tm.msgRejected.With("malformed").Inc()
 		return
 	}
@@ -612,38 +573,34 @@ func (n *Node) onSyncBlocks(resp *SyncResponse) {
 		n.tm.msgRejected.With("stale_sync").Inc()
 		return
 	}
-	last := len(resp.Blocks) - 1
-	if resp.Cert.Height != resp.From+uint64(last) {
-		n.tm.msgRejected.With("bad_sync_run").Inc()
-		return
-	}
-	if err := VerifyCommit(resp.Cert, n.set); err != nil {
-		n.tm.msgRejected.With("bad_certificate").Inc()
-		return
-	}
-	want := resp.Cert.BlockID
-	for i := last; i >= 0; i-- {
-		b := resp.Blocks[i]
-		if b == nil || b.Header.Height != resp.From+uint64(i) || b.ID() != want {
+	applied := false
+	for i, b := range resp.Blocks {
+		cert, h := resp.Certs[i], resp.From+uint64(i)
+		if b == nil || cert == nil || b.Header.Height != h || cert.Height != h || cert.BlockID != b.ID() {
 			n.tm.msgRejected.With("bad_sync_run").Inc()
+			break
+		}
+		if err := VerifyCommit(cert, n.set); err != nil {
+			n.tm.msgRejected.With("bad_certificate").Inc()
+			break
+		}
+		if applied {
+			// Move past the block before this one without entering a round.
+			delete(n.proposals, n.height)
+			delete(n.prevotes, n.height)
+			delete(n.precommit, n.height)
+			n.height++
+		}
+		// The block is certified, so a local apply failure means our chain
+		// diverged: apply halts the node rather than fork.
+		if !n.apply(b, cert) {
 			return
 		}
-		want = b.Header.Prev
+		applied = true
 	}
-	for _, b := range resp.Blocks[:last] {
-		// The run was certified, so a local apply failure means our chain
-		// diverged — apply halts the node rather than fork.
-		if !n.apply(b, nil) {
-			return
-		}
-		delete(n.proposals, n.height)
-		delete(n.prevotes, n.height)
-		delete(n.precommit, n.height)
-		n.height++
-	}
-	// The certified block ends the run the way any commit does: rounds
+	// The last block applied ends the run the way any commit does: rounds
 	// restart and buffered future messages replay.
-	if n.apply(resp.Blocks[last], resp.Cert) {
+	if applied {
 		n.advanceHeight()
 	}
 }
@@ -966,23 +923,19 @@ func (n *Node) commit(b *ledger.Block, quorum []Vote) {
 	n.advanceHeight()
 }
 
-// apply commits the decided block of the current height to the
-// application and, given its certificate, retains that for block sync. It
-// reports false when the application rejected the block: a programming
-// error in the App (the block was decided by a quorum), so the node halts
-// to avoid divergence rather than panicking the whole process.
+// apply commits the decided block of the current height, with the
+// certificate that decided it, to the application. It reports false when
+// the application rejected the block: a programming error in the App (the
+// block was decided by a quorum), so the node halts to avoid divergence
+// rather than panicking the whole process.
 func (n *Node) apply(b *ledger.Block, cert *Commit) bool {
 	start := n.net.Now()
 	n.leaveStep(start)
-	err := n.app.CommitBlock(b)
+	err := n.app.CommitBlock(b, cert)
 	n.tm.applySec.Observe((n.net.Now() - start).Seconds())
 	if err != nil {
 		n.stopped = true
 		return false
-	}
-	if cert != nil {
-		n.certs[n.height] = cert
-		n.pruneCerts()
 	}
 	n.metrics.Committed++
 	now := n.net.Now()
@@ -993,29 +946,6 @@ func (n *Node) apply(b *ledger.Block, cert *Commit) bool {
 	n.waitAt, n.waiting = now, true
 	n.paceUntil = n.startedAt + min(n.tmo.Idle, time.Duration(len(b.Txs))*TxPace)
 	return true
-}
-
-// pruneCerts moves certificates that fell out of the sliding retention
-// window to the anchors when they are at least anchorStride heights above
-// the newest anchor, and drops the rest; heights below the window are
-// served under the next anchor.
-func (n *Node) pruneCerts() {
-	w := uint64(n.certWindow)
-	if w == 0 {
-		w = DefaultCertWindow
-	}
-	for n.certFloor+w <= n.height {
-		if c := n.certs[n.certFloor]; c != nil {
-			if k := len(n.anchors); k == 0 || c.Height >= n.anchors[k-1].Height+anchorStride {
-				if k == maxAnchors {
-					n.anchors = append(n.anchors[:0], n.anchors[1:]...)
-				}
-				n.anchors = append(n.anchors, c)
-			}
-		}
-		delete(n.certs, n.certFloor)
-		n.certFloor++
-	}
 }
 
 func (n *Node) advanceHeight() {

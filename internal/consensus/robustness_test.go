@@ -10,105 +10,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestCertWindowBounded runs a cluster for many heights and checks that
-// in-memory certificate retention stays within the configured sliding
-// window plus one anchor per anchorStride heights on every node — in count
-// and in bytes: a certificate holds votes, never a block body — while the
-// chain itself keeps every block.
-func TestCertWindowBounded(t *testing.T) {
-	const (
-		window = 32
-		target = 1000
-	)
-	c, err := NewCluster(4, 77, DefaultTimeouts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range c.Nodes {
-		n.SetCertWindow(window)
-	}
-	c.Start()
-	c.RunUntilHeight(target, 10*time.Hour)
-	if h := c.MinHeight(); h < target {
-		t.Fatalf("cluster stalled at height %d, want %d", h, target)
-	}
-	for i, n := range c.Nodes {
-		if got := n.CertCount(); got > window {
-			t.Fatalf("node %d retains %d certs, window is %d", i, got, window)
-		}
-		// Below the window, one anchor per anchorStride heights.
-		anchors := target/anchorStride + 1
-		if got := len(n.anchors); got > anchors {
-			t.Fatalf("node %d retains %d anchors over %d heights, want ≤ %d", i, got, target, anchors)
-		}
-		// Size of the retained certificates in the wire codec's layout
-		// (height, block id, vote count, then per vote: type, height,
-		// round, block id, voter, length-prefixed signature).
-		retained := 0
-		held := append([]*Commit(nil), n.anchors...)
-		for _, cert := range n.certs {
-			held = append(held, cert)
-		}
-		for _, cert := range held {
-			retained += 8 + 32 + 4
-			for _, v := range cert.Quorum {
-				retained += 1 + 8 + 8 + 32 + len(v.Voter) + 4 + len(v.Sig)
-			}
-		}
-		if max := (window + anchors) * 1024; retained > max {
-			t.Fatalf("node %d retains %d bytes of certificates, want at most %d ((window %d + %d anchors) x 1 KB)", i, retained, max, window, anchors)
-		}
-		// The chain still holds the full history.
-		if _, err := c.Apps[i].Chain.BlockAt(0); err != nil {
-			t.Fatalf("node %d lost genesis-height block: %v", i, err)
-		}
-	}
-	for _, h := range []uint64{0, uint64(target) / 2, target - 1} {
-		if !c.AgreeAt(h) {
-			t.Fatalf("fork at height %d", h)
-		}
-	}
-}
-
-// TestAnchorsKeepNewest: below the window a node keeps one certificate per
-// anchorStride heights, in height order, and only the newest maxAnchors.
-func TestAnchorsKeepNewest(t *testing.T) {
-	n := &Node{certs: make(map[uint64]*Commit), certWindow: 4}
-	const heights = (maxAnchors + 10) * anchorStride
-	for h := uint64(0); h < heights; h++ {
-		n.certs[h] = &Commit{Height: h}
-		n.height = h
-		n.pruneCerts()
-	}
-	if len(n.anchors) != maxAnchors {
-		t.Fatalf("%d anchors, want %d", len(n.anchors), maxAnchors)
-	}
-	for i, a := range n.anchors {
-		if want := uint64(10+i) * anchorStride; a.Height != want {
-			t.Fatalf("anchor %d at height %d, want %d", i, a.Height, want)
-		}
-	}
-	if len(n.certs) != 4 {
-		t.Fatalf("%d certificates in the window, want 4", len(n.certs))
-	}
-}
-
-// TestLaggardBackfillsBelowCertWindow detaches one validator, lets the
-// rest commit far past the certificate window, then reattaches it. The
-// laggard's first sync request lands below every peer's in-memory cert
-// window, so catch-up must go through the chain-backed block sync path
-// (KindSyncBlocks) before certificates take over near the tip.
-func TestLaggardBackfillsBelowCertWindow(t *testing.T) {
-	const (
-		window = 8
-		ahead  = 60
-	)
+// TestLaggardBackfillsFromChain detaches one validator, lets the rest
+// commit 60 heights, then reattaches it. Catch-up goes through block sync
+// (KindSyncBlocks): the peers read every block and its certificate from
+// their chains.
+func TestLaggardBackfillsFromChain(t *testing.T) {
+	const ahead = 60
 	c, err := NewCluster(4, 41, DefaultTimeouts())
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, n := range c.Nodes {
-		n.SetCertWindow(window)
 	}
 	laggard := c.Nodes[3].id
 	c.Net.Detach(laggard)
@@ -120,9 +30,6 @@ func TestLaggardBackfillsBelowCertWindow(t *testing.T) {
 	})
 	if h := c.Apps[0].Chain.Height(); h < ahead {
 		t.Fatalf("live quorum stalled at height %d, want %d", h, ahead)
-	}
-	if got := c.Nodes[0].CertCount(); got > window {
-		t.Fatalf("peer retains %d certs, window is %d — laggard would not need chain sync", got, window)
 	}
 	if h := c.Apps[3].Chain.Height(); h != 0 {
 		t.Fatalf("detached node advanced to height %d", h)
@@ -154,9 +61,8 @@ func TestLaggardBackfillsBelowCertWindow(t *testing.T) {
 // TestLaggardRejoinsAfterDowntimeUnderLoad cuts one validator off for a
 // minute of virtual time while a trickle of transactions keeps the others
 // committing: a height every 10 ms, or a propose timeout when the absent
-// validator's turn comes, more heights than the certificate window and one
-// sync batch together. Reattached, it must catch up through the anchors
-// below the window and keep up.
+// validator's turn comes, several hundred heights in all. Reattached, it
+// must catch up through block sync and keep up.
 func TestLaggardRejoinsAfterDowntimeUnderLoad(t *testing.T) {
 	c, err := NewCluster(4, 43, idleTimeouts())
 	if err != nil {
@@ -189,8 +95,8 @@ func TestLaggardRejoinsAfterDowntimeUnderLoad(t *testing.T) {
 	c.Net.Detach(laggard)
 	runFor(c, time.Minute)
 	behind := c.Apps[0].Chain.Height() - c.Apps[3].Chain.Height()
-	if behind <= DefaultCertWindow+maxSyncBatch {
-		t.Fatalf("laggard only %d heights behind: the test does not reach below the window", behind)
+	if behind < 512 {
+		t.Fatalf("laggard only %d heights behind: the downtime is too short to test", behind)
 	}
 
 	c.Net.Reattach(laggard)
@@ -205,6 +111,141 @@ func TestLaggardRejoinsAfterDowntimeUnderLoad(t *testing.T) {
 		}
 	}
 	t.Logf("laggard %d heights behind after a minute away, back at %d of %d", behind, got, live)
+}
+
+// catchUp drives the cluster until node i's chain is as high as node 0's,
+// for at most d of virtual time, and returns the two heights.
+func catchUp(c *Cluster, i int, d time.Duration) (live, got uint64) {
+	end := c.Net.Now() + d
+	c.Net.RunWhile(func() bool {
+		return c.Apps[i].Chain.Height() < c.Apps[0].Chain.Height() && c.Net.Now() < end
+	})
+	return c.Apps[0].Chain.Height(), c.Apps[i].Chain.Height()
+}
+
+// TestLaggardRejoinsRestartedPeers: a validator away from height 0 while
+// the other three commit 1 000 heights and then restart, keeping only
+// their chains, rejoins from those chains. Every node keeps its whole
+// history, agrees with the others from height 0 to the tip, and stores
+// each block with a certificate for its own height and id.
+func TestLaggardRejoinsRestartedPeers(t *testing.T) {
+	const ahead = 1000
+	c, err := NewCluster(4, 41, DefaultTimeouts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	laggard := c.Nodes[3]
+	c.Net.Detach(laggard.id)
+	c.Start()
+	c.Net.RunWhile(func() bool { return c.Apps[0].Chain.Height() < ahead && c.Net.Now() < time.Hour })
+	if h := c.Apps[0].Chain.Height(); h < ahead {
+		t.Fatalf("three validators stalled at height %d, want %d", h, ahead)
+	}
+	for i, old := range c.Nodes[:3] {
+		old.Stop()
+		n := NewNode(old.id, c.Keys[i], c.Set, c.Net, c.Apps[i], DefaultTimeouts())
+		if err := c.Net.SetHandler(n.id, n.Handle); err != nil {
+			t.Fatal(err)
+		}
+		c.Nodes[i] = n
+		n.StartAt(c.Apps[i].Chain.Height())
+	}
+
+	// Time the laggard's handling of sync answers: per synced block, the
+	// certificate check and the apply.
+	var syncWall time.Duration
+	var synced uint64
+	err = c.Net.SetHandler(laggard.id, func(m simnet.Message) {
+		if m.Kind != KindSyncBlocks {
+			laggard.Handle(m)
+			return
+		}
+		before, start := c.Apps[3].Chain.Height(), time.Now()
+		laggard.Handle(m)
+		syncWall += time.Since(start)
+		synced += c.Apps[3].Chain.Height() - before
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Net.Reattach(laggard.id)
+	live, got := catchUp(c, 3, time.Minute)
+	if got < live {
+		t.Fatalf("laggard rejoined restarted peers only to height %d of %d", got, live)
+	}
+	runFor(c, time.Second)
+	if h := c.MinHeight(); h < got+10 {
+		t.Fatalf("cluster at height %d a second after the laggard caught up at %d", h, got)
+	}
+	live, got = c.Apps[0].Chain.Height(), c.Apps[3].Chain.Height()
+	for _, h := range []uint64{0, got / 2, got - 1} {
+		if !c.AgreeAt(h) {
+			t.Fatalf("fork at height %d", h)
+		}
+	}
+	for i, app := range c.Apps {
+		for h := uint64(0); h < app.Chain.Height(); h++ {
+			b, cert, err := app.BlockAt(h)
+			if err != nil {
+				t.Fatalf("node %d height %d: %v", i, h, err)
+			}
+			if err := VerifyCommit(cert, c.Set); err != nil || cert.Height != h || cert.BlockID != b.ID() {
+				t.Fatalf("node %d height %d: certificate for height %d block %s (%v), want block %s",
+					i, h, cert.Height, cert.BlockID.Short(), err, b.ID().Short())
+			}
+		}
+	}
+	if synced < ahead {
+		t.Fatalf("laggard synced %d blocks, want at least %d", synced, ahead)
+	}
+	t.Logf("laggard back at %d of %d; %d blocks synced at %.1f µs each (certificate check and apply)",
+		got, live, synced, float64(syncWall.Microseconds())/float64(synced))
+}
+
+// TestLostSyncAnswerIsAskedAgain: a laggard whose first sync answer is
+// lost asks again while it is still at the height it asked for, with and
+// without an idle bound.
+func TestLostSyncAnswerIsAskedAgain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tmo  Timeouts
+	}{{"default", DefaultTimeouts()}, {"idle", idleTimeouts()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(4, 41, tc.tmo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			laggard := c.Nodes[3].id
+			c.Net.Detach(laggard)
+			c.Start()
+			runFor(c, 3*time.Second)
+
+			lost := 0
+			c.Net.SetCorrupter(func(m simnet.Message) simnet.Message {
+				if m.Kind == KindSyncBlocks && lost == 0 {
+					lost++
+					m.Payload = nil
+				}
+				return m
+			})
+			for _, n := range c.Nodes[:3] {
+				c.Net.SetLink(n.id, laggard, simnet.LinkConfig{BaseLatency: 5 * time.Millisecond, Jitter: 5 * time.Millisecond, CorruptRate: 1})
+			}
+			c.Net.Reattach(laggard)
+			live, got := catchUp(c, 3, time.Minute)
+			if lost != 1 {
+				t.Fatal("no sync answer was lost")
+			}
+			if got < live {
+				t.Fatalf("laggard reached height %d of %d after losing one sync answer", got, live)
+			}
+			for _, h := range []uint64{0, got / 2, got - 1} {
+				if !c.AgreeAt(h) {
+					t.Fatalf("fork at height %d", h)
+				}
+			}
+		})
+	}
 }
 
 // TestFaultyLinksTolerated runs consensus over links that duplicate,

@@ -223,17 +223,9 @@ type Vote struct {
 	Sig     []byte
 }
 
+// voteSignBytes is the vote's encoding up to its signature (codec.go).
 func voteSignBytes(v *Vote) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(v.Type))
-	var b8 [8]byte
-	binary.BigEndian.PutUint64(b8[:], v.Height)
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint64(b8[:], uint64(int64(v.Round)))
-	buf.Write(b8[:])
-	buf.Write(v.BlockID[:])
-	buf.Write(v.Voter[:])
-	return buf.Bytes()
+	return appendVoteFields(make([]byte, 0, voteFieldsLen), v)
 }
 
 // SignVote signs v with the voter key.
@@ -262,8 +254,8 @@ func VerifyVote(v *Vote, set *ValidatorSet) error {
 // and a precommit quorum for that id. It carries no block body — whoever
 // receives it either holds the body already (from the proposal) or pulls
 // it with a SyncRequest and checks that it hashes to BlockID — so a node
-// announces every commit, and keeps a window of certificates for block
-// sync, at a few hundred bytes per height.
+// announces every commit at a few hundred bytes. The chain stores each
+// block with its certificate (EncodeCommit), and block sync serves both.
 type Commit struct {
 	Height  uint64
 	BlockID ledger.BlockID

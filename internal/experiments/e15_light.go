@@ -54,7 +54,7 @@ func runE15(cfg e15Config) (*Table, error) {
 			lastTx = txs[len(txs)-1]
 			blk := ledger.NewBlock(chain.Height(), chain.HeadID(), [32]byte{}, time.Unix(1562500000, 0).UTC(), alice.Address(), txs)
 			fullBytes += len(blk.Encode())
-			if err := chain.Append(blk); err != nil {
+			if err := chain.Append(blk, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -110,7 +110,7 @@ func (n *poaNode) handle(m transport.Message) {
 }
 
 func (n *poaNode) commit(b *ledger.Block) {
-	if err := n.app.CommitBlock(b); err != nil {
+	if err := n.app.CommitBlock(b, nil); err != nil {
 		n.stopped = true
 		return
 	}

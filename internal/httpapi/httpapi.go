@@ -490,10 +490,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleSearch serves ranked, paginated full-text search. Parameters:
-// q (required), limit (default 10; legacy alias k), offset (default 0),
-// ranker ("bm25" default, "tfidf" for the legacy scoring). The response
-// is a search.Page: {total, offset, results}.
+// handleSearch serves BM25-ranked, paginated full-text search.
+// Parameters: q (required), limit (default 10; legacy alias k), offset
+// (default 0). The response is a search.Page: {total, offset, results}.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if strings.TrimSpace(q) == "" {
@@ -520,17 +519,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		offset = v
 	}
-	var ranker search.Ranker
-	switch r.URL.Query().Get("ranker") {
-	case "", "bm25":
-		ranker = search.RankBM25
-	case "tfidf":
-		ranker = search.RankTFIDF
-	default:
-		writeErr(w, http.StatusBadRequest, errors.New("ranker must be bm25 or tfidf"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.p.SearchPage(q, ranker, offset, limit))
+	writeJSON(w, http.StatusOK, s.p.SearchPage(q, search.RankBM25, offset, limit))
 }
 
 // ingestRequest is the POST /v1/ingest body: one article for the

@@ -442,15 +442,12 @@ func TestBlobAndSearchEndpoints(t *testing.T) {
 	if page.Total == 0 || len(page.Results) == 0 || page.Results[0].ID != "n1" {
 		t.Fatalf("search page=%+v", page)
 	}
-	// The legacy TF-IDF ranker and explicit pagination stay served.
-	if code := f.get("/v1/search?q=parliament+treaty&limit=1&offset=0&ranker=tfidf", &page); code != http.StatusOK {
-		t.Fatalf("tfidf search status=%d", code)
+	// Explicit pagination.
+	if code := f.get("/v1/search?q=parliament+treaty&limit=1&offset=0", &page); code != http.StatusOK {
+		t.Fatalf("paginated search status=%d", code)
 	}
 	if len(page.Results) != 1 || page.Results[0].ID != "n1" {
-		t.Fatalf("tfidf page=%+v", page)
-	}
-	if code := f.get("/v1/search?q=treaty&ranker=bogus", nil); code != http.StatusBadRequest {
-		t.Fatalf("bad ranker status=%d", code)
+		t.Fatalf("paginated page=%+v", page)
 	}
 
 	// Malformed and missing inputs.

@@ -133,36 +133,54 @@ func (b *Block) Encode() []byte {
 
 // DecodeBlock parses a block encoded by Encode.
 func DecodeBlock(raw []byte) (*Block, error) {
+	b, cert, err := decodeRecord(raw)
+	if err == nil && cert != nil {
+		return nil, fmt.Errorf("ledger: %d trailing bytes after block", 4+len(cert))
+	}
+	return b, err
+}
+
+// decodeRecord parses one block-log record: the block's Encode bytes,
+// then, for a block decided by consensus, its certificate as a
+// length-prefixed trailer (nil without one; an empty one is rejected).
+func decodeRecord(raw []byte) (*Block, []byte, error) {
 	r := bytes.NewReader(raw)
 	hdrRaw, err := ReadBytes(r)
 	if err != nil {
-		return nil, fmt.Errorf("ledger: decode header: %w", err)
+		return nil, nil, fmt.Errorf("ledger: decode header: %w", err)
 	}
 	hdr, err := decodeHeader(hdrRaw)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var n [4]byte
 	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, fmt.Errorf("ledger: decode tx count: %w", err)
+		return nil, nil, fmt.Errorf("ledger: decode tx count: %w", err)
 	}
 	count := binary.BigEndian.Uint32(n[:])
 	b := &Block{Header: hdr}
 	for i := uint32(0); i < count; i++ {
 		txRaw, err := ReadBytes(r)
 		if err != nil {
-			return nil, fmt.Errorf("ledger: decode tx %d: %w", i, err)
+			return nil, nil, fmt.Errorf("ledger: decode tx %d: %w", i, err)
 		}
 		t, err := DecodeTx(txRaw)
 		if err != nil {
-			return nil, fmt.Errorf("ledger: decode tx %d: %w", i, err)
+			return nil, nil, fmt.Errorf("ledger: decode tx %d: %w", i, err)
 		}
 		b.Txs = append(b.Txs, t)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("ledger: %d trailing bytes after block", r.Len())
+	if r.Len() == 0 {
+		return b, nil, nil
 	}
-	return b, nil
+	cert, err := ReadBytes(r)
+	if err == nil && (len(cert) == 0 || r.Len() != 0) {
+		err = fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("ledger: bytes after block: %w", err)
+	}
+	return b, cert, nil
 }
 
 func decodeHeader(raw []byte) (Header, error) {

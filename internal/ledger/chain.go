@@ -85,7 +85,7 @@ func (c *Chain) replay(from, to uint64) error {
 		if err != nil {
 			return fmt.Errorf("ledger: replay block %d: %w", i, err)
 		}
-		b, err := DecodeBlock(raw)
+		b, _, err := decodeRecord(raw)
 		if err != nil {
 			return fmt.Errorf("ledger: replay block %d: %w", i, err)
 		}
@@ -219,15 +219,21 @@ func (c *Chain) link(b *Block) {
 }
 
 // Append validates and commits a block and indexes its transactions in
-// the index tail. It does not seal the tail: the owner calls SealTxIndex
+// the index tail. cert, the encoded certificate that decided the block,
+// goes in the same log record (decodeRecord); a standalone block passes
+// nil. It does not seal the tail: the owner calls SealTxIndex
 // after each block, so the seal is timed apart from the append.
-func (c *Chain) Append(b *Block) error {
+func (c *Chain) Append(b *Block, cert []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.validate(b); err != nil {
 		return err
 	}
-	if _, err := c.log.Append(b.Encode()); err != nil {
+	rec := b.Encode()
+	if len(cert) > 0 {
+		rec = AppendBytes(rec, cert)
+	}
+	if _, err := c.log.Append(rec); err != nil {
 		return fmt.Errorf("ledger: persist block %d: %w", b.Header.Height, err)
 	}
 	c.link(b)
@@ -259,16 +265,30 @@ func (c *Chain) TxIndexStats() TxIndexStats {
 
 // BlockAt returns the block at the given height.
 func (c *Chain) BlockAt(height uint64) (*Block, error) {
+	b, _, err := c.recordAt(height)
+	return b, err
+}
+
+// CertAt returns the encoded commit certificate stored with the block at
+// the given height: nil for a block stored without one (a standalone
+// block, or one written before blocks were stored with certificates).
+func (c *Chain) CertAt(height uint64) ([]byte, error) {
+	_, cert, err := c.recordAt(height)
+	return cert, err
+}
+
+// recordAt reads and decodes the log record of the given height.
+func (c *Chain) recordAt(height uint64) (*Block, []byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.head == nil || height > c.head.Header.Height {
-		return nil, fmt.Errorf("%w: height %d", ErrBlockNotFound, height)
+		return nil, nil, fmt.Errorf("%w: height %d", ErrBlockNotFound, height)
 	}
 	raw, err := c.log.Get(height)
 	if err != nil {
-		return nil, fmt.Errorf("ledger: load block %d: %w", height, err)
+		return nil, nil, fmt.Errorf("ledger: load block %d: %w", height, err)
 	}
-	return DecodeBlock(raw)
+	return decodeRecord(raw)
 }
 
 // BlockByID returns the block with the given id. It scans the block ids
@@ -412,7 +432,7 @@ func NewChainFromSnapshot(log store.Log, idx store.SegmentLog, snapshot []byte) 
 		if err != nil {
 			return nil, fmt.Errorf("%w: head record: %v", ErrBadSnapshot, err)
 		}
-		head, err := DecodeBlock(raw)
+		head, _, err := decodeRecord(raw)
 		if err != nil {
 			return nil, fmt.Errorf("%w: head decode: %v", ErrBadSnapshot, err)
 		}
@@ -460,7 +480,7 @@ func (c *Chain) indexBlocks(from, to uint64) error {
 		if err != nil {
 			return fmt.Errorf("ledger: index block %d: %w", h, err)
 		}
-		b, err := DecodeBlock(raw)
+		b, _, err := decodeRecord(raw)
 		if err != nil {
 			return fmt.Errorf("ledger: index block %d: %w", h, err)
 		}

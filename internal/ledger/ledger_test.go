@@ -172,7 +172,7 @@ func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
 func appendBlock(t testing.TB, c *Chain, proposer *keys.KeyPair, txs []*Tx) *Block {
 	t.Helper()
 	b := NewBlock(c.Height(), c.HeadID(), [32]byte{}, testTime, proposer.Address(), txs)
-	if err := c.Append(b); err != nil {
+	if err := c.Append(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -206,7 +206,7 @@ func TestChainRejectsBadHeight(t *testing.T) {
 	alice := signer("alice")
 	c := NewMemChain()
 	b := NewBlock(5, BlockID{}, [32]byte{}, testTime, alice.Address(), nil)
-	if err := c.Append(b); !errors.Is(err, ErrBadHeight) {
+	if err := c.Append(b, nil); !errors.Is(err, ErrBadHeight) {
 		t.Fatalf("want ErrBadHeight, got %v", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestChainRejectsBadParent(t *testing.T) {
 	c := NewMemChain()
 	appendBlock(t, c, alice, nil)
 	b := NewBlock(1, BlockID{0xde, 0xad}, [32]byte{}, testTime, alice.Address(), nil)
-	if err := c.Append(b); !errors.Is(err, ErrBadParent) {
+	if err := c.Append(b, nil); !errors.Is(err, ErrBadParent) {
 		t.Fatalf("want ErrBadParent, got %v", err)
 	}
 }
@@ -227,12 +227,12 @@ func TestChainEnforcesNonces(t *testing.T) {
 	appendBlock(t, c, alice, []*Tx{mustTx(t, alice, 0, "k", "a")})
 	// Replay of nonce 0 must fail.
 	b := NewBlock(1, c.HeadID(), [32]byte{}, testTime, alice.Address(), []*Tx{mustTx(t, alice, 0, "k", "a")})
-	if err := c.Append(b); !errors.Is(err, ErrBadNonce) {
+	if err := c.Append(b, nil); !errors.Is(err, ErrBadNonce) {
 		t.Fatalf("want ErrBadNonce, got %v", err)
 	}
 	// Gap must fail too.
 	b2 := NewBlock(1, c.HeadID(), [32]byte{}, testTime, alice.Address(), []*Tx{mustTx(t, alice, 5, "k", "a")})
-	if err := c.Append(b2); !errors.Is(err, ErrBadNonce) {
+	if err := c.Append(b2, nil); !errors.Is(err, ErrBadNonce) {
 		t.Fatalf("want ErrBadNonce for gap, got %v", err)
 	}
 	// Correct next nonce succeeds.
@@ -293,6 +293,65 @@ func TestChainReplayFromLog(t *testing.T) {
 	}
 	if c2.NextNonce(alice.Address().String()) != 5 {
 		t.Fatal("nonces not rebuilt")
+	}
+}
+
+// TestChainStoresCertificates: a block appended with a certificate keeps
+// it in the same log record, after the block's own bytes; one appended
+// without stays byte-identical to the block's encoding. Both kinds replay,
+// from the log and from a snapshot whose head record carries a trailer.
+func TestChainStoresCertificates(t *testing.T) {
+	alice := signer("alice")
+	log := store.NewMemLog()
+	c, err := NewChain(log, store.NewMemLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := appendBlock(t, c, alice, []*Tx{mustTx(t, alice, 0, "k", "a")})
+	cert := []byte("certificate bytes")
+	certified := NewBlock(1, c.HeadID(), [32]byte{}, testTime, alice.Address(), []*Tx{mustTx(t, alice, 1, "k", "b")})
+	if err := c.Append(certified, cert); err != nil {
+		t.Fatal(err)
+	}
+
+	if raw, _ := log.Get(0); !bytes.Equal(raw, plain.Encode()) {
+		t.Fatal("a block appended without a certificate is not stored as its encoding alone")
+	}
+	if raw, _ := log.Get(1); !bytes.Equal(raw, AppendBytes(certified.Encode(), cert)) {
+		t.Fatal("the certificate is not a length-prefixed trailer after the block's bytes")
+	}
+	if got, err := c.CertAt(0); got != nil || err != nil {
+		t.Fatalf("CertAt(0) = %q, %v; want no certificate", got, err)
+	}
+	if got, err := c.CertAt(1); err != nil || !bytes.Equal(got, cert) {
+		t.Fatalf("CertAt(1) = %q, %v", got, err)
+	}
+	if _, err := c.CertAt(2); !errors.Is(err, ErrBlockNotFound) {
+		t.Fatalf("CertAt(2) = %v, want ErrBlockNotFound", err)
+	}
+
+	snap, err := c.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := NewChain(log, store.NewMemLog())
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	restored, err := NewChainFromSnapshot(log, store.NewMemLog(), snap)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	for _, c2 := range []*Chain{replayed, restored} {
+		if c2.HeadID() != certified.ID() {
+			t.Fatalf("reopened head %s, want %s", c2.HeadID().Short(), certified.ID().Short())
+		}
+		if b, err := c2.BlockAt(1); err != nil || b.ID() != certified.ID() {
+			t.Fatalf("BlockAt(1) = %v, %v", b, err)
+		}
+		if got, err := c2.CertAt(1); err != nil || !bytes.Equal(got, cert) {
+			t.Fatalf("reopened CertAt(1) = %q, %v", got, err)
+		}
 	}
 }
 
@@ -449,7 +508,7 @@ func TestChainIndexConsistencyProperty(t *testing.T) {
 				return false
 			}
 			b := NewBlock(c.Height(), c.HeadID(), [32]byte{}, testTime, kp.Address(), []*Tx{tx})
-			if err := c.Append(b); err != nil {
+			if err := c.Append(b, nil); err != nil {
 				return false
 			}
 			sent[key]++
@@ -507,7 +566,7 @@ func BenchmarkChainAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tx := mustTx(b, alice, uint64(i), "k", "payload")
 		blk := NewBlock(c.Height(), c.HeadID(), [32]byte{}, testTime, alice.Address(), []*Tx{tx})
-		if err := c.Append(blk); err != nil {
+		if err := c.Append(blk, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -97,7 +97,7 @@ func TestSigCacheCannotBePoisoned(t *testing.T) {
 	victim.Sig = other.Sig
 	victim.PubKey = other.PubKey
 	blk := NewBlock(0, chain.HeadID(), [32]byte{}, testTime, alice.Address(), []*Tx{victim})
-	if err := chain.Append(blk); err == nil {
+	if err := chain.Append(blk, nil); err == nil {
 		t.Fatal("block carrying a post-admission-mutated tx must be rejected")
 	}
 
@@ -106,7 +106,7 @@ func TestSigCacheCannotBePoisoned(t *testing.T) {
 	forged := &Tx{Sender: alice.Address(), Nonce: 0, Kind: victim.Kind,
 		Payload: victim.Payload, PubKey: alice.Public(), Sig: other.Sig}
 	blk2 := NewBlock(0, chain.HeadID(), [32]byte{}, testTime, alice.Address(), []*Tx{forged})
-	err := chain.Append(blk2)
+	err := chain.Append(blk2, nil)
 	if !errors.Is(err, ErrBlockBadTx) {
 		t.Fatalf("forged-signature block: want ErrBlockBadTx, got %v", err)
 	}
@@ -128,7 +128,7 @@ func TestMempoolAdmissionFeedsBlockValidation(t *testing.T) {
 	}
 	_, missesBefore := chain.Verifier().CacheStats()
 	blk := NewBlock(0, chain.HeadID(), [32]byte{}, testTime, signer("feed").Address(), pool.Batch(0))
-	if err := chain.Append(blk); err != nil {
+	if err := chain.Append(blk, nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := chain.Verifier().CacheStats()
@@ -213,7 +213,7 @@ func TestSigCacheFollowsInFlight(t *testing.T) {
 		if err := chain.Validate(blk); err != nil {
 			t.Fatal(err)
 		}
-		if err := chain.Append(blk); err != nil {
+		if err := chain.Append(blk, nil); err != nil {
 			t.Fatal(err)
 		}
 		pool.Remove(txs)

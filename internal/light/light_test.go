@@ -34,7 +34,7 @@ func buildChain(t testing.TB, n int) (*ledger.Chain, []*ledger.Tx) {
 			all = append(all, tx)
 		}
 		blk := ledger.NewBlock(chain.Height(), chain.HeadID(), [32]byte{}, testTime, alice.Address(), txs)
-		if err := chain.Append(blk); err != nil {
+		if err := chain.Append(blk, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

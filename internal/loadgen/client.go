@@ -136,13 +136,9 @@ type searchPage struct {
 }
 
 // Search runs a ranked keyword query against the committed article
-// index and returns the hit count. ranker selects the scoring function
-// ("" lets the node default to BM25).
-func (c *Client) Search(query string, limit int, ranker string) (int, Outcome, error) {
+// index and returns the hit count.
+func (c *Client) Search(query string, limit int) (int, Outcome, error) {
 	path := "/v1/search?q=" + url.QueryEscape(query) + fmt.Sprintf("&limit=%d", limit)
-	if ranker != "" {
-		path += "&ranker=" + url.QueryEscape(ranker)
-	}
 	resp, err := c.http.Get(c.base + path)
 	if err != nil {
 		return 0, OutcomeFailed, err

@@ -469,7 +469,7 @@ func (e *Engine) execute(a arrival, rec *recorder) {
 		out, err := e.submitSigned(a.u, "rank.vote", payload)
 		rec.record(a.op, out, time.Since(t0), err)
 	case OpSearch:
-		_, out, err := e.client.Search(a.q, 10, "")
+		_, out, err := e.client.Search(a.q, 10)
 		rec.record(a.op, out, time.Since(t0), err)
 	case OpBlobRead:
 		out, err := e.client.ReadBlob(a.art.cid)

@@ -44,7 +44,7 @@ func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 		return b, err == nil
 	})
 	if err := miner.Chain().Walk(0, func(b *ledger.Block) bool {
-		if err := follower.commitDecided(b); err != nil {
+		if err := follower.commitDecided(b, nil); err != nil {
 			t.Fatalf("commit height %d: %v", b.Header.Height, err)
 		}
 		return true

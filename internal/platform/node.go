@@ -87,7 +87,9 @@ type validatorApp struct {
 }
 
 // CommitBlock implements consensus.App.
-func (a validatorApp) CommitBlock(b *ledger.Block) error { return a.p.commitDecided(b) }
+func (a validatorApp) CommitBlock(b *ledger.Block, cert *consensus.Commit) error {
+	return a.p.commitDecided(b, consensus.EncodeCommit(cert))
+}
 
 // consensusApp returns the consensus.App through which p validates, its
 // blocks proposed by proposer and stamped by the platform clock as

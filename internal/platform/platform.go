@@ -372,9 +372,10 @@ func (p *Platform) Blobs() *blobstore.Store { return p.blobs }
 // waits it out).
 func (p *Platform) Search(q string, k int) []search.Result { return p.searchIdx.Query(q, k) }
 
-// SearchPage runs a ranked, paginated query (the /v1/search path).
+// SearchPage runs a BM25-ranked, paginated query (the /v1/search path).
+// ranker names the scoring function; search.RankBM25 is the only one.
 func (p *Platform) SearchPage(q string, ranker search.Ranker, offset, limit int) search.Page {
-	return p.searchIdx.QueryPage(q, ranker, offset, limit)
+	return p.searchIdx.QueryPage(q, offset, limit)
 }
 
 // FlushSearch blocks until the async indexer has applied every
@@ -588,7 +589,7 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 		sp.SetAttr("error", "state_root")
 		return nil, nil, fmt.Errorf("platform: state root: %w", err)
 	}
-	p.stage(sp, stageAppend, func() { err = p.chain.Append(blk) })
+	p.stage(sp, stageAppend, func() { err = p.chain.Append(blk, nil) })
 	if err != nil {
 		sp.SetAttr("error", "append")
 		return nil, nil, fmt.Errorf("platform: append block: %w", err)
@@ -612,10 +613,11 @@ func (p *Platform) CommitAll() error {
 }
 
 // commitDecided commits a block consensus decided (a validator's
-// CommitBlock, see validatorApp): it is appended to the chain, WAL fsync
-// included, leaves the mempool, and is executed and indexed, every step a
-// stage of one commit as on the standalone path.
-func (p *Platform) commitDecided(b *ledger.Block) error {
+// CommitBlock, see validatorApp): it is appended to the chain with its
+// encoded certificate, WAL fsync included, leaves the mempool, and is
+// executed and indexed, every step a stage of one commit as on the
+// standalone path.
+func (p *Platform) commitDecided(b *ledger.Block, cert []byte) error {
 	var start time.Time
 	if p.tm.commitSec != nil {
 		start = time.Now()
@@ -623,7 +625,7 @@ func (p *Platform) commitDecided(b *ledger.Block) error {
 	sp := p.tracer.Start("platform.commitDecided")
 	defer sp.End()
 	var err error
-	p.stage(sp, stageAppend, func() { err = p.chain.Append(b) })
+	p.stage(sp, stageAppend, func() { err = p.chain.Append(b, cert) })
 	if err != nil {
 		sp.SetAttr("error", "append")
 		return err

@@ -15,7 +15,7 @@ import (
 // determinism guarantee end to end: an index rebuilt by replaying the
 // chain through the commit bus must rank byte-identically to one
 // restored from a checkpoint snapshot — same scores, same order, same
-// pagination — for both rankers. If this breaks, a restarted node's
+// pagination. If this breaks, a restarted node's
 // search results depend on how it recovered.
 func TestSearchReplayMatchesSnapshotRestore(t *testing.T) {
 	dir := t.TempDir()
@@ -102,25 +102,23 @@ func TestSearchReplayMatchesSnapshotRestore(t *testing.T) {
 	full.FlushSearch()
 
 	queries := []string{"budget", "transit funding", "vaccine", "downtown", "annual budget debate"}
-	for _, ranker := range []search.Ranker{search.RankBM25, search.RankTFIDF} {
-		for _, q := range queries {
-			for offset := 0; offset < 4; offset += 2 {
-				a := fast.SearchPage(q, ranker, offset, 3)
-				b := full.SearchPage(q, ranker, offset, 3)
-				aj, err := json.Marshal(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bj, err := json.Marshal(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(aj) != string(bj) {
-					t.Fatalf("ranker %v query %q offset %d: snapshot-restored and replay-rebuilt rankings diverge:\n  snapshot: %s\n  replay:   %s", ranker, q, offset, aj, bj)
-				}
-				if offset == 0 && a.Total == 0 {
-					t.Fatalf("query %q found nothing — test corpus not indexed", q)
-				}
+	for _, q := range queries {
+		for offset := 0; offset < 4; offset += 2 {
+			a := fast.SearchPage(q, search.RankBM25, offset, 3)
+			b := full.SearchPage(q, search.RankBM25, offset, 3)
+			aj, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bj, err := json.Marshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(aj) != string(bj) {
+				t.Fatalf("query %q offset %d: snapshot-restored and replay-rebuilt rankings diverge:\n  snapshot: %s\n  replay:   %s", q, offset, aj, bj)
+			}
+			if offset == 0 && a.Total == 0 {
+				t.Fatalf("query %q found nothing — test corpus not indexed", q)
 			}
 		}
 	}

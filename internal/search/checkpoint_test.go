@@ -56,11 +56,11 @@ func TestRestoreRejectsJSONSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sub.Index.QueryPage(queries[0], RankBM25, 0, 0)
+	want := sub.Index.QueryPage(queries[0], 0, 0)
 	if err := sub.Restore(blob); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("Restore of a JSON snapshot: %v, want ErrBadSnapshot", err)
 	}
-	if got := sub.Index.QueryPage(queries[0], RankBM25, 0, 0); want.Total == 0 || !reflect.DeepEqual(want, got) {
+	if got := sub.Index.QueryPage(queries[0], 0, 0); want.Total == 0 || !reflect.DeepEqual(want, got) {
 		t.Fatalf("a rejected restore changed the answers: %+v, had %+v", got, want)
 	}
 	if after, _ := sub.Snapshot(); string(after) != string(before) {
@@ -69,8 +69,7 @@ func TestRestoreRejectsJSONSnapshot(t *testing.T) {
 }
 
 // TestRestoreAnswersAsBuilt: an index restored from a snapshot answers every
-// query as the index that wrote it, under both rankers, and writes the same
-// bytes back.
+// query as the index that wrote it, and writes the same bytes back.
 func TestRestoreAnswersAsBuilt(t *testing.T) {
 	built, queries := buildCheckpointIndex()
 	blob, err := built.Snapshot()
@@ -82,13 +81,11 @@ func TestRestoreAnswersAsBuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLists(t, restored.Index)
-	for _, ranker := range []Ranker{RankBM25, RankTFIDF} {
-		for _, q := range queries {
-			want := built.Index.QueryPage(q, ranker, 0, 0)
-			got := restored.Index.QueryPage(q, ranker, 0, 0)
-			if want.Total == 0 || !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s %q: restored index answers %+v, built one %+v", ranker, q, got, want)
-			}
+	for _, q := range queries {
+		want := built.Index.QueryPage(q, 0, 0)
+		got := restored.Index.QueryPage(q, 0, 0)
+		if want.Total == 0 || !reflect.DeepEqual(want, got) {
+			t.Fatalf("%q: restored index answers %+v, built one %+v", q, got, want)
 		}
 	}
 	again, err := restored.Snapshot()
@@ -305,6 +302,6 @@ func BenchmarkQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.QueryPage(queries[i%len(queries)], RankBM25, 0, 10)
+		x.QueryPage(queries[i%len(queries)], 0, 10)
 	}
 }

@@ -29,8 +29,7 @@
 //     O(log N) segments, and a posting is rewritten O(log N) times over
 //     the life of the index.
 //
-// Ranking is BM25 (k1/b defaults from the literature), with the legacy
-// TF-IDF ranker kept selectable for comparison. The index is
+// Ranking is BM25 (k1/b defaults from the literature). The index is
 // deterministic: scores depend only on the indexed corpus (never on
 // segment layout or shard count), and ties break by document id, so
 // replicas that consumed the same commits answer queries identically.
@@ -74,18 +73,12 @@ const defaultFlushDocs = 512
 // documents, so adjacent segments differ in size by more than tierRatio.
 const tierRatio = 2
 
-// Ranker selects the scoring function.
+// Ranker names a scoring function. BM25 is the only one: per-term IDF
+// with term-frequency saturation and document-length normalisation.
 type Ranker string
 
-// Available rankers.
-const (
-	// RankBM25 is the default: per-term IDF with term-frequency
-	// saturation and document-length normalisation.
-	RankBM25 Ranker = "bm25"
-	// RankTFIDF is the pre-sharding scorer, kept for relevance
-	// comparisons: tf/|doc| * log(1 + N/df).
-	RankTFIDF Ranker = "tfidf"
-)
+// RankBM25 names the index's scoring function.
+const RankBM25 Ranker = "bm25"
 
 // Result is one ranked query hit.
 type Result struct {
@@ -485,14 +478,14 @@ func (x *Index) Stats() []ShardStats {
 // k <= 0 means no limit. The call is lock-free: it reads only the
 // published immutable views, so it never contends with the indexer.
 func (x *Index) Query(q string, k int) []Result {
-	page := x.QueryPage(q, RankBM25, 0, k)
+	page := x.QueryPage(q, 0, k)
 	return page.Results
 }
 
-// QueryPage runs a ranked query and returns one pagination window.
+// QueryPage runs a BM25-ranked query and returns one pagination window.
 // limit <= 0 means "to the end"; offset past the result set yields an
 // empty window with the true Total.
-func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
+func (x *Index) QueryPage(q string, offset, limit int) Page {
 	docs := x.docs.Load()
 	n := len(docs.infos)
 	if offset < 0 {
@@ -522,13 +515,7 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 		if df == 0 {
 			continue
 		}
-		var idf float64
-		switch ranker {
-		case RankTFIDF:
-			idf = math.Log(1 + float64(n)/float64(df))
-		default:
-			idf = math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
-		}
+		idf := math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
 		for _, seg := range view.segments {
 			l, ok := seg.postings[tok]
 			if !ok {
@@ -551,15 +538,8 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 				}
 				dl := float64(docs.infos[doc].Length)
 				tf := float64(f)
-				switch ranker {
-				case RankTFIDF:
-					if dl > 0 {
-						sc.add(doc, tf/dl*idf)
-					}
-				default:
-					denom := tf + bm25K1*(1-bm25B+bm25B*dl/avgdl)
-					sc.add(doc, idf*tf*(bm25K1+1)/denom)
-				}
+				denom := tf + bm25K1*(1-bm25B+bm25B*dl/avgdl)
+				sc.add(doc, idf*tf*(bm25K1+1)/denom)
 			}
 		}
 	}

@@ -64,11 +64,11 @@ func TestQueryPagination(t *testing.T) {
 		x.Add(fmt.Sprintf("doc-%02d", i), "t", "common theme everywhere")
 	}
 	x.Refresh()
-	p := x.QueryPage("common", RankBM25, 0, 4)
+	p := x.QueryPage("common", 0, 4)
 	if p.Total != 10 || len(p.Results) != 4 {
 		t.Fatalf("page 0: total=%d len=%d", p.Total, len(p.Results))
 	}
-	p2 := x.QueryPage("common", RankBM25, 4, 4)
+	p2 := x.QueryPage("common", 4, 4)
 	if p2.Total != 10 || len(p2.Results) != 4 {
 		t.Fatalf("page 1: total=%d len=%d", p2.Total, len(p2.Results))
 	}
@@ -77,13 +77,13 @@ func TestQueryPagination(t *testing.T) {
 	}
 	// All scores tie, so pagination order is the id tie-break: the two
 	// pages concatenated must equal the unpaginated top-8.
-	all := x.QueryPage("common", RankBM25, 0, 8)
+	all := x.QueryPage("common", 0, 8)
 	got := append(append([]Result{}, p.Results...), p2.Results...)
 	if !reflect.DeepEqual(all.Results, got) {
 		t.Fatalf("pages not contiguous:\nall  %v\npages %v", all.Results, got)
 	}
 	// Past-the-end window: empty but with the true total.
-	p3 := x.QueryPage("common", RankBM25, 100, 4)
+	p3 := x.QueryPage("common", 100, 4)
 	if p3.Total != 10 || len(p3.Results) != 0 {
 		t.Fatalf("past-end page: %+v", p3)
 	}
@@ -137,9 +137,9 @@ func TestScoresIndependentOfShardCountAndSegmentLayout(t *testing.T) {
 		x.Refresh()
 		return x
 	}
-	want := build(1, 0).QueryPage("senate budget round", RankBM25, 0, 0)
+	want := build(1, 0).QueryPage("senate budget round", 0, 0)
 	for _, cfg := range [][2]int{{4, 3}, {16, 1}, {16, 7}, {3, 5}} {
-		got := build(cfg[0], cfg[1]).QueryPage("senate budget round", RankBM25, 0, 0)
+		got := build(cfg[0], cfg[1]).QueryPage("senate budget round", 0, 0)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("shards=%d refreshEvery=%d diverged from single-shard scores", cfg[0], cfg[1])
 		}
@@ -212,11 +212,12 @@ func TestConcurrentQueriesDuringIndexing(t *testing.T) {
 }
 
 // legacyIndex is the pre-sharding index: one postings map, scored by
-// TF-IDF into a fresh map per query. It is the oracle for RankTFIDF and
-// for the sharded index's reused query scratch.
+// BM25 into a fresh map per query. It is the oracle for the sharded
+// index's reused query scratch.
 type legacyIndex struct {
 	postings map[string]map[string]int // term -> doc id -> term frequency
 	docs     map[string]legacyDoc
+	totalLen int
 }
 
 type legacyDoc struct {
@@ -237,6 +238,7 @@ func (x *legacyIndex) Add(id, topic, text string) {
 	}
 	toks := corpus.Tokenize(text)
 	x.docs[id] = legacyDoc{topic: topic, length: len(toks)}
+	x.totalLen += len(toks)
 	for _, tok := range toks {
 		post := x.postings[tok]
 		if post == nil {
@@ -247,18 +249,21 @@ func (x *legacyIndex) Add(id, topic, text string) {
 	}
 }
 
-// Query returns the top-k documents by TF-IDF, ties broken by id.
+// Query returns the top-k documents by BM25, ties broken by id.
 func (x *legacyIndex) Query(q string, k int) []Result {
 	n := float64(len(x.docs))
+	avgdl := float64(x.totalLen) / n
 	scores := make(map[string]float64)
 	for _, tok := range corpus.Tokenize(q) {
 		post := x.postings[tok]
 		if len(post) == 0 {
 			continue
 		}
-		idf := math.Log(1 + n/float64(len(post)))
-		for id, tf := range post {
-			scores[id] += float64(tf) / float64(x.docs[id].length) * idf
+		df := float64(len(post))
+		idf := math.Log(1 + (n-df+0.5)/(df+0.5))
+		for id, f := range post {
+			tf, dl := float64(f), float64(x.docs[id].length)
+			scores[id] += idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/avgdl))
 		}
 	}
 	out := make([]Result, 0, len(scores))
@@ -275,26 +280,6 @@ func (x *legacyIndex) Query(q string, k int) []Result {
 		out = out[:k]
 	}
 	return out
-}
-
-func TestTFIDFRankerMatchesLegacyIndex(t *testing.T) {
-	x := New()
-	leg := newLegacyIndex()
-	docs := [][3]string{
-		{"a", "econ", "the budget passed the budget committee budget"},
-		{"b", "econ", "the committee debated the schedule"},
-		{"c", "sport", "the match ended in a draw"},
-	}
-	for _, d := range docs {
-		x.Add(d[0], d[1], d[2])
-		leg.Add(d[0], d[1], d[2])
-	}
-	x.Refresh()
-	got := x.QueryPage("budget committee", RankTFIDF, 0, 0).Results
-	want := leg.Query("budget committee", 0)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("tfidf ranker diverged from legacy index:\ngot  %v\nwant %v", got, want)
-	}
 }
 
 // TestQueryScratchReuseMatchesLegacyIndex runs many queries back to back,
@@ -337,7 +322,7 @@ func TestQueryScratchReuseMatchesLegacyIndex(t *testing.T) {
 					want = want[:limit]
 				}
 			}
-			got := x.QueryPage(q, RankTFIDF, offset, limit)
+			got := x.QueryPage(q, offset, limit)
 			if got.Total != len(all) || !reflect.DeepEqual(got.Results, want) {
 				t.Fatalf("round %d query %q offset %d limit %d: total %d want %d\ngot  %v\nwant %v",
 					round, q, offset, limit, got.Total, len(all), got.Results, want)

@@ -13,8 +13,8 @@
 //
 // Framing: a 4-byte big-endian length prefix followed by the frame body,
 // produced by the pluggable Codec (internal/transport/wire in
-// production). The length is validated against MaxFrame before any
-// allocation; oversized claims, torn frames and undecodable bodies kill
+// production). The length is validated against transport.MaxFrame before
+// any allocation; oversized claims, torn frames and undecodable bodies kill
 // the connection, never the process. A frame's header and body go out
 // in one write, and a reader reads through a buffer, so a burst of votes
 // costs one syscall per frame to send and far fewer to receive.
@@ -48,15 +48,9 @@ type Codec interface {
 	Decode(raw []byte) (transport.Message, error)
 }
 
-// Framing and handshake constants.
-const (
-	// MaxFrame bounds one frame body; length prefixes beyond it kill the
-	// connection before any allocation (mirrors wire.MaxFrame).
-	MaxFrame = 1 << 22
-	// handshakeVersion is the transport protocol version exchanged ahead
-	// of the first frame.
-	handshakeVersion = 1
-)
+// handshakeVersion is the transport protocol version exchanged ahead of
+// the first frame.
+const handshakeVersion = 1
 
 // handshakeMagic opens every connection in either direction.
 var handshakeMagic = [3]byte{'T', 'N', 'W'}
@@ -309,8 +303,8 @@ func (t *Transport) Send(from, to transport.NodeID, kind string, payload any) er
 	if err != nil {
 		return fmt.Errorf("tcp: encode %s: %w", kind, err)
 	}
-	if len(raw) > MaxFrame {
-		return fmt.Errorf("tcp: frame %d bytes exceeds MaxFrame", len(raw))
+	if len(raw) > transport.MaxFrame {
+		return fmt.Errorf("tcp: frame %d bytes exceeds transport.MaxFrame", len(raw))
 	}
 	select {
 	case p.q <- frame{kind: kind, raw: raw}:
@@ -632,15 +626,15 @@ func writeFrame(c net.Conn, raw []byte, timeout time.Duration) error {
 }
 
 // readFrame reads one length-prefixed frame, validating the length claim
-// against MaxFrame before allocating.
+// against transport.MaxFrame before allocating.
 func readFrame(c io.Reader) ([]byte, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(c, head[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(head[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("tcp: frame length claim %d exceeds MaxFrame", n)
+	if n > transport.MaxFrame {
+		return nil, fmt.Errorf("tcp: frame length claim %d exceeds transport.MaxFrame", n)
 	}
 	raw := make([]byte, n)
 	if _, err := io.ReadFull(c, raw); err != nil {

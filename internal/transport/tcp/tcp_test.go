@@ -274,9 +274,10 @@ func TestTornFrame(t *testing.T) {
 	}
 }
 
-// TestHostileLength sends a length prefix beyond MaxFrame: the reader
-// must drop the connection without allocating, and undecodable bodies
-// must likewise kill the connection, not the process.
+// TestHostileLength sends a length prefix one byte beyond
+// transport.MaxFrame: the reader must drop the connection without
+// allocating, and undecodable bodies must likewise kill the connection,
+// not the process.
 func TestHostileLength(t *testing.T) {
 	tr := startTransport(t, "srv", nil)
 	if err := tr.AddNode("srv", func(transport.Message) {}); err != nil {
@@ -285,11 +286,11 @@ func TestHostileLength(t *testing.T) {
 
 	c := dialRaw(t, tr)
 	var head [4]byte
-	binary.BigEndian.PutUint32(head[:], 0xffffffff)
+	binary.BigEndian.PutUint32(head[:], transport.MaxFrame+1)
 	if _, err := c.Write(head[:]); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// The server must close on us rather than wait for 4 GiB.
+	// The server must close on us rather than wait for the body.
 	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var one [1]byte
 	if _, err := c.Read(one[:]); err == nil {
@@ -429,12 +430,12 @@ func TestConsensusOverTCP(t *testing.T) {
 		}
 	}
 	for h := uint64(0); h < minH; h++ {
-		b0, err := apps[0].BlockAt(h)
+		b0, _, err := apps[0].BlockAt(h)
 		if err != nil {
 			t.Fatalf("node0 block %d: %v", h, err)
 		}
 		for i := 1; i < n; i++ {
-			bi, err := apps[i].BlockAt(h)
+			bi, _, err := apps[i].BlockAt(h)
 			if err != nil {
 				t.Fatalf("node%d block %d: %v", i, h, err)
 			}

@@ -40,6 +40,11 @@ import (
 // share the address space, so a validator keeps one identity across both.
 type NodeID string
 
+// MaxFrame bounds one encoded message: the TCP framing refuses to read or
+// write a larger frame (a hostile length prefix cannot demand gigabytes),
+// the wire codec to encode one, and block sync sizes its answers to fit.
+const MaxFrame = 1 << 22 // 4 MiB
+
 // Message is a payload in flight between two nodes. Over the simulated
 // network payloads are shared Go values; over TCP they round-trip through
 // the deterministic wire codec (internal/transport/wire), which decodes

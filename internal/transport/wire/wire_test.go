@@ -52,6 +52,14 @@ func testMessages() []transport.Message {
 	fresh := &consensus.Proposal{Height: 4, Round: 0, POLRound: -1, Block: testBlock(4, 0), Proposer: kp.Address()}
 	consensus.SignProposal(fresh, kp)
 	commit := &consensus.Commit{Height: 3, BlockID: id, Quorum: votes}
+	certify := func(b *ledger.Block) *consensus.Commit {
+		h := b.Header.Height
+		return &consensus.Commit{Height: h, BlockID: b.ID(), Quorum: []consensus.Vote{
+			testVote(consensus.VotePrecommit, h, 0, b.ID(), "voter-a"),
+			testVote(consensus.VotePrecommit, h, 0, b.ID(), "voter-b"),
+		}}
+	}
+	run := []*ledger.Block{testBlock(1, 1), testBlock(2, 0), block}
 	tx, err := ledger.NewTx(kp, 9, "news.publish", []byte("body"))
 	if err != nil {
 		panic(err)
@@ -68,14 +76,14 @@ func testMessages() []transport.Message {
 		{From: from, To: to, Kind: consensus.KindSyncRequest, Payload: consensus.SyncRequest{Height: 41}},
 		{From: from, To: to, Kind: consensus.KindSyncBlocks, Payload: &consensus.SyncResponse{
 			From:   1,
-			Blocks: []*ledger.Block{testBlock(1, 1), testBlock(2, 0), block},
-			Cert:   commit,
+			Blocks: run,
+			Certs:  []*consensus.Commit{certify(run[0]), certify(run[1]), commit},
 		}},
 		// The answer to a pull at the tip: one body under its own certificate.
 		{From: from, To: to, Kind: consensus.KindSyncBlocks, Payload: &consensus.SyncResponse{
 			From:   3,
 			Blocks: []*ledger.Block{block},
-			Cert:   commit,
+			Certs:  []*consensus.Commit{commit},
 		}},
 		{From: from, To: to, Kind: blobstore.KindManifestReq, Payload: blobstore.ManifestReq{ID: 5, CID: blobstore.CID("deadbeef")}},
 		{From: from, To: to, Kind: blobstore.KindManifestResp, Payload: blobstore.ManifestResp{ID: 5, Found: true, Size: 100, ChunkSize: 64, Chunks: []blobstore.ChunkHash{hash, {}}}},
@@ -96,31 +104,31 @@ func gossipFrames() []struct {
 	name string
 	raw  []byte
 } {
-	frame := func(kind string, body func(w *writer)) []byte {
-		w := &writer{}
-		w.u8(Version)
-		w.str8(kind)
-		w.str8("p0")
-		w.str8("p1")
+	frame := func(kind string, body func(w *transport.Writer)) []byte {
+		w := &transport.Writer{}
+		w.U8(Version)
+		w.Str8(kind)
+		w.Str8("p0")
+		w.Str8("p1")
 		body(w)
-		return w.buf
+		return w.Buf
 	}
 	envelope := func(id, topic string, hops int64, tag byte, payload []byte) []byte {
-		return frame("gossip", func(w *writer) {
-			w.str(id)
-			w.str(topic)
-			w.i64(hops)
-			w.u8(tag)
+		return frame("gossip", func(w *transport.Writer) {
+			w.Str(id)
+			w.Str(topic)
+			w.I64(hops)
+			w.U8(tag)
 			if payload != nil {
-				w.bytes(payload)
+				w.Bytes(payload)
 			}
 		})
 	}
 	ids := func(kind string, list ...string) []byte {
-		return frame(kind, func(w *writer) {
-			w.u32(uint32(len(list)))
+		return frame(kind, func(w *transport.Writer) {
+			w.U32(uint32(len(list)))
 			for _, id := range list {
-				w.str(id)
+				w.Str(id)
 			}
 		})
 	}
@@ -220,11 +228,14 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 
-	// A frame of the previous codec version (full block inside the commit
-	// certificate) must fail on the version byte, not be misread.
-	old := append([]byte{1}, good[1:]...)
-	if _, err := c.Decode(old); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-1 frame: want ErrVersion, got %v", err)
+	// A frame of an earlier codec version (a full block inside the commit
+	// certificate; one certificate per sync run) must fail on the version
+	// byte, not be misread.
+	for v := byte(1); v < Version; v++ {
+		old := append([]byte{v}, good[1:]...)
+		if _, err := c.Decode(old); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version-%d frame: want ErrVersion, got %v", v, err)
+		}
 	}
 
 	cases := map[string][]byte{
@@ -235,40 +246,40 @@ func TestDecodeRejects(t *testing.T) {
 		"unknown kind": {Version, 3, 'z', 'z', 'z', 1, 'a', 1, 'b'},
 		// consensus.vote whose sig length claims 4 GiB.
 		"hostile sig length": func() []byte {
-			w := &writer{}
-			w.u8(Version)
-			w.str8(consensus.KindVote)
-			w.str8("a")
-			w.str8("b")
-			w.u8(1)
-			w.u64(1)
-			w.i64(0)
-			w.raw(make([]byte, 32+keys.AddressSize))
-			w.u32(0xffffffff) // sig length claim
-			return w.buf
+			w := &transport.Writer{}
+			w.U8(Version)
+			w.Str8(consensus.KindVote)
+			w.Str8("a")
+			w.Str8("b")
+			w.U8(1)
+			w.U64(1)
+			w.I64(0)
+			w.Raw(make([]byte, 32+keys.AddressSize))
+			w.U32(0xffffffff) // sig length claim
+			return w.Buf
 		}(),
 		// commit certificate whose vote count claims 1<<31 elements.
 		"hostile vote count": func() []byte {
-			w := &writer{}
-			w.u8(Version)
-			w.str8(consensus.KindCommit)
-			w.str8("a")
-			w.str8("b")
-			w.u64(7)
-			w.raw(make([]byte, 32))
-			w.u32(1 << 31)
-			return w.buf
+			w := &transport.Writer{}
+			w.U8(Version)
+			w.Str8(consensus.KindCommit)
+			w.Str8("a")
+			w.Str8("b")
+			w.U64(7)
+			w.Raw(make([]byte, 32))
+			w.U32(1 << 31)
+			return w.Buf
 		}(),
 		// syncblocks whose block count claims 1<<31 elements.
 		"hostile count": func() []byte {
-			w := &writer{}
-			w.u8(Version)
-			w.str8(consensus.KindSyncBlocks)
-			w.str8("a")
-			w.str8("b")
-			w.u64(0)
-			w.u32(1 << 31)
-			return w.buf
+			w := &transport.Writer{}
+			w.U8(Version)
+			w.Str8(consensus.KindSyncBlocks)
+			w.Str8("a")
+			w.Str8("b")
+			w.U64(0)
+			w.U32(1 << 31)
+			return w.Buf
 		}(),
 	}
 	for _, g := range gossipFrames() {
@@ -293,6 +304,7 @@ func TestEncodeRejects(t *testing.T) {
 	bad := []transport.Message{
 		{Kind: consensus.KindProposal, Payload: "not a proposal"},
 		{Kind: consensus.KindProposal, Payload: (*consensus.Proposal)(nil)},
+		{Kind: consensus.KindSyncBlocks, Payload: &consensus.SyncResponse{Blocks: []*ledger.Block{testBlock(1, 0)}}},
 		{Kind: "no.such.kind", Payload: 1},
 		{Kind: "gossip.digest", Payload: []string{"a"}},
 	}
@@ -317,7 +329,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(raw)
 		if m.Kind == consensus.KindCommit {
 			// Under the previous version byte the frame must stay rejected.
-			f.Add(append([]byte{1}, raw[1:]...))
+			f.Add(append([]byte{Version - 1}, raw[1:]...))
 		}
 	}
 	for _, g := range gossipFrames() {

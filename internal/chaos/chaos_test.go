@@ -258,9 +258,15 @@ func TestScenarioChurn(t *testing.T) {
 	}
 }
 
+// seed99Fingerprint is what TestChaosDeterministicFingerprint's schedule
+// produces. A change that moves it changes the cluster's behaviour: update
+// the constant in that change and say why in CHANGES.md.
+const seed99Fingerprint = "8f8894eb81ff1bc96681853398204e4c412fccc21e59db13c47e42cdfa48c837"
+
 // TestChaosDeterministicFingerprint runs the identical churn schedule
 // twice with the same seed and requires bit-identical outcomes: same
-// commit history, same replica heights, same network fault counters.
+// commit history, same replica heights, same network fault counters — and
+// the pinned fingerprint, so a behaviour change cannot pass unnoticed.
 func TestChaosDeterministicFingerprint(t *testing.T) {
 	run := func(dir string) string {
 		h, err := New(Config{
@@ -286,6 +292,9 @@ func TestChaosDeterministicFingerprint(t *testing.T) {
 	t.Logf("fingerprint %s", a)
 	if a != b {
 		t.Fatalf("same seed diverged:\n  run1 %s\n  run2 %s", a, b)
+	}
+	if a != seed99Fingerprint {
+		t.Fatalf("seed-99 fingerprint %s, pinned %s: if this change means to alter cluster behaviour, update seed99Fingerprint in the same change and give the reason in CHANGES.md", a, seed99Fingerprint)
 	}
 }
 

@@ -112,13 +112,15 @@ const (
 	stateSealBytes   = 1 << 20
 )
 
-// StateRootScheme versions how StateRoot commits to the state. A
-// checkpoint records the scheme its StateHash was computed under, and one
-// from another scheme is not restored (store.Checkpoint.RootScheme).
+// StateRootScheme versions how StateRoot commits to the state and which
+// state a standalone header's root is of. A checkpoint records the scheme
+// its StateHash was computed under, and one from another scheme is not
+// restored (store.Checkpoint.RootScheme).
 //
 //	0  sorted key||0||value leaves under merkle.Root, re-hashed in full
-//	1  merkle.Trie over the state keys
-const StateRootScheme = 1
+//	1  merkle.Trie over the state keys; the root after its block
+//	2  as 1; the root before its block (deferred)
+const StateRootScheme = 2
 
 // NewEngine creates an engine whose state lives in memory (a store.MemLog).
 func NewEngine() *Engine { return NewEngineOn(store.NewMemLog()) }

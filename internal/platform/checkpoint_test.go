@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/contract"
 	"repro/internal/corpus"
@@ -264,16 +265,26 @@ func TestOpenFallsBackOnUnusableCheckpoint(t *testing.T) {
 	}
 }
 
-// Replay holds every block to the state root in its own header, on the
-// full-replay path and on the WAL tail above a checkpoint alike: a log
-// whose last block commits to a root its transactions do not produce
-// fails Open with ErrStateRootMismatch instead of booting a node whose
-// state contradicts its chain.
+// Replay holds every block's state to the root in its header before it
+// executes the block, on the full-replay path and on the WAL tail above a
+// checkpoint alike: a log one of whose blocks commits to a root its
+// predecessors do not produce fails Open with ErrStateRootMismatch instead
+// of booting a node whose state contradicts its chain. The forged block is
+// the last one, one in the middle of the replayed range, or the first
+// above the checkpoint (whose header alone attests the restored state).
 func TestOpenRejectsTamperedStateRoot(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		checkpoint bool
-	}{{"full replay", false}, {"tail above a checkpoint", true}} {
+		// forge picks the forged height from the chain's height and the
+		// checkpoint's.
+		forge func(height, ckpt uint64) uint64
+	}{
+		{"full replay", false, func(h, _ uint64) uint64 { return h - 1 }},
+		{"full replay, middle block", false, func(h, _ uint64) uint64 { return h / 2 }},
+		{"tail above a checkpoint", true, func(_, c uint64) uint64 { return c }},
+		{"tail above a checkpoint, middle block", true, func(_, c uint64) uint64 { return c + 1 }},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			p, closeFn, err := Open(dir, DefaultConfig())
@@ -287,50 +298,206 @@ func TestOpenRejectsTamperedStateRoot(t *testing.T) {
 				}
 			}
 			a := p.NewActor("late")
-			if err := a.PublishNews("late-item", corpus.TopicScience, "a late statement", nil, ""); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 3; i++ {
+				if err := a.PublishNews("late-item-"+strconv.Itoa(i), corpus.TopicScience, "a late statement "+strconv.Itoa(i), nil, ""); err != nil {
+					t.Fatal(err)
+				}
 			}
-			height := p.Chain().Height()
+			blocks, certs := storedChain(t, p)
+			forged := tc.forge(p.Chain().Height(), p.CheckpointHeight())
 			closeFn()
 
-			// Copy the log record by record, forging the last block's root.
-			path := filepath.Join(dir, chainLogName)
-			src, err := store.OpenFileLog(path)
+			blocks[forged].Header.StateRoot[0] ^= 1
+			writeChainLog(t, dir, blocks, certs)
+			_, _, err = Open(dir, DefaultConfig())
+			if !errors.Is(err, ErrStateRootMismatch) {
+				t.Fatalf("Open of a log whose block %d of %d carries a forged state root: want ErrStateRootMismatch, got %v", forged, len(blocks), err)
+			}
+		})
+	}
+}
+
+// A standalone chain written before headers carried the deferred root —
+// each header held the root after its own block, and no record carried a
+// certificate — is not migrated: Open fails with ErrStateRootMismatch, on
+// full replay and when its checkpoint (written under state-root scheme 1)
+// is at the tip, where no block is left to replay above it.
+func TestOpenRejectsPostStateRoots(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run("checkpoint="+strconv.FormatBool(checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			p, closeFn, err := Open(dir, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			dst, err := store.OpenFileLog(path + ".forged")
+			runWorkload(t, p, 4)
+			if checkpoint {
+				if err := p.WriteCheckpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			blocks, _ := storedChain(t, p)
+			closeFn()
+
+			// Re-execute the blocks on a fresh node to give each header
+			// the root after its block.
+			fresh, err := New(DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := uint64(0); i < src.Len(); i++ {
-				rec, err := src.Get(i)
+			for _, b := range blocks {
+				fresh.Engine().ExecuteBlock(b)
+				if b.Header.StateRoot, err = fresh.Engine().StateRoot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids := writeChainLog(t, dir, blocks, make([][]byte, len(blocks)))
+			if checkpoint {
+				path := filepath.Join(dir, checkpointName)
+				cp, err := store.ReadCheckpoint(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if i == src.Len()-1 {
-					blk, err := ledger.DecodeBlock(rec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					blk.Header.StateRoot[0] ^= 1
-					rec = blk.Encode()
+				log, err := store.OpenFileLog(filepath.Join(dir, chainLogName))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if _, err := dst.Append(rec); err != nil {
+				chain, err := ledger.NewChain(log, store.NewMemLog())
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap, err := chain.SnapshotState()
+				log.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp.Chain, cp.HeadID, cp.RootScheme = snap, ids[len(ids)-1].String(), 1
+				if err := store.WriteCheckpoint(path, cp); err != nil {
 					t.Fatal(err)
 				}
 			}
-			src.Close()
-			dst.Close()
-			if err := os.Rename(path+".forged", path); err != nil {
-				t.Fatal(err)
-			}
-
 			_, _, err = Open(dir, DefaultConfig())
 			if !errors.Is(err, ErrStateRootMismatch) {
-				t.Fatalf("Open of a log whose block %d carries a forged state root: want ErrStateRootMismatch, got %v", height-1, err)
+				t.Fatalf("Open of a chain whose headers carry post-state roots: want ErrStateRootMismatch, got %v", err)
 			}
 		})
+	}
+}
+
+// storedChain reads every block of p's chain with the certificate stored
+// after it.
+func storedChain(t *testing.T, p *Platform) ([]*ledger.Block, [][]byte) {
+	t.Helper()
+	blocks := make([]*ledger.Block, p.Chain().Height())
+	certs := make([][]byte, len(blocks))
+	for h := range blocks {
+		var err error
+		if blocks[h], err = p.Chain().BlockAt(uint64(h)); err != nil {
+			t.Fatal(err)
+		}
+		if certs[h], err = p.Chain().CertAt(uint64(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return blocks, certs
+}
+
+// writeChainLog replaces dir's chain.log with blocks, each linked to the
+// one before it (a forged header changes the id its successor names) and
+// stored with its certificate, if it has one. It returns the blocks' ids.
+func writeChainLog(t *testing.T, dir string, blocks []*ledger.Block, certs [][]byte) []ledger.BlockID {
+	t.Helper()
+	path := filepath.Join(dir, chainLogName)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	log, err := store.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	ids := make([]ledger.BlockID, len(blocks))
+	var prev ledger.BlockID
+	for h, b := range blocks {
+		b.Header.Prev = prev
+		rec := b.Encode()
+		if certs[h] != nil {
+			rec = ledger.AppendBytes(rec, certs[h])
+		}
+		if _, err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		ids[h], prev = b.ID(), b.ID()
+	}
+	return ids
+}
+
+// A checkpoint written while a commit is in flight covers no block that
+// is appended but not yet executed: its state hash is the root at its
+// height, and a node reopened on the last one reaches the writer's root.
+// Each round starts the checkpoint a little later into the commit.
+func TestCheckpointConcurrentWithCommit(t *testing.T) {
+	dir := t.TempDir()
+	p, closeFn, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := p.NewActor("racer")
+	path := filepath.Join(dir, checkpointName)
+	for i := 0; i < 60; i++ {
+		if _, err := a.Send("news.publish", publishPayload(t, "race-"+strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+		committed := make(chan error, 1)
+		go func() { committed <- p.CommitAll() }()
+		time.Sleep(time.Duration(i%20) * 25 * time.Microsecond)
+		if err := p.WriteCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-committed; err != nil {
+			t.Fatal(err)
+		}
+		cp, err := store.ReadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.Engine().StateRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Height < p.Chain().Height() {
+			// The next block's header carries the root before it.
+			next, err := p.Chain().BlockAt(cp.Height)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = next.Header.StateRoot
+		}
+		if cp.StateHash != want.String() {
+			t.Fatalf("round %d: checkpoint at height %d of %d holds state root %s, want %s", i, cp.Height, p.Chain().Height(), cp.StateHash, want)
+		}
+	}
+	root, err := p.Engine().StateRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	height := p.Chain().Height()
+	closeFn()
+
+	p2, close2, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer close2()
+	if p2.Chain().Height() != height {
+		t.Fatalf("reopened at height %d want %d", p2.Chain().Height(), height)
+	}
+	got, err := p2.Engine().StateRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != root {
+		t.Fatalf("reopened (checkpoint height %d) at state root %s, the writer reached %s", p2.CheckpointHeight(), got, root)
 	}
 }
 
@@ -387,6 +554,15 @@ func TestOpenFallsBackWhenCheckpointBeyondLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWorkload(t, p, 6)
+	// The root the writer reached at the head that survives the tear.
+	survivor, err := p.Engine().StateRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := p.NewActor("torn")
+	if err := a.PublishNews("torn-item", corpus.TopicScience, "a statement torn away", nil, ""); err != nil {
+		t.Fatal(err)
+	}
 	// Checkpoint covers the full chain, then the last block is torn away:
 	// the checkpoint now claims a height the log cannot back.
 	if err := p.WriteCheckpoint(); err != nil {
@@ -419,12 +595,8 @@ func TestOpenFallsBackWhenCheckpointBeyondLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, err := p2.Chain().BlockAt(height - 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root != head.Header.StateRoot {
-		t.Fatal("recovered state root does not match surviving head block")
+	if root != survivor {
+		t.Fatal("recovered state root is not the one the writer reached at the surviving head")
 	}
 }
 

@@ -8,17 +8,20 @@ import (
 	"testing"
 
 	"repro/internal/blobstore"
+	"repro/internal/consensus"
+	"repro/internal/corpus"
 	"repro/internal/ledger"
+	"repro/internal/light"
 )
 
 // TestCommitAndExternalBlocksProduceIdenticalState replays the exact
-// block sequence mined by a standalone node into a second node through
-// the consensus path (commitDecided: append, execute, index) and asserts the
-// derived state — fact index, graph, receipts, contract
-// state — is byte-for-byte identical. Both paths feed the same commit
-// bus, so any divergence is a bug in the pipeline. A third node then
-// replays the miner's chain from disk: Commit, commitDecided and replay
-// must write the same receipt records.
+// block sequence mined by a standalone node into a second node the way a
+// validator applies decided blocks (commitDecided, each block with the
+// certificate the miner stored) and asserts the derived state — fact
+// index, graph, receipts, contract state — is byte-for-byte identical.
+// Both paths feed the same commit bus, so any divergence is a bug in the
+// pipeline. A third node then replays the miner's chain from disk: Commit,
+// commitDecided and replay must write the same receipt records.
 func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 	dir := t.TempDir()
 	miner, closeMiner, err := Open(dir, DefaultConfig())
@@ -44,7 +47,11 @@ func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 		return b, err == nil
 	})
 	if err := miner.Chain().Walk(0, func(b *ledger.Block) bool {
-		if err := follower.commitDecided(b, nil); err != nil {
+		cert, err := miner.Chain().CertAt(b.Header.Height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := commitBlock(follower, b, cert); err != nil {
 			t.Fatalf("commit height %d: %v", b.Header.Height, err)
 		}
 		return true
@@ -103,6 +110,16 @@ func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 	}
 }
 
+// commitBlock commits a decided block and its encoded certificate through
+// commitDecided, as a validator's CommitBlock does.
+func commitBlock(p *Platform, b *ledger.Block, cert []byte) error {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	sp, start := p.beginCommit()
+	_, err := p.commitDecided(sp, start, b, cert)
+	return err
+}
+
 func TestMempoolCapacityConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MempoolCapacity = 2
@@ -146,5 +163,106 @@ func TestDefaultMempoolCapacityScalesWithBlockSize(t *testing.T) {
 	}
 	if got := defaultMempoolCapacity(4096); got != 128*4096 {
 		t.Fatalf("default for 4096 = %d want %d", got, 128*4096)
+	}
+}
+
+// A standalone node decides each block as a validator set of one, its
+// authority: every stored block carries a certificate that set accepts
+// for that block's id and height, block sync serves every height, and a
+// light client accepts a transaction proof finalized by it, and not by
+// another set. It holds on an in-memory node and on a durable one,
+// reopened once through full replay and once from a checkpoint.
+func TestStandaloneBlocksAreCertified(t *testing.T) {
+	mem, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, mem, 4)
+	assertCertified(t, mem)
+
+	dir := t.TempDir()
+	p, closeFn, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, p, 4)
+	assertCertified(t, p)
+	closeFn()
+	replayed, closeReplayed, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed.CheckpointHeight() != 0 {
+		t.Fatalf("reopened from a checkpoint at %d, want full replay", replayed.CheckpointHeight())
+	}
+	assertCertified(t, replayed)
+	if err := replayed.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.NewActor("after-checkpoint").PublishNews("tail-item", corpus.TopicScience, "a statement above the checkpoint", nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	closeReplayed()
+	restored, closeRestored, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeRestored()
+	if h := restored.CheckpointHeight(); h == 0 || h == restored.Chain().Height() {
+		t.Fatalf("checkpoint height %d of %d, want a restore with a tail", h, restored.Chain().Height())
+	}
+	assertCertified(t, restored)
+}
+
+// assertCertified checks every height of p's chain against the validator
+// set of one made of p's authority key.
+func assertCertified(t *testing.T, p *Platform) {
+	t.Helper()
+	self, err := consensus.NewValidatorSet([]consensus.Validator{{ID: "authority", Addr: p.authority.Address(), Pub: p.authority.Public(), Power: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	others, _, err := ClusterValidators(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := p.Chain()
+	if chain.Height() == 0 {
+		t.Fatal("no blocks")
+	}
+	reader := light.NewClient()
+	if err := reader.SyncFrom(chain); err != nil {
+		t.Fatal(err)
+	}
+	sync := &consensus.ChainApp{Chain: chain}
+	for h := uint64(0); h < chain.Height(); h++ {
+		b, err := chain.BlockAt(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := chain.CertAt(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := consensus.DecodeCommit(raw)
+		if err != nil {
+			t.Fatalf("height %d: %v", h, err)
+		}
+		if err := consensus.VerifyCommit(cert, self); err != nil || cert.Height != h || cert.BlockID != b.ID() {
+			t.Fatalf("height %d: certificate for height %d block %s (%v), want block %s", h, cert.Height, cert.BlockID.Short(), err, b.ID().Short())
+		}
+		if served, _, err := sync.BlockAt(h); err != nil || served.ID() != b.ID() {
+			t.Fatalf("height %d: block sync serves %v", h, err)
+		}
+		proof, err := light.Prove(chain, b.Txs[0].ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reader.VerifyFinalized(proof, cert, self); err != nil {
+			t.Fatalf("height %d: a proof finalized by the authority rejected: %v", h, err)
+		}
+		if _, err := reader.VerifyFinalized(proof, cert, others); err == nil {
+			t.Fatalf("height %d: a proof finalized by the authority accepted against a cluster's validators", h)
+		}
 	}
 }

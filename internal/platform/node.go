@@ -78,9 +78,8 @@ func AttachConsensus(p *Platform, id transport.NodeID, kp *keys.KeyPair, set *co
 }
 
 // validatorApp is a platform validator's consensus.App: ChainApp proposes
-// and validates blocks, and the platform commits a decided one — append,
-// execute, index — so that its append is a stage of the commit, as on the
-// standalone path.
+// and validates blocks, and the platform commits a decided one through
+// commitDecided, the function that commits a standalone node's blocks.
 type validatorApp struct {
 	*consensus.ChainApp
 	p *Platform
@@ -88,7 +87,11 @@ type validatorApp struct {
 
 // CommitBlock implements consensus.App.
 func (a validatorApp) CommitBlock(b *ledger.Block, cert *consensus.Commit) error {
-	return a.p.commitDecided(b, consensus.EncodeCommit(cert))
+	a.p.commitMu.Lock()
+	defer a.p.commitMu.Unlock()
+	sp, start := a.p.beginCommit()
+	_, err := a.p.commitDecided(sp, start, b, consensus.EncodeCommit(cert))
+	return err
 }
 
 // consensusApp returns the consensus.App through which p validates, its
@@ -96,7 +99,7 @@ func (a validatorApp) CommitBlock(b *ledger.Block, cert *consensus.Commit) error
 // configured now (a fixed epoch by default, time.Now in the daemon).
 func (p *Platform) consensusApp(proposer keys.Address) consensus.App {
 	return validatorApp{
-		ChainApp: &consensus.ChainApp{Chain: p.chain, Pool: p.pool, Proposer: proposer, AllowEmpty: true, Now: p.clock},
+		ChainApp: &consensus.ChainApp{Chain: p.chain, Pool: p.pool, Proposer: proposer, MaxTxs: p.cfg.MaxTxsPerBlock, AllowEmpty: true, Now: p.clock},
 		p:        p,
 	}
 }

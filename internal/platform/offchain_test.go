@@ -163,7 +163,7 @@ func TestFreshNodeFetchesVerifiesAndSearchesOverLossyLink(t *testing.T) {
 	})
 
 	if err := miner.Chain().Walk(0, func(b *ledger.Block) bool {
-		if err := fresh.commitDecided(b, nil); err != nil {
+		if err := commitBlock(fresh, b, nil); err != nil {
 			t.Fatalf("commit: %v", err)
 		}
 		return true

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/ledger"
-	"repro/internal/merkle"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -25,8 +24,8 @@ import (
 //
 //   - checkpoint restore: load the latest CRC-guarded checkpoint, hand
 //     each commit-bus subscriber its snapshot blob, verify the restored
-//     contract state against the block header's state root, and replay
-//     only the WAL tail above the checkpoint height — O(tail) instead of
+//     contract state against the checkpoint's state hash, and replay only
+//     the WAL tail above the checkpoint height — O(tail) instead of
 //     O(chain length);
 //   - full replay: execute every block through the contract engine (the
 //     original behaviour), used when no checkpoint exists or the
@@ -44,9 +43,11 @@ import (
 // picks nothing: the chain rebuilds whatever txindex.log lacks from
 // chain.log on either path.
 //
-// Both paths check, after executing each block whose header commits to a
-// state root, that the engine arrived at that root; a block that does not
-// reproduce its own header fails Open with ErrStateRootMismatch.
+// Both paths check, before executing each block whose header commits to a
+// state root (a standalone block's: the root its predecessors left; a
+// cluster block's is zero), that the engine holds that root, and fail Open
+// with ErrStateRootMismatch if not. So the tail's first header attests a
+// restored checkpoint; one at the tip has only its state hash.
 
 // Durable file names inside the data directory.
 const (
@@ -59,9 +60,10 @@ const (
 // ErrNotDurable indicates a checkpoint operation on an in-memory node.
 var ErrNotDurable = errors.New("platform: node has no data directory")
 
-// ErrStateRootMismatch fails Open when replaying a block leaves the
+// ErrStateRootMismatch fails Open when replay reaches a block with the
 // contract state at another root than the block's header commits to: the
-// log was altered, or was written under another contract.StateRootScheme.
+// log was altered, or was written under another contract.StateRootScheme
+// or before standalone headers carried the deferred root.
 var ErrStateRootMismatch = errors.New("platform: replayed state root does not match block header")
 
 // Open creates or reopens a durable platform at dir. The chain log lives
@@ -222,13 +224,13 @@ func (p *Platform) stop() error {
 // openFromCheckpoint attempts the fast reopen path: rebuild the chain
 // from the checkpoint's index snapshot (validating only the WAL tail),
 // restore every subscriber blob, verify the restored contract state
-// against both the checkpoint hash and the committed block header, then
-// replay just the tail. Any error means the caller must fall back to the
-// full-replay path, with everything this attempt started stopped; nothing
-// here mutates the chain log, what the tail replay adds to the receipt log
-// is what full replay would add, the segments the chain writes to the
-// index log are ones any open writes, and full replay starts the state log
-// over.
+// against the checkpoint hash, then replay just the tail, whose first
+// header holds the restored state to its root. Any error means the caller
+// must fall back to the full-replay path, with everything this attempt
+// started stopped; nothing here mutates the chain log, what the tail
+// replay adds to the receipt log is what full replay would add, the
+// segments the chain writes to the index log are ones any open writes, and
+// full replay starts the state log over.
 func openFromCheckpoint(dir string, cfg Config, logs *durableLogs, cp *store.Checkpoint) (*Platform, error) {
 	chain, err := ledger.NewChainFromSnapshot(logs.chain, logs.txIndex, cp.Chain)
 	if err != nil {
@@ -265,7 +267,6 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 	if cp.Height > p.chain.Height() {
 		return fmt.Errorf("platform: checkpoint height %d beyond chain height %d", cp.Height, p.chain.Height())
 	}
-	var wantRoot string
 	if cp.Height > 0 {
 		blk, err := p.chain.BlockAt(cp.Height - 1)
 		if err != nil {
@@ -274,21 +275,13 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 		if got := blk.ID().String(); got != cp.HeadID {
 			return fmt.Errorf("platform: checkpoint head id %s does not match chain %s", cp.HeadID, got)
 		}
-		// Standalone commits embed the post-execution state root in the
-		// header; consensus-proposed blocks leave it zero (the proposer
-		// cannot know the post-state before the block is decided). The
-		// header cross-check applies only when a commitment is present.
-		if blk.Header.StateRoot != (merkle.Hash{}) {
-			wantRoot = blk.Header.StateRoot.String()
-		}
 	}
 	if err := p.bus.Restore(cp.Subscribers, cp.Height); err != nil {
 		return err
 	}
-	// The restored contract state must hash to both the checkpoint's
-	// recorded root and the root committed in the block header at the
-	// checkpoint height, the header check replayFrom applies to every
-	// block it executes.
+	// The restored contract state must hash to the checkpoint's recorded
+	// root. The header that commits to it is the next block's, which
+	// replayFrom checks first.
 	root, err := p.engine.StateRoot()
 	if err != nil {
 		return fmt.Errorf("platform: restored state root: %w", err)
@@ -296,29 +289,27 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 	if root.String() != cp.StateHash {
 		return fmt.Errorf("platform: restored state root %s does not match checkpoint %s", root.String(), cp.StateHash)
 	}
-	if wantRoot != "" && root.String() != wantRoot {
-		return fmt.Errorf("platform: restored state root %s does not match block header %s", root.String(), wantRoot)
-	}
 	p.ckptHeight = cp.Height
 	return nil
 }
 
 // replayFrom re-executes committed blocks from the given height upward,
 // feeding each through the receipt log and the commit bus like a live
-// commit (but enqueueing no penalty, see penalizeOffendersLocked), and holds each to the state root its header carries
-// (consensus-decided blocks carry none, so a cluster validator's replay
-// hashes nothing). The receipt log may reach above from: those blocks'
-// receipts stay as they are and writing resumes where the log ends.
+// commit (but enqueueing no penalty, see penalizeOffendersLocked). Before
+// executing a block it holds the state to the root the block's header
+// carries: the root its predecessors left, on a standalone chain; none on
+// a cluster's, so a validator's replay hashes nothing. The receipt log may
+// reach above from: those blocks' receipts stay as they are and writing
+// resumes where the log ends.
 func (p *Platform) replayFrom(from uint64) error {
 	var failed error
 	err := p.chain.Walk(from, func(b *ledger.Block) bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		recs := p.engine.ExecuteBlock(b)
 		if want := b.Header.StateRoot; !want.IsZero() {
 			got, err := p.engine.StateRoot()
 			if err != nil {
-				failed = fmt.Errorf("platform: state root of block %d: %w", b.Header.Height, err)
+				failed = fmt.Errorf("platform: state root before block %d: %w", b.Header.Height, err)
 				return false
 			}
 			if got != want {
@@ -326,6 +317,7 @@ func (p *Platform) replayFrom(from uint64) error {
 				return false
 			}
 		}
+		recs := p.engine.ExecuteBlock(b)
 		if failed = p.recordReceiptsLocked(b.Header.Height, recs); failed != nil {
 			return false
 		}
@@ -350,8 +342,11 @@ func (p *Platform) replayFrom(from uint64) error {
 // and holds only the memtable. The transaction index is not in it at all:
 // Open checks txindex.log against the chain and rebuilds what it lacks, so
 // that log is never synced. Both logs are rewritten here without the
-// records merges left dead, once those outweigh the live ones.
+// records merges left dead, once those outweigh the live ones. It waits
+// for a commit in flight, whose block is appended before it is executed.
 func (p *Platform) WriteCheckpoint() error {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dir == "" {

@@ -56,7 +56,7 @@ type Config struct {
 	AuthoritySeed string
 	// PromoteThreshold gates factual-database promotion (default 0.9).
 	PromoteThreshold float64
-	// MaxTxsPerBlock bounds standalone block size (default 512).
+	// MaxTxsPerBlock bounds block size (default 512).
 	MaxTxsPerBlock int
 	// MempoolCapacity bounds the pending-transaction pool. Zero derives a
 	// default scaled to MaxTxsPerBlock (at least 128 blocks' worth, never
@@ -108,6 +108,12 @@ func DefaultConfig() Config {
 // Platform is one trusting-news node.
 type Platform struct {
 	mu sync.Mutex
+	// commitMu serialises commits through the end of commitDecided — a
+	// standalone Commit from its batch, so two never build on the same
+	// head, and a validator's decided block — and WriteCheckpoint, which
+	// takes it before mu and so never sees a block appended but not yet
+	// executed.
+	commitMu sync.Mutex
 
 	cfg       Config
 	engine    *contract.Engine
@@ -558,44 +564,37 @@ func (p *Platform) stage(sp *telemetry.Span, st commitStage, fn func()) {
 	child.End()
 }
 
-// Commit mines one block from the mempool in standalone mode: executes
-// the batch, appends the block, records its receipts and indexes the
-// emitted events. It returns the committed block and its receipts (nil
-// block if the pool was empty). Receipts the receipt log did not take are
-// counted (trustnews_platform_receipt_errors_total), not an error: the
-// block is committed, and the next Open repairs the log.
+// Commit mines one block from the mempool in standalone mode: its header
+// carries the state root before it (a deferred root, which replay checks
+// before executing the block), the authority's one precommit certifies it
+// as the quorum of a validator set of one, and commitDecided commits it.
+// It returns the block and its receipts (nil block if the pool was empty).
 func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.replicated {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	if p.ConsensusAttached() {
 		return nil, nil, ErrReplicated
 	}
 	txs := p.pool.Batch(p.cfg.MaxTxsPerBlock)
 	if len(txs) == 0 {
 		return nil, nil, nil
 	}
-	var start time.Time
-	if p.tm.commitSec != nil {
-		start = time.Now()
-	}
-	sp := p.tracer.Start("platform.commit")
-	defer sp.End()
+	sp, start := p.beginCommit()
 	blk := ledger.NewBlock(p.chain.Height(), p.chain.HeadID(), [32]byte{}, p.clock(), p.authority.Address(), txs)
-	var recs []contract.Receipt
-	p.stage(sp, stageExecute, func() { recs = p.engine.ExecuteBlock(blk) })
 	var err error
 	p.stage(sp, stageStateRoot, func() { blk.Header.StateRoot, err = p.engine.StateRoot() })
 	if err != nil {
 		sp.SetAttr("error", "state_root")
+		sp.End()
 		return nil, nil, fmt.Errorf("platform: state root: %w", err)
 	}
-	p.stage(sp, stageAppend, func() { err = p.chain.Append(blk, nil) })
+	vote := consensus.Vote{Type: consensus.VotePrecommit, Height: blk.Header.Height, BlockID: blk.ID(), Voter: p.authority.Address()}
+	consensus.SignVote(&vote, p.authority)
+	cert := consensus.EncodeCommit(&consensus.Commit{Height: vote.Height, BlockID: vote.BlockID, Quorum: []consensus.Vote{vote}})
+	recs, err := p.commitDecided(sp, start, blk, cert)
 	if err != nil {
-		sp.SetAttr("error", "append")
 		return nil, nil, fmt.Errorf("platform: append block: %w", err)
 	}
-	p.pool.Remove(txs)
-	p.settleLocked(sp, start, blk, recs)
 	return blk, recs, nil
 }
 
@@ -612,44 +611,40 @@ func (p *Platform) CommitAll() error {
 	}
 }
 
-// commitDecided commits a block consensus decided (a validator's
-// CommitBlock, see validatorApp): it is appended to the chain with its
-// encoded certificate, WAL fsync included, leaves the mempool, and is
-// executed and indexed, every step a stage of one commit as on the
-// standalone path.
-func (p *Platform) commitDecided(b *ledger.Block, cert []byte) error {
+// beginCommit starts one block's commit span and (with telemetry) clock,
+// which commitDecided ends: both cover every stage the block ran.
+func (p *Platform) beginCommit() (*telemetry.Span, time.Time) {
 	var start time.Time
 	if p.tm.commitSec != nil {
 		start = time.Now()
 	}
-	sp := p.tracer.Start("platform.commitDecided")
+	return p.tracer.Start("platform.commit"), start
+}
+
+// commitDecided commits a decided block, a validator's or Commit's, in
+// stages of the commit begun at start under sp: appended to the chain with
+// its encoded certificate (WAL fsync included) outside p.mu, out of the
+// mempool, then under p.mu executed, the transaction index's tail sealed if
+// the block filled it, receipts logged, published on the commit bus and its
+// offenders' penalties enqueued. Only a failed append is an error: a seal,
+// receipts or a penalty that could not be written (recordReceiptsLocked)
+// are marked on the span, like a lagging bus subscriber, since the block is
+// committed (an unsealed tail is sealed with the next block; lost receipts
+// count in trustnews_platform_receipt_errors_total and the next Open
+// repairs the log). Caller holds p.commitMu.
+func (p *Platform) commitDecided(sp *telemetry.Span, start time.Time, b *ledger.Block, cert []byte) ([]contract.Receipt, error) {
 	defer sp.End()
 	var err error
 	p.stage(sp, stageAppend, func() { err = p.chain.Append(b, cert) })
 	if err != nil {
 		sp.SetAttr("error", "append")
-		return err
+		return nil, err
 	}
 	p.pool.Remove(b.Txs)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var recs []contract.Receipt
 	p.stage(sp, stageExecute, func() { recs = p.engine.ExecuteBlock(b) })
-	p.settleLocked(sp, start, b, recs)
-	return nil
-}
-
-// settleLocked is the step Commit and commitDecided share once a
-// block is executed and on the chain: the chain's transaction index seals
-// its tail if the block filled it, the receipts go to the receipt log, the
-// block goes to the commit bus, its offenders' penalties go to the
-// mempool, and the commit is counted. A seal, receipts or a penalty that
-// could not be written (see recordReceiptsLocked) are marked on the span,
-// like a lagging bus subscriber, not returned: the block is committed, and
-// a derived-data write must not make it look otherwise (an unsealed tail
-// stays in memory and is sealed with the next block). Caller holds p.mu.
-func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.Block, recs []contract.Receipt) {
-	var err error
 	p.stage(sp, stageTxIndex, func() {
 		err = p.chain.SealTxIndex()
 		p.setStoreGauges()
@@ -673,6 +668,7 @@ func (p *Platform) settleLocked(sp *telemetry.Span, start time.Time, b *ledger.B
 	}
 	sp.SetAttr("height", fmt.Sprintf("%d", b.Header.Height))
 	sp.SetAttr("txs", fmt.Sprintf("%d", len(b.Txs)))
+	return recs, nil
 }
 
 // setStoreGauges publishes the sizes of the chain's transaction index and

@@ -371,7 +371,7 @@ func TestReplicatedCheckpointDropsStateTrie(t *testing.T) {
 			txs = append(txs, tx)
 		}
 		b := ledger.NewBlock(p.Chain().Height(), p.Chain().HeadID(), merkle.Hash{}, time.Unix(1562500000, 0), auth.Address(), txs)
-		if err := p.commitDecided(b, nil); err != nil {
+		if err := commitBlock(p, b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -288,12 +288,12 @@ func writtenBeforeIndexLog(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	chain, err := ledger.NewChain(log, store.NewMemLog())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for h := uint64(0); h < snap.Height; h++ {
-		raw, err := log.Get(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ledger.DecodeBlock(raw)
+		b, err := chain.BlockAt(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,6 +301,7 @@ func writtenBeforeIndexLog(t *testing.T, dir string) {
 			old.Txs = append(old.Txs, txRef{tx.ID(), h, i})
 		}
 	}
+	chain.Close()
 	log.Close()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(old); err != nil {

@@ -243,8 +243,8 @@ func run(ctx context.Context, o options) error {
 		return serveErr
 	}
 	if pipeline != nil {
-		// Stop the workers, then seal the queue WAL. In-flight leases
-		// simply replay on the next start — nothing acked is lost.
+		// Stop the workers, then seal the queue WAL. Items still in
+		// flight replay on the next start; nothing accepted is lost.
 		pipeline.Stop()
 		if err := pipeline.Queue().Close(); err != nil {
 			log.Printf("shutdown: ingest queue: %v", err)
@@ -278,11 +278,11 @@ func startIngest(p *platform.Platform, o options) (*ingest.Pipeline, error) {
 		fl.Instrument(p.Telemetry(), "ingest")
 		wal = fl
 	}
-	q, err := ingest.NewQueue(wal, ingest.QueueConfig{Capacity: o.ingestQueueCap})
+	q, err := ingest.NewQueue(wal, o.ingestQueueCap)
 	if err != nil {
 		return nil, fmt.Errorf("ingest queue: %w", err)
 	}
-	pl := ingest.NewPipeline(p, q, ingest.PipelineConfig{Workers: o.ingestWorkers})
+	pl := ingest.NewPipeline(p, q, o.ingestWorkers)
 	pl.Instrument(p.Telemetry())
 	pl.Start()
 	if d := q.Depth(); d > 0 {

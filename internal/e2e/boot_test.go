@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/ingest"
 	"repro/internal/supplychain"
 )
 
@@ -61,6 +62,63 @@ func TestRankScoreSameAcrossRestart(t *testing.T) {
 	if !strings.Contains(c.tail(0), "boot: open") {
 		t.Fatalf("the durable node line does not report the boot split:\n%s", c.tail(0))
 	}
+}
+
+// TestIdleDaemonSleeps: a standalone durable daemon with the ingest
+// pipeline on (its default) spends next to no CPU while nothing arrives,
+// because nothing in it polls, and still publishes an article the moment
+// one is posted.
+func TestIdleDaemonSleeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes; skipped in -short mode")
+	}
+	root := t.TempDir()
+	c := &cluster{t: t, bin: daemonBinary(t), nodes: []*node{{
+		dataDir:  filepath.Join(root, "data"),
+		httpAddr: fmt.Sprintf("127.0.0.1:%d", freePorts(t, 1)[0]),
+		logPath:  filepath.Join(root, "node.log"),
+	}}}
+	t.Cleanup(c.stopAll)
+	c.startStandalone()
+
+	const cpu = "trustnews_process_cpu_seconds_total"
+	before := c.metrics(0)[cpu]
+	time.Sleep(2 * time.Second)
+	if spent := c.metrics(0)[cpu] - before; spent >= 0.020 {
+		t.Fatalf("an idle daemon spent %.0f ms of CPU in 2 s, want < 20 ms", spent*1000)
+	}
+
+	text := "harbor authority approves the eastern pier expansion"
+	resp, err := httpClient.Post("http://"+c.nodes[0].httpAddr+"/v1/ingest", "application/json",
+		strings.NewReader(`{"source":"wire","topic":"econ","text":"`+text+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/ingest: status %d", resp.StatusCode)
+	}
+	body, _ := ingest.Extract(text, 0)
+	id := ingest.ItemIDFor(body)
+	c.waitFor("the ingested article to be committed and searchable", 5*time.Second, func() bool {
+		if code, _ := c.getStatus(0, "/v1/items/"+id); code != http.StatusOK {
+			return false
+		}
+		var page struct {
+			Results []struct {
+				ID string `json:"id"`
+			} `json:"results"`
+		}
+		if code, err := c.getJSON(0, "/v1/search?q=eastern+pier", &page); err != nil || code != http.StatusOK {
+			return false
+		}
+		for _, r := range page.Results {
+			if r.ID == id {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // startStandalone launches node 0 as a standalone durable daemon and waits

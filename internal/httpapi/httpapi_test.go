@@ -537,11 +537,11 @@ func TestIngestEndpointsAndHealthzFields(t *testing.T) {
 	if code := f.get("/v1/ingest", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("no-pipeline stats status=%d", code)
 	}
-	q, err := ingest.NewQueue(nil, ingest.QueueConfig{})
+	q, err := ingest.NewQueue(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := ingest.NewPipeline(f.p, q, ingest.PipelineConfig{Workers: 1})
+	pl := ingest.NewPipeline(f.p, q, 1)
 	pl.Start()
 	t.Cleanup(pl.Stop)
 	if srv, ok := f.srv.Config.Handler.(*Server); ok {

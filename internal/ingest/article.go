@@ -8,13 +8,13 @@
 // production, and a crash must never lose accepted work. The queue
 // therefore write-ahead-logs every accepted article (reusing the
 // store.FileLog CRC framing, so torn tails truncate and tampering is
-// detected on replay), leases items to workers with a TTL, retries
-// failures with exponential backoff, and dead-letters poison items
-// after a bounded number of attempts. Publishes are made effectively
-// exactly-once by deriving the item id from the article's normalized
-// content key: a redelivered item publishes under the same id, which
-// the supply-chain contract rejects as a duplicate, and the pipeline
-// converts that rejection into an ack.
+// detected on replay). Workers wait for work rather than poll for it, a
+// settler settles publishes when blocks commit, a failed attempt retries
+// after one fixed delay, and the fifth failure dead-letters the item.
+// Publishes are made effectively exactly-once by deriving the item id
+// from the article's normalized content key: a redelivered item
+// publishes under the same id, which the supply-chain contract rejects
+// as a duplicate, and the pipeline converts that rejection into an ack.
 package ingest
 
 import (

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -12,51 +13,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// itemIDFor derives the deterministic chain id of an ingested article
-// from its normalized content key. Two fetches of the same story — from
-// two sources, two workers, or the same item redelivered after a crash
-// — collide on this id, and the supply-chain contract's duplicate-id
-// rejection turns the second publish into a dedup ack. This is what
-// makes ingest publishes effectively exactly-once without distributed
-// coordination.
-func itemIDFor(text string) string {
+// ItemIDFor derives the deterministic chain id of an ingested article
+// from its normalized content key; text must be the extracted body (pass
+// raw fetches through Extract first). Two fetches of the same story —
+// from two sources, two workers, or the same item redelivered after a
+// crash — collide on this id, and the supply-chain contract's
+// duplicate-id rejection turns the second publish into a dedup ack. This
+// is what makes ingest publishes effectively exactly-once without
+// distributed coordination.
+func ItemIDFor(text string) string {
 	return "ing-" + factdb.ContentKey(text)[:24]
 }
 
-// ItemIDFor exposes the deterministic id derivation so callers (tests,
-// experiments, crawl tooling) can locate an ingested article on chain.
-// text must be the extracted body — pass raw fetches through Extract
-// first.
-func ItemIDFor(text string) string { return itemIDFor(text) }
-
-// PipelineConfig tunes the ingest pipeline.
-type PipelineConfig struct {
-	// Workers is the number of concurrent pipeline workers. Default 4.
-	Workers int
-	// MaxBodyBytes caps extracted bodies. Default DefaultMaxBodyBytes.
-	MaxBodyBytes int
-	// PollInterval paces idle workers and the receipt ack loop.
-	// Default 2ms.
-	PollInterval time.Duration
-	// AckTimeout nacks a submitted publish whose receipt never lands
-	// (e.g. the tx was shed from the mempool). Default 10s.
-	AckTimeout time.Duration
-}
-
-func (c *PipelineConfig) fill() {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 2 * time.Millisecond
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 10 * time.Second
-	}
-}
+// ackTimeout retries a submitted publish whose receipt never lands (the
+// tx was lost, e.g. shed from the mempool).
+const ackTimeout = 10 * time.Second
 
 // PipelineStats is the pipeline's observable state.
 type PipelineStats struct {
@@ -66,10 +37,10 @@ type PipelineStats struct {
 	// Deduped counts articles acked because their content was already on
 	// chain (duplicate fetch, or a redelivery after a crash).
 	Deduped uint64 `json:"deduped"`
-	// Truncated counts bodies cut at MaxBodyBytes during extraction.
+	// Truncated counts bodies cut at DefaultMaxBodyBytes during extraction.
 	Truncated uint64 `json:"truncated"`
-	// Failed counts attempts that nacked (publish error or failed
-	// receipt).
+	// Failed counts failed attempts (publish error, failed receipt,
+	// receipt timeout or an empty body).
 	Failed uint64 `json:"failed"`
 	// AwaitingCommit is the number of submitted publishes whose receipt
 	// has not landed yet.
@@ -86,15 +57,18 @@ type pendingTx struct {
 // Pipeline drains the ingest queue with concurrent workers: each item
 // is extracted (size-capped), its body chunked into the blob store, and
 // a reference publish submitted to the mempool under a deterministic
-// content-derived id. The worker does NOT wait for the commit — an ack
-// loop polls the receipt store and settles queue items as their
-// publishes commit, so ingest throughput is decoupled from block
-// cadence and the commit path never blocks on ingest work.
+// content-derived id. The worker does NOT wait for the commit: one
+// settle goroutine wakes when a block commits and settles queue items as
+// their publishes' receipts land, so ingest throughput is decoupled from
+// block cadence and the commit path never blocks on ingest work.
 type Pipeline struct {
-	p     *platform.Platform
-	q     *Queue
-	cfg   PipelineConfig
-	actor *platform.Actor
+	p       *platform.Platform
+	q       *Queue
+	workers int
+	actor   *platform.Actor
+	// ackTimeout is the package constant; tests in this package shorten
+	// it.
+	ackTimeout time.Duration
 
 	mu        sync.Mutex
 	pending   map[ledger.TxID]pendingTx
@@ -103,9 +77,16 @@ type Pipeline struct {
 	truncated uint64
 	failed    uint64
 
-	stop chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	// submitted holds at most one pending "a publish was submitted"
+	// signal for the settler, so it arms the publish's deadline and
+	// settles a receipt that landed before the publish was recorded.
+	submitted chan struct{}
+	// afterPass, when set, runs between a settle pass and the wait after
+	// it (tests commit a block there).
+	afterPass func()
+	ctx       context.Context // done once Stop is called
+	stop      context.CancelFunc
+	wg        sync.WaitGroup
 
 	tmPublished  *telemetry.Counter
 	tmDeduped    *telemetry.Counter
@@ -114,17 +95,23 @@ type Pipeline struct {
 	tmPublishSec *telemetry.Histogram
 }
 
-// NewPipeline builds a pipeline draining q into p. Call Start to run
-// the workers.
-func NewPipeline(p *platform.Platform, q *Queue, cfg PipelineConfig) *Pipeline {
-	cfg.fill()
+// NewPipeline builds a pipeline draining q into p with the given number
+// of workers (<= 0 means 4). Call Start to run them.
+func NewPipeline(p *platform.Platform, q *Queue, workers int) *Pipeline {
+	if workers <= 0 {
+		workers = 4
+	}
+	ctx, stop := context.WithCancel(context.Background())
 	return &Pipeline{
-		p:       p,
-		q:       q,
-		cfg:     cfg,
-		actor:   p.NewActor("ingest-pipeline"),
-		pending: make(map[ledger.TxID]pendingTx),
-		stop:    make(chan struct{}),
+		p:          p,
+		q:          q,
+		workers:    workers,
+		actor:      p.NewActor("ingest-pipeline"),
+		ackTimeout: ackTimeout,
+		pending:    make(map[ledger.TxID]pendingTx),
+		submitted:  make(chan struct{}, 1),
+		ctx:        ctx,
+		stop:       stop,
 	}
 }
 
@@ -138,25 +125,24 @@ func (pl *Pipeline) Instrument(reg *telemetry.Registry) {
 	pl.tmPublished = reg.Counter("trustnews_ingest_published_total", "Ingested articles whose publish committed.")
 	pl.tmDeduped = reg.Counter("trustnews_ingest_deduped_total", "Ingested articles already on chain (content-key dedup).")
 	pl.tmTruncated = reg.Counter("trustnews_ingest_truncated_total", "Ingested bodies cut at the extraction size cap.")
-	pl.tmFailed = reg.Counter("trustnews_ingest_failed_total", "Ingest attempts that failed and will retry.")
+	pl.tmFailed = reg.Counter("trustnews_ingest_failed_total", "Failed ingest attempts.")
 	pl.tmPublishSec = reg.Histogram("trustnews_ingest_publish_seconds", "Extract + blob put + submit time per article.", nil)
 }
 
-// Start launches the workers and the receipt ack loop.
+// Start launches the workers and the settler.
 func (pl *Pipeline) Start() {
-	for i := 0; i < pl.cfg.Workers; i++ {
-		pl.wg.Add(1)
+	pl.wg.Add(pl.workers + 1)
+	for i := 0; i < pl.workers; i++ {
 		go pl.worker()
 	}
-	pl.wg.Add(1)
-	go pl.ackLoop()
+	go pl.settleLoop()
 }
 
-// Stop halts workers and the ack loop and waits for them. In-flight
-// leases simply expire; their items redeliver on the next Start or
-// after a restart's WAL replay.
+// Stop halts the workers and the settler and waits for them. Items in
+// flight stay in flight until a restart replays them from the WAL; the
+// content id turns a publish of theirs that did land into a dedup.
 func (pl *Pipeline) Stop() {
-	pl.once.Do(func() { close(pl.stop) })
+	pl.stop()
 	pl.wg.Wait()
 }
 
@@ -179,70 +165,53 @@ func (pl *Pipeline) Stats() PipelineStats {
 	}
 }
 
-// worker leases items and runs them through extract → blob → submit.
+// worker takes items as they become ready and runs them through
+// extract → blob → submit.
 func (pl *Pipeline) worker() {
 	defer pl.wg.Done()
 	for {
-		select {
-		case <-pl.stop:
-			return
-		default:
-		}
-		seq, art, ok := pl.q.Lease()
+		seq, art, ok := pl.q.Take(pl.ctx)
 		if !ok {
-			select {
-			case <-pl.stop:
-				return
-			case <-time.After(pl.cfg.PollInterval):
-			}
-			continue
+			return
 		}
 		pl.process(seq, art)
 	}
 }
 
-// process runs one leased item to the submitted state (or settles it).
+// process runs one taken item to the submitted state (or settles it).
 func (pl *Pipeline) process(seq uint64, art Article) {
-	var start time.Time
-	if pl.tmPublishSec != nil {
-		start = time.Now()
-	}
-	text, truncated := Extract(art.Text, pl.cfg.MaxBodyBytes)
+	start := time.Now()
+	text, truncated := Extract(art.Text, DefaultMaxBodyBytes)
 	if truncated {
-		pl.mu.Lock()
-		pl.truncated++
-		pl.mu.Unlock()
-		pl.tmTruncated.Inc()
+		pl.count(&pl.truncated, pl.tmTruncated)
 	}
 	if text == "" {
-		// Nothing extractable: not retryable, straight to settled. An
-		// empty body would be rejected by the contract every attempt.
-		_ = pl.q.Nack(seq, "empty body after extraction")
-		pl.countFail()
+		// Nothing extractable: the contract would reject an empty body on
+		// every attempt, so no retry can help.
+		_ = pl.q.DeadLetter(seq, "empty body after extraction")
+		pl.count(&pl.failed, pl.tmFailed)
 		return
 	}
-	id := itemIDFor(text)
+	id := ItemIDFor(text)
 	if _, err := supplychain.GetItem(pl.p.Engine(), pl.p.Authority(), id); err == nil {
 		// Already on chain: duplicate fetch or crash redelivery.
 		_ = pl.q.Ack(seq)
-		pl.mu.Lock()
-		pl.deduped++
-		pl.mu.Unlock()
-		pl.tmDeduped.Inc()
+		pl.count(&pl.deduped, pl.tmDeduped)
 		return
 	}
 	txID, err := pl.submitPublish(id, art, text)
 	if err != nil {
-		_ = pl.q.Nack(seq, fmt.Sprintf("submit: %v", err))
-		pl.countFail()
+		pl.retry(seq, fmt.Sprintf("submit: %v", err))
 		return
 	}
 	pl.mu.Lock()
-	pl.pending[txID] = pendingTx{seq: seq, itemID: id, deadline: time.Now().Add(pl.cfg.AckTimeout)}
+	pl.pending[txID] = pendingTx{seq: seq, itemID: id, deadline: time.Now().Add(pl.ackTimeout)}
 	pl.mu.Unlock()
-	if pl.tmPublishSec != nil {
-		pl.tmPublishSec.Observe(time.Since(start).Seconds())
+	select {
+	case pl.submitted <- struct{}{}:
+	default: // the settler has a wake-up pending
 	}
+	pl.tmPublishSec.Observe(time.Since(start).Seconds())
 }
 
 // submitPublish chunks the body off-chain and submits (not commits) a
@@ -263,75 +232,95 @@ func (pl *Pipeline) submitPublish(id string, art Article, text string) (ledger.T
 	return tx.ID(), nil
 }
 
-// ackLoop settles submitted publishes as their receipts land: an OK
-// receipt acks the queue item; a failed receipt acks it anyway when the
-// item exists on chain (a racing worker or a pre-crash publish won) and
-// nacks it otherwise. Pending publishes whose receipt never lands nack
-// at their deadline (the tx was lost, e.g. shed from the mempool).
-func (pl *Pipeline) ackLoop() {
+// settleLoop runs a settle pass whenever a block commits, a worker
+// submits a publish, or the earliest pending deadline passes, and sleeps
+// in between. It takes the commit signal before each pass, so a block
+// that commits during the pass wakes it again.
+func (pl *Pipeline) settleLoop() {
 	defer pl.wg.Done()
-	t := time.NewTicker(pl.cfg.PollInterval)
-	defer t.Stop()
+	timer := time.NewTimer(pl.ackTimeout)
+	defer timer.Stop()
 	for {
-		select {
-		case <-pl.stop:
-			return
-		case <-t.C:
+		committed := pl.p.Committed()
+		next := pl.settle(time.Now())
+		if pl.afterPass != nil {
+			pl.afterPass()
 		}
-		pl.mu.Lock()
-		ids := make([]ledger.TxID, 0, len(pl.pending))
-		for id := range pl.pending {
-			ids = append(ids, id)
-		}
-		pl.mu.Unlock()
-		now := time.Now()
-		for _, txID := range ids {
-			rec, have := pl.p.Receipt(txID)
-			pl.mu.Lock()
-			pt, ok := pl.pending[txID]
-			if !ok {
-				pl.mu.Unlock()
-				continue
-			}
-			if !have {
-				if now.After(pt.deadline) {
-					delete(pl.pending, txID)
-					pl.mu.Unlock()
-					_ = pl.q.Nack(pt.seq, "publish receipt timed out")
-					pl.countFail()
-					continue
-				}
-				pl.mu.Unlock()
-				continue
-			}
-			delete(pl.pending, txID)
-			pl.mu.Unlock()
-			switch {
-			case rec.OK:
-				_ = pl.q.Ack(pt.seq)
-				pl.mu.Lock()
-				pl.published++
-				pl.mu.Unlock()
-				pl.tmPublished.Inc()
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
 			default:
-				if _, err := supplychain.GetItem(pl.p.Engine(), pl.p.Authority(), pt.itemID); err == nil {
-					_ = pl.q.Ack(pt.seq)
-					pl.mu.Lock()
-					pl.deduped++
-					pl.mu.Unlock()
-					pl.tmDeduped.Inc()
-				} else {
-					_ = pl.q.Nack(pt.seq, fmt.Sprintf("publish failed: %s", rec.Err))
-					pl.countFail()
-				}
 			}
+		}
+		var due <-chan time.Time
+		if !next.IsZero() {
+			timer.Reset(time.Until(next))
+			due = timer.C
+		}
+		select {
+		case <-pl.ctx.Done():
+			return
+		case <-committed:
+		case <-pl.submitted:
+		case <-due:
 		}
 	}
 }
 
-func (pl *Pipeline) countFail() {
+// settle settles the submitted publishes whose receipts have landed: an
+// OK receipt acks the queue item; a failed receipt acks it anyway when
+// the item exists on chain (a racing worker or a pre-crash publish won)
+// and retries it otherwise. A publish with no receipt by its deadline is
+// retried. It returns the earliest deadline still pending (zero if
+// none).
+func (pl *Pipeline) settle(now time.Time) (next time.Time) {
 	pl.mu.Lock()
-	pl.failed++
+	ids := make([]ledger.TxID, 0, len(pl.pending))
+	for id := range pl.pending {
+		ids = append(ids, id)
+	}
 	pl.mu.Unlock()
-	pl.tmFailed.Inc()
+	for _, txID := range ids {
+		rec, have := pl.p.Receipt(txID)
+		pl.mu.Lock()
+		pt := pl.pending[txID] // only this goroutine removes entries
+		if !have && now.Before(pt.deadline) {
+			pl.mu.Unlock()
+			if next.IsZero() || pt.deadline.Before(next) {
+				next = pt.deadline
+			}
+			continue
+		}
+		delete(pl.pending, txID)
+		pl.mu.Unlock()
+		switch {
+		case !have:
+			pl.retry(pt.seq, "publish receipt timed out")
+		case rec.OK:
+			_ = pl.q.Ack(pt.seq)
+			pl.count(&pl.published, pl.tmPublished)
+		default:
+			if _, err := supplychain.GetItem(pl.p.Engine(), pl.p.Authority(), pt.itemID); err == nil {
+				_ = pl.q.Ack(pt.seq)
+				pl.count(&pl.deduped, pl.tmDeduped)
+			} else {
+				pl.retry(pt.seq, fmt.Sprintf("publish failed: %s", rec.Err))
+			}
+		}
+	}
+	return next
+}
+
+// retry counts a failed attempt and hands the item back to the queue.
+func (pl *Pipeline) retry(seq uint64, reason string) {
+	_ = pl.q.Retry(seq, reason)
+	pl.count(&pl.failed, pl.tmFailed)
+}
+
+// count bumps one of the pipeline's counters and its instrument.
+func (pl *Pipeline) count(n *uint64, tm *telemetry.Counter) {
+	pl.mu.Lock()
+	*n++
+	pl.mu.Unlock()
+	tm.Inc()
 }

@@ -1,8 +1,9 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,48 +11,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// QueueConfig tunes the durable work queue.
-type QueueConfig struct {
-	// Capacity bounds live items (pending + leased); Enqueue beyond it
-	// fails fast with ErrQueueFull so producers shed instead of growing
-	// the WAL without bound. Default 4096.
-	Capacity int
-	// MaxAttempts dead-letters an item after this many leases. Default 5.
-	MaxAttempts int
-	// LeaseTTL redelivers an item whose worker went silent. Default 30s.
-	LeaseTTL time.Duration
-	// RetryBackoff is the base delay after a Nack; it doubles per
-	// attempt. Default 250ms.
-	RetryBackoff time.Duration
-	// Now overrides the clock (tests). Default time.Now.
-	Now func() time.Time
-}
-
-func (c *QueueConfig) fill() {
-	if c.Capacity <= 0 {
-		c.Capacity = 4096
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 30 * time.Second
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-}
+// The retry rule: a failed attempt returns its item to ready after
+// retryDelay, and the maxAttempts-th failed attempt dead-letters it.
+const (
+	retryDelay  = 500 * time.Millisecond
+	maxAttempts = 5
+)
 
 // queueItem is one live article plus its delivery state.
 type queueItem struct {
-	seq         uint64
-	art         Article
-	attempts    int
-	notBefore   time.Time // backoff gate; zero = leasable now
-	leasedUntil time.Time // zero = not leased
+	seq      uint64
+	art      Article
+	attempts int
+	inFlight bool
+	rec      uint64 // index of its enqueue record in the WAL, at open
 }
 
 // DeadItem is a poison article parked after exhausting its attempts.
@@ -64,37 +37,48 @@ type DeadItem struct {
 
 // QueueStats is the queue's observable state.
 type QueueStats struct {
-	// Depth is the number of live items (pending + leased).
+	// Depth is the number of live items (ready, in flight or waiting to
+	// retry).
 	Depth int `json:"depth"`
-	// Inflight is the number of currently leased, unexpired items.
+	// Inflight is the number of items taken by a worker and not yet
+	// settled or released for retry.
 	Inflight int `json:"inflight"`
 	// Dead is the number of dead-lettered items.
 	Dead int `json:"dead"`
-	// Enqueued, Acked, Retries, Redelivered count since open (replayed
-	// live items count as enqueued).
-	Enqueued    uint64 `json:"enqueued"`
-	Acked       uint64 `json:"acked"`
-	Retries     uint64 `json:"retries"`
-	Redelivered uint64 `json:"redelivered"`
+	// Enqueued, Acked and Retries count since open (replayed live items
+	// count as enqueued).
+	Enqueued uint64 `json:"enqueued"`
+	Acked    uint64 `json:"acked"`
+	Retries  uint64 `json:"retries"`
 }
 
 // Queue is the durable, bounded ingest work queue. Every accepted
 // article is WAL-logged before Enqueue returns; acks and dead-letter
 // decisions are logged too, so a crashed node replays the log and
-// resumes with exactly the unacknowledged work. Safe for concurrent
-// use.
+// resumes with exactly the unacknowledged work. An item is ready or in
+// flight: Take hands the oldest ready item to a worker, and it stays in
+// flight until Ack, DeadLetter or Retry. Safe for concurrent use.
 type Queue struct {
-	mu  sync.Mutex
-	cfg QueueConfig
-	wal store.Log
+	mu       sync.Mutex
+	capacity int
+	wal      store.Log
 
 	items   map[uint64]*queueItem
-	order   []uint64 // live seqs, ascending (lease scans from the front)
+	ready   []uint64 // ready seqs, oldest first
 	dead    []DeadItem
 	nextSeq uint64
 
-	enqueued, acked, retries, redelivered uint64
-	closed                                bool
+	inflight                 int
+	enqueued, acked, retries uint64
+	closed                   bool
+	// wake holds at most one pending "an item is ready" signal for the
+	// workers blocked in Take; Close closes it.
+	wake chan struct{}
+
+	// retryDelay and maxAttempts are the retry rule's constants; tests
+	// in this package shorten them.
+	retryDelay  time.Duration
+	maxAttempts int
 
 	tmDepth    *telemetry.Gauge
 	tmEnqueued *telemetry.Counter
@@ -103,17 +87,30 @@ type Queue struct {
 	tmDead     *telemetry.Counter
 }
 
-// NewQueue opens a queue over the given WAL, replaying it to recover
-// live items. Items that were leased at crash time have no surviving
-// lease, so they are immediately redeliverable; items acked or
-// dead-lettered before the crash stay settled. A nil log gets an
+// NewQueue opens a queue holding at most capacity live items (<= 0
+// means 4096) over the given WAL, replaying it to recover live items.
+// Items in flight at crash time are ready again; items acked or
+// dead-lettered before the crash stay settled. The log is then rewritten
+// down to the records replay needs: each live item's enqueue record, each
+// dead item's enqueue and dead records, and the newest enqueue record with
+// its ack, so sequence numbers are never reused. A nil log gets an
 // in-memory one (tests, ephemeral nodes).
-func NewQueue(wal store.Log, cfg QueueConfig) (*Queue, error) {
-	cfg.fill()
+func NewQueue(wal store.Log, capacity int) (*Queue, error) {
+	if capacity <= 0 {
+		capacity = 4096
+	}
 	if wal == nil {
 		wal = store.NewMemLog()
 	}
-	q := &Queue{cfg: cfg, wal: wal, items: make(map[uint64]*queueItem)}
+	q := &Queue{
+		capacity:    capacity,
+		wal:         wal,
+		items:       make(map[uint64]*queueItem),
+		wake:        make(chan struct{}, 1),
+		retryDelay:  retryDelay,
+		maxAttempts: maxAttempts,
+	}
+	var keep, newest []uint64 // dead items' records; the newest enqueue and its ack
 	n := wal.Len()
 	for i := uint64(0); i < n; i++ {
 		rec, err := wal.Get(i)
@@ -126,24 +123,36 @@ func NewQueue(wal store.Log, cfg QueueConfig) (*Queue, error) {
 		}
 		if seq >= q.nextSeq {
 			q.nextSeq = seq + 1
+			newest = nil
 		}
-		switch op {
-		case opEnqueue:
-			q.items[seq] = &queueItem{seq: seq, art: art}
-		case opAck:
-			delete(q.items, seq)
-		case opDead:
-			if it, ok := q.items[seq]; ok {
-				q.dead = append(q.dead, DeadItem{Seq: seq, Article: it.art, Attempts: it.attempts, Reason: "replayed dead-letter"})
-				delete(q.items, seq)
+		it, live := q.items[seq]
+		switch {
+		case op == opEnqueue:
+			q.items[seq] = &queueItem{seq: seq, art: art, rec: i}
+		case !live:
+		case op == opAck:
+			if seq+1 == q.nextSeq {
+				newest = []uint64{it.rec, i}
 			}
+			delete(q.items, seq)
+		case op == opDead:
+			keep = append(keep, it.rec, i)
+			q.dead = append(q.dead, DeadItem{Seq: seq, Article: it.art, Reason: "replayed dead-letter"})
+			delete(q.items, seq)
 		}
 	}
-	q.order = make([]uint64, 0, len(q.items))
-	for seq := range q.items {
-		q.order = append(q.order, seq)
+	for seq, it := range q.items {
+		keep = append(keep, it.rec)
+		q.ready = append(q.ready, seq)
 	}
-	sort.Slice(q.order, func(i, j int) bool { return q.order[i] < q.order[j] })
+	slices.Sort(q.ready)
+	keep = append(keep, newest...)
+	if rw, ok := wal.(interface{ Rewrite([]uint64) error }); ok && uint64(len(keep)) < n {
+		slices.Sort(keep)
+		if err := rw.Rewrite(keep); err != nil {
+			return nil, fmt.Errorf("ingest: compact wal: %w", err)
+		}
+	}
 	q.enqueued = uint64(len(q.items))
 	return q, nil
 }
@@ -153,12 +162,12 @@ func NewQueue(wal store.Log, cfg QueueConfig) (*Queue, error) {
 func (q *Queue) Instrument(reg *telemetry.Registry) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.tmDepth = reg.Gauge("trustnews_ingest_queue_depth", "Live ingest queue items (pending + leased).")
+	q.tmDepth = reg.Gauge("trustnews_ingest_queue_depth", "Live ingest queue items (ready, in flight or waiting to retry).")
 	q.tmEnqueued = reg.Counter("trustnews_ingest_enqueued_total", "Articles accepted into the ingest queue.")
 	q.tmAcked = reg.Counter("trustnews_ingest_acked_total", "Ingest queue items acknowledged (published or deduplicated).")
-	q.tmRetries = reg.Counter("trustnews_ingest_retries_total", "Ingest queue negative acknowledgements (item will retry).")
-	q.tmDead = reg.Counter("trustnews_ingest_dead_total", "Ingest queue items dead-lettered after exhausting attempts.")
-	q.tmDepth.Set(float64(len(q.order)))
+	q.tmRetries = reg.Counter("trustnews_ingest_retries_total", "Ingest queue items released for a retry.")
+	q.tmDead = reg.Counter("trustnews_ingest_dead_total", "Ingest queue items dead-lettered.")
+	q.tmDepth.Set(float64(len(q.items)))
 }
 
 // Enqueue accepts one article: it is durable (WAL-appended) before the
@@ -169,7 +178,7 @@ func (q *Queue) Enqueue(a Article) (uint64, error) {
 	if q.closed {
 		return 0, ErrClosed
 	}
-	if len(q.order) >= q.cfg.Capacity {
+	if len(q.items) >= q.capacity {
 		return 0, ErrQueueFull
 	}
 	seq := q.nextSeq
@@ -178,70 +187,64 @@ func (q *Queue) Enqueue(a Article) (uint64, error) {
 	}
 	q.nextSeq++
 	q.items[seq] = &queueItem{seq: seq, art: a}
-	q.order = append(q.order, seq)
+	q.readyLocked(seq)
 	q.enqueued++
 	q.tmEnqueued.Inc()
-	q.tmDepth.Set(float64(len(q.order)))
+	q.tmDepth.Set(float64(len(q.items)))
 	return seq, nil
 }
 
-// Lease hands the oldest deliverable item to a worker for up to
-// LeaseTTL. Items still backing off or already leased are skipped; an
-// item whose lease expired is redelivered (counted in Redelivered). An
-// item presented for its (MaxAttempts+1)-th delivery is dead-lettered
-// instead. Returns ok=false when nothing is deliverable right now.
-func (q *Queue) Lease() (seq uint64, a Article, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now := q.cfg.Now()
-	for i := 0; i < len(q.order); i++ {
-		it := q.items[q.order[i]]
-		if !it.leasedUntil.IsZero() && now.Before(it.leasedUntil) {
-			continue // held by a live worker
-		}
-		if now.Before(it.notBefore) {
-			continue // backing off
-		}
-		if it.attempts >= q.cfg.MaxAttempts {
-			q.deadLetterLocked(it, i, "max attempts exhausted")
-			i-- // order shrank at i
-			continue
-		}
-		if !it.leasedUntil.IsZero() {
-			q.redelivered++
-		}
-		it.attempts++
-		it.leasedUntil = now.Add(q.cfg.LeaseTTL)
-		return it.seq, it.art, true
+// readyLocked appends seq to the ready list and signals a waiting worker.
+func (q *Queue) readyLocked(seq uint64) {
+	q.ready = append(q.ready, seq)
+	q.signalLocked()
+}
+
+func (q *Queue) signalLocked() {
+	select {
+	case q.wake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
-	return 0, Article{}, false
+}
+
+// Take blocks until an item is ready and hands the oldest one to the
+// caller, in flight. It returns ok=false once ctx is done or the queue
+// is closed.
+func (q *Queue) Take(ctx context.Context) (seq uint64, a Article, ok bool) {
+	for {
+		q.mu.Lock()
+		if q.closed {
+			q.mu.Unlock()
+			return 0, Article{}, false
+		}
+		for len(q.ready) > 0 {
+			it := q.items[q.ready[0]]
+			q.ready = q.ready[1:]
+			if it == nil {
+				continue // acked or dead-lettered while it waited
+			}
+			if len(q.ready) > 0 {
+				q.signalLocked() // more is ready: wake the next worker
+			}
+			it.attempts++
+			it.inFlight = true
+			q.inflight++
+			q.mu.Unlock()
+			return it.seq, it.art, true
+		}
+		q.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return 0, Article{}, false
+		case <-q.wake:
+		}
+	}
 }
 
 // Ack settles an item for good: the decision is WAL-logged, so a
 // replay never redelivers it. Acking an unknown (already settled) seq
-// is a no-op, which makes duplicate acks from racing workers safe.
+// is a no-op.
 func (q *Queue) Ack(seq uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	if _, ok := q.items[seq]; !ok {
-		return nil
-	}
-	if _, err := q.wal.Append(encodeRecord(opAck, seq, nil)); err != nil {
-		return fmt.Errorf("ingest: wal ack: %w", err)
-	}
-	q.removeLocked(seq)
-	q.acked++
-	q.tmAcked.Inc()
-	q.tmDepth.Set(float64(len(q.order)))
-	return nil
-}
-
-// Nack reports a failed attempt: the item backs off exponentially in
-// its attempt count and, once MaxAttempts is exhausted, dead-letters.
-func (q *Queue) Nack(seq uint64, reason string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -251,50 +254,77 @@ func (q *Queue) Nack(seq uint64, reason string) error {
 	if !ok {
 		return nil
 	}
-	it.leasedUntil = time.Time{}
-	if it.attempts >= q.cfg.MaxAttempts {
-		for i, s := range q.order {
-			if s == seq {
-				q.deadLetterLocked(it, i, reason)
-				break
-			}
-		}
-		return nil
+	if _, err := q.wal.Append(encodeRecord(opAck, seq, nil)); err != nil {
+		return fmt.Errorf("ingest: wal ack: %w", err)
 	}
-	shift := it.attempts - 1
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > 16 {
-		shift = 16
-	}
-	it.notBefore = q.cfg.Now().Add(q.cfg.RetryBackoff << shift)
-	q.retries++
-	q.tmRetries.Inc()
+	q.removeLocked(it)
+	q.acked++
+	q.tmAcked.Inc()
 	return nil
 }
 
-// deadLetterLocked parks a poison item; order index i points at it.
-func (q *Queue) deadLetterLocked(it *queueItem, i int, reason string) {
-	// Best effort: a WAL write failure leaves the item live, which only
-	// means it is re-examined (and re-dead-lettered) after a restart.
-	_, _ = q.wal.Append(encodeRecord(opDead, it.seq, nil))
-	q.dead = append(q.dead, DeadItem{Seq: it.seq, Article: it.art, Attempts: it.attempts, Reason: reason})
-	delete(q.items, it.seq)
-	q.order = append(q.order[:i], q.order[i+1:]...)
-	q.tmDead.Inc()
-	q.tmDepth.Set(float64(len(q.order)))
+// Retry reports a failed attempt. The item leaves flight and is ready
+// again after the retry delay, unless this was its last attempt: then it
+// is dead-lettered.
+func (q *Queue) Retry(seq uint64, reason string) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrClosed
+	}
+	it, ok := q.items[seq]
+	if !ok || !it.inFlight {
+		return nil
+	}
+	if it.attempts >= q.maxAttempts {
+		q.deadLetterLocked(it, reason)
+		return nil
+	}
+	it.inFlight = false
+	q.inflight--
+	q.retries++
+	q.tmRetries.Inc()
+	time.AfterFunc(q.retryDelay, func() {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		if q.items[seq] == it && !q.closed {
+			q.readyLocked(seq)
+		}
+	})
+	return nil
 }
 
-// removeLocked drops a settled seq from the live set.
-func (q *Queue) removeLocked(seq uint64) {
-	delete(q.items, seq)
-	for i, s := range q.order {
-		if s == seq {
-			q.order = append(q.order[:i], q.order[i+1:]...)
-			return
-		}
+// DeadLetter parks an item at once, whatever its attempts: a failure no
+// retry can mend.
+func (q *Queue) DeadLetter(seq uint64, reason string) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrClosed
 	}
+	if it, ok := q.items[seq]; ok {
+		q.deadLetterLocked(it, reason)
+	}
+	return nil
+}
+
+func (q *Queue) deadLetterLocked(it *queueItem, reason string) {
+	// Best effort: a WAL write failure leaves the item live in the log,
+	// which only means it is tried again after a restart.
+	_, _ = q.wal.Append(encodeRecord(opDead, it.seq, nil))
+	q.dead = append(q.dead, DeadItem{Seq: it.seq, Article: it.art, Attempts: it.attempts, Reason: reason})
+	q.removeLocked(it)
+	q.tmDead.Inc()
+}
+
+// removeLocked drops a settled item from the live set. A ready item's
+// seq stays in the ready list; Take skips it.
+func (q *Queue) removeLocked(it *queueItem) {
+	if it.inFlight {
+		q.inflight--
+	}
+	delete(q.items, it.seq)
+	q.tmDepth.Set(float64(len(q.items)))
 }
 
 // Dead returns the dead-lettered items, oldest first.
@@ -308,32 +338,25 @@ func (q *Queue) Dead() []DeadItem {
 func (q *Queue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.order)
+	return len(q.items)
 }
 
 // Stats reports queue accounting.
 func (q *Queue) Stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	now := q.cfg.Now()
-	inflight := 0
-	for _, seq := range q.order {
-		if it := q.items[seq]; !it.leasedUntil.IsZero() && now.Before(it.leasedUntil) {
-			inflight++
-		}
-	}
 	return QueueStats{
-		Depth:       len(q.order),
-		Inflight:    inflight,
-		Dead:        len(q.dead),
-		Enqueued:    q.enqueued,
-		Acked:       q.acked,
-		Retries:     q.retries,
-		Redelivered: q.redelivered,
+		Depth:    len(q.items),
+		Inflight: q.inflight,
+		Dead:     len(q.dead),
+		Enqueued: q.enqueued,
+		Acked:    q.acked,
+		Retries:  q.retries,
 	}
 }
 
-// Close flushes and closes the WAL. Further mutations fail ErrClosed.
+// Close flushes and closes the WAL and wakes every worker blocked in
+// Take. Further mutations fail ErrClosed.
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -341,5 +364,6 @@ func (q *Queue) Close() error {
 		return nil
 	}
 	q.closed = true
+	close(q.wake)
 	return q.wal.Close()
 }

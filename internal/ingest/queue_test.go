@@ -1,34 +1,43 @@
 package ingest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/store"
 )
 
-// fakeClock is a manually advanced clock for deterministic lease tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func newTestQueue(t *testing.T, wal store.Log, cfg QueueConfig) (*Queue, *fakeClock) {
+func newTestQueue(t *testing.T, wal store.Log) *Queue {
 	t.Helper()
-	clk := &fakeClock{t: time.Unix(1562500000, 0)}
-	cfg.Now = clk.now
-	q, err := NewQueue(wal, cfg)
+	q, err := NewQueue(wal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return q, clk
+	return q
+}
+
+// done is a context that is already done: Take returns a ready item or
+// ok=false at once.
+func done() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// takeWithin is Take bounded by d.
+func takeWithin(q *Queue, d time.Duration) (uint64, Article, bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return q.Take(ctx)
 }
 
 func TestQueueEnqueueLeaseAck(t *testing.T) {
-	q, _ := newTestQueue(t, nil, QueueConfig{})
+	q := newTestQueue(t, nil)
 	seqA, err := q.Enqueue(Article{Source: "wire", Topic: "econ", Text: "first"})
 	if err != nil {
 		t.Fatal(err)
@@ -36,9 +45,9 @@ func TestQueueEnqueueLeaseAck(t *testing.T) {
 	if _, err := q.Enqueue(Article{Source: "wire", Topic: "econ", Text: "second"}); err != nil {
 		t.Fatal(err)
 	}
-	seq, a, ok := q.Lease()
+	seq, a, ok := q.Take(done())
 	if !ok || seq != seqA || a.Text != "first" {
-		t.Fatalf("lease = (%d, %+v, %v), want oldest first", seq, a, ok)
+		t.Fatalf("take = (%d, %+v, %v), want oldest first", seq, a, ok)
 	}
 	if err := q.Ack(seq); err != nil {
 		t.Fatal(err)
@@ -47,13 +56,16 @@ func TestQueueEnqueueLeaseAck(t *testing.T) {
 		t.Fatalf("duplicate ack not a no-op: %v", err)
 	}
 	st := q.Stats()
-	if st.Depth != 1 || st.Acked != 1 || st.Enqueued != 2 {
+	if st.Depth != 1 || st.Acked != 1 || st.Enqueued != 2 || st.Inflight != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestQueueCapacityShedsFast(t *testing.T) {
-	q, _ := newTestQueue(t, nil, QueueConfig{Capacity: 2})
+	q, err := NewQueue(nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := q.Enqueue(Article{Text: fmt.Sprintf("a%d", i)}); err != nil {
 			t.Fatal(err)
@@ -63,7 +75,7 @@ func TestQueueCapacityShedsFast(t *testing.T) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	// Settling one item frees capacity.
-	seq, _, _ := q.Lease()
+	seq, _, _ := q.Take(done())
 	if err := q.Ack(seq); err != nil {
 		t.Fatal(err)
 	}
@@ -72,98 +84,116 @@ func TestQueueCapacityShedsFast(t *testing.T) {
 	}
 }
 
-func TestQueueNackBacksOffThenRedelivers(t *testing.T) {
-	q, clk := newTestQueue(t, nil, QueueConfig{RetryBackoff: time.Second})
+// TestQueueRetryReturnsItemAfterDelay: a failed attempt leaves flight,
+// is not ready during the retry delay, and is ready after it, once.
+func TestQueueRetryReturnsItemAfterDelay(t *testing.T) {
+	q := newTestQueue(t, nil)
+	q.retryDelay = 50 * time.Millisecond
 	if _, err := q.Enqueue(Article{Text: "flaky"}); err != nil {
 		t.Fatal(err)
 	}
-	seq, _, ok := q.Lease()
+	seq, _, ok := q.Take(done())
 	if !ok {
-		t.Fatal("no lease")
+		t.Fatal("nothing to take")
 	}
-	if err := q.Nack(seq, "transient"); err != nil {
+	start := time.Now()
+	if err := q.Retry(seq, "transient"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := q.Lease(); ok {
-		t.Fatal("leased during backoff window")
+	if st := q.Stats(); st.Inflight != 0 || st.Depth != 1 || st.Retries != 1 {
+		t.Fatalf("after retry: stats = %+v", st)
 	}
-	clk.advance(1100 * time.Millisecond)
-	if _, _, ok := q.Lease(); !ok {
-		t.Fatal("not redelivered after backoff")
+	if _, _, ok := q.Take(done()); ok {
+		t.Fatal("taken during the retry delay")
 	}
-	// Second nack backs off twice as long.
-	if err := q.Nack(seq, "transient again"); err != nil {
-		t.Fatal(err)
+	again, _, ok := takeWithin(q, 5*time.Second)
+	if !ok || again != seq {
+		t.Fatalf("not ready again after the delay: (%d, %v)", again, ok)
 	}
-	clk.advance(1100 * time.Millisecond)
-	if _, _, ok := q.Lease(); ok {
-		t.Fatal("exponential backoff not applied")
+	if waited := time.Since(start); waited < q.retryDelay {
+		t.Fatalf("ready again after %v, before the %v delay", waited, q.retryDelay)
 	}
-	clk.advance(time.Second)
-	if _, _, ok := q.Lease(); !ok {
-		t.Fatal("not redelivered after doubled backoff")
-	}
-	if st := q.Stats(); st.Retries != 2 {
-		t.Fatalf("retries = %d, want 2", st.Retries)
+	if _, _, ok := takeWithin(q, 100*time.Millisecond); ok {
+		t.Fatal("one retry made the item ready twice")
 	}
 }
 
-func TestQueueLeaseTTLRedelivery(t *testing.T) {
-	q, clk := newTestQueue(t, nil, QueueConfig{LeaseTTL: time.Minute})
+// TestQueueInFlightItemIsNotRedelivered: an item in flight is not handed
+// out again however long it is held; only a reopen of the WAL (a crash)
+// makes it ready again.
+func TestQueueInFlightItemIsNotRedelivered(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ingest.wal")
+	wal, err := store.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := newTestQueue(t, wal)
 	if _, err := q.Enqueue(Article{Text: "slow worker"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := q.Lease(); !ok {
-		t.Fatal("no lease")
+	if _, _, ok := q.Take(done()); !ok {
+		t.Fatal("nothing to take")
 	}
-	if _, _, ok := q.Lease(); ok {
-		t.Fatal("double-leased a held item")
+	if _, _, ok := takeWithin(q, 100*time.Millisecond); ok {
+		t.Fatal("handed out an item in flight")
 	}
-	clk.advance(61 * time.Second)
-	if _, _, ok := q.Lease(); !ok {
-		t.Fatal("expired lease not redelivered")
+	if st := q.Stats(); st.Inflight != 1 || st.Depth != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
-	if st := q.Stats(); st.Redelivered != 1 {
-		t.Fatalf("redelivered = %d, want 1", st.Redelivered)
+	if err := wal.Close(); err != nil { // crash
+		t.Fatal(err)
+	}
+	wal2, err := store.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	if _, a, ok := newTestQueue(t, wal2).Take(done()); !ok || a.Text != "slow worker" {
+		t.Fatalf("after reopen: (%+v, %v), want the item ready again", a, ok)
 	}
 }
 
 func TestQueuePoisonItemDeadLetters(t *testing.T) {
-	q, clk := newTestQueue(t, nil, QueueConfig{MaxAttempts: 3, RetryBackoff: time.Millisecond})
+	q := newTestQueue(t, nil)
+	q.maxAttempts, q.retryDelay = 3, 0
 	if _, err := q.Enqueue(Article{Source: "mill", Text: "poison"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Enqueue(Article{Source: "wire", Text: "healthy"}); err != nil {
 		t.Fatal(err)
 	}
+	seq, a, ok := q.Take(done())
 	for i := 0; i < 3; i++ {
-		seq, a, ok := q.Lease()
 		if !ok || a.Text != "poison" {
-			t.Fatalf("attempt %d: lease = (%v, %+v)", i, ok, a)
+			t.Fatalf("attempt %d: take = (%v, %+v)", i, ok, a)
 		}
-		if err := q.Nack(seq, "boom"); err != nil {
+		if err := q.Retry(seq, "boom"); err != nil {
 			t.Fatal(err)
 		}
-		clk.advance(time.Second)
+		if i == 0 {
+			// The healthy item was behind the poison one; the retry put
+			// the poison item behind it.
+			if _, h, ok := q.Take(done()); !ok || h.Text != "healthy" {
+				t.Fatalf("take = (%v, %+v), want the healthy item", ok, h)
+			}
+		}
+		seq, a, ok = takeWithin(q, time.Second)
 	}
-	// The poison item is out of attempts: only the healthy one leases.
-	seq, a, ok := q.Lease()
-	if !ok || a.Text != "healthy" {
-		t.Fatalf("after dead-letter: lease = (%v, %+v)", ok, a)
+	if ok {
+		t.Fatalf("dead-lettered item taken again: %+v", a)
 	}
-	_ = seq
 	dead := q.Dead()
 	if len(dead) != 1 || dead[0].Article.Text != "poison" || dead[0].Attempts != 3 {
 		t.Fatalf("dead = %+v", dead)
 	}
-	if st := q.Stats(); st.Dead != 1 || st.Depth != 1 {
+	if st := q.Stats(); st.Dead != 1 || st.Depth != 1 || st.Retries != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 // TestQueueWALRecovery is the crash-consistency contract: after a
 // "crash" (reopening the WAL file), acked items stay settled, dead
-// items stay dead, and everything else — including items leased at
+// items stay dead, and everything else — including items in flight at
 // crash time — redelivers exactly once each.
 func TestQueueWALRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ingest.wal")
@@ -171,33 +201,30 @@ func TestQueueWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, clk := newTestQueue(t, wal, QueueConfig{MaxAttempts: 2, RetryBackoff: time.Millisecond})
-	for _, txt := range []string{"acked", "leased-at-crash", "poison", "never-leased"} {
+	q := newTestQueue(t, wal)
+	q.maxAttempts, q.retryDelay = 2, 0
+	for _, txt := range []string{"acked", "in-flight-at-crash", "poison", "never-taken"} {
 		if _, err := q.Enqueue(Article{Source: "wire", Topic: "econ", Text: txt}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Settle one, hold a lease over the crash, exhaust the poison item,
-	// leave one untouched.
-	s, a, ok := q.Lease()
+	// Settle one, hold one in flight over the crash, exhaust the poison
+	// item, leave one untouched.
+	s, a, ok := q.Take(done())
 	if !ok || a.Text != "acked" {
-		t.Fatalf("lease = %+v", a)
+		t.Fatalf("take = %+v", a)
 	}
 	if err := q.Ack(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, a, ok = q.Lease(); !ok || a.Text != "leased-at-crash" {
-		t.Fatalf("lease = %+v", a)
+	if _, a, ok = q.Take(done()); !ok || a.Text != "in-flight-at-crash" {
+		t.Fatalf("take = %+v", a)
 	}
-	for i := 0; i < 2; i++ {
-		s, a, ok = q.Lease() // leased-at-crash is held, so poison is oldest
-		if !ok || a.Text != "poison" {
-			t.Fatalf("attempt %d: lease = (%v, %+v)", i, ok, a)
-		}
-		if err := q.Nack(s, "poison"); err != nil {
-			t.Fatal(err)
-		}
-		clk.advance(time.Second)
+	if s, a, ok = q.Take(done()); !ok || a.Text != "poison" {
+		t.Fatalf("take = (%v, %+v)", ok, a)
+	}
+	if err := q.DeadLetter(s, "poison"); err != nil {
+		t.Fatal(err)
 	}
 	if d := q.Dead(); len(d) != 1 || d[0].Article.Text != "poison" {
 		t.Fatalf("dead = %+v", d)
@@ -211,11 +238,10 @@ func TestQueueWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal2.Close()
-	q2, clk2 := newTestQueue(t, wal2, QueueConfig{MaxAttempts: 2})
-	clk2.t = clk.t
+	q2 := newTestQueue(t, wal2)
 	var recovered []string
 	for {
-		s, a, ok := q2.Lease()
+		s, a, ok := q2.Take(done())
 		if !ok {
 			break
 		}
@@ -224,7 +250,7 @@ func TestQueueWALRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := map[string]bool{"leased-at-crash": true, "never-leased": true}
+	want := map[string]bool{"in-flight-at-crash": true, "never-taken": true}
 	if len(recovered) != len(want) {
 		t.Fatalf("recovered %v, want exactly %v", recovered, want)
 	}
@@ -233,6 +259,108 @@ func TestQueueWALRecovery(t *testing.T) {
 			t.Fatalf("recovered %q: acked or dead item came back", txt)
 		}
 	}
+	if d := q2.Dead(); len(d) != 1 || d[0].Article.Text != "poison" {
+		t.Fatalf("dead after reopen = %+v", d)
+	}
+}
+
+// TestQueueCompactsWALOnOpen: opening a queue rewrites its log down to
+// the records replay needs, so the file does not keep every body ever
+// accepted. A reopen of the compacted log recovers the same queue.
+func TestQueueCompactsWALOnOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ingest.wal")
+	wal, err := store.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := newTestQueue(t, wal)
+	for i := 0; i < 50; i++ {
+		if seq, err := q.Enqueue(Article{Source: "wire", Text: fmt.Sprintf("story %d", i)}); err != nil || seq != uint64(i) {
+			t.Fatalf("enqueue %d: seq %d, %v", i, seq, err)
+		}
+	}
+	for seq := uint64(0); seq < 50; seq++ {
+		switch {
+		case seq <= 38 || seq == 49:
+			err = q.Ack(seq)
+		case seq == 39 || seq == 40:
+			err = q.DeadLetter(seq, "poison")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for reopen := 1; reopen <= 2; reopen++ {
+		wal, err := store.OpenFileLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := newTestQueue(t, wal)
+		// 8 live enqueues, 2 dead pairs, and seq 49's enqueue and ack.
+		if n := wal.Len(); n != 14 {
+			t.Fatalf("reopen %d: log holds %d records, want 14", reopen, n)
+		}
+		if d, dead := q.Depth(), q.Dead(); d != 8 || len(dead) != 2 || dead[0].Seq != 39 || dead[1].Seq != 40 {
+			t.Fatalf("reopen %d: depth %d, dead %+v", reopen, d, dead)
+		}
+		if reopen == 2 {
+			if seq, err := q.Enqueue(Article{Text: "next"}); err != nil || seq != 50 {
+				t.Fatalf("next enqueue: seq %d, %v; want 50", seq, err)
+			}
+		}
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestQueueTakeWaitsForEnqueue: workers blocked in Take are woken by an
+// Enqueue, one per item, and Close wakes the rest.
+func TestQueueTakeWaitsForEnqueue(t *testing.T) {
+	q := newTestQueue(t, nil)
+	const workers = 4
+	got := make(chan string, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				_, a, ok := q.Take(context.Background())
+				if !ok {
+					return
+				}
+				got <- a.Text
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let every worker block
+	for _, txt := range []string{"one", "two"} {
+		if _, err := q.Enqueue(Article{Text: txt}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case a := <-got:
+			if a != txt {
+				t.Fatalf("took %q, want %q", a, txt)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%q enqueued while every worker waited was not taken", txt)
+		}
+	}
+	exited := make(chan struct{})
+	go func() { wg.Wait(); close(exited) }()
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not wake the workers blocked in Take")
+	}
 }
 
 func TestQueueRejectsCorruptWAL(t *testing.T) {
@@ -240,7 +368,7 @@ func TestQueueRejectsCorruptWAL(t *testing.T) {
 	if _, err := wal.Append([]byte{recVersion, opEnqueue, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewQueue(wal, QueueConfig{}); !errors.Is(err, ErrBadRecord) {
+	if _, err := NewQueue(wal, 0); !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("err = %v, want ErrBadRecord", err)
 	}
 }

@@ -43,11 +43,11 @@ func StartLocalNode() (*LocalNode, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	n := &LocalNode{P: p, stop: stop, done: make(chan struct{})}
-	q, err := ingest.NewQueue(nil, ingest.QueueConfig{})
+	q, err := ingest.NewQueue(nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	n.Ingest = ingest.NewPipeline(p, q, ingest.PipelineConfig{})
+	n.Ingest = ingest.NewPipeline(p, q, 0)
 	n.Ingest.Instrument(p.Telemetry())
 	n.Ingest.Start()
 	api := httpapi.New(p, false)

@@ -160,6 +160,10 @@ type Platform struct {
 	// RunCommitter: senders never block, and signals raised while a
 	// commit is running collapse into one.
 	wake chan struct{}
+	// committed is closed, then replaced, at the end of every
+	// commitDecided, under p.mu and after the block's receipts are
+	// recorded (see Committed).
+	committed atomic.Pointer[chan struct{}]
 	// validator is the consensus node AttachConsensus made of this
 	// platform (nil standalone): every admitted transaction tells it that
 	// there may be work, so a resting validator enters its next height.
@@ -275,6 +279,8 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 		return nil, fmt.Errorf("platform: %w", err)
 	}
 	p.admit = admit
+	committed := make(chan struct{})
+	p.committed.Store(&committed)
 	if cfg.BlobDir != "" {
 		blobs, err := blobstore.Open(cfg.BlobDir, blobstore.DefaultChunkSize)
 		if err != nil {
@@ -668,8 +674,15 @@ func (p *Platform) commitDecided(sp *telemetry.Span, start time.Time, b *ledger.
 	}
 	sp.SetAttr("height", fmt.Sprintf("%d", b.Header.Height))
 	sp.SetAttr("txs", fmt.Sprintf("%d", len(b.Txs)))
+	next := make(chan struct{})
+	close(*p.committed.Swap(&next))
 	return recs, nil
 }
+
+// Committed returns a channel that is closed when the next block commits,
+// once its receipts are recorded. A waiter that takes the channel before
+// it looks for a block's effects misses no commit.
+func (p *Platform) Committed() <-chan struct{} { return *p.committed.Load() }
 
 // setStoreGauges publishes the sizes of the chain's transaction index and
 // the contract state.

@@ -25,8 +25,8 @@ func checkpointDocs() [][3]string {
 	return out
 }
 
-// buildCheckpointIndex indexes checkpointDocs with 16 shards and a refresh
-// every seven documents, the layout testdata/checkpoint_v1.json came from,
+// buildCheckpointIndex indexes checkpointDocs with a refresh every seven
+// documents, the layout testdata/checkpoint_v1.json came from,
 // and returns it with one query per document plus a few short ones.
 func buildCheckpointIndex() (*Subscriber, []string) {
 	sub := NewSubscriber(New(), nil)
@@ -76,7 +76,7 @@ func TestRestoreAnswersAsBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewSubscriber(newSharded(3), nil)
+	restored := NewSubscriber(New(), nil)
 	if err := restored.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -109,21 +109,19 @@ func TestRestoreAnswersAsBuilt(t *testing.T) {
 func checkLists(t testing.TB, x *Index) {
 	t.Helper()
 	docs := x.Docs()
-	for _, sh := range x.shards {
-		for _, seg := range sh.view.Load().segments {
-			for term, l := range seg.postings {
-				n, prev := 0, int32(-1)
-				l.each(func(doc, tf int32) bool {
-					if doc <= prev || int(doc) >= docs || tf < 1 {
-						t.Fatalf("%q: posting %d (doc %d, tf %d) after doc %d, %d docs", term, n, doc, tf, prev, docs)
-					}
-					prev = doc
-					n++
-					return true
-				})
-				if n != l.count() {
-					t.Fatalf("%q: %d postings, count says %d", term, n, l.count())
+	for _, seg := range *x.segments.Load() {
+		for term, l := range seg.postings {
+			n, prev := 0, int32(-1)
+			l.each(func(doc, tf int32) bool {
+				if doc <= prev || int(doc) >= docs || tf < 1 {
+					t.Fatalf("%q: posting %d (doc %d, tf %d) after doc %d, %d docs", term, n, doc, tf, prev, docs)
 				}
+				prev = doc
+				n++
+				return true
+			})
+			if n != l.count() {
+				t.Fatalf("%q: %d postings, count says %d", term, n, l.count())
 			}
 		}
 	}
@@ -206,7 +204,7 @@ func FuzzIndexSnapshot(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		x := newSharded(4)
+		x := New()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := x.restore(data)

@@ -8,30 +8,28 @@
 // The index is built for the "continuous firehose of news" the paper
 // assumes (§VI): it must absorb a sustained stream of newly committed
 // articles while serving reader queries, at corpus sizes a single
-// mutex-guarded map cannot hold. Three structural decisions follow:
+// mutex-guarded map cannot hold. Two structural decisions follow:
 //
-//   - Term sharding. The inverted index is split into S shards by term
-//     hash, so concurrent writers (and the per-shard memory accounting)
-//     scale with shards instead of contending on one map.
-//   - Immutable read snapshots. Each shard publishes its sealed
-//     segments through an atomic pointer; queries only ever load those
-//     pointers, so a query never takes a lock and never contends with
-//     the indexer. Writers batch new postings in a per-shard memtable
-//     and seal it into a fresh immutable segment on Refresh — the
-//     near-real-time search design, in miniature. A sealed segment keeps
-//     each term's postings packed in one exact-size string of uvarint
-//     (doc delta, term frequency) pairs, two or three bytes a posting.
+//   - Immutable read snapshots. The index publishes its sealed segments
+//     through an atomic pointer; queries only ever load that pointer, so
+//     a query never takes a lock and never contends with the indexer.
+//     The one writer (the commit-bus indexer) batches new postings in a
+//     memtable and seals it into a fresh immutable segment on Refresh —
+//     the near-real-time search design, in miniature. A sealed segment
+//     keeps each term's postings packed in one exact-size string of
+//     uvarint (doc delta, term frequency) pairs, two or three bytes a
+//     posting.
 //   - Size-tiered compaction. Sealing once per committed block would
 //     accumulate tiny segments forever, and blocks come every few
 //     milliseconds under load. Segments stay in document order, and the
 //     newest is merged into the one before it while that one is less than
-//     twice its size. So a merge is a concatenation, a shard holds
+//     twice its size. So a merge is a concatenation, the index holds
 //     O(log N) segments, and a posting is rewritten O(log N) times over
 //     the life of the index.
 //
 // Ranking is BM25 (k1/b defaults from the literature). The index is
 // deterministic: scores depend only on the indexed corpus (never on
-// segment layout or shard count), and ties break by document id, so
+// segment layout), and ties break by document id, so
 // replicas that consumed the same commits answer queries identically.
 //
 // The checkpoint blob (snapshot.go) is the packed lists themselves: the
@@ -44,7 +42,6 @@ package search
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"slices"
 	"strings"
@@ -60,10 +57,7 @@ const (
 	bm25B  = 0.75
 )
 
-// DefaultShards is the term-shard count used by New.
-const DefaultShards = 16
-
-// defaultFlushDocs seals a shard memtable once it holds this many
+// defaultFlushDocs seals the memtable once it holds this many
 // documents even without an explicit Refresh, bounding memtable size
 // between commits.
 const defaultFlushDocs = 512
@@ -114,14 +108,13 @@ type posting struct {
 	TF  int32
 }
 
-// segment is an immutable sealed batch of postings. Once published in a
-// shard view it is never mutated — only replaced wholesale by
-// compaction — so readers need no synchronisation beyond loading the
-// view pointer. Segments of a shard cover ascending, disjoint document
-// ranges in view order.
+// segment is an immutable sealed batch of postings. Once published it is
+// never mutated — only replaced wholesale by compaction — so readers need
+// no synchronisation beyond loading the segment list. The published
+// segments cover ascending, disjoint document ranges in order.
 type segment struct {
 	postings map[string]packed
-	docs     int // documents that contributed postings to this segment
+	docs     int // documents sealed into this segment
 }
 
 // packed is one term's posting list in a sealed segment, in ascending
@@ -227,26 +220,6 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// shardView is what a query sees of one shard: the sealed segments at
-// the time of the last Refresh.
-type shardView struct {
-	segments []*segment
-}
-
-// shard is one term-hash partition of the index.
-type shard struct {
-	// mu serializes writers (memtable appends, seal, compaction).
-	// Queries never take it.
-	mu sync.Mutex
-	// mem is the mutable memtable new postings land in.
-	mem     map[string][]posting
-	memDocs int
-	// view is the immutable published state queries read.
-	view atomic.Pointer[shardView]
-	// compactions counts segment merges (observability).
-	compactions uint64
-}
-
 // docsView is the immutable published doc table: a prefix of the
 // grow-only info slice plus the corpus statistics the rankers need.
 type docsView struct {
@@ -254,12 +227,10 @@ type docsView struct {
 	totalLen int64
 }
 
-// Index is a term-sharded inverted index with immutable read snapshots
-// and BM25 ranking.
+// Index is an inverted index with immutable read snapshots and BM25
+// ranking.
 type Index struct {
-	shards []*shard
-
-	// wmu serializes writers (Add, Refresh, reset). Queries never take
+	// wmu serializes writers (Add, Refresh, restore). Queries never take
 	// it: they read the atomic views only.
 	wmu sync.Mutex
 	// byID maps document id to dense internal index (writer-side dedup).
@@ -271,45 +242,27 @@ type Index struct {
 	infos    []docInfo
 	totalLen int64
 	docs     atomic.Pointer[docsView]
-	// memDocs counts documents added since the last Refresh.
+	// mem is the memtable new postings land in; memDocs counts the
+	// documents added since the last Refresh.
+	mem     map[string][]posting
 	memDocs int
+	// segments is the published list of sealed segments queries read.
+	segments atomic.Pointer[[]*segment]
 
 	flushDocs int
 }
 
-// New creates an empty index with DefaultShards term shards.
-func New() *Index { return newSharded(DefaultShards) }
-
-// newSharded creates an empty index with the given shard count
-// (values < 1 are clamped to 1). Scores are independent of the shard
-// count; only write concurrency and per-shard memory change.
-func newSharded(shards int) *Index {
-	if shards < 1 {
-		shards = 1
-	}
+// New creates an empty index.
+func New() *Index {
 	x := &Index{
-		shards:    make([]*shard, shards),
 		byID:      make(map[string]int32),
 		terms:     make(map[string]string),
+		mem:       make(map[string][]posting),
 		flushDocs: defaultFlushDocs,
 	}
-	for i := range x.shards {
-		sh := &shard{mem: make(map[string][]posting)}
-		sh.view.Store(&shardView{})
-		x.shards[i] = sh
-	}
 	x.docs.Store(&docsView{})
+	x.segments.Store(new([]*segment))
 	return x
-}
-
-// shardFor hashes a term onto its shard.
-func (x *Index) shardFor(term string) *shard {
-	if len(x.shards) == 1 {
-		return x.shards[0]
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(term))
-	return x.shards[h.Sum32()%uint32(len(x.shards))]
 }
 
 // Add indexes one document. Re-adding an id is a no-op (documents are
@@ -331,12 +284,10 @@ func (x *Index) Add(id, topic, text string) {
 	x.totalLen += int64(len(toks))
 	x.memDocs++
 
-	// Per-document term frequencies, then routed to their term shards.
 	tf := make(map[string]int32, len(toks))
 	for _, tok := range toks {
 		tf[tok]++
 	}
-	touched := make(map[*shard]bool, len(x.shards))
 	for tok, n := range tf {
 		// tok is a substring of the lowered body, and a map assignment
 		// replaces a string key even when an equal one is present: used as
@@ -346,24 +297,15 @@ func (x *Index) Add(id, topic, text string) {
 			term = strings.Clone(tok)
 			x.terms[term] = term
 		}
-		sh := x.shardFor(term)
-		sh.mu.Lock()
-		sh.mem[term] = append(sh.mem[term], posting{Doc: idx, TF: n})
-		sh.mu.Unlock()
-		touched[sh] = true
-	}
-	for sh := range touched {
-		sh.mu.Lock()
-		sh.memDocs++
-		sh.mu.Unlock()
+		x.mem[term] = append(x.mem[term], posting{Doc: idx, TF: n})
 	}
 	if x.memDocs >= x.flushDocs {
 		x.refreshLocked()
 	}
 }
 
-// Refresh seals every shard memtable into an immutable segment and
-// publishes new read views. The commit-bus indexer calls it after each
+// Refresh seals the memtable into an immutable segment and publishes
+// new read views. The commit-bus indexer calls it after each
 // applied batch, so queries see committed articles with at most one
 // batch of lag.
 func (x *Index) Refresh() {
@@ -376,42 +318,33 @@ func (x *Index) refreshLocked() {
 	if x.memDocs == 0 {
 		return
 	}
-	x.memDocs = 0
 	// Publish the doc table first: postings must never reference a
 	// document a concurrent query cannot resolve.
 	x.docs.Store(&docsView{infos: x.infos[:len(x.infos):len(x.infos)], totalLen: x.totalLen})
-	for _, sh := range x.shards {
-		sh.seal()
+	seg := &segment{postings: make(map[string]packed, len(x.mem)), docs: x.memDocs}
+	x.memDocs = 0
+	if len(x.mem) == 0 {
+		return // documents without a token
 	}
-}
-
-// seal packs the shard memtable into a segment, runs the tiered
-// compaction, and publishes the new view.
-func (sh *shard) seal() {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.memDocs == 0 {
-		return
-	}
-	seg := &segment{postings: make(map[string]packed, len(sh.mem)), docs: sh.memDocs}
-	for term, ps := range sh.mem {
+	for term, ps := range x.mem {
 		seg.postings[term] = pack(ps)
 	}
-	clear(sh.mem)
-	sh.memDocs = 0
-	old := sh.view.Load().segments
+	clear(x.mem)
+	// Size-tiered compaction: merge the newest segment into the one before
+	// it while that one is not more than tierRatio times larger.
+	old := *x.segments.Load()
 	segs := append(make([]*segment, 0, len(old)+1), old...)
 	segs = append(segs, seg)
 	for n := len(segs); n >= 2 && segs[n-2].docs <= tierRatio*segs[n-1].docs; n-- {
-		segs[n-2] = sh.merge(segs[n-2], segs[n-1])
+		segs[n-2] = merge(segs[n-2], segs[n-1])
 		segs = segs[:n-1]
 	}
-	sh.view.Store(&shardView{segments: segs})
+	x.segments.Store(&segs)
 }
 
 // merge concatenates two adjacent segments, a before b. A term found in
 // only one of them keeps its list as it is: lists are immutable.
-func (sh *shard) merge(a, b *segment) *segment {
+func merge(a, b *segment) *segment {
 	m := &segment{postings: make(map[string]packed, len(a.postings)+len(b.postings)), docs: a.docs + b.docs}
 	for term, l := range a.postings {
 		m.postings[term] = l
@@ -422,57 +355,11 @@ func (sh *shard) merge(a, b *segment) *segment {
 		}
 		m.postings[term] = l
 	}
-	sh.compactions++
 	return m
 }
 
 // Docs returns the number of indexed documents visible to queries.
 func (x *Index) Docs() int { return len(x.docs.Load().infos) }
-
-// Terms returns the number of distinct indexed terms across all
-// published segments.
-func (x *Index) Terms() int {
-	seen := make(map[string]bool)
-	for _, sh := range x.shards {
-		for _, seg := range sh.view.Load().segments {
-			for term := range seg.postings {
-				seen[term] = true
-			}
-		}
-	}
-	return len(seen)
-}
-
-// ShardStats is the per-shard observability record.
-type ShardStats struct {
-	Terms       int    `json:"terms"`
-	Postings    int    `json:"postings"`
-	Segments    int    `json:"segments"`
-	Compactions uint64 `json:"compactions"`
-}
-
-// Stats reports per-shard term/posting/segment counts (published state
-// only).
-func (x *Index) Stats() []ShardStats {
-	out := make([]ShardStats, len(x.shards))
-	for i, sh := range x.shards {
-		view := sh.view.Load()
-		st := ShardStats{Segments: len(view.segments)}
-		terms := make(map[string]bool)
-		for _, seg := range view.segments {
-			for term, l := range seg.postings {
-				terms[term] = true
-				st.Postings += l.count()
-			}
-		}
-		st.Terms = len(terms)
-		sh.mu.Lock()
-		st.Compactions = sh.compactions
-		sh.mu.Unlock()
-		out[i] = st
-	}
-	return out
-}
 
 // Query returns the top-k documents for the query string under BM25.
 // k <= 0 means no limit. The call is lock-free: it reads only the
@@ -502,12 +389,11 @@ func (x *Index) QueryPage(q string, offset, limit int) Page {
 	sc := scratchPool.Get().(*queryScratch)
 	defer sc.release()
 	sc.grow(n)
+	segs := *x.segments.Load()
 	for _, tok := range corpus.Tokenize(q) {
-		sh := x.shardFor(tok)
-		view := sh.view.Load()
 		// df first: IDF needs the document frequency across segments.
 		df := 0
-		for _, seg := range view.segments {
+		for _, seg := range segs {
 			if l, ok := seg.postings[tok]; ok {
 				df += l.count()
 			}
@@ -516,7 +402,7 @@ func (x *Index) QueryPage(q string, offset, limit int) Page {
 			continue
 		}
 		idf := math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
-		for _, seg := range view.segments {
+		for _, seg := range segs {
 			l, ok := seg.postings[tok]
 			if !ok {
 				continue

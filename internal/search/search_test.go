@@ -114,11 +114,10 @@ func TestDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-// TestScoresIndependentOfShardCountAndSegmentLayout is the determinism
-// invariant the snapshot format relies on: the same corpus must score
-// identically whatever the shard count and however the segments were
-// sealed or compacted.
-func TestScoresIndependentOfShardCountAndSegmentLayout(t *testing.T) {
+// TestScoresIndependentOfSegmentLayout is the determinism invariant the
+// snapshot format relies on: the same corpus must score identically
+// however the segments were sealed or compacted.
+func TestScoresIndependentOfSegmentLayout(t *testing.T) {
 	corpusDocs := make([][3]string, 60)
 	for i := range corpusDocs {
 		corpusDocs[i] = [3]string{
@@ -126,8 +125,8 @@ func TestScoresIndependentOfShardCountAndSegmentLayout(t *testing.T) {
 			fmt.Sprintf("senate budget vote round %d plus filler words number %d", i%7, i),
 		}
 	}
-	build := func(shards, refreshEvery int) *Index {
-		x := newSharded(shards)
+	build := func(refreshEvery int) *Index {
+		x := New()
 		for i, d := range corpusDocs {
 			x.Add(d[0], d[1], d[2])
 			if refreshEvery > 0 && i%refreshEvery == 0 {
@@ -137,37 +136,33 @@ func TestScoresIndependentOfShardCountAndSegmentLayout(t *testing.T) {
 		x.Refresh()
 		return x
 	}
-	want := build(1, 0).QueryPage("senate budget round", 0, 0)
-	for _, cfg := range [][2]int{{4, 3}, {16, 1}, {16, 7}, {3, 5}} {
-		got := build(cfg[0], cfg[1]).QueryPage("senate budget round", 0, 0)
+	want := build(0).QueryPage("senate budget round", 0, 0)
+	for _, refreshEvery := range []int{3, 1, 7, 5} {
+		got := build(refreshEvery).QueryPage("senate budget round", 0, 0)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("shards=%d refreshEvery=%d diverged from single-shard scores", cfg[0], cfg[1])
+			t.Fatalf("refreshEvery=%d diverged from one-segment scores", refreshEvery)
 		}
 	}
 }
 
-// TestCompactionBoundsSegments drives many small refreshes through one
-// shard and checks that the tiers hold — adjacent segments differ in size
+// TestCompactionBoundsSegments drives many small refreshes through the
+// index and checks that the tiers hold — adjacent segments differ in size
 // by more than tierRatio, so there are fewer than log2(N+1) of them —
 // while no posting is lost.
 func TestCompactionBoundsSegments(t *testing.T) {
-	x := newSharded(1)
+	x := New()
 	for i := 0; i < 100; i++ {
 		x.Add(fmt.Sprintf("d%03d", i), "t", fmt.Sprintf("word%d shared", i))
 		x.Refresh() // one tiny segment per doc without compaction
 	}
-	st := x.Stats()[0]
-	if budget := bits.Len(100); st.Segments > budget {
-		t.Fatalf("segments = %d, budget %d", st.Segments, budget)
+	segs := *x.segments.Load()
+	if budget := bits.Len(100); len(segs) > budget {
+		t.Fatalf("segments = %d, budget %d", len(segs), budget)
 	}
-	segs := x.shards[0].view.Load().segments
 	for i := 1; i < len(segs); i++ {
 		if segs[i-1].docs <= tierRatio*segs[i].docs {
 			t.Fatalf("segment %d holds %d docs, segment %d holds %d: not tiered", i-1, segs[i-1].docs, i, segs[i].docs)
 		}
-	}
-	if st.Compactions == 0 {
-		t.Fatal("no compactions recorded")
 	}
 	if res := x.Query("shared", 0); len(res) != 100 {
 		t.Fatalf("compaction lost postings: %d/100 docs match", len(res))
@@ -211,8 +206,8 @@ func TestConcurrentQueriesDuringIndexing(t *testing.T) {
 	}
 }
 
-// legacyIndex is the pre-sharding index: one postings map, scored by
-// BM25 into a fresh map per query. It is the oracle for the sharded
+// legacyIndex is the plainest index: one postings map, scored by
+// BM25 into a fresh map per query. It is the oracle for the segmented
 // index's reused query scratch.
 type legacyIndex struct {
 	postings map[string]map[string]int // term -> doc id -> term frequency
@@ -299,7 +294,7 @@ func TestQueryScratchReuseMatchesLegacyIndex(t *testing.T) {
 		}
 		return strings.Join(out, " ")
 	}
-	x := newSharded(4)
+	x := New()
 	leg := newLegacyIndex()
 	for round := 0; round < 30; round++ {
 		for i := 0; i < 20; i++ {
@@ -458,12 +453,12 @@ func TestSnapshotRestoreIsSelfContained(t *testing.T) {
 }
 
 // TestSnapshotDeterministicAcrossLayouts: two indexes holding the same
-// corpus but with different shard counts and seal histories must emit
+// corpus but with different seal histories must emit
 // byte-identical snapshots — the property that lets replicas exchange
 // and compare checkpoints.
 func TestSnapshotDeterministicAcrossLayouts(t *testing.T) {
-	build := func(shards, refreshEvery int) *Subscriber {
-		sub := NewSubscriber(newSharded(shards), nil)
+	build := func(refreshEvery int) *Subscriber {
+		sub := NewSubscriber(New(), nil)
 		for i := 0; i < 40; i++ {
 			sub.Index.Add(fmt.Sprintf("d%02d", i), "t", fmt.Sprintf("shared words item %d", i))
 			if i%refreshEvery == 0 {
@@ -472,16 +467,16 @@ func TestSnapshotDeterministicAcrossLayouts(t *testing.T) {
 		}
 		return sub
 	}
-	a, err := build(16, 3).Snapshot()
+	a, err := build(3).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := build(4, 7).Snapshot()
+	b, err := build(7).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("snapshots differ across shard counts / segment layouts")
+		t.Fatal("snapshots differ across segment layouts")
 	}
 }
 
@@ -533,11 +528,9 @@ func TestIndexDoesNotRetainBodies(t *testing.T) {
 			after := heap()
 
 			var own uint64
-			for _, sh := range x.shards {
-				for _, seg := range sh.view.Load().segments {
-					for _, l := range seg.postings {
-						own += uint64(len(l))
-					}
+			for _, seg := range *x.segments.Load() {
+				for _, l := range seg.postings {
+					own += uint64(len(l))
 				}
 			}
 			if grew := after - before; after > before && grew > own+slack {

@@ -29,9 +29,8 @@ var ErrBadSnapshot = errors.New("search: bad index snapshot")
 //   - per term, in the same order, its posting list merged across segments
 //     into one packed list (see packed), as a uvarint length and the bytes.
 //
-// A term lives in one shard, whose segments hold ascending disjoint
-// document ranges, so merging is concatenation. Nothing in the blob depends
-// on the shard count or the segment layout: two indexes of the same
+// The segments hold ascending disjoint document ranges, so merging is
+// concatenation. Nothing in the blob depends on the segment layout: two indexes of the same
 // documents in the same order write the same bytes.
 func (x *Index) snapshot() []byte {
 	x.wmu.Lock()
@@ -41,12 +40,10 @@ func (x *Index) snapshot() []byte {
 
 	lists := make(map[string][]packed)
 	size := len(snapshotMagic) + binary.MaxVarintLen64
-	for _, sh := range x.shards {
-		for _, seg := range sh.view.Load().segments {
-			for term, l := range seg.postings {
-				lists[term] = append(lists[term], l)
-				size += len(l) + 2*binary.MaxVarintLen64
-			}
+	for _, seg := range *x.segments.Load() {
+		for term, l := range seg.postings {
+			lists[term] = append(lists[term], l)
+			size += len(l) + 2*binary.MaxVarintLen64
 		}
 	}
 	for _, d := range docs.infos {
@@ -115,14 +112,14 @@ func appendMerged(dst []byte, lists []packed) []byte {
 // its size), document ids are unique, terms strictly ascending, and every
 // list is well formed with its stated count, ascending documents inside the
 // doc table and nonzero frequencies. The restored strings share one copy of
-// the blob, and each term's list becomes a shard's only segment as it is:
+// the blob, and the lists become the index's only segment as they are:
 // nothing is re-packed.
 func (x *Index) restore(data []byte) error {
 	var (
 		infos    []docInfo
 		byID     = make(map[string]int32)
 		totalLen int64
-		perShard = make(map[*shard]map[string]packed)
+		postings = make(map[string]packed)
 		terms    []string
 	)
 	if len(data) > 0 {
@@ -194,11 +191,7 @@ func (x *Index) restore(data []byte) error {
 			if err != nil {
 				return fmt.Errorf("%w: postings of %q: %v", ErrBadSnapshot, term, err)
 			}
-			sh := x.shardFor(term)
-			if perShard[sh] == nil {
-				perShard[sh] = make(map[string]packed)
-			}
-			perShard[sh][term] = packed(l)
+			postings[term] = packed(l)
 		}
 		if r.i != len(r.s) {
 			return fmt.Errorf("%w: %d bytes after the last list", ErrBadSnapshot, len(r.s)-r.i)
@@ -214,19 +207,10 @@ func (x *Index) restore(data []byte) error {
 	}
 	x.infos = infos
 	x.totalLen = totalLen
+	x.mem = make(map[string][]posting)
 	x.memDocs = 0
 	x.docs.Store(&docsView{infos: x.infos[:len(x.infos):len(x.infos)], totalLen: x.totalLen})
-	for _, sh := range x.shards {
-		sh.mu.Lock()
-		sh.mem = make(map[string][]posting)
-		sh.memDocs = 0
-		if m := perShard[sh]; m != nil {
-			sh.view.Store(&shardView{segments: []*segment{{postings: m, docs: len(x.infos)}}})
-		} else {
-			sh.view.Store(&shardView{})
-		}
-		sh.mu.Unlock()
-	}
+	x.segments.Store(&[]*segment{{postings: postings, docs: len(x.infos)}})
 	return nil
 }
 

@@ -29,7 +29,7 @@ type pendingDoc struct {
 // Indexing is asynchronous: OnCommit only extracts the published
 // references from the block — cheap, bounded work — and hands them to
 // a background indexer goroutine that hydrates off-chain bodies,
-// tokenizes, and updates the sharded index. The commit path therefore
+// tokenizes, and updates the index. The commit path therefore
 // never blocks on indexing (or on blob reads), which is what keeps
 // commit throughput flat while the ingest pipeline runs the index hot.
 // The price is bounded staleness: queries may lag the chain by the

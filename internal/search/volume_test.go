@@ -65,8 +65,10 @@ func TestFloodStreamHeapPerDoc(t *testing.T) {
 	body = ""
 	after := liveHeap()
 	postings := 0
-	for _, st := range x.Stats() {
-		postings += st.Postings
+	for _, seg := range *x.segments.Load() {
+		for _, l := range seg.postings {
+			postings += l.count()
+		}
 	}
 	perDoc := float64(after-before) / docs
 	t.Logf("%d docs, %.1f postings/doc: %.0f B/doc live", docs, float64(postings)/docs, perDoc)
@@ -82,23 +84,23 @@ func TestFloodStreamHeapPerDoc(t *testing.T) {
 // TestCompactionTiersHoldAtVolume refreshes after every one of 50 000
 // documents and checks after each refresh that the tiers hold: every
 // segment holds more than tierRatio times the documents of the one after
-// it, so a shard keeps fewer than log2(N+1) segments. The shape bounds the
+// it, so the index keeps fewer than log2(N+1) segments. The shape bounds the
 // rewrites too. When the newest segment b merges into a, a ≤ tierRatio·b,
 // and b ≤ a because everything after a held fewer documents than a. So
 // every merge grows the segment a posting sits in by at least half, and a
 // posting is rewritten at most log1.5(N) times. Merging the two smallest
 // of a fixed number of segments breaks the shape within a few hundred
-// refreshes, and rewrites a share of the shard on every seal.
+// refreshes, and rewrites a share of the index on every seal.
 func TestCompactionTiersHoldAtVolume(t *testing.T) {
 	docs := 50000
 	if raceEnabled {
 		docs = 5000
 	}
-	x := newSharded(1)
+	x := New()
 	for i := 0; i < docs; i++ {
 		x.Add(fmt.Sprintf("d%05d", i), "t", fmt.Sprintf("shared w%d", i))
 		x.Refresh()
-		segs := x.shards[0].view.Load().segments
+		segs := *x.segments.Load()
 		if len(segs) > bits.Len(uint(i+1)) {
 			t.Fatalf("%d segments for %d docs", len(segs), i+1)
 		}
@@ -108,8 +110,7 @@ func TestCompactionTiersHoldAtVolume(t *testing.T) {
 			}
 		}
 	}
-	st := x.Stats()[0]
-	t.Logf("%d docs: %d segments, %d merges", docs, st.Segments, st.Compactions)
+	t.Logf("%d docs: %d segments", docs, len(*x.segments.Load()))
 	if res := x.Query("shared", 0); len(res) != docs {
 		t.Fatalf("compaction lost postings: %d/%d docs match", len(res), docs)
 	}

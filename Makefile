@@ -30,7 +30,7 @@ benchmark-module:
 # Fast-failing race pass over the concurrency-heavy packages (shared
 # instrument handles, blob retrieval) before the full suite runs.
 race-hot:
-	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/commitbus/... ./internal/blobstore/... ./internal/ledger ./internal/consensus ./internal/simnet ./internal/chaos ./internal/transport/... ./internal/admission ./internal/ingest ./internal/search ./internal/contract ./internal/store ./internal/merkle
+	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/blobstore/... ./internal/ledger ./internal/consensus ./internal/simnet ./internal/chaos ./internal/transport/... ./internal/admission ./internal/ingest ./internal/search ./internal/contract ./internal/store ./internal/merkle
 
 # Open-loop load generator smoke: a short low-rate run against an
 # in-process node with admission control on must finish with zero

@@ -19,7 +19,6 @@
 // Then, for example:
 //
 //	curl localhost:8080/v1/chain
-//	curl localhost:8080/v1/commitbus
 //	curl localhost:8080/v1/facts
 //	curl localhost:8080/v1/experts?topic=politics
 //	curl localhost:8080/v1/metrics

@@ -89,18 +89,9 @@ func TestClusterConvergence(t *testing.T) {
 		return true
 	})
 	for i := range c.nodes {
-		var subs []struct {
-			Name      string `json:"name"`
-			Errors    uint64 `json:"errors"`
-			LastError string `json:"lastError"`
-		}
-		if code, err := c.getJSON(i, "/v1/commitbus", &subs); err != nil || code != http.StatusOK || len(subs) == 0 {
-			t.Fatalf("node %d /v1/commitbus: status %d, %d subscribers, %v", i, code, len(subs), err)
-		}
-		for _, sub := range subs {
-			if sub.Errors != 0 {
-				t.Fatalf("node %d subscriber %s: %d errors (%s); an off-chain item must index on a validator that does not hold its body", i, sub.Name, sub.Errors, sub.LastError)
-			}
+		const viewErrors = "trustnews_platform_view_errors_total"
+		if n, ok := c.metrics(i)[viewErrors]; !ok || n != 0 {
+			t.Fatalf("node %d %s = %v (exposed: %v); an off-chain item must index on a validator that does not hold its body", i, viewErrors, n, ok)
 		}
 		var ci struct {
 			Items int `json:"items"`

@@ -295,16 +295,32 @@ func (ix *Index) Add(f Fact) {
 	ix.acc.Add([]byte(key))
 }
 
-// Facts returns the indexed facts in insertion order (the checkpoint
-// snapshot format: re-adding them in order reproduces the accumulator).
+// Facts returns the indexed facts in insertion order.
 func (ix *Index) Facts() []Fact {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return append([]Fact(nil), ix.facts...)
 }
 
-// Reset replaces the index contents with the given facts, added in order.
-func (ix *Index) Reset(facts []Fact) {
+// SubscriberName keys the fact index's blob in a durable checkpoint
+// (store.Checkpoint.Subscribers).
+const SubscriberName = "factdb-index"
+
+// Snapshot serializes the index for a checkpoint: the facts in insertion
+// order, which fixes the Merkle accumulator root on restore.
+func (ix *Index) Snapshot() ([]byte, error) {
+	return json.Marshal(ix.Facts())
+}
+
+// Restore replaces the index contents with a Snapshot blob's facts, added
+// in order.
+func (ix *Index) Restore(data []byte) error {
+	var facts []Fact
+	if len(data) > 0 {
+		if err := json.Unmarshal(data, &facts); err != nil {
+			return fmt.Errorf("factdb: decode index snapshot: %w", err)
+		}
+	}
 	ix.mu.Lock()
 	ix.facts = nil
 	ix.inverted = make(map[string][]int)
@@ -315,6 +331,7 @@ func (ix *Index) Reset(facts []Fact) {
 	for _, f := range facts {
 		ix.Add(f)
 	}
+	return nil
 }
 
 // Rebuild loads every fact from the engine into a fresh index.

@@ -11,7 +11,6 @@
 //	POST /v1/tx                submit a signed, hex-encoded transaction
 //	GET  /v1/healthz           readiness: height, mempool depth, consensus mode
 //	GET  /v1/chain             chain head summary (incl. checkpoint height)
-//	GET  /v1/commitbus         commit-bus subscriber stats (lag, errors)
 //	GET  /v1/items/{id}        one news item
 //	GET  /v1/items/{id}/rank   combined ranking with component breakdown
 //	GET  /v1/items/{id}/trace  supply-chain trace (503 naming ErrBodyUnavailable when a body it needs is on another node; rank likewise)
@@ -21,7 +20,7 @@
 //	GET  /v1/proofs/{txid}     light-client Merkle inclusion proof
 //	GET  /v1/blobs/{cid}       raw off-chain article body (verified)
 //	POST /v1/blobs             store an article body off-chain, returns {cid,size}
-//	GET  /v1/search?q=&limit=&offset=&ranker=  ranked (BM25 default), paginated full-text search
+//	GET  /v1/search?q=&limit=&offset=  BM25-ranked, paginated full-text search
 //	POST /v1/ingest            enqueue an article into the ingestion pipeline
 //	GET  /v1/ingest            ingestion pipeline + queue statistics
 //	GET  /v1/metrics           Prometheus text exposition of the registry
@@ -104,7 +103,6 @@ func New(p *platform.Platform, autoCommit bool) *Server {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/chain", s.handleChain)
 	mux.HandleFunc("GET /v1/blocks/{height}", s.handleBlock)
-	mux.HandleFunc("GET /v1/commitbus", s.handleCommitBus)
 	mux.HandleFunc("GET /v1/items/{id}", s.handleItem)
 	mux.HandleFunc("GET /v1/items/{id}/rank", s.handleRank)
 	mux.HandleFunc("GET /v1/items/{id}/trace", s.handleTrace)
@@ -345,13 +343,6 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCommitBus reports per-subscriber delivery accounting from the
-// commit bus: a nonzero Lag or Errors means a derived index missed
-// events and the operator should investigate (or re-open from replay).
-func (s *Server) handleCommitBus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.p.BusStats())
-}
-
 func (s *Server) handleItem(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Platform.Item hydrates off-chain bodies, so clients always see Text.
@@ -452,8 +443,8 @@ type healthzResponse struct {
 	// IngestQueueDepth is the live ingest queue depth (absent without an
 	// attached pipeline).
 	IngestQueueDepth *int `json:"ingestQueueDepth,omitempty"`
-	// IngestDead is the ingest dead-letter count (absent without an
-	// attached pipeline).
+	// IngestDead is the number of dead-lettered ingest items kept, at most
+	// the newest 256 (absent without an attached pipeline).
 	IngestDead *int `json:"ingestDead,omitempty"`
 	// PeersConnected is the number of peer validators this node is linked
 	// with in both directions (absent on a standalone node). A cluster is

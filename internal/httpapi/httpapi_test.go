@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/aidetect"
-	"repro/internal/commitbus"
 	"repro/internal/corpus"
 	"repro/internal/ingest"
 	"repro/internal/keys"
@@ -463,29 +462,6 @@ func TestBlobAndSearchEndpoints(t *testing.T) {
 	}
 	if code := f.get("/v1/search?q=treaty&k=0", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad k status=%d", code)
-	}
-}
-
-func TestCommitBusEndpoint(t *testing.T) {
-	f := newFixture(t)
-	alice := keys.FromSeed([]byte("alice"))
-	payload, _ := supplychain.PublishPayload("n1", corpus.TopicPolitics, factText, nil, "")
-	f.submit(alice, "news.publish", payload)
-
-	var stats []commitbus.SubscriberStats
-	if code := f.get("/v1/commitbus", &stats); code != http.StatusOK {
-		t.Fatalf("status=%d", code)
-	}
-	if len(stats) == 0 {
-		t.Fatal("no subscribers reported")
-	}
-	for _, s := range stats {
-		if s.Name == "" {
-			t.Fatalf("unnamed subscriber: %+v", s)
-		}
-		if s.Delivered == 0 || s.Lag != 0 || s.Errors != 0 {
-			t.Fatalf("subscriber %s out of sync: %+v", s.Name, s)
-		}
 	}
 }
 

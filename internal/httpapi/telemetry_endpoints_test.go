@@ -149,9 +149,11 @@ func TestMetricsExposition(t *testing.T) {
 		`trustnews_platform_commit_seconds_bucket{le="+Inf"} 1`,
 		"trustnews_platform_commit_seconds_count 1",
 		"trustnews_platform_commit_seconds_sum ",
-		// Commit-bus delivery, labeled by subscriber.
-		`trustnews_commitbus_delivered_total{subscriber="contract-state"`,
-		"trustnews_commitbus_events_total 1",
+		// The commit's stages, the views' update among them, and no
+		// view error.
+		`trustnews_commit_stage_seconds_count{stage="execute"} 1`,
+		`trustnews_commit_stage_seconds_count{stage="publish"} 1`,
+		"trustnews_platform_view_errors_total 0",
 		// Per-route HTTP accounting from earlier requests in this test.
 		`trustnews_httpapi_requests_total{route="POST /v1/tx",status="200"} 1`,
 		`trustnews_httpapi_request_seconds_count{route="GET /v1/chain"} 1`,

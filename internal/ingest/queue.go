@@ -12,10 +12,12 @@ import (
 )
 
 // The retry rule: a failed attempt returns its item to ready after
-// retryDelay, and the maxAttempts-th failed attempt dead-letters it.
+// retryDelay, and the maxAttempts-th failed attempt dead-letters it. Only
+// the newest maxDead dead-lettered items are kept, bodies included.
 const (
 	retryDelay  = 500 * time.Millisecond
 	maxAttempts = 5
+	maxDead     = 256
 )
 
 // queueItem is one live article plus its delivery state.
@@ -43,7 +45,8 @@ type QueueStats struct {
 	// Inflight is the number of items taken by a worker and not yet
 	// settled or released for retry.
 	Inflight int `json:"inflight"`
-	// Dead is the number of dead-lettered items.
+	// Dead is the number of dead-lettered items kept: at most the newest
+	// maxDead (trustnews_ingest_dead_total counts every one).
 	Dead int `json:"dead"`
 	// Enqueued, Acked and Retries count since open (replayed live items
 	// count as enqueued).
@@ -91,10 +94,11 @@ type Queue struct {
 // means 4096) over the given WAL, replaying it to recover live items.
 // Items in flight at crash time are ready again; items acked or
 // dead-lettered before the crash stay settled. The log is then rewritten
-// down to the records replay needs: each live item's enqueue record, each
-// dead item's enqueue and dead records, and the newest enqueue record with
-// its ack, so sequence numbers are never reused. A nil log gets an
-// in-memory one (tests, ephemeral nodes).
+// down to the records replay needs: each live item's enqueue record, the
+// enqueue and dead records of the newest maxDead dead items, and the
+// newest enqueue record with the one that settled it, so sequence numbers
+// are never reused. A nil log gets an in-memory one (tests, ephemeral
+// nodes).
 func NewQueue(wal store.Log, capacity int) (*Queue, error) {
 	if capacity <= 0 {
 		capacity = 4096
@@ -110,7 +114,8 @@ func NewQueue(wal store.Log, capacity int) (*Queue, error) {
 		retryDelay:  retryDelay,
 		maxAttempts: maxAttempts,
 	}
-	var keep, newest []uint64 // dead items' records; the newest enqueue and its ack
+	var deadRecs [][2]uint64 // each of q.dead's enqueue and dead records
+	var newest []uint64      // the newest enqueue and the record settling it
 	n := wal.Len()
 	for i := uint64(0); i < n; i++ {
 		rec, err := wal.Get(i)
@@ -130,25 +135,30 @@ func NewQueue(wal store.Log, capacity int) (*Queue, error) {
 		case op == opEnqueue:
 			q.items[seq] = &queueItem{seq: seq, art: art, rec: i}
 		case !live:
-		case op == opAck:
+		default: // settled: acked or dead-lettered
 			if seq+1 == q.nextSeq {
 				newest = []uint64{it.rec, i}
 			}
-			delete(q.items, seq)
-		case op == opDead:
-			keep = append(keep, it.rec, i)
-			q.dead = append(q.dead, DeadItem{Seq: seq, Article: it.art, Reason: "replayed dead-letter"})
+			if op == opDead {
+				q.dead = append(q.dead, DeadItem{Seq: seq, Article: it.art, Reason: "replayed dead-letter"})
+				deadRecs = append(deadRecs, [2]uint64{it.rec, i})
+			}
 			delete(q.items, seq)
 		}
+	}
+	q.trimDeadLocked()
+	keep := newest
+	for _, recs := range deadRecs[len(deadRecs)-len(q.dead):] {
+		keep = append(keep, recs[0], recs[1])
 	}
 	for seq, it := range q.items {
 		keep = append(keep, it.rec)
 		q.ready = append(q.ready, seq)
 	}
 	slices.Sort(q.ready)
-	keep = append(keep, newest...)
+	slices.Sort(keep)
+	keep = slices.Compact(keep)
 	if rw, ok := wal.(interface{ Rewrite([]uint64) error }); ok && uint64(len(keep)) < n {
-		slices.Sort(keep)
 		if err := rw.Rewrite(keep); err != nil {
 			return nil, fmt.Errorf("ingest: compact wal: %w", err)
 		}
@@ -313,8 +323,17 @@ func (q *Queue) deadLetterLocked(it *queueItem, reason string) {
 	// which only means it is tried again after a restart.
 	_, _ = q.wal.Append(encodeRecord(opDead, it.seq, nil))
 	q.dead = append(q.dead, DeadItem{Seq: it.seq, Article: it.art, Attempts: it.attempts, Reason: reason})
+	q.trimDeadLocked()
 	q.removeLocked(it)
 	q.tmDead.Inc()
+}
+
+// trimDeadLocked forgets all but the newest maxDead dead items. Their
+// records stay in the WAL until the next open's compaction drops them.
+func (q *Queue) trimDeadLocked() {
+	if n := len(q.dead) - maxDead; n > 0 {
+		q.dead = slices.Delete(q.dead, 0, n)
+	}
 }
 
 // removeLocked drops a settled item from the live set. A ready item's

@@ -317,6 +317,55 @@ func TestQueueCompactsWALOnOpen(t *testing.T) {
 	}
 }
 
+// TestQueueKeepsNewestDeadLetters: the queue keeps only the newest maxDead
+// dead-lettered items, bodies included, live and across a reopen, whose
+// compaction drops the evicted items' records.
+func TestQueueKeepsNewestDeadLetters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ingest.wal")
+	wal, err := store.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := newTestQueue(t, wal)
+	const poison = 3 * maxDead
+	for i := 0; i < poison; i++ {
+		seq, err := q.Enqueue(Article{Source: "wire", Text: fmt.Sprintf("poison %d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.DeadLetter(seq, "poison"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, q *Queue) {
+		t.Helper()
+		dead := q.Dead()
+		if len(dead) != maxDead || q.Stats().Dead != maxDead {
+			t.Fatalf("%s: %d dead items kept (stats %d), want %d", when, len(dead), q.Stats().Dead, maxDead)
+		}
+		if first, last := dead[0].Seq, dead[len(dead)-1].Seq; first != poison-maxDead || last != poison-1 {
+			t.Fatalf("%s: dead items %d..%d kept, want the newest %d..%d", when, first, last, poison-maxDead, poison-1)
+		}
+	}
+	check("live", q)
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, err = store.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	q = newTestQueue(t, wal)
+	check("reopened", q)
+	if n := wal.Len(); n < 2*maxDead || n > 2*maxDead+2 {
+		t.Fatalf("reopened log holds %d records, want about %d", n, 2*maxDead+2)
+	}
+	if seq, err := q.Enqueue(Article{Text: "next"}); err != nil || seq != poison {
+		t.Fatalf("next enqueue: seq %d, %v; want %d", seq, err, poison)
+	}
+}
+
 // TestQueueTakeWaitsForEnqueue: workers blocked in Take are woken by an
 // Enqueue, one per item, and Close wakes the rest.
 func TestQueueTakeWaitsForEnqueue(t *testing.T) {

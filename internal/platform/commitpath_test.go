@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,9 +10,13 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/consensus"
+	"repro/internal/contract"
 	"repro/internal/corpus"
+	"repro/internal/factdb"
 	"repro/internal/ledger"
 	"repro/internal/light"
+	"repro/internal/supplychain"
+	"repro/internal/telemetry"
 )
 
 // TestCommitAndExternalBlocksProduceIdenticalState replays the exact
@@ -19,12 +24,12 @@ import (
 // validator applies decided blocks (commitDecided, each block with the
 // certificate the miner stored) and asserts the derived state — fact
 // index, graph, receipts, contract state — is byte-for-byte identical.
-// Both paths feed the same commit bus, so any divergence is a bug in the
-// pipeline. A third node then replays the miner's chain from disk: Commit,
+// Both paths feed the views through the same function, so any divergence
+// is a bug in the pipeline. A third node then replays the miner's chain from disk: Commit,
 // commitDecided and replay must write the same receipt records.
 func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 	dir := t.TempDir()
-	miner, closeMiner, err := Open(dir, DefaultConfig())
+	miner, closeMiner, err := Open(dir, instrumentedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +37,7 @@ func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 	runWorkload(t, miner, 16)
 	commitFailingTx(t, miner, "item-0")
 
-	follower, err := New(DefaultConfig())
+	follower, err := New(instrumentedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,19 +66,9 @@ func TestCommitAndExternalBlocksProduceIdenticalState(t *testing.T) {
 
 	assertSameDerivedState(t, miner, follower)
 
-	// Commit-bus accounting should agree too: same deliveries, no errors.
-	minerStats, followerStats := miner.BusStats(), follower.BusStats()
-	if len(minerStats) != len(followerStats) {
-		t.Fatalf("subscriber count %d != %d", len(minerStats), len(followerStats))
-	}
-	for i := range minerStats {
-		m, f := minerStats[i], followerStats[i]
-		if m.Name != f.Name || m.Delivered != f.Delivered || m.LastHeight != f.LastHeight {
-			t.Fatalf("stats diverge: %+v vs %+v", m, f)
-		}
-		if m.Errors != 0 || f.Errors != 0 {
-			t.Fatalf("subscriber %s reported errors: %+v vs %+v", m.Name, m, f)
-		}
+	// No view missed a block on either path.
+	if m, f := viewErrors(t, miner), viewErrors(t, follower); m != 0 || f != 0 {
+		t.Fatalf("view errors: miner %d, follower %d", m, f)
 	}
 
 	height := miner.Chain().Height()
@@ -118,6 +113,60 @@ func commitBlock(p *Platform, b *ledger.Block, cert []byte) error {
 	sp, start := p.beginCommit()
 	_, err := p.commitDecided(sp, start, b, cert)
 	return err
+}
+
+// instrumentedConfig is DefaultConfig with a metrics registry of its own.
+func instrumentedConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	return cfg
+}
+
+// viewErrors reads p's trustnews_platform_view_errors_total. p must carry
+// a registry: without one the counter would read 0 whatever happened.
+func viewErrors(t *testing.T, p *Platform) uint64 {
+	t.Helper()
+	if p.Telemetry() == nil {
+		t.Fatal("node has no metrics registry")
+	}
+	return p.Telemetry().Counter("trustnews_platform_view_errors_total", "").Value()
+}
+
+// A receipt result that does not decode costs its view that one entry and
+// counts once per view in trustnews_platform_view_errors_total; the
+// block's other facts and items still reach the views.
+func TestUndecodableResultCountsAsViewError(t *testing.T) {
+	p, err := New(instrumentedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	event := func(contractName, typ string, result []byte) contract.Receipt {
+		return contract.Receipt{OK: true, Result: result, Events: []contract.Event{{Contract: contractName, Type: typ}}}
+	}
+	fact, _ := json.Marshal(factdb.Fact{ID: "f1", Topic: corpus.TopicPolitics, Text: "the budget passed the senate"})
+	item, _ := json.Marshal(supplychain.Item{ID: "n1", Topic: corpus.TopicPolitics, Text: "the senate passed the budget"})
+	recs := []contract.Receipt{
+		event(factdb.ContractName, "fact_added", []byte("{")),
+		event(factdb.ContractName, "fact_added", fact),
+		event(supplychain.ContractName, "published", []byte("{")),
+		event(supplychain.ContractName, "published", item),
+	}
+	p.mu.Lock()
+	err = p.updateViewsLocked(recs)
+	p.mu.Unlock()
+	if err == nil {
+		t.Fatal("undecodable results were not reported")
+	}
+	if n := viewErrors(t, p); n != 2 {
+		t.Fatalf("view errors = %d, want 2 (one per view)", n)
+	}
+	if facts := p.FactIndex().Facts(); len(facts) != 1 || facts[0].ID != "f1" {
+		t.Fatalf("fact index holds %+v, want f1", facts)
+	}
+	p.FlushSearch()
+	if res := p.Search("budget", 5); len(res) != 1 || res[0].ID != "n1" {
+		t.Fatalf("search finds %v, want n1", res)
+	}
 }
 
 func TestMempoolCapacityConfig(t *testing.T) {

@@ -7,30 +7,52 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/commitbus"
+	"repro/internal/contract"
 	"repro/internal/corpus"
 	"repro/internal/keys"
 	"repro/internal/ledger"
 	"repro/internal/supplychain"
 )
 
-// commitGate is a commit-bus subscriber that reports every block it is
-// handed and holds the commit path inside the first one until released,
-// so a test can pile up submissions behind a commit that is known to be
-// in progress.
+// commitGate is a test contract: a block carrying a "gate.hold"
+// transaction reports it and holds its commit inside execution, under the
+// platform lock, until released, so a test can pile up submissions behind
+// a commit that is known to be in progress.
 type commitGate struct {
-	blocks  chan int      // one send per block: its tx count
+	held    chan struct{} // one send per gate.hold executed
 	release chan struct{} // closed to let commits through
 }
 
-func (g *commitGate) Name() string { return "test-commit-gate" }
-func (g *commitGate) OnCommit(ev commitbus.CommitEvent) error {
-	g.blocks <- len(ev.Block.Txs)
+func (g *commitGate) Name() string { return "gate" }
+func (g *commitGate) Execute(*contract.Context, string, []byte) ([]byte, error) {
+	g.held <- struct{}{}
 	<-g.release
-	return nil
+	return nil, nil
 }
-func (g *commitGate) Snapshot() ([]byte, error) { return nil, nil }
-func (g *commitGate) Restore([]byte) error      { return nil }
+
+// registerGate puts a fresh commitGate on p's engine.
+func registerGate(t *testing.T, p *Platform) *commitGate {
+	t.Helper()
+	gate := &commitGate{held: make(chan struct{}, 1), release: make(chan struct{})}
+	if err := p.Engine().Register(gate); err != nil {
+		t.Fatal(err)
+	}
+	return gate
+}
+
+// committedTxs reports how many blocks p's chain holds and how many
+// transactions they carry.
+func committedTxs(t *testing.T, p *Platform) (blocks, txs int) {
+	t.Helper()
+	if err := p.Chain().Walk(0, func(b *ledger.Block) bool {
+		blocks++
+		txs += len(b.Txs)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return blocks, txs
+}
 
 func publishPayload(t testing.TB, id string) []byte {
 	t.Helper()
@@ -60,21 +82,19 @@ func TestCommitterCommitsOnArrivalAndCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := &commitGate{blocks: make(chan int, burst+1), release: make(chan struct{})}
-	if err := p.Bus().Register(gate); err != nil {
-		t.Fatal(err)
-	}
+	gate := registerGate(t, p)
 	ctx, cancel := context.WithCancel(context.Background())
 	stopped := make(chan error, 1)
 	go func() { stopped <- p.RunCommitter(ctx) }()
 
-	if _, err := p.NewActor("first").Send("news.publish", publishPayload(t, "first")); err != nil {
+	if _, err := p.NewActor("first").Send("gate.hold", nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case n := <-gate.blocks:
-		if n != 1 {
-			t.Fatalf("first block holds %d txs, want 1", n)
+	case <-gate.held:
+		// The block is appended before it is executed.
+		if blocks, txs := committedTxs(t, p); blocks != 1 || txs != 1 {
+			t.Fatalf("first commit holds %d blocks of %d txs, want one of 1", blocks, txs)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("a tx submitted to an idle node was never committed")
@@ -98,17 +118,8 @@ func TestCommitterCommitsOnArrivalAndCoalesces(t *testing.T) {
 	close(gate.release)
 	wg.Wait()
 
-	blocks, txs := 1, 1
-	for txs < burst+1 {
-		select {
-		case n := <-gate.blocks:
-			blocks++
-			txs += n
-		case <-time.After(30 * time.Second):
-			t.Fatalf("committed %d of %d txs", txs, burst+1)
-		}
-	}
-	if blocks > 10 {
+	waitFor(t, "the burst to commit", func() bool { _, txs := committedTxs(t, p); return txs == burst+1 })
+	if blocks, txs := committedTxs(t, p); blocks > 10 {
 		t.Fatalf("%d txs took %d blocks: submissions made during a commit must share the next block", txs, blocks)
 	}
 	cancel()
@@ -125,23 +136,20 @@ func TestSubmitDoesNotWaitForRunningCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := &commitGate{blocks: make(chan int, 2), release: make(chan struct{})}
-	if err := p.Bus().Register(gate); err != nil {
-		t.Fatal(err)
-	}
+	gate := registerGate(t, p)
 	relayed := make(chan string, 2)
 	p.SetOnSubmit(func(tx *ledger.Tx) { relayed <- tx.ID().Short() })
 
-	if _, err := p.NewActor("first").Send("news.publish", publishPayload(t, "first")); err != nil {
+	if _, err := p.NewActor("first").Send("gate.hold", nil); err != nil {
 		t.Fatal(err)
 	}
 	<-relayed
 	committed := make(chan error, 1)
 	go func() { committed <- p.CommitAll() }()
 	select {
-	case <-gate.blocks: // the commit of `first` now sits in the gate
+	case <-gate.held: // the commit of `first` now sits in the gate
 	case <-time.After(30 * time.Second):
-		t.Fatal("commit never reached the bus")
+		t.Fatal("commit never reached execution")
 	}
 
 	second, err := ledger.NewTx(keys.FromSeed([]byte("second")), 0, "news.publish", publishPayload(t, "second"))

@@ -130,7 +130,7 @@ func TestFreshNodeFetchesVerifiesAndSearchesOverLossyLink(t *testing.T) {
 		}
 	}
 
-	fresh, err := New(DefaultConfig())
+	fresh, err := New(instrumentedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +171,11 @@ func TestFreshNodeFetchesVerifiesAndSearchesOverLossyLink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every subscriber kept up: hydration over the lossy link succeeded.
-	for _, st := range fresh.BusStats() {
-		if st.Errors != 0 {
-			t.Fatalf("subscriber %s errors: %+v", st.Name, st)
-		}
+	// Every view took every block.
+	if n := viewErrors(t, fresh); n != 0 {
+		t.Fatalf("%d view errors", n)
 	}
-	// The indexer is the only subscriber that reads bodies at commit time
+	// The indexer is the only view that reads bodies at commit time
 	// (the graph reads them on Trace), and it does so on its own goroutine:
 	// let it finish, so that each body crosses the link once and the
 	// simulated network is driven from one goroutine at a time.

@@ -7,23 +7,25 @@ import (
 	"time"
 
 	"repro/internal/contract"
+	"repro/internal/factdb"
 	"repro/internal/ledger"
+	"repro/internal/search"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
 // Durable deployment: a platform whose chain is backed by the
 // write-ahead-logged file store. Contract state is a pure function of the
-// block sequence, and so is everything derived from it: the views the
-// commit bus feeds (factual database, search index), the
-// receipts, kept in a log of their own beside the chain (receipts.go), the
-// chain's transaction index, whose sealed segments live in txindex.log,
-// and the contract state's own segments, in state.log. The supply-chain
+// block sequence, and so is everything derived from it: the views each
+// commit feeds (fact index, search index), the receipts, kept in a log of
+// their own beside the chain (receipts.go), the chain's transaction index,
+// whose sealed segments live in txindex.log, and the contract state's own
+// segments, in state.log. The supply-chain
 // graph keeps nothing to derive: it reads contract state. Reopen
 // therefore has two paths:
 //
-//   - checkpoint restore: load the latest CRC-guarded checkpoint, hand
-//     each commit-bus subscriber its snapshot blob, verify the restored
+//   - checkpoint restore: load the latest CRC-guarded checkpoint, restore
+//     contract state and both views from their blobs, verify the restored
 //     contract state against the checkpoint's state hash, and replay only
 //     the WAL tail above the checkpoint height — O(tail) instead of
 //     O(chain length);
@@ -140,7 +142,7 @@ type BootTimes struct {
 	// Open is the whole of Open (zero for an in-memory node).
 	Open time.Duration
 	// Restore is the time spent on the checkpoint: reading it, reopening
-	// the chain from its snapshot, restoring the subscribers and checking
+	// the chain from its snapshot, restoring the views and checking
 	// the state root. When the checkpoint proved unusable it is what the
 	// attempt cost before the full replay.
 	Restore time.Duration
@@ -223,7 +225,7 @@ func (p *Platform) stop() error {
 
 // openFromCheckpoint attempts the fast reopen path: rebuild the chain
 // from the checkpoint's index snapshot (validating only the WAL tail),
-// restore every subscriber blob, verify the restored contract state
+// restore contract state and the views from their blobs, verify the state
 // against the checkpoint hash, then replay just the tail, whose first
 // header holds the restored state to its root. Any error means the caller
 // must fall back to the full-replay path, with everything this attempt
@@ -255,9 +257,9 @@ func openFromCheckpoint(dir string, cfg Config, logs *durableLogs, cp *store.Che
 }
 
 // restoreCheckpoint verifies a checkpoint against the reopened chain and
-// hands every commit-bus subscriber its snapshot. Any failure returns an
-// error with the platform in an undefined derived state — the caller
-// must discard it and fall back to full replay.
+// restores contract state and the views from its blobs. Any failure
+// returns an error with the platform in an undefined derived state — the
+// caller must discard it and fall back to full replay.
 func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -276,7 +278,7 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 			return fmt.Errorf("platform: checkpoint head id %s does not match chain %s", cp.HeadID, got)
 		}
 	}
-	if err := p.bus.Restore(cp.Subscribers, cp.Height); err != nil {
+	if err := p.restoreViewsLocked(cp.Subscribers); err != nil {
 		return err
 	}
 	// The restored contract state must hash to the checkpoint's recorded
@@ -294,7 +296,7 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 }
 
 // replayFrom re-executes committed blocks from the given height upward,
-// feeding each through the receipt log and the commit bus like a live
+// feeding each through the receipt log and the views like a live
 // commit (but enqueueing no penalty, see penalizeOffendersLocked). Before
 // executing a block it holds the state to the root the block's header
 // carries: the root its predecessors left, on a standalone chain; none on
@@ -321,7 +323,7 @@ func (p *Platform) replayFrom(from uint64) error {
 		if failed = p.recordReceiptsLocked(b.Header.Height, recs); failed != nil {
 			return false
 		}
-		p.publishLocked(b, recs)
+		_ = p.updateViewsLocked(recs)
 		return true
 	})
 	p.setStoreGauges()
@@ -367,7 +369,7 @@ func (p *Platform) WriteCheckpoint() error {
 	if err != nil {
 		return fmt.Errorf("platform: checkpoint state root: %w", err)
 	}
-	blobs, err := p.bus.Snapshot()
+	blobs, err := p.snapshotViewsLocked()
 	if err != nil {
 		return err
 	}
@@ -388,4 +390,55 @@ func (p *Platform) WriteCheckpoint() error {
 	}
 	p.ckptHeight = height
 	return nil
+}
+
+// stateSubscriberName keys the contract state's blob in a checkpoint; the
+// views' blobs are keyed by factdb.SubscriberName and search.SubscriberName.
+// The keys are on disk: checkpoints of older builds restore by them.
+const stateSubscriberName = "contract-state"
+
+// snapshotViewsLocked serializes contract state, the fact index and the
+// search index, keyed by name, as one consistent cut: the caller holds
+// p.commitMu and p.mu, so no commit runs. The state's blob names the
+// segments of state.log that hold it and carries the memtable
+// (store.LSM.Manifest).
+func (p *Platform) snapshotViewsLocked() (map[string][]byte, error) {
+	state, err := p.engine.StateCheckpoint()
+	if err != nil {
+		return nil, fmt.Errorf("platform: snapshot contract state: %w", err)
+	}
+	facts, err := p.factIndex.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("platform: snapshot fact index: %w", err)
+	}
+	searchBlob, err := p.indexer.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("platform: snapshot search index: %w", err)
+	}
+	return map[string][]byte{
+		stateSubscriberName:   state,
+		factdb.SubscriberName: facts,
+		search.SubscriberName: searchBlob,
+	}, nil
+}
+
+// restoreViewsLocked restores contract state, the fact index and the search
+// index from a checkpoint's blobs. A checkpoint that lacks any of the three
+// fails before anything is restored, so Open replays in full; a blob none of
+// them reads (one a removed view left) is ignored. A state blob that is not
+// a segment manifest — the gob map of a checkpoint written before the state
+// had a log of its own — fails too. Caller holds p.mu.
+func (p *Platform) restoreViewsLocked(blobs map[string][]byte) error {
+	for _, name := range []string{stateSubscriberName, factdb.SubscriberName, search.SubscriberName} {
+		if _, ok := blobs[name]; !ok {
+			return fmt.Errorf("platform: checkpoint has no %s blob", name)
+		}
+	}
+	if err := p.engine.RestoreStateCheckpoint(blobs[stateSubscriberName]); err != nil {
+		return fmt.Errorf("platform: restore contract state: %w", err)
+	}
+	if err := p.factIndex.Restore(blobs[factdb.SubscriberName]); err != nil {
+		return err
+	}
+	return p.indexer.Restore(blobs[search.SubscriberName])
 }

@@ -13,6 +13,7 @@ package platform
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,7 +23,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/aidetect"
 	"repro/internal/blobstore"
-	"repro/internal/commitbus"
 	"repro/internal/consensus"
 	"repro/internal/contract"
 	"repro/internal/corpus"
@@ -68,7 +68,7 @@ type Config struct {
 	// directory. Open derives it from the node's data directory.
 	BlobDir string
 	// Telemetry, when non-nil, instruments the node's hot paths (mempool,
-	// blob store, commit bus, commits) on the given registry and enables
+	// blob store, commits) on the given registry and enables
 	// span tracing. Nil — the default — keeps every instrument a no-op, so
 	// library users pay nothing.
 	Telemetry *telemetry.Registry
@@ -130,14 +130,10 @@ type Platform struct {
 	blobs *blobstore.Store
 	// searchIdx is the full-text index over committed article bodies.
 	searchIdx *search.Index
-	// searchSub is the async indexer keeping searchIdx in sync with the
+	// indexer is the async indexer keeping searchIdx in sync with the
 	// chain; queries may lag the head by its backlog (see FlushSearch).
-	searchSub *search.Subscriber
+	indexer *search.Indexer
 
-	// bus is the event-sourced commit pipeline: every committed block is
-	// published once, and the derived indexes (fact index, search) update
-	// as subscribers.
-	bus *commitbus.Bus
 	// receipts holds the encoded receipts of block h as record h (see
 	// receipts.go): a file beside the chain log on a durable node, encoded
 	// bytes in memory otherwise.
@@ -190,6 +186,9 @@ type platformMetrics struct {
 	commitSec *telemetry.Histogram
 	// receiptErrs counts blocks whose receipts did not reach the receipt log.
 	receiptErrs *telemetry.Counter
+	// viewErrs counts, once per view, blocks a view (fact index, search
+	// index) could not fully apply (see updateViewsLocked).
+	viewErrs *telemetry.Counter
 	// stageSec splits commitSec by stage (trustnews_commit_stage_seconds),
 	// indexed by commitStage.
 	stageSec [numCommitStages]*telemetry.Histogram
@@ -232,7 +231,7 @@ var commitStages = [numCommitStages]struct{ label, span string }{
 	stageAppend:    {"append", "chain.append"},
 	stageTxIndex:   {"txindex", "txindex.seal"},
 	stageReceipts:  {"receipts", "receipts.append"},
-	stagePublish:   {"publish", "commitbus.publish"},
+	stagePublish:   {"publish", "views.update"},
 }
 
 // New creates an in-memory platform node with all contracts registered.
@@ -267,7 +266,6 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 		authority: keys.FromSeed([]byte(cfg.AuthoritySeed)),
 		factIndex: factdb.NewIndex(),
 		mediaDet:  aidetect.NewMediaDetector(),
-		bus:       commitbus.New(),
 		receipts:  receipts,
 		searchIdx: search.New(),
 		dir:       dir,
@@ -295,13 +293,13 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 	chain.Verifier().Instrument(cfg.Telemetry)
 	p.pool.Instrument(cfg.Telemetry)
 	p.blobs.Instrument(cfg.Telemetry)
-	p.bus.Instrument(cfg.Telemetry)
 	p.tracer = cfg.Telemetry.Tracer()
 	p.tm = platformMetrics{
 		commits:     cfg.Telemetry.Counter("trustnews_platform_commits_total", "Blocks committed by this node (standalone or replicated)."),
 		txs:         cfg.Telemetry.Counter("trustnews_platform_txs_committed_total", "Transactions inside committed blocks."),
 		commitSec:   cfg.Telemetry.Histogram("trustnews_platform_commit_seconds", "Wall time to execute, append and index one block.", nil),
 		receiptErrs: cfg.Telemetry.Counter("trustnews_platform_receipt_errors_total", "Committed blocks whose receipts could not be appended to the receipt log (not found until a restart replays them)."),
+		viewErrs:    cfg.Telemetry.Counter("trustnews_platform_view_errors_total", "Committed blocks a view (fact index, search index) could not fully apply, once per view: a receipt result did not decode. The block stays committed."),
 	}
 	stageSec := cfg.Telemetry.HistogramVec("trustnews_commit_stage_seconds", "Wall time of one commit-path stage of one block.", nil, "stage")
 	stageCPU := cfg.Telemetry.CPUCounterVec("trustnews_commit_stage_cpu_seconds_total", "CPU time the committing thread spent in one commit-path stage, summed over blocks.", "stage")
@@ -323,18 +321,8 @@ func assemble(cfg Config, dir string, chain *ledger.Chain, receipts receiptLog, 
 	p.graph = supplychain.NewGraph(supplychain.StateSource(p.engine), p.factIndex)
 	p.graph.Resolve = p.resolveBody
 	p.graph.Instrument(cfg.Telemetry)
-	p.searchSub = search.NewSubscriber(p.searchIdx, p.resolveBody)
-	p.searchSub.Instrument(cfg.Telemetry)
-	subs := []commitbus.Subscriber{
-		&contractState{engine: p.engine},
-		&factdb.IndexSubscriber{Index: p.factIndex},
-		p.searchSub,
-	}
-	for _, s := range subs {
-		if err := p.bus.Register(s); err != nil {
-			return nil, err
-		}
-	}
+	p.indexer = search.NewIndexer(p.searchIdx, p.resolveBody)
+	p.indexer.Instrument(cfg.Telemetry)
 
 	auth := p.authority.Address()
 	contracts := []contract.Contract{
@@ -393,14 +381,14 @@ func (p *Platform) SearchPage(q string, ranker search.Ranker, offset, limit int)
 // FlushSearch blocks until the async indexer has applied every
 // committed document. Tests and read-your-writes callers use it;
 // serving paths should not (the whole point is that they never wait).
-func (p *Platform) FlushSearch() { p.searchSub.Flush() }
+func (p *Platform) FlushSearch() { p.indexer.Flush() }
 
 // SearchIndexerStats reports the async indexer's backlog and error
 // accounting (the /v1/healthz indexer-lag field).
-func (p *Platform) SearchIndexerStats() search.IndexerStats { return p.searchSub.Stats() }
+func (p *Platform) SearchIndexerStats() search.IndexerStats { return p.indexer.Stats() }
 
 // resolveBody fetches an off-chain article body by content id. It backs
-// the search subscriber's hydration, the graph's trace reads and every
+// the search indexer's hydration, the graph's trace reads and every
 // read path that needs the text behind a CID-only item.
 func (p *Platform) resolveBody(cid string) (string, error) {
 	c, err := blobstore.ParseCID(cid)
@@ -440,16 +428,9 @@ func (p *Platform) Item(id string) (supplychain.Item, error) {
 // SetClock overrides the block timestamp source.
 func (p *Platform) SetClock(now func() time.Time) { p.clock = now }
 
-// Bus exposes the commit-event bus (to register additional derived-index
-// subscribers before the first commit).
-func (p *Platform) Bus() *commitbus.Bus { return p.bus }
-
 // Telemetry returns the node's metrics registry (nil when the node was
 // built without Config.Telemetry).
 func (p *Platform) Telemetry() *telemetry.Registry { return p.cfg.Telemetry }
-
-// BusStats reports per-subscriber delivery/error/lag accounting.
-func (p *Platform) BusStats() []commitbus.SubscriberStats { return p.bus.Stats() }
 
 // Admission returns the node's admission controller (nil when the node
 // was built without Config.Admission — every method on it still admits).
@@ -631,13 +612,13 @@ func (p *Platform) beginCommit() (*telemetry.Span, time.Time) {
 // stages of the commit begun at start under sp: appended to the chain with
 // its encoded certificate (WAL fsync included) outside p.mu, out of the
 // mempool, then under p.mu executed, the transaction index's tail sealed if
-// the block filled it, receipts logged, published on the commit bus and its
+// the block filled it, receipts logged, the views updated and its
 // offenders' penalties enqueued. Only a failed append is an error: a seal,
-// receipts or a penalty that could not be written (recordReceiptsLocked)
-// are marked on the span, like a lagging bus subscriber, since the block is
-// committed (an unsealed tail is sealed with the next block; lost receipts
-// count in trustnews_platform_receipt_errors_total and the next Open
-// repairs the log). Caller holds p.commitMu.
+// receipts, a view or a penalty that could not be written are marked on the
+// span, since the block is committed (an unsealed tail is sealed with the
+// next block; lost receipts count in trustnews_platform_receipt_errors_total
+// and the next Open repairs the log; a view's miss counts in
+// trustnews_platform_view_errors_total). Caller holds p.commitMu.
 func (p *Platform) commitDecided(sp *telemetry.Span, start time.Time, b *ledger.Block, cert []byte) ([]contract.Receipt, error) {
 	defer sp.End()
 	var err error
@@ -663,7 +644,10 @@ func (p *Platform) commitDecided(sp *telemetry.Span, start time.Time, b *ledger.
 		sp.SetAttr("error", "receipts")
 		p.tm.receiptErrs.Inc()
 	}
-	p.stage(sp, stagePublish, func() { p.publishLocked(b, recs) })
+	p.stage(sp, stagePublish, func() { err = p.updateViewsLocked(recs) })
+	if err != nil {
+		sp.SetAttr("error", "views")
+	}
 	if err := p.penalizeOffendersLocked(recs); err != nil {
 		sp.SetAttr("error", "penalize")
 	}
@@ -726,19 +710,39 @@ func (p *Platform) penalizeOffendersLocked(recs []contract.Receipt) error {
 	return nil
 }
 
-// publishLocked feeds one committed block into the commit bus, updating
-// every derived index (fact index, search) through its subscriber. Caller
-// holds p.mu.
-// Subscriber failures are recorded in the bus accounting (visible via
-// BusStats / the HTTP gateway) rather than failing the commit: the block
-// is already durable, and a lagging index must not fork the node away
-// from consensus.
-func (p *Platform) publishLocked(b *ledger.Block, recs []contract.Receipt) {
-	_ = p.bus.Publish(commitbus.CommitEvent{
-		Height:   b.Header.Height,
-		Block:    b,
-		Receipts: recs,
-	})
+// updateViewsLocked feeds one committed block's receipts into the views
+// derived from them: each fact the block admitted joins the fact index, and
+// its published items are queued for the search indexer. Blocks arrive in
+// chain order, since chain.Append takes only head+1 and replay walks the
+// chain. A result that does not decode is skipped and returned, counted
+// once per view in trustnews_platform_view_errors_total, and never fails
+// the commit: the block is durable, and a view's miss must not fork the
+// node away from consensus. Caller holds p.mu.
+func (p *Platform) updateViewsLocked(recs []contract.Receipt) error {
+	var factErr error
+	for _, rec := range recs {
+		if !rec.OK {
+			continue
+		}
+		for _, e := range rec.Events {
+			if e.Contract != factdb.ContractName || e.Type != "fact_added" {
+				continue
+			}
+			var f factdb.Fact
+			if err := json.Unmarshal(rec.Result, &f); err != nil {
+				factErr = fmt.Errorf("platform: decode fact_added result: %w", err)
+				continue
+			}
+			p.factIndex.Add(f)
+		}
+	}
+	searchErr := p.indexer.Enqueue(recs)
+	for _, err := range []error{factErr, searchErr} {
+		if err != nil {
+			p.tm.viewErrs.Inc()
+		}
+	}
+	return errors.Join(factErr, searchErr)
 }
 
 // ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ func checkpointDocs() [][3]string {
 // buildCheckpointIndex indexes checkpointDocs with a refresh every seven
 // documents, the layout testdata/checkpoint_v1.json came from,
 // and returns it with one query per document plus a few short ones.
-func buildCheckpointIndex() (*Subscriber, []string) {
-	sub := NewSubscriber(New(), nil)
+func buildCheckpointIndex() (*Indexer, []string) {
+	sub := NewIndexer(New(), nil)
 	var queries []string
 	for i, d := range checkpointDocs() {
 		sub.Index.Add(d[0], d[1], d[2])
@@ -76,7 +76,7 @@ func TestRestoreAnswersAsBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewSubscriber(New(), nil)
+	restored := NewIndexer(New(), nil)
 	if err := restored.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +172,12 @@ func TestRestoreRejectsHostileSnapshots(t *testing.T) {
 		"list past the end":   append(hostile(ab, []string{"x"}), 9, 1, 0, 1),
 		"trailing bytes":      append(hostile(ab, []string{"x"}, []byte{1, 0, 1}), 0),
 	}
-	if err := NewSubscriber(New(), nil).Restore(hostile(ab, []string{"x"}, []byte{2, 0, 1, 1, 1})); err != nil {
+	if err := NewIndexer(New(), nil).Restore(hostile(ab, []string{"x"}, []byte{2, 0, 1, 1, 1})); err != nil {
 		t.Fatalf("the well-formed case the others break: %v", err)
 	}
 	for name, blob := range cases {
 		t.Run(name, func(t *testing.T) {
-			if err := NewSubscriber(New(), nil).Restore(blob); !errors.Is(err, ErrBadSnapshot) {
+			if err := NewIndexer(New(), nil).Restore(blob); !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("Restore: %v, want ErrBadSnapshot", err)
 			}
 		})
@@ -234,12 +234,12 @@ func FuzzIndexSnapshot(f *testing.F) {
 	})
 }
 
-// benchSnapshotSubscriber indexes 8 000 articles the way the benchmark's
+// benchSnapshotIndexer indexes 8 000 articles the way the benchmark's
 // single_reads preload writes them: eight factual sentences and a
 // reference, ten articles to a body.
-func benchSnapshotSubscriber() *Subscriber {
+func benchSnapshotIndexer() *Indexer {
 	gen := corpus.NewGenerator(1)
-	sub := NewSubscriber(New(), nil)
+	sub := NewIndexer(New(), nil)
 	var text string
 	for i := 0; i < 8000; i++ {
 		topic := corpus.AllTopics[(i/10)%len(corpus.AllTopics)]
@@ -263,7 +263,7 @@ func benchSnapshotSubscriber() *Subscriber {
 // BenchmarkIndexSnapshot encodes and restores the search checkpoint blob
 // of an 8 000-article index (make bench-reopen).
 func BenchmarkIndexSnapshot(b *testing.B) {
-	sub := benchSnapshotSubscriber()
+	sub := benchSnapshotIndexer()
 	blob, err := sub.Snapshot()
 	if err != nil {
 		b.Fatal(err)
@@ -280,7 +280,7 @@ func BenchmarkIndexSnapshot(b *testing.B) {
 	b.Run("restore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := NewSubscriber(New(), nil).Restore(blob); err != nil {
+			if err := NewIndexer(New(), nil).Restore(blob); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -291,7 +291,7 @@ func BenchmarkIndexSnapshot(b *testing.B) {
 // BenchmarkQuery ranks a page of ten over the 8 000-article index: the
 // single_reads search path without HTTP.
 func BenchmarkQuery(b *testing.B) {
-	x := benchSnapshotSubscriber().Index
+	x := benchSnapshotIndexer().Index
 	gen := corpus.NewGenerator(2)
 	var queries []string
 	for i := 0; i < 64; i++ {

@@ -1,9 +1,9 @@
 // Package search provides the platform's full-text article index. The
 // paper's platform lets readers look up news and its trust evidence;
 // with article bodies moved off-chain (see internal/blobstore) the chain
-// itself is no longer scannable for text, so this index — fed from the
-// commit bus like every other derived view — is what makes committed
-// articles findable again.
+// itself is no longer scannable for text, so this index — fed each
+// committed block's receipts like the fact index — is what makes
+// committed articles findable again.
 //
 // The index is built for the "continuous firehose of news" the paper
 // assumes (§VI): it must absorb a sustained stream of newly committed
@@ -13,7 +13,7 @@
 //   - Immutable read snapshots. The index publishes its sealed segments
 //     through an atomic pointer; queries only ever load that pointer, so
 //     a query never takes a lock and never contends with the indexer.
-//     The one writer (the commit-bus indexer) batches new postings in a
+//     The one writer (the async Indexer) batches new postings in a
 //     memtable and seals it into a fresh immutable segment on Refresh —
 //     the near-real-time search design, in miniature. A sealed segment
 //     keeps each term's postings packed in one exact-size string of
@@ -305,7 +305,7 @@ func (x *Index) Add(id, topic, text string) {
 }
 
 // Refresh seals the memtable into an immutable segment and publishes
-// new read views. The commit-bus indexer calls it after each
+// new read views. The async Indexer calls it after each
 // applied batch, so queries see committed articles with at most one
 // batch of lag.
 func (x *Index) Refresh() {

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/commitbus"
 	"repro/internal/contract"
 	"repro/internal/corpus"
 	"repro/internal/supplychain"
@@ -359,8 +358,8 @@ func TestRankTopMatchesFullSort(t *testing.T) {
 	}
 }
 
-// publishEvent fabricates the commit event a published item produces.
-func publishEvent(t *testing.T, height uint64, it supplychain.Item) commitbus.CommitEvent {
+// publishReceipts fabricates the receipts of a block publishing it.
+func publishReceipts(t *testing.T, it supplychain.Item) []contract.Receipt {
 	t.Helper()
 	raw, err := json.Marshal(it)
 	if err != nil {
@@ -370,29 +369,26 @@ func publishEvent(t *testing.T, height uint64, it supplychain.Item) commitbus.Co
 	if it.CID != "" {
 		attrs["cid"] = it.CID
 	}
-	return commitbus.CommitEvent{
-		Height: height,
-		Receipts: []contract.Receipt{{
-			OK:     true,
-			Result: raw,
-			Events: []contract.Event{{Contract: supplychain.ContractName, Type: "published", Attrs: attrs}},
-		}},
-	}
+	return []contract.Receipt{{
+		OK:     true,
+		Result: raw,
+		Events: []contract.Event{{Contract: supplychain.ContractName, Type: "published", Attrs: attrs}},
+	}}
 }
 
 func TestSubscriberIndexesInlineAndOffChainAsync(t *testing.T) {
 	bodies := map[string]string{"cid1": "resolved off chain body about tariffs"}
-	sub := NewSubscriber(New(), func(cid string) (string, error) {
+	sub := NewIndexer(New(), func(cid string) (string, error) {
 		b, ok := bodies[cid]
 		if !ok {
 			return "", fmt.Errorf("unexpected resolve %s", cid)
 		}
 		return b, nil
 	})
-	if err := sub.OnCommit(publishEvent(t, 1, supplychain.Item{ID: "in", Topic: "econ", Text: "inline body about budgets"})); err != nil {
+	if err := sub.Enqueue(publishReceipts(t, supplychain.Item{ID: "in", Topic: "econ", Text: "inline body about budgets"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := sub.OnCommit(publishEvent(t, 2, supplychain.Item{ID: "off", Topic: "econ", CID: "cid1", Size: 38})); err != nil {
+	if err := sub.Enqueue(publishReceipts(t, supplychain.Item{ID: "off", Topic: "econ", CID: "cid1", Size: 38})); err != nil {
 		t.Fatal(err)
 	}
 	sub.Flush()
@@ -408,8 +404,8 @@ func TestSubscriberIndexesInlineAndOffChainAsync(t *testing.T) {
 }
 
 func TestSubscriberCountsResolveFailures(t *testing.T) {
-	sub := NewSubscriber(New(), nil)
-	if err := sub.OnCommit(publishEvent(t, 1, supplychain.Item{ID: "off", Topic: "econ", CID: "cid1", Size: 10})); err != nil {
+	sub := NewIndexer(New(), nil)
+	if err := sub.Enqueue(publishReceipts(t, supplychain.Item{ID: "off", Topic: "econ", CID: "cid1", Size: 10})); err != nil {
 		t.Fatal(err)
 	}
 	sub.Flush()
@@ -422,8 +418,27 @@ func TestSubscriberCountsResolveFailures(t *testing.T) {
 	}
 }
 
+// A published result that does not decode is reported and skipped; the
+// block's other items are indexed all the same.
+func TestEnqueueSkipsUndecodableResult(t *testing.T) {
+	sub := NewIndexer(New(), nil)
+	recs := publishReceipts(t, supplychain.Item{ID: "bad", Topic: "econ", Text: "never indexed"})
+	recs[0].Result = []byte("{")
+	recs = append(recs, publishReceipts(t, supplychain.Item{ID: "good", Topic: "econ", Text: "inline body about budgets"})...)
+	if err := sub.Enqueue(recs); err == nil {
+		t.Fatal("an undecodable published result was not reported")
+	}
+	sub.Flush()
+	if res := sub.Index.Query("budgets", 0); len(res) != 1 || res[0].ID != "good" {
+		t.Fatalf("the block's decodable item was not indexed: %v", res)
+	}
+	if sub.Index.Docs() != 1 {
+		t.Fatalf("Docs = %d, want 1", sub.Index.Docs())
+	}
+}
+
 func TestSnapshotRestoreIsSelfContained(t *testing.T) {
-	sub := NewSubscriber(New(), nil)
+	sub := NewIndexer(New(), nil)
 	sub.Index.Add("a", "econ", "the budget passed")
 	sub.Index.Add("b", "sport", "the match ended")
 	blob, err := sub.Snapshot()
@@ -431,8 +446,8 @@ func TestSnapshotRestoreIsSelfContained(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restore into a fresh subscriber with NO resolver: must not need one.
-	re := NewSubscriber(New(), nil)
+	// Restore into a fresh indexer with NO resolver: must not need one.
+	re := NewIndexer(New(), nil)
 	if err := re.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -457,8 +472,8 @@ func TestSnapshotRestoreIsSelfContained(t *testing.T) {
 // byte-identical snapshots — the property that lets replicas exchange
 // and compare checkpoints.
 func TestSnapshotDeterministicAcrossLayouts(t *testing.T) {
-	build := func(refreshEvery int) *Subscriber {
-		sub := NewSubscriber(New(), nil)
+	build := func(refreshEvery int) *Indexer {
+		sub := NewIndexer(New(), nil)
 		for i := 0; i < 40; i++ {
 			sub.Index.Add(fmt.Sprintf("d%02d", i), "t", fmt.Sprintf("shared words item %d", i))
 			if i%refreshEvery == 0 {

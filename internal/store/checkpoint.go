@@ -14,7 +14,7 @@ import (
 
 // Checkpoint is a durable cut of a node's derived state: the chain
 // height it covers, verification hashes, and one opaque snapshot blob
-// per commit-bus subscriber. A node restarting with a valid checkpoint
+// per derived view. A node restarting with a valid checkpoint
 // restores the blobs and replays only the WAL tail above Height instead
 // of re-executing the whole chain (O(tail) instead of O(chain length)).
 //
@@ -40,7 +40,9 @@ type Checkpoint struct {
 	// per-sender nonces), letting reopen skip decoding and re-validating
 	// the checkpointed log prefix.
 	Chain []byte
-	// Subscribers holds each commit-bus subscriber's snapshot, by name.
+	// Subscribers holds each view's snapshot, by name: "contract-state",
+	// "factdb-index" and "search-index". The field keeps the name it was
+	// written under, so older checkpoints decode.
 	Subscribers map[string][]byte
 }
 

@@ -85,6 +85,10 @@ const mergeFanout = 4
 // before it is swapped in (tests hold a merge in flight with it).
 var mergeHook func()
 
+// loopHook, when set, runs as a merge loop starts, before it takes the
+// lock (tests close the store at that point with it).
+var loopHook func()
+
 // lsmMetrics are an LSM's instruments (nil without Instrument).
 type lsmMetrics struct {
 	segments *telemetry.Gauge
@@ -477,13 +481,17 @@ func (s *LSM) release() {
 }
 
 // mergeLoop merges until no merge is due. A merge that fails is given up;
-// the next seal tries again.
+// the next seal tries again. The merge the loop was started for runs even
+// if Close came since, as Close waits for it; only the ones after it stop.
 func (s *LSM) mergeLoop(done chan struct{}) {
 	defer close(done)
-	for {
+	if loopHook != nil {
+		loopHook()
+	}
+	for first := true; ; first = false {
 		s.mu.Lock()
 		i, j, ok := pickMerge(s.segs)
-		if !ok || s.held > 0 || s.closed {
+		if !ok || s.held > 0 || s.closed && !first {
 			s.merging = false
 			s.mu.Unlock()
 			return

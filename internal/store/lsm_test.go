@@ -277,6 +277,42 @@ func (o *lsmOracle) heldMerge(step int) {
 	o.check(fmt.Sprintf("step %d, merge in flight, written", step))
 }
 
+// Close waits for a merge in flight: a merge loop that a seal started
+// merges even when Close marks the store closed before the loop takes its
+// first lock.
+func TestLSMCloseFinishesStartedMerge(t *testing.T) {
+	s := NewLSM(NewMemLog(), LSMConfig{SealEntries: 1})
+	started, proceed := make(chan struct{}), make(chan struct{})
+	loopHook = func() {
+		close(started)
+		<-proceed
+	}
+	defer func() { loopHook = nil }()
+	for i := 0; i < mergeFanout; i++ {
+		if err := s.Put(fmt.Sprintf("k/%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SealIfDue(uint64(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for isClosed := false; !isClosed; runtime.Gosched() {
+		s.mu.RLock()
+		isClosed = s.closed
+		s.mu.RUnlock()
+	}
+	close(proceed)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Merges != 1 || st.Segments != 1 {
+		t.Fatalf("after Close: %+v, want the started merge done", st)
+	}
+}
+
 // Scan hands out every live key once, in order, across the batches it
 // copies out under the lock, with keys in the memtable, in segments and
 // deleted on either side of a batch boundary.

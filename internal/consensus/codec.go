@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/keys"
@@ -23,7 +22,7 @@ const (
 )
 
 // WriteProposal writes p with its block and proof-of-lock votes.
-func WriteProposal(w *transport.Writer, p *Proposal) {
+func WriteProposal(w *ledger.Writer, p *Proposal) {
 	w.U64(p.Height)
 	w.I64(int64(p.Round))
 	w.I64(int64(p.POLRound))
@@ -37,7 +36,7 @@ func WriteProposal(w *transport.Writer, p *Proposal) {
 }
 
 // ReadProposal reads a proposal written by WriteProposal.
-func ReadProposal(r *transport.Reader) (*Proposal, error) {
+func ReadProposal(r *ledger.Reader) (*Proposal, error) {
 	p := &Proposal{Height: r.U64(), Round: r.Int(-1, 1<<31), POLRound: r.Int(-1, 1<<31)}
 	raw := r.Bytes(transport.MaxFrame)
 	if r.Err() != nil {
@@ -56,23 +55,23 @@ func ReadProposal(r *transport.Reader) (*Proposal, error) {
 	return p, r.Err()
 }
 
-func appendVoteFields(dst []byte, v *Vote) []byte {
-	dst = append(dst, byte(v.Type))
-	dst = binary.BigEndian.AppendUint64(dst, v.Height)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(v.Round)))
-	dst = append(dst, v.BlockID[:]...)
-	return append(dst, v.Voter[:]...)
+func writeVoteFields(w *ledger.Writer, v *Vote) {
+	w.U8(byte(v.Type))
+	w.U64(v.Height)
+	w.I64(int64(v.Round))
+	w.Raw(v.BlockID[:])
+	w.Raw(v.Voter[:])
 }
 
 // WriteVote writes v.
-func WriteVote(w *transport.Writer, v *Vote) {
-	w.Buf = appendVoteFields(w.Buf, v)
+func WriteVote(w *ledger.Writer, v *Vote) {
+	writeVoteFields(w, v)
 	w.Bytes(v.Sig)
 }
 
 // ReadVote reads a vote written by WriteVote. A round outside [-1, 2^31]
 // (-1 is the proof-of-lock sentinel) is malformed.
-func ReadVote(r *transport.Reader) Vote {
+func ReadVote(r *ledger.Reader) Vote {
 	v := Vote{Type: VoteType(r.U8()), Height: r.U64(), Round: r.Int(-1, 1<<31)}
 	r.Raw(v.BlockID[:])
 	r.Raw(v.Voter[:])
@@ -81,7 +80,7 @@ func ReadVote(r *transport.Reader) Vote {
 }
 
 // WriteCommit writes a commit certificate.
-func WriteCommit(w *transport.Writer, c *Commit) {
+func WriteCommit(w *ledger.Writer, c *Commit) {
 	w.U64(c.Height)
 	w.Raw(c.BlockID[:])
 	w.U32(uint32(len(c.Quorum)))
@@ -92,7 +91,7 @@ func WriteCommit(w *transport.Writer, c *Commit) {
 
 // ReadCommit reads a commit certificate written by WriteCommit. It checks
 // the encoding only; VerifyCommit checks the votes.
-func ReadCommit(r *transport.Reader) *Commit {
+func ReadCommit(r *ledger.Reader) *Commit {
 	c := &Commit{Height: r.U64()}
 	r.Raw(c.BlockID[:])
 	for n := r.Count(minVoteSize); n > 0 && r.Err() == nil; n-- {
@@ -103,14 +102,14 @@ func ReadCommit(r *transport.Reader) *Commit {
 
 // EncodeCommit serializes a commit certificate, as the block log stores it.
 func EncodeCommit(c *Commit) []byte {
-	var w transport.Writer
+	var w ledger.Writer
 	WriteCommit(&w, c)
 	return w.Buf
 }
 
 // DecodeCommit parses bytes written by EncodeCommit, all of them.
 func DecodeCommit(raw []byte) (*Commit, error) {
-	r := transport.NewReader(raw)
+	r := ledger.NewReader(raw)
 	c := ReadCommit(r)
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/ledger"
-	"repro/internal/transport"
 )
 
 func testCommit() *Commit {
@@ -39,9 +38,9 @@ func TestCommitCodecRoundTrip(t *testing.T) {
 		raw  []byte
 		want error
 	}{
-		"empty":     {nil, transport.ErrTruncated},
-		"truncated": {raw[:len(raw)-1], transport.ErrTruncated},
-		"trailing":  {append(append([]byte(nil), raw...), 0), transport.ErrTrailing},
+		"empty":     {nil, ledger.ErrTruncated},
+		"truncated": {raw[:len(raw)-1], ledger.ErrTruncated},
+		"trailing":  {append(append([]byte(nil), raw...), 0), ledger.ErrTrailing},
 	} {
 		if _, err := DecodeCommit(tc.raw); !errors.Is(err, tc.want) {
 			t.Errorf("%s: DecodeCommit = %v, want %v", name, err, tc.want)

@@ -14,7 +14,6 @@ package consensus
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -182,18 +181,14 @@ type Proposal struct {
 }
 
 func proposalSignBytes(p *Proposal) []byte {
-	var buf bytes.Buffer
-	var b8 [8]byte
-	binary.BigEndian.PutUint64(b8[:], p.Height)
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint64(b8[:], uint64(int64(p.Round)))
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint64(b8[:], uint64(int64(p.POLRound)))
-	buf.Write(b8[:])
+	w := ledger.Writer{Buf: make([]byte, 0, 3*8+len(ledger.BlockID{})+keys.AddressSize)}
+	w.U64(p.Height)
+	w.I64(int64(p.Round))
+	w.I64(int64(p.POLRound))
 	id := p.Block.ID()
-	buf.Write(id[:])
-	buf.Write(p.Proposer[:])
-	return buf.Bytes()
+	w.Raw(id[:])
+	w.Raw(p.Proposer[:])
+	return w.Buf
 }
 
 // SignProposal signs p with the proposer key.
@@ -225,7 +220,9 @@ type Vote struct {
 
 // voteSignBytes is the vote's encoding up to its signature (codec.go).
 func voteSignBytes(v *Vote) []byte {
-	return appendVoteFields(make([]byte, 0, voteFieldsLen), v)
+	w := ledger.Writer{Buf: make([]byte, 0, voteFieldsLen)}
+	writeVoteFields(&w, v)
+	return w.Buf
 }
 
 // SignVote signs v with the voter key.

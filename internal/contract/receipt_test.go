@@ -172,3 +172,21 @@ func BenchmarkEncodeReceipts(b *testing.B) {
 		EncodeReceipts(recs)
 	}
 }
+
+// TestDecodeReceiptAtSkipsWithoutCopying: the receipts before the one asked
+// for are skipped in place, so the 101st receipt of a record costs no more
+// allocations than the first.
+func TestDecodeReceiptAtSkipsWithoutCopying(t *testing.T) {
+	raw := EncodeReceipts(benchReceipts(128))
+	decode := func(i int) func() {
+		return func() {
+			if _, err := DecodeReceiptAt(raw, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first, later := testing.AllocsPerRun(100, decode(0)), testing.AllocsPerRun(100, decode(100))
+	if later > first {
+		t.Fatalf("DecodeReceiptAt(raw, 100) allocates %.0f times, DecodeReceiptAt(raw, 0) %.0f", later, first)
+	}
+}

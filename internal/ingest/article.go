@@ -18,11 +18,11 @@
 package ingest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/corpus"
+	"repro/internal/ledger"
 )
 
 // Errors returned by this package.
@@ -46,9 +46,9 @@ type Article struct {
 	Text string `json:"text"`
 }
 
-// WAL record layout: [version][op][seq u64 BE] then, for enqueue
-// records, three u32-BE length-prefixed strings (source, topic, text).
-// Ack and dead records carry only the header.
+// WAL record layout, in the ledger's field codec: [version u8][op u8]
+// [seq u64] then, for enqueue records, three u32-length-prefixed strings
+// (source, topic, text). Ack and dead records carry only the header.
 const (
 	recVersion = 1
 
@@ -70,55 +70,35 @@ func encodeRecord(op byte, seq uint64, a *Article) []byte {
 	if op == opEnqueue {
 		n += 12 + len(a.Source) + len(a.Topic) + len(a.Text)
 	}
-	rec := make([]byte, 0, n)
-	rec = append(rec, recVersion, op)
-	rec = binary.BigEndian.AppendUint64(rec, seq)
+	w := ledger.Writer{Buf: make([]byte, 0, n)}
+	w.U8(recVersion)
+	w.U8(op)
+	w.U64(seq)
 	if op == opEnqueue {
-		for _, s := range []string{a.Source, string(a.Topic), a.Text} {
-			rec = binary.BigEndian.AppendUint32(rec, uint32(len(s)))
-			rec = append(rec, s...)
-		}
+		w.Str(a.Source)
+		w.Str(string(a.Topic))
+		w.Str(a.Text)
 	}
-	return rec
+	return w.Buf
 }
 
 // decodeRecord parses one queue WAL record, rejecting hostile lengths
 // and trailing garbage.
 func decodeRecord(rec []byte) (op byte, seq uint64, a Article, err error) {
-	if len(rec) < recHeaderLen {
-		return 0, 0, Article{}, fmt.Errorf("%w: %d bytes", ErrBadRecord, len(rec))
+	r := ledger.NewReader(rec)
+	if v := r.U8(); r.Err() == nil && v != recVersion {
+		r.Fail(fmt.Errorf("version %d", v))
 	}
-	if rec[0] != recVersion {
-		return 0, 0, Article{}, fmt.Errorf("%w: version %d", ErrBadRecord, rec[0])
-	}
-	op = rec[1]
-	seq = binary.BigEndian.Uint64(rec[2:10])
-	rest := rec[recHeaderLen:]
+	op, seq = r.U8(), r.U64()
 	switch op {
 	case opAck, opDead:
-		if len(rest) != 0 {
-			return 0, 0, Article{}, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(rest))
-		}
-		return op, seq, Article{}, nil
 	case opEnqueue:
-		fields := make([]string, 3)
-		for i := range fields {
-			if len(rest) < 4 {
-				return 0, 0, Article{}, fmt.Errorf("%w: short field header", ErrBadRecord)
-			}
-			n := binary.BigEndian.Uint32(rest[:4])
-			rest = rest[4:]
-			if n > maxFieldBytes || uint64(n) > uint64(len(rest)) {
-				return 0, 0, Article{}, fmt.Errorf("%w: field length %d", ErrBadRecord, n)
-			}
-			fields[i] = string(rest[:n])
-			rest = rest[n:]
-		}
-		if len(rest) != 0 {
-			return 0, 0, Article{}, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(rest))
-		}
-		return op, seq, Article{Source: fields[0], Topic: corpus.Topic(fields[1]), Text: fields[2]}, nil
+		a = Article{Source: r.Str(maxFieldBytes), Topic: corpus.Topic(r.Str(maxFieldBytes)), Text: r.Str(maxFieldBytes)}
 	default:
-		return 0, 0, Article{}, fmt.Errorf("%w: op %d", ErrBadRecord, op)
+		r.Fail(fmt.Errorf("op %d", op))
 	}
+	if err := r.Done(); err != nil {
+		return 0, 0, Article{}, fmt.Errorf("%w: %w", ErrBadRecord, err)
+	}
+	return op, seq, a, nil
 }

@@ -1,13 +1,10 @@
 package ledger
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/keys"
@@ -52,19 +49,21 @@ type Block struct {
 
 // encodeHeader produces the canonical header bytes hashed into the BlockID.
 func encodeHeader(h *Header) []byte {
-	return appendHeader(make([]byte, 0, headerLen), h)
+	w := Writer{Buf: make([]byte, 0, headerLen)}
+	writeHeader(&w, h)
+	return w.Buf
 }
 
 // headerLen is the length of a canonical header encoding.
 const headerLen = 8 + len(BlockID{}) + len(merkle.Hash{})*2 + 8 + keys.AddressSize
 
-func appendHeader(dst []byte, h *Header) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, h.Height)
-	dst = append(dst, h.Prev[:]...)
-	dst = append(dst, h.TxRoot[:]...)
-	dst = append(dst, h.StateRoot[:]...)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(h.Time.UnixNano()))
-	return append(dst, h.Proposer[:]...)
+func writeHeader(w *Writer, h *Header) {
+	w.U64(h.Height)
+	w.Raw(h.Prev[:])
+	w.Raw(h.TxRoot[:])
+	w.Raw(h.StateRoot[:])
+	w.I64(h.Time.UnixNano())
+	w.Raw(h.Proposer[:])
 }
 
 // ID returns the block id (hash of the canonical header encoding).
@@ -122,13 +121,14 @@ func (b *Block) Encode() []byte {
 	for _, t := range b.Txs {
 		size += 4 + len(t.Encode())
 	}
-	out := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(headerLen))
-	out = appendHeader(out, &b.Header)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(b.Txs)))
+	w := Writer{Buf: make([]byte, 0, size)}
+	w.U32(uint32(headerLen))
+	writeHeader(&w, &b.Header)
+	w.U32(uint32(len(b.Txs)))
 	for _, t := range b.Txs {
-		out = AppendBytes(out, t.Encode())
+		w.Bytes(t.Encode())
 	}
-	return out
+	return w.Buf
 }
 
 // DecodeBlock parses a block encoded by Encode.
@@ -140,66 +140,56 @@ func DecodeBlock(raw []byte) (*Block, error) {
 	return b, err
 }
 
+// minTxBytes is the least a transaction occupies in a block, its length
+// prefix included: sender, nonce and four empty fields.
+const minTxBytes = 4 + keys.AddressSize + 8 + 4*4
+
 // decodeRecord parses one block-log record: the block's Encode bytes,
 // then, for a block decided by consensus, its certificate as a
 // length-prefixed trailer (nil without one; an empty one is rejected).
 func decodeRecord(raw []byte) (*Block, []byte, error) {
-	r := bytes.NewReader(raw)
-	hdrRaw, err := ReadBytes(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ledger: decode header: %w", err)
+	r := NewReader(raw)
+	if n := int(r.U32()); r.Err() == nil && n != headerLen {
+		r.Fail(fmt.Errorf("ledger: header length %d, want %d", n, headerLen))
 	}
-	hdr, err := decodeHeader(hdrRaw)
-	if err != nil {
-		return nil, nil, err
+	b := &Block{Header: readHeader(r)}
+	end := 4 + headerLen + 4 // the block's bytes, as far as they are read
+	if n := r.Count(minTxBytes); n > 0 {
+		b.Txs = make([]*Tx, n)
 	}
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, nil, fmt.Errorf("ledger: decode tx count: %w", err)
-	}
-	count := binary.BigEndian.Uint32(n[:])
-	b := &Block{Header: hdr}
-	for i := uint32(0); i < count; i++ {
-		txRaw, err := ReadBytes(r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ledger: decode tx %d: %w", i, err)
-		}
+	for i := 0; i < len(b.Txs) && r.Err() == nil; i++ {
+		txRaw := r.View(len(raw))
+		end += 4 + len(txRaw)
 		t, err := DecodeTx(txRaw)
 		if err != nil {
-			return nil, nil, fmt.Errorf("ledger: decode tx %d: %w", i, err)
+			r.Fail(fmt.Errorf("ledger: decode tx %d: %w", i, err))
 		}
-		b.Txs = append(b.Txs, t)
+		b.Txs[i] = t
 	}
-	if r.Len() == 0 {
+	if err := r.Err(); err != nil {
+		return nil, nil, fmt.Errorf("ledger: decode block: %w", err)
+	}
+	if end == len(raw) {
 		return b, nil, nil
 	}
-	cert, err := ReadBytes(r)
-	if err == nil && (len(cert) == 0 || r.Len() != 0) {
-		err = fmt.Errorf("%d trailing bytes", r.Len())
+	cert := r.Bytes(len(raw))
+	if r.Err() == nil && len(cert) == 0 {
+		r.Fail(errors.New("empty certificate"))
 	}
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return nil, nil, fmt.Errorf("ledger: bytes after block: %w", err)
 	}
 	return b, cert, nil
 }
 
-func decodeHeader(raw []byte) (Header, error) {
+// readHeader reads the fields writeHeader writes.
+func readHeader(r *Reader) Header {
 	var h Header
-	const want = 8 + sha256.Size + merkle.HashSize + merkle.HashSize + 8 + keys.AddressSize
-	if len(raw) != want {
-		return h, fmt.Errorf("ledger: header length %d, want %d", len(raw), want)
-	}
-	off := 0
-	h.Height = binary.BigEndian.Uint64(raw[off:])
-	off += 8
-	copy(h.Prev[:], raw[off:])
-	off += sha256.Size
-	copy(h.TxRoot[:], raw[off:])
-	off += merkle.HashSize
-	copy(h.StateRoot[:], raw[off:])
-	off += merkle.HashSize
-	h.Time = time.Unix(0, int64(binary.BigEndian.Uint64(raw[off:]))).UTC()
-	off += 8
-	copy(h.Proposer[:], raw[off:])
-	return h, nil
+	h.Height = r.U64()
+	r.Raw(h.Prev[:])
+	r.Raw(h.TxRoot[:])
+	r.Raw(h.StateRoot[:])
+	h.Time = time.Unix(0, int64(r.U64())).UTC()
+	r.Raw(h.Proposer[:])
+	return h
 }

@@ -229,11 +229,11 @@ func (c *Chain) Append(b *Block, cert []byte) error {
 	if err := c.validate(b); err != nil {
 		return err
 	}
-	rec := b.Encode()
+	rec := Writer{Buf: b.Encode()}
 	if len(cert) > 0 {
-		rec = AppendBytes(rec, cert)
+		rec.Bytes(cert)
 	}
-	if _, err := c.log.Append(rec); err != nil {
+	if _, err := c.log.Append(rec.Buf); err != nil {
 		return fmt.Errorf("ledger: persist block %d: %w", b.Header.Height, err)
 	}
 	c.link(b)

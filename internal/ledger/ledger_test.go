@@ -317,7 +317,7 @@ func TestChainStoresCertificates(t *testing.T) {
 	if raw, _ := log.Get(0); !bytes.Equal(raw, plain.Encode()) {
 		t.Fatal("a block appended without a certificate is not stored as its encoding alone")
 	}
-	if raw, _ := log.Get(1); !bytes.Equal(raw, AppendBytes(certified.Encode(), cert)) {
+	if raw, _ := log.Get(1); !bytes.Equal(raw, withCert(certified.Encode(), cert)) {
 		t.Fatal("the certificate is not a length-prefixed trailer after the block's bytes")
 	}
 	if got, err := c.CertAt(0); got != nil || err != nil {

@@ -9,14 +9,11 @@
 package ledger
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"repro/internal/keys"
@@ -86,11 +83,12 @@ func (t *Tx) memoized() *txMemo {
 	if m := t.memo.Load(); m != nil {
 		return m
 	}
-	enc := t.appendSigning(make([]byte, 0, t.signingLen()+8+len(t.PubKey)+len(t.Sig)))
-	signing := enc[:len(enc):len(enc)]
-	enc = AppendBytes(enc, t.PubKey)
-	enc = AppendBytes(enc, t.Sig)
-	m := &txMemo{encoded: enc, id: hashTx(signing, t.PubKey, t.Sig)}
+	w := Writer{Buf: make([]byte, 0, t.signingLen()+8+len(t.PubKey)+len(t.Sig))}
+	t.writeSigning(&w)
+	signing := w.Buf[:len(w.Buf):len(w.Buf)]
+	w.Bytes(t.PubKey)
+	w.Bytes(t.Sig)
+	m := &txMemo{encoded: w.Buf, id: hashTx(signing, t.PubKey, t.Sig)}
 	t.memo.Store(m)
 	return m
 }
@@ -106,14 +104,6 @@ func hashTx(signing, pub, sig []byte) TxID {
 	return id
 }
 
-// AppendBytes appends b to dst behind a 4-byte big-endian length, the
-// field framing of every canonical encoding in this repository's ledger
-// (transactions, blocks, receipts). ReadBytes is its inverse.
-func AppendBytes(dst, b []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
 // signingBytes produces the canonical byte encoding covered by the
 // signature: length-prefixed fields in fixed order. This is deliberately
 // hand-rolled rather than gob/json so the encoding is stable and canonical.
@@ -121,43 +111,20 @@ func AppendBytes(dst, b []byte) []byte {
 // memoized(), and verification paths call this directly so tampered fields
 // are always re-serialized before any signature or cache decision.
 func (t *Tx) signingBytes() []byte {
-	return t.appendSigning(make([]byte, 0, t.signingLen()))
+	w := Writer{Buf: make([]byte, 0, t.signingLen())}
+	t.writeSigning(&w)
+	return w.Buf
 }
 
 func (t *Tx) signingLen() int {
 	return len(t.Sender) + 8 + 4 + len(t.Kind) + 4 + len(t.Payload)
 }
 
-func (t *Tx) appendSigning(dst []byte) []byte {
-	dst = append(dst, t.Sender[:]...)
-	dst = binary.BigEndian.AppendUint64(dst, t.Nonce)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Kind)))
-	dst = append(dst, t.Kind...)
-	return AppendBytes(dst, t.Payload)
-}
-
-// ReadBytes reads one AppendBytes field. The length is checked against
-// what r still holds before anything is allocated.
-func ReadBytes(r *bytes.Reader) ([]byte, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, fmt.Errorf("ledger: short length prefix: %w", err)
-	}
-	// Compare in uint64 so a hostile 4 GiB length prefix can neither wrap a
-	// 32-bit int nor drive the allocation below: the allocation is clamped
-	// by the reader's actual remaining bytes before make runs.
-	size := binary.BigEndian.Uint32(n[:])
-	if uint64(size) > uint64(r.Len()) {
-		return nil, fmt.Errorf("ledger: truncated field (want %d, have %d)", size, r.Len())
-	}
-	out := make([]byte, int(size))
-	if size == 0 {
-		return out, nil
-	}
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("ledger: short field: %w", err)
-	}
-	return out, nil
+func (t *Tx) writeSigning(w *Writer) {
+	w.Raw(t.Sender[:])
+	w.U64(t.Nonce)
+	w.Str(t.Kind)
+	w.Bytes(t.Payload)
 }
 
 // ID returns the content hash of the transaction, covering the signature so
@@ -196,38 +163,20 @@ func (t *Tx) Encode() []byte {
 	return t.memoized().encoded
 }
 
-// DecodeTx parses a transaction encoded by Encode.
+// DecodeTx parses a transaction encoded by Encode, all of it.
 func DecodeTx(raw []byte) (*Tx, error) {
-	r := bytes.NewReader(raw)
-	var t Tx
-	if _, err := io.ReadFull(r, t.Sender[:]); err != nil {
-		return nil, fmt.Errorf("ledger: decode sender: %w", err)
+	r := NewReader(raw)
+	t := &Tx{}
+	r.Raw(t.Sender[:])
+	t.Nonce = r.U64()
+	t.Kind = r.Str(len(raw))
+	t.Payload = r.Bytes(len(raw))
+	t.PubKey = r.Bytes(len(raw))
+	t.Sig = r.Bytes(len(raw))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("ledger: decode tx: %w", err)
 	}
-	var n [8]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, fmt.Errorf("ledger: decode nonce: %w", err)
-	}
-	t.Nonce = binary.BigEndian.Uint64(n[:])
-	kind, err := ReadBytes(r)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: decode kind: %w", err)
-	}
-	t.Kind = string(kind)
-	if t.Payload, err = ReadBytes(r); err != nil {
-		return nil, fmt.Errorf("ledger: decode payload: %w", err)
-	}
-	pub, err := ReadBytes(r)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: decode pubkey: %w", err)
-	}
-	t.PubKey = ed25519.PublicKey(pub)
-	if t.Sig, err = ReadBytes(r); err != nil {
-		return nil, fmt.Errorf("ledger: decode sig: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("ledger: %d trailing bytes after transaction", r.Len())
-	}
-	return &t, nil
+	return t, nil
 }
 
 // NewTx builds and signs a transaction in one step.

@@ -117,9 +117,10 @@ func (v *Verifier) VerifyTx(t *Tx) error {
 		return ErrTxSenderMismatch
 	}
 	buf := signingBufs.Get().(*[]byte)
-	signing := t.appendSigning((*buf)[:0])
-	err := v.verifySigning(t, signing)
-	*buf = signing[:0]
+	w := Writer{Buf: (*buf)[:0]}
+	t.writeSigning(&w)
+	err := v.verifySigning(t, w.Buf)
+	*buf = w.Buf[:0]
 	signingBufs.Put(buf)
 	return err
 }

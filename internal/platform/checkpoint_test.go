@@ -420,11 +420,11 @@ func writeChainLog(t *testing.T, dir string, blocks []*ledger.Block, certs [][]b
 	var prev ledger.BlockID
 	for h, b := range blocks {
 		b.Header.Prev = prev
-		rec := b.Encode()
+		rec := ledger.Writer{Buf: b.Encode()}
 		if certs[h] != nil {
-			rec = ledger.AppendBytes(rec, certs[h])
+			rec.Bytes(certs[h])
 		}
-		if _, err := log.Append(rec); err != nil {
+		if _, err := log.Append(rec.Buf); err != nil {
 			t.Fatal(err)
 		}
 		ids[h], prev = b.ID(), b.ID()

@@ -7,14 +7,30 @@ import (
 	"time"
 )
 
-// spin burns CPU on the calling thread for at least d of wall time.
-func spin(d time.Duration) (x uint64) {
-	for end := time.Now().Add(d); time.Now().Before(end); {
+// spinSink keeps spin's arithmetic from being optimized away.
+var spinSink uint64
+
+// spin burns d of CPU on the calling goroutine's thread, which it locks
+// for the purpose, and returns the thread CPU it spent, at least d. It
+// counts CPU, not wall time, so a contended scheduler that grants the
+// thread less of the CPU makes it run longer, not spend less; a thread
+// that cannot get d within 5 s of wall time fails the test.
+func spin(t *testing.T, d time.Duration) time.Duration {
+	t.Helper()
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	start, deadline := ThreadCPU(), time.Now().Add(5*time.Second)
+	x := uint64(1)
+	for ThreadCPU()-start < d {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v of thread CPU not granted within 5 s", d)
+		}
 		for i := 0; i < 1000; i++ {
 			x += uint64(i) * x
 		}
 	}
-	return x
+	spinSink = x
+	return ThreadCPU() - start
 }
 
 // TestCPUCounterChargesThreadCPU: Time charges the CPU fn burns and not
@@ -25,10 +41,11 @@ func TestCPUCounterChargesThreadCPU(t *testing.T) {
 	}
 	r := New()
 	c := r.CPUCounterVec("trustnews_test_cpu_seconds_total", "cpu", "stage").With("busy")
-	c.Time(func() { spin(20 * time.Millisecond) })
+	var spent time.Duration
+	c.Time(func() { spent = spin(t, 20*time.Millisecond) })
 	busy := c.Value()
-	if busy < 10*time.Millisecond || busy > time.Second {
-		t.Fatalf("20 ms of spinning charged %v", busy)
+	if busy < spent || busy > spent+time.Second {
+		t.Fatalf("spinning for %v of thread CPU charged %v", spent, busy)
 	}
 	c.Time(func() { time.Sleep(50 * time.Millisecond) })
 	if slept := c.Value() - busy; slept > 10*time.Millisecond {
@@ -56,9 +73,10 @@ func TestProcessCPUFunc(t *testing.T) {
 		t.Skip("process CPU is read only on Linux")
 	}
 	before := ProcessCPU()
-	spin(20 * time.Millisecond)
-	if got := ProcessCPU() - before; got < 10*time.Millisecond {
-		t.Fatalf("20 ms of spinning moved process CPU by %v", got)
+	spent := spin(t, 20*time.Millisecond)
+	// getrusage reports user and system time in whole microseconds.
+	if got := ProcessCPU() - before; got+2*time.Microsecond < spent {
+		t.Fatalf("spinning for %v of thread CPU moved process CPU by %v", spent, got)
 	}
 	r := New()
 	r.CPUFunc("trustnews_test_process_cpu_seconds_total", "process", func() time.Duration { return 1500 * time.Millisecond })

@@ -9,10 +9,10 @@
 //
 // Encoding is explicit per message kind — no reflection, no gob — so the
 // format is stable, auditable, and versioned by a single leading byte.
-// Decoding is defensive in the style of ledger.DecodeBlock: every length
-// claim is checked against the bytes actually remaining before any
-// allocation, so a hostile frame can neither panic the decoder nor bait
-// it into allocating unbounded memory.
+// Decoding goes through ledger.Reader, the codec ledger.DecodeBlock reads
+// with too: every length claim is checked against the bytes actually
+// remaining before any allocation, so a hostile frame can neither panic
+// the decoder nor bait it into allocating unbounded memory.
 //
 // Frame body layout (the TCP framing's 4-byte length prefix is outside
 // this package; see internal/transport/tcp):
@@ -23,8 +23,9 @@
 //	to       str8       (recipient node id)
 //	payload  kind-specific
 //
-// Fields are in transport's codec (transport.Writer, transport.Reader);
-// proposals, votes and certificates in consensus's (consensus.WriteVote).
+// Fields are in the ledger's field codec (ledger.Writer, ledger.Reader);
+// proposals, votes and certificates in consensus's layouts on it
+// (consensus.WriteVote).
 package wire
 
 import (
@@ -58,8 +59,8 @@ const (
 // proposer can include it. The payload is a *ledger.Tx.
 const KindMempoolTx = "mempool.tx"
 
-// Decode errors, besides transport's ErrTruncated, ErrOversize and
-// ErrTrailing.
+// Decode errors, besides the codec's ledger.ErrTruncated,
+// ledger.ErrOversize and ledger.ErrTrailing.
 var (
 	ErrVersion = errors.New("wire: unsupported codec version")
 	ErrKind    = errors.New("wire: unknown message kind")
@@ -72,7 +73,7 @@ type Codec struct{}
 
 // Encode serializes m's addressing and payload into one frame body.
 func (Codec) Encode(m transport.Message) ([]byte, error) {
-	w := &transport.Writer{}
+	w := &ledger.Writer{}
 	w.U8(Version)
 	w.Str8(m.Kind)
 	w.Str8(string(m.From))
@@ -81,7 +82,7 @@ func (Codec) Encode(m transport.Message) ([]byte, error) {
 		return nil, err
 	}
 	if len(w.Buf) > transport.MaxFrame {
-		return nil, fmt.Errorf("%w: encoded frame %d bytes", transport.ErrOversize, len(w.Buf))
+		return nil, fmt.Errorf("%w: encoded frame %d bytes", ledger.ErrOversize, len(w.Buf))
 	}
 	return w.Buf, nil
 }
@@ -90,7 +91,7 @@ func (Codec) Encode(m transport.Message) ([]byte, error) {
 // carries the same concrete payload type the sender passed in, so
 // handlers type-switch identically on simulated and real transports.
 func (Codec) Decode(raw []byte) (transport.Message, error) {
-	r := transport.NewReader(raw)
+	r := ledger.NewReader(raw)
 	if v := r.U8(); r.Err() == nil && v != Version {
 		return transport.Message{}, fmt.Errorf("%w: %d", ErrVersion, v)
 	}
@@ -115,7 +116,7 @@ func (Codec) Decode(raw []byte) (transport.Message, error) {
 // encodePayload dispatches on the message kind. Unknown kinds are an
 // error at the sender: silently dropping them would desynchronize the
 // cluster invisibly.
-func encodePayload(w *transport.Writer, kind string, payload any) error {
+func encodePayload(w *ledger.Writer, kind string, payload any) error {
 	switch kind {
 	case consensus.KindProposal:
 		p, ok := payload.(*consensus.Proposal)
@@ -202,7 +203,7 @@ func encodePayload(w *transport.Writer, kind string, payload any) error {
 	return nil
 }
 
-func decodePayload(r *transport.Reader, kind string) (any, error) {
+func decodePayload(r *ledger.Reader, kind string) (any, error) {
 	switch kind {
 	case consensus.KindProposal:
 		return consensus.ReadProposal(r)

@@ -104,8 +104,8 @@ func gossipFrames() []struct {
 	name string
 	raw  []byte
 } {
-	frame := func(kind string, body func(w *transport.Writer)) []byte {
-		w := &transport.Writer{}
+	frame := func(kind string, body func(w *ledger.Writer)) []byte {
+		w := &ledger.Writer{}
 		w.U8(Version)
 		w.Str8(kind)
 		w.Str8("p0")
@@ -114,7 +114,7 @@ func gossipFrames() []struct {
 		return w.Buf
 	}
 	envelope := func(id, topic string, hops int64, tag byte, payload []byte) []byte {
-		return frame("gossip", func(w *transport.Writer) {
+		return frame("gossip", func(w *ledger.Writer) {
 			w.Str(id)
 			w.Str(topic)
 			w.I64(hops)
@@ -125,7 +125,7 @@ func gossipFrames() []struct {
 		})
 	}
 	ids := func(kind string, list ...string) []byte {
-		return frame(kind, func(w *transport.Writer) {
+		return frame(kind, func(w *ledger.Writer) {
 			w.U32(uint32(len(list)))
 			for _, id := range list {
 				w.Str(id)
@@ -246,7 +246,7 @@ func TestDecodeRejects(t *testing.T) {
 		"unknown kind": {Version, 3, 'z', 'z', 'z', 1, 'a', 1, 'b'},
 		// consensus.vote whose sig length claims 4 GiB.
 		"hostile sig length": func() []byte {
-			w := &transport.Writer{}
+			w := &ledger.Writer{}
 			w.U8(Version)
 			w.Str8(consensus.KindVote)
 			w.Str8("a")
@@ -260,7 +260,7 @@ func TestDecodeRejects(t *testing.T) {
 		}(),
 		// commit certificate whose vote count claims 1<<31 elements.
 		"hostile vote count": func() []byte {
-			w := &transport.Writer{}
+			w := &ledger.Writer{}
 			w.U8(Version)
 			w.Str8(consensus.KindCommit)
 			w.Str8("a")
@@ -272,7 +272,7 @@ func TestDecodeRejects(t *testing.T) {
 		}(),
 		// syncblocks whose block count claims 1<<31 elements.
 		"hostile count": func() []byte {
-			w := &transport.Writer{}
+			w := &ledger.Writer{}
 			w.U8(Version)
 			w.Str8(consensus.KindSyncBlocks)
 			w.Str8("a")
